@@ -9,6 +9,7 @@ byte. Exit codes: 0 success, 1 physics-invariant violation, 2 config error.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,7 +20,10 @@ from dataclasses import asdict
 import numpy as np
 
 from .entanglement import (
+    SpinorState,
     analyze,
+    apply_q1,
+    apply_q2,
     build_energy_eigenstate,
     concurrence_from_spin,
     supercharge_eigenstates,
@@ -28,12 +32,7 @@ from .entanglement import (
 from .errors import ConfigError, PhysicsViolationError, SusyQMError
 from .grid import Grid, inner_product, make_grid, wavefunction_to_csv
 from .jaynescummings import build_jc, numeric_vs_analytic, verify_susy_algebra
-from .operators import (
-    build_supercharges,
-    build_susy_hamiltonian,
-    build_susy_system,
-    witten_parity,
-)
+from .operators import build_susy_system
 from .spectral import (
     EPS0,
     align_phase,
@@ -166,7 +165,10 @@ def _grid_payload(grid: Grid):
 
 def _solve_both_sides(W, grid, levels):
     """Eigenpairs of both partners plus the validated pairing report."""
-    system = build_susy_system(W, grid)
+    try:
+        system = build_susy_system(W, grid)
+    except ValueError as exc:  # W not finite, unresolved jump, or H+- overflow
+        raise ConfigError(str(exc)) from exc
     k = levels + 1  # room for the zero mode / the wall-node zero of H+
     plus = solve_spectrum(system.H_plus, k, grid=grid, partner_tag="plus")
     minus = solve_spectrum(system.H_minus, k, grid=grid, partner_tag="minus")
@@ -178,6 +180,41 @@ def _solve_both_sides(W, grid, levels):
     return system, plus_nz, minus_nz, report
 
 
+def _zero_mode_residual(system):
+    """The zero mode psi0, ||H- psi0|| / ||psi0|| and its bound 1e-12 ||H-||."""
+    psi0 = zero_mode(system)
+    resid = np.linalg.norm(system.H_minus @ psi0.amplitudes)
+    resid /= np.linalg.norm(psi0.amplitudes)
+    return psi0, resid, 1e-12 * operator_norm(system.H_minus)
+
+
+def _block_bands(op, n):
+    """Bands of the four n x n blocks of a spinor operator, all tridiagonal.
+
+    `op` maps a SpinorState to a SpinorState. The probe of residue r carries
+    1 on the nodes j = r (mod 3) of one component, so row i of its image is
+    the single entry of column j in {i-1, i, i+1} with j = r (mod 3): each
+    entry is read once and no sum is formed. Returns a complex array indexed
+    [row block, column block, band, i] with bands (sub, diag, sup); sub[i] is
+    entry (i+1, i) and sup[i] entry (i, i+1), both 0 at i = n-1.
+    """
+    idx = np.arange(n)
+    zero = np.zeros(n)
+    image = np.zeros((2, 2, 3, n), dtype=complex)  # [row block, column block, r, i]
+    for r in range(3):
+        p = (idx % 3 == r).astype(float)
+        for col, probe in enumerate((SpinorState(p, zero), SpinorState(zero, p))):
+            out = op(probe)
+            image[0, col, r] = out.up
+            image[1, col, r] = out.down
+    i = idx[:-1]
+    bands = np.zeros((2, 2, 3, n), dtype=complex)
+    bands[:, :, 0, :-1] = image[:, :, i % 3, i + 1]
+    bands[:, :, 1] = image[:, :, idx % 3, idx]
+    bands[:, :, 2, :-1] = image[:, :, (i + 1) % 3, i]
+    return bands
+
+
 # ------------------------------------------------------------------ commands
 
 def run_spectrum(cfg, outdir, fmt):
@@ -186,10 +223,7 @@ def run_spectrum(cfg, outdir, fmt):
     levels = _parse_levels(cfg, grid)
 
     system, plus_nz, minus_nz, report = _solve_both_sides(W, grid, levels)
-    psi0 = zero_mode(system)
-    resid = np.linalg.norm(np.dot(system.H_minus, psi0.amplitudes))
-    resid /= np.linalg.norm(psi0.amplitudes)
-    bound = 1e-12 * operator_norm(system.H_minus)
+    psi0, resid, bound = _zero_mode_residual(system)
 
     violations = []
     if report.zero_mode_energy is None:
@@ -401,10 +435,8 @@ def run_verify(cfg, outdir, fmt):
     else:
         check("zero_mode_present", abs(report.zero_mode_energy), EPS0)
 
-    psi0 = zero_mode(system)
-    resid = np.linalg.norm(np.dot(system.H_minus, psi0.amplitudes))
-    resid /= np.linalg.norm(psi0.amplitudes)
-    check("zero_mode_residual", resid, 1e-12 * operator_norm(system.H_minus))
+    _, resid, bound = _zero_mode_residual(system)
+    check("zero_mode_residual", resid, bound)
 
     worst_map = 0.0
     worst_energy = 0.0
@@ -417,7 +449,7 @@ def run_verify(cfg, outdir, fmt):
         worst_map = max(worst_map, math.sqrt(dx) * float(
             np.linalg.norm(mapped.amplitudes - mm.state.amplitudes)))
         worst_energy = max(worst_energy, abs(
-            dx * float(np.linalg.norm(np.dot(system.B, mm.state.amplitudes)) ** 2)
+            dx * float(np.linalg.norm(system.B @ mm.state.amplitudes) ** 2)
             - mm.energy))
         raw = intertwine_down(system, pp)
         states = supercharge_eigenstates(system, pp.energy, pp.state, raw)
@@ -432,18 +464,38 @@ def run_verify(cfg, outdir, fmt):
     check("intertwine_energy_deviation", worst_energy, INTERTWINE_TOL)
     check("supercharge_eigenstate_residual", worst_eig, INTERTWINE_TOL)
 
-    q1, q2 = build_supercharges(system)
-    h_susy = build_susy_hamiltonian(system)
-    parity = witten_parity(grid.n_points)
+    # the 2n x 2n identities, entry by entry from the blocks' bands: Q1, Q2
+    # and parity applied as stencils, against the separately formed H+-
+    n = grid.n_points
+    q1 = functools.partial(apply_q1, system)
+    q2 = functools.partial(apply_q2, system)
+
+    def parity(s):
+        return SpinorState(s.up, -s.down)
+
+    def anticommutator(a, b):
+        def op(s):
+            ab, ba = a(b(s)), b(a(s))
+            return SpinorState(ab.up + ba.up, ab.down + ba.down)
+        return op
+
+    h_susy = np.zeros((2, 2, 3, n))
+    for blk, H in ((0, system.H_plus), (1, system.H_minus)):
+        off = np.append(H.off, 0.0)
+        h_susy[blk, blk] = off, H.diag, off
+    q2_bands = _block_bands(q2, n)
+    # adjoint: swap the off-diagonal blocks, transpose each block (sub <-> sup)
+    # and conjugate
+    q2_adjoint = np.conj(q2_bands.transpose(1, 0, 2, 3)[:, :, ::-1])
     check("q1_squared_vs_hamiltonian",
-          np.max(np.abs(np.dot(q1, q1) - h_susy)), MATRIX_SQ_TOL)
+          np.max(np.abs(_block_bands(lambda s: q1(q1(s)), n) - h_susy)), MATRIX_SQ_TOL)
     check("q2_squared_vs_hamiltonian",
-          np.max(np.abs(np.dot(q2, q2) - h_susy)), MATRIX_SQ_TOL)
+          np.max(np.abs(_block_bands(lambda s: q2(q2(s)), n) - h_susy)), MATRIX_SQ_TOL)
     check("anticommutator_q1_q2",
-          np.max(np.abs(np.dot(q1, q2) + np.dot(q2, q1))), ANTICOMM_TOL)
+          np.max(np.abs(_block_bands(anticommutator(q1, q2), n))), ANTICOMM_TOL)
     check("anticommutator_parity_q1",
-          np.max(np.abs(np.dot(parity, q1) + np.dot(q1, parity))), ANTICOMM_TOL)
-    check("q2_hermiticity", np.max(np.abs(q2 - q2.conj().T)), ANTICOMM_TOL)
+          np.max(np.abs(_block_bands(anticommutator(parity, q1), n))), ANTICOMM_TOL)
+    check("q2_hermiticity", np.max(np.abs(q2_bands - q2_adjoint)), ANTICOMM_TOL)
 
     passed = all(c["passed"] for c in checks)
     payload = {

@@ -219,18 +219,14 @@ def supercharge_eigenstates(
 
 
 def apply_q1(sys: SusySystem, state: SpinorState) -> SpinorState:
-    """Blockwise Q1 action: (B phi_down, B+ phi_up)."""
-    return SpinorState(
-        np.dot(sys.B, state.down), np.dot(sys.B_adj, state.up), state.weight
-    )
+    """Blockwise Q1 action: (B phi_down, B+ phi_up), two-term stencils."""
+    return SpinorState(sys.B @ state.down, sys.B_adj @ state.up, state.weight)
 
 
 def apply_q2(sys: SusySystem, state: SpinorState) -> SpinorState:
-    """Blockwise Q2 action: (-i B phi_down, +i B+ phi_up)."""
+    """Blockwise Q2 action: (-i B phi_down, +i B+ phi_up), two-term stencils."""
     return SpinorState(
-        -1j * np.dot(sys.B, state.down.astype(complex)),
-        1j * np.dot(sys.B_adj, state.up.astype(complex)),
-        state.weight,
+        -1j * (sys.B @ state.down), 1j * (sys.B_adj @ state.up), state.weight
     )
 
 

@@ -1,10 +1,20 @@
-"""Discrete SUSY factorization.
+"""Discrete SUSY factorization on bands.
 
 B = (D_fwd + W)/sqrt(2) with the forward difference (D psi)_i =
-(psi_{i+1} - psi_i)/dx on rows 0..n-2 and an empty last row. B_adj is the
-literal matrix transpose, so H+ = B B_adj and H- = B_adj B are exactly
-isospectral on nonzero eigenvalues as a matrix-level theorem, not just in the
-dx -> 0 limit. The partner Hamiltonians are stored as the literal products.
+(psi_{i+1} - psi_i)/dx on rows 0..n-2 and an empty last row. B is upper
+bidiagonal and kept as its two bands; B_adj is its transpose on the same
+bands. The partner Hamiltonians H+ = B B_adj and H- = B_adj B are symmetric
+tridiagonal and formed band by band in O(n): with d the diagonal and u the
+superdiagonal of B,
+
+    H+ : diagonal d_i^2 + u_i^2,      off-diagonal u_i d_{i+1}
+    H- : diagonal d_i^2 + u_{i-1}^2,  off-diagonal d_i u_i
+
+which is every nonzero term of the matrix products, each summed once, so H+
+and H- are exactly isospectral on nonzero eigenvalues as a matrix-level
+theorem, not just in the dx -> 0 limit. No operator is ever held as an n x n
+array; `to_dense()` exists for small-n test oracles, as do the dense
+`build_susy_hamiltonian`, `build_supercharges` and `witten_parity`.
 
 The empty last row is the discrete form of the SUSY-preserving interval
 condition: B psi = 0 at the wall for H-, Dirichlet for H+. Every row of
@@ -24,6 +34,8 @@ from .grid import Grid
 from .superpotentials import Superpotential
 
 __all__ = [
+    "Bidiagonal",
+    "Tridiagonal",
     "SusySystem",
     "build_annihilator",
     "build_susy_system",
@@ -37,13 +49,108 @@ __all__ = [
 SQRT2 = np.sqrt(2.0)
 
 
+class _Banded:
+    """Read-only n x n matrix stored as its diagonal and one off-diagonal band.
+
+    Both bands are copied as float arrays and frozen. `A @ v` applies the
+    matrix to a real or complex vector of length n in O(n).
+    """
+
+    __slots__ = ("diag", "off")
+
+    def __init__(self, diag, off):
+        diag = np.array(diag, dtype=float)
+        off = np.array(off, dtype=float)
+        if diag.ndim != 1 or off.shape != (diag.size - 1,):
+            raise ValueError(
+                f"bands of shapes {diag.shape} and {off.shape} do not form a "
+                "square matrix (need n and n - 1 entries)"
+            )
+        diag.flags.writeable = False
+        off.flags.writeable = False
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "off", off)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    @property
+    def shape(self):
+        return (self.diag.size, self.diag.size)
+
+    @property
+    def nbytes(self) -> int:
+        return self.diag.nbytes + self.off.nbytes
+
+    def _vector(self, v):
+        v = np.asarray(v)
+        if v.shape != self.diag.shape:
+            raise ValueError(
+                f"cannot apply a {self.shape} banded matrix to shape {v.shape}"
+            )
+        return v
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.diag.size})"
+
+
+class Bidiagonal(_Banded):
+    """Bidiagonal matrix: `off` on the superdiagonal, or the subdiagonal if `lower`.
+
+    `.T` is the transpose: the same band values with the off-diagonal moved
+    to the other side.
+    """
+
+    __slots__ = ("lower",)
+
+    def __init__(self, diag, off, lower=False):
+        super().__init__(diag, off)
+        object.__setattr__(self, "lower", bool(lower))
+
+    @property
+    def T(self) -> "Bidiagonal":
+        return Bidiagonal(self.diag, self.off, not self.lower)
+
+    def __matmul__(self, v):
+        v = self._vector(v)
+        out = self.diag * v
+        if self.lower:
+            out[1:] += self.off * v[:-1]
+        else:
+            out[:-1] += self.off * v[1:]
+        return out
+
+    def to_dense(self) -> np.ndarray:
+        return np.diag(self.diag) + np.diag(self.off, -1 if self.lower else 1)
+
+
+class Tridiagonal(_Banded):
+    """Symmetric tridiagonal matrix: `off` on both the super- and subdiagonal."""
+
+    __slots__ = ()
+
+    @property
+    def T(self) -> "Tridiagonal":
+        return self
+
+    def __matmul__(self, v):
+        v = self._vector(v)
+        out = self.diag * v
+        out[:-1] += self.off * v[1:]
+        out[1:] += self.off * v[:-1]
+        return out
+
+    def to_dense(self) -> np.ndarray:
+        return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
+
+
 def _stiff_cells(w: np.ndarray, dx: float) -> np.ndarray:
     """Cells i (of n-1) where the explicit factor 1 - dx W_i is not positive."""
     return 1.0 - dx * w[:-1] <= 0.0
 
 
-def build_annihilator(W: Superpotential, grid: Grid) -> np.ndarray:
-    """Dense matrix of B = (D_fwd + W)/sqrt(2) with an empty last row.
+def build_annihilator(W: Superpotential, grid: Grid) -> Bidiagonal:
+    """B = (D_fwd + W)/sqrt(2) as its two bands, with an empty last row.
 
     Row i couples nodes i and i+1. W sits on node i (kernel ratio
     psi_{i+1}/psi_i = 1 - dx W_i, explicit Euler) unless that factor is not
@@ -52,11 +159,11 @@ def build_annihilator(W: Superpotential, grid: Grid) -> np.ndarray:
     decays instead of growing with alternating sign.
     """
     x = grid.nodes()
-    w = np.asarray(W(x), dtype=float)
+    with np.errstate(all="ignore"):  # non-finite values are rejected just below
+        w = np.asarray(W(x), dtype=float)
     if not np.all(np.isfinite(w)):
         bad = x[~np.isfinite(w)][0]
         raise ValueError(f"superpotential {W.name!r} is not finite at x = {bad}")
-    n = grid.n_points
     dx = grid.dx
     inv_dx = 1.0 / dx
     stiff = _stiff_cells(w, dx)
@@ -67,60 +174,86 @@ def build_annihilator(W: Superpotential, grid: Grid) -> np.ndarray:
             f"superpotential {W.name!r} changes by more than 2/dx in the cell "
             f"at x = {bad}; refine the grid"
         )
-    B = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    B[idx, idx] = np.where(stiff, -inv_dx, w[:-1] - inv_dx)
-    B[idx, idx + 1] = np.where(stiff, inv_dx + w[1:], inv_dx)
-    B /= SQRT2  # the last row stays empty: no wall equation for B
-    return B
+    diag = np.zeros(grid.n_points)  # the last row stays empty: no wall equation
+    diag[:-1] = np.where(stiff, -inv_dx, w[:-1] - inv_dx) / SQRT2
+    sup = np.where(stiff, inv_dx + w[1:], inv_dx) / SQRT2
+    return Bidiagonal(diag, sup)
 
 
 @dataclass(frozen=True)
 class SusySystem:
-    """Grid, superpotential, B, its adjoint, and the partner Hamiltonians."""
+    """Grid, superpotential, B, its adjoint, and the partner Hamiltonians.
+
+    B and B_adj = B.T are Bidiagonal; H_plus = B B_adj and H_minus = B_adj B
+    are Tridiagonal.
+    """
 
     grid: Grid
     W: Superpotential
-    B: np.ndarray
-    B_adj: np.ndarray
-    H_plus: np.ndarray
-    H_minus: np.ndarray
+    B: Bidiagonal
+    B_adj: Bidiagonal
+    H_plus: Tridiagonal
+    H_minus: Tridiagonal
 
 
 def build_susy_system(W: Superpotential, grid: Grid) -> SusySystem:
+    """B and the partner Hamiltonians, all banded, in O(n).
+
+    Raises ValueError when W is not finite on the grid, has a jump the stiff
+    cell rule cannot resolve, or is so large that H+- overflow.
+    """
     B = build_annihilator(W, grid)
-    B_adj = B.T.copy()
-    # literal products; with B_adj = B.T these come out exactly symmetric
-    H_plus = np.dot(B, B_adj)
-    H_minus = np.dot(B_adj, B)
-    for M in (B, B_adj, H_plus, H_minus):
-        M.flags.writeable = False
-    return SusySystem(grid, W, B, B_adj, H_plus, H_minus)
+    d, u = B.diag, B.off
+    with np.errstate(over="ignore"):  # overflow is rejected just below
+        dd = d * d
+        uu = u * u
+        plus_diag = dd.copy()
+        plus_diag[:-1] += uu
+        minus_diag = dd.copy()
+        minus_diag[1:] += uu
+        H_plus = Tridiagonal(plus_diag, u * d[1:])
+        H_minus = Tridiagonal(minus_diag, d[:-1] * u)
+    for H in (H_plus, H_minus):
+        if not (np.all(np.isfinite(H.diag)) and np.all(np.isfinite(H.off))):
+            raise ValueError(
+                f"superpotential {W.name!r} is too large on this grid: the "
+                "partner Hamiltonians overflow"
+            )
+    return SusySystem(grid, W, B, B.T, H_plus, H_minus)
 
 
 def build_susy_hamiltonian(sys: SusySystem) -> np.ndarray:
-    """2n x 2n block-diagonal diag(H+, H-), spin-up block first."""
+    """Dense 2n x 2n block-diagonal diag(H+, H-), spin-up block first.
+
+    Small-n test oracle; nothing in the package builds it.
+    """
     n = sys.grid.n_points
     H = np.zeros((2 * n, 2 * n))
-    H[:n, :n] = sys.H_plus
-    H[n:, n:] = sys.H_minus
+    H[:n, :n] = sys.H_plus.to_dense()
+    H[n:, n:] = sys.H_minus.to_dense()
     return H
 
 
 def build_supercharges(sys: SusySystem):
-    """Q1 = [[0, B], [B+, 0]] and Q2 = [[0, -iB], [iB+, 0]], both Hermitian."""
+    """Dense Q1 = [[0, B], [B+, 0]] and Q2 = [[0, -iB], [iB+, 0]], both Hermitian.
+
+    Small-n test oracle; the package applies the supercharges blockwise
+    (`entanglement.apply_q1`/`apply_q2`).
+    """
     n = sys.grid.n_points
+    B = sys.B.to_dense()
+    B_adj = sys.B_adj.to_dense()
     Q1 = np.zeros((2 * n, 2 * n))
-    Q1[:n, n:] = sys.B
-    Q1[n:, :n] = sys.B_adj
+    Q1[:n, n:] = B
+    Q1[n:, :n] = B_adj
     Q2 = np.zeros((2 * n, 2 * n), dtype=complex)
-    Q2[:n, n:] = -1j * sys.B
-    Q2[n:, :n] = 1j * sys.B_adj
+    Q2[:n, n:] = -1j * B
+    Q2[n:, :n] = 1j * B_adj
     return Q1, Q2
 
 
 def witten_parity(n: int) -> np.ndarray:
-    """diag(I_n, -I_n); anticommutes with both supercharges."""
+    """Dense diag(I_n, -I_n); anticommutes with both supercharges."""
     P = np.eye(2 * n)
     P[n:, n:] *= -1.0
     return P

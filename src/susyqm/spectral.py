@@ -13,7 +13,7 @@ import scipy.linalg as sla
 
 from .errors import DegeneracyError, SignConditionError
 from .grid import Grid, Wavefunction, fix_phase, inner_product
-from .operators import SusySystem, _stiff_cells, check_sign_condition
+from .operators import SusySystem, Tridiagonal, _stiff_cells, check_sign_condition
 
 __all__ = [
     "EPS0",
@@ -28,7 +28,6 @@ __all__ = [
     "intertwine_up",
     "align_phase",
     "operator_norm",
-    "eigen_residual",
 ]
 
 EPS0 = 1e-10
@@ -52,52 +51,42 @@ class EigenPair:
         return self.state
 
 
-def _tridiagonal_bands(H: np.ndarray):
-    """(diag, offdiag) if H is exactly symmetric tridiagonal, else None."""
-    rows, cols = np.nonzero(H)
-    if rows.size and np.max(np.abs(rows - cols)) > 1:
-        return None
-    e_up = np.diagonal(H, 1)
-    if not np.array_equal(np.diagonal(H, -1), e_up):
-        return None
-    return np.diagonal(H).copy(), e_up.copy()
-
-
 def solve_spectrum(
-    H: np.ndarray,
+    H: Union[Tridiagonal, np.ndarray],
     k: int,
     grid: Optional[Grid] = None,
     partner_tag: Optional[str] = None,
 ):
     """k lowest eigenpairs of a symmetric matrix, energies ascending.
 
-    Exactly tridiagonal input (all factorized Hamiltonians, including the
-    block-diagonal 2n x 2n one) goes through LAPACK's bisection driver, which
-    resolves the near-kernel eigenvalue at machine scale instead of the
-    ~eps*||H|| blur of the generic drivers. Everything else falls back to a
-    dense symmetric solve. Deterministic: fixed drivers, fixed phase fix.
+    A Tridiagonal (every factorized Hamiltonian) goes by its bands through
+    LAPACK's bisection driver, which resolves the near-kernel eigenvalue at
+    machine scale instead of the ~eps*||H|| blur of the generic drivers; the
+    work is O(n) per eigenpair. A dense array, real symmetric or complex
+    Hermitian, goes through the dense symmetric solver. Deterministic: fixed
+    drivers, fixed phase fix.
     """
-    H = np.asarray(H)
-    n = H.shape[0]
-    if H.ndim != 2 or H.shape[1] != n:
-        raise ValueError("H must be square")
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k = {k} out of range [1, {n}]")
-
-    bands = _tridiagonal_bands(H) if not np.iscomplexobj(H) else None
-    if bands is not None:
-        d, e = bands
-        # tol well under any eigenvalue gap: bisection converges to machine width
-        energies, vectors = sla.eigh_tridiagonal(
-            d, e, select="i", select_range=(0, k - 1),
-            lapack_driver="stebz", tol=1e-300,
-        )
-    else:
+    banded = isinstance(H, Tridiagonal)
+    if not banded:
+        H = np.asarray(H)
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise ValueError("H must be square")
         dev = np.max(np.abs(H - H.conj().T))
         scale = np.max(np.abs(H))
         if dev > 1e-12 * max(scale, 1.0):
             raise ValueError(f"matrix is not symmetric: max |H - H^T| = {dev:.3e}")
+    n = H.shape[0]
+    k = int(k)
+    if not 1 <= k <= n:
+        raise ValueError(f"k = {k} out of range [1, {n}]")
+
+    if banded:
+        # tol well under any eigenvalue gap: bisection converges to machine width
+        energies, vectors = sla.eigh_tridiagonal(
+            H.diag, H.off, select="i", select_range=(0, k - 1),
+            lapack_driver="stebz", tol=1e-300,
+        )
+    else:
         energies, vectors = sla.eigh(H, subset_by_index=[0, k - 1])
 
     pairs = []
@@ -265,14 +254,14 @@ def intertwine_down(sys: SusySystem, pair_plus: EigenPair) -> Wavefunction:
     supercharge eigenstates need exactly this relative phase.
     """
     _require_above_threshold(pair_plus.energy)
-    amps = np.dot(sys.B_adj, pair_plus.amplitudes()) / np.sqrt(pair_plus.energy)
+    amps = (sys.B_adj @ pair_plus.amplitudes()) / np.sqrt(pair_plus.energy)
     return Wavefunction(sys.grid, amps)
 
 
 def intertwine_up(sys: SusySystem, pair_minus: EigenPair) -> Wavefunction:
     """B psi- / sqrt(E), mirror of intertwine_down."""
     _require_above_threshold(pair_minus.energy)
-    amps = np.dot(sys.B, pair_minus.amplitudes()) / np.sqrt(pair_minus.energy)
+    amps = (sys.B @ pair_minus.amplitudes()) / np.sqrt(pair_minus.energy)
     return Wavefunction(sys.grid, amps)
 
 
@@ -286,24 +275,18 @@ def align_phase(mapped: Wavefunction, reference: Wavefunction) -> Wavefunction:
     return mapped if ov.real > 0 else Wavefunction(mapped.grid, -mapped.amplitudes)
 
 
-def operator_norm(H: np.ndarray) -> float:
+def operator_norm(H: Union[Tridiagonal, np.ndarray]) -> float:
     """Spectral norm of a symmetric matrix (largest |eigenvalue|)."""
-    bands = _tridiagonal_bands(np.asarray(H))
-    n = H.shape[0]
-    if bands is not None:
-        d, e = bands
-        lo = sla.eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
+    if isinstance(H, Tridiagonal):
+        n = H.shape[0]
+        lo = sla.eigh_tridiagonal(H.diag, H.off, select="i", select_range=(0, 0),
                                   eigvals_only=True, lapack_driver="stebz")
-        hi = sla.eigh_tridiagonal(d, e, select="i", select_range=(n - 1, n - 1),
+        hi = sla.eigh_tridiagonal(H.diag, H.off, select="i",
+                                  select_range=(n - 1, n - 1),
                                   eigvals_only=True, lapack_driver="stebz")
-        return float(max(abs(lo[0]), abs(hi[0])))
-    vals = sla.eigh(H, eigvals_only=True, subset_by_index=[n - 1, n - 1])
-    lo = sla.eigh(H, eigvals_only=True, subset_by_index=[0, 0])
-    return float(max(abs(vals[0]), abs(lo[0])))
-
-
-def eigen_residual(H: np.ndarray, pair: EigenPair, weight: float = 1.0) -> float:
-    """|| H v - E v || with the quadrature weight of the state."""
-    v = pair.amplitudes()
-    r = np.dot(H, v) - pair.energy * v
-    return float(np.sqrt(np.real(np.vdot(r, r)) * weight))
+    else:
+        H = np.asarray(H)
+        n = H.shape[0]
+        lo = sla.eigh(H, eigvals_only=True, subset_by_index=[0, 0])
+        hi = sla.eigh(H, eigvals_only=True, subset_by_index=[n - 1, n - 1])
+    return float(max(abs(lo[0]), abs(hi[0])))

@@ -223,15 +223,15 @@ def test_c6_supercharge_eigenstates(lab, name):
 
 
 @pytest.mark.parametrize("name", W_NAMES)
-def test_c6_matrix_identities(name):
-    # 201 points keeps the matmul accumulation floor below the 1e-13 tolerance;
-    # the identity itself is structural and holds at any resolution
+def test_c6_matrix_identities(name, unfused_product):
+    # dense oracle of the identity the verify command checks blockwise; 201
+    # points keeps the 2n x 2n products small, the identity is structural
     grid = sq.make_grid(-10.0, 10.0, 201)
     system = sq.build_susy_system(sq.get_superpotential(name), grid)
     q1, q2 = sq.build_supercharges(system)
     h = sq.build_susy_hamiltonian(system)
-    dev1 = float(np.max(np.abs(np.dot(q1, q1) - h)))
-    dev2 = float(np.max(np.abs(np.dot(q2, q2) - h)))
+    dev1 = float(np.max(np.abs(unfused_product(q1, q1) - h)))
+    dev2 = float(np.max(np.abs(unfused_product(q2, q2) - h)))
     report(6, f"matrix squares {name}", dev1 <= 1e-13 and dev2 <= 1e-13,
            f"||Q1^2 - H||_max = {dev1:.3e}, ||Q2^2 - H||_max = {dev2:.3e} "
            f"(tol 1e-13)")

@@ -2,14 +2,19 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from susyqm import cli
 
 BOX = {"x_min": -10.0, "x_max": 10.0, "n_points": 401}
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+CONFIGS = ROOT / "configs"
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -217,6 +222,7 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config error" in err
         assert needle in err
+        assert len(err.splitlines()) == 1
 
     def test_missing_field(self, tmp_path, capsys):
         payload = spectrum_config()
@@ -243,6 +249,16 @@ class TestConfigErrors:
     def test_boolean_not_a_number(self, tmp_path, capsys):
         bad = spectrum_config(grid={"x_min": True, "x_max": 10.0, "n_points": 401})
         self.run_expecting_config_error(tmp_path, capsys, bad, "x_min")
+
+    @pytest.mark.parametrize("superpotential", (
+        {"name": "harmonic", "params": {"scale": 1e200}},
+        {"name": "shifted_cubic", "params": {"a": 1e308}},
+    ))
+    def test_overflowing_hamiltonian(self, tmp_path, capsys, superpotential):
+        # W is finite on the grid, but H+- = (W - 1/dx)^2/2 + ... overflow
+        self.run_expecting_config_error(
+            tmp_path, capsys, spectrum_config(superpotential=superpotential),
+            "overflow")
 
     def test_jc_cutoff_too_small(self, tmp_path, capsys):
         self.run_expecting_config_error(
@@ -296,6 +312,30 @@ class TestDeterminism:
         assert cli.main(["--config", cfg, "--out", str(second)]) == 0
         for name in ("spectrum.csv", "zero_mode.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_outputs_independent_of_blas_threads(tmp_path):
+    # no report may depend on how BLAS splits its work
+    script = (
+        "import sys\n"
+        "from susyqm import cli\n"
+        "for name in ('spectrum', 'entangle', 'supercharge', 'verify'):\n"
+        "    rc = cli.main(['--config', f'{sys.argv[1]}/{name}.json',\n"
+        "                  '--out', f'{sys.argv[2]}/{name}'])\n"
+        "    assert rc == 0, (name, rc)\n"
+    )
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        outdir = tmp_path / threads
+        run = subprocess.run([sys.executable, "-c", script, str(CONFIGS), str(outdir)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outputs[threads] = {p.relative_to(outdir): p.read_bytes()
+                            for p in sorted(outdir.rglob("*")) if p.is_file()}
+    assert len(outputs["1"]) == 5  # spectrum writes two files
+    assert outputs["1"] == outputs["2"]
 
 
 def test_module_entry_point_help():

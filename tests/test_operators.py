@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sps
 
 import susyqm as sq
 
@@ -14,13 +15,74 @@ def small_grid():
     return sq.make_grid(-10, 10, 201)
 
 
+class TestBandedTypes:
+    """`@` and `.T @` of the banded operators against their dense form."""
+
+    N = 7
+
+    @pytest.fixture
+    def operators(self):
+        rng = np.random.default_rng(5)
+        d, u = rng.normal(size=self.N), rng.normal(size=self.N - 1)
+        return (sq.Bidiagonal(d, u), sq.Bidiagonal(d, u, lower=True),
+                sq.Tridiagonal(d, u))
+
+    @pytest.mark.parametrize("dtype", (float, complex))
+    def test_matvec_matches_dense(self, operators, dtype):
+        rng = np.random.default_rng(6)
+        for M in operators:
+            for op in (M, M.T):
+                v = rng.normal(size=self.N).astype(dtype)
+                if dtype is complex:
+                    v += 1j * rng.normal(size=self.N)
+                dense = op.to_dense()
+                # two or three rounded terms per entry
+                floor = 4 * np.finfo(float).eps * (np.abs(dense) @ np.abs(v))
+                assert np.all(np.abs(op @ v - dense @ v) <= floor)
+
+    def test_transpose_is_dense_transpose(self, operators):
+        for M in operators:
+            assert np.array_equal(M.T.to_dense(), M.to_dense().T)
+        upper, lower, tri = operators
+        assert np.array_equal(upper.to_dense(), np.triu(upper.to_dense()))
+        assert np.array_equal(lower.to_dense(), np.tril(lower.to_dense()))
+        assert tri.T is tri
+
+    def test_nbytes_and_shape(self, operators):
+        for M in operators:
+            assert M.shape == (self.N, self.N)
+            assert M.nbytes == (2 * self.N - 1) * 8
+
+    def test_read_only(self, operators):
+        for M in operators:
+            with pytest.raises(ValueError):
+                M.diag[0] = 1.0
+            with pytest.raises(ValueError):
+                M.off[0] = 1.0
+            with pytest.raises(AttributeError):
+                M.diag = np.zeros(self.N)
+
+    def test_bands_are_copied(self):
+        d, u = np.ones(3), np.ones(2)
+        M = sq.Tridiagonal(d, u)
+        d[0] = 5.0
+        assert M.diag[0] == 1.0
+
+    def test_shape_mismatch_rejected(self, operators):
+        for M in operators:
+            with pytest.raises(ValueError):
+                M @ np.ones(self.N + 1)
+        with pytest.raises(ValueError):
+            sq.Tridiagonal(np.ones(4), np.ones(4))
+
+
 class TestBuildAnnihilator:
     def test_free_case_is_scaled_forward_difference(self, free_superpotential):
         g = sq.make_grid(0, 1, 5)
         B = sq.build_annihilator(free_superpotential, g)
         expected = (np.diag(np.full(5, -1 / g.dx)) + np.diag(np.full(4, 1 / g.dx), 1))
         expected[-1] = 0.0  # no wall equation: the last row is empty
-        assert np.array_equal(B, expected / ROOT2)
+        assert np.array_equal(B.to_dense(), expected / ROOT2)
 
     def test_stiff_cells_move_w_to_the_right_node(self):
         # W = 4x on dx = 0.5: 1 - dx W_i <= 0 from x = 0.5 on, so cells 1..3
@@ -34,7 +96,7 @@ class TestBuildAnnihilator:
             [0.0, 0.0, 0.0, -2.0, 10.0],
             [0.0, 0.0, 0.0, 0.0, 0.0],
         ]) / ROOT2
-        assert np.array_equal(B, expected)
+        assert np.array_equal(B.to_dense(), expected)
 
     def test_unresolved_jump_rejected(self):
         # a stiff cell whose right node has 1 + dx W <= 0 has no positive ratio
@@ -45,13 +107,13 @@ class TestBuildAnnihilator:
     def test_free_partner_is_positive_semidefinite_laplacian(self, free_superpotential):
         g = sq.make_grid(-5, 5, 101)
         system = sq.build_susy_system(free_superpotential, g)
-        evals = sla.eigvalsh(system.H_minus)
+        evals = sla.eigvalsh(system.H_minus.to_dense())
         assert evals[0] >= -1e-10
 
     def test_harmonic_ground_state_near_zero(self, systems):
         evals = sla.eigh_tridiagonal(
-            np.diag(systems["harmonic"].H_minus),
-            np.diag(systems["harmonic"].H_minus, 1),
+            systems["harmonic"].H_minus.diag,
+            systems["harmonic"].H_minus.off,
             select="i", select_range=(0, 0), eigvals_only=True,
         )
         assert abs(evals[0]) <= 1e-6
@@ -65,8 +127,10 @@ class TestBuildAnnihilator:
         diag = 0.5 * (x - inv) ** 2
         diag[1:] += 0.5 * inv ** 2  # under-diagonal coupling absent in row 0
         diag[-1] = 0.5 * inv ** 2  # the empty last row of B adds no W term
-        assert np.allclose(np.diag(system.H_minus), diag, rtol=1e-13, atol=0)
-        assert np.allclose(system.H_minus, B.T @ B, rtol=0, atol=1e-12)
+        H_minus = system.H_minus.to_dense()
+        assert np.allclose(np.diag(H_minus), diag, rtol=1e-13, atol=0)
+        dense_B = B.to_dense()
+        assert np.allclose(H_minus, dense_B.T @ dense_B, rtol=0, atol=1e-12)
 
     def test_nonfinite_superpotential_rejected(self):
         W = sq.Superpotential("blow", lambda x: 1.0 / x, (-1, +1), "odd")
@@ -77,31 +141,36 @@ class TestBuildAnnihilator:
 class TestSusySystem:
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
     def test_partners_exactly_symmetric(self, systems, name):
-        system = systems[name]
-        assert np.max(np.abs(system.H_plus - system.H_plus.T)) == 0.0
-        assert np.max(np.abs(system.H_minus - system.H_minus.T)) == 0.0
+        for H in (systems[name].H_plus.to_dense(), systems[name].H_minus.to_dense()):
+            assert np.max(np.abs(H - H.T)) == 0.0
 
     def test_adjoint_is_exact_transpose(self, systems):
         system = systems["cubic"]
-        assert np.array_equal(system.B_adj, system.B.T)
+        assert np.array_equal(system.B_adj.to_dense(), system.B.to_dense().T)
 
     def test_partners_are_the_literal_products(self, systems):
+        # sparse products sum exactly the nonzero terms, as the bands do, so
+        # the two agree bit for bit (dense BLAS products may fuse the adds)
         system = systems["shifted_cubic"]
-        assert np.array_equal(system.H_plus, np.dot(system.B, system.B_adj))
-        assert np.array_equal(system.H_minus, np.dot(system.B_adj, system.B))
+        B = sps.csr_matrix(system.B.to_dense())
+        assert np.array_equal(system.H_plus.to_dense(), (B @ B.T).toarray())
+        assert np.array_equal(system.H_minus.to_dense(), (B.T @ B).toarray())
 
     @pytest.mark.parametrize("name", ("harmonic", "tanh"))
     def test_partners_positive_semidefinite(self, systems, name):
         for H in (systems[name].H_plus, systems[name].H_minus):
             low = sla.eigh_tridiagonal(
-                np.diag(H), np.diag(H, 1),
+                H.diag, H.off,
                 select="i", select_range=(0, 0), eigvals_only=True,
             )
             assert low[0] >= -1e-10
 
     def test_matrices_immutable(self, systems):
-        with pytest.raises((ValueError, RuntimeError)):
-            systems["harmonic"].B[0, 0] = 1.0
+        system = systems["harmonic"]
+        for M in (system.B, system.B_adj, system.H_plus, system.H_minus):
+            for band in (M.diag, M.off):
+                with pytest.raises((ValueError, RuntimeError)):
+                    band[0] = 1.0
 
 
 class TestSusyHamiltonian:
@@ -109,8 +178,8 @@ class TestSusyHamiltonian:
         system = sq.build_susy_system(sq.get_superpotential("tanh"), small_grid)
         H = sq.build_susy_hamiltonian(system)
         n = small_grid.n_points
-        assert np.array_equal(H[:n, :n], system.H_plus)
-        assert np.array_equal(H[n:, n:], system.H_minus)
+        assert np.array_equal(H[:n, :n], system.H_plus.to_dense())
+        assert np.array_equal(H[n:, n:], system.H_minus.to_dense())
         assert np.max(np.abs(H[:n, n:])) == 0.0
 
     def test_free_case_fully_doubly_degenerate(self, free_superpotential):
@@ -118,8 +187,8 @@ class TestSusyHamiltonian:
         system = sq.build_susy_system(free_superpotential, g)
         H = sq.build_susy_hamiltonian(system)
         # the empty last row of B decouples the wall node of H+ exactly
-        assert np.max(np.abs(system.H_plus[-1, :])) == 0.0
-        assert np.max(np.abs(system.H_plus[:, -1])) == 0.0
+        assert system.H_plus.diag[-1] == 0.0
+        assert system.H_plus.off[-1] == 0.0
         evals = np.sort(sla.eigvalsh(H))
         gaps = evals[1::2] - evals[0::2]  # consecutive twins
         assert np.max(np.abs(gaps)) <= 1e-10 * max(1.0, abs(evals[-1]))
@@ -129,7 +198,8 @@ class TestSusyHamiltonian:
         H = sq.build_susy_hamiltonian(system)
         full = np.sort(sla.eigvalsh(H))
         union = np.sort(np.concatenate([
-            sla.eigvalsh(system.H_plus), sla.eigvalsh(system.H_minus),
+            sla.eigvalsh(system.H_plus.to_dense()),
+            sla.eigvalsh(system.H_minus.to_dense()),
         ]))
         assert np.max(np.abs(full - union)) <= 1e-10 * max(1.0, abs(full[-1]))
 
@@ -146,12 +216,12 @@ class TestSupercharges:
             [[zero, -1j * B], [1j * B.T, zero]]))
 
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
-    def test_squares_equal_hamiltonian(self, small_grid, name):
+    def test_squares_equal_hamiltonian(self, small_grid, name, unfused_product):
         system = sq.build_susy_system(sq.get_superpotential(name), small_grid)
         q1, q2 = sq.build_supercharges(system)
         H = sq.build_susy_hamiltonian(system)
-        assert np.max(np.abs(np.dot(q1, q1) - H)) <= 1e-13
-        assert np.max(np.abs(np.dot(q2, q2) - H)) <= 1e-13
+        assert np.max(np.abs(unfused_product(q1, q1) - H)) <= 1e-13
+        assert np.max(np.abs(unfused_product(q2, q2) - H)) <= 1e-13
 
     def test_anticommutator_vanishes(self, small_grid):
         system = sq.build_susy_system(sq.get_superpotential("harmonic"), small_grid)
