@@ -170,8 +170,8 @@ def _solve_both_sides(W, grid, levels):
     except ValueError as exc:  # W not finite, unresolved jump, or H+- overflow
         raise ConfigError(str(exc)) from exc
     k = levels + 1  # room for the zero mode / the wall-node zero of H+
-    plus = solve_spectrum(system.H_plus, k, grid=grid, partner_tag="plus")
-    minus = solve_spectrum(system.H_minus, k, grid=grid, partner_tag="minus")
+    plus = solve_spectrum(system.H_plus, k, grid)
+    minus = solve_spectrum(system.H_minus, k, grid)
     report = pair_partner_levels(
         [p.energy for p in plus], [m.energy for m in minus], PAIR_TOL
     )
@@ -186,6 +186,21 @@ def _zero_mode_residual(system):
     resid = np.linalg.norm(system.H_minus @ psi0.amplitudes)
     resid /= np.linalg.norm(psi0.amplitudes)
     return psi0, resid, 1e-12 * operator_norm(system.H_minus)
+
+
+def _supercharge_states(system, pp, mapped):
+    """(family, sign, state, residual) of a level's four supercharge eigenstates.
+
+    `mapped` is intertwine_down(system, pp), which carries the relative phase
+    the eigenstates need.
+    """
+    states = supercharge_eigenstates(system, pp.energy, pp.state, mapped)
+    root = math.sqrt(pp.energy)
+    for family, sign, st in (
+        ("q1", +1, states.q1_plus), ("q1", -1, states.q1_minus),
+        ("q2", +1, states.q2_plus), ("q2", -1, states.q2_minus),
+    ):
+        yield family, sign, st, supercharge_residual(system, st, sign * root, family)
 
 
 def _block_bands(op, n):
@@ -321,14 +336,8 @@ def run_supercharge(cfg, outdir, fmt):
     violations = []
     rows = []
     for i, pp in enumerate(plus_nz[:levels], start=1):
-        mapped = intertwine_down(system, pp)  # carries the phase the eigenstates need
-        states = supercharge_eigenstates(system, pp.energy, pp.state, mapped)
-        root = math.sqrt(pp.energy)
-        for family, sign, st in (
-            ("q1", +1, states.q1_plus), ("q1", -1, states.q1_minus),
-            ("q2", +1, states.q2_plus), ("q2", -1, states.q2_minus),
-        ):
-            resid = supercharge_residual(system, st, sign * root, family)
+        mapped = intertwine_down(system, pp)
+        for family, sign, st, resid in _supercharge_states(system, pp, mapped):
             conc = concurrence_from_spin(st)
             rows.append((i, pp.energy, family, sign, resid, conc))
             if resid > INTERTWINE_TOL:
@@ -443,23 +452,16 @@ def run_verify(cfg, outdir, fmt):
     worst_eig = 0.0
     dx = grid.dx
     n_pairs = min(levels, len(plus_nz), len(minus_nz))
-    for i in range(n_pairs):
-        pp, mm = plus_nz[i], minus_nz[i]
-        mapped = align_phase(intertwine_down(system, pp), mm.state)
+    for pp, mm in zip(plus_nz[:n_pairs], minus_nz):
+        raw = intertwine_down(system, pp)
+        mapped = align_phase(raw, mm.state)
         worst_map = max(worst_map, math.sqrt(dx) * float(
             np.linalg.norm(mapped.amplitudes - mm.state.amplitudes)))
         worst_energy = max(worst_energy, abs(
             dx * float(np.linalg.norm(system.B @ mm.state.amplitudes) ** 2)
             - mm.energy))
-        raw = intertwine_down(system, pp)
-        states = supercharge_eigenstates(system, pp.energy, pp.state, raw)
-        root = math.sqrt(pp.energy)
-        for family, sign, st in (
-            ("q1", +1, states.q1_plus), ("q1", -1, states.q1_minus),
-            ("q2", +1, states.q2_plus), ("q2", -1, states.q2_minus),
-        ):
-            worst_eig = max(worst_eig,
-                            supercharge_residual(system, st, sign * root, family))
+        for *_, resid in _supercharge_states(system, pp, raw):
+            worst_eig = max(worst_eig, resid)
     check("intertwine_map_residual", worst_map, INTERTWINE_TOL)
     check("intertwine_energy_deviation", worst_energy, INTERTWINE_TOL)
     check("supercharge_eigenstate_residual", worst_eig, INTERTWINE_TOL)

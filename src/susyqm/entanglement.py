@@ -169,16 +169,20 @@ def analyze(
     """All available concurrence routes for one state.
 
     The overlap route needs the decomposition (c1, c2, <psi+|psi->); states
-    not built from one get the spin and SVD values only.
+    not built from one get the spin and SVD values only. The smaller Schmidt
+    coefficient is C_spin / (2 lambda1): lambda1 is well conditioned, while
+    sqrt((1 - |<sigma>|)/2) turns round-off near product states into sqrt(eps).
     """
     sigma = spin_expectation(state)
+    c_spin = concurrence_from_spin(state)
+    lam1 = schmidt_coefficients(sigma)[0]
     c_overlap = None
     if c1 is not None and c2 is not None and overlap is not None:
         c_overlap = concurrence_overlap(c1, c2, overlap)
     return EntanglementReport(
         sigma_mean=tuple(float(v) for v in sigma),
-        schmidt=schmidt_coefficients(sigma),
-        concurrence_spin=concurrence_from_spin(state),
+        schmidt=(lam1, c_spin / (2.0 * lam1)),
+        concurrence_spin=c_spin,
         concurrence_svd=concurrence_svd(state),
         concurrence_overlap=c_overlap,
         overlap=complex(overlap) if overlap is not None else None,

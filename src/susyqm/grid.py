@@ -50,7 +50,13 @@ def make_grid(x_min: float, x_max: float, n_points: int) -> Grid:
     n_points = int(n_points)
     if n_points < 3:
         raise ValueError(f"grid needs at least 3 points, got {n_points}")
-    return Grid(float(x_min), float(x_max), n_points)
+    grid = Grid(float(x_min), float(x_max), n_points)
+    if not 0.0 < grid.dx < np.inf:
+        raise ValueError(
+            f"grid spacing dx = {grid.dx} on [{x_min}, {x_max}] is not a "
+            "positive finite number (the span overflows or underflows)"
+        )
+    return grid
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .entanglement import (
     SpinorState,
     concurrence_from_spin,
     concurrence_svd,
 )
+from .spectral import _bisect
 
 __all__ = [
     "FockSpace",
@@ -273,15 +273,24 @@ def _label_evidence(sys: JCSystem):
 def numeric_vs_analytic(
     sys: JCSystem, gap_tol: float = 1e-10, fidelity_tol: float = 1e-10
 ) -> JCMatchReport:
-    """Dense-diagonalize H and match against the analytic levels and states.
+    """Diagonalize H and match against the analytic levels and states.
 
-    For gamma > 0 every analytic level matches the nearest unused numeric
-    eigenvalue. For gamma = 0 the excited levels are doubly degenerate and the
-    comparison is between eigenspaces (projector fidelity), reported per n
-    with branch 0.
+    H conserves the excitation number b+ b + (sz + 1)/2, so in the order
+    |0 down>, |0 up>, |1 down>, |1 up>, ... it is tridiagonal; its bands are
+    read from H in that order and solved by the same bisection as the partner
+    Hamiltonians, and the eigenvectors are scattered back to the (up, down)
+    layout. For gamma > 0 every analytic level matches the
+    nearest unused numeric eigenvalue. For gamma = 0 the excited levels are
+    doubly degenerate and the comparison is between eigenspaces (projector
+    fidelity), reported per n with branch 0.
     """
     d = sys.fock.dimension
-    evals, evecs = sla.eigh(sys.H)
+    fock = np.arange(d)
+    order = np.stack([d + fock, fock], axis=1).ravel()  # |m down>, |m up>, ...
+    evals, vectors = _bisect(sys.H[order, order], sys.H[order[:-1], order[1:]],
+                             0, 2 * d - 1)
+    evecs = np.empty_like(vectors)
+    evecs[order] = vectors
     used = np.zeros(evals.size, dtype=bool)
     failures = []
     rows = []

@@ -13,8 +13,7 @@ superdiagonal of B,
 which is every nonzero term of the matrix products, each summed once, so H+
 and H- are exactly isospectral on nonzero eigenvalues as a matrix-level
 theorem, not just in the dx -> 0 limit. No operator is ever held as an n x n
-array; `to_dense()` exists for small-n test oracles, as do the dense
-`build_susy_hamiltonian`, `build_supercharges` and `witten_parity`.
+array; `to_dense()` exists only for small-n test oracles.
 
 The empty last row is the discrete form of the SUSY-preserving interval
 condition: B psi = 0 at the wall for H-, Dirichlet for H+. Every row of
@@ -39,11 +38,7 @@ __all__ = [
     "SusySystem",
     "build_annihilator",
     "build_susy_system",
-    "build_susy_hamiltonian",
-    "build_supercharges",
-    "witten_parity",
     "check_sign_condition",
-    "matrix_to_csv",
 ]
 
 SQRT2 = np.sqrt(2.0)
@@ -222,43 +217,6 @@ def build_susy_system(W: Superpotential, grid: Grid) -> SusySystem:
     return SusySystem(grid, W, B, B.T, H_plus, H_minus)
 
 
-def build_susy_hamiltonian(sys: SusySystem) -> np.ndarray:
-    """Dense 2n x 2n block-diagonal diag(H+, H-), spin-up block first.
-
-    Small-n test oracle; nothing in the package builds it.
-    """
-    n = sys.grid.n_points
-    H = np.zeros((2 * n, 2 * n))
-    H[:n, :n] = sys.H_plus.to_dense()
-    H[n:, n:] = sys.H_minus.to_dense()
-    return H
-
-
-def build_supercharges(sys: SusySystem):
-    """Dense Q1 = [[0, B], [B+, 0]] and Q2 = [[0, -iB], [iB+, 0]], both Hermitian.
-
-    Small-n test oracle; the package applies the supercharges blockwise
-    (`entanglement.apply_q1`/`apply_q2`).
-    """
-    n = sys.grid.n_points
-    B = sys.B.to_dense()
-    B_adj = sys.B_adj.to_dense()
-    Q1 = np.zeros((2 * n, 2 * n))
-    Q1[:n, n:] = B
-    Q1[n:, :n] = B_adj
-    Q2 = np.zeros((2 * n, 2 * n), dtype=complex)
-    Q2[:n, n:] = -1j * B
-    Q2[n:, :n] = 1j * B_adj
-    return Q1, Q2
-
-
-def witten_parity(n: int) -> np.ndarray:
-    """Dense diag(I_n, -I_n); anticommutes with both supercharges."""
-    P = np.eye(2 * n)
-    P[n:, n:] *= -1.0
-    return P
-
-
 def check_sign_condition(W: Superpotential, grid: Grid) -> bool:
     """True iff W < 0 at x_min and W > 0 at x_max (normalizable zero mode)."""
     w_lo = float(W(grid.x_min))
@@ -268,13 +226,3 @@ def check_sign_condition(W: Superpotential, grid: Grid) -> bool:
             f"W({W.name!r}) vanishes at a boundary node, sign condition indeterminate"
         )
     return w_lo < 0.0 < w_hi
-
-
-def matrix_to_csv(M: np.ndarray) -> str:
-    """Debug export: one CSV row per matrix row, 17 significant digits."""
-    M = np.asarray(M)
-    if np.iscomplexobj(M):
-        rows = (",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row) for row in M)
-    else:
-        rows = (",".join(f"{v:.17g}" for v in row) for row in M)
-    return "\n".join(rows) + "\n"

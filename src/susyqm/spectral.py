@@ -1,12 +1,14 @@
 """Eigenproblems of the partner Hamiltonians.
 
 Solving, degeneracy pairing, the zero mode, and the intertwining maps between
-partner eigenstates. Energies below EPS0 = 1e-10 count as zero modes; the
-division by sqrt(E) in the intertwining maps is guarded by the same threshold.
+partner eigenstates. Every Hamiltonian here is a symmetric Tridiagonal, solved
+on its bands by LAPACK bisection; there is no dense eigensolver. Energies
+below EPS0 = 1e-10 count as zero modes; the division by sqrt(E) in the
+intertwining maps is guarded by the same threshold.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,72 +34,55 @@ __all__ = [
 
 EPS0 = 1e-10
 
+# RMAX of LAPACK's dstev: bisection squares the off-diagonal, so larger bands
+# are scaled down first
+_BAND_MAX = float(np.sqrt(np.finfo(float).eps / np.finfo(float).tiny))
+
+
+def _bisect(diag, off, lo, hi, tol=1e-300, eigvals_only=False):
+    """Eigenvalues lo..hi, ascending, and eigenvectors of a symmetric tridiagonal.
+
+    The package's one eigensolver: LAPACK bisection (stebz) on the bands. The
+    default tol, well under any eigenvalue gap, converges to machine width;
+    tol = 0 stops at LAPACK's eps * ||T||. Bands beyond _BAND_MAX are scaled
+    by a power of two first, which is exact, so the squares in the Sturm
+    count stay finite.
+    """
+    big = max(np.max(np.abs(diag)), np.max(np.abs(off)))
+    exp = int(np.frexp(big)[1]) if big > _BAND_MAX else 0
+    out = sla.eigh_tridiagonal(
+        np.ldexp(diag, -exp), np.ldexp(off, -exp), eigvals_only=eigvals_only,
+        select="i", select_range=(lo, hi), lapack_driver="stebz", tol=tol,
+    )
+    if eigvals_only:
+        return np.ldexp(out, exp)
+    return np.ldexp(out[0], exp), out[1]
+
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One eigenvalue with its eigenstate.
-
-    `state` is a Wavefunction when the matrix acts on a grid, otherwise a bare
-    unit vector (the solver also serves abstract symmetric matrices).
-    """
+    """One eigenvalue with its eigenstate on the grid."""
 
     energy: float
-    state: Union[Wavefunction, np.ndarray]
-    partner_tag: Optional[str] = None
-
-    def amplitudes(self) -> np.ndarray:
-        if isinstance(self.state, Wavefunction):
-            return self.state.amplitudes
-        return self.state
+    state: Wavefunction
 
 
-def solve_spectrum(
-    H: Union[Tridiagonal, np.ndarray],
-    k: int,
-    grid: Optional[Grid] = None,
-    partner_tag: Optional[str] = None,
-):
-    """k lowest eigenpairs of a symmetric matrix, energies ascending.
+def solve_spectrum(H: Tridiagonal, k: int, grid: Grid):
+    """k lowest eigenpairs of a symmetric tridiagonal H on `grid`, ascending.
 
-    A Tridiagonal (every factorized Hamiltonian) goes by its bands through
-    LAPACK's bisection driver, which resolves the near-kernel eigenvalue at
-    machine scale instead of the ~eps*||H|| blur of the generic drivers; the
-    work is O(n) per eigenpair. A dense array, real symmetric or complex
-    Hermitian, goes through the dense symmetric solver. Deterministic: fixed
-    drivers, fixed phase fix.
+    Bisection on the bands resolves the near-kernel eigenvalue at machine
+    scale instead of the ~eps*||H|| blur of the generic drivers; the work is
+    O(n) per eigenpair. Deterministic: fixed driver, fixed phase fix.
     """
-    banded = isinstance(H, Tridiagonal)
-    if not banded:
-        H = np.asarray(H)
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ValueError("H must be square")
-        dev = np.max(np.abs(H - H.conj().T))
-        scale = np.max(np.abs(H))
-        if dev > 1e-12 * max(scale, 1.0):
-            raise ValueError(f"matrix is not symmetric: max |H - H^T| = {dev:.3e}")
     n = H.shape[0]
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} out of range [1, {n}]")
-
-    if banded:
-        # tol well under any eigenvalue gap: bisection converges to machine width
-        energies, vectors = sla.eigh_tridiagonal(
-            H.diag, H.off, select="i", select_range=(0, k - 1),
-            lapack_driver="stebz", tol=1e-300,
-        )
-    else:
-        energies, vectors = sla.eigh(H, subset_by_index=[0, k - 1])
-
+    energies, vectors = _bisect(H.diag, H.off, 0, k - 1)
     pairs = []
     for j in range(k):
-        v = fix_phase(vectors[:, j])
-        if grid is not None:
-            state = Wavefunction(grid, v / np.sqrt(grid.dx))
-        else:
-            state = v.copy()
-            state.flags.writeable = False
-        pairs.append(EigenPair(float(energies[j]), state, partner_tag))
+        amps = fix_phase(vectors[:, j]) / np.sqrt(grid.dx)
+        pairs.append(EigenPair(float(energies[j]), Wavefunction(grid, amps)))
     return pairs
 
 
@@ -254,14 +239,14 @@ def intertwine_down(sys: SusySystem, pair_plus: EigenPair) -> Wavefunction:
     supercharge eigenstates need exactly this relative phase.
     """
     _require_above_threshold(pair_plus.energy)
-    amps = (sys.B_adj @ pair_plus.amplitudes()) / np.sqrt(pair_plus.energy)
+    amps = (sys.B_adj @ pair_plus.state.amplitudes) / np.sqrt(pair_plus.energy)
     return Wavefunction(sys.grid, amps)
 
 
 def intertwine_up(sys: SusySystem, pair_minus: EigenPair) -> Wavefunction:
     """B psi- / sqrt(E), mirror of intertwine_down."""
     _require_above_threshold(pair_minus.energy)
-    amps = (sys.B @ pair_minus.amplitudes()) / np.sqrt(pair_minus.energy)
+    amps = (sys.B @ pair_minus.state.amplitudes) / np.sqrt(pair_minus.energy)
     return Wavefunction(sys.grid, amps)
 
 
@@ -275,18 +260,9 @@ def align_phase(mapped: Wavefunction, reference: Wavefunction) -> Wavefunction:
     return mapped if ov.real > 0 else Wavefunction(mapped.grid, -mapped.amplitudes)
 
 
-def operator_norm(H: Union[Tridiagonal, np.ndarray]) -> float:
-    """Spectral norm of a symmetric matrix (largest |eigenvalue|)."""
-    if isinstance(H, Tridiagonal):
-        n = H.shape[0]
-        lo = sla.eigh_tridiagonal(H.diag, H.off, select="i", select_range=(0, 0),
-                                  eigvals_only=True, lapack_driver="stebz")
-        hi = sla.eigh_tridiagonal(H.diag, H.off, select="i",
-                                  select_range=(n - 1, n - 1),
-                                  eigvals_only=True, lapack_driver="stebz")
-    else:
-        H = np.asarray(H)
-        n = H.shape[0]
-        lo = sla.eigh(H, eigvals_only=True, subset_by_index=[0, 0])
-        hi = sla.eigh(H, eigvals_only=True, subset_by_index=[n - 1, n - 1])
-    return float(max(abs(lo[0]), abs(hi[0])))
+def operator_norm(H: Tridiagonal) -> float:
+    """Spectral norm of a symmetric tridiagonal H (largest |eigenvalue|)."""
+    n = H.shape[0]
+    lo, hi = (_bisect(H.diag, H.off, j, j, tol=0.0, eigvals_only=True)[0]
+              for j in (0, n - 1))
+    return float(max(abs(lo), abs(hi)))

@@ -1,4 +1,5 @@
-"""Shared fixtures: the default box, factorized systems and solved spectra.
+"""Shared fixtures: the default box, factorized systems, solved spectra and
+the dense small-n oracles of the 2n x 2n SUSY operators.
 
 Everything here is session-scoped; building a 2001-point system and solving
 both partners takes a noticeable fraction of a second, and many tests share
@@ -37,10 +38,8 @@ def spectra(systems, grid2001):
     """
     out = {}
     for name, system in systems.items():
-        plus = sq.solve_spectrum(system.H_plus, N_LEVELS + 1,
-                                 grid=grid2001, partner_tag="plus")
-        minus = sq.solve_spectrum(system.H_minus, N_LEVELS + 1,
-                                  grid=grid2001, partner_tag="minus")
+        plus = sq.solve_spectrum(system.H_plus, N_LEVELS + 1, grid2001)
+        minus = sq.solve_spectrum(system.H_minus, N_LEVELS + 1, grid2001)
         out[name] = (plus, minus)
     return out
 
@@ -84,3 +83,42 @@ def unfused_product():
     def product(A, B):
         return np.array([np.sum(row[:, None] * B, axis=0) for row in A])
     return product
+
+
+@pytest.fixture(scope="session")
+def build_susy_hamiltonian():
+    """Dense 2n x 2n block-diagonal diag(H+, H-), spin-up block first."""
+    def build(system):
+        n = system.grid.n_points
+        H = np.zeros((2 * n, 2 * n))
+        H[:n, :n] = system.H_plus.to_dense()
+        H[n:, n:] = system.H_minus.to_dense()
+        return H
+    return build
+
+
+@pytest.fixture(scope="session")
+def build_supercharges():
+    """Dense Q1 = [[0, B], [B+, 0]] and Q2 = [[0, -iB], [iB+, 0]], both Hermitian."""
+    def build(system):
+        n = system.grid.n_points
+        B = system.B.to_dense()
+        B_adj = system.B_adj.to_dense()
+        Q1 = np.zeros((2 * n, 2 * n))
+        Q1[:n, n:] = B
+        Q1[n:, :n] = B_adj
+        Q2 = np.zeros((2 * n, 2 * n), dtype=complex)
+        Q2[:n, n:] = -1j * B
+        Q2[n:, :n] = 1j * B_adj
+        return Q1, Q2
+    return build
+
+
+@pytest.fixture(scope="session")
+def witten_parity():
+    """Dense diag(I_n, -I_n); anticommutes with both supercharges."""
+    def build(n):
+        P = np.eye(2 * n)
+        P[n:, n:] *= -1.0
+        return P
+    return build

@@ -74,6 +74,17 @@ class TestSpectrumCommand:
         assert rc == 1
         assert "physics violation" in capsys.readouterr().err
 
+    def test_bands_beyond_squaring_range_exit_one(self, tmp_path, capsys):
+        # H+- are finite but their off-diagonal squares overflow: the solve
+        # still finishes, and the lost pairing is a physics verdict
+        cfg = write_config(tmp_path, spectrum_config(
+            superpotential={"name": "harmonic", "params": {"scale": 1e153}}))
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("physics violation")
+        assert len(err.splitlines()) == 1
+
 
 class TestEntangleCommand:
     def entangle_config(self, **overrides):
@@ -123,6 +134,16 @@ class TestEntangleCommand:
         assert len(payload["rows"]) == 21 * 8
         assert set(payload["rows"][0]) == set(cli.SWEEP_COLUMNS)
         assert payload["E_plus"] == pytest.approx(payload["E_minus"], abs=1e-10)
+
+    def test_product_rows_print_zero_lambda2(self, tmp_path):
+        # at |c1| = 0 and 1 the state is a product: the smaller Schmidt
+        # coefficient is 0, not the sqrt(eps) image of round-off in |<sigma>|
+        rc = cli.main(["--config", str(CONFIGS / "entangle.json"), "--out", str(tmp_path)])
+        assert rc == 0
+        header, rows = read_csv(tmp_path / "entangle.csv")
+        edges = [r for r in rows if float(r[0]) in (0.0, 1.0)]
+        assert len(edges) == 2 * 8
+        assert [float(r[header.index("lambda2")]) for r in edges] == [0.0] * 16
 
 
 class TestSuperchargeCommand:
@@ -260,6 +281,13 @@ class TestConfigErrors:
             tmp_path, capsys, spectrum_config(superpotential=superpotential),
             "overflow")
 
+    @pytest.mark.parametrize("bounds", ((-1e308, 1e308), (-5e-324, 5e-324)))
+    def test_unrepresentable_grid_spacing(self, tmp_path, capsys, bounds):
+        # finite, ordered bounds whose dx = (x_max - x_min)/(n - 1) is inf or 0
+        grid = {"x_min": bounds[0], "x_max": bounds[1], "n_points": 401}
+        self.run_expecting_config_error(
+            tmp_path, capsys, spectrum_config(grid=grid), "spacing")
+
     def test_jc_cutoff_too_small(self, tmp_path, capsys):
         self.run_expecting_config_error(
             tmp_path, capsys,
@@ -316,26 +344,43 @@ class TestDeterminism:
 
 def test_outputs_independent_of_blas_threads(tmp_path):
     # no report may depend on how BLAS splits its work
+    jc = write_config(tmp_path, {
+        "command": "jc",
+        "jc_params": {"omega": 1.0, "gamma": 0.1, "n_max": 128},
+    }, name="jc.json")
+    configs = [str(CONFIGS / f"{name}.json")
+               for name in ("spectrum", "entangle", "supercharge", "verify")] + [jc]
     script = (
         "import sys\n"
+        "from pathlib import Path\n"
         "from susyqm import cli\n"
-        "for name in ('spectrum', 'entangle', 'supercharge', 'verify'):\n"
-        "    rc = cli.main(['--config', f'{sys.argv[1]}/{name}.json',\n"
-        "                  '--out', f'{sys.argv[2]}/{name}'])\n"
-        "    assert rc == 0, (name, rc)\n"
+        "for cfg in sys.argv[2:]:\n"
+        "    rc = cli.main(['--config', cfg, '--out', f'{sys.argv[1]}/{Path(cfg).stem}'])\n"
+        "    assert rc == 0, (cfg, rc)\n"
     )
     outputs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
         outdir = tmp_path / threads
-        run = subprocess.run([sys.executable, "-c", script, str(CONFIGS), str(outdir)],
+        run = subprocess.run([sys.executable, "-c", script, str(outdir), *configs],
                              env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         outputs[threads] = {p.relative_to(outdir): p.read_bytes()
                             for p in sorted(outdir.rglob("*")) if p.is_file()}
-    assert len(outputs["1"]) == 5  # spectrum writes two files
+    assert len(outputs["1"]) == 7  # spectrum and jc write two files each
     assert outputs["1"] == outputs["2"]
+
+
+def test_atomic_write_leaves_no_temp_file_when_rename_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._atomic_write(str(tmp_path / "report.csv"), "a,b\n")
+    assert not list(tmp_path.glob(".susyqm-tmp-*"))
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_module_entry_point_help():

@@ -211,9 +211,10 @@ def harmonic_level_one(systems, nonzero_levels):
 
 class TestSuperchargeEigenstates:
 
-    def test_q1_eigen_relation_via_assembled_matrix(self, harmonic_level_one):
+    def test_q1_eigen_relation_via_assembled_matrix(self, harmonic_level_one,
+                                                    build_supercharges):
         system, pp, states = harmonic_level_one
-        q1, _ = sq.build_supercharges(system)
+        q1, _ = build_supercharges(system)
         root = np.sqrt(pp.energy)
         for sign, st_ in ((+1, states.q1_plus), (-1, states.q1_minus)):
             vec = np.concatenate([st_.up, st_.down])

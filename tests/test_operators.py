@@ -174,18 +174,19 @@ class TestSusySystem:
 
 
 class TestSusyHamiltonian:
-    def test_blocks_bit_exact(self, small_grid):
+    def test_blocks_bit_exact(self, small_grid, build_susy_hamiltonian):
         system = sq.build_susy_system(sq.get_superpotential("tanh"), small_grid)
-        H = sq.build_susy_hamiltonian(system)
+        H = build_susy_hamiltonian(system)
         n = small_grid.n_points
         assert np.array_equal(H[:n, :n], system.H_plus.to_dense())
         assert np.array_equal(H[n:, n:], system.H_minus.to_dense())
         assert np.max(np.abs(H[:n, n:])) == 0.0
 
-    def test_free_case_fully_doubly_degenerate(self, free_superpotential):
+    def test_free_case_fully_doubly_degenerate(self, free_superpotential,
+                                               build_susy_hamiltonian):
         g = sq.make_grid(-5, 5, 61)
         system = sq.build_susy_system(free_superpotential, g)
-        H = sq.build_susy_hamiltonian(system)
+        H = build_susy_hamiltonian(system)
         # the empty last row of B decouples the wall node of H+ exactly
         assert system.H_plus.diag[-1] == 0.0
         assert system.H_plus.off[-1] == 0.0
@@ -193,9 +194,10 @@ class TestSusyHamiltonian:
         gaps = evals[1::2] - evals[0::2]  # consecutive twins
         assert np.max(np.abs(gaps)) <= 1e-10 * max(1.0, abs(evals[-1]))
 
-    def test_harmonic_spectrum_is_union_of_blocks(self, small_grid):
+    def test_harmonic_spectrum_is_union_of_blocks(self, small_grid,
+                                                  build_susy_hamiltonian):
         system = sq.build_susy_system(sq.get_superpotential("harmonic"), small_grid)
-        H = sq.build_susy_hamiltonian(system)
+        H = build_susy_hamiltonian(system)
         full = np.sort(sla.eigvalsh(H))
         union = np.sort(np.concatenate([
             sla.eigvalsh(system.H_plus.to_dense()),
@@ -205,10 +207,11 @@ class TestSusyHamiltonian:
 
 
 class TestSupercharges:
-    def test_hand_assembled_three_point_free_case(self, free_superpotential):
+    def test_hand_assembled_three_point_free_case(self, free_superpotential,
+                                                  build_supercharges):
         g = sq.make_grid(0, 1, 3)
         system = sq.build_susy_system(free_superpotential, g)
-        q1, q2 = sq.build_supercharges(system)
+        q1, q2 = build_supercharges(system)
         B = np.array([[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, 0.0]]) / ROOT2
         zero = np.zeros((3, 3))
         assert np.array_equal(q1, np.block([[zero, B], [B.T, zero]]))
@@ -216,36 +219,30 @@ class TestSupercharges:
             [[zero, -1j * B], [1j * B.T, zero]]))
 
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
-    def test_squares_equal_hamiltonian(self, small_grid, name, unfused_product):
+    def test_squares_equal_hamiltonian(self, small_grid, name, unfused_product,
+                                       build_supercharges, build_susy_hamiltonian):
         system = sq.build_susy_system(sq.get_superpotential(name), small_grid)
-        q1, q2 = sq.build_supercharges(system)
-        H = sq.build_susy_hamiltonian(system)
+        q1, q2 = build_supercharges(system)
+        H = build_susy_hamiltonian(system)
         assert np.max(np.abs(unfused_product(q1, q1) - H)) <= 1e-13
         assert np.max(np.abs(unfused_product(q2, q2) - H)) <= 1e-13
 
-    def test_anticommutator_vanishes(self, small_grid):
+    def test_anticommutator_vanishes(self, small_grid, build_supercharges):
         system = sq.build_susy_system(sq.get_superpotential("harmonic"), small_grid)
-        q1, q2 = sq.build_supercharges(system)
+        q1, q2 = build_supercharges(system)
         assert np.max(np.abs(np.dot(q1, q2) + np.dot(q2, q1))) <= 1e-13
 
-    def test_hermitian(self, small_grid):
+    def test_hermitian(self, small_grid, build_supercharges):
         system = sq.build_susy_system(sq.get_superpotential("cubic"), small_grid)
-        q1, q2 = sq.build_supercharges(system)
+        q1, q2 = build_supercharges(system)
         assert np.max(np.abs(q1 - q1.T)) == 0.0
         assert np.max(np.abs(q2 - q2.conj().T)) == 0.0
 
-    def test_witten_parity_anticommutes_exactly(self, small_grid):
+    def test_witten_parity_anticommutes_exactly(self, small_grid, build_supercharges,
+                                                witten_parity):
         system = sq.build_susy_system(sq.get_superpotential("tanh"), small_grid)
-        q1, q2 = sq.build_supercharges(system)
-        P = sq.witten_parity(small_grid.n_points)
+        q1, q2 = build_supercharges(system)
+        P = witten_parity(small_grid.n_points)
         assert np.max(np.abs(np.dot(P, q1) + np.dot(q1, P))) == 0.0
         assert np.max(np.abs(np.dot(P, q2) + np.dot(q2, P))) == 0.0
 
-
-class TestMatrixCsv:
-    def test_real_matrix_roundtrip(self):
-        M = np.array([[1 / 3, 2.0], [-1.5, 1e-17]])
-        text = sq.matrix_to_csv(M)
-        rows = [[float(v) for v in line.split(",")]
-                for line in text.strip().split("\n")]
-        assert np.array_equal(np.array(rows), M)

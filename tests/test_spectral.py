@@ -10,20 +10,21 @@ import susyqm as sq
 
 class TestSolveSpectrum:
     def test_diagonal_matrix_sorted(self):
-        pairs = sq.solve_spectrum(np.diag([3.0, 1.0, 2.0]), 3)
+        grid = sq.make_grid(0.0, 2.0, 3)  # dx = 1: amplitudes are the unit vectors
+        pairs = sq.solve_spectrum(sq.Tridiagonal([3.0, 1.0, 2.0], [0.0, 0.0]), 3, grid)
         assert [p.energy for p in pairs] == [1.0, 2.0, 3.0]
         # phase convention: each state is a canonical basis vector, + sign
-        assert np.array_equal(pairs[0].amplitudes(), [0.0, 1.0, 0.0])
-        assert np.array_equal(pairs[1].amplitudes(), [0.0, 0.0, 1.0])
-        assert np.array_equal(pairs[2].amplitudes(), [1.0, 0.0, 0.0])
+        assert np.array_equal(pairs[0].state.amplitudes, [0.0, 1.0, 0.0])
+        assert np.array_equal(pairs[1].state.amplitudes, [0.0, 0.0, 1.0])
+        assert np.array_equal(pairs[2].state.amplitudes, [1.0, 0.0, 0.0])
 
     def test_harmonic_partner_levels_track_integer_ladder(self, systems, grid2001):
         # second-order scheme: E_n = n - n^2 dx^2 / 4 + O(dx^4)
         dx = grid2001.dx
-        minus = sq.solve_spectrum(systems["harmonic"].H_minus, 6, grid=grid2001)
+        minus = sq.solve_spectrum(systems["harmonic"].H_minus, 6, grid2001)
         for n, pair in enumerate(minus):
             assert pair.energy == pytest.approx(n - n * n * dx * dx / 4, abs=5e-6)
-        plus = sq.solve_spectrum(systems["harmonic"].H_plus, 5, grid=grid2001)
+        plus = sq.solve_spectrum(systems["harmonic"].H_plus, 5, grid2001)
         for n, pair in enumerate(plus[1:], start=1):  # entry 0 is the wall-node zero
             assert pair.energy == pytest.approx(n - n * n * dx * dx / 4, abs=5e-6)
 
@@ -31,41 +32,42 @@ class TestSolveSpectrum:
         plus, _ = spectra["cubic"]
         energies = [p.energy for p in plus]
         assert energies == sorted(energies)
-        V = np.column_stack([p.amplitudes() for p in plus])
+        V = np.column_stack([p.state.amplitudes for p in plus])
         gram = V.T @ V * grid2001.dx
         assert np.max(np.abs(gram - np.eye(len(plus)))) <= 1e-10
 
     def test_dense_fallback_matches_numpy(self):
+        # the banded solve against numpy's dense solver on a random tridiagonal
         rng = np.random.default_rng(7)
-        A = rng.normal(size=(40, 40))
-        H = (A + A.T) / 2
-        pairs = sq.solve_spectrum(H, 5)
-        expected = np.sort(np.linalg.eigvalsh(H))[:5]
+        H = sq.Tridiagonal(rng.normal(size=40), rng.normal(size=39))
+        pairs = sq.solve_spectrum(H, 5, sq.make_grid(0.0, 39.0, 40))
+        expected = np.sort(np.linalg.eigvalsh(H.to_dense()))[:5]
         assert np.allclose([p.energy for p in pairs], expected, atol=1e-12)
-
-    def test_complex_hermitian_path(self):
-        rng = np.random.default_rng(3)
-        A = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
-        H = (A + A.conj().T) / 2
-        pairs = sq.solve_spectrum(H, 3)
-        expected = np.sort(np.linalg.eigvalsh(H))[:3]
-        assert np.allclose([p.energy for p in pairs], expected, atol=1e-12)
-
-    def test_asymmetric_rejected(self):
-        H = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            sq.solve_spectrum(H, 1)
 
     def test_k_out_of_range(self):
+        H = sq.Tridiagonal(np.ones(4), np.zeros(3))
         with pytest.raises(ValueError):
-            sq.solve_spectrum(np.eye(4), 5)
+            sq.solve_spectrum(H, 5, sq.make_grid(0.0, 3.0, 4))
+
+    def test_bands_beyond_squaring_range(self):
+        # bisection squares the off-diagonal: 2^600 times a matrix must still
+        # solve, to the same eigenpairs scaled
+        rng = np.random.default_rng(13)
+        d, e = rng.normal(size=30), rng.normal(size=29)
+        small, big = sq.Tridiagonal(d, e), sq.Tridiagonal(np.ldexp(d, 600), np.ldexp(e, 600))
+        grid = sq.make_grid(0.0, 29.0, 30)
+        norm = sq.operator_norm(small)
+        assert np.ldexp(sq.operator_norm(big), -600) == pytest.approx(norm, rel=1e-12)
+        for s, b in zip(sq.solve_spectrum(small, 4, grid), sq.solve_spectrum(big, 4, grid)):
+            assert abs(np.ldexp(b.energy, -600) - s.energy) <= 1e-12 * norm
+            assert abs(sq.inner_product(s.state, b.state)) == pytest.approx(1.0, abs=1e-10)
 
     def test_deterministic_repeat(self, systems, grid2001):
-        a = sq.solve_spectrum(systems["tanh"].H_minus, 4, grid=grid2001)
-        b = sq.solve_spectrum(systems["tanh"].H_minus, 4, grid=grid2001)
+        a = sq.solve_spectrum(systems["tanh"].H_minus, 4, grid2001)
+        b = sq.solve_spectrum(systems["tanh"].H_minus, 4, grid2001)
         for pa, pb in zip(a, b):
             assert pa.energy == pb.energy
-            assert np.array_equal(pa.amplitudes(), pb.amplitudes())
+            assert np.array_equal(pa.state.amplitudes, pb.state.amplitudes)
 
 
 class TestPairPartnerLevels:
@@ -176,7 +178,7 @@ class TestZeroMode:
 
 class TestIntertwining:
     def test_down_map_is_first_hermite(self, systems, grid2001):
-        plus = sq.solve_spectrum(systems["harmonic"].H_plus, 2, grid=grid2001)
+        plus = sq.solve_spectrum(systems["harmonic"].H_plus, 2, grid2001)
         ground = plus[1]  # entry 0 is the wall-node zero
         assert ground.energy == pytest.approx(1.0, abs=1e-4)
         mapped = sq.intertwine_down(systems["harmonic"], ground)
@@ -189,7 +191,7 @@ class TestIntertwining:
         pp = plus_nz[0]
         down = sq.intertwine_down(systems["harmonic"], pp)
         back = sq.intertwine_up(
-            systems["harmonic"], sq.EigenPair(pp.energy, down, "minus"))
+            systems["harmonic"], sq.EigenPair(pp.energy, down))
         fid = abs(sq.inner_product(back, pp.state)) ** 2 / sq.norm(back) ** 2
         assert fid >= 1 - 1e-10
 
@@ -221,15 +223,6 @@ class TestIntertwining:
 class TestOperatorNorm:
     def test_tridiagonal_matches_dense(self):
         rng = np.random.default_rng(11)
-        d = rng.normal(size=30)
-        e = rng.normal(size=29)
-        H = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        H = sq.Tridiagonal(rng.normal(size=30), rng.normal(size=29))
         assert sq.operator_norm(H) == pytest.approx(
-            np.max(np.abs(np.linalg.eigvalsh(H))), rel=1e-12)
-
-    def test_dense_path(self):
-        rng = np.random.default_rng(12)
-        A = rng.normal(size=(25, 25))
-        H = A + A.T
-        assert sq.operator_norm(H) == pytest.approx(
-            np.max(np.abs(np.linalg.eigvalsh(H))), rel=1e-12)
+            np.max(np.abs(np.linalg.eigvalsh(H.to_dense()))), rel=1e-12)
