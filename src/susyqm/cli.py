@@ -524,10 +524,11 @@ def _write(outdir, filename, text):
 
 
 def _finish(violations):
+    """Exit code for a finished run: 1 with one stderr line if anything failed."""
     if not violations:
         return 0
-    for msg in violations:
-        print(f"physics violation: {msg}", file=sys.stderr)
+    more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
+    print(f"physics violation: {violations[0]}{more}", file=sys.stderr)
     return 1
 
 

@@ -1,10 +1,16 @@
 """Resonant Jaynes-Cummings model on a truncated Fock space.
 
-H = omega (b+ b + sz/2) + gamma (b s+ + b+ s-), assembled with the spin index
-outer and the Fock index inner. The supercharge Q = b s+ + b+ s- squares to
-b+ b + (sz + 1)/2 away from the cutoff, which hides an N=2 SUSY structure in
-the model: H = omega Q^2 + gamma Q - omega/2 up to a single corrupted entry at
-the truncation corner. Levels are only certified for n <= n_max - 2.
+H = omega (b+ b + sz/2) + gamma (b s+ + b+ s-) conserves the excitation
+number N = b+ b + (sz + 1)/2, so in the excitation order |0 down>, |0 up>,
+|1 down>, |1 up>, ... every operator of the model is symmetric tridiagonal and
+is stored as its bands (`operators.Tridiagonal`), built in O(n_max). The
+supercharge Q = b s+ + b+ s- has a zero diagonal and sqrt(m) on the
+off-diagonal between |m-1 up> and |m down>; it squares to N away from the
+cutoff, which hides an N=2 SUSY structure in the model:
+H = omega Q^2 + gamma Q - omega/2 up to a single corrupted entry at the
+truncation corner. `FockSpace.excitation_order` maps between this order and
+the (up, down) layout of `SpinorState`. Levels are only certified for
+n <= n_max - 2.
 """
 
 from dataclasses import dataclass
@@ -17,6 +23,7 @@ from .entanglement import (
     concurrence_from_spin,
     concurrence_svd,
 )
+from .operators import Tridiagonal
 from .spectral import _bisect
 
 __all__ = [
@@ -52,27 +59,46 @@ class FockSpace:
     def guard_n_max(self) -> int:
         return self.n_max - 2
 
+    def excitation_order(self) -> np.ndarray:
+        """Index into the (up, down) layout of each excitation-order position.
+
+        Position 2m holds |m down> (layout index d + m), position 2m + 1
+        holds |m up> (layout index m). A layout vector v reads as v[order] in
+        excitation order; an excitation-order vector w scatters back with
+        v[order] = w.
+        """
+        d = self.dimension
+        fock = np.arange(d)
+        return np.stack([d + fock, fock], axis=1).ravel()
+
+    def photons(self) -> np.ndarray:
+        """Photon number m of each excitation-order position."""
+        return np.arange(2 * self.dimension) // 2
+
+    def spins(self) -> np.ndarray:
+        """sz of each excitation-order position: -1 down, +1 up."""
+        return np.tile([-1.0, 1.0], self.dimension)
+
 
 @dataclass(frozen=True)
 class JCSystem:
+    """Q, H0, Hint and H as Tridiagonal bands in the excitation order."""
+
     fock: FockSpace
     omega: float
     gamma: float
-    Q: np.ndarray
-    H0: np.ndarray
-    Hint: np.ndarray
-    H: np.ndarray
-
-
-def _annihilation(dim: int) -> np.ndarray:
-    b = np.zeros((dim, dim))
-    m = np.arange(1, dim)
-    b[m - 1, m] = np.sqrt(m)
-    return b
+    Q: Tridiagonal
+    H0: Tridiagonal
+    Hint: Tridiagonal
+    H: Tridiagonal
 
 
 def build_jc(omega: float, gamma: float, n_max: int) -> JCSystem:
-    """Assemble Q, H0, Hint and H on the 2(n_max+1)-dimensional space."""
+    """Q, H0, Hint and H on the 2(n_max+1)-dimensional space, in O(n_max).
+
+    Raises ValueError for a nonpositive omega, a negative gamma, n_max < 4,
+    or couplings so large that a band of H overflows.
+    """
     omega = float(omega)
     gamma = float(gamma)
     if not (np.isfinite(omega) and omega > 0):
@@ -80,23 +106,20 @@ def build_jc(omega: float, gamma: float, n_max: int) -> JCSystem:
     if not (np.isfinite(gamma) and gamma >= 0):
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     fock = FockSpace(int(n_max))
-    d = fock.dimension
-
-    b = _annihilation(d)
-    bdag = b.T
-    number = np.dot(bdag, b)
-    eye_f = np.eye(d)
-    eye_s = np.eye(2)
-    sz = np.diag([1.0, -1.0])
-    s_plus = np.array([[0.0, 1.0], [0.0, 0.0]])
-    s_minus = s_plus.T
-
-    Q = np.kron(s_plus, b) + np.kron(s_minus, bdag)
-    H0 = omega * (np.kron(eye_s, number) + 0.5 * np.kron(sz, eye_f))
-    Hint = gamma * Q
-    H = H0 + Hint
-    for M in (Q, H0, Hint, H):
-        M.flags.writeable = False
+    m = fock.photons()
+    q_off = np.zeros(m.size - 1)
+    q_off[1::2] = np.sqrt(m[2::2])  # |m-1 up> <-> |m down>
+    zeros = np.zeros(m.size)
+    Q = Tridiagonal(zeros, q_off)
+    with np.errstate(over="ignore"):  # overflow is rejected just below
+        H0 = Tridiagonal(omega * (m + 0.5 * fock.spins()), zeros[1:])
+        Hint = Tridiagonal(zeros, gamma * q_off)
+        H = Tridiagonal(H0.diag + Hint.diag, H0.off + Hint.off)
+    if not (np.all(np.isfinite(H.diag)) and np.all(np.isfinite(H.off))):
+        raise ValueError(
+            f"omega = {omega!r}, gamma = {gamma!r} are too large for n_max = "
+            f"{fock.n_max}: the bands of H overflow"
+        )
     return JCSystem(fock, omega, gamma, Q, H0, Hint, H)
 
 
@@ -171,51 +194,122 @@ class JCAlgebraReport:
         )
 
 
+def _rows(M: Tridiagonal) -> np.ndarray:
+    """M's entries as three rows: row 1 + o, column j holds M[j, j + o]."""
+    out = np.zeros((3, M.diag.size))
+    out[0, 1:] = M.off
+    out[1] = M.diag
+    out[2, :-1] = M.off
+    return out
+
+
+def _diagonal(values) -> np.ndarray:
+    out = np.zeros((3, np.size(values)))
+    out[1] = values
+    return out
+
+
+def _wide(A: np.ndarray) -> np.ndarray:
+    """Three rows padded to the five rows of a product: row 2 + o holds (j, j + o)."""
+    return np.pad(A, ((1, 1), (0, 0)))
+
+
+def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Five rows of A B from the three rows of tridiagonal A and B.
+
+    Entry (j, j + p + q) collects A[j, j + p] B[j + p, j + p + q] over
+    |p|, |q| <= 1, each product rounded once: the nonzero terms of the dense
+    product, with no sum over the zeros in between.
+    """
+    n = A.shape[1]
+    C = np.zeros((5, n))
+    for p in (-1, 0, 1):
+        lo, hi = max(0, -p), n - max(0, p)
+        for q in (-1, 0, 1):
+            C[2 + p + q, lo:hi] += A[1 + p, lo:hi] * B[1 + q, lo + p:hi + p]
+    return C
+
+
+def _commutator(A: np.ndarray, B: np.ndarray, anti: bool = False) -> np.ndarray:
+    """Five rows of A B - B A, or of the anticommutator A B + B A if `anti`."""
+    C = _product(A, B)
+    if anti:
+        C += _product(B, A)
+    else:
+        C -= _product(B, A)
+    return C
+
+
+def _entries(keep: np.ndarray) -> np.ndarray:
+    """Mask of the five rows' entries (j, j + o) with both j and j + o kept."""
+    n = keep.size
+    out = np.zeros((5, n), dtype=bool)
+    for o in range(-2, 3):
+        lo, hi = max(0, -o), n - max(0, o)
+        out[2 + o, lo:hi] = keep[lo:hi] & keep[lo + o:hi + o]
+    return out
+
+
+def _max_abs(M: np.ndarray, mask=True) -> float:
+    return float(np.max(np.abs(M), where=mask, initial=0.0))
+
+
 def verify_susy_algebra(sys: JCSystem) -> JCAlgebraReport:
-    d = sys.fock.dimension
-    sz_full = np.kron(np.diag([1.0, -1.0]), np.eye(d))
-    Q1 = sys.Q
-    Q2 = 1j * np.dot(sz_full, Q1)
+    """Every identity read entry by entry from the bands, in O(n_max).
 
-    q1_sq = np.dot(Q1, Q1)
-    q2_sq = np.dot(Q2, Q2)
-    anti_q1_q2 = np.dot(Q1, Q2) + np.dot(Q2, Q1)
-    comm_q_h0 = np.dot(Q1, sys.H0) - np.dot(sys.H0, Q1)
-    anti_sz_q = np.dot(sz_full, Q1) + np.dot(Q1, sz_full)
+    Every operator involved is tridiagonal in the excitation order and is
+    read as three rows of entries; each product is pentadiagonal and is held
+    as five rows. No 2(n_max+1)-square array is formed. Q2 = i sz Q1 is
+    purely imaginary: its bands are i times those of R = sz Q1, Q1's bands
+    with the sz sign of the row. Every product with Q2 is then i or
+    i^2 = -1 times the same product with R, which is exact, so the report
+    reads the real rows of R. `dev` holds one identity's deviation at a time.
+    """
+    fock = sys.fock
+    omega, gamma = sys.omega, sys.gamma
+    m = fock.photons()
+    guarded = _entries(m <= fock.guard_n_max)
+    sz = fock.spins()
+    Q1 = _rows(sys.Q)
+    R = sz * Q1
+    H0 = _rows(sys.H0)
+    H = _rows(sys.H)
+    q1_sq = _product(Q1, Q1)
+    eye = _wide(_diagonal(np.ones(m.size)))
 
-    guard = np.arange(d) <= sys.fock.guard_n_max
-    gidx = np.concatenate([np.nonzero(guard)[0], d + np.nonzero(guard)[0]])
-
-    # interior of the H0 = omega(Q^2 - 1/2) identity: everything but the top row
-    interior = np.arange(d) <= sys.fock.n_max - 1
-    iidx = np.concatenate([np.nonzero(interior)[0], d + np.nonzero(interior)[0]])
-    h0_id = sys.H0 - sys.omega * (q1_sq - 0.5 * np.eye(2 * d))
-
-    hq = sys.H - (sys.omega * q1_sq + sys.gamma * Q1 - (sys.omega / 2.0) * np.eye(2 * d))
-    corner = sys.fock.n_max  # spin-up block, top Fock state
-    expected_corner = sys.omega * (sys.fock.n_max + 1)
-    corner_dev = abs(hq[corner, corner] - expected_corner)
-    hq_masked = hq.copy()
-    hq_masked[corner, corner] = 0.0
-
-    n_exc = np.kron(np.eye(2), np.dot(_annihilation(d).T, _annihilation(d)))
-    n_exc += 0.5 * (np.kron(np.diag([1.0, -1.0]), np.eye(d)) + np.eye(2 * d))
-    comm_n = np.dot(n_exc, sys.H) - np.dot(sys.H, n_exc)
-
-    def sub(M):
-        return float(np.max(np.abs(M[np.ix_(gidx, gidx)])))
+    dev = q1_sq + _product(R, R)  # Q1^2 - Q2^2
+    q1_sq_minus_q2_sq = _max_abs(dev, guarded)
+    dev = _commutator(Q1, R, anti=True)  # {Q1, Q2} / i
+    anti_q1_q2 = _max_abs(dev, guarded)
+    dev = _commutator(Q1, H0)
+    comm_q_h0_guarded = _max_abs(dev, guarded)
+    comm_q_h0_full = _max_abs(dev)
+    dev = _commutator(_diagonal(sz), Q1, anti=True)
+    anti_sz_q = _max_abs(dev)
+    dev = H - (H0 + _rows(sys.Hint))
+    h_equals_h0_plus_hint = _max_abs(dev)
+    # H0 = omega (Q^2 - 1/2) holds on every row but the top Fock level
+    dev = _wide(H0) - omega * (q1_sq - 0.5 * eye)
+    h0_identity_interior = _max_abs(dev, _entries(m <= fock.n_max - 1))
+    dev = _wide(H) - (omega * q1_sq + gamma * _wide(Q1) - (omega / 2.0) * eye)
+    corner = m.size - 1  # |n_max up>, the last excitation-order position
+    corner_dev = abs(dev[2, corner] - omega * (fock.n_max + 1))
+    dev[2, corner] = 0.0
+    h_q2_identity_offcorner = _max_abs(dev)
+    dev = _commutator(_diagonal(m + (sz + 1.0) / 2.0), H)  # [b+ b + (sz + 1)/2, H]
+    comm_n_exc_h = _max_abs(dev)
 
     return JCAlgebraReport(
-        q1_sq_minus_q2_sq=sub(q1_sq - q2_sq),
-        anti_q1_q2=sub(anti_q1_q2),
-        comm_q_h0_guarded=sub(comm_q_h0),
-        comm_q_h0_full=float(np.max(np.abs(comm_q_h0))),
-        anti_sz_q=float(np.max(np.abs(anti_sz_q))),
-        h_equals_h0_plus_hint=float(np.max(np.abs(sys.H - (sys.H0 + sys.Hint)))),
-        h0_identity_interior=float(np.max(np.abs(h0_id[np.ix_(iidx, iidx)]))),
-        h_q2_identity_offcorner=float(np.max(np.abs(hq_masked))),
+        q1_sq_minus_q2_sq=q1_sq_minus_q2_sq,
+        anti_q1_q2=anti_q1_q2,
+        comm_q_h0_guarded=comm_q_h0_guarded,
+        comm_q_h0_full=comm_q_h0_full,
+        anti_sz_q=anti_sz_q,
+        h_equals_h0_plus_hint=h_equals_h0_plus_hint,
+        h0_identity_interior=h0_identity_interior,
+        h_q2_identity_offcorner=h_q2_identity_offcorner,
         truncation_corner_deviation=float(corner_dev),
-        comm_n_exc_h=float(np.max(np.abs(comm_n))),
+        comm_n_exc_h=comm_n_exc_h,
     )
 
 
@@ -255,18 +349,21 @@ def _label_evidence(sys: JCSystem):
     the alternative n+1 labeling is kept as recorded evidence that it fails.
     """
     d = sys.fock.dimension
+    order = sys.fock.excitation_order()
     worst_impl = 0.0
     best_alt = np.inf
     for n in (1, 2, 3):
         q = np.sqrt(n)
-        psi = np.zeros(2 * d)
-        psi[n - 1] = 1.0 / np.sqrt(2.0)
-        psi[d + n] = 1.0 / np.sqrt(2.0)
-        worst_impl = max(worst_impl, float(np.linalg.norm(np.dot(sys.Q, psi) - q * psi)))
-        alt = np.zeros(2 * d)
-        alt[n + 1] = 1.0 / np.sqrt(2.0)
-        alt[d + n] = 1.0 / np.sqrt(2.0)
-        best_alt = min(best_alt, float(np.linalg.norm(np.dot(sys.Q, alt) - q * alt)))
+        for up_label in (n - 1, n + 1):
+            psi = np.zeros(2 * d)  # (up, down) layout
+            psi[up_label] = 1.0 / np.sqrt(2.0)
+            psi[d + n] = 1.0 / np.sqrt(2.0)
+            psi = psi[order]
+            resid = float(np.linalg.norm(sys.Q @ psi - q * psi))
+            if up_label == n - 1:
+                worst_impl = max(worst_impl, resid)
+            else:
+                best_alt = min(best_alt, resid)
     return worst_impl, best_alt
 
 
@@ -275,22 +372,23 @@ def numeric_vs_analytic(
 ) -> JCMatchReport:
     """Diagonalize H and match against the analytic levels and states.
 
-    H conserves the excitation number b+ b + (sz + 1)/2, so in the order
-    |0 down>, |0 up>, |1 down>, |1 up>, ... it is tridiagonal; its bands are
-    read from H in that order and solved by the same bisection as the partner
-    Hamiltonians, and the eigenvectors are scattered back to the (up, down)
-    layout. For gamma > 0 every analytic level matches the
-    nearest unused numeric eigenvalue. For gamma = 0 the excited levels are
+    H is stored in the excitation order, where it is tridiagonal; its bands
+    are solved by the same bisection as the partner Hamiltonians, and each
+    eigenvector used is scattered back to the (up, down) layout. For
+    gamma > 0 every analytic level matches the nearest unused numeric
+    eigenvalue. For gamma = 0 the excited levels are
     doubly degenerate and the comparison is between eigenspaces (projector
     fidelity), reported per n with branch 0.
     """
     d = sys.fock.dimension
-    fock = np.arange(d)
-    order = np.stack([d + fock, fock], axis=1).ravel()  # |m down>, |m up>, ...
-    evals, vectors = _bisect(sys.H[order, order], sys.H[order[:-1], order[1:]],
-                             0, 2 * d - 1)
-    evecs = np.empty_like(vectors)
-    evecs[order] = vectors
+    order = sys.fock.excitation_order()
+    evals, vectors = _bisect(sys.H.diag, sys.H.off, 0, 2 * d - 1)
+
+    def layout(idx):
+        v = np.empty(2 * d)
+        v[order] = vectors[:, idx]
+        return v
+
     used = np.zeros(evals.size, dtype=bool)
     failures = []
     rows = []
@@ -303,7 +401,7 @@ def numeric_vs_analytic(
     # ground state first: exact product state |0>|down>
     e0 = analytic_ground_energy(sys)
     idx = take_nearest(e0)
-    vg = evecs[:, idx]
+    vg = layout(idx)
     ground = SpinorState(vg[:d], vg[d:], 1.0)
     g_state = analytic_eigenstate(sys, 0, 0)
     g_fid = abs(np.vdot(np.concatenate([g_state.up, g_state.down]), vg)) ** 2
@@ -322,7 +420,7 @@ def numeric_vs_analytic(
             e_plus, e_minus = analytic_spectrum(sys, n)
             for branch, E in ((-1, e_minus), (+1, e_plus)):
                 idx = take_nearest(E)
-                v = evecs[:, idx]
+                v = layout(idx)
                 ana = analytic_eigenstate(sys, n, branch)
                 fid = abs(np.vdot(np.concatenate([ana.up, ana.down]), v)) ** 2
                 state = SpinorState(v[:d], v[d:], 1.0)
@@ -339,12 +437,12 @@ def numeric_vs_analytic(
             sel = []
             for _ in range(2):
                 sel.append(take_nearest(E))
-            Vn = evecs[:, sel]
+            Vn = np.stack([layout(i) for i in sel], axis=1)
             A = np.zeros((2, 2 * d))
             for col, branch in enumerate((+1, -1)):
                 ana = analytic_eigenstate(sys, n, branch)
                 A[col] = np.concatenate([ana.up, ana.down])
-            sv = np.linalg.svd(np.dot(A, Vn), compute_uv=False)
+            sv = np.linalg.svd(A @ Vn, compute_uv=False)
             fid = float(np.min(sv) ** 2)  # worst direction of the subspace
             gap = float(np.max(np.abs(evals[sel] - E)))
             rows.append(JCLevelRow(n, 0, float(E), float(np.mean(evals[sel])),

@@ -1,5 +1,6 @@
 """Shared fixtures: the default box, factorized systems, solved spectra and
-the dense small-n oracles of the 2n x 2n SUSY operators.
+the dense small-n oracles of the 2n x 2n SUSY operators and of the
+Jaynes-Cummings algebra report.
 
 Everything here is session-scoped; building a 2001-point system and solving
 both partners takes a noticeable fraction of a second, and many tests share
@@ -122,3 +123,63 @@ def witten_parity():
         P[n:, n:] *= -1.0
         return P
     return build
+
+
+@pytest.fixture(scope="session")
+def jc_dense_algebra():
+    """The Jaynes-Cummings algebra report from dense products in the (up, down) layout.
+
+    Q, H0, Hint and H come from `to_dense()` of the bands, scattered from the
+    excitation order with `excitation_order()`; the number operator, sz and
+    the identity are built here as Kronecker products, spin index outer.
+    """
+    def dense(sys_, M):
+        order = sys_.fock.excitation_order()
+        out = np.empty(M.shape)
+        out[np.ix_(order, order)] = M.to_dense()
+        return out
+
+    def report(sys_):
+        d = sys_.fock.dimension
+        Q1, H0, Hint, H = (dense(sys_, M) for M in (sys_.Q, sys_.H0, sys_.Hint, sys_.H))
+        sz_full = np.kron(np.diag([1.0, -1.0]), np.eye(d))
+        Q2 = 1j * np.dot(sz_full, Q1)
+
+        q1_sq = np.dot(Q1, Q1)
+        q2_sq = np.dot(Q2, Q2)
+        anti_q1_q2 = np.dot(Q1, Q2) + np.dot(Q2, Q1)
+        comm_q_h0 = np.dot(Q1, H0) - np.dot(H0, Q1)
+        anti_sz_q = np.dot(sz_full, Q1) + np.dot(Q1, sz_full)
+
+        guard = np.arange(d) <= sys_.fock.guard_n_max
+        gidx = np.concatenate([np.nonzero(guard)[0], d + np.nonzero(guard)[0]])
+        interior = np.arange(d) <= sys_.fock.n_max - 1
+        iidx = np.concatenate([np.nonzero(interior)[0], d + np.nonzero(interior)[0]])
+        h0_id = H0 - sys_.omega * (q1_sq - 0.5 * np.eye(2 * d))
+
+        hq = H - (sys_.omega * q1_sq + sys_.gamma * Q1
+                  - (sys_.omega / 2.0) * np.eye(2 * d))
+        corner = sys_.fock.n_max  # spin-up block, top Fock state
+        corner_dev = abs(hq[corner, corner] - sys_.omega * (sys_.fock.n_max + 1))
+        hq[corner, corner] = 0.0
+
+        n_exc = np.kron(np.eye(2), np.diag(np.arange(d, dtype=float)))
+        n_exc += 0.5 * (sz_full + np.eye(2 * d))
+        comm_n = np.dot(n_exc, H) - np.dot(H, n_exc)
+
+        def sub(M):
+            return float(np.max(np.abs(M[np.ix_(gidx, gidx)])))
+
+        return sq.JCAlgebraReport(
+            q1_sq_minus_q2_sq=sub(q1_sq - q2_sq),
+            anti_q1_q2=sub(anti_q1_q2),
+            comm_q_h0_guarded=sub(comm_q_h0),
+            comm_q_h0_full=float(np.max(np.abs(comm_q_h0))),
+            anti_sz_q=float(np.max(np.abs(anti_sz_q))),
+            h_equals_h0_plus_hint=float(np.max(np.abs(H - (H0 + Hint)))),
+            h0_identity_interior=float(np.max(np.abs(h0_id[np.ix_(iidx, iidx)]))),
+            h_q2_identity_offcorner=float(np.max(np.abs(hq))),
+            truncation_corner_deviation=float(corner_dev),
+            comm_n_exc_h=float(np.max(np.abs(comm_n))),
+        )
+    return report

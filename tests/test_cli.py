@@ -195,6 +195,20 @@ class TestJCCommand:
         assert labels["implemented_upper_label_n_minus_1"] <= 1e-12
         assert labels["alternative_upper_label_n_plus_1"] > 1.0
 
+    def test_many_violations_one_line(self, tmp_path, capsys):
+        # finite but huge couplings: several levels miss the absolute gap
+        # tolerance, and the verdict is still a single line
+        cfg = write_config(tmp_path, {
+            "command": "jc",
+            "jc_params": {"omega": 1e200, "gamma": 1e200, "n_max": 8},
+        })
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("physics violation: level n=")
+        assert "more)" in err
+
 
 class TestVerifyCommand:
     def test_clean_superpotential_passes(self, tmp_path):
@@ -287,6 +301,13 @@ class TestConfigErrors:
         grid = {"x_min": bounds[0], "x_max": bounds[1], "n_points": 401}
         self.run_expecting_config_error(
             tmp_path, capsys, spectrum_config(grid=grid), "spacing")
+
+    def test_jc_overflowing_hamiltonian(self, tmp_path, capsys):
+        # omega (n + 1/2) overflows on the diagonal of H
+        self.run_expecting_config_error(
+            tmp_path, capsys,
+            {"command": "jc", "jc_params": {"omega": 1e308, "gamma": 0.1, "n_max": 8}},
+            "overflow")
 
     def test_jc_cutoff_too_small(self, tmp_path, capsys):
         self.run_expecting_config_error(

@@ -1,9 +1,17 @@
 """Truncated Jaynes-Cummings model: assembly, hidden SUSY algebra, level match."""
 
+import tracemalloc
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 import susyqm as sq
+
+
+def layout(sys_, state):
+    """An (up, down) SpinorState as a vector in the excitation order of H."""
+    return np.concatenate([state.up, state.down])[sys_.fock.excitation_order()]
 
 
 class TestBuildJC:
@@ -11,9 +19,37 @@ class TestBuildJC:
         d = jc_default.fock.dimension
         assert d == 65
         assert jc_default.fock.guard_n_max == 62
-        assert jc_default.H.shape == (2 * d, 2 * d)
-        assert np.array_equal(jc_default.H, jc_default.H.T)
-        assert np.array_equal(jc_default.Q, jc_default.Q.T)
+        for M in (jc_default.Q, jc_default.H0, jc_default.Hint, jc_default.H):
+            assert isinstance(M, sq.Tridiagonal)
+            assert M.shape == (2 * d, 2 * d)
+        dense = jc_default.H.to_dense()
+        assert np.array_equal(dense, dense.T)
+        assert np.array_equal(jc_default.Q.to_dense(), jc_default.Q.to_dense().T)
+
+    def test_bands_by_hand(self):
+        # excitation order |0 down>, |0 up>, |1 down>, |1 up>, ...
+        sys_ = sq.build_jc(2.0, 0.5, 4)
+        m = np.repeat(np.arange(5), 2)
+        spin = np.tile([-1.0, 1.0], 5)
+        assert np.array_equal(sys_.Q.diag, np.zeros(10))
+        expected = np.zeros(9)
+        expected[1::2] = np.sqrt([1.0, 2.0, 3.0, 4.0])  # |m-1 up> <-> |m down>
+        assert np.array_equal(sys_.Q.off, expected)
+        assert np.array_equal(sys_.H0.diag, 2.0 * (m + 0.5 * spin))
+        assert np.array_equal(sys_.Hint.off, 0.5 * expected)
+
+    def test_number_operator_exact(self):
+        # omega b+ b is the integer ladder, not sqrt(m) sqrt(m) rounded
+        sys_ = sq.build_jc(1.0, 0.1, 512)
+        m = np.arange(1026) // 2
+        assert np.array_equal(sys_.H0.diag - np.tile([-0.5, 0.5], 513), m)
+
+    def test_excitation_order(self):
+        # a permutation of the (up, down) layout: |m down> = d + m, |m up> = m
+        order = sq.FockSpace(6).excitation_order()
+        assert sorted(order) == list(range(14))
+        assert list(order[:4]) == [7, 0, 8, 1]
+        assert list(order[-2:]) == [13, 6]
 
     def test_rejects_small_cutoff(self):
         with pytest.raises(ValueError):
@@ -29,25 +65,39 @@ class TestBuildJC:
         with pytest.raises(ValueError):
             sq.build_jc(np.inf, 0.1, 8)
 
+    @pytest.mark.parametrize("omega, gamma", ((1e308, 0.1), (1.0, 1e308)))
+    def test_rejects_overflowing_bands(self, omega, gamma):
+        with pytest.raises(ValueError, match="overflow"):
+            sq.build_jc(omega, gamma, 8)
+
     def test_zero_coupling_free_hamiltonian(self):
         sys_ = sq.build_jc(1.0, 0.0, 8)
-        assert np.max(np.abs(sys_.Hint)) == 0.0
-        assert np.array_equal(sys_.H, sys_.H0)
+        assert np.max(np.abs(sys_.Hint.off)) == 0.0
+        assert np.max(np.abs(sys_.Hint.diag)) == 0.0
+        assert np.array_equal(sys_.H.diag, sys_.H0.diag)
+        assert np.array_equal(sys_.H.off, sys_.H0.off)
 
     def test_matrices_immutable(self, jc_default):
         with pytest.raises(ValueError):
-            jc_default.H[0, 0] = 99.0
+            jc_default.H.diag[0] = 99.0
+        with pytest.raises(ValueError):
+            jc_default.Q.off[1] = 99.0
+        with pytest.raises(AttributeError):
+            jc_default.H.diag = np.zeros(130)
 
     def test_supercharge_action_by_hand(self):
         # Q sends |n>|down> to sqrt(n)|n-1>|up>
         sys_ = sq.build_jc(1.0, 0.5, 4)
         d = sys_.fock.dimension
+        order = sys_.fock.excitation_order()
         for n in (1, 2):
             v = np.zeros(2 * d)
             v[d + n] = 1.0
             expect = np.zeros(2 * d)
             expect[n - 1] = np.sqrt(n)
-            assert np.allclose(sys_.Q @ v, expect, atol=1e-15)
+            out = np.empty(2 * d)
+            out[order] = sys_.Q @ v[order]
+            assert np.allclose(out, expect, atol=1e-15)
 
 
 class TestAnalyticSpectrum:
@@ -96,16 +146,14 @@ class TestAnalyticEigenstate:
     def test_supercharge_eigenrelation(self, jc_default):
         for n in (1, 2, 5):
             for branch in (+1, -1):
-                st = sq.analytic_eigenstate(jc_default, n, branch)
-                v = np.concatenate([st.up, st.down])
+                v = layout(jc_default, sq.analytic_eigenstate(jc_default, n, branch))
                 resid = np.linalg.norm(jc_default.Q @ v - branch * np.sqrt(n) * v)
                 assert resid <= 1e-12
 
     def test_hamiltonian_eigenrelation(self, jc_default):
         for n in (1, 2, 5):
             for branch, E in zip((+1, -1), sq.analytic_spectrum(jc_default, n)):
-                st = sq.analytic_eigenstate(jc_default, n, branch)
-                v = np.concatenate([st.up, st.down])
+                v = layout(jc_default, sq.analytic_eigenstate(jc_default, n, branch))
                 assert np.linalg.norm(jc_default.H @ v - E * v) <= 1e-12
 
     def test_branch_validated(self, jc_default):
@@ -145,6 +193,62 @@ class TestAlgebraReport:
         alg = sq.verify_susy_algebra(sq.build_jc(1.0, 0.0, 16))
         assert alg.max_guarded_deviation() <= 1e-12
         assert alg.comm_q_h0_full <= 1e-12
+
+    @pytest.mark.parametrize("gamma", (0.1, 0.0))
+    @pytest.mark.parametrize("n_max", (16, 64))
+    def test_matches_dense_oracle(self, jc_dense_algebra, n_max, gamma):
+        sys_ = sq.build_jc(1.0, gamma, n_max)
+        banded = asdict(sq.verify_susy_algebra(sys_))
+        dense = asdict(jc_dense_algebra(sys_))
+        tol = 4 * np.finfo(float).eps * np.linalg.norm(sys_.H.to_dense(), 2)
+        for name, value in dense.items():
+            if value == 0.0:
+                assert banded[name] == 0.0, name
+            assert abs(banded[name] - value) <= tol, (name, banded[name], value)
+
+    def test_matches_dense_oracle_off_identity(self, jc_dense_algebra):
+        # random bands break every identity, so each field is far from 0 and
+        # the band products are checked against the dense ones in full; the
+        # entries grow along the order, so each maximum sits at the edge of
+        # its guard or interior mask and a mask one entry too wide shows
+        rng = np.random.default_rng(7)
+        fock = sq.FockSpace(8)
+        n = 2 * fock.dimension
+        growth = 2.0 ** np.arange(n)
+
+        def band(size):
+            return rng.choice((-1.0, 1.0), size) * rng.uniform(0.5, 1.0, size) * growth[:size]
+
+        Q, H0, Hint, H = (sq.Tridiagonal(band(n), band(n - 1)) for _ in range(4))
+        sys_ = sq.JCSystem(fock, 1.5, 0.75, Q, H0, Hint, H)
+        banded = asdict(sq.verify_susy_algebra(sys_))
+        dense = asdict(jc_dense_algebra(sys_))
+        for name, value in dense.items():
+            assert value >= 0.05, name
+            assert abs(banded[name] - value) <= 16 * np.finfo(float).eps * value, name
+
+    def test_number_conservation_exact(self):
+        # integer excitation numbers: [N_exc, H] has no rounded entries
+        for gamma in (0.1, 0.0):
+            alg = sq.verify_susy_algebra(sq.build_jc(1.0, gamma, 512))
+            assert alg.comm_n_exc_h == 0.0
+            assert alg.comm_q_h0_full == 0.0
+            assert alg.truncation_corner_deviation == 0.0
+
+    def test_banded_memory(self):
+        # the dense 2(n_max+1)-square products would need over 1 GB here
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            sq.verify_susy_algebra(sq.build_jc(1.0, 0.1, 4096))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestNumericMatch:
