@@ -8,9 +8,11 @@ supercharge Q = b s+ + b+ s- has a zero diagonal and sqrt(m) on the
 off-diagonal between |m-1 up> and |m down>; it squares to N away from the
 cutoff, which hides an N=2 SUSY structure in the model:
 H = omega Q^2 + gamma Q - omega/2 up to a single corrupted entry at the
-truncation corner. `FockSpace.excitation_order` maps between this order and
-the (up, down) layout of `SpinorState`. Levels are only certified for
-n <= n_max - 2.
+truncation corner. H is |0 down> plus one 2x2 block per excitation manifold,
+the SUSY doublet (|n-1 up>, |n down>), plus |n_max up>; the numeric match
+works one block at a time. `FockSpace.excitation_order` maps between this
+order and the (up, down) layout of `SpinorState`. Levels are only certified
+for n <= n_max - 2.
 """
 
 from dataclasses import dataclass
@@ -18,11 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .entanglement import (
-    SpinorState,
-    concurrence_from_spin,
-    concurrence_svd,
-)
+from .entanglement import concurrence_overlap
 from .operators import Tridiagonal
 from .spectral import _bisect
 
@@ -32,7 +30,6 @@ __all__ = [
     "build_jc",
     "analytic_ground_energy",
     "analytic_spectrum",
-    "analytic_eigenstate",
     "verify_susy_algebra",
     "numeric_vs_analytic",
     "JCAlgebraReport",
@@ -141,26 +138,6 @@ def analytic_spectrum(sys: JCSystem, n: int):
     split = sys.gamma * np.sqrt(n)
     base = sys.omega * n - sys.omega / 2.0
     return (base + split, base - split)
-
-
-def analytic_eigenstate(sys: JCSystem, n: int, branch: int) -> SpinorState:
-    """(|n-1>|up> + branch |n>|down>)/sqrt(2); n = 0 gives the ground |0>|down>.
-
-    The photon label in the upper component is n-1: the supercharge maps
-    |n>|down> to sqrt(n)|n-1>|up>, so only that pairing solves Q psi = q psi.
-    """
-    d = sys.fock.dimension
-    up = np.zeros(d)
-    down = np.zeros(d)
-    if n == 0:
-        down[0] = 1.0
-        return SpinorState(up, down, 1.0)
-    _require_guarded(sys, n)
-    if branch not in (+1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch!r}")
-    up[n - 1] = 1.0 / np.sqrt(2.0)
-    down[n] = branch / np.sqrt(2.0)
-    return SpinorState(up, down, 1.0)
 
 
 @dataclass(frozen=True)
@@ -372,98 +349,99 @@ def numeric_vs_analytic(
 ) -> JCMatchReport:
     """Diagonalize H and match against the analytic levels and states.
 
-    H is stored in the excitation order, where it is tridiagonal; its bands
-    are solved by the same bisection as the partner Hamiltonians, and each
-    eigenvector used is scattered back to the (up, down) layout. For
-    gamma > 0 every analytic level matches the nearest unused numeric
-    eigenvalue. For gamma = 0 the excited levels are
-    doubly degenerate and the comparison is between eigenspaces (projector
-    fidelity), reported per n with branch 0.
+    In the excitation order H is |0 down> plus one 2x2 block per doublet n,
+    on (|n-1 up>, |n down>), plus |n_max up>, so the whole spectrum of the
+    truncated H is known in closed form. Only the eigenvalues are computed,
+    by the same bisection as the partner Hamiltonians; a stable sort of the
+    closed-form levels, paired with the ascending numeric ones, is the
+    matching with the smallest largest gap, and exact level crossings
+    between doublets do no harm. Each eigenvector is the closed-form
+    eigenvector of its 2x2 block on the block's branch, formed from the
+    bands, two entries per level, and scored against
+    (|n-1 up> + branch |n down>)/sqrt(2). The ground row is the
+    singleton |0 down>, an exact product state: fidelity 1 and both ground
+    concurrences 0 hold by structure. For gamma = 0 the excited
+    levels are doubly degenerate and each block is one eigenspace that
+    equals the analytic span, so its fidelity is exactly 1; the row has
+    branch 0, the mean of its two numeric eigenvalues and the larger gap.
+
+    Raises ValueError if H couples |m down> to |m up> for some m, which
+    breaks the block structure (JCSystem can be built by hand).
     """
-    d = sys.fock.dimension
-    order = sys.fock.excitation_order()
-    evals, vectors = _bisect(sys.H.diag, sys.H.off, 0, 2 * d - 1)
+    H = sys.H
+    if np.any(H.off[0::2] != 0.0):
+        raise ValueError(
+            "H couples |m down> to |m up>: not block diagonal in the excitation order"
+        )
+    omega, gamma = sys.omega, sys.gamma
+    n_max, g = sys.fock.n_max, sys.fock.guard_n_max
+    evals = _bisect(H.diag, H.off, 0, 2 * n_max + 1, eigvals_only=True)
 
-    def layout(idx):
-        v = np.empty(2 * d)
-        v[order] = vectors[:, idx]
-        return v
-
-    used = np.zeros(evals.size, dtype=bool)
-    failures = []
-    rows = []
-
-    def take_nearest(E):
-        idx = int(np.argmin(np.where(used, np.inf, np.abs(evals - E))))
-        used[idx] = True
-        return idx
-
-    # ground state first: exact product state |0>|down>
-    e0 = analytic_ground_energy(sys)
-    idx = take_nearest(e0)
-    vg = layout(idx)
-    ground = SpinorState(vg[:d], vg[d:], 1.0)
-    g_state = analytic_eigenstate(sys, 0, 0)
-    g_fid = abs(np.vdot(np.concatenate([g_state.up, g_state.down]), vg)) ** 2
-    ground_c_svd = concurrence_svd(ground)
-    ground_c_spin = concurrence_from_spin(ground)
-    rows.append(
-        JCLevelRow(0, 0, e0, float(evals[idx]), float(abs(evals[idx] - e0)),
-                   float(g_fid), ground_c_svd)
+    # closed-form levels in excitation order: ground, (minus, plus) of each
+    # doublet n, top singleton; E_num[k] is the numeric match of level k
+    n = np.arange(1, n_max + 1)
+    base = omega * n - omega / 2.0
+    split = gamma * np.sqrt(n)
+    analytic = np.concatenate(
+        [[-omega / 2.0], np.stack([base - split, base + split], axis=1).ravel(),
+         [omega * n_max + omega / 2.0]]
     )
+    E_num = np.empty_like(evals)
+    E_num[np.argsort(analytic, kind="stable")] = evals
 
-    degenerate = sys.gamma == 0.0
+    # the ground block is the singleton |0 down>: its eigenvector is exact,
+    # a product state with fidelity 1 and concurrence 0
+    e0 = analytic_ground_energy(sys)
+    rows = [JCLevelRow(0, 0, e0, float(E_num[0]), float(abs(E_num[0] - e0)),
+                       1.0, 0.0)]
+
+    degenerate = gamma == 0.0
     min_exc_c = None
     if not degenerate:
-        min_exc_c = np.inf
-        for n in range(1, sys.fock.guard_n_max + 1):
-            e_plus, e_minus = analytic_spectrum(sys, n)
-            for branch, E in ((-1, e_minus), (+1, e_plus)):
-                idx = take_nearest(E)
-                v = layout(idx)
-                ana = analytic_eigenstate(sys, n, branch)
-                fid = abs(np.vdot(np.concatenate([ana.up, ana.down]), v)) ** 2
-                state = SpinorState(v[:d], v[d:], 1.0)
-                c = concurrence_from_spin(state)
-                min_exc_c = min(min_exc_c, c)
-                rows.append(
-                    JCLevelRow(n, branch, float(E), float(evals[idx]),
-                               float(abs(evals[idx] - E)), float(fid), float(c))
-                )
-        min_exc_c = float(min_exc_c)
+        k = np.arange(1, 2 * g + 1)  # level k sits in the block at 2n - 1, 2n
+        first = k - 1 + k % 2
+        a, b, c = H.diag[first], H.diag[first + 1], H.off[first]
+        branch = np.where(k % 2, -1, 1)
+        # (H - lam) v = 0 row by row: v = (c, lam - a) or (lam - b, c), the
+        # longer. lam - a and lam - b are taken from the block's centre, as
+        # shift - h and shift + h, not from the numeric E: its rounding of
+        # eps |E| would swamp a splitting 2 gamma sqrt(n) of that size
+        h = (a - b) / 2.0
+        shift = branch * np.hypot(h, c)  # lam - (a + b)/2
+        v1 = np.stack([c, shift - h])
+        v2 = np.stack([shift + h, c])
+        v = np.where(np.hypot(*v1) >= np.hypot(*v2), v1, v2)
+        up, down = v / np.hypot(*v)
+        fid = (up + branch * down) ** 2 / 2.0
+        conc = [concurrence_overlap(u, w, 0.0)
+                for u, w in zip(up.tolist(), down.tolist())]
+        rows += map(JCLevelRow, ((k + 1) // 2).tolist(), branch.tolist(),
+                    analytic[k].tolist(), E_num[k].tolist(),
+                    np.abs(E_num[k] - analytic[k]).tolist(),
+                    fid.tolist(), conc)
+        min_exc_c = float(min(conc))
     else:
-        for n in range(1, sys.fock.guard_n_max + 1):
-            E = sys.omega * n - sys.omega / 2.0
-            sel = []
-            for _ in range(2):
-                sel.append(take_nearest(E))
-            Vn = np.stack([layout(i) for i in sel], axis=1)
-            A = np.zeros((2, 2 * d))
-            for col, branch in enumerate((+1, -1)):
-                ana = analytic_eigenstate(sys, n, branch)
-                A[col] = np.concatenate([ana.up, ana.down])
-            sv = np.linalg.svd(A @ Vn, compute_uv=False)
-            fid = float(np.min(sv) ** 2)  # worst direction of the subspace
-            gap = float(np.max(np.abs(evals[sel] - E)))
-            rows.append(JCLevelRow(n, 0, float(E), float(np.mean(evals[sel])),
-                                   gap, fid, None))
+        pairs = E_num[1:2 * g + 1].reshape(g, 2)
+        gaps = np.abs(pairs - base[:g, None]).max(axis=1)
+        rows += map(JCLevelRow, n[:g].tolist(), [0] * g, base[:g].tolist(),
+                    pairs.mean(axis=1).tolist(), gaps.tolist(), [1.0] * g, [None] * g)
 
-    max_gap = max(r.gap for r in rows)
-    min_fid = min(r.fidelity for r in rows)
+    failures = []
     for r in rows:
         if r.gap > gap_tol:
             failures.append((r.n, r.branch, "gap", r.gap))
-        if r.fidelity < 1.0 - fidelity_tol:
+        # not >=: a block with neither coupling nor splitting gives NaN
+        if not r.fidelity >= 1.0 - fidelity_tol:
             failures.append((r.n, r.branch, "fidelity", r.fidelity))
 
     impl_res, alt_res = _label_evidence(sys)
     return JCMatchReport(
         rows=tuple(rows),
-        max_gap=float(max_gap),
-        min_fidelity=float(min_fid),
+        max_gap=float(max(r.gap for r in rows)),
+        min_fidelity=float(min(r.fidelity for r in rows)),
         min_excited_concurrence=min_exc_c,
-        ground_concurrence_svd=float(ground_c_svd),
-        ground_concurrence_spin=float(ground_c_spin),
+        ground_concurrence_svd=0.0,
+        ground_concurrence_spin=0.0,
         degenerate=degenerate,
         label_residual_implemented=float(impl_res),
         label_residual_alternative=float(alt_res),

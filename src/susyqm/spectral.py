@@ -1,10 +1,10 @@
 """Eigenproblems of the partner Hamiltonians.
 
-Solving, degeneracy pairing, the zero mode, and the intertwining maps between
-partner eigenstates. Every Hamiltonian here is a symmetric Tridiagonal, solved
+Solving, degeneracy pairing, the zero mode, and the intertwining map from H+
+to H- eigenstates. Every Hamiltonian here is a symmetric Tridiagonal, solved
 on its bands by LAPACK bisection; there is no dense eigensolver. Energies
 below EPS0 = 1e-10 count as zero modes; the division by sqrt(E) in the
-intertwining maps is guarded by the same threshold.
+intertwining map is guarded by the same threshold.
 """
 
 from dataclasses import dataclass
@@ -25,9 +25,7 @@ __all__ = [
     "solve_spectrum",
     "pair_partner_levels",
     "zero_mode",
-    "zero_mode_profile_overlap",
     "intertwine_down",
-    "intertwine_up",
     "align_phase",
     "operator_norm",
 ]
@@ -207,30 +205,6 @@ def zero_mode(sys: SusySystem) -> Wavefunction:
     return Wavefunction(grid, amps / nrm)
 
 
-def zero_mode_profile_overlap(sys: SusySystem) -> float:
-    """Overlap of the recursion zero mode with the sampled exp(-int W) profile.
-
-    The cumulative integral of W is taken by the trapezoid rule on the grid;
-    the additive constant drops out in the normalization. Independent
-    consistency oracle for zero_mode, not used to construct anything.
-    """
-    psi = zero_mode(sys)
-    grid = sys.grid
-    w = np.asarray(sys.W(grid.nodes()), dtype=float)
-    cum = np.concatenate([[0.0], np.cumsum((w[1:] + w[:-1]) * (grid.dx / 2.0))])
-    prof = np.exp(-(cum - np.min(cum)))
-    prof /= np.sqrt(np.sum(prof * prof) * grid.dx)
-    return float(np.sum(psi.amplitudes * prof) * grid.dx)
-
-
-def _require_above_threshold(energy: float):
-    if energy <= EPS0:
-        raise ValueError(
-            f"energy {energy!r} is at or below the zero-mode threshold {EPS0}; "
-            "the zero mode has no partner state"
-        )
-
-
 def intertwine_down(sys: SusySystem, pair_plus: EigenPair) -> Wavefunction:
     """B+ psi+ / sqrt(E): the H- eigenstate paired with an H+ eigenstate.
 
@@ -238,15 +212,12 @@ def intertwine_down(sys: SusySystem, pair_plus: EigenPair) -> Wavefunction:
     true eigenstate the norm lands within ~1e-8 of one, and downstream
     supercharge eigenstates need exactly this relative phase.
     """
-    _require_above_threshold(pair_plus.energy)
+    if pair_plus.energy <= EPS0:
+        raise ValueError(
+            f"energy {pair_plus.energy!r} is at or below the zero-mode threshold "
+            f"{EPS0}; the zero mode has no partner state"
+        )
     amps = (sys.B_adj @ pair_plus.state.amplitudes) / np.sqrt(pair_plus.energy)
-    return Wavefunction(sys.grid, amps)
-
-
-def intertwine_up(sys: SusySystem, pair_minus: EigenPair) -> Wavefunction:
-    """B psi- / sqrt(E), mirror of intertwine_down."""
-    _require_above_threshold(pair_minus.energy)
-    amps = (sys.B @ pair_minus.state.amplitudes) / np.sqrt(pair_minus.energy)
     return Wavefunction(sys.grid, amps)
 
 

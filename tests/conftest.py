@@ -1,6 +1,8 @@
-"""Shared fixtures: the default box, factorized systems, solved spectra and
-the dense small-n oracles of the 2n x 2n SUSY operators and of the
-Jaynes-Cummings algebra report.
+"""Shared fixtures: the default box, factorized systems, solved spectra, the
+dense small-n oracles of the 2n x 2n SUSY operators and of the
+Jaynes-Cummings algebra report and level match, and the oracles that no code
+in the package calls (the H- to H+ intertwining map, the sampled zero-mode
+profile and the closed-form Jaynes-Cummings eigenstates).
 
 Everything here is session-scoped; building a 2001-point system and solving
 both partners takes a noticeable fraction of a second, and many tests share
@@ -64,6 +66,117 @@ def jc_default():
 @pytest.fixture(scope="session")
 def jc_match(jc_default):
     return sq.numeric_vs_analytic(jc_default)
+
+
+@pytest.fixture(scope="session")
+def intertwine_up():
+    """B psi- / sqrt(E): the H+ partner of an H- eigenpair, mirror of intertwine_down."""
+    def up(system, pair_minus):
+        if pair_minus.energy <= sq.EPS0:
+            raise ValueError(f"energy {pair_minus.energy!r} is at or below {sq.EPS0}")
+        amps = (system.B @ pair_minus.state.amplitudes) / np.sqrt(pair_minus.energy)
+        return sq.Wavefunction(system.grid, amps)
+    return up
+
+
+@pytest.fixture(scope="session")
+def zero_mode_profile_overlap():
+    """Overlap of the recursion zero mode with the sampled exp(-int W) profile.
+
+    The cumulative integral of W is taken by the trapezoid rule on the grid;
+    the additive constant drops out in the normalization.
+    """
+    def overlap(system):
+        psi = sq.zero_mode(system)
+        grid = system.grid
+        w = np.asarray(system.W(grid.nodes()), dtype=float)
+        cum = np.concatenate([[0.0], np.cumsum((w[1:] + w[:-1]) * (grid.dx / 2.0))])
+        prof = np.exp(-(cum - np.min(cum)))
+        prof /= np.sqrt(np.sum(prof * prof) * grid.dx)
+        return float(np.sum(psi.amplitudes * prof) * grid.dx)
+    return overlap
+
+
+@pytest.fixture(scope="session")
+def analytic_eigenstate():
+    """(|n-1>|up> + branch |n>|down>)/sqrt(2) in the (up, down) layout.
+
+    n = 0 gives the ground |0>|down>. The photon label in the upper component
+    is n-1: the supercharge maps |n>|down> to sqrt(n)|n-1>|up>, so only that
+    pairing solves Q psi = q psi.
+    """
+    def state(sys_, n, branch):
+        d = sys_.fock.dimension
+        up = np.zeros(d)
+        down = np.zeros(d)
+        if n == 0:
+            down[0] = 1.0
+            return sq.SpinorState(up, down, 1.0)
+        if not 1 <= n <= sys_.fock.guard_n_max:
+            raise ValueError(f"n = {n} outside the certified band")
+        if branch not in (+1, -1):
+            raise ValueError(f"branch must be +1 or -1, got {branch!r}")
+        up[n - 1] = 1.0 / np.sqrt(2.0)
+        down[n] = branch / np.sqrt(2.0)
+        return sq.SpinorState(up, down, 1.0)
+    return state
+
+
+@pytest.fixture(scope="session")
+def jc_dense_match(analytic_eigenstate):
+    """Level rows of the Jaynes-Cummings match by the general eigenvector path.
+
+    Every eigenpair comes from dense `np.linalg.eigh(H.to_dense())`, each
+    vector scattered to the (up, down) layout with `excitation_order()`. Each
+    analytic level, ground first, takes the nearest unused eigenvalue;
+    fidelity is the squared overlap with the analytic state and concurrence
+    the spin route on the full vector. For gamma = 0 each doublet takes two
+    eigenvalues and its fidelity is the smallest squared singular value of
+    the overlap of the analytic and numeric eigenspaces. Not valid at exact
+    level crossings, where the nearest-unused scan can take the wrong level.
+    """
+    def match(sys_):
+        d = sys_.fock.dimension
+        evals, vecs = np.linalg.eigh(sys_.H.to_dense())
+        vectors = np.empty_like(vecs)
+        vectors[sys_.fock.excitation_order()] = vecs
+        used = np.zeros(evals.size, dtype=bool)
+
+        def take_nearest(E):
+            idx = int(np.argmin(np.where(used, np.inf, np.abs(evals - E))))
+            used[idx] = True
+            return idx
+
+        def flat(state):
+            return np.concatenate([state.up, state.down])
+
+        def row(n, branch, E, sel, fid, conc):
+            E_num = float(np.mean(evals[sel]))
+            gap = float(np.max(np.abs(evals[sel] - E)))
+            return sq.JCLevelRow(n, branch, float(E), E_num, gap, float(fid), conc)
+
+        e0 = -sys_.omega / 2.0
+        idx = take_nearest(e0)
+        v = vectors[:, idx]
+        ground = sq.SpinorState(v[:d], v[d:], 1.0)
+        fid = abs(np.vdot(flat(analytic_eigenstate(sys_, 0, 0)), v)) ** 2
+        rows = [row(0, 0, e0, [idx], fid, sq.concurrence_svd(ground))]
+        for n in range(1, sys_.fock.guard_n_max + 1):
+            e_plus, e_minus = sq.analytic_spectrum(sys_, n)
+            if sys_.gamma == 0.0:
+                sel = [take_nearest(e_plus), take_nearest(e_plus)]
+                A = np.stack([flat(analytic_eigenstate(sys_, n, b)) for b in (+1, -1)])
+                sv = np.linalg.svd(A @ vectors[:, sel], compute_uv=False)
+                rows.append(row(n, 0, e_plus, sel, np.min(sv) ** 2, None))
+                continue
+            for branch, E in ((-1, e_minus), (+1, e_plus)):
+                idx = take_nearest(E)
+                v = vectors[:, idx]
+                fid = abs(np.vdot(flat(analytic_eigenstate(sys_, n, branch)), v)) ** 2
+                conc = sq.concurrence_from_spin(sq.SpinorState(v[:d], v[d:], 1.0))
+                rows.append(row(n, branch, E, [idx], fid, conc))
+        return rows
+    return match
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,21 @@ import pytest
 import susyqm as sq
 
 
+def traced_peak(run):
+    """tracemalloc peak, in bytes, of run() above the memory held before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def layout(sys_, state):
     """An (up, down) SpinorState as a vector in the excitation order of H."""
     return np.concatenate([state.up, state.down])[sys_.fock.excitation_order()]
@@ -130,39 +145,39 @@ class TestAnalyticSpectrum:
 
 
 class TestAnalyticEigenstate:
-    def test_first_doublet_vector(self, jc_default):
-        st = sq.analytic_eigenstate(jc_default, 1, +1)
+    def test_first_doublet_vector(self, jc_default, analytic_eigenstate):
+        st = analytic_eigenstate(jc_default, 1, +1)
         assert st.up[0] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
         assert st.down[1] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
         assert np.count_nonzero(st.up) == 1
         assert np.count_nonzero(st.down) == 1
 
-    def test_ground_is_product(self, jc_default):
-        st = sq.analytic_eigenstate(jc_default, 0, 0)
+    def test_ground_is_product(self, jc_default, analytic_eigenstate):
+        st = analytic_eigenstate(jc_default, 0, 0)
         assert st.down[0] == 1.0
         assert np.max(np.abs(st.up)) == 0.0
         assert sq.concurrence_from_spin(st) == 0.0
 
-    def test_supercharge_eigenrelation(self, jc_default):
+    def test_supercharge_eigenrelation(self, jc_default, analytic_eigenstate):
         for n in (1, 2, 5):
             for branch in (+1, -1):
-                v = layout(jc_default, sq.analytic_eigenstate(jc_default, n, branch))
+                v = layout(jc_default, analytic_eigenstate(jc_default, n, branch))
                 resid = np.linalg.norm(jc_default.Q @ v - branch * np.sqrt(n) * v)
                 assert resid <= 1e-12
 
-    def test_hamiltonian_eigenrelation(self, jc_default):
+    def test_hamiltonian_eigenrelation(self, jc_default, analytic_eigenstate):
         for n in (1, 2, 5):
             for branch, E in zip((+1, -1), sq.analytic_spectrum(jc_default, n)):
-                v = layout(jc_default, sq.analytic_eigenstate(jc_default, n, branch))
+                v = layout(jc_default, analytic_eigenstate(jc_default, n, branch))
                 assert np.linalg.norm(jc_default.H @ v - E * v) <= 1e-12
 
-    def test_branch_validated(self, jc_default):
+    def test_branch_validated(self, jc_default, analytic_eigenstate):
         with pytest.raises(ValueError):
-            sq.analytic_eigenstate(jc_default, 1, 2)
+            analytic_eigenstate(jc_default, 1, 2)
 
-    def test_guard_enforced(self, jc_default):
+    def test_guard_enforced(self, jc_default, analytic_eigenstate):
         with pytest.raises(ValueError):
-            sq.analytic_eigenstate(jc_default, 64, +1)
+            analytic_eigenstate(jc_default, 64, +1)
 
 
 @pytest.fixture(scope="module")
@@ -237,18 +252,7 @@ class TestAlgebraReport:
 
     def test_banded_memory(self):
         # the dense 2(n_max+1)-square products would need over 1 GB here
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        try:
-            sq.verify_susy_algebra(sq.build_jc(1.0, 0.1, 4096))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak < 4e6
+        assert traced_peak(lambda: sq.verify_susy_algebra(sq.build_jc(1.0, 0.1, 4096))) < 4e6
 
 
 class TestNumericMatch:
@@ -289,3 +293,52 @@ class TestNumericMatch:
         assert excited and all(r.branch == 0 for r in excited)
         assert all(r.concurrence is None for r in excited)
         assert match.min_excited_concurrence is None
+
+    @pytest.mark.parametrize("gamma", (3.0, 5.0))
+    def test_exact_level_crossing(self, gamma):
+        # E(1, -) = E(4, -) = -2.5 at gamma 3 and E(1, -) = E(16, -) = -4.5 at
+        # gamma 5: a nearest-unused scan hands level 1 the other doublet's vector
+        match = sq.numeric_vs_analytic(sq.build_jc(1.0, gamma, 16))
+        assert match.all_matched
+        assert match.min_fidelity >= 1 - 1e-10
+
+    @pytest.mark.parametrize("gamma", (1e-12, 1e-17))
+    def test_weak_coupling(self, gamma):
+        # the splitting 2 gamma sqrt(n) is at or below the rounding of E, so an
+        # eigenvector formed from the numeric E would be wrong
+        match = sq.numeric_vs_analytic(sq.build_jc(1.0, gamma, 16))
+        assert match.all_matched
+        assert match.min_fidelity >= 1 - 1e-10
+        assert match.min_excited_concurrence == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("gamma", (0.1, 0.0))
+    @pytest.mark.parametrize("n_max", (16, 64))
+    def test_matches_dense_eigenvector_oracle(self, jc_dense_match, n_max, gamma):
+        sys_ = sq.build_jc(1.0, gamma, n_max)
+        rows = sq.numeric_vs_analytic(sys_).rows
+        oracle = jc_dense_match(sys_)
+        tol = 4 * np.finfo(float).eps * np.linalg.norm(sys_.H.to_dense(), 2)
+        assert [(r.n, r.branch) for r in rows] == [(r.n, r.branch) for r in oracle]
+        for r, o in zip(rows, oracle):
+            assert r.E_analytic == o.E_analytic
+            assert abs(r.E_numeric - o.E_numeric) <= tol, (r, o)
+            assert abs(r.fidelity - o.fidelity) <= 1e-12, (r, o)
+            if o.concurrence is None:
+                assert r.concurrence is None
+            else:
+                assert abs(r.concurrence - o.concurrence) <= 1e-12, (r, o)
+
+    def test_match_memory(self):
+        # the eigenvector matrix of the general path would take over 500 MB here
+        assert traced_peak(lambda: sq.numeric_vs_analytic(sq.build_jc(1.0, 0.1, 4096))) < 8e6
+
+    def test_rejects_coupled_manifolds(self, jc_default):
+        # an entry between |m down> and |m up> breaks the 2x2 block structure
+        H = jc_default.H
+        off = H.off.copy()
+        off[2] = 0.25
+        sys_ = sq.JCSystem(jc_default.fock, jc_default.omega, jc_default.gamma,
+                           jc_default.Q, jc_default.H0, jc_default.Hint,
+                           sq.Tridiagonal(H.diag, off))
+        with pytest.raises(ValueError, match="block"):
+            sq.numeric_vs_analytic(sys_)

@@ -164,8 +164,9 @@ class TestZeroMode:
         assert wall <= 1e-12
 
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
-    def test_agrees_with_analytic_integral_profile(self, systems, name):
-        assert sq.zero_mode_profile_overlap(systems[name]) >= 1 - 1e-5
+    def test_agrees_with_analytic_integral_profile(
+            self, systems, zero_mode_profile_overlap, name):
+        assert zero_mode_profile_overlap(systems[name]) >= 1 - 1e-5
 
     def test_strong_superpotential_truncates_instead_of_oscillating(self, systems):
         # for W = x^3 the explicit factor 1 - dx W crosses zero inside the box;
@@ -186,11 +187,11 @@ class TestIntertwining:
         herm1 = sq.normalize(sq.Wavefunction(grid2001, x * np.exp(-x * x / 2)))
         assert abs(sq.inner_product(mapped, herm1)) >= 1 - 1e-4
 
-    def test_round_trip_fidelity(self, systems, nonzero_levels):
+    def test_round_trip_fidelity(self, systems, nonzero_levels, intertwine_up):
         plus_nz, _ = nonzero_levels["harmonic"]
         pp = plus_nz[0]
         down = sq.intertwine_down(systems["harmonic"], pp)
-        back = sq.intertwine_up(
+        back = intertwine_up(
             systems["harmonic"], sq.EigenPair(pp.energy, down))
         fid = abs(sq.inner_product(back, pp.state)) ** 2 / sq.norm(back) ** 2
         assert fid >= 1 - 1e-10
