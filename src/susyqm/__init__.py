@@ -6,138 +6,21 @@ entanglement of supercharge eigenstates, and the hidden SUSY structure of the
 resonant Jaynes-Cummings model.
 """
 
-from .entanglement import (
-    EntanglementReport,
-    SpinorState,
-    SuperchargeEigenstates,
-    analyze,
-    apply_q1,
-    apply_q2,
-    build_energy_eigenstate,
-    concurrence_from_spin,
-    concurrence_overlap,
-    concurrence_svd,
-    schmidt_coefficients,
-    schmidt_svd_oracle,
-    spin_expectation,
-    supercharge_eigenstates,
-    supercharge_residual,
-)
-from .errors import (
-    ConfigError,
-    DegeneracyError,
-    GridMismatchError,
-    IndeterminateSignError,
-    PhysicsViolationError,
-    SignConditionError,
-    SusyQMError,
-    ZeroNormError,
-)
-from .grid import (
-    Grid,
-    Wavefunction,
-    fix_phase,
-    inner_product,
-    make_grid,
-    norm,
-    normalize,
-    wavefunction_to_csv,
-)
-from .jaynescummings import (
-    FockSpace,
-    JCAlgebraReport,
-    JCLevelRow,
-    JCMatchReport,
-    JCSystem,
-    analytic_ground_energy,
-    analytic_spectrum,
-    build_jc,
-    numeric_vs_analytic,
-    verify_susy_algebra,
-)
-from .operators import (
-    Bidiagonal,
-    SusySystem,
-    Tridiagonal,
-    build_annihilator,
-    build_susy_system,
-    check_sign_condition,
-)
-from .spectral import (
-    EPS0,
-    DegeneracyReport,
-    EigenPair,
-    LevelPair,
-    align_phase,
-    intertwine_down,
-    operator_norm,
-    pair_partner_levels,
-    solve_spectrum,
-    zero_mode,
-)
-from .superpotentials import REGISTRY_NAMES, Superpotential, get_superpotential
+from . import entanglement, errors, grid, jaynescummings, operators, spectral, superpotentials
+from .entanglement import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .grid import *  # noqa: F401,F403
+from .jaynescummings import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .superpotentials import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# each public name is listed once, in its own module's __all__
 __all__ = [
-    "EPS0",
-    "REGISTRY_NAMES",
-    "Bidiagonal",
-    "ConfigError",
-    "DegeneracyError",
-    "DegeneracyReport",
-    "EigenPair",
-    "EntanglementReport",
-    "FockSpace",
-    "Grid",
-    "GridMismatchError",
-    "IndeterminateSignError",
-    "JCAlgebraReport",
-    "JCLevelRow",
-    "JCMatchReport",
-    "JCSystem",
-    "LevelPair",
-    "PhysicsViolationError",
-    "SignConditionError",
-    "SpinorState",
-    "SuperchargeEigenstates",
-    "Superpotential",
-    "SusyQMError",
-    "SusySystem",
-    "Tridiagonal",
-    "Wavefunction",
-    "ZeroNormError",
-    "align_phase",
-    "analytic_ground_energy",
-    "analytic_spectrum",
-    "analyze",
-    "apply_q1",
-    "apply_q2",
-    "build_annihilator",
-    "build_energy_eigenstate",
-    "build_jc",
-    "build_susy_system",
-    "check_sign_condition",
-    "concurrence_from_spin",
-    "concurrence_overlap",
-    "concurrence_svd",
-    "fix_phase",
-    "get_superpotential",
-    "inner_product",
-    "intertwine_down",
-    "make_grid",
-    "norm",
-    "normalize",
-    "numeric_vs_analytic",
-    "operator_norm",
-    "pair_partner_levels",
-    "schmidt_coefficients",
-    "schmidt_svd_oracle",
-    "solve_spectrum",
-    "spin_expectation",
-    "supercharge_eigenstates",
-    "supercharge_residual",
-    "verify_susy_algebra",
-    "wavefunction_to_csv",
-    "zero_mode",
+    name
+    for module in (superpotentials, grid, operators, spectral, entanglement,
+                   jaynescummings, errors)
+    for name in module.__all__
 ]

@@ -49,8 +49,6 @@ INTERTWINE_TOL = 1e-8
 MATRIX_SQ_TOL = 1e-13
 ANTICOMM_TOL = 1e-12
 
-COMMANDS = ("spectrum", "entangle", "supercharge", "jc", "verify")
-
 SWEEP_COLUMNS = (
     "|c1|", "phase_diff", "overlap_abs", "sigma_x", "sigma_y", "sigma_z",
     "lambda1", "lambda2", "C_spin", "C_overlap", "C_svd",
@@ -532,28 +530,14 @@ def _finish(violations):
     return 1
 
 
-RUNNERS = {
-    "spectrum": run_spectrum,
-    "entangle": run_entangle,
-    "supercharge": run_supercharge,
-    "jc": run_jc,
-    "verify": run_verify,
-}
-
-REQUIRED_KEYS = {
-    "spectrum": ("command", "superpotential", "grid", "levels"),
-    "entangle": ("command", "superpotential", "grid", "level"),
-    "supercharge": ("command", "superpotential", "grid", "levels"),
-    "jc": ("command", "jc_params"),
-    "verify": ("command", "superpotential", "grid", "levels"),
-}
-
-OPTIONAL_KEYS = {
-    "spectrum": ("output",),
-    "entangle": ("sweep", "output"),
-    "supercharge": ("output",),
-    "jc": ("output",),
-    "verify": ("output",),
+# command -> (runner, required config keys, optional config keys); every
+# command also requires "command" and accepts "output"
+COMMANDS = {
+    "spectrum": (run_spectrum, ("superpotential", "grid", "levels"), ()),
+    "entangle": (run_entangle, ("superpotential", "grid", "level"), ("sweep",)),
+    "supercharge": (run_supercharge, ("superpotential", "grid", "levels"), ()),
+    "jc": (run_jc, ("jc_params",), ()),
+    "verify": (run_verify, ("superpotential", "grid", "levels"), ()),
 }
 
 
@@ -568,11 +552,12 @@ def load_config(path):
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     command = raw.get("command")
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:  # a list is unhashable
         raise ConfigError(
             f"config.command must be one of {', '.join(COMMANDS)}, got {command!r}"
         )
-    _check_keys(raw, REQUIRED_KEYS[command], OPTIONAL_KEYS[command], "config")
+    _, required, optional = COMMANDS[command]
+    _check_keys(raw, ("command", *required), (*optional, "output"), "config")
     output = raw.get("output", {})
     _check_keys(output, (), ("path", "format"), "output")
     if "path" in output and not isinstance(output["path"], str):
@@ -602,7 +587,7 @@ def main(argv=None) -> int:
         outdir = args.out if args.out is not None else output.get("path", ".")
         fmt = args.format if args.format is not None else output.get("format", "csv")
         os.makedirs(outdir, exist_ok=True)
-        return RUNNERS[cfg["command"]](cfg, outdir, fmt)
+        return COMMANDS[cfg["command"]][0](cfg, outdir, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,17 @@ Physics-invariant violations and configuration problems are kept apart because
 the CLI maps them to different exit codes (1 and 2 respectively).
 """
 
+__all__ = [
+    "SusyQMError",
+    "PhysicsViolationError",
+    "DegeneracyError",
+    "SignConditionError",
+    "IndeterminateSignError",
+    "ConfigError",
+    "GridMismatchError",
+    "ZeroNormError",
+]
+
 
 class SusyQMError(Exception):
     """Base class for all package errors."""

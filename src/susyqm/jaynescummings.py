@@ -22,7 +22,6 @@ import numpy as np
 
 from .entanglement import concurrence_overlap
 from .operators import Tridiagonal
-from .spectral import _bisect
 
 __all__ = [
     "FockSpace",
@@ -308,7 +307,6 @@ class JCMatchReport:
     min_fidelity: float
     min_excited_concurrence: Optional[float]
     ground_concurrence_svd: float
-    ground_concurrence_spin: float
     degenerate: bool
     label_residual_implemented: float
     label_residual_alternative: float
@@ -359,8 +357,8 @@ def numeric_vs_analytic(
     eigenvector of its 2x2 block on the block's branch, formed from the
     bands, two entries per level, and scored against
     (|n-1 up> + branch |n down>)/sqrt(2). The ground row is the
-    singleton |0 down>, an exact product state: fidelity 1 and both ground
-    concurrences 0 hold by structure. For gamma = 0 the excited
+    singleton |0 down>, an exact product state: fidelity 1 and ground
+    concurrence 0 hold by structure. For gamma = 0 the excited
     levels are doubly degenerate and each block is one eigenspace that
     equals the analytic span, so its fidelity is exactly 1; the row has
     branch 0, the mean of its two numeric eigenvalues and the larger gap.
@@ -375,7 +373,7 @@ def numeric_vs_analytic(
         )
     omega, gamma = sys.omega, sys.gamma
     n_max, g = sys.fock.n_max, sys.fock.guard_n_max
-    evals = _bisect(H.diag, H.off, 0, 2 * n_max + 1, eigvals_only=True)
+    evals = H.eigh(0, 2 * n_max + 1, eigvals_only=True)
 
     # closed-form levels in excitation order: ground, (minus, plus) of each
     # doublet n, top singleton; E_num[k] is the numeric match of level k
@@ -441,7 +439,6 @@ def numeric_vs_analytic(
         min_fidelity=float(min(r.fidelity for r in rows)),
         min_excited_concurrence=min_exc_c,
         ground_concurrence_svd=0.0,
-        ground_concurrence_spin=0.0,
         degenerate=degenerate,
         label_residual_implemented=float(impl_res),
         label_residual_alternative=float(alt_res),

@@ -13,7 +13,8 @@ superdiagonal of B,
 which is every nonzero term of the matrix products, each summed once, so H+
 and H- are exactly isospectral on nonzero eigenvalues as a matrix-level
 theorem, not just in the dx -> 0 limit. No operator is ever held as an n x n
-array; `to_dense()` exists only for small-n test oracles.
+array; `to_dense()` exists only for small-n test oracles. `Tridiagonal.eigh`,
+LAPACK bisection on the bands, is the package's one eigensolver.
 
 The empty last row is the discrete form of the SUSY-preserving interval
 condition: B psi = 0 at the wall for H-, Dirichlet for H+. Every row of
@@ -27,6 +28,7 @@ zero mode.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import IndeterminateSignError
 from .grid import Grid
@@ -42,6 +44,10 @@ __all__ = [
 ]
 
 SQRT2 = np.sqrt(2.0)
+
+# RMAX of LAPACK's dstev: bisection squares the off-diagonal, so larger bands
+# are scaled down first
+_BAND_MAX = float(np.sqrt(np.finfo(float).eps / np.finfo(float).tiny))
 
 
 class _Banded:
@@ -128,6 +134,26 @@ class Tridiagonal(_Banded):
     def T(self) -> "Tridiagonal":
         return self
 
+    def eigh(self, lo, hi, tol=1e-300, eigvals_only=False):
+        """Eigenvalues lo..hi, ascending, and their eigenvectors (columns).
+
+        The package's one eigensolver: LAPACK bisection (stebz) on the bands.
+        The default tol, well under any eigenvalue gap, converges to machine
+        width; tol = 0 stops at LAPACK's eps * ||T||. Bands beyond _BAND_MAX
+        are scaled by a power of two first, which is exact, so the squares in
+        the Sturm count stay finite.
+        """
+        big = max(np.max(np.abs(self.diag)), np.max(np.abs(self.off)))
+        exp = int(np.frexp(big)[1]) if big > _BAND_MAX else 0
+        out = sla.eigh_tridiagonal(
+            np.ldexp(self.diag, -exp), np.ldexp(self.off, -exp),
+            eigvals_only=eigvals_only, select="i", select_range=(lo, hi),
+            lapack_driver="stebz", tol=tol,
+        )
+        if eigvals_only:
+            return np.ldexp(out, exp)
+        return np.ldexp(out[0], exp), out[1]
+
     def __matmul__(self, v):
         v = self._vector(v)
         out = self.diag * v
@@ -139,11 +165,6 @@ class Tridiagonal(_Banded):
         return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
 
 
-def _stiff_cells(w: np.ndarray, dx: float) -> np.ndarray:
-    """Cells i (of n-1) where the explicit factor 1 - dx W_i is not positive."""
-    return 1.0 - dx * w[:-1] <= 0.0
-
-
 def build_annihilator(W: Superpotential, grid: Grid) -> Bidiagonal:
     """B = (D_fwd + W)/sqrt(2) as its two bands, with an empty last row.
 
@@ -151,7 +172,10 @@ def build_annihilator(W: Superpotential, grid: Grid) -> Bidiagonal:
     psi_{i+1}/psi_i = 1 - dx W_i, explicit Euler) unless that factor is not
     positive; on such a stiff cell it sits on node i+1 (ratio
     1/(1 + dx W_{i+1}), implicit Euler), so the kernel stays positive and
-    decays instead of growing with alternating sign.
+    decays instead of growing with alternating sign. A cell where that
+    factor is not positive either is rejected, so every superdiagonal entry
+    is positive and the kernel ratio -diag_i/off_i is defined on every cell.
+    This is the only place the stencil is written down.
     """
     x = grid.nodes()
     with np.errstate(all="ignore"):  # non-finite values are rejected just below
@@ -161,17 +185,16 @@ def build_annihilator(W: Superpotential, grid: Grid) -> Bidiagonal:
         raise ValueError(f"superpotential {W.name!r} is not finite at x = {bad}")
     dx = grid.dx
     inv_dx = 1.0 / dx
-    stiff = _stiff_cells(w, dx)
-    unresolved = stiff & (1.0 + dx * w[1:] <= 0.0)
-    if np.any(unresolved):
-        bad = x[:-1][unresolved][0]
+    stiff = 1.0 - dx * w[:-1] <= 0.0
+    sup = np.where(stiff, inv_dx + w[1:], inv_dx) / SQRT2
+    if np.any(sup <= 0.0):  # a stiff cell whose implicit factor is not positive
+        bad = x[:-1][sup <= 0.0][0]
         raise ValueError(
             f"superpotential {W.name!r} changes by more than 2/dx in the cell "
             f"at x = {bad}; refine the grid"
         )
     diag = np.zeros(grid.n_points)  # the last row stays empty: no wall equation
     diag[:-1] = np.where(stiff, -inv_dx, w[:-1] - inv_dx) / SQRT2
-    sup = np.where(stiff, inv_dx + w[1:], inv_dx) / SQRT2
     return Bidiagonal(diag, sup)
 
 

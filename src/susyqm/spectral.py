@@ -2,20 +2,22 @@
 
 Solving, degeneracy pairing, the zero mode, and the intertwining map from H+
 to H- eigenstates. Every Hamiltonian here is a symmetric Tridiagonal, solved
-on its bands by LAPACK bisection; there is no dense eigensolver. Energies
-below EPS0 = 1e-10 count as zero modes; the division by sqrt(E) in the
-intertwining map is guarded by the same threshold.
+on its bands by `Tridiagonal.eigh` (LAPACK bisection); there is no dense
+eigensolver. The zero mode is read off the stored bands of B, so this module
+holds no copy of B's stencil. Energies below EPS0 = 1e-10 count as zero
+modes; the division by sqrt(E) in the intertwining map is guarded by the
+same threshold.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DegeneracyError, SignConditionError
 from .grid import Grid, Wavefunction, fix_phase, inner_product
-from .operators import SusySystem, Tridiagonal, _stiff_cells, check_sign_condition
+from .operators import SusySystem, Tridiagonal, check_sign_condition
 
 __all__ = [
     "EPS0",
@@ -31,31 +33,6 @@ __all__ = [
 ]
 
 EPS0 = 1e-10
-
-# RMAX of LAPACK's dstev: bisection squares the off-diagonal, so larger bands
-# are scaled down first
-_BAND_MAX = float(np.sqrt(np.finfo(float).eps / np.finfo(float).tiny))
-
-
-def _bisect(diag, off, lo, hi, tol=1e-300, eigvals_only=False):
-    """Eigenvalues lo..hi, ascending, and eigenvectors of a symmetric tridiagonal.
-
-    The package's one eigensolver: LAPACK bisection (stebz) on the bands. The
-    default tol, well under any eigenvalue gap, converges to machine width;
-    tol = 0 stops at LAPACK's eps * ||T||. Bands beyond _BAND_MAX are scaled
-    by a power of two first, which is exact, so the squares in the Sturm
-    count stay finite.
-    """
-    big = max(np.max(np.abs(diag)), np.max(np.abs(off)))
-    exp = int(np.frexp(big)[1]) if big > _BAND_MAX else 0
-    out = sla.eigh_tridiagonal(
-        np.ldexp(diag, -exp), np.ldexp(off, -exp), eigvals_only=eigvals_only,
-        select="i", select_range=(lo, hi), lapack_driver="stebz", tol=tol,
-    )
-    if eigvals_only:
-        return np.ldexp(out, exp)
-    return np.ldexp(out[0], exp), out[1]
-
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -76,7 +53,7 @@ def solve_spectrum(H: Tridiagonal, k: int, grid: Grid):
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} out of range [1, {n}]")
-    energies, vectors = _bisect(H.diag, H.off, 0, k - 1)
+    energies, vectors = H.eigh(0, k - 1)
     pairs = []
     for j in range(k):
         amps = fix_phase(vectors[:, j]) / np.sqrt(grid.dx)
@@ -165,44 +142,33 @@ def pair_partner_levels(
 
 
 def zero_mode(sys: SusySystem) -> Wavefunction:
-    """Discrete kernel vector of B by forward recursion, normalized.
+    """Discrete kernel vector of B, read off its bands, normalized.
 
-    psi_{i+1} = psi_i (1 - dx W_i), or psi_i / (1 + dx W_{i+1}) on the stiff
-    cells where 1 - dx W_i <= 0, solves row i of B psi = 0 exactly, the same
-    rule build_annihilator uses; B has no wall row, so this is the exact
-    kernel of B on any box. The running product is kept exact by power-of-two
-    rescaling (frexp/ldexp), so only the final scaling can underflow far
-    tails to zero.
+    Row i of B psi = 0 is diag_i psi_i + off_i psi_{i+1} = 0, so
+    psi_{i+1} = -(diag_i / off_i) psi_i solves every row exactly; off_i > 0
+    on every cell by construction, and B has no wall row, so this is the
+    exact kernel of B on any box whatever its stencil. W is read only at the
+    two endpoints, by the sign-condition guard. The running product is kept
+    exact by power-of-two rescaling (frexp/ldexp), so only the final scaling
+    can underflow far tails to zero.
     """
     if not check_sign_condition(sys.W, sys.grid):
         raise SignConditionError(
             f"superpotential {sys.W.name!r} violates the sign condition "
             "(W < 0 at x_min, W > 0 at x_max); no normalizable zero mode"
         )
-    grid = sys.grid
-    w = np.asarray(sys.W(grid.nodes()), dtype=float)
-    dx = grid.dx
-    n = grid.n_points
-    stiff = _stiff_cells(w, dx)
+    B = sys.B
+    c, ex = 1.0, 0
+    mants, exps = [c], [ex]
+    for r in (-B.diag[:-1] / B.off).tolist():
+        c, e = math.frexp(c * r)
+        ex += e
+        mants.append(c)
+        exps.append(ex)
 
-    mants = np.zeros(n)
-    exps = np.zeros(n, dtype=np.int64)
-    mants[0] = 0.5
-    exps[0] = 1  # 0.5 * 2^1 = 1.0
-    c, ex = 0.5, 1
-    for i in range(n - 1):
-        if stiff[i]:
-            c /= 1.0 + dx * w[i + 1]
-        else:
-            c *= 1.0 - dx * w[i]
-        m, e = np.frexp(c)
-        c, ex = float(m), ex + int(e)
-        mants[i + 1] = c
-        exps[i + 1] = ex
-
-    amps = np.ldexp(mants, exps - int(np.max(exps)))  # far tails underflow to 0
-    nrm = np.sqrt(np.sum(amps * amps) * dx)
-    return Wavefunction(grid, amps / nrm)
+    amps = np.ldexp(mants, np.array(exps) - max(exps))  # far tails underflow to 0
+    nrm = np.sqrt(np.sum(amps * amps) * sys.grid.dx)
+    return Wavefunction(sys.grid, amps / nrm)
 
 
 def intertwine_down(sys: SusySystem, pair_plus: EigenPair) -> Wavefunction:
@@ -234,6 +200,5 @@ def align_phase(mapped: Wavefunction, reference: Wavefunction) -> Wavefunction:
 def operator_norm(H: Tridiagonal) -> float:
     """Spectral norm of a symmetric tridiagonal H (largest |eigenvalue|)."""
     n = H.shape[0]
-    lo, hi = (_bisect(H.diag, H.off, j, j, tol=0.0, eigvals_only=True)[0]
-              for j in (0, n - 1))
+    lo, hi = (H.eigh(j, j, tol=0.0, eigvals_only=True)[0] for j in (0, n - 1))
     return float(max(abs(lo), abs(hi)))

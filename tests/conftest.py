@@ -2,7 +2,8 @@
 dense small-n oracles of the 2n x 2n SUSY operators and of the
 Jaynes-Cummings algebra report and level match, and the oracles that no code
 in the package calls (the H- to H+ intertwining map, the sampled zero-mode
-profile and the closed-form Jaynes-Cummings eigenstates).
+profile, the zero mode rebuilt from W and the closed-form Jaynes-Cummings
+eigenstates).
 
 Everything here is session-scoped; building a 2001-point system and solving
 both partners takes a noticeable fraction of a second, and many tests share
@@ -95,6 +96,34 @@ def zero_mode_profile_overlap():
         prof /= np.sqrt(np.sum(prof * prof) * grid.dx)
         return float(np.sum(psi.amplitudes * prof) * grid.dx)
     return overlap
+
+
+@pytest.fixture(scope="session")
+def zero_mode_from_w():
+    """The zero mode rebuilt from W on the nodes, not from the bands of B.
+
+    psi_{i+1} = psi_i (1 - dx W_i), or psi_i / (1 + dx W_{i+1}) on the stiff
+    cells where 1 - dx W_i <= 0, with the running product kept exact by
+    frexp/ldexp and the result normalized. Returns the amplitudes.
+    """
+    def recurse(W, grid):
+        w = np.asarray(W(grid.nodes()), dtype=float)
+        dx = grid.dx
+        mants = np.zeros(grid.n_points)
+        exps = np.zeros(grid.n_points, dtype=np.int64)
+        mants[0], exps[0] = 0.5, 1
+        c, ex = 0.5, 1
+        for i in range(grid.n_points - 1):
+            if 1.0 - dx * w[i] <= 0.0:
+                c /= 1.0 + dx * w[i + 1]
+            else:
+                c *= 1.0 - dx * w[i]
+            m, e = np.frexp(c)
+            c, ex = float(m), ex + int(e)
+            mants[i + 1], exps[i + 1] = c, ex
+        amps = np.ldexp(mants, exps - int(np.max(exps)))
+        return amps / np.sqrt(np.sum(amps * amps) * dx)
+    return recurse
 
 
 @pytest.fixture(scope="session")

@@ -277,6 +277,23 @@ class TestConfigErrors:
         self.run_expecting_config_error(
             tmp_path, capsys, {"command": "explode"}, "command")
 
+    @pytest.mark.parametrize("command", (["spectrum"], {"name": "spectrum"}))
+    def test_command_of_wrong_type(self, tmp_path, capsys, command):
+        self.run_expecting_config_error(
+            tmp_path, capsys, {"command": command}, "config.command must be one of")
+
+    @pytest.mark.parametrize("command, missing", (
+        ("spectrum", "superpotential, grid, levels"),
+        ("entangle", "superpotential, grid, level"),
+        ("supercharge", "superpotential, grid, levels"),
+        ("jc", "jc_params"),
+        ("verify", "superpotential, grid, levels"),
+    ))
+    def test_missing_fields_listed_in_order(self, tmp_path, capsys, command, missing):
+        self.run_expecting_config_error(
+            tmp_path, capsys, {"command": command},
+            f"missing required field(s) in config: {missing}")
+
     def test_levels_capped_by_grid(self, tmp_path, capsys):
         self.run_expecting_config_error(
             tmp_path, capsys, spectrum_config(levels=50), "levels")

@@ -1,5 +1,7 @@
 """Eigensolver, partner-level pairing, zero mode and intertwining maps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,11 +147,33 @@ class TestZeroMode:
 
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic"))
     def test_recursion_is_discrete_kernel(self, systems, grid2001, name):
-        # psi_{i+1} = psi_i (1 - dx W_i) solves B psi = 0 row by row
+        # psi_{i+1} = -(diag_i / off_i) psi_i, read off B's bands, solves
+        # B psi = 0 row by row
         psi0 = sq.zero_mode(systems[name])
         resid = np.sqrt(grid2001.dx) * np.linalg.norm(
             systems[name].B @ psi0.amplitudes)
         assert resid <= 1e-12
+
+    @pytest.mark.parametrize("n_points", (201, 2001))
+    def test_kernel_follows_b_not_w(self, n_points):
+        # B from W = x^3, W swapped for x afterwards: the zero mode is the
+        # kernel of the stored B, W only decides the sign condition
+        grid = sq.make_grid(-10.0, 10.0, n_points)
+        system = dataclasses.replace(
+            sq.build_susy_system(sq.get_superpotential("cubic"), grid),
+            W=sq.get_superpotential("harmonic"))
+        psi0 = sq.zero_mode(system)
+        resid = np.sqrt(grid.dx) * np.linalg.norm(system.B @ psi0.amplitudes)
+        assert resid <= 1e-12
+
+    @pytest.mark.parametrize("n_points", (201, 2001, 8001))
+    @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
+    def test_matches_recursion_from_w(self, zero_mode_from_w, name, n_points):
+        W = sq.get_superpotential(name)
+        grid = sq.make_grid(-10.0, 10.0, n_points)
+        psi0 = sq.zero_mode(sq.build_susy_system(W, grid)).amplitudes
+        oracle = zero_mode_from_w(W, grid)
+        assert np.max(np.abs(psi0 - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_tanh_kernel_residual_is_a_wall_effect(self, systems, grid2001):
         # sech decays too slowly to vanish at x = 10, yet B has no wall
