@@ -53,6 +53,11 @@ SWEEP_COLUMNS = (
     "|c1|", "phase_diff", "overlap_abs", "sigma_x", "sigma_y", "sigma_z",
     "lambda1", "lambda2", "C_spin", "C_overlap", "C_svd",
 )
+# Largest (c1, phase) sweep an entangle run accepts, from the report size: the
+# widest row is the JSON one, eleven `"key": value,` lines of 17-digit values
+# with a three-digit exponent plus its braces, 488 bytes, so 2**14 rows keep
+# either report under 8 MB
+SWEEP_MAX_ROWS = 2 ** 14
 
 
 def _g(value) -> str:
@@ -161,21 +166,32 @@ def _grid_payload(grid: Grid):
     return {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points}
 
 
-def _solve_both_sides(W, grid, levels):
-    """Eigenpairs of both partners plus the validated pairing report."""
+def _solve_both_sides(W, grid, levels, states=()):
+    """Both partner spectra plus the validated pairing report.
+
+    The sides named in `states` ("plus", "minus") are solved with their
+    eigenvectors and returned as lists of EigenPair above the zero-mode
+    threshold; the others get energies only (bisection without inverse
+    iteration, bit-identical energies) and None in their slot. `spectrum`
+    reads no eigenvector, `supercharge` only those of H+, `entangle` and
+    `verify` both.
+    """
     try:
         system = build_susy_system(W, grid)
     except ValueError as exc:  # W not finite, unresolved jump, or H+- overflow
         raise ConfigError(str(exc)) from exc
     k = levels + 1  # room for the zero mode / the wall-node zero of H+
-    plus = solve_spectrum(system.H_plus, k, grid)
-    minus = solve_spectrum(system.H_minus, k, grid)
-    report = pair_partner_levels(
-        [p.energy for p in plus], [m.energy for m in minus], PAIR_TOL
-    )
-    plus_nz = [p for p in plus if p.energy >= EPS0]
-    minus_nz = [m for m in minus if m.energy >= EPS0]
-    return system, plus_nz, minus_nz, report
+    energies, nonzero = [], []
+    for side, H in (("plus", system.H_plus), ("minus", system.H_minus)):
+        if side in states:
+            pairs = solve_spectrum(H, k, grid)
+            energies.append([p.energy for p in pairs])
+            nonzero.append([p for p in pairs if p.energy >= EPS0])
+        else:
+            energies.append(H.eigh(0, k - 1, eigvals_only=True))
+            nonzero.append(None)
+    report = pair_partner_levels(*energies, PAIR_TOL)
+    return system, *nonzero, report
 
 
 def _zero_mode_residual(system):
@@ -235,7 +251,7 @@ def run_spectrum(cfg, outdir, fmt):
     grid = _parse_grid(cfg)
     levels = _parse_levels(cfg, grid)
 
-    system, plus_nz, minus_nz, report = _solve_both_sides(W, grid, levels)
+    system, _, _, report = _solve_both_sides(W, grid, levels)
     psi0, resid, bound = _zero_mode_residual(system)
 
     violations = []
@@ -288,27 +304,29 @@ def run_entangle(cfg, outdir, fmt):
     _check_keys(sweep, (), ("c1_points", "phase_points"), "sweep")
     c1_points = _integer(sweep, "c1_points", "sweep", minimum=2) if "c1_points" in sweep else 21
     phase_points = _integer(sweep, "phase_points", "sweep", minimum=1) if "phase_points" in sweep else 8
+    if c1_points * phase_points > SWEEP_MAX_ROWS:
+        raise ConfigError(
+            f"sweep.c1_points * sweep.phase_points = {c1_points * phase_points} "
+            f"exceeds the cap of {SWEEP_MAX_ROWS} rows"
+        )
 
-    _, plus_nz, minus_nz, _ = _solve_both_sides(W, grid, level)
+    _, plus_nz, minus_nz, _ = _solve_both_sides(W, grid, level, ("plus", "minus"))
     if level > min(len(plus_nz), len(minus_nz)):
         raise ConfigError(f"level {level} outside the solved band of {min(len(plus_nz), len(minus_nz))} paired levels")
     pp = plus_nz[level - 1]
     mm = minus_nz[level - 1]
     overlap = inner_product(pp.state, mm.state)
 
-    rows = []
-    for c1 in np.linspace(0.0, 1.0, c1_points):
-        c2_mod = math.sqrt(max(0.0, 1.0 - c1 * c1))
-        for phase in np.linspace(0.0, 2.0 * math.pi, phase_points, endpoint=False):
-            c2 = c2_mod * complex(math.cos(phase), math.sin(phase))
-            state = build_energy_eigenstate(c1, c2, pp.state, mm.state)
-            rep = analyze(state, c1, c2, overlap)
-            rows.append((
-                float(c1), float(phase), abs(overlap),
-                rep.sigma_mean[0], rep.sigma_mean[1], rep.sigma_mean[2],
-                rep.schmidt[0], rep.schmidt[1],
-                rep.concurrence_spin, rep.concurrence_overlap, rep.concurrence_svd,
-            ))
+    # row r = i * phase_points + j holds c1 grid point i and phase j
+    c1 = np.repeat(np.linspace(0.0, 1.0, c1_points), phase_points)
+    phase = np.tile(np.linspace(0.0, 2.0 * math.pi, phase_points, endpoint=False), c1_points)
+    c2 = np.sqrt(np.maximum(0.0, 1.0 - c1 * c1)) * (np.cos(phase) + 1j * np.sin(phase))
+    rep = analyze(build_energy_eigenstate(c1, c2, pp.state, mm.state), c1, c2, overlap)
+    columns = (
+        c1, phase, np.full(c1.size, abs(overlap)), *rep.sigma_mean, *rep.schmidt,
+        rep.concurrence_spin, rep.concurrence_overlap, rep.concurrence_svd,
+    )
+    rows = list(zip(*(col.tolist() for col in columns)))
 
     if fmt == "csv":
         text = _csv_text(SWEEP_COLUMNS, [tuple(_g(v) for v in row) for row in rows])
@@ -330,7 +348,7 @@ def run_supercharge(cfg, outdir, fmt):
     grid = _parse_grid(cfg)
     levels = _parse_levels(cfg, grid)
 
-    system, plus_nz, _, _ = _solve_both_sides(W, grid, levels)
+    system, plus_nz, _, _ = _solve_both_sides(W, grid, levels, ("plus",))
     violations = []
     rows = []
     for i, pp in enumerate(plus_nz[:levels], start=1):
@@ -425,7 +443,7 @@ def run_verify(cfg, outdir, fmt):
     grid = _parse_grid(cfg)
     levels = _parse_levels(cfg, grid)
 
-    system, plus_nz, minus_nz, report = _solve_both_sides(W, grid, levels)
+    system, plus_nz, minus_nz, report = _solve_both_sides(W, grid, levels, ("plus", "minus"))
     checks = []
 
     def check(name, value, bound):

@@ -1,11 +1,28 @@
 """Spin-mode entanglement of spinor states.
 
-A SpinorState is a two-component amplitude vector (spin up, spin down) over a
-shared continuous or Fock index. The concurrence is computed by three
-independent routes: from the spin expectation vector, from the coefficient
-decomposition c1 psi+ |up> + c2 psi- |down>, and from the singular values of
-the 2 x N coefficient stack. The routes agreeing to 1e-12 is one of the main
+A SpinorState is a two-component amplitude array (spin up, spin down) over a
+shared continuous or Fock index, the last axis; any leading axes are a batch
+of independent states. The concurrence is computed by three independent
+routes: from the spin expectation vector, from the coefficient decomposition
+c1 psi+ |up> + c2 psi- |down>, and from the singular values of the 2 x N
+coefficient stack. The routes agreeing to 1e-12 is one of the main
 verification targets of the package, so none of them share code.
+
+Every route reduces over the last axis and keeps the leading ones, so a
+sweep of states is one call. On a single state (1-D components) each route
+returns Python floats, computed with the same arithmetic as one row of a
+batch: np.vecdot takes each inner product with the BLAS dot that np.vdot
+uses, so a row of a batch and the same state alone agree bit for bit.
+
+`build_energy_eigenstate` writes c1 psi+ |up> + c2 psi- |down> in an
+orthonormal basis of span{psi+, psi-}, the columns of Q in the QR
+decomposition of the n x 2 stack sqrt(dx) [psi+ psi-]; the coordinates are
+the columns of R. Q is an isometry, so every inner product of the
+components, and with them <sigma>, the Schmidt coefficients and the spin and
+SVD concurrences, is the same in exact arithmetic as on the grid, while a
+state costs two amplitudes instead of n. The overlap route reads
+<psi+|psi-> from the grid, so the cross term it uses is computed apart from
+the reduction.
 """
 
 from dataclasses import dataclass
@@ -36,11 +53,24 @@ __all__ = [
 ]
 
 
+def _modulus(z):
+    """|z| by hypot, as Python's abs() takes it; np.abs on complex can differ by an ulp."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def _values(a, dtype=float):
+    """A 0-d result as a Python scalar, a batch of results as an array."""
+    a = np.asarray(a, dtype=dtype)
+    return a.item() if a.ndim == 0 else a
+
+
 @dataclass(frozen=True)
 class SpinorState:
     """Spin-up and spin-down component amplitudes with a quadrature weight.
 
-    weight = dx for grid-sampled components, 1.0 for Fock-space vectors.
+    The components share one shape; the last axis is the mode index and any
+    leading axes index a batch of states. weight = dx for grid-sampled
+    components, 1.0 for Fock-space vectors and two-mode reductions.
     """
 
     up: np.ndarray
@@ -50,65 +80,88 @@ class SpinorState:
     def __post_init__(self):
         up = np.asarray(self.up)
         down = np.asarray(self.down)
-        if up.shape != down.shape or up.ndim != 1:
-            raise ValueError("up and down components must be vectors of equal length")
+        if up.shape != down.shape or up.ndim < 1:
+            raise ValueError(
+                "up and down components must be arrays of equal shape, mode index last"
+            )
         up, down = up.copy(), down.copy()
         up.flags.writeable = False
         down.flags.writeable = False
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", down)
 
-    def norm_squared(self) -> float:
-        s = np.real(np.vdot(self.up, self.up)) + np.real(np.vdot(self.down, self.down))
-        return float(s * self.weight)
+    def norm_squared(self):
+        s = np.vecdot(self.up, self.up).real + np.vecdot(self.down, self.down).real
+        return _values(s * self.weight)
 
 
-def _require_normalized(state: SpinorState, tol: float = 1e-8):
-    dev = abs(state.norm_squared() - 1.0)
+def _require_normalized(norm_squared, tol: float = 1e-8):
+    dev = np.abs(np.asarray(norm_squared) - 1.0).max()
     if dev > tol:
         raise ValueError(f"spinor state is not normalized: |<psi|psi> - 1| = {dev:.3e}")
 
 
+def _require_unit_coefficients(c1, c2):
+    if (np.abs(_modulus(c1) ** 2 + _modulus(c2) ** 2 - 1.0) > 1e-9).any():
+        raise ValueError("|c1|^2 + |c2|^2 must equal 1")
+
+
 def build_energy_eigenstate(
-    c1: complex, c2: complex, psi_plus: Wavefunction, psi_minus: Wavefunction
+    c1, c2, psi_plus: Wavefunction, psi_minus: Wavefunction
 ) -> SpinorState:
-    """c1 psi+ |up> + c2 psi- |down> on a shared grid."""
+    """c1 psi+ |up> + c2 psi- |down> in the two-mode basis of the level pair.
+
+    c1 and c2 are scalars, or equal-length 1-D arrays for a batch of states.
+    The components are c1 R[:, 0] and c2 R[:, 1], with R the 2 x 2 factor of
+    the Householder QR of sqrt(dx) [psi+ psi-] and weight 1: the state's
+    coordinates in an orthonormal basis of span{psi+, psi-}, so every inner
+    product the routes read equals its grid value and no batch of n-point
+    vectors is formed. psi+ and psi- are checked once for unit norm, each
+    coefficient pair for |c1|^2 + |c2|^2 = 1.
+    """
     if psi_plus.grid != psi_minus.grid:
         raise ValueError("psi_plus and psi_minus must share a grid")
-    if abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) > 1e-9:
-        raise ValueError("|c1|^2 + |c2|^2 must equal 1")
+    c1 = np.asarray(c1)
+    c2 = np.asarray(c2)
+    if c1.shape != c2.shape or c1.ndim > 1:
+        raise ValueError("c1 and c2 must be scalars or 1-D arrays of equal length")
+    _require_unit_coefficients(c1, c2)
     dx = psi_plus.grid.dx
     for name, psi in (("psi_plus", psi_plus), ("psi_minus", psi_minus)):
         nrm2 = np.real(np.vdot(psi.amplitudes, psi.amplitudes)) * dx
         if abs(nrm2 - 1.0) > 1e-8:
             raise ValueError(f"{name} is not unit-norm: ||psi||^2 = {nrm2!r}")
-    return SpinorState(c1 * psi_plus.amplitudes, c2 * psi_minus.amplitudes, dx)
+    stack = np.sqrt(dx) * np.column_stack([psi_plus.amplitudes, psi_minus.amplitudes])
+    R = np.linalg.qr(stack, mode="r")
+    return SpinorState(c1[..., None] * R[:, 0], c2[..., None] * R[:, 1], 1.0)
 
 
 def spin_expectation(state: SpinorState) -> np.ndarray:
-    """(<sx>, <sy>, <sz>) with the inner product conjugating the up component.
+    """(<sx>, <sy>, <sz>) along a new last axis, the up component conjugated.
 
     The sign of <sy> follows from the raising operator [[0, 1], [0, 0]] in the
     (up, down) basis.
     """
-    _require_normalized(state)
-    cross = np.vdot(state.up, state.down) * state.weight
-    sz = (
-        np.real(np.vdot(state.up, state.up)) - np.real(np.vdot(state.down, state.down))
-    ) * state.weight
-    return np.array([2.0 * cross.real, 2.0 * cross.imag, sz])
+    uu = np.vecdot(state.up, state.up).real
+    dd = np.vecdot(state.down, state.down).real
+    _require_normalized((uu + dd) * state.weight)
+    cross = np.vecdot(state.up, state.down) * state.weight
+    sz = (uu - dd) * state.weight
+    return np.stack([2.0 * cross.real, 2.0 * cross.imag, sz], axis=-1)
 
 
 def schmidt_coefficients(sigma_mean) -> tuple:
-    """lambda_{1,2} = sqrt((1 +- |<sigma>|)/2), descending."""
-    s = float(np.linalg.norm(np.asarray(sigma_mean, dtype=float)))
-    if s > 1.0 + 1e-9:
-        raise ValueError(f"|<sigma>| = {s!r} exceeds 1")
-    s = min(s, 1.0)
-    return (float(np.sqrt((1.0 + s) / 2.0)), float(np.sqrt((1.0 - s) / 2.0)))
+    """lambda_{1,2} = sqrt((1 +- |<sigma>|)/2), descending; sigma along the last axis."""
+    sigma = np.asarray(sigma_mean, dtype=float)
+    s = np.sqrt(np.vecdot(sigma, sigma))
+    worst = float(s.max())
+    if worst > 1.0 + 1e-9:
+        raise ValueError(f"|<sigma>| = {worst!r} exceeds 1")
+    s = np.minimum(s, 1.0)
+    return (_values(np.sqrt((1.0 + s) / 2.0)), _values(np.sqrt((1.0 - s) / 2.0)))
 
 
-def concurrence_from_spin(state: SpinorState) -> float:
+def concurrence_from_spin(state: SpinorState):
     """C = sqrt(1 - |<sigma>|^2) from the same inner products that set <sigma>.
 
     Evaluated as the Gram discriminant 2 sqrt(<u|u><d|d> - |<u|d>|^2), which
@@ -116,42 +169,52 @@ def concurrence_from_spin(state: SpinorState) -> float:
     the naive form loses half its digits: near product states |<sigma>| is
     1 - O(eps) and sqrt(1 - |<sigma>|^2) turns round-off into sqrt(eps) noise.
     """
-    _require_normalized(state)
     w = state.weight
-    a = float(np.real(np.vdot(state.up, state.up))) * w
-    b = float(np.real(np.vdot(state.down, state.down))) * w
-    cross = np.vdot(state.up, state.down) * w
-    val = a * b - float(np.real(cross) ** 2 + np.imag(cross) ** 2)
-    return float(min(2.0 * np.sqrt(max(val, 0.0)), 1.0))
+    uu = np.vecdot(state.up, state.up).real
+    dd = np.vecdot(state.down, state.down).real
+    _require_normalized((uu + dd) * w)
+    a = uu * w
+    b = dd * w
+    cross = np.vecdot(state.up, state.down) * w
+    val = a * b - (cross.real ** 2 + cross.imag ** 2)
+    return _values(np.minimum(2.0 * np.sqrt(np.maximum(val, 0.0)), 1.0))
 
 
-def concurrence_overlap(c1: complex, c2: complex, overlap: complex) -> float:
-    """C = 2 |c1| |c2| sqrt(1 - |<psi+|psi->|^2) for the decomposed form."""
-    if abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) > 1e-9:
-        raise ValueError("|c1|^2 + |c2|^2 must equal 1")
-    s = abs(overlap)
-    if s > 1.0 + 1e-9:
-        raise ValueError(f"|overlap| = {s!r} exceeds 1")
-    s = min(s, 1.0)
-    val = 2.0 * abs(c1) * abs(c2) * np.sqrt(1.0 - s * s)
-    return float(min(max(val, 0.0), 1.0))
+def concurrence_overlap(c1, c2, overlap):
+    """C = 2 |c1| |c2| sqrt(1 - |<psi+|psi->|^2) for the decomposed form.
+
+    The three inputs broadcast against each other, one state per entry.
+    """
+    _require_unit_coefficients(c1, c2)
+    s = _modulus(overlap)
+    worst = float(s.max())
+    if worst > 1.0 + 1e-9:
+        raise ValueError(f"|overlap| = {worst!r} exceeds 1")
+    s = np.minimum(s, 1.0)
+    val = 2.0 * _modulus(c1) * _modulus(c2) * np.sqrt(1.0 - s * s)
+    return _values(np.minimum(np.maximum(val, 0.0), 1.0))
 
 
 def schmidt_svd_oracle(state: SpinorState) -> tuple:
     """Schmidt coefficients as singular values of the 2 x N coefficient stack."""
-    _require_normalized(state)
-    stack = np.vstack([state.up, state.down]) * np.sqrt(state.weight)
+    _require_normalized(state.norm_squared())
+    stack = np.stack([state.up, state.down], axis=-2) * np.sqrt(state.weight)
     sv = np.linalg.svd(stack, compute_uv=False)
-    return (float(sv[0]), float(sv[1]))
+    return (_values(sv[..., 0]), _values(sv[..., 1]))
 
 
-def concurrence_svd(state: SpinorState) -> float:
+def concurrence_svd(state: SpinorState):
     l1, l2 = schmidt_svd_oracle(state)
-    return float(min(max(2.0 * l1 * l2, 0.0), 1.0))
+    return _values(np.minimum(np.maximum(2.0 * l1 * l2, 0.0), 1.0))
 
 
 @dataclass(frozen=True)
 class EntanglementReport:
+    """Every route's result: Python floats for one state, arrays for a batch.
+
+    sigma_mean is (<sx>, <sy>, <sz>) and schmidt is (lambda1, lambda2).
+    """
+
     sigma_mean: tuple
     schmidt: tuple
     concurrence_spin: float
@@ -162,11 +225,11 @@ class EntanglementReport:
 
 def analyze(
     state: SpinorState,
-    c1: Optional[complex] = None,
-    c2: Optional[complex] = None,
-    overlap: Optional[complex] = None,
+    c1=None,
+    c2=None,
+    overlap=None,
 ) -> EntanglementReport:
-    """All available concurrence routes for one state.
+    """All available concurrence routes for one state or a batch of states.
 
     The overlap route needs the decomposition (c1, c2, <psi+|psi->); states
     not built from one get the spin and SVD values only. The smaller Schmidt
@@ -180,12 +243,12 @@ def analyze(
     if c1 is not None and c2 is not None and overlap is not None:
         c_overlap = concurrence_overlap(c1, c2, overlap)
     return EntanglementReport(
-        sigma_mean=tuple(float(v) for v in sigma),
+        sigma_mean=tuple(_values(v) for v in np.moveaxis(sigma, -1, 0)),
         schmidt=(lam1, c_spin / (2.0 * lam1)),
         concurrence_spin=c_spin,
         concurrence_svd=concurrence_svd(state),
         concurrence_overlap=c_overlap,
-        overlap=complex(overlap) if overlap is not None else None,
+        overlap=_values(overlap, complex) if overlap is not None else None,
     )
 
 

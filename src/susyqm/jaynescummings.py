@@ -411,8 +411,7 @@ def numeric_vs_analytic(
         v = np.where(np.hypot(*v1) >= np.hypot(*v2), v1, v2)
         up, down = v / np.hypot(*v)
         fid = (up + branch * down) ** 2 / 2.0
-        conc = [concurrence_overlap(u, w, 0.0)
-                for u, w in zip(up.tolist(), down.tolist())]
+        conc = concurrence_overlap(up, down, 0.0).tolist()
         rows += map(JCLevelRow, ((k + 1) // 2).tolist(), branch.tolist(),
                     analytic[k].tolist(), E_num[k].tolist(),
                     np.abs(E_num[k] - analytic[k]).tolist(),

@@ -1,14 +1,18 @@
 """Shared fixtures: the default box, factorized systems, solved spectra, the
 dense small-n oracles of the 2n x 2n SUSY operators and of the
-Jaynes-Cummings algebra report and level match, and the oracles that no code
+Jaynes-Cummings algebra report and level match, the oracles that no code
 in the package calls (the H- to H+ intertwining map, the sampled zero-mode
-profile, the zero mode rebuilt from W and the closed-form Jaynes-Cummings
-eigenstates).
+profile, the zero mode rebuilt from W, the closed-form Jaynes-Cummings
+eigenstates and the entangle sweep one full-grid state at a time), and a
+tracemalloc peak probe.
 
 Everything here is session-scoped; building a 2001-point system and solving
 both partners takes a noticeable fraction of a second, and many tests share
 the same four superpotentials.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +61,58 @@ def nonzero_levels(spectra):
         minus_nz = [m for m in minus if m.energy >= sq.EPS0]
         out[name] = (plus_nz, minus_nz)
     return out
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """tracemalloc peak, in bytes, of run() above the memory held before it."""
+    def peak(run):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    return peak
+
+
+@pytest.fixture(scope="session")
+def entangle_sweep_oracle():
+    """Rows of the `entangle` report, one full-grid state at a time.
+
+    The level pair is solved as the command solves it (level + 1 eigenpairs a
+    side, zero modes dropped). Each (|c1|, phase) state is then built as
+    c1 psi+ |up> + c2 psi- |down> on all n nodes with weight dx and analyzed
+    alone: no two-mode reduction and no batch axis. Rows come in the
+    command's order (|c1| outer, phase inner) and column order.
+    """
+    def rows(W, grid, level=1, c1_points=21, phase_points=8):
+        system = sq.build_susy_system(W, grid)
+        pp, mm = (
+            [p for p in sq.solve_spectrum(H, level + 1, grid) if p.energy >= sq.EPS0][level - 1]
+            for H in (system.H_plus, system.H_minus)
+        )
+        overlap = sq.inner_product(pp.state, mm.state)
+        out = []
+        for c1 in np.linspace(0.0, 1.0, c1_points):
+            c2_mod = math.sqrt(max(0.0, 1.0 - c1 * c1))
+            for phase in np.linspace(0.0, 2.0 * math.pi, phase_points, endpoint=False):
+                c2 = c2_mod * complex(math.cos(phase), math.sin(phase))
+                state = sq.SpinorState(c1 * pp.state.amplitudes,
+                                       c2 * mm.state.amplitudes, grid.dx)
+                rep = sq.analyze(state, c1, c2, overlap)
+                out.append((
+                    float(c1), float(phase), abs(overlap), *rep.sigma_mean,
+                    *rep.schmidt, rep.concurrence_spin, rep.concurrence_overlap,
+                    rep.concurrence_svd,
+                ))
+        return out
+    return rows
 
 
 @pytest.fixture(scope="session")

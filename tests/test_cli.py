@@ -7,14 +7,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import susyqm as sq
 from susyqm import cli
 
 BOX = {"x_min": -10.0, "x_max": 10.0, "n_points": 401}
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 CONFIGS = ROOT / "configs"
+W_NAMES = ("harmonic", "cubic", "shifted_cubic", "tanh")
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -134,6 +137,29 @@ class TestEntangleCommand:
         assert len(payload["rows"]) == 21 * 8
         assert set(payload["rows"][0]) == set(cli.SWEEP_COLUMNS)
         assert payload["E_plus"] == pytest.approx(payload["E_minus"], abs=1e-10)
+
+    @pytest.mark.parametrize("n_points", (1001, 2001))
+    @pytest.mark.parametrize("name", W_NAMES)
+    def test_sweep_matches_full_grid_oracle(self, tmp_path, entangle_sweep_oracle,
+                                            name, n_points):
+        # the two-mode batch against one full-grid state at a time: the sweep
+        # grid and the grid overlap are the same numbers, every route within
+        # 8 eps (the worst measured is 3.5 eps, C_svd for cubic at 2001 points)
+        grid = {"x_min": -10.0, "x_max": 10.0, "n_points": n_points}
+        cfg = write_config(tmp_path, self.entangle_config(
+            superpotential={"name": name}, grid=grid, sweep={}))
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "entangle.csv")
+        got = np.array(rows, dtype=float)
+        want = np.array(entangle_sweep_oracle(sq.get_superpotential(name),
+                                              sq.make_grid(**grid)))
+        assert got.shape == want.shape == (21 * 8, len(cli.SWEEP_COLUMNS))
+        for j, column in enumerate(header):
+            if column in ("|c1|", "phase_diff", "overlap_abs"):
+                assert np.array_equal(got[:, j], want[:, j]), column
+            else:
+                dev = np.max(np.abs(got[:, j] - want[:, j]))
+                assert dev <= 8 * np.finfo(float).eps, (column, dev)
 
     def test_product_rows_print_zero_lambda2(self, tmp_path):
         # at |c1| = 0 and 1 the state is a product: the smaller Schmidt
@@ -294,6 +320,34 @@ class TestConfigErrors:
             tmp_path, capsys, {"command": command},
             f"missing required field(s) in config: {missing}")
 
+    @pytest.mark.parametrize("c1_points, phase_points", (
+        (10 ** 6, 10 ** 6), (cli.SWEEP_MAX_ROWS + 1, 1), (cli.SWEEP_MAX_ROWS // 8 + 1, 8),
+    ))
+    def test_sweep_above_row_cap(self, tmp_path, capsys, monkeypatch,
+                                 c1_points, phase_points):
+        # rejected while parsing: nothing is solved and no sweep is allocated
+        def unreachable(*args):
+            raise AssertionError("solved before the sweep size was checked")
+
+        monkeypatch.setattr(cli, "build_susy_system", unreachable)
+        rows = c1_points * phase_points
+        self.run_expecting_config_error(tmp_path, capsys, {
+            "command": "entangle", "superpotential": {"name": "harmonic"},
+            "grid": dict(BOX), "level": 1,
+            "sweep": {"c1_points": c1_points, "phase_points": phase_points},
+        }, f"sweep.c1_points * sweep.phase_points = {rows} exceeds the cap of "
+           f"{cli.SWEEP_MAX_ROWS} rows")
+        assert not list(tmp_path.glob("entangle.*"))
+
+    def test_sweep_row_cap_bounds_the_report(self):
+        # the widest row: every value a 17-digit float with a 3-digit exponent
+        row = dict.fromkeys(cli.SWEEP_COLUMNS, -2.2250738585072014e-308)
+        json_row = (len(cli._json_text({"rows": [row, row]}))
+                    - len(cli._json_text({"rows": [row]})))
+        csv_row = len(cli._csv_text((), [[cli._g(v) for v in row.values()]])) - 1
+        assert (json_row, csv_row) == (488, 275)
+        assert cli.SWEEP_MAX_ROWS * json_row <= 8 * 10 ** 6
+
     def test_levels_capped_by_grid(self, tmp_path, capsys):
         self.run_expecting_config_error(
             tmp_path, capsys, spectrum_config(levels=50), "levels")
@@ -386,8 +440,16 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         "command": "jc",
         "jc_params": {"omega": 1.0, "gamma": 0.1, "n_max": 128},
     }, name="jc.json")
+    # <psi+|psi-> != 0 for the broken parity, so R has an off-diagonal entry
+    # and the QR of the two-mode reduction does real work
+    entangle = write_config(tmp_path, {
+        "command": "entangle",
+        "superpotential": {"name": "shifted_cubic"},
+        "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 2001},
+        "level": 1,
+    }, name="entangle_shifted_cubic.json")
     configs = [str(CONFIGS / f"{name}.json")
-               for name in ("spectrum", "entangle", "supercharge", "verify")] + [jc]
+               for name in ("spectrum", "entangle", "supercharge", "verify")] + [jc, entangle]
     script = (
         "import sys\n"
         "from pathlib import Path\n"
@@ -406,7 +468,7 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         assert run.returncode == 0, run.stderr
         outputs[threads] = {p.relative_to(outdir): p.read_bytes()
                             for p in sorted(outdir.rglob("*")) if p.is_file()}
-    assert len(outputs["1"]) == 7  # spectrum and jc write two files each
+    assert len(outputs["1"]) == 8  # spectrum and jc write two files each
     assert outputs["1"] == outputs["2"]
 
 

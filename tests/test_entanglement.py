@@ -30,6 +30,13 @@ def random_decomposed_state(seed, dim=16):
     return state, c1, c2, complex(np.vdot(psi_p, psi_m))
 
 
+def sweep_coefficients(c1_points=21, phase_points=8):
+    """(c1, c2) of the default entangle sweep, |c1| outer and phase inner."""
+    c1 = np.repeat(np.linspace(0.0, 1.0, c1_points), phase_points)
+    phase = np.tile(np.linspace(0.0, 2 * np.pi, phase_points, endpoint=False), c1_points)
+    return c1, np.sqrt(1.0 - c1 * c1) * np.exp(1j * phase)
+
+
 class TestBuildEnergyEigenstate:
     def test_pure_spin_up_product(self, nonzero_levels):
         plus_nz, minus_nz = nonzero_levels["harmonic"]
@@ -61,6 +68,28 @@ class TestBuildEnergyEigenstate:
         bad = sq.Wavefunction(grid2001, 2.0 * minus_nz[0].state.amplitudes)
         with pytest.raises(ValueError):
             sq.build_energy_eigenstate(INV_ROOT2, INV_ROOT2, plus_nz[0].state, bad)
+
+    def test_two_mode_batch_keeps_grid_inner_products(self, nonzero_levels):
+        # shifted_cubic: <psi+|psi-> = 0.30, so R has an off-diagonal entry
+        plus_nz, minus_nz = nonzero_levels["shifted_cubic"]
+        pp, mm = plus_nz[0].state, minus_nz[0].state
+        c1, c2 = sweep_coefficients()
+        state = sq.build_energy_eigenstate(c1, c2, pp, mm)
+        assert state.up.shape == state.down.shape == (c1.size, 2)
+        assert state.weight == 1.0
+        row = 50  # |c1| = 0.3, phase pi/2
+        ov = np.vdot(state.up[row], state.down[row]) / (np.conj(c1[row]) * c2[row])
+        assert abs(ov - sq.inner_product(pp, mm)) <= 4 * np.finfo(float).eps
+        assert np.max(np.abs(state.norm_squared() - 1.0)) <= 4 * np.finfo(float).eps
+
+    def test_batch_coefficients_validated(self, nonzero_levels):
+        plus_nz, minus_nz = nonzero_levels["harmonic"]
+        c1, c2 = sweep_coefficients()
+        c2[7] *= 1.01  # one row off the unit circle
+        with pytest.raises(ValueError):
+            sq.build_energy_eigenstate(c1, c2, plus_nz[0].state, minus_nz[0].state)
+        with pytest.raises(ValueError):
+            sq.build_energy_eigenstate(c1, c2[:-1], plus_nz[0].state, minus_nz[0].state)
 
 
 class TestSpinExpectation:
@@ -198,6 +227,68 @@ class TestAnalyzeReport:
         rep = sq.analyze(overlap_06_state())
         assert rep.concurrence_overlap is None
         assert rep.concurrence_spin == pytest.approx(0.8, abs=1e-15)
+
+
+class TestBatchedRoutes:
+    @given(seeds=st.lists(st.integers(0, 2 ** 31), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_property_stack_equals_each_row(self, seeds):
+        # bitwise: a batch row is reduced by the same BLAS dot and the same
+        # per-matrix SVD as the state alone, so no tolerance is needed
+        rows = [random_decomposed_state(seed) for seed in seeds]
+        stack = sq.SpinorState(np.stack([r[0].up for r in rows]),
+                               np.stack([r[0].down for r in rows]), 1.0)
+        c1, c2, ov = (np.array([r[k] for r in rows]) for k in (1, 2, 3))
+        sigma = sq.spin_expectation(stack)
+        lam = sq.schmidt_coefficients(sigma)
+        svd = sq.schmidt_svd_oracle(stack)
+        norm2 = stack.norm_squared()
+        c_spin = sq.concurrence_from_spin(stack)
+        c_over = sq.concurrence_overlap(c1, c2, ov)
+        c_svd = sq.concurrence_svd(stack)
+        rep = sq.analyze(stack, c1, c2, ov)
+        for i, (state, a, b, o) in enumerate(rows):
+            one = sq.analyze(state, a, b, o)
+            assert np.array_equal(sigma[i], sq.spin_expectation(state))
+            assert [v[i] for v in lam] == list(sq.schmidt_coefficients(sigma[i]))
+            assert [v[i] for v in svd] == list(sq.schmidt_svd_oracle(state))
+            assert norm2[i] == state.norm_squared()
+            assert c_spin[i] == sq.concurrence_from_spin(state)
+            assert c_over[i] == sq.concurrence_overlap(a, b, o)
+            assert c_svd[i] == sq.concurrence_svd(state)
+            assert [v[i] for v in rep.sigma_mean] == list(one.sigma_mean)
+            assert [v[i] for v in rep.schmidt] == list(one.schmidt)
+            assert (rep.concurrence_spin[i], rep.concurrence_overlap[i],
+                    rep.concurrence_svd[i], rep.overlap[i]) == (
+                one.concurrence_spin, one.concurrence_overlap,
+                one.concurrence_svd, one.overlap)
+
+    def test_single_state_returns_python_scalars(self):
+        state, c1, c2, ov = random_decomposed_state(7)
+        rep = sq.analyze(state, c1, c2, ov)
+        values = [
+            state.norm_squared(), sq.concurrence_from_spin(state),
+            sq.concurrence_overlap(c1, c2, ov), sq.concurrence_svd(state),
+            *sq.schmidt_svd_oracle(state),
+            *sq.schmidt_coefficients(sq.spin_expectation(state)),
+            *rep.sigma_mean, *rep.schmidt, rep.concurrence_spin,
+            rep.concurrence_overlap, rep.concurrence_svd,
+        ]
+        assert [type(v) for v in values] == [float] * len(values)
+        assert type(rep.overlap) is complex
+        assert sq.spin_expectation(state).shape == (3,)
+
+    def test_default_sweep_memory(self, nonzero_levels, traced_peak):
+        # one rows x n complex array of the 2001-point sweep would take 5.4 MB
+        plus_nz, minus_nz = nonzero_levels["shifted_cubic"]
+        pp, mm = plus_nz[0].state, minus_nz[0].state
+        c1, c2 = sweep_coefficients()
+        ov = sq.inner_product(pp, mm)
+
+        def sweep():
+            sq.analyze(sq.build_energy_eigenstate(c1, c2, pp, mm), c1, c2, ov)
+
+        assert traced_peak(sweep) < 1e6
 
 
 @pytest.fixture(scope="module")

@@ -1,27 +1,11 @@
 """Truncated Jaynes-Cummings model: assembly, hidden SUSY algebra, level match."""
 
-import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import susyqm as sq
-
-
-def traced_peak(run):
-    """tracemalloc peak, in bytes, of run() above the memory held before it."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    base = tracemalloc.get_traced_memory()[0]
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 def layout(sys_, state):
@@ -250,7 +234,7 @@ class TestAlgebraReport:
             assert alg.comm_q_h0_full == 0.0
             assert alg.truncation_corner_deviation == 0.0
 
-    def test_banded_memory(self):
+    def test_banded_memory(self, traced_peak):
         # the dense 2(n_max+1)-square products would need over 1 GB here
         assert traced_peak(lambda: sq.verify_susy_algebra(sq.build_jc(1.0, 0.1, 4096))) < 4e6
 
@@ -326,7 +310,7 @@ class TestNumericMatch:
             else:
                 assert abs(r.concurrence - o.concurrence) <= 1e-12, (r, o)
 
-    def test_match_memory(self):
+    def test_match_memory(self, traced_peak):
         # the eigenvector matrix of the general path would take over 500 MB here
         assert traced_peak(lambda: sq.numeric_vs_analytic(sq.build_jc(1.0, 0.1, 4096))) < 8e6
 
