@@ -39,6 +39,7 @@ from .spectral import (
     intertwine_down,
     operator_norm,
     pair_partner_levels,
+    solve_in_pairing_windows,
     solve_spectrum,
     zero_mode,
 )
@@ -169,10 +170,14 @@ def _grid_payload(grid: Grid):
 def _solve_both_sides(W, grid, levels, states=()):
     """Both partner spectra plus the validated pairing report.
 
-    The sides named in `states` ("plus", "minus") are solved with their
-    eigenvectors and returned as lists of EigenPair above the zero-mode
-    threshold; the others get energies only (bisection without inverse
-    iteration, bit-identical energies) and None in their slot. `spectrum`
+    H+ is solved blind for its k = levels + 1 lowest levels. H- is solved
+    only inside the pairing windows those levels define
+    (`solve_in_pairing_windows`); when a window count fails, pairing has
+    failed, and H- is solved blind as well, so that `pair_partner_levels`
+    names the level without a partner. The sides named in `states` ("plus",
+    "minus") are solved with their eigenvectors and returned as lists of
+    EigenPair above the zero-mode threshold; the others get energies only
+    (bisection without inverse iteration) and None in their slot. `spectrum`
     reads no eigenvector, `supercharge` only those of H+, `entangle` and
     `verify` both.
     """
@@ -181,16 +186,23 @@ def _solve_both_sides(W, grid, levels, states=()):
     except ValueError as exc:  # W not finite, unresolved jump, or H+- overflow
         raise ConfigError(str(exc)) from exc
     k = levels + 1  # room for the zero mode / the wall-node zero of H+
-    energies, nonzero = [], []
-    for side, H in (("plus", system.H_plus), ("minus", system.H_minus)):
-        if side in states:
-            pairs = solve_spectrum(H, k, grid)
-            energies.append([p.energy for p in pairs])
-            nonzero.append([p for p in pairs if p.energy >= EPS0])
-        else:
-            energies.append(H.eigh(0, k - 1, eigvals_only=True))
-            nonzero.append(None)
-    report = pair_partner_levels(*energies, PAIR_TOL)
+
+    def blind(H, side):
+        return solve_spectrum(H, k, grid) if side in states else H.eigh(0, k - 1, eigvals_only=True)
+
+    def energies(side, solved):
+        return [p.energy for p in solved] if side in states else solved
+
+    plus = blind(system.H_plus, "plus")
+    minus = solve_in_pairing_windows(system.H_minus, energies("plus", plus), PAIR_TOL,
+                                     grid if "minus" in states else None)
+    if minus is None:  # pairing failed: only the blind solve names the level
+        minus = blind(system.H_minus, "minus")
+    report = pair_partner_levels(energies("plus", plus), energies("minus", minus), PAIR_TOL)
+    nonzero = (
+        [p for p in solved if p.energy >= EPS0] if side in states else None
+        for side, solved in (("plus", plus), ("minus", minus))
+    )
     return system, *nonzero, report
 
 
@@ -326,11 +338,14 @@ def run_entangle(cfg, outdir, fmt):
         c1, phase, np.full(c1.size, abs(overlap)), *rep.sigma_mean, *rep.schmidt,
         rep.concurrence_spin, rep.concurrence_overlap, rep.concurrence_svd,
     )
-    rows = list(zip(*(col.tolist() for col in columns)))
 
     if fmt == "csv":
-        text = _csv_text(SWEEP_COLUMNS, [tuple(_g(v) for v in row) for row in rows])
+        # one format call a line: no per-cell string or per-row tuple is kept
+        line = ",".join(["{:.17g}"] * len(columns)).format
+        lines = map(line, *(col.tolist() for col in columns))
+        text = "\n".join([",".join(SWEEP_COLUMNS), *lines]) + "\n"
     else:
+        rows = list(zip(*(col.tolist() for col in columns)))
         text = _json_text({
             "superpotential": W.name,
             "grid": _grid_payload(grid),

@@ -118,9 +118,6 @@ def normalize(f: Wavefunction) -> Wavefunction:
 
 def wavefunction_to_csv(f: Wavefunction) -> str:
     """CSV text with columns x, re, im at 17 significant digits."""
-    x = f.grid.nodes()
     amps = np.asarray(f.amplitudes, dtype=complex)
-    lines = ["x,re,im"]
-    for xi, ai in zip(x, amps):
-        lines.append(f"{xi:.17g},{ai.real:.17g},{ai.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    columns = (f.grid.nodes().tolist(), amps.real.tolist(), amps.imag.tolist())
+    return "\n".join(["x,re,im", *map("{:.17g},{:.17g},{:.17g}".format, *columns)]) + "\n"

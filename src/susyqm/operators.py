@@ -13,8 +13,9 @@ superdiagonal of B,
 which is every nonzero term of the matrix products, each summed once, so H+
 and H- are exactly isospectral on nonzero eigenvalues as a matrix-level
 theorem, not just in the dx -> 0 limit. No operator is ever held as an n x n
-array; `to_dense()` exists only for small-n test oracles. `Tridiagonal.eigh`,
-LAPACK bisection on the bands, is the package's one eigensolver.
+array; `to_dense()` exists only for small-n test oracles. LAPACK bisection on
+the bands is the package's one eigensolver: `Tridiagonal.eigh` selects its
+eigenvalues by index, `Tridiagonal.eigh_windows` by value windows.
 
 The empty last row is the discrete form of the SUSY-preserving interval
 condition: B psi = 0 at the wall for H-, Dirichlet for H+. Every row of
@@ -28,7 +29,7 @@ zero mode.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import get_lapack_funcs
 
 from .errors import IndeterminateSignError
 from .grid import Grid
@@ -48,6 +49,10 @@ SQRT2 = np.sqrt(2.0)
 # RMAX of LAPACK's dstev: bisection squares the off-diagonal, so larger bands
 # are scaled down first
 _BAND_MAX = float(np.sqrt(np.finfo(float).eps / np.finfo(float).tiny))
+
+_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
+# stebz range codes of the scipy wrapper: eigenvalues in (vl, vu], or il..iu
+_BY_VALUE, _BY_INDEX = 1, 2
 
 
 class _Banded:
@@ -137,22 +142,67 @@ class Tridiagonal(_Banded):
     def eigh(self, lo, hi, tol=1e-300, eigvals_only=False):
         """Eigenvalues lo..hi, ascending, and their eigenvectors (columns).
 
-        The package's one eigensolver: LAPACK bisection (stebz) on the bands.
         The default tol, well under any eigenvalue gap, converges to machine
-        width; tol = 0 stops at LAPACK's eps * ||T||. Bands beyond _BAND_MAX
-        are scaled by a power of two first, which is exact, so the squares in
-        the Sturm count stay finite.
+        width; tol = 0 stops at LAPACK's eps * ||T||.
+        """
+        _, *out = self._bisect([(_BY_INDEX, 0.0, 1.0, lo + 1, hi + 1)], tol, eigvals_only)
+        return out[0] if eigvals_only else tuple(out)
+
+    def eigh_windows(self, windows, tol=1e-300, eigvals_only=False):
+        """Eigenvalues in each half-open window (a, b], and their eigenvectors.
+
+        `windows` is a sequence of (a, b) with a < b, ascending and disjoint,
+        so the eigenvalues come out ascending. Returns the number found in
+        each window, the eigenvalues and, unless eigvals_only, their
+        eigenvectors (columns) from one inverse iteration over all windows,
+        which reorthogonalises within a cluster as `eigh` does. tol as in
+        `eigh`; tol = inf stops at once, so only the counts are exact. A
+        window may start at -inf, where bisection starts at LAPACK's own
+        Gershgorin bound.
+        """
+        bounds = np.array(windows, dtype=float).reshape(-1, 2)
+        if np.any(bounds[:, 0] >= bounds[:, 1]) or np.any(bounds[1:, 0] < bounds[:-1, 1]):
+            raise ValueError("windows must be non-empty, ascending and disjoint")
+        return self._bisect([(_BY_VALUE, a, b, 0, 0) for a, b in bounds.tolist()],
+                            tol, eigvals_only)
+
+    def _bisect(self, selections, tol, eigvals_only):
+        """The package's one eigensolver: LAPACK bisection (stebz) on the bands.
+
+        One stebz call per selection (LAPACK range code, vl, vu, il, iu), then
+        one stein call for the eigenvectors of all of them. Bands beyond
+        _BAND_MAX are scaled by a power of two first, which is exact, so the
+        squares in the Sturm count stay finite; value bounds scale with them.
+        Returns the count per selection, the eigenvalues and, unless
+        eigvals_only, the eigenvectors.
         """
         big = max(np.max(np.abs(self.diag)), np.max(np.abs(self.off)))
         exp = int(np.frexp(big)[1]) if big > _BAND_MAX else 0
-        out = sla.eigh_tridiagonal(
-            np.ldexp(self.diag, -exp), np.ldexp(self.off, -exp),
-            eigvals_only=eigvals_only, select="i", select_range=(lo, hi),
-            lapack_driver="stebz", tol=tol,
-        )
+        d, e = np.ldexp(self.diag, -exp), np.ldexp(self.off, -exp)
+        order = "E" if eigvals_only else "B"  # stein takes eigenvalues by block
+        counts, values, blocks = [], [], []
+        for rng, vl, vu, il, iu in selections:
+            m, w, iblock, isplit, info = _STEBZ(
+                d, e, rng, np.ldexp(vl, -exp), np.ldexp(vu, -exp), il, iu,
+                float(tol), order)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"stebz failed (info = {info})")
+            counts.append(m)
+            values.append(w[:m].copy())  # a view would keep all n entries alive
+            blocks.append(iblock[:m].copy())
+        w = np.concatenate(values)
         if eigvals_only:
-            return np.ldexp(out, exp)
-        return np.ldexp(out[0], exp), out[1]
+            return counts, np.ldexp(w, exp)
+        blocks = np.concatenate(blocks)
+        by_block = np.lexsort((w, blocks))
+        w = w[by_block]
+        iblock = np.zeros(d.size, dtype=blocks.dtype)  # stein reads n entries
+        iblock[:w.size] = blocks[by_block]
+        v, info = _STEIN(d, e, w, iblock, isplit)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"stein: {info} eigenvectors failed to converge")
+        ascending = np.argsort(w)
+        return counts, np.ldexp(w[ascending], exp), v[:, ascending]
 
     def __matmul__(self, v):
         v = self._vector(v)

@@ -2,8 +2,12 @@
 
 Solving, degeneracy pairing, the zero mode, and the intertwining map from H+
 to H- eigenstates. Every Hamiltonian here is a symmetric Tridiagonal, solved
-on its bands by `Tridiagonal.eigh` (LAPACK bisection); there is no dense
-eigensolver. The zero mode is read off the stored bands of B, so this module
+on its bands by LAPACK bisection; there is no dense eigensolver.
+`solve_spectrum` takes the k lowest levels blind (`Tridiagonal.eigh`).
+`solve_in_pairing_windows` takes H- only inside the windows its partner H+
+levels define (`Tridiagonal.eigh_windows`), about a third of the Sturm
+sweeps, and reports by returning None when the windows fail to hold exactly
+the k lowest H- levels. The zero mode is read off the stored bands of B, so this module
 holds no copy of B's stencil. Energies below EPS0 = 1e-10 count as zero
 modes; the division by sqrt(E) in the intertwining map is guarded by the
 same threshold.
@@ -25,6 +29,7 @@ __all__ = [
     "LevelPair",
     "DegeneracyReport",
     "solve_spectrum",
+    "solve_in_pairing_windows",
     "pair_partner_levels",
     "zero_mode",
     "intertwine_down",
@@ -53,12 +58,50 @@ def solve_spectrum(H: Tridiagonal, k: int, grid: Grid):
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} out of range [1, {n}]")
-    energies, vectors = H.eigh(0, k - 1)
-    pairs = []
-    for j in range(k):
-        amps = fix_phase(vectors[:, j]) / np.sqrt(grid.dx)
-        pairs.append(EigenPair(float(energies[j]), Wavefunction(grid, amps)))
-    return pairs
+    return _eigenpairs(*H.eigh(0, k - 1), grid)
+
+
+def _eigenpairs(energies, vectors, grid):
+    return [
+        EigenPair(float(e), Wavefunction(grid, fix_phase(vectors[:, j]) / np.sqrt(grid.dx)))
+        for j, e in enumerate(energies)
+    ]
+
+
+def solve_in_pairing_windows(H_minus: Tridiagonal, plus_energies, tol: float,
+                             grid: Optional[Grid] = None):
+    """The H- levels that pair with the H+ levels, solved only where they must lie.
+
+    `plus_energies` are the k lowest H+ levels, ascending, with one below
+    EPS0 (the wall-node zero). Bisection on H-'s own bands runs in one
+    zero-mode window (-inf, EPS0], which LAPACK starts at its own Gershgorin
+    lower bound of H-, and one window (e - tol, e + tol] per H+ level
+    e >= EPS0, each clipped to start where the previous one ends. H+ only
+    decides where to look: the result stands only if every window holds
+    exactly one level and a loose count of the H- levels up to e_top + tol
+    equals the number found, so no H- level lies between windows. The list
+    is then the k lowest H- levels, as `Tridiagonal.eigh` finds them blind,
+    to the last ulp or two, and goes to `pair_partner_levels` unchanged.
+
+    Returns the k energies, ascending, or, with a `grid`, their EigenPairs
+    (one inverse iteration over all windows). Returns None when any count
+    fails: pairing has failed, and only a blind solve can name the level.
+    """
+    plus = np.asarray(plus_energies, dtype=float)
+    windows = [(-np.inf, EPS0)]
+    for e in plus[plus >= EPS0].tolist():
+        windows.append((max(e - tol, windows[-1][1]), e + tol))
+    if len(windows) != plus.size or any(a >= b for a, b in windows):
+        return None
+    # an infinite tol stops the bisection at once: only the count is read
+    (total,), _ = H_minus.eigh_windows([(-np.inf, windows[-1][1])], tol=np.inf,
+                                       eigvals_only=True)
+    if total != len(windows):
+        return None
+    counts, *found = H_minus.eigh_windows(windows, eigvals_only=grid is None)
+    if any(c != 1 for c in counts):
+        return None
+    return found[0] if grid is None else _eigenpairs(*found, grid)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import susyqm as sq
+from susyqm import cli
 
 BOX = (-10.0, 10.0, 2001)
 W_NAMES = ("harmonic", "cubic", "shifted_cubic", "tanh")
@@ -85,18 +86,16 @@ def traced_peak():
 def entangle_sweep_oracle():
     """Rows of the `entangle` report, one full-grid state at a time.
 
-    The level pair is solved as the command solves it (level + 1 eigenpairs a
-    side, zero modes dropped). Each (|c1|, phase) state is then built as
+    The level pair comes from the command's own solve
+    (`cli._solve_both_sides`), since the rows check the batch route, not the
+    eigensolver. Each (|c1|, phase) state is then built as
     c1 psi+ |up> + c2 psi- |down> on all n nodes with weight dx and analyzed
     alone: no two-mode reduction and no batch axis. Rows come in the
     command's order (|c1| outer, phase inner) and column order.
     """
     def rows(W, grid, level=1, c1_points=21, phase_points=8):
-        system = sq.build_susy_system(W, grid)
-        pp, mm = (
-            [p for p in sq.solve_spectrum(H, level + 1, grid) if p.energy >= sq.EPS0][level - 1]
-            for H in (system.H_plus, system.H_minus)
-        )
+        _, plus_nz, minus_nz, _ = cli._solve_both_sides(W, grid, level, ("plus", "minus"))
+        pp, mm = plus_nz[level - 1], minus_nz[level - 1]
         overlap = sq.inner_product(pp.state, mm.state)
         out = []
         for c1 in np.linspace(0.0, 1.0, c1_points):

@@ -1,5 +1,6 @@
 """End-to-end runs of the JSON-config driver against temporary directories."""
 
+import dataclasses
 import json
 import math
 import os
@@ -171,6 +172,19 @@ class TestEntangleCommand:
         assert len(edges) == 2 * 8
         assert [float(r[header.index("lambda2")]) for r in edges] == [0.0] * 16
 
+    def test_capped_csv_sweep_memory(self, tmp_path, traced_peak):
+        # one format call a line: the 3.6 MB report at the row cap peaks at
+        # ~15 MB traced; per-cell strings and row tuples took 34 MB
+        cfg = write_config(tmp_path, self.entangle_config(
+            superpotential={"name": "shifted_cubic"},
+            grid={"x_min": -10.0, "x_max": 10.0, "n_points": 2001},
+            sweep={"c1_points": 128, "phase_points": 128}))
+        assert 128 * 128 == cli.SWEEP_MAX_ROWS
+        run = ["--config", cfg, "--out", str(tmp_path), "--format", "csv"]
+        assert traced_peak(lambda: cli.main(run)) < 20e6
+        header, rows = read_csv(tmp_path / "entangle.csv")
+        assert len(rows) == cli.SWEEP_MAX_ROWS
+
 
 class TestSuperchargeCommand:
     def test_rows_and_residuals(self, tmp_path):
@@ -273,6 +287,126 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "verify: q1_squared_vs_hamiltonian" in err
         assert "verify: q2_squared_vs_hamiltonian" in err
+
+
+def harmonic_config(command, n_points, scale=1.0, half_width=10.0, levels=6):
+    return {
+        "command": command,
+        "superpotential": {"name": "harmonic", "params": {"scale": scale}},
+        "grid": {"x_min": -half_width, "x_max": half_width, "n_points": n_points},
+        "levels": levels,
+    }
+
+
+class TestPairingWindows:
+    """H- is solved inside the pairing windows of H+, blind only on failure."""
+
+    GRID = sq.make_grid(-10.0, 10.0, 1001)
+
+    def mutate_minus(self, monkeypatch, mutate):
+        build = cli.build_susy_system
+
+        def mutated(W, grid):
+            system = build(W, grid)
+            return dataclasses.replace(system, H_minus=mutate(system.H_minus))
+        monkeypatch.setattr(cli, "build_susy_system", mutated)
+
+    def blind_verdict(self, system, levels):
+        k = levels + 1
+        with pytest.raises(sq.DegeneracyError) as exc:
+            sq.pair_partner_levels(system.H_plus.eigh(0, k - 1, eigvals_only=True),
+                                   system.H_minus.eigh(0, k - 1, eigvals_only=True),
+                                   cli.PAIR_TOL)
+        return str(exc.value)
+
+    def spy_blind_solves(self, monkeypatch):
+        calls = []
+        eigh = sq.Tridiagonal.eigh
+
+        def spy(H, lo, hi, *args, **kwargs):
+            calls.append((H, lo, hi))
+            return eigh(H, lo, hi, *args, **kwargs)
+        monkeypatch.setattr(sq.Tridiagonal, "eigh", spy)
+        return calls
+
+    @pytest.mark.parametrize("states", ((), ("plus",), ("plus", "minus")))
+    @pytest.mark.parametrize("name", W_NAMES)
+    def test_blind_minus_solve_skipped_when_pairing_holds(self, monkeypatch, name, states):
+        calls = self.spy_blind_solves(monkeypatch)
+        system, *_ = cli._solve_both_sides(sq.get_superpotential(name), self.GRID, 6, states)
+        # the one blind solve is H+'s; H- only goes through its windows
+        assert calls == [(system.H_plus, 0, 6)]
+
+    def test_shifted_levels_empty_the_windows(self, monkeypatch):
+        # every H- level 1e-9 up: no window holds its level, and the blind
+        # solve names the first H+ level without a partner, as it always has
+        self.mutate_minus(monkeypatch, lambda H: sq.Tridiagonal(H.diag + 1e-9, H.off))
+        calls = self.spy_blind_solves(monkeypatch)
+        W = sq.get_superpotential("harmonic")
+        with pytest.raises(sq.DegeneracyError) as exc:
+            cli._solve_both_sides(W, self.GRID, 6)
+        system = cli.build_susy_system(W, self.GRID)
+        assert [(lo, hi) for H, lo, hi in calls] == [(0, 6), (0, 6)]  # H+, then H- blind
+        assert str(exc.value) == self.blind_verdict(system, 6)
+        assert "of H+ has no partner within tol = 1e-10 (nearest H- level" in str(exc.value)
+
+    def test_stray_level_between_windows_fails_the_count(self, monkeypatch):
+        # one decoupled H- level halfway between the 3rd and 4th H+ levels:
+        # every window still holds exactly one level, only the count sees it
+        W = sq.get_superpotential("harmonic")
+        plus = cli.build_susy_system(W, self.GRID).H_plus.eigh(0, 6, eigvals_only=True)
+        stray = float(plus[3] + plus[4]) / 2.0
+        self.mutate_minus(monkeypatch, lambda H: sq.Tridiagonal(np.append(H.diag, stray),
+                                                                 np.append(H.off, 0.0)))
+        system = cli.build_susy_system(W, self.GRID)
+        counts, _ = system.H_minus.eigh_windows(
+            [(-np.inf, cli.EPS0)] + [(e - cli.PAIR_TOL, e + cli.PAIR_TOL) for e in plus[1:]],
+            eigvals_only=True)
+        assert counts == [1] * 7
+        with pytest.raises(sq.DegeneracyError) as exc:
+            cli._solve_both_sides(W, self.GRID, 6)
+        assert str(exc.value) == self.blind_verdict(system, 6)
+        assert f"level {float(plus[4])!r} of H+ has no partner" in str(exc.value)
+        assert f"nearest H- level {stray!r}" in str(exc.value)
+
+
+class TestBorderlineVerdicts:
+    """Exit codes and failing checks of configs at the edge of the solver's range."""
+
+    def run(self, tmp_path, capsys, payload):
+        rc = cli.main(["--config", write_config(tmp_path, payload), "--out", str(tmp_path)])
+        return rc, capsys.readouterr().err
+
+    def failed_checks(self, tmp_path):
+        payload = json.loads((tmp_path / "verify.json").read_text())
+        return {c["name"] for c in payload["checks"] if not c["passed"]}
+
+    def test_off_diagonal_squares_beyond_range_lose_pairing(self, tmp_path, capsys):
+        rc, err = self.run(tmp_path, capsys, harmonic_config("spectrum", 201, scale=1e153))
+        assert rc == 1
+        assert err.startswith("physics violation: level ")
+        assert "of H+ has no partner within tol = 1e-10 (nearest H- level " in err
+
+    def test_flat_superpotential_on_wide_box_has_many_zero_modes(self, tmp_path, capsys):
+        rc, err = self.run(tmp_path, capsys, harmonic_config(
+            "spectrum", 201, scale=2.0 ** -40, half_width=10.0 * 2 ** 20))
+        assert rc == 1
+        assert err == ("physics violation: H- has 7 eigenvalues below 1e-10; "
+                       "the zero mode must be unique\n")
+
+    def test_fine_grid_zero_mode_below_minus_eps0(self, tmp_path, capsys):
+        rc, err = self.run(tmp_path, capsys, harmonic_config("verify", 32001))
+        assert rc == 1
+        assert self.failed_checks(tmp_path) == {"zero_mode_present"}
+        assert err.startswith("verify: zero_mode_present = ")
+
+    def test_steep_narrow_box_fails_energy_deviation(self, tmp_path, capsys):
+        rc, err = self.run(tmp_path, capsys, harmonic_config(
+            "verify", 2001, scale=2.0 ** 16, half_width=10.0 * 2 ** -8))
+        assert rc == 1
+        assert self.failed_checks(tmp_path) == {"zero_mode_present",
+                                                "intertwine_energy_deviation"}
+        assert "verify: intertwine_energy_deviation = " in err
 
 
 class TestConfigErrors:
@@ -448,8 +582,15 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 2001},
         "level": 1,
     }, name="entangle_shifted_cubic.json")
+    # 99 levels at 1001 points: the windowed H- solve at the levels cap
+    deep = write_config(tmp_path, {
+        "command": "spectrum",
+        "superpotential": {"name": "shifted_cubic"},
+        "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 1001},
+        "levels": 99,
+    }, name="spectrum_deep.json")
     configs = [str(CONFIGS / f"{name}.json")
-               for name in ("spectrum", "entangle", "supercharge", "verify")] + [jc, entangle]
+               for name in ("spectrum", "entangle", "supercharge", "verify")] + [jc, entangle, deep]
     script = (
         "import sys\n"
         "from pathlib import Path\n"
@@ -468,7 +609,7 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         assert run.returncode == 0, run.stderr
         outputs[threads] = {p.relative_to(outdir): p.read_bytes()
                             for p in sorted(outdir.rglob("*")) if p.is_file()}
-    assert len(outputs["1"]) == 8  # spectrum and jc write two files each
+    assert len(outputs["1"]) == 10  # spectrum and jc write two files each
     assert outputs["1"] == outputs["2"]
 
 

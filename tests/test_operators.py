@@ -76,6 +76,48 @@ class TestBandedTypes:
             sq.Tridiagonal(np.ones(4), np.ones(4))
 
 
+class TestTridiagonalWindows:
+    """Eigenvalues selected by value windows, by the same bisection as `eigh`."""
+
+    def test_counts_values_and_vectors_per_window(self):
+        T = sq.Tridiagonal([3.0, 1.0, 2.0, 5.0], [0.0, 0.0, 0.0])
+        counts, values, vectors = T.eigh_windows([(0.0, 1.5), (1.5, 2.5), (2.5, 2.9), (2.9, 5.0)])
+        assert counts == [1, 1, 0, 2]
+        assert values.tolist() == [1.0, 2.0, 3.0, 5.0]
+        assert np.array_equal(np.abs(vectors), np.eye(4)[:, [1, 2, 0, 3]])
+
+    def test_windows_agree_with_index_selection(self):
+        rng = np.random.default_rng(11)
+        T = sq.Tridiagonal(rng.normal(size=60), rng.normal(size=59))
+        blind, blind_vectors = T.eigh(0, 59)
+        cuts = (blind[:-1] + blind[1:]) / 2.0
+        bounds = np.concatenate([[blind[0] - 1.0], cuts, [blind[-1] + 1.0]])
+        counts, values, vectors = T.eigh_windows(np.column_stack([bounds[:-1], bounds[1:]]))
+        assert counts == [1] * 60
+        assert np.max(np.abs(values - blind)) <= 4 * np.finfo(float).eps * np.max(np.abs(blind))
+        assert np.min(np.abs(np.sum(vectors * blind_vectors, axis=0))) >= 1.0 - 1e-12
+
+    def test_infinite_tol_still_counts_exactly(self):
+        # a window from -inf starts at LAPACK's Gershgorin bound, which the
+        # free Laplacian's exact zero eigenvalue touches
+        rng = np.random.default_rng(12)
+        for T in (sq.Tridiagonal(rng.normal(size=50), rng.normal(size=49)),
+                  sq.Tridiagonal(np.r_[1.0, 2.0 * np.ones(48), 1.0], -np.ones(49))):
+            evals = T.eigh(0, 49, eigvals_only=True)
+            hi = (evals[29] + evals[30]) / 2.0
+            (count,), _ = T.eigh_windows([(-np.inf, hi)], tol=np.inf, eigvals_only=True)
+            assert count == 30
+            (lowest,), values = T.eigh_windows([(-np.inf, evals[0] + 1e-6)], eigvals_only=True)
+            assert lowest == 1 and abs(values[0] - evals[0]) <= 1e-14
+
+    @pytest.mark.parametrize("windows", ([(1.0, 1.0)], [(0.0, 2.0), (1.0, 3.0)],
+                                         [(2.0, 3.0), (0.0, 1.0)]))
+    def test_empty_overlapping_or_unsorted_windows_rejected(self, windows):
+        T = sq.Tridiagonal([1.0, 2.0], [0.5])
+        with pytest.raises(ValueError, match="ascending and disjoint"):
+            T.eigh_windows(windows)
+
+
 class TestBuildAnnihilator:
     def test_free_case_is_scaled_forward_difference(self, free_superpotential):
         g = sq.make_grid(0, 1, 5)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susyqm as sq
+from susyqm.cli import PAIR_TOL
 
 
 class TestSolveSpectrum:
@@ -70,6 +71,61 @@ class TestSolveSpectrum:
         for pa, pb in zip(a, b):
             assert pa.energy == pb.energy
             assert np.array_equal(pa.state.amplitudes, pb.state.amplitudes)
+
+
+WINDOW_CASES = [(n, levels) for n in (201, 1001, 2001, 8001) for levels in (6, n // 10 - 1)]
+
+
+def max_ulps(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want) / np.spacing(np.abs(want))))
+
+
+class TestSolveInPairingWindows:
+    @pytest.mark.parametrize("n_points, levels", WINDOW_CASES)
+    @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
+    def test_matches_blind_solve(self, name, n_points, levels):
+        # energies within 2 ulp of the blind bisection, vectors to 1e-12; the
+        # 800 vectors at 8001 points are one inverse-iteration cluster that
+        # takes ~10 s a side, so that case compares energies only
+        grid = sq.make_grid(-10.0, 10.0, n_points)
+        system = sq.build_susy_system(sq.get_superpotential(name), grid)
+        k = levels + 1
+        plus = system.H_plus.eigh(0, k - 1, eigvals_only=True)
+        if n_points * k > 10 ** 6:
+            found = sq.solve_in_pairing_windows(system.H_minus, plus, PAIR_TOL)
+            assert found is not None
+            assert max_ulps(found, system.H_minus.eigh(0, k - 1, eigvals_only=True)) <= 2
+            return
+        found = sq.solve_in_pairing_windows(system.H_minus, plus, PAIR_TOL, grid)
+        blind = sq.solve_spectrum(system.H_minus, k, grid)
+        assert len(found) == k
+        assert max_ulps([p.energy for p in found], [p.energy for p in blind]) <= 2
+        for w, b in zip(found, blind):
+            assert abs(sq.inner_product(w.state, b.state)) >= 1.0 - 1e-12
+
+    def test_bands_beyond_squaring_range(self):
+        # bands, H+ levels and tolerance scaled by 2^600 take the windows too
+        grid = sq.make_grid(-10.0, 10.0, 1001)
+        system = sq.build_susy_system(sq.get_superpotential("shifted_cubic"), grid)
+        plus = system.H_plus.eigh(0, 6, eigvals_only=True)
+        big = sq.Tridiagonal(np.ldexp(system.H_minus.diag, 600), np.ldexp(system.H_minus.off, 600))
+        found = sq.solve_in_pairing_windows(big, np.ldexp(plus, 600), np.ldexp(PAIR_TOL, 600), grid)
+        assert found is not None
+        blind = sq.solve_spectrum(big, 7, grid)
+        assert max_ulps([p.energy for p in found], [p.energy for p in blind]) <= 2
+        for w, b in zip(found, blind):
+            assert abs(sq.inner_product(w.state, b.state)) >= 1.0 - 1e-12
+
+    def test_no_result_without_exactly_one_plus_zero(self, systems):
+        # the windows reproduce the k lowest H- levels only when H+ has its
+        # wall-node zero and nothing else below EPS0
+        system = systems["harmonic"]
+        plus = system.H_plus.eigh(0, 6, eigvals_only=True)
+        assert sq.solve_in_pairing_windows(system.H_minus, plus, PAIR_TOL) is not None
+        assert sq.solve_in_pairing_windows(system.H_minus, plus[1:], PAIR_TOL) is None
+        lifted = np.concatenate([[0.0], plus[:-1]])
+        assert sq.solve_in_pairing_windows(system.H_minus, lifted, PAIR_TOL) is None
 
 
 class TestPairPartnerLevels:
