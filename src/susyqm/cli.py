@@ -90,6 +90,23 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def _json_rows_text(head, keys, columns) -> str:
+    """`_json_text` of `head` plus a last key "rows", one object per row.
+
+    Row r maps keys[k] to columns[k][r]. Each row is one format call, so no
+    per-row dict or per-cell string is kept; `{!r}` of a Python float is
+    `float.__repr__`, the form `json.dumps` writes.
+    """
+    if not all(np.isfinite(col).all() for col in columns):
+        raise ValueError("Out of range float values are not JSON compliant")
+    row = "    {{\n" + ",\n".join(f"      {json.dumps(key)}: {{!r}}" for key in keys) + "\n    }}"
+    rows = list(map(row.format, *(col.tolist() for col in columns)))
+    # the head's closing "\n}\n" moves behind the rows
+    rows[0] = _json_text(head)[:-3] + ',\n  "rows": [\n' + rows[0]
+    rows[-1] += "\n  ]\n}\n"
+    return ",\n".join(rows)
+
+
 # ---------------------------------------------------------------- validation
 
 def _check_keys(obj, required, optional, where):
@@ -345,15 +362,13 @@ def run_entangle(cfg, outdir, fmt):
         lines = map(line, *(col.tolist() for col in columns))
         text = "\n".join([",".join(SWEEP_COLUMNS), *lines]) + "\n"
     else:
-        rows = list(zip(*(col.tolist() for col in columns)))
-        text = _json_text({
+        text = _json_rows_text({
             "superpotential": W.name,
             "grid": _grid_payload(grid),
             "level": level,
             "E_plus": pp.energy,
             "E_minus": mm.energy,
-            "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
-        })
+        }, SWEEP_COLUMNS, columns)
     _write(outdir, "entangle." + fmt, text)
     return _finish([])
 

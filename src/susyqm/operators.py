@@ -15,7 +15,11 @@ and H- are exactly isospectral on nonzero eigenvalues as a matrix-level
 theorem, not just in the dx -> 0 limit. No operator is ever held as an n x n
 array; `to_dense()` exists only for small-n test oracles. LAPACK bisection on
 the bands is the package's one eigensolver: `Tridiagonal.eigh` selects its
-eigenvalues by index, `Tridiagonal.eigh_windows` by value windows.
+eigenvalues by index, `Tridiagonal.eigh_windows` by value windows. Its two
+routines, `dstebz` and `dstein`, are scipy's compiled LAPACK wrappers, loaded
+straight from scipy's `linalg/_flapack` extension file: importing
+`scipy.linalg` itself would pull in scipy's array-API layer and more than
+double the start-up time of every command.
 
 The empty last row is the discrete form of the SUSY-preserving interval
 condition: B psi = 0 at the wall for H-, Dirichlet for H+. Every row of
@@ -26,10 +30,12 @@ column vanish). The spectral module files that H+ zero apart from the physical
 zero mode.
 """
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import IndeterminateSignError
 from .grid import Grid
@@ -50,7 +56,31 @@ SQRT2 = np.sqrt(2.0)
 # are scaled down first
 _BAND_MAX = float(np.sqrt(np.finfo(float).eps / np.finfo(float).tiny))
 
-_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
+
+def _load_flapack(root):
+    """scipy's compiled LAPACK wrappers, read from the scipy package directory `root`.
+
+    This is the extension module whose double-precision routines
+    `scipy.linalg.get_lapack_funcs` returns; loading the file runs no scipy
+    package code.
+    """
+    name = "scipy.linalg._flapack"
+    directory = os.path.join(root, "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_flapack" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader))
+            loader.exec_module(module)
+            return module
+    from importlib.metadata import version
+
+    raise ImportError(f"no LAPACK extension _flapack in {directory} (scipy {version('scipy')})")
+
+
+_FLAPACK = _load_flapack(importlib.util.find_spec("scipy").submodule_search_locations[0])
+_STEBZ, _STEIN = _FLAPACK.dstebz, _FLAPACK.dstein
 # stebz range codes of the scipy wrapper: eigenvalues in (vl, vu], or il..iu
 _BY_VALUE, _BY_INDEX = 1, 2
 

@@ -185,6 +185,44 @@ class TestEntangleCommand:
         header, rows = read_csv(tmp_path / "entangle.csv")
         assert len(rows) == cli.SWEEP_MAX_ROWS
 
+    def test_capped_json_sweep_memory(self, tmp_path, traced_peak):
+        # one format call a row: the 6.9 MB report at the row cap peaks at
+        # ~17 MB traced; one dict a row through json.dumps took 55 MB
+        cfg = write_config(tmp_path, self.entangle_config(
+            superpotential={"name": "shifted_cubic"},
+            grid={"x_min": -10.0, "x_max": 10.0, "n_points": 2001},
+            sweep={"c1_points": 128, "phase_points": 128}))
+        run = ["--config", cfg, "--out", str(tmp_path), "--format", "json"]
+        assert traced_peak(lambda: cli.main(run)) < 20e6
+        rows = json.loads((tmp_path / "entangle.json").read_text())["rows"]
+        assert len(rows) == cli.SWEEP_MAX_ROWS
+
+    def test_json_rows_match_json_dumps(self):
+        # extreme exponents, signed zero, subnormals and round numbers
+        values = [0.0, 1.0, -0.0, 1e-300, -2.5e-308, 5e-324, 1.7976931348623157e308,
+                  0.1, 1e-05, 1e16, 123456789.0, -1.0 / 3.0]
+        rng = np.random.default_rng(21)
+        columns = [np.roll(values, k) * (1.0 if k % 2 else -rng.uniform(0.25, 1.0))
+                   for k in range(len(cli.SWEEP_COLUMNS))]
+        head = {"superpotential": "tanh", "grid": {"x_min": -1.5, "n_points": 3}, "level": 2}
+        oracle = json.dumps(dict(head, rows=[dict(zip(cli.SWEEP_COLUMNS, row))
+                                             for row in zip(*(c.tolist() for c in columns))]),
+                            indent=2) + "\n"
+        assert cli._json_rows_text(head, cli.SWEEP_COLUMNS, columns) == oracle
+        columns[4][3] = np.nan
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_rows_text(head, cli.SWEEP_COLUMNS, columns)
+
+    def test_sweep_json_matches_json_dumps(self, tmp_path):
+        cfg = write_config(tmp_path, self.entangle_config())
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path), "--format", "json"])
+        assert rc == 0
+        text = (tmp_path / "entangle.json").read_text()
+        payload = json.loads(text)
+        assert list(payload) == ["superpotential", "grid", "level", "E_plus", "E_minus", "rows"]
+        assert len(payload["rows"]) == 5 * 4
+        assert text == json.dumps(payload, indent=2) + "\n"
+
 
 class TestSuperchargeCommand:
     def test_rows_and_residuals(self, tmp_path):
@@ -599,18 +637,23 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         "    rc = cli.main(['--config', cfg, '--out', f'{sys.argv[1]}/{Path(cfg).stem}'])\n"
         "    assert rc == 0, (cfg, rc)\n"
     )
+    # the package loads scipy's LAPACK extension file itself; a run that has
+    # imported scipy.linalg first must write the same bytes
+    runs = {"1": ("1", script), "2": ("2", script),
+            "scipy.linalg first": ("1", "import scipy.linalg\n" + script)}
     outputs = {}
-    for threads in ("1", "2"):
+    for name, (threads, code) in runs.items():
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-        outdir = tmp_path / threads
-        run = subprocess.run([sys.executable, "-c", script, str(outdir), *configs],
+        outdir = tmp_path / name.replace(" ", "_")
+        run = subprocess.run([sys.executable, "-c", code, str(outdir), *configs],
                              env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
-        outputs[threads] = {p.relative_to(outdir): p.read_bytes()
-                            for p in sorted(outdir.rglob("*")) if p.is_file()}
+        outputs[name] = {p.relative_to(outdir): p.read_bytes()
+                         for p in sorted(outdir.rglob("*")) if p.is_file()}
     assert len(outputs["1"]) == 10  # spectrum and jc write two files each
     assert outputs["1"] == outputs["2"]
+    assert outputs["1"] == outputs["scipy.linalg first"]
 
 
 def test_atomic_write_leaves_no_temp_file_when_rename_fails(tmp_path, monkeypatch):

@@ -1,13 +1,21 @@
 """Factorized operators: B, its adjoint, the partner pair and supercharges."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg as sla
 import scipy.sparse as sps
 
 import susyqm as sq
+from susyqm import operators
 
 ROOT2 = np.sqrt(2.0)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +124,36 @@ class TestTridiagonalWindows:
         T = sq.Tridiagonal([1.0, 2.0], [0.5])
         with pytest.raises(ValueError, match="ascending and disjoint"):
             T.eigh_windows(windows)
+
+
+class TestLapackLoader:
+    """The bisection routines come from scipy's extension file, not scipy.linalg."""
+
+    def test_cli_import_leaves_scipy_linalg_out(self):
+        # only a fresh interpreter shows it: this module imports scipy.linalg
+        script = ("import sys\n"
+                  "import susyqm.cli\n"
+                  "print([m for m in ('scipy.linalg', 'scipy._lib._util', 'numpy.f2py')"
+                  " if m in sys.modules])\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    def test_routines_are_the_get_lapack_funcs_objects(self):
+        # the eigensolver is scipy.linalg's own double-precision wrapper pair
+        stebz, stein = sla.get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
+        assert operators._STEBZ is stebz
+        assert operators._STEIN is stein
+
+    def test_missing_extension_names_directory_and_version(self, tmp_path):
+        (tmp_path / "linalg").mkdir()
+        (tmp_path / "linalg" / "_flapack.py").write_text("")  # not an extension file
+        with pytest.raises(ImportError) as info:
+            operators._load_flapack(str(tmp_path))
+        message = str(info.value)
+        assert str(tmp_path / "linalg") in message
+        assert f"scipy {scipy.__version__}" in message
 
 
 class TestBuildAnnihilator:
