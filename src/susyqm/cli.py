@@ -9,7 +9,6 @@ byte. Exit codes: 0 success, 1 physics-invariant violation, 2 config error.
 """
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -20,10 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .entanglement import (
-    SpinorState,
     analyze,
-    apply_q1,
-    apply_q2,
     build_energy_eigenstate,
     concurrence_from_spin,
     supercharge_eigenstates,
@@ -32,7 +28,14 @@ from .entanglement import (
 from .errors import ConfigError, PhysicsViolationError, SusyQMError
 from .grid import Grid, inner_product, make_grid, wavefunction_to_csv
 from .jaynescummings import build_jc, numeric_vs_analytic, verify_susy_algebra
-from .operators import build_susy_system
+from .operators import (
+    Tridiagonal,
+    band_commutator,
+    band_max_abs,
+    band_product,
+    band_rows,
+    build_susy_system,
+)
 from .spectral import (
     EPS0,
     align_phase,
@@ -246,31 +249,30 @@ def _supercharge_states(system, pp, mapped):
         yield family, sign, st, supercharge_residual(system, st, sign * root, family)
 
 
-def _block_bands(op, n):
-    """Bands of the four n x n blocks of a spinor operator, all tridiagonal.
+def _susy_identities(system):
+    """(name, value, bound) of verify's five 2n x 2n identity checks, in O(n).
 
-    `op` maps a SpinorState to a SpinorState. The probe of residue r carries
-    1 on the nodes j = r (mod 3) of one component, so row i of its image is
-    the single entry of column j in {i-1, i, i+1} with j = r (mod 3): each
-    entry is read once and no sum is formed. Returns a complex array indexed
-    [row block, column block, band, i] with bands (sub, diag, sup); sub[i] is
-    entry (i+1, i) and sup[i] entry (i, i+1), both 0 at i = n-1.
+    Every operator is read in the order of `SusySystem.Q1`, where
+    H = diag(H+, H-) is pentadiagonal: its rows interleave the separately
+    formed bands of H+-. Q2 = -i R with R = sz Q1 real, so Q2^2 = -R^2,
+    {Q1, Q2} = -i {Q1, R}, and Q2 is Hermitian iff R[j, j+1] + R[j+1, j] = 0;
+    no complex array is formed.
     """
-    idx = np.arange(n)
-    zero = np.zeros(n)
-    image = np.zeros((2, 2, 3, n), dtype=complex)  # [row block, column block, r, i]
-    for r in range(3):
-        p = (idx % 3 == r).astype(float)
-        for col, probe in enumerate((SpinorState(p, zero), SpinorState(zero, p))):
-            out = op(probe)
-            image[0, col, r] = out.up
-            image[1, col, r] = out.down
-    i = idx[:-1]
-    bands = np.zeros((2, 2, 3, n), dtype=complex)
-    bands[:, :, 0, :-1] = image[:, :, i % 3, i + 1]
-    bands[:, :, 1] = image[:, :, idx % 3, idx]
-    bands[:, :, 2, :-1] = image[:, :, (i + 1) % 3, i]
-    return bands
+    n = system.grid.n_points
+    parity = Tridiagonal(np.tile([-1.0, 1.0], n), np.zeros(2 * n - 1))  # sz: -1 down, +1 up
+    q1 = band_rows(system.Q1)
+    R = parity.diag * q1
+    H = np.zeros((5, 2 * n))
+    H[0::2, 0::2] = band_rows(system.H_minus)
+    H[0::2, 1::2] = band_rows(system.H_plus)
+    return (
+        ("q1_squared_vs_hamiltonian", band_max_abs(band_product(q1, q1) - H), MATRIX_SQ_TOL),
+        ("q2_squared_vs_hamiltonian", band_max_abs(band_product(R, R) + H), MATRIX_SQ_TOL),
+        ("anticommutator_q1_q2", band_max_abs(band_commutator(q1, R, anti=True)), ANTICOMM_TOL),
+        ("anticommutator_parity_q1",
+         band_max_abs(band_commutator(band_rows(parity), q1, anti=True)), ANTICOMM_TOL),
+        ("q2_hermiticity", band_max_abs(R[2, :-1] + R[0, 1:]), ANTICOMM_TOL),
+    )
 
 
 # ------------------------------------------------------------------ commands
@@ -512,38 +514,8 @@ def run_verify(cfg, outdir, fmt):
     check("intertwine_energy_deviation", worst_energy, INTERTWINE_TOL)
     check("supercharge_eigenstate_residual", worst_eig, INTERTWINE_TOL)
 
-    # the 2n x 2n identities, entry by entry from the blocks' bands: Q1, Q2
-    # and parity applied as stencils, against the separately formed H+-
-    n = grid.n_points
-    q1 = functools.partial(apply_q1, system)
-    q2 = functools.partial(apply_q2, system)
-
-    def parity(s):
-        return SpinorState(s.up, -s.down)
-
-    def anticommutator(a, b):
-        def op(s):
-            ab, ba = a(b(s)), b(a(s))
-            return SpinorState(ab.up + ba.up, ab.down + ba.down)
-        return op
-
-    h_susy = np.zeros((2, 2, 3, n))
-    for blk, H in ((0, system.H_plus), (1, system.H_minus)):
-        off = np.append(H.off, 0.0)
-        h_susy[blk, blk] = off, H.diag, off
-    q2_bands = _block_bands(q2, n)
-    # adjoint: swap the off-diagonal blocks, transpose each block (sub <-> sup)
-    # and conjugate
-    q2_adjoint = np.conj(q2_bands.transpose(1, 0, 2, 3)[:, :, ::-1])
-    check("q1_squared_vs_hamiltonian",
-          np.max(np.abs(_block_bands(lambda s: q1(q1(s)), n) - h_susy)), MATRIX_SQ_TOL)
-    check("q2_squared_vs_hamiltonian",
-          np.max(np.abs(_block_bands(lambda s: q2(q2(s)), n) - h_susy)), MATRIX_SQ_TOL)
-    check("anticommutator_q1_q2",
-          np.max(np.abs(_block_bands(anticommutator(q1, q2), n))), ANTICOMM_TOL)
-    check("anticommutator_parity_q1",
-          np.max(np.abs(_block_bands(anticommutator(parity, q1), n))), ANTICOMM_TOL)
-    check("q2_hermiticity", np.max(np.abs(q2_bands - q2_adjoint)), ANTICOMM_TOL)
+    for identity in _susy_identities(system):
+        check(*identity)
 
     passed = all(c["passed"] for c in checks)
     payload = {

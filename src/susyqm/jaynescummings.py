@@ -21,7 +21,13 @@ from typing import Optional
 import numpy as np
 
 from .entanglement import concurrence_overlap
-from .operators import Tridiagonal
+from .operators import (
+    Tridiagonal,
+    band_commutator,
+    band_max_abs,
+    band_product,
+    band_rows,
+)
 
 __all__ = [
     "FockSpace",
@@ -170,15 +176,6 @@ class JCAlgebraReport:
         )
 
 
-def _rows(M: Tridiagonal) -> np.ndarray:
-    """M's entries as three rows: row 1 + o, column j holds M[j, j + o]."""
-    out = np.zeros((3, M.diag.size))
-    out[0, 1:] = M.off
-    out[1] = M.diag
-    out[2, :-1] = M.off
-    return out
-
-
 def _diagonal(values) -> np.ndarray:
     out = np.zeros((3, np.size(values)))
     out[1] = values
@@ -188,32 +185,6 @@ def _diagonal(values) -> np.ndarray:
 def _wide(A: np.ndarray) -> np.ndarray:
     """Three rows padded to the five rows of a product: row 2 + o holds (j, j + o)."""
     return np.pad(A, ((1, 1), (0, 0)))
-
-
-def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Five rows of A B from the three rows of tridiagonal A and B.
-
-    Entry (j, j + p + q) collects A[j, j + p] B[j + p, j + p + q] over
-    |p|, |q| <= 1, each product rounded once: the nonzero terms of the dense
-    product, with no sum over the zeros in between.
-    """
-    n = A.shape[1]
-    C = np.zeros((5, n))
-    for p in (-1, 0, 1):
-        lo, hi = max(0, -p), n - max(0, p)
-        for q in (-1, 0, 1):
-            C[2 + p + q, lo:hi] += A[1 + p, lo:hi] * B[1 + q, lo + p:hi + p]
-    return C
-
-
-def _commutator(A: np.ndarray, B: np.ndarray, anti: bool = False) -> np.ndarray:
-    """Five rows of A B - B A, or of the anticommutator A B + B A if `anti`."""
-    C = _product(A, B)
-    if anti:
-        C += _product(B, A)
-    else:
-        C -= _product(B, A)
-    return C
 
 
 def _entries(keep: np.ndarray) -> np.ndarray:
@@ -226,16 +197,13 @@ def _entries(keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_abs(M: np.ndarray, mask=True) -> float:
-    return float(np.max(np.abs(M), where=mask, initial=0.0))
-
-
 def verify_susy_algebra(sys: JCSystem) -> JCAlgebraReport:
     """Every identity read entry by entry from the bands, in O(n_max).
 
     Every operator involved is tridiagonal in the excitation order and is
     read as three rows of entries; each product is pentadiagonal and is held
-    as five rows. No 2(n_max+1)-square array is formed. Q2 = i sz Q1 is
+    as five rows, by the band-product kernel of `operators` that the grid
+    `verify` shares. No 2(n_max+1)-square array is formed. Q2 = i sz Q1 is
     purely imaginary: its bands are i times those of R = sz Q1, Q1's bands
     with the sz sign of the row. Every product with Q2 is then i or
     i^2 = -1 times the same product with R, which is exact, so the report
@@ -246,34 +214,34 @@ def verify_susy_algebra(sys: JCSystem) -> JCAlgebraReport:
     m = fock.photons()
     guarded = _entries(m <= fock.guard_n_max)
     sz = fock.spins()
-    Q1 = _rows(sys.Q)
+    Q1 = band_rows(sys.Q)
     R = sz * Q1
-    H0 = _rows(sys.H0)
-    H = _rows(sys.H)
-    q1_sq = _product(Q1, Q1)
+    H0 = band_rows(sys.H0)
+    H = band_rows(sys.H)
+    q1_sq = band_product(Q1, Q1)
     eye = _wide(_diagonal(np.ones(m.size)))
 
-    dev = q1_sq + _product(R, R)  # Q1^2 - Q2^2
-    q1_sq_minus_q2_sq = _max_abs(dev, guarded)
-    dev = _commutator(Q1, R, anti=True)  # {Q1, Q2} / i
-    anti_q1_q2 = _max_abs(dev, guarded)
-    dev = _commutator(Q1, H0)
-    comm_q_h0_guarded = _max_abs(dev, guarded)
-    comm_q_h0_full = _max_abs(dev)
-    dev = _commutator(_diagonal(sz), Q1, anti=True)
-    anti_sz_q = _max_abs(dev)
-    dev = H - (H0 + _rows(sys.Hint))
-    h_equals_h0_plus_hint = _max_abs(dev)
+    dev = q1_sq + band_product(R, R)  # Q1^2 - Q2^2
+    q1_sq_minus_q2_sq = band_max_abs(dev, guarded)
+    dev = band_commutator(Q1, R, anti=True)  # {Q1, Q2} / i
+    anti_q1_q2 = band_max_abs(dev, guarded)
+    dev = band_commutator(Q1, H0)
+    comm_q_h0_guarded = band_max_abs(dev, guarded)
+    comm_q_h0_full = band_max_abs(dev)
+    dev = band_commutator(_diagonal(sz), Q1, anti=True)
+    anti_sz_q = band_max_abs(dev)
+    dev = H - (H0 + band_rows(sys.Hint))
+    h_equals_h0_plus_hint = band_max_abs(dev)
     # H0 = omega (Q^2 - 1/2) holds on every row but the top Fock level
     dev = _wide(H0) - omega * (q1_sq - 0.5 * eye)
-    h0_identity_interior = _max_abs(dev, _entries(m <= fock.n_max - 1))
+    h0_identity_interior = band_max_abs(dev, _entries(m <= fock.n_max - 1))
     dev = _wide(H) - (omega * q1_sq + gamma * _wide(Q1) - (omega / 2.0) * eye)
     corner = m.size - 1  # |n_max up>, the last excitation-order position
     corner_dev = abs(dev[2, corner] - omega * (fock.n_max + 1))
     dev[2, corner] = 0.0
-    h_q2_identity_offcorner = _max_abs(dev)
-    dev = _commutator(_diagonal(m + (sz + 1.0) / 2.0), H)  # [b+ b + (sz + 1)/2, H]
-    comm_n_exc_h = _max_abs(dev)
+    h_q2_identity_offcorner = band_max_abs(dev)
+    dev = band_commutator(_diagonal(m + (sz + 1.0) / 2.0), H)  # [b+ b + (sz + 1)/2, H]
+    comm_n_exc_h = band_max_abs(dev)
 
     return JCAlgebraReport(
         q1_sq_minus_q2_sq=q1_sq_minus_q2_sq,

@@ -28,6 +28,12 @@ so B has an exact one-dimensional kernel on any box and H- an exact zero mode,
 while H+ carries an exact, decoupled 0 at the wall node (its last row and
 column vanish). The spectral module files that H+ zero apart from the physical
 zero mode.
+
+The 2n x 2n supercharge Q1 = [[0, B], [B_adj, 0]] is tridiagonal as well, in
+the order (down_0, up_0, down_1, up_1, ...): `SusySystem.Q1`, B's Golub-Kahan
+form. Identities between tridiagonals are read entry by entry in O(n) with one
+band-product kernel (`band_rows`, `band_product`, `band_commutator`,
+`band_max_abs`), which the algebra checks of both models use.
 """
 
 import importlib.machinery
@@ -48,6 +54,10 @@ __all__ = [
     "build_annihilator",
     "build_susy_system",
     "check_sign_condition",
+    "band_rows",
+    "band_product",
+    "band_commutator",
+    "band_max_abs",
 ]
 
 SQRT2 = np.sqrt(2.0)
@@ -293,6 +303,21 @@ class SusySystem:
     H_plus: Tridiagonal
     H_minus: Tridiagonal
 
+    @property
+    def Q1(self) -> Tridiagonal:
+        """Q1 = [[0, B], [B_adj, 0]] in the order (down_0, up_0, down_1, up_1, ...).
+
+        The diagonal is zero and the off-diagonal is (d_0, u_0, d_1, u_1, ...,
+        d_{n-1}) for B's bands d and u (Demmel & Kahan, SIAM J. Sci. Stat.
+        Comput. 11, 873 (1990)). sz is -1 on even positions and +1 on odd
+        ones, so Q2 = -i sz Q1. Built on each access.
+        """
+        d = self.B.diag
+        off = np.empty(2 * d.size - 1)
+        off[0::2] = d
+        off[1::2] = self.B.off
+        return Tridiagonal(np.zeros(2 * d.size), off)
+
 
 def build_susy_system(W: Superpotential, grid: Grid) -> SusySystem:
     """B and the partner Hamiltonians, all banded, in O(n).
@@ -329,3 +354,43 @@ def check_sign_condition(W: Superpotential, grid: Grid) -> bool:
             f"W({W.name!r}) vanishes at a boundary node, sign condition indeterminate"
         )
     return w_lo < 0.0 < w_hi
+
+
+def band_rows(M: Tridiagonal) -> np.ndarray:
+    """M's entries as three rows: row 1 + o, column j holds M[j, j + o]."""
+    out = np.zeros((3, M.diag.size))
+    out[0, 1:] = M.off
+    out[1] = M.diag
+    out[2, :-1] = M.off
+    return out
+
+
+def band_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Five rows of A B, row 2 + o holding entries (j, j + o), from A's and B's three.
+
+    Entry (j, j + p + q) collects A[j, j + p] B[j + p, j + p + q] over
+    |p|, |q| <= 1, each product rounded once: the nonzero terms of the dense
+    product, with no sum over the zeros in between.
+    """
+    n = A.shape[1]
+    C = np.zeros((5, n))
+    for p in (-1, 0, 1):
+        lo, hi = max(0, -p), n - max(0, p)
+        for q in (-1, 0, 1):
+            C[2 + p + q, lo:hi] += A[1 + p, lo:hi] * B[1 + q, lo + p:hi + p]
+    return C
+
+
+def band_commutator(A: np.ndarray, B: np.ndarray, anti: bool = False) -> np.ndarray:
+    """Five rows of A B - B A, or of the anticommutator A B + B A if `anti`."""
+    C = band_product(A, B)
+    if anti:
+        C += band_product(B, A)
+    else:
+        C -= band_product(B, A)
+    return C
+
+
+def band_max_abs(M: np.ndarray, mask=True) -> float:
+    """Largest |entry| of M where `mask` holds; 0.0 if it holds nowhere."""
+    return float(np.max(np.abs(M), where=mask, initial=0.0))

@@ -118,14 +118,12 @@ class DegeneracyReport:
     `zero_mode_energy` is the sub-EPS0 eigenvalue of H- (the physical zero
     mode); sub-EPS0 eigenvalues of H+ land in `closure_artifacts`, excluded
     from pairing. With the empty wall row of B that is exactly one value, the
-    decoupled 0 of H+ at the wall node. Levels left over when one list runs
-    out are recorded in `unpaired_tail` rather than treated as violations.
+    decoupled 0 of H+ at the wall node.
     """
 
     pairs: tuple
     zero_mode_energy: Optional[float]
     closure_artifacts: tuple
-    unpaired_tail: tuple
 
     @property
     def max_gap(self) -> float:
@@ -173,14 +171,10 @@ def pair_partner_levels(
             )
         pairs.append(LevelPair(ep, em, gap))
 
-    m = len(pairs)
-    tail = [("plus", e) for e in plus_nz[m:]] + [("minus", e) for e in minus_nz[m:]]
-
     return DegeneracyReport(
         pairs=tuple(pairs),
         zero_mode_energy=minus_zero[0] if minus_zero else None,
         closure_artifacts=tuple(plus_zero),
-        unpaired_tail=tuple(tail),
     )
 
 

@@ -46,6 +46,16 @@ def read_csv(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def mutate_minus(monkeypatch, mutate):
+    """Make the commands build H- as mutate(H-), B and H+ unchanged."""
+    build = cli.build_susy_system
+
+    def mutated(W, grid):
+        system = build(W, grid)
+        return dataclasses.replace(system, H_minus=mutate(system.H_minus))
+    monkeypatch.setattr(cli, "build_susy_system", mutated)
+
+
 class TestSpectrumCommand:
     def test_csv_run(self, tmp_path):
         cfg = write_config(tmp_path, spectrum_config())
@@ -326,6 +336,45 @@ class TestVerifyCommand:
         assert "verify: q1_squared_vs_hamiltonian" in err
         assert "verify: q2_squared_vs_hamiltonian" in err
 
+    # dx = 0.2: the H- mutant below lifts the zero mode by about 1e-12 / dx^2,
+    # which stays under EPS0 (at 201 points it reaches 1.00005e-10 and
+    # zero_mode_present fails too)
+    MUTANT_GRID = {"x_min": -10.0, "x_max": 10.0, "n_points": 101}
+
+    def failed_checks(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "command": "verify",
+            "superpotential": {"name": "harmonic"},
+            "grid": self.MUTANT_GRID,
+            "levels": 6,
+        })
+        rc = cli.main(["--config", cfg, "--out", str(tmp_path)])
+        assert rc == 1
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        return {c["name"]: c["value"] for c in checks if not c["passed"]}
+
+    def test_perturbed_minus_off_diagonal_fails_exactly_the_squares(
+            self, tmp_path, monkeypatch):
+        # each H- off-diagonal entry is the single product d_i u_i in Q1^2
+        # and Q2^2, so both squares read the largest change of an entry
+        H = sq.build_susy_system(sq.get_superpotential("harmonic"),
+                                 sq.make_grid(*self.MUTANT_GRID.values())).H_minus
+        shift = float(np.max(np.abs(H.off * (1.0 + 1e-12) - H.off)))
+        mutate_minus(monkeypatch, lambda H: sq.Tridiagonal(H.diag, H.off * (1.0 + 1e-12)))
+        failed = self.failed_checks(tmp_path)
+        assert failed == {"q1_squared_vs_hamiltonian": shift,
+                          "q2_squared_vs_hamiltonian": shift}
+
+    @pytest.mark.parametrize("mutant", (
+        lambda system, s: sq.SpinorState(1j * (system.B @ s.down),
+                                         -1j * (system.B_adj @ s.up), s.weight),
+        lambda system, s: sq.SpinorState(-1j * (system.B @ s.down),
+                                         -1j * (system.B_adj @ s.up), s.weight),
+    ), ids=("sign_flipped", "minus_i_on_both_blocks"))
+    def test_mutated_q2_fails_the_eigenstate_residual(self, tmp_path, monkeypatch, mutant):
+        monkeypatch.setattr(sq.entanglement, "apply_q2", mutant)
+        assert "supercharge_eigenstate_residual" in self.failed_checks(tmp_path)
+
 
 def harmonic_config(command, n_points, scale=1.0, half_width=10.0, levels=6):
     return {
@@ -340,14 +389,6 @@ class TestPairingWindows:
     """H- is solved inside the pairing windows of H+, blind only on failure."""
 
     GRID = sq.make_grid(-10.0, 10.0, 1001)
-
-    def mutate_minus(self, monkeypatch, mutate):
-        build = cli.build_susy_system
-
-        def mutated(W, grid):
-            system = build(W, grid)
-            return dataclasses.replace(system, H_minus=mutate(system.H_minus))
-        monkeypatch.setattr(cli, "build_susy_system", mutated)
 
     def blind_verdict(self, system, levels):
         k = levels + 1
@@ -378,7 +419,7 @@ class TestPairingWindows:
     def test_shifted_levels_empty_the_windows(self, monkeypatch):
         # every H- level 1e-9 up: no window holds its level, and the blind
         # solve names the first H+ level without a partner, as it always has
-        self.mutate_minus(monkeypatch, lambda H: sq.Tridiagonal(H.diag + 1e-9, H.off))
+        mutate_minus(monkeypatch, lambda H: sq.Tridiagonal(H.diag + 1e-9, H.off))
         calls = self.spy_blind_solves(monkeypatch)
         W = sq.get_superpotential("harmonic")
         with pytest.raises(sq.DegeneracyError) as exc:
@@ -394,8 +435,8 @@ class TestPairingWindows:
         W = sq.get_superpotential("harmonic")
         plus = cli.build_susy_system(W, self.GRID).H_plus.eigh(0, 6, eigvals_only=True)
         stray = float(plus[3] + plus[4]) / 2.0
-        self.mutate_minus(monkeypatch, lambda H: sq.Tridiagonal(np.append(H.diag, stray),
-                                                                 np.append(H.off, 0.0)))
+        mutate_minus(monkeypatch, lambda H: sq.Tridiagonal(np.append(H.diag, stray),
+                                                            np.append(H.off, 0.0)))
         system = cli.build_susy_system(W, self.GRID)
         counts, _ = system.H_minus.eigh_windows(
             [(-np.inf, cli.EPS0)] + [(e - cli.PAIR_TOL, e + cli.PAIR_TOL) for e in plus[1:]],

