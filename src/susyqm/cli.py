@@ -57,6 +57,7 @@ SWEEP_COLUMNS = (
     "|c1|", "phase_diff", "overlap_abs", "sigma_x", "sigma_y", "sigma_z",
     "lambda1", "lambda2", "C_spin", "C_overlap", "C_svd",
 )
+JC_COLUMNS = ("n", "branch", "E_analytic", "E_numeric", "gap", "concurrence")
 # Largest (c1, phase) sweep an entangle run accepts, from the report size: the
 # widest row is the JSON one, eleven `"key": value,` lines of 17-digit values
 # with a three-digit exponent plus its braces, 488 bytes, so 2**14 rows keep
@@ -93,17 +94,51 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _json_rows_text(head, keys, columns) -> str:
+def _row_texts(keys, columns, nullable, row_format):
+    """One string a row, each from one %-format; no per-cell string is kept.
+
+    A NaN cell of a column whose key is in `nullable` is a null cell.
+    `row_format(nulls)` is the %-format of the rows whose null cells are
+    `nulls`, one flag per column, with one conversion per cell; a null
+    cell's conversion is %.0s, which writes nothing. Rows with the same
+    null cells share one format.
+    """
+    code = np.zeros(len(columns[0]), dtype=int)  # bit k set: cell k is null
+    for k, (key, col) in enumerate(zip(keys, columns)):
+        if key in nullable:
+            code |= np.isnan(col).astype(int) << k
+    codes, which = np.unique(code, return_inverse=True)
+    formats = np.array([row_format([c >> k & 1 for k in range(len(columns))])
+                        for c in codes.tolist()], dtype=object)[which]
+    return map(str.__mod__, formats.tolist(), zip(*(col.tolist() for col in columns)))
+
+
+def _csv_rows_text(header, specs, columns, nullable=()) -> str:
+    """`_csv_text` of `header` and rows whose cell k is columns[k] as "%" + specs[k].
+
+    A null cell (see `_row_texts`) is empty.
+    """
+    def row_format(nulls):
+        return ",".join("%.0s" if null else "%" + spec for spec, null in zip(specs, nulls))
+    return "\n".join([",".join(header), *_row_texts(header, columns, nullable, row_format)]) + "\n"
+
+
+def _json_rows_text(head, keys, columns, nullable=()) -> str:
     """`_json_text` of `head` plus a last key "rows", one object per row.
 
-    Row r maps keys[k] to columns[k][r]. Each row is one format call, so no
-    per-row dict or per-cell string is kept; `{!r}` of a Python float is
-    `float.__repr__`, the form `json.dumps` writes.
+    Row r maps keys[k] to columns[k][r], an integer or a float, or null for
+    a null cell (see `_row_texts`); %r of a Python int or float is the form
+    `json.dumps` writes.
     """
-    if not all(np.isfinite(col).all() for col in columns):
-        raise ValueError("Out of range float values are not JSON compliant")
-    row = "    {{\n" + ",\n".join(f"      {json.dumps(key)}: {{!r}}" for key in keys) + "\n    }}"
-    rows = list(map(row.format, *(col.tolist() for col in columns)))
+    for key, col in zip(keys, columns):
+        if (np.isinf(col) if key in nullable else ~np.isfinite(col)).any():
+            raise ValueError("Out of range float values are not JSON compliant")
+
+    def row_format(nulls):
+        return "    {\n" + ",\n".join(
+            "      " + json.dumps(key).replace("%", "%%") + (": null%.0s" if null else ": %r")
+            for key, null in zip(keys, nulls)) + "\n    }"
+    rows = list(_row_texts(keys, columns, nullable, row_format))
     # the head's closing "\n}\n" moves behind the rows
     rows[0] = _json_text(head)[:-3] + ',\n  "rows": [\n' + rows[0]
     rows[-1] += "\n  ]\n}\n"
@@ -359,10 +394,7 @@ def run_entangle(cfg, outdir, fmt):
     )
 
     if fmt == "csv":
-        # one format call a line: no per-cell string or per-row tuple is kept
-        line = ",".join(["{:.17g}"] * len(columns)).format
-        lines = map(line, *(col.tolist() for col in columns))
-        text = "\n".join([",".join(SWEEP_COLUMNS), *lines]) + "\n"
+        text = _csv_rows_text(SWEEP_COLUMNS, [".17g"] * len(columns), columns)
     else:
         text = _json_rows_text({
             "superpotential": W.name,
@@ -424,24 +456,16 @@ def run_jc(cfg, outdir, fmt):
     match = numeric_vs_analytic(jc)
     alg = verify_susy_algebra(jc)
 
-    def row_cells(r):
-        conc = "" if r.concurrence is None else _g(r.concurrence)
-        return (str(r.n), str(r.branch), _g(r.E_analytic), _g(r.E_numeric),
-                _g(r.gap), conc)
-
-    header = ("n", "branch", "E_analytic", "E_numeric", "gap", "concurrence")
+    # a gamma = 0 doublet has no single eigenvector, so its NaN concurrence
+    # is written as an empty cell or null
+    columns = (match.n, match.branch, match.E_analytic, match.E_numeric, match.gap,
+               match.concurrence)
     if fmt == "csv":
-        levels_text = _csv_text(header, [row_cells(r) for r in match.rows])
+        levels_text = _csv_rows_text(JC_COLUMNS, ["d", "d"] + [".17g"] * 4, columns,
+                                     nullable=("concurrence",))
     else:
-        levels_text = _json_text({
-            "omega": omega, "gamma": gamma, "n_max": n_max,
-            "rows": [
-                {"n": r.n, "branch": r.branch, "E_analytic": r.E_analytic,
-                 "E_numeric": r.E_numeric, "gap": r.gap,
-                 "concurrence": r.concurrence}
-                for r in match.rows
-            ],
-        })
+        levels_text = _json_rows_text({"omega": omega, "gamma": gamma, "n_max": n_max},
+                                      JC_COLUMNS, columns, nullable=("concurrence",))
 
     algebra_payload = {
         "omega": omega, "gamma": gamma, "n_max": n_max,

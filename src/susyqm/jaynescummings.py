@@ -10,9 +10,10 @@ cutoff, which hides an N=2 SUSY structure in the model:
 H = omega Q^2 + gamma Q - omega/2 up to a single corrupted entry at the
 truncation corner. H is |0 down> plus one 2x2 block per excitation manifold,
 the SUSY doublet (|n-1 up>, |n down>), plus |n_max up>; the numeric match
-works one block at a time. `FockSpace.excitation_order` maps between this
-order and the (up, down) layout of `SpinorState`. Levels are only certified
-for n <= n_max - 2.
+takes all blocks at once in array passes and reports its levels as
+read-only columns, one row per level. `FockSpace.excitation_order` maps
+between this order and the (up, down) layout of `SpinorState`. Levels are
+only certified for n <= n_max - 2.
 """
 
 from dataclasses import dataclass
@@ -38,7 +39,6 @@ __all__ = [
     "verify_susy_algebra",
     "numeric_vs_analytic",
     "JCAlgebraReport",
-    "JCLevelRow",
     "JCMatchReport",
 ]
 
@@ -184,7 +184,9 @@ def _diagonal(values) -> np.ndarray:
 
 def _wide(A: np.ndarray) -> np.ndarray:
     """Three rows padded to the five rows of a product: row 2 + o holds (j, j + o)."""
-    return np.pad(A, ((1, 1), (0, 0)))
+    out = np.zeros((5, A.shape[1]))
+    out[1:4] = A
+    return out
 
 
 def _entries(keep: np.ndarray) -> np.ndarray:
@@ -258,19 +260,23 @@ def verify_susy_algebra(sys: JCSystem) -> JCAlgebraReport:
 
 
 @dataclass(frozen=True)
-class JCLevelRow:
-    n: int
-    branch: int  # +1 / -1, or 0 for the ground state and gamma = 0 subspaces
-    E_analytic: float
-    E_numeric: float
-    gap: float
-    fidelity: float
-    concurrence: Optional[float]
-
-
-@dataclass(frozen=True)
 class JCMatchReport:
-    rows: tuple
+    """The level match as read-only columns, one row per level.
+
+    Row 0 is the ground state; then, for n = 1 .. guard_n_max, the doublet n:
+    rows (n, -1) and (n, +1), or one row (n, 0) for gamma = 0, where the
+    doublet is one degenerate eigenspace and its concurrence, which needs a
+    single eigenvector, is NaN. `failures` lists (n, branch, "gap" or
+    "fidelity", value) row by row, a row's gap before its fidelity.
+    """
+
+    n: np.ndarray
+    branch: np.ndarray  # +1 / -1, or 0 for the ground state and gamma = 0 subspaces
+    E_analytic: np.ndarray
+    E_numeric: np.ndarray
+    gap: np.ndarray
+    fidelity: np.ndarray
+    concurrence: np.ndarray
     max_gap: float
     min_fidelity: float
     min_excited_concurrence: Optional[float]
@@ -283,6 +289,13 @@ class JCMatchReport:
     @property
     def all_matched(self) -> bool:
         return not self.failures
+
+
+def _column(ground, levels) -> np.ndarray:
+    """The ground row's cell followed by the doublet rows' cells, read-only."""
+    col = np.concatenate([[ground], levels])
+    col.flags.writeable = False
+    return col
 
 
 def _label_evidence(sys: JCSystem):
@@ -329,7 +342,8 @@ def numeric_vs_analytic(
     concurrence 0 hold by structure. For gamma = 0 the excited
     levels are doubly degenerate and each block is one eigenspace that
     equals the analytic span, so its fidelity is exactly 1; the row has
-    branch 0, the mean of its two numeric eigenvalues and the larger gap.
+    branch 0, the mean of its two numeric eigenvalues, the larger gap and
+    a NaN concurrence.
 
     Raises ValueError if H couples |m down> to |m up> for some m, which
     breaks the block structure (JCSystem can be built by hand).
@@ -355,18 +369,12 @@ def numeric_vs_analytic(
     E_num = np.empty_like(evals)
     E_num[np.argsort(analytic, kind="stable")] = evals
 
-    # the ground block is the singleton |0 down>: its eigenvector is exact,
-    # a product state with fidelity 1 and concurrence 0
-    e0 = analytic_ground_energy(sys)
-    rows = [JCLevelRow(0, 0, e0, float(E_num[0]), float(abs(E_num[0] - e0)),
-                       1.0, 0.0)]
-
     degenerate = gamma == 0.0
-    min_exc_c = None
     if not degenerate:
         k = np.arange(1, 2 * g + 1)  # level k sits in the block at 2n - 1, 2n
         first = k - 1 + k % 2
         a, b, c = H.diag[first], H.diag[first + 1], H.off[first]
+        n_exc = (k + 1) // 2
         branch = np.where(k % 2, -1, 1)
         # (H - lam) v = 0 row by row: v = (c, lam - a) or (lam - b, c), the
         # longer. lam - a and lam - b are taken from the block's centre, as
@@ -378,36 +386,45 @@ def numeric_vs_analytic(
         v2 = np.stack([shift + h, c])
         v = np.where(np.hypot(*v1) >= np.hypot(*v2), v1, v2)
         up, down = v / np.hypot(*v)
+        E_a, E_n = analytic[k], E_num[k]
+        gap = np.abs(E_n - E_a)
         fid = (up + branch * down) ** 2 / 2.0
-        conc = concurrence_overlap(up, down, 0.0).tolist()
-        rows += map(JCLevelRow, ((k + 1) // 2).tolist(), branch.tolist(),
-                    analytic[k].tolist(), E_num[k].tolist(),
-                    np.abs(E_num[k] - analytic[k]).tolist(),
-                    fid.tolist(), conc)
-        min_exc_c = float(min(conc))
+        conc = concurrence_overlap(up, down, 0.0)
     else:
+        n_exc = n[:g]
+        branch = np.zeros(g, dtype=int)
+        E_a = base[:g]
         pairs = E_num[1:2 * g + 1].reshape(g, 2)
-        gaps = np.abs(pairs - base[:g, None]).max(axis=1)
-        rows += map(JCLevelRow, n[:g].tolist(), [0] * g, base[:g].tolist(),
-                    pairs.mean(axis=1).tolist(), gaps.tolist(), [1.0] * g, [None] * g)
+        E_n = pairs.mean(axis=1)
+        gap = np.abs(pairs - E_a[:, None]).max(axis=1)
+        fid = np.ones(g)
+        conc = np.full(g, np.nan)
 
-    failures = []
-    for r in rows:
-        if r.gap > gap_tol:
-            failures.append((r.n, r.branch, "gap", r.gap))
-        # not >=: a block with neither coupling nor splitting gives NaN
-        if not r.fidelity >= 1.0 - fidelity_tol:
-            failures.append((r.n, r.branch, "fidelity", r.fidelity))
+    # the ground block is the singleton |0 down>: its eigenvector is exact,
+    # a product state with fidelity 1 and concurrence 0
+    e0 = analytic_ground_energy(sys)
+    n_col, branch, E_a, E_n, gap, fid, conc_col = (_column(*cells) for cells in (
+        (0, n_exc), (0, branch), (e0, E_a), (E_num[0], E_n),
+        (abs(E_num[0] - e0), gap), (1.0, fid), (0.0, conc),
+    ))
+    # row by row, a row's gap failure before its fidelity failure; not >=:
+    # a block with neither coupling nor splitting gives NaN, which fails
+    bad = np.stack([gap > gap_tol, ~(fid >= 1.0 - fidelity_tol)], axis=1)
+    row, kind = np.nonzero(bad)
+    failures = tuple(zip(n_col[row].tolist(), branch[row].tolist(),
+                         np.array(["gap", "fidelity"])[kind].tolist(),
+                         np.stack([gap, fid], axis=1)[bad].tolist()))
 
     impl_res, alt_res = _label_evidence(sys)
+    # NaN cells hold no value and are skipped, as `failures` names them
     return JCMatchReport(
-        rows=tuple(rows),
-        max_gap=float(max(r.gap for r in rows)),
-        min_fidelity=float(min(r.fidelity for r in rows)),
-        min_excited_concurrence=min_exc_c,
+        n_col, branch, E_a, E_n, gap, fid, conc_col,
+        max_gap=float(np.nanmax(gap)),
+        min_fidelity=float(np.nanmin(fid)),
+        min_excited_concurrence=None if degenerate else float(np.nanmin(conc)),
         ground_concurrence_svd=0.0,
         degenerate=degenerate,
         label_residual_implemented=float(impl_res),
         label_residual_alternative=float(alt_res),
-        failures=tuple(failures),
+        failures=failures,
     )

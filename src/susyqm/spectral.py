@@ -235,7 +235,30 @@ def align_phase(mapped: Wavefunction, reference: Wavefunction) -> Wavefunction:
 
 
 def operator_norm(H: Tridiagonal) -> float:
-    """Spectral norm of a symmetric tridiagonal H (largest |eigenvalue|)."""
+    """Spectral norm of a symmetric tridiagonal H (largest |eigenvalue|).
+
+    The largest eigenvalue hi is bisected first; the smallest only if it
+    could be the larger in magnitude. LAPACK's stebz starts every bisection
+    at Gershgorin's lower bound widened by 2.1 (n ulp ||T|| + 2 pivmin), so
+    no computed eigenvalue lies below it. `lower` is that bound widened
+    twice as far, which also covers the rounding of the bound itself; when
+    -hi <= lower < 0 the computed lowest eigenvalue lies in [-hi, hi] and
+    the norm is |hi|, bit for bit. A bound >= 0 runs both: the two computed
+    extremes of a near multiple of the identity may cross by the bisection's
+    width. For H+- the bound stays far above -hi.
+    """
     n = H.shape[0]
-    lo, hi = (H.eigh(j, j, tol=0.0, eigvals_only=True)[0] for j in (0, n - 1))
+    hi = H.eigh(n - 1, n - 1, tol=0.0, eigvals_only=True)[0]
+    e = np.abs(H.off)
+    radius = np.zeros(n)
+    radius[:-1] += e
+    radius[1:] += e
+    low, high = np.min(H.diag - radius), np.max(H.diag + radius)
+    with np.errstate(over="ignore"):  # an infinite pivmin only keeps both bisections
+        pivmin = np.finfo(float).tiny * max(1.0, np.max(e, initial=0.0)) ** 2
+    widen = 2.1 * (n * np.finfo(float).eps * max(abs(low), abs(high)) + 2.0 * pivmin)
+    lower = low - 2.0 * widen
+    if -hi <= lower < 0.0:
+        return float(abs(hi))
+    lo = H.eigh(0, 0, tol=0.0, eigvals_only=True)[0]
     return float(max(abs(lo), abs(hi)))

@@ -208,16 +208,18 @@ def analytic_eigenstate():
 
 @pytest.fixture(scope="session")
 def jc_dense_match(analytic_eigenstate):
-    """Level rows of the Jaynes-Cummings match by the general eigenvector path.
+    """Level columns of the Jaynes-Cummings match by the general eigenvector path.
 
     Every eigenpair comes from dense `np.linalg.eigh(H.to_dense())`, each
     vector scattered to the (up, down) layout with `excitation_order()`. Each
     analytic level, ground first, takes the nearest unused eigenvalue;
     fidelity is the squared overlap with the analytic state and concurrence
     the spin route on the full vector. For gamma = 0 each doublet takes two
-    eigenvalues and its fidelity is the smallest squared singular value of
-    the overlap of the analytic and numeric eigenspaces. Not valid at exact
-    level crossings, where the nearest-unused scan can take the wrong level.
+    eigenvalues, its fidelity is the smallest squared singular value of the
+    overlap of the analytic and numeric eigenspaces, and its concurrence is
+    NaN. Returns a dict of arrays keyed like the `JCMatchReport` columns. Not
+    valid at exact level crossings, where the nearest-unused scan can take
+    the wrong level.
     """
     def match(sys_):
         d = sys_.fock.dimension
@@ -225,6 +227,7 @@ def jc_dense_match(analytic_eigenstate):
         vectors = np.empty_like(vecs)
         vectors[sys_.fock.excitation_order()] = vecs
         used = np.zeros(evals.size, dtype=bool)
+        rows = []
 
         def take_nearest(E):
             idx = int(np.argmin(np.where(used, np.inf, np.abs(evals - E))))
@@ -237,29 +240,30 @@ def jc_dense_match(analytic_eigenstate):
         def row(n, branch, E, sel, fid, conc):
             E_num = float(np.mean(evals[sel]))
             gap = float(np.max(np.abs(evals[sel] - E)))
-            return sq.JCLevelRow(n, branch, float(E), E_num, gap, float(fid), conc)
+            rows.append((n, branch, float(E), E_num, gap, float(fid), conc))
 
         e0 = -sys_.omega / 2.0
         idx = take_nearest(e0)
         v = vectors[:, idx]
         ground = sq.SpinorState(v[:d], v[d:], 1.0)
         fid = abs(np.vdot(flat(analytic_eigenstate(sys_, 0, 0)), v)) ** 2
-        rows = [row(0, 0, e0, [idx], fid, sq.concurrence_svd(ground))]
+        row(0, 0, e0, [idx], fid, sq.concurrence_svd(ground))
         for n in range(1, sys_.fock.guard_n_max + 1):
             e_plus, e_minus = sq.analytic_spectrum(sys_, n)
             if sys_.gamma == 0.0:
                 sel = [take_nearest(e_plus), take_nearest(e_plus)]
                 A = np.stack([flat(analytic_eigenstate(sys_, n, b)) for b in (+1, -1)])
                 sv = np.linalg.svd(A @ vectors[:, sel], compute_uv=False)
-                rows.append(row(n, 0, e_plus, sel, np.min(sv) ** 2, None))
+                row(n, 0, e_plus, sel, np.min(sv) ** 2, np.nan)
                 continue
             for branch, E in ((-1, e_minus), (+1, e_plus)):
                 idx = take_nearest(E)
                 v = vectors[:, idx]
                 fid = abs(np.vdot(flat(analytic_eigenstate(sys_, n, branch)), v)) ** 2
                 conc = sq.concurrence_from_spin(sq.SpinorState(v[:d], v[d:], 1.0))
-                rows.append(row(n, branch, E, [idx], fid, conc))
-        return rows
+                row(n, branch, E, [idx], fid, conc)
+        keys = ("n", "branch", "E_analytic", "E_numeric", "gap", "fidelity", "concurrence")
+        return {key: np.array(col) for key, col in zip(keys, zip(*rows))}
     return match
 
 

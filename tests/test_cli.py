@@ -223,6 +223,29 @@ class TestEntangleCommand:
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli._json_rows_text(head, cli.SWEEP_COLUMNS, columns)
 
+    def test_rows_text_integer_and_null_cells(self):
+        # NaN cells of the nullable columns, in different sets per row, are
+        # null: against json.dumps with None and a cell-by-cell CSV line
+        keys = ("i", "x", "y")
+        ints = np.array([0, -1, 7, 4094, 2 ** 40])
+        x = np.array([0.1, np.nan, 5e-324, np.nan, 3.0])
+        y = np.array([np.nan, 2.5, 1e-17, np.nan, -0.0])
+        rows = [{k: None if v != v else v for k, v in zip(keys, cells)}
+                for cells in zip(ints.tolist(), x.tolist(), y.tolist())]
+        head = {"level": 2}
+        assert cli._json_rows_text(head, keys, (ints, x, y), nullable=("x", "y")) == json.dumps(
+            dict(head, rows=rows), indent=2) + "\n"
+        lines = [",".join(keys)] + [
+            ",".join([str(r["i"])] + ["" if r[k] is None else cli._g(r[k]) for k in "xy"])
+            for r in rows]
+        assert cli._csv_rows_text(keys, ["d", ".17g", ".17g"], (ints, x, y),
+                                  nullable=("x", "y")) == "\n".join(lines) + "\n"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_rows_text(head, keys, (ints, x, y), nullable=("x",))
+        y[1] = np.inf
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_rows_text(head, keys, (ints, x, y), nullable=("x", "y"))
+
     def test_sweep_json_matches_json_dumps(self, tmp_path):
         cfg = write_config(tmp_path, self.entangle_config())
         rc = cli.main(["--config", cfg, "--out", str(tmp_path), "--format", "json"])
@@ -259,7 +282,92 @@ class TestSuperchargeCommand:
         }
 
 
+def reference_jc_reports(omega, gamma, n_max):
+    """jc's three reports written row by row: `_g` cells and `json.dumps` rows.
+
+    The values come from the package's match and algebra reports; a doublet
+    of gamma = 0 has no concurrence, written as an empty cell or null.
+    """
+    jc = sq.build_jc(omega, gamma, n_max)
+    match = sq.numeric_vs_analytic(jc)
+    alg = sq.verify_susy_algebra(jc)
+    keys = ("n", "branch", "E_analytic", "E_numeric", "gap", "concurrence")
+    rows = []
+    for cells in zip(*(getattr(match, key).tolist() for key in keys)):
+        row = dict(zip(keys, cells))
+        if gamma == 0.0 and row["n"] > 0:
+            row["concurrence"] = None
+        rows.append(row)
+    lines = [",".join(keys)]
+    for r in rows:
+        conc = "" if r["concurrence"] is None else cli._g(r["concurrence"])
+        lines.append(",".join([str(r["n"]), str(r["branch"]), cli._g(r["E_analytic"]),
+                               cli._g(r["E_numeric"]), cli._g(r["gap"]), conc]))
+    algebra = {
+        "omega": omega, "gamma": gamma, "n_max": n_max,
+        "guard_n_max": n_max - 2,
+        "identities": dataclasses.asdict(alg),
+        "eigenstate_label_check": {
+            "implemented_upper_label_n_minus_1": match.label_residual_implemented,
+            "alternative_upper_label_n_plus_1": match.label_residual_alternative,
+        },
+        "match_summary": {
+            "max_gap": match.max_gap,
+            "min_fidelity": match.min_fidelity,
+            "min_excited_concurrence": match.min_excited_concurrence,
+            "ground_concurrence_svd": match.ground_concurrence_svd,
+            "degenerate": match.degenerate,
+            "all_matched": match.all_matched,
+        },
+    }
+    levels = {"omega": omega, "gamma": gamma, "n_max": n_max, "rows": rows}
+    return {
+        "jc_levels.csv": "\n".join(lines) + "\n",
+        "jc_levels.json": json.dumps(levels, indent=2, allow_nan=False) + "\n",
+        "jc_algebra.json": json.dumps(algebra, indent=2, allow_nan=False) + "\n",
+    }
+
+
 class TestJCCommand:
+    @pytest.mark.parametrize("n_max", (16, 64, 512))
+    @pytest.mark.parametrize("gamma", (0.1, 0.0, 3.0, 1e-17))
+    def test_reports_match_row_by_row_writer(self, tmp_path, gamma, n_max):
+        params = {"omega": 1.0, "gamma": gamma, "n_max": n_max}
+        cfg = write_config(tmp_path, {"command": "jc", "jc_params": params})
+        expected = reference_jc_reports(**params)
+        for fmt in ("csv", "json"):
+            out = tmp_path / fmt
+            assert cli.main(["--config", cfg, "--out", str(out), "--format", fmt]) == 0
+            for name in (f"jc_levels.{fmt}", "jc_algebra.json"):
+                assert (out / name).read_bytes() == expected[name].encode(), name
+
+    def test_absolute_gap_tolerance_verdict(self, tmp_path, capsys):
+        # omega 1e4 puts E near 5e5, where one or two ulps exceed the
+        # absolute gap_tol of 1e-10
+        cfg = write_config(tmp_path, {
+            "command": "jc",
+            "jc_params": {"omega": 1e4, "gamma": 0.1, "n_max": 64},
+        })
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "physics violation: level n=48 branch=-1: gap = 1.1641532182693481e-10 "
+            "out of tolerance (and 10 more)\n")
+
+    def test_report_memory(self, tmp_path, traced_peak):
+        # At its peak the JSON writer holds the report text T twice, as the
+        # row strings and as their join, plus a string header and a list
+        # slot per row (57 B, under a third of a 187-byte row). Besides, the
+        # match keeps its seven columns C, and the bands of the system and
+        # the match's temporaries come to about one more C. Hence 3 T + 2 C;
+        # one frozen object per row would add about 2 MB here
+        n_max = 4096
+        rows = 1 + 2 * (n_max - 2)
+        cfg = {"command": "jc", "jc_params": {"omega": 1.0, "gamma": 0.1, "n_max": n_max}}
+        assert cli.run_jc(cfg, str(tmp_path), "json") == 0
+        text = (tmp_path / "jc_levels.json").stat().st_size
+        columns = 7 * rows * 8
+        assert traced_peak(lambda: cli.run_jc(cfg, str(tmp_path), "json")) < 3 * text + 2 * columns
+
     def test_levels_and_algebra_reports(self, tmp_path):
         cfg = write_config(tmp_path, {
             "command": "jc",
@@ -668,8 +776,15 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 1001},
         "levels": 99,
     }, name="spectrum_deep.json")
+    # gamma = 0 writes null concurrence cells
+    jc_degenerate = write_config(tmp_path, {
+        "command": "jc",
+        "jc_params": {"omega": 1.0, "gamma": 0.0, "n_max": 128},
+        "output": {"format": "json"},
+    }, name="jc_degenerate.json")
     configs = [str(CONFIGS / f"{name}.json")
-               for name in ("spectrum", "entangle", "supercharge", "verify")] + [jc, entangle, deep]
+               for name in ("spectrum", "entangle", "supercharge", "verify")] + [
+        jc, jc_degenerate, entangle, deep]
     script = (
         "import sys\n"
         "from pathlib import Path\n"
@@ -692,7 +807,7 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         assert run.returncode == 0, run.stderr
         outputs[name] = {p.relative_to(outdir): p.read_bytes()
                          for p in sorted(outdir.rglob("*")) if p.is_file()}
-    assert len(outputs["1"]) == 10  # spectrum and jc write two files each
+    assert len(outputs["1"]) == 12  # spectrum and jc write two files each
     assert outputs["1"] == outputs["2"]
     assert outputs["1"] == outputs["scipy.linalg first"]
 

@@ -8,6 +8,8 @@ import pytest
 import susyqm as sq
 from susyqm import cli
 
+COLUMNS = ("n", "branch", "E_analytic", "E_numeric", "gap", "fidelity", "concurrence")
+
 
 def layout(sys_, state):
     """An (up, down) SpinorState as a vector in the excitation order of H."""
@@ -266,9 +268,45 @@ class TestNumericMatch:
         assert jc_match.ground_concurrence_svd <= 1e-10
 
     def test_row_budget(self, jc_match, jc_default):
-        # ground plus two branches per certified doublet
-        assert len(jc_match.rows) == 1 + 2 * jc_default.fock.guard_n_max
-        assert jc_match.rows[0].n == 0
+        # ground plus two branches per certified doublet, in every column
+        rows = 1 + 2 * jc_default.fock.guard_n_max
+        for name in COLUMNS:
+            assert getattr(jc_match, name).shape == (rows,), name
+        assert jc_match.n[0] == 0
+
+    def test_columns_read_only(self, jc_match):
+        for name in COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(jc_match, name)[0] = 0
+
+    @pytest.mark.parametrize("gamma", (0.1, 0.0))
+    def test_failures_row_by_row(self, gamma):
+        # the failures of a row-by-row scan of the columns, in its order: a
+        # row's gap before its fidelity, and a NaN fidelity fails. |2 down>
+        # lifted by 0.01 moves doublet 2 off its levels; doublet 1 decoupled
+        # by hand has neither coupling nor splitting, so no eigenvector: its
+        # fidelity is NaN at gamma = 0.1
+        sys_ = sq.build_jc(1.0, gamma, 8)
+        diag, off = sys_.H.diag.copy(), sys_.H.off.copy()
+        diag[4] += 0.01
+        off[1] = 0.0
+        sys_ = sq.JCSystem(sys_.fock, sys_.omega, sys_.gamma, sys_.Q, sys_.H0,
+                           sys_.Hint, sq.Tridiagonal(diag, off))
+        with np.errstate(invalid="ignore"):
+            match = sq.numeric_vs_analytic(sys_, gap_tol=1e-3, fidelity_tol=0.0)
+        expected = []
+        for n, b, gap, fid in zip(match.n.tolist(), match.branch.tolist(),
+                                  match.gap.tolist(), match.fidelity.tolist()):
+            if gap > 1e-3:
+                expected.append((n, b, "gap", gap))
+            if not fid >= 1.0:
+                expected.append((n, b, "fidelity", fid))
+        assert repr(match.failures) == repr(tuple(expected))
+        assert (2, 0 if gamma == 0.0 else -1, "gap") in [f[:3] for f in match.failures]
+        if gamma:
+            assert [f[:3] for f in match.failures[:4]] == [
+                (1, -1, "gap"), (1, -1, "fidelity"), (1, 1, "gap"), (1, 1, "fidelity")]
+            assert np.isnan(match.failures[1][3])
 
     def test_photon_label_evidence(self, jc_match):
         assert jc_match.label_residual_implemented <= 1e-12
@@ -284,9 +322,9 @@ class TestNumericMatch:
         assert match.max_gap <= 1e-10
         assert match.min_fidelity >= 1 - 1e-10
         assert match.all_matched
-        excited = [r for r in match.rows if r.n > 0]
-        assert excited and all(r.branch == 0 for r in excited)
-        assert all(r.concurrence is None for r in excited)
+        excited = match.n > 0
+        assert excited.any() and np.all(match.branch[excited] == 0)
+        assert np.all(np.isnan(match.concurrence[excited]))
         assert match.min_excited_concurrence is None
 
     @pytest.mark.parametrize("gamma", (3.0, 5.0))
@@ -310,18 +348,17 @@ class TestNumericMatch:
     @pytest.mark.parametrize("n_max", (16, 64))
     def test_matches_dense_eigenvector_oracle(self, jc_dense_match, n_max, gamma):
         sys_ = sq.build_jc(1.0, gamma, n_max)
-        rows = sq.numeric_vs_analytic(sys_).rows
+        match = sq.numeric_vs_analytic(sys_)
         oracle = jc_dense_match(sys_)
         tol = 4 * np.finfo(float).eps * np.linalg.norm(sys_.H.to_dense(), 2)
-        assert [(r.n, r.branch) for r in rows] == [(r.n, r.branch) for r in oracle]
-        for r, o in zip(rows, oracle):
-            assert r.E_analytic == o.E_analytic
-            assert abs(r.E_numeric - o.E_numeric) <= tol, (r, o)
-            assert abs(r.fidelity - o.fidelity) <= 1e-12, (r, o)
-            if o.concurrence is None:
-                assert r.concurrence is None
-            else:
-                assert abs(r.concurrence - o.concurrence) <= 1e-12, (r, o)
+        assert np.array_equal(match.n, oracle["n"])
+        assert np.array_equal(match.branch, oracle["branch"])
+        assert np.array_equal(match.E_analytic, oracle["E_analytic"])
+        assert np.max(np.abs(match.E_numeric - oracle["E_numeric"])) <= tol
+        assert np.max(np.abs(match.fidelity - oracle["fidelity"])) <= 1e-12
+        none = np.isnan(oracle["concurrence"])
+        assert np.array_equal(np.isnan(match.concurrence), none)
+        assert np.max(np.abs(match.concurrence[~none] - oracle["concurrence"][~none])) <= 1e-12
 
     def test_match_memory(self, traced_peak):
         # the eigenvector matrix of the general path would take over 500 MB here

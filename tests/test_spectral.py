@@ -305,3 +305,54 @@ class TestOperatorNorm:
         H = sq.Tridiagonal(rng.normal(size=30), rng.normal(size=29))
         assert sq.operator_norm(H) == pytest.approx(
             np.max(np.abs(np.linalg.eigvalsh(H.to_dense()))), rel=1e-12)
+
+    @staticmethod
+    def both_bisections(H):
+        n = H.shape[0]
+        lo, hi = (H.eigh(j, j, tol=0.0, eigvals_only=True)[0] for j in (0, n - 1))
+        return float(max(abs(lo), abs(hi)))
+
+    @staticmethod
+    def count_bisections(monkeypatch):
+        calls = []
+        eigh = sq.Tridiagonal.eigh
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return eigh(self, *args, **kwargs)
+        monkeypatch.setattr(sq.Tridiagonal, "eigh", counted)
+        return calls
+
+    def test_indefinite_takes_both_bisections(self, monkeypatch):
+        # lambda_min = -2.88 and lambda_max = 2.40: Gershgorin's lower bound
+        # lies below -lambda_max, so lambda_min is bisected too
+        rng = np.random.default_rng(11)
+        H = sq.Tridiagonal(rng.normal(size=30), rng.normal(size=29))
+        expected = self.both_bisections(H)
+        calls = self.count_bisections(monkeypatch)
+        assert sq.operator_norm(H) == expected
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("n", (201, 2001, 32001))
+    @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
+    def test_partner_hamiltonians_take_one_bisection(self, monkeypatch, name, n):
+        # both partners are positive semidefinite with Gershgorin's lower
+        # bound far above -lambda_max, so lambda_max alone gives the same norm
+        system = sq.build_susy_system(sq.get_superpotential(name),
+                                      sq.make_grid(-10.0, 10.0, n))
+        for H in (system.H_minus, system.H_plus):
+            expected = self.both_bisections(H)
+            calls = self.count_bisections(monkeypatch)
+            assert sq.operator_norm(H) == expected
+            assert len(calls) == 1
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("diag, off", (
+        (np.full(5, 3.0), np.zeros(4)),          # a multiple of the identity
+        (np.zeros(5), np.zeros(4)),              # zero
+        (np.full(7, -2.0), np.full(6, 1e-30)),   # negative definite
+        (np.full(5, 1e300), np.full(4, 1e300)),  # bands beyond the squaring range
+    ))
+    def test_edge_matrices_match_both_bisections(self, diag, off):
+        H = sq.Tridiagonal(diag, off)
+        assert sq.operator_norm(H) == self.both_bisections(H)
