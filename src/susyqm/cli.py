@@ -26,7 +26,7 @@ from .entanglement import (
     supercharge_residual,
 )
 from .errors import ConfigError, PhysicsViolationError, SusyQMError
-from .grid import Grid, inner_product, make_grid, wavefunction_to_csv
+from .grid import Grid, inner_product, make_grid
 from .jaynescummings import build_jc, numeric_vs_analytic, verify_susy_algebra
 from .operators import (
     Tridiagonal,
@@ -58,15 +58,13 @@ SWEEP_COLUMNS = (
     "lambda1", "lambda2", "C_spin", "C_overlap", "C_svd",
 )
 JC_COLUMNS = ("n", "branch", "E_analytic", "E_numeric", "gap", "concurrence")
+# (family, sign) of a level's four supercharge eigenstates, in report order
+_SUPERCHARGE_STATES = (("q1", +1), ("q1", -1), ("q2", +1), ("q2", -1))
 # Largest (c1, phase) sweep an entangle run accepts, from the report size: the
 # widest row is the JSON one, eleven `"key": value,` lines of 17-digit values
 # with a three-digit exponent plus its braces, 488 bytes, so 2**14 rows keep
 # either report under 8 MB
 SWEEP_MAX_ROWS = 2 ** 14
-
-
-def _g(value) -> str:
-    return format(float(value), ".17g")
 
 
 def _atomic_write(path: str, text: str):
@@ -82,12 +80,6 @@ def _atomic_write(path: str, text: str):
         except OSError:
             pass
         raise
-
-
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
 
 
 def _json_text(payload) -> str:
@@ -113,34 +105,41 @@ def _row_texts(keys, columns, nullable, row_format):
     return map(str.__mod__, formats.tolist(), zip(*(col.tolist() for col in columns)))
 
 
-def _csv_rows_text(header, specs, columns, nullable=()) -> str:
-    """`_csv_text` of `header` and rows whose cell k is columns[k] as "%" + specs[k].
+def _table_text(fmt, head, keys, specs, columns, nullable=(), rows_key="rows") -> str:
+    """A report table, one format call a row (see `_row_texts`).
 
-    A null cell (see `_row_texts`) is empty.
+    Row r has cell k = columns[k][r]: an integer, a float or a string. As
+    "csv" the text is the header `keys` and one line a row, cell k written
+    as "%" + specs[k]. As "json" it is `_json_text` of the dict `head` plus a
+    last key `rows_key` holding one object a row that maps keys[k] to cell
+    k: %r of a Python int or float is the form `json.dumps` writes, and a
+    string cell is encoded by `json.dumps`. A NaN cell of a column whose key
+    is in `nullable` is a null cell: empty in CSV, null in JSON.
     """
-    def row_format(nulls):
-        return ",".join("%.0s" if null else "%" + spec for spec, null in zip(specs, nulls))
-    return "\n".join([",".join(header), *_row_texts(header, columns, nullable, row_format)]) + "\n"
+    columns = [np.asarray(col) for col in columns]
+    if fmt == "csv":
+        def row_format(nulls):
+            return ",".join("%.0s" if null else "%" + spec for spec, null in zip(specs, nulls))
+        return "\n".join([",".join(keys), *_row_texts(keys, columns, nullable, row_format)]) + "\n"
 
-
-def _json_rows_text(head, keys, columns, nullable=()) -> str:
-    """`_json_text` of `head` plus a last key "rows", one object per row.
-
-    Row r maps keys[k] to columns[k][r], an integer or a float, or null for
-    a null cell (see `_row_texts`); %r of a Python int or float is the form
-    `json.dumps` writes.
-    """
-    for key, col in zip(keys, columns):
-        if (np.isinf(col) if key in nullable else ~np.isfinite(col)).any():
+    strings = [col.dtype.kind == "U" for col in columns]
+    for key, col, string in zip(keys, columns, strings):
+        if not string and (np.isinf(col) if key in nullable else ~np.isfinite(col)).any():
             raise ValueError("Out of range float values are not JSON compliant")
 
     def row_format(nulls):
         return "    {\n" + ",\n".join(
-            "      " + json.dumps(key).replace("%", "%%") + (": null%.0s" if null else ": %r")
-            for key, null in zip(keys, nulls)) + "\n    }"
+            "      " + json.dumps(key).replace("%", "%%")
+            + (": null%.0s" if null else ": %s" if string else ": %r")
+            for key, null, string in zip(keys, nulls, strings)) + "\n    }"
+    columns = [np.array([json.dumps(s) for s in col.tolist()]) if string else col
+               for col, string in zip(columns, strings)]
     rows = list(_row_texts(keys, columns, nullable, row_format))
-    # the head's closing "\n}\n" moves behind the rows
-    rows[0] = _json_text(head)[:-3] + ',\n  "rows": [\n' + rows[0]
+    text = _json_text({**head, rows_key: []})
+    if not rows:
+        return text
+    # the rows go between the brackets of the empty list that closes the text
+    rows[0] = text[:-5] + "[\n" + rows[0]
     rows[-1] += "\n  ]\n}\n"
     return ",\n".join(rows)
 
@@ -277,10 +276,9 @@ def _supercharge_states(system, pp, mapped):
     """
     states = supercharge_eigenstates(system, pp.energy, pp.state, mapped)
     root = math.sqrt(pp.energy)
-    for family, sign, st in (
-        ("q1", +1, states.q1_plus), ("q1", -1, states.q1_minus),
-        ("q2", +1, states.q2_plus), ("q2", -1, states.q2_minus),
-    ):
+    for (family, sign), st in zip(_SUPERCHARGE_STATES, (
+        states.q1_plus, states.q1_minus, states.q2_plus, states.q2_minus,
+    )):
         yield family, sign, st, supercharge_residual(system, st, sign * root, family)
 
 
@@ -332,30 +330,21 @@ def run_spectrum(cfg, outdir, fmt):
             f"1e-12 ||H-|| = {bound:.3e}"
         )
 
+    pairs = np.array([(p.e_plus, p.e_minus, p.gap) for p in report.pairs]).reshape(-1, 3)
+    spectrum_text = _table_text(fmt, {
+        "superpotential": W.name,
+        "grid": _grid_payload(grid),
+        "zero_mode_energy": report.zero_mode_energy,
+        "closure_artifacts": list(report.closure_artifacts),
+    }, ("index", "E_plus", "E_minus", "gap"), ("d", ".17g", ".17g", ".17g"),
+        (np.arange(1, len(pairs) + 1), *pairs.T), rows_key="pairs")
+    x, amps = grid.nodes(), psi0.amplitudes
     if fmt == "csv":
-        rows = [
-            (str(i), _g(p.e_plus), _g(p.e_minus), _g(p.gap))
-            for i, p in enumerate(report.pairs, start=1)
-        ]
-        spectrum_text = _csv_text(("index", "E_plus", "E_minus", "gap"), rows)
-        zero_text = wavefunction_to_csv(psi0)
-    else:
-        spectrum_text = _json_text({
-            "superpotential": W.name,
-            "grid": _grid_payload(grid),
-            "zero_mode_energy": report.zero_mode_energy,
-            "closure_artifacts": list(report.closure_artifacts),
-            "pairs": [
-                {"index": i, "E_plus": p.e_plus, "E_minus": p.e_minus, "gap": p.gap}
-                for i, p in enumerate(report.pairs, start=1)
-            ],
-        })
-        amps = psi0.amplitudes
-        zero_text = _json_text({
-            "x": [float(v) for v in grid.nodes()],
-            "re": [float(v) for v in np.real(amps)],
-            "im": [float(v) for v in np.imag(amps)],
-        })
+        zero_text = _table_text(fmt, None, ("x", "re", "im"), (".17g",) * 3,
+                                (x, amps.real, amps.imag))
+    else:  # one list a column, not a row table
+        zero_text = _json_text({"x": x.tolist(), "re": amps.real.tolist(),
+                                "im": amps.imag.tolist()})
 
     _write(outdir, "spectrum." + fmt, spectrum_text)
     _write(outdir, "zero_mode." + fmt, zero_text)
@@ -393,16 +382,13 @@ def run_entangle(cfg, outdir, fmt):
         rep.concurrence_spin, rep.concurrence_overlap, rep.concurrence_svd,
     )
 
-    if fmt == "csv":
-        text = _csv_rows_text(SWEEP_COLUMNS, [".17g"] * len(columns), columns)
-    else:
-        text = _json_rows_text({
-            "superpotential": W.name,
-            "grid": _grid_payload(grid),
-            "level": level,
-            "E_plus": pp.energy,
-            "E_minus": mm.energy,
-        }, SWEEP_COLUMNS, columns)
+    text = _table_text(fmt, {
+        "superpotential": W.name,
+        "grid": _grid_payload(grid),
+        "level": level,
+        "E_plus": pp.energy,
+        "E_minus": mm.energy,
+    }, SWEEP_COLUMNS, (".17g",) * len(columns), columns)
     _write(outdir, "entangle." + fmt, text)
     return _finish([])
 
@@ -413,31 +399,29 @@ def run_supercharge(cfg, outdir, fmt):
     levels = _parse_levels(cfg, grid)
 
     system, plus_nz, _, _ = _solve_both_sides(W, grid, levels, ("plus",))
+    solved = plus_nz[:levels]
     violations = []
-    rows = []
-    for i, pp in enumerate(plus_nz[:levels], start=1):
+    residual, concurrence = [], []
+    for i, pp in enumerate(solved, start=1):
         mapped = intertwine_down(system, pp)
         for family, sign, st, resid in _supercharge_states(system, pp, mapped):
-            conc = concurrence_from_spin(st)
-            rows.append((i, pp.energy, family, sign, resid, conc))
+            residual.append(resid)
+            concurrence.append(concurrence_from_spin(st))
             if resid > INTERTWINE_TOL:
                 violations.append(
                     f"supercharge eigenstate residual {resid:.3e} at level {i} "
                     f"({family}, sign {sign:+d}) exceeds {INTERTWINE_TOL}"
                 )
 
-    header = ("index", "energy", "family", "sign", "residual", "concurrence")
-    if fmt == "csv":
-        text = _csv_text(header, [
-            (str(i), _g(e), fam, f"{s:+d}", _g(r), _g(c))
-            for i, e, fam, s, r, c in rows
-        ])
-    else:
-        text = _json_text({
-            "superpotential": W.name,
-            "grid": _grid_payload(grid),
-            "rows": [dict(zip(header, row)) for row in rows],
-        })
+    family, sign = (np.tile(col, len(solved)) for col in zip(*_SUPERCHARGE_STATES))
+    columns = (
+        np.repeat(np.arange(1, len(solved) + 1), len(_SUPERCHARGE_STATES)),
+        np.repeat([pp.energy for pp in solved], len(_SUPERCHARGE_STATES)),
+        family, sign, residual, concurrence,
+    )
+    text = _table_text(fmt, {"superpotential": W.name, "grid": _grid_payload(grid)},
+                       ("index", "energy", "family", "sign", "residual", "concurrence"),
+                       ("d", ".17g", "s", "+d", ".17g", ".17g"), columns)
     _write(outdir, "supercharge." + fmt, text)
     return _finish(violations)
 
@@ -460,12 +444,9 @@ def run_jc(cfg, outdir, fmt):
     # is written as an empty cell or null
     columns = (match.n, match.branch, match.E_analytic, match.E_numeric, match.gap,
                match.concurrence)
-    if fmt == "csv":
-        levels_text = _csv_rows_text(JC_COLUMNS, ["d", "d"] + [".17g"] * 4, columns,
-                                     nullable=("concurrence",))
-    else:
-        levels_text = _json_rows_text({"omega": omega, "gamma": gamma, "n_max": n_max},
-                                      JC_COLUMNS, columns, nullable=("concurrence",))
+    levels_text = _table_text(fmt, {"omega": omega, "gamma": gamma, "n_max": n_max},
+                              JC_COLUMNS, ("d", "d") + (".17g",) * 4, columns,
+                              nullable=("concurrence",))
 
     algebra_payload = {
         "omega": omega, "gamma": gamma, "n_max": n_max,

@@ -20,7 +20,6 @@ __all__ = [
     "norm",
     "normalize",
     "fix_phase",
-    "wavefunction_to_csv",
 ]
 
 
@@ -115,9 +114,3 @@ def normalize(f: Wavefunction) -> Wavefunction:
         raise ZeroNormError("cannot normalize state with zero or non-finite norm")
     return Wavefunction(f.grid, fix_phase(f.amplitudes / n))
 
-
-def wavefunction_to_csv(f: Wavefunction) -> str:
-    """CSV text with columns x, re, im at 17 significant digits."""
-    amps = np.asarray(f.amplitudes, dtype=complex)
-    columns = (f.grid.nodes().tolist(), amps.real.tolist(), amps.imag.tolist())
-    return "\n".join(["x,re,im", *map("{:.17g},{:.17g},{:.17g}".format, *columns)]) + "\n"

@@ -91,8 +91,9 @@ def _load_flapack(root):
 
 _FLAPACK = _load_flapack(importlib.util.find_spec("scipy").submodule_search_locations[0])
 _STEBZ, _STEIN = _FLAPACK.dstebz, _FLAPACK.dstein
-# stebz range codes of the scipy wrapper: eigenvalues in (vl, vu], or il..iu
-_BY_VALUE, _BY_INDEX = 1, 2
+# stebz range codes of the scipy wrapper: all eigenvalues, those in (vl, vu],
+# or il..iu
+_ALL, _BY_VALUE, _BY_INDEX = 0, 1, 2
 
 
 class _Banded:
@@ -213,23 +214,32 @@ class Tridiagonal(_Banded):
         one stein call for the eigenvectors of all of them. Bands beyond
         _BAND_MAX are scaled by a power of two first, which is exact, so the
         squares in the Sturm count stay finite; value bounds scale with them.
+        On a near multiple of the identity, stebz may find the Gershgorin
+        interval of an index selection too small and compute nothing (info
+        2); that selection is redone over all eigenvalues, keeping il..iu.
         Returns the count per selection, the eigenvalues and, unless
         eigvals_only, the eigenvectors.
         """
-        big = max(np.max(np.abs(self.diag)), np.max(np.abs(self.off)))
+        big = max(np.max(np.abs(self.diag)), np.max(np.abs(self.off), initial=0.0))
         exp = int(np.frexp(big)[1]) if big > _BAND_MAX else 0
         d, e = np.ldexp(self.diag, -exp), np.ldexp(self.off, -exp)
+        if not e.size:  # the wrappers take max(n - 1, 1) entries; LAPACK reads none at n = 1
+            e = np.zeros(1)
         order = "E" if eigvals_only else "B"  # stein takes eigenvalues by block
         counts, values, blocks = [], [], []
         for rng, vl, vu, il, iu in selections:
             m, w, iblock, isplit, info = _STEBZ(
                 d, e, rng, np.ldexp(vl, -exp), np.ldexp(vu, -exp), il, iu,
                 float(tol), order)
+            keep = slice(m)
+            if info == 2:  # an index selection whose Gershgorin interval was too small
+                m, w, iblock, isplit, info = _STEBZ(d, e, _ALL, 0.0, 0.0, 0, 0, float(tol), order)
+                keep = np.argsort(w[:m], kind="stable")[il - 1:iu]
             if info != 0:
                 raise np.linalg.LinAlgError(f"stebz failed (info = {info})")
-            counts.append(m)
-            values.append(w[:m].copy())  # a view would keep all n entries alive
-            blocks.append(iblock[:m].copy())
+            values.append(w[keep].copy())  # a view would keep all n entries alive
+            blocks.append(iblock[keep].copy())
+            counts.append(values[-1].size)
         w = np.concatenate(values)
         if eigvals_only:
             return counts, np.ldexp(w, exp)

@@ -56,6 +56,79 @@ def mutate_minus(monkeypatch, mutate):
     monkeypatch.setattr(cli, "build_susy_system", mutated)
 
 
+def reference_table(head, keys, rows, rows_key="rows"):
+    """A report table written row by row, as {"csv": text, "json": text}.
+
+    `rows` are dicts over `keys`. A CSV cell is a float at 17 significant
+    digits, an integer (with its sign in a "sign" column), a string as it
+    is, or empty for None; the JSON text is `json.dumps` of `head` plus the
+    rows under `rows_key`.
+    """
+    def cell(key, value):
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return format(value, ".17g")
+        if isinstance(value, int) and key == "sign":
+            return f"{value:+d}"
+        return str(value)
+
+    lines = [",".join(keys)] + [",".join(cell(key, row[key]) for key in keys) for row in rows]
+    return {"csv": "\n".join(lines) + "\n",
+            "json": json.dumps({**head, rows_key: rows}, indent=2, allow_nan=False) + "\n"}
+
+
+class TestReportTables:
+    @pytest.mark.parametrize("name", W_NAMES)
+    def test_tables_match_row_by_row_writer(self, tmp_path, name):
+        # each table's rows as its JSON report states them; zero_mode's
+        # from the zero mode itself, whose 17-digit cells read back exactly
+        grid = {"x_min": -10.0, "x_max": 10.0, "n_points": 201}
+        runs = {
+            "spectrum": ({"levels": 6}, "pairs"),
+            "supercharge": ({"levels": 3}, "rows"),
+            "entangle": ({"level": 1}, "rows"),
+        }
+        for command, (extra, rows_key) in runs.items():
+            cfg = write_config(tmp_path, {"command": command, "superpotential": {"name": name},
+                                          "grid": grid, **extra})
+            for fmt in ("csv", "json"):
+                assert cli.main(["--config", cfg, "--out", str(tmp_path / fmt),
+                                 "--format", fmt]) == 0
+            text = (tmp_path / "json" / f"{command}.json").read_text()
+            head = json.loads(text)
+            rows = head.pop(rows_key)
+            assert rows
+            expected = reference_table(head, list(rows[0]), rows, rows_key)
+            for fmt in ("csv", "json"):
+                got = (tmp_path / fmt / f"{command}.{fmt}").read_bytes()
+                assert got == expected[fmt].encode(), (command, fmt)
+
+        W, mesh = sq.get_superpotential(name), sq.make_grid(**grid)
+        amps = sq.zero_mode(sq.build_susy_system(W, mesh)).amplitudes
+        columns = {"x": mesh.nodes(), "re": amps.real, "im": amps.imag}
+        rows = [dict(zip(columns, cells)) for cells in zip(*(c.tolist() for c in columns.values()))]
+        expected = reference_table({}, list(columns), rows)["csv"]
+        assert (tmp_path / "csv" / "zero_mode.csv").read_bytes() == expected.encode()
+        _, cells = read_csv(tmp_path / "csv" / "zero_mode.csv")
+        assert np.array_equal(np.array(cells, dtype=float), np.column_stack(list(columns.values())))
+        assert (tmp_path / "json" / "zero_mode.json").read_text() == json.dumps(
+            {key: col.tolist() for key, col in columns.items()}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("n_rows", (0, 1, 3))
+    def test_writer_integer_sign_and_string_cells(self, n_rows):
+        # string cells that need escaping in JSON, and a sign column with 0
+        keys = ("index", "family", "sign", "value")
+        columns = (np.arange(1, n_rows + 1), np.array(["q1", 'a"b\\c', "50%\u03c8"])[:n_rows],
+                   np.array([1, -1, 0])[:n_rows], np.array([0.1, -2.5e-308, 1e16])[:n_rows])
+        rows = [dict(zip(keys, cells)) for cells in zip(*(c.tolist() for c in columns))]
+        head = {"superpotential": "harmonic", "grid": {"n_points": 3}}
+        expected = reference_table(head, keys, rows, "pairs")
+        for fmt in ("csv", "json"):
+            assert cli._table_text(fmt, head, keys, ("d", "s", "+d", ".17g"), columns,
+                                   rows_key="pairs") == expected[fmt], fmt
+
+
 class TestSpectrumCommand:
     def test_csv_run(self, tmp_path):
         cfg = write_config(tmp_path, spectrum_config())
@@ -218,10 +291,11 @@ class TestEntangleCommand:
         oracle = json.dumps(dict(head, rows=[dict(zip(cli.SWEEP_COLUMNS, row))
                                              for row in zip(*(c.tolist() for c in columns))]),
                             indent=2) + "\n"
-        assert cli._json_rows_text(head, cli.SWEEP_COLUMNS, columns) == oracle
+        specs = (".17g",) * len(columns)
+        assert cli._table_text("json", head, cli.SWEEP_COLUMNS, specs, columns) == oracle
         columns[4][3] = np.nan
         with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._json_rows_text(head, cli.SWEEP_COLUMNS, columns)
+            cli._table_text("json", head, cli.SWEEP_COLUMNS, specs, columns)
 
     def test_rows_text_integer_and_null_cells(self):
         # NaN cells of the nullable columns, in different sets per row, are
@@ -233,18 +307,17 @@ class TestEntangleCommand:
         rows = [{k: None if v != v else v for k, v in zip(keys, cells)}
                 for cells in zip(ints.tolist(), x.tolist(), y.tolist())]
         head = {"level": 2}
-        assert cli._json_rows_text(head, keys, (ints, x, y), nullable=("x", "y")) == json.dumps(
-            dict(head, rows=rows), indent=2) + "\n"
-        lines = [",".join(keys)] + [
-            ",".join([str(r["i"])] + ["" if r[k] is None else cli._g(r[k]) for k in "xy"])
-            for r in rows]
-        assert cli._csv_rows_text(keys, ["d", ".17g", ".17g"], (ints, x, y),
-                                  nullable=("x", "y")) == "\n".join(lines) + "\n"
+        expected = reference_table(head, keys, rows)
+        for fmt in ("csv", "json"):
+            assert cli._table_text(fmt, head, keys, ("d", ".17g", ".17g"), (ints, x, y),
+                                   nullable=("x", "y")) == expected[fmt], fmt
         with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._json_rows_text(head, keys, (ints, x, y), nullable=("x",))
+            cli._table_text("json", head, keys, ("d", ".17g", ".17g"), (ints, x, y),
+                            nullable=("x",))
         y[1] = np.inf
         with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._json_rows_text(head, keys, (ints, x, y), nullable=("x", "y"))
+            cli._table_text("json", head, keys, ("d", ".17g", ".17g"), (ints, x, y),
+                            nullable=("x", "y"))
 
     def test_sweep_json_matches_json_dumps(self, tmp_path):
         cfg = write_config(tmp_path, self.entangle_config())
@@ -283,7 +356,7 @@ class TestSuperchargeCommand:
 
 
 def reference_jc_reports(omega, gamma, n_max):
-    """jc's three reports written row by row: `_g` cells and `json.dumps` rows.
+    """jc's three reports, the levels table by `reference_table`.
 
     The values come from the package's match and algebra reports; a doublet
     of gamma = 0 has no concurrence, written as an empty cell or null.
@@ -298,11 +371,7 @@ def reference_jc_reports(omega, gamma, n_max):
         if gamma == 0.0 and row["n"] > 0:
             row["concurrence"] = None
         rows.append(row)
-    lines = [",".join(keys)]
-    for r in rows:
-        conc = "" if r["concurrence"] is None else cli._g(r["concurrence"])
-        lines.append(",".join([str(r["n"]), str(r["branch"]), cli._g(r["E_analytic"]),
-                               cli._g(r["E_numeric"]), cli._g(r["gap"]), conc]))
+    levels = reference_table({"omega": omega, "gamma": gamma, "n_max": n_max}, keys, rows)
     algebra = {
         "omega": omega, "gamma": gamma, "n_max": n_max,
         "guard_n_max": n_max - 2,
@@ -320,10 +389,9 @@ def reference_jc_reports(omega, gamma, n_max):
             "all_matched": match.all_matched,
         },
     }
-    levels = {"omega": omega, "gamma": gamma, "n_max": n_max, "rows": rows}
     return {
-        "jc_levels.csv": "\n".join(lines) + "\n",
-        "jc_levels.json": json.dumps(levels, indent=2, allow_nan=False) + "\n",
+        "jc_levels.csv": levels["csv"],
+        "jc_levels.json": levels["json"],
         "jc_algebra.json": json.dumps(algebra, indent=2, allow_nan=False) + "\n",
     }
 
@@ -663,9 +731,8 @@ class TestConfigErrors:
     def test_sweep_row_cap_bounds_the_report(self):
         # the widest row: every value a 17-digit float with a 3-digit exponent
         row = dict.fromkeys(cli.SWEEP_COLUMNS, -2.2250738585072014e-308)
-        json_row = (len(cli._json_text({"rows": [row, row]}))
-                    - len(cli._json_text({"rows": [row]})))
-        csv_row = len(cli._csv_text((), [[cli._g(v) for v in row.values()]])) - 1
+        one, two = (reference_table({}, cli.SWEEP_COLUMNS, [row] * k) for k in (1, 2))
+        json_row, csv_row = (len(two[fmt]) - len(one[fmt]) for fmt in ("json", "csv"))
         assert (json_row, csv_row) == (488, 275)
         assert cli.SWEEP_MAX_ROWS * json_row <= 8 * 10 ** 6
 
@@ -782,9 +849,17 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         "jc_params": {"omega": 1.0, "gamma": 0.0, "n_max": 128},
         "output": {"format": "json"},
     }, name="jc_degenerate.json")
+    # the spectrum and supercharge tables written as JSON
+    spectrum_json, supercharge_json = (write_config(tmp_path, {
+        "command": command,
+        "superpotential": {"name": "tanh"},
+        "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 1001},
+        "levels": 5,
+        "output": {"format": "json"},
+    }, name=f"{command}_json.json") for command in ("spectrum", "supercharge"))
     configs = [str(CONFIGS / f"{name}.json")
                for name in ("spectrum", "entangle", "supercharge", "verify")] + [
-        jc, jc_degenerate, entangle, deep]
+        jc, jc_degenerate, entangle, deep, spectrum_json, supercharge_json]
     script = (
         "import sys\n"
         "from pathlib import Path\n"
@@ -807,7 +882,7 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         assert run.returncode == 0, run.stderr
         outputs[name] = {p.relative_to(outdir): p.read_bytes()
                          for p in sorted(outdir.rglob("*")) if p.is_file()}
-    assert len(outputs["1"]) == 12  # spectrum and jc write two files each
+    assert len(outputs["1"]) == 15  # spectrum and jc write two files each
     assert outputs["1"] == outputs["2"]
     assert outputs["1"] == outputs["scipy.linalg first"]
 

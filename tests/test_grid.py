@@ -127,16 +127,6 @@ class TestNormalize:
 
 
 class TestSerialization:
-    def test_csv_columns_and_roundtrip_precision(self):
-        g = sq.make_grid(0, 1, 3)
-        f = sq.Wavefunction(g, np.array([1 / 3, 2 / 3, 1.0]))
-        text = sq.wavefunction_to_csv(f)
-        lines = text.strip().split("\n")
-        assert lines[0] == "x,re,im"
-        assert len(lines) == 4
-        x, re, im = (float(v) for v in lines[1].split(","))
-        assert (x, re, im) == (0.0, 1 / 3, 0.0)  # 17 digits round-trips exactly
-
     def test_wavefunction_immutable(self):
         g = sq.make_grid(0, 1, 3)
         f = sq.Wavefunction(g, np.ones(3))

@@ -126,6 +126,54 @@ class TestTridiagonalWindows:
             T.eigh_windows(windows)
 
 
+class TestTridiagonalIndexSelection:
+    """Eigenvalues selected by index, on matrices at the edge of what stebz takes."""
+
+    def test_one_by_one(self):
+        T = sq.Tridiagonal([2.0], [])
+        assert sq.operator_norm(T) == 2.0
+        values, vectors = T.eigh(0, 0)
+        assert values.tolist() == [2.0] and vectors.tolist() == [[1.0]]
+
+    def test_near_multiples_of_the_identity(self):
+        # stebz finds the Gershgorin interval of some of these index
+        # selections too small and computes nothing (info 2); those are
+        # redone over all eigenvalues. Every other selection is the plain
+        # index selection, bit for bit. A redone one is held to the dense
+        # solver: bisection stops at width eps G + 2 eps |lambda| (abstol 0,
+        # G the Gershgorin bound of ||T||), and its Sturm counts are exact
+        # for T perturbed by at most 2.5 eps relative in each entry (Kahan;
+        # Demmel, Applied Numerical Linear Algebra, sec. 5.3.4), so it lies
+        # within 5.5 eps G of an exact eigenvalue; eigvalsh is backward stable
+        # within a small multiple of eps ||T||, taken as n eps G. The worst
+        # measured is 3.9 eps G.
+        rng = np.random.default_rng(0)
+        eps = np.finfo(float).eps
+        redone = 0
+        for _ in range(3000):
+            n = int(rng.integers(2, 40))
+            lam, s = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-17, -13)
+            T = sq.Tridiagonal(lam * (1.0 + s * rng.standard_normal(n)),
+                               lam * s * rng.standard_normal(n - 1))
+            radius = np.zeros(n)
+            radius[:-1] += np.abs(T.off)
+            radius[1:] += np.abs(T.off)
+            bound = (n + 6) * eps * np.max(np.abs(T.diag) + radius)
+            dense = np.linalg.eigvalsh(T.to_dense())
+            for lo, hi in ((0, n - 1), (0, 0), (n - 1, n - 1)):
+                got = T.eigh(lo, hi, tol=0.0, eigvals_only=True)
+                m, w, *_, info = operators._STEBZ(T.diag, T.off, 2, 0.0, 1.0, lo + 1, hi + 1,
+                                                  0.0, "E")
+                if info == 0:
+                    assert np.array_equal(got, w[:m])
+                else:
+                    assert info == 2
+                    redone += 1
+                    assert np.max(np.abs(got - dense[lo:hi + 1])) <= bound
+            assert abs(sq.operator_norm(T) - np.max(np.abs(dense))) <= bound
+        assert redone > 0
+
+
 class TestLapackLoader:
     """The bisection routines come from scipy's extension file, not scipy.linalg."""
 
