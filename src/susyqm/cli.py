@@ -58,8 +58,6 @@ SWEEP_COLUMNS = (
     "lambda1", "lambda2", "C_spin", "C_overlap", "C_svd",
 )
 JC_COLUMNS = ("n", "branch", "E_analytic", "E_numeric", "gap", "concurrence")
-# (family, sign) of a level's four supercharge eigenstates, in report order
-_SUPERCHARGE_STATES = (("q1", +1), ("q1", -1), ("q2", +1), ("q2", -1))
 # Largest (c1, phase) sweep an entangle run accepts, from the report size: the
 # widest row is the JSON one, eleven `"key": value,` lines of 17-digit values
 # with a three-digit exponent plus its braces, 488 bytes, so 2**14 rows keep
@@ -268,28 +266,15 @@ def _zero_mode_residual(system):
     return psi0, resid, 1e-12 * operator_norm(system.H_minus)
 
 
-def _supercharge_states(system, pp, mapped):
-    """(family, sign, state, residual) of a level's four supercharge eigenstates.
-
-    `mapped` is intertwine_down(system, pp), which carries the relative phase
-    the eigenstates need.
-    """
-    states = supercharge_eigenstates(system, pp.energy, pp.state, mapped)
-    root = math.sqrt(pp.energy)
-    for (family, sign), st in zip(_SUPERCHARGE_STATES, (
-        states.q1_plus, states.q1_minus, states.q2_plus, states.q2_minus,
-    )):
-        yield family, sign, st, supercharge_residual(system, st, sign * root, family)
-
-
 def _susy_identities(system):
     """(name, value, bound) of verify's five 2n x 2n identity checks, in O(n).
 
     Every operator is read in the order of `SusySystem.Q1`, where
     H = diag(H+, H-) is pentadiagonal: its rows interleave the separately
     formed bands of H+-. Q2 = -i R with R = sz Q1 real, so Q2^2 = -R^2,
-    {Q1, Q2} = -i {Q1, R}, and Q2 is Hermitian iff R[j, j+1] + R[j+1, j] = 0;
-    no complex array is formed.
+    {Q1, Q2} = -i {Q1, R}, and Q2 is Hermitian iff R + R^T = 0; no complex
+    array is formed. Entry by entry {sz, Q1}_jk = R_jk + R_kj, so one band
+    product gives both the parity and the hermiticity check.
     """
     n = system.grid.n_points
     parity = Tridiagonal(np.tile([-1.0, 1.0], n), np.zeros(2 * n - 1))  # sz: -1 down, +1 up
@@ -298,13 +283,13 @@ def _susy_identities(system):
     H = np.zeros((5, 2 * n))
     H[0::2, 0::2] = band_rows(system.H_minus)
     H[0::2, 1::2] = band_rows(system.H_plus)
+    parity_q1 = band_max_abs(band_commutator(band_rows(parity), q1, anti=True))
     return (
         ("q1_squared_vs_hamiltonian", band_max_abs(band_product(q1, q1) - H), MATRIX_SQ_TOL),
         ("q2_squared_vs_hamiltonian", band_max_abs(band_product(R, R) + H), MATRIX_SQ_TOL),
         ("anticommutator_q1_q2", band_max_abs(band_commutator(q1, R, anti=True)), ANTICOMM_TOL),
-        ("anticommutator_parity_q1",
-         band_max_abs(band_commutator(band_rows(parity), q1, anti=True)), ANTICOMM_TOL),
-        ("q2_hermiticity", band_max_abs(R[2, :-1] + R[0, 1:]), ANTICOMM_TOL),
+        ("anticommutator_parity_q1", parity_q1, ANTICOMM_TOL),
+        ("q2_hermiticity", parity_q1, ANTICOMM_TOL),
     )
 
 
@@ -401,27 +386,24 @@ def run_supercharge(cfg, outdir, fmt):
     system, plus_nz, _, _ = _solve_both_sides(W, grid, levels, ("plus",))
     solved = plus_nz[:levels]
     violations = []
-    residual, concurrence = [], []
+    rows = []  # (index, energy, family, sign, residual, concurrence)
     for i, pp in enumerate(solved, start=1):
+        # intertwine_down carries the relative phase the eigenstates need
         mapped = intertwine_down(system, pp)
-        for family, sign, st, resid in _supercharge_states(system, pp, mapped):
-            residual.append(resid)
-            concurrence.append(concurrence_from_spin(st))
+        for family, sign, eigenvalue, st in supercharge_eigenstates(
+                system, pp.energy, pp.state, mapped):
+            resid = supercharge_residual(system, st, eigenvalue, family)
+            rows.append((i, pp.energy, family, sign, resid, concurrence_from_spin(st)))
             if resid > INTERTWINE_TOL:
                 violations.append(
                     f"supercharge eigenstate residual {resid:.3e} at level {i} "
                     f"({family}, sign {sign:+d}) exceeds {INTERTWINE_TOL}"
                 )
 
-    family, sign = (np.tile(col, len(solved)) for col in zip(*_SUPERCHARGE_STATES))
-    columns = (
-        np.repeat(np.arange(1, len(solved) + 1), len(_SUPERCHARGE_STATES)),
-        np.repeat([pp.energy for pp in solved], len(_SUPERCHARGE_STATES)),
-        family, sign, residual, concurrence,
-    )
     text = _table_text(fmt, {"superpotential": W.name, "grid": _grid_payload(grid)},
                        ("index", "energy", "family", "sign", "residual", "concurrence"),
-                       ("d", ".17g", "s", "+d", ".17g", ".17g"), columns)
+                       ("d", ".17g", "s", "+d", ".17g", ".17g"),
+                       list(zip(*rows)) or [()] * 6)  # no solved level: header only
     _write(outdir, "supercharge." + fmt, text)
     return _finish(violations)
 
@@ -513,8 +495,9 @@ def run_verify(cfg, outdir, fmt):
         worst_energy = max(worst_energy, abs(
             dx * float(np.linalg.norm(system.B @ mm.state.amplitudes) ** 2)
             - mm.energy))
-        for *_, resid in _supercharge_states(system, pp, raw):
-            worst_eig = max(worst_eig, resid)
+        for family, _, eigenvalue, st in supercharge_eigenstates(
+                system, pp.energy, pp.state, raw):
+            worst_eig = max(worst_eig, supercharge_residual(system, st, eigenvalue, family))
     check("intertwine_map_residual", worst_map, INTERTWINE_TOL)
     check("intertwine_energy_deviation", worst_energy, INTERTWINE_TOL)
     check("supercharge_eigenstate_residual", worst_eig, INTERTWINE_TOL)

@@ -25,6 +25,7 @@ state costs two amplitudes instead of n. The overlap route reads
 the reduction.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +38,6 @@ from .spectral import EPS0
 __all__ = [
     "SpinorState",
     "EntanglementReport",
-    "SuperchargeEigenstates",
     "build_energy_eigenstate",
     "spin_expectation",
     "schmidt_coefficients",
@@ -47,8 +47,6 @@ __all__ = [
     "concurrence_svd",
     "analyze",
     "supercharge_eigenstates",
-    "apply_q1",
-    "apply_q2",
     "supercharge_residual",
 ]
 
@@ -252,21 +250,20 @@ def analyze(
     )
 
 
-@dataclass(frozen=True)
-class SuperchargeEigenstates:
-    q1_plus: SpinorState
-    q1_minus: SpinorState
-    q2_plus: SpinorState
-    q2_minus: SpinorState
+# (family, sign, phase) of a level's four supercharge eigenstates, in report
+# order; the state is (psi+ |up> + phase psi- |down>)/sqrt(2). The real
+# phases are ints, so the Q1 states keep real components.
+_SUPERCHARGE_STATES = (("q1", +1, 1), ("q1", -1, -1), ("q2", +1, 1j), ("q2", -1, -1j))
 
 
 def supercharge_eigenstates(
     sys: SusySystem, E: float, psi_plus: Wavefunction, psi_minus: Wavefunction
-) -> SuperchargeEigenstates:
+) -> tuple:
     """The four maximally entangled supercharge eigenstates at energy E.
 
+    Rows (family, sign, eigenvalue, state) in report order:
     (psi+ |up> +- psi- |down>)/sqrt(2) for Q1 and (psi+ |up> +- i psi- |down>)
-    /sqrt(2) for Q2, with eigenvalues +-sqrt(E). psi_minus must carry the
+    /sqrt(2) for Q2, with eigenvalue sign * sqrt(E). psi_minus must carry the
     intertwining-consistent phase (i.e. be B+ psi+ / sqrt(E) up to round-off),
     otherwise these are not eigenstates.
     """
@@ -277,34 +274,25 @@ def supercharge_eigenstates(
     dx = sys.grid.dx
     up = psi_plus.amplitudes / np.sqrt(2.0)
     dn = psi_minus.amplitudes / np.sqrt(2.0)
-    return SuperchargeEigenstates(
-        q1_plus=SpinorState(up, dn, dx),
-        q1_minus=SpinorState(up, -dn, dx),
-        q2_plus=SpinorState(up, 1j * dn, dx),
-        q2_minus=SpinorState(up, -1j * dn, dx),
-    )
-
-
-def apply_q1(sys: SusySystem, state: SpinorState) -> SpinorState:
-    """Blockwise Q1 action: (B phi_down, B+ phi_up), two-term stencils."""
-    return SpinorState(sys.B @ state.down, sys.B_adj @ state.up, state.weight)
-
-
-def apply_q2(sys: SusySystem, state: SpinorState) -> SpinorState:
-    """Blockwise Q2 action: (-i B phi_down, +i B+ phi_up), two-term stencils."""
-    return SpinorState(
-        -1j * (sys.B @ state.down), 1j * (sys.B_adj @ state.up), state.weight
-    )
+    root = math.sqrt(E)
+    return tuple((family, sign, sign * root, SpinorState(up, phase * dn, dx))
+                 for family, sign, phase in _SUPERCHARGE_STATES)
 
 
 def supercharge_residual(
     sys: SusySystem, state: SpinorState, eigenvalue: float, which: str
 ) -> float:
-    """|| Q state - q state || for q the claimed supercharge eigenvalue."""
+    """|| Q state - q state || for q the claimed supercharge eigenvalue.
+
+    Q1 acts blockwise as (B phi_down, B+ phi_up), two-term stencils, and
+    Q2 = -i sz Q1 as (-i B phi_down, +i B+ phi_up).
+    """
     if which not in ("q1", "q2"):
         raise ValueError(f"which must be 'q1' or 'q2', got {which!r}")
-    mapped = apply_q1(sys, state) if which == "q1" else apply_q2(sys, state)
-    r_up = mapped.up - eigenvalue * state.up
-    r_dn = mapped.down - eigenvalue * state.down
+    q_up, q_dn = sys.B @ state.down, sys.B_adj @ state.up
+    if which == "q2":
+        q_up, q_dn = -1j * q_up, 1j * q_dn
+    r_up = q_up - eigenvalue * state.up
+    r_dn = q_dn - eigenvalue * state.down
     val = np.real(np.vdot(r_up, r_up)) + np.real(np.vdot(r_dn, r_dn))
     return float(np.sqrt(val * state.weight))

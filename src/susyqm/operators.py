@@ -217,6 +217,12 @@ class Tridiagonal(_Banded):
         On a near multiple of the identity, stebz may find the Gershgorin
         interval of an index selection too small and compute nothing (info
         2); that selection is redone over all eigenvalues, keeping il..iu.
+        There stein may also fail to converge (info > 0). Then bisection and
+        stein are redone on the bands with the diagonal shifted by its median
+        sigma: the shift keeps every eigenvector and brings the diagonal down
+        to the scale of its spread, where the shifted eigenvalues are resolved
+        again. The eigenvalues returned are always those of the unshifted
+        bisection.
         Returns the count per selection, the eigenvalues and, unless
         eigvals_only, the eigenvectors.
         """
@@ -226,33 +232,45 @@ class Tridiagonal(_Banded):
         if not e.size:  # the wrappers take max(n - 1, 1) entries; LAPACK reads none at n = 1
             e = np.zeros(1)
         order = "E" if eigvals_only else "B"  # stein takes eigenvalues by block
-        counts, values, blocks = [], [], []
-        for rng, vl, vu, il, iu in selections:
-            m, w, iblock, isplit, info = _STEBZ(
-                d, e, rng, np.ldexp(vl, -exp), np.ldexp(vu, -exp), il, iu,
-                float(tol), order)
-            keep = slice(m)
-            if info == 2:  # an index selection whose Gershgorin interval was too small
-                m, w, iblock, isplit, info = _STEBZ(d, e, _ALL, 0.0, 0.0, 0, 0, float(tol), order)
-                keep = np.argsort(w[:m], kind="stable")[il - 1:iu]
-            if info != 0:
-                raise np.linalg.LinAlgError(f"stebz failed (info = {info})")
-            values.append(w[keep].copy())  # a view would keep all n entries alive
-            blocks.append(iblock[keep].copy())
-            counts.append(values[-1].size)
-        w = np.concatenate(values)
+
+        def bisect(d, shift):
+            """Counts, eigenvalues, their blocks and isplit of the bands (d, e)."""
+            counts, values, blocks = [], [], []
+            for rng, vl, vu, il, iu in selections:
+                m, w, iblock, isplit, info = _STEBZ(
+                    d, e, rng, np.ldexp(vl, -exp) - shift, np.ldexp(vu, -exp) - shift,
+                    il, iu, float(tol), order)
+                keep = slice(m)
+                if info == 2:  # an index selection whose Gershgorin interval was too small
+                    m, w, iblock, isplit, info = _STEBZ(d, e, _ALL, 0.0, 0.0, 0, 0, float(tol), order)
+                    keep = np.argsort(w[:m], kind="stable")[il - 1:iu]
+                if info != 0:
+                    raise np.linalg.LinAlgError(f"stebz failed (info = {info})")
+                values.append(w[keep].copy())  # a view would keep all n entries alive
+                blocks.append(iblock[keep].copy())
+                counts.append(values[-1].size)
+            return counts, np.concatenate(values), np.concatenate(blocks), isplit
+
+        def stein(d, w, blocks, isplit):
+            """Eigenvectors of the bands (d, e) for w, columns in ascending order of w."""
+            by_block = np.lexsort((w, blocks))
+            iblock = np.zeros(d.size, dtype=blocks.dtype)  # stein reads n entries
+            iblock[:w.size] = blocks[by_block]
+            v, info = _STEIN(d, e, w[by_block], iblock, isplit)
+            return v[:, np.argsort(w[by_block])], info
+
+        counts, w, blocks, isplit = bisect(d, 0.0)
         if eigvals_only:
             return counts, np.ldexp(w, exp)
-        blocks = np.concatenate(blocks)
-        by_block = np.lexsort((w, blocks))
-        w = w[by_block]
-        iblock = np.zeros(d.size, dtype=blocks.dtype)  # stein reads n entries
-        iblock[:w.size] = blocks[by_block]
-        v, info = _STEIN(d, e, w, iblock, isplit)
+        v, info = stein(d, w, blocks, isplit)
+        if info > 0:  # inverse iteration stalled on nearly equal eigenvalues
+            sigma = np.median(d)
+            shifted_counts, *shifted = bisect(d - sigma, sigma)
+            if shifted_counts == counts:
+                v, info = stein(d - sigma, *shifted)
         if info != 0:
             raise np.linalg.LinAlgError(f"stein: {info} eigenvectors failed to converge")
-        ascending = np.argsort(w)
-        return counts, np.ldexp(w[ascending], exp), v[:, ascending]
+        return counts, np.ldexp(np.sort(w), exp), v
 
     def __matmul__(self, v):
         v = self._vector(v)

@@ -1,9 +1,10 @@
 """Bundled superpotentials.
 
 Every registered W satisfies the unbroken-SUSY sign condition
-sign W(-inf) = -1, sign W(+inf) = +1 on the default box; `parity` marks whether
-W(-x) = -W(x) holds, which controls whether partner eigenstates are expected to
-be orthogonal in the continuum limit.
+sign W(-inf) = -1, sign W(+inf) = +1 on the default box; whether it holds on
+a given box is decided by `operators.check_sign_condition`, which evaluates W
+at the box ends. harmonic, cubic and tanh are odd, W(-x) = -W(x), which makes
+partner eigenstates orthogonal in the continuum limit; shifted_cubic is not.
 """
 
 from dataclasses import dataclass, field
@@ -18,8 +19,6 @@ __all__ = ["Superpotential", "get_superpotential", "REGISTRY_NAMES"]
 class Superpotential:
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    asymptotic_signs: tuple = (-1, +1)
-    parity: str = "none"  # "odd" or "none"
     params: dict = field(default_factory=dict)
 
     def __call__(self, x):
@@ -29,27 +28,22 @@ class Superpotential:
 def _harmonic(scale: float = 1.0):
     # scale = -1 gives W = -x, the canonical sign-condition violator
     scale = float(scale)
-    signs = (-1, +1) if scale >= 0 else (+1, -1)
-    return Superpotential(
-        "harmonic", lambda x: scale * x, signs, "odd", {"scale": scale}
-    )
+    return Superpotential("harmonic", lambda x: scale * x, {"scale": scale})
 
 
 def _cubic():
     # x * x * x, not x ** 3: libm pow is off by an ulp under sign flips,
-    # which would break the declared odd parity bitwise
-    return Superpotential("cubic", lambda x: x * x * x, (-1, +1), "odd")
+    # which would break the odd parity bitwise
+    return Superpotential("cubic", lambda x: x * x * x)
 
 
 def _shifted_cubic(a: float = 0.5):
     a = float(a)
-    return Superpotential(
-        "shifted_cubic", lambda x: x ** 3 + a, (-1, +1), "none", {"a": a}
-    )
+    return Superpotential("shifted_cubic", lambda x: x ** 3 + a, {"a": a})
 
 
 def _tanh():
-    return Superpotential("tanh", np.tanh, (-1, +1), "odd")
+    return Superpotential("tanh", np.tanh)
 
 
 _REGISTRY = {

@@ -1,7 +1,8 @@
 """Shared fixtures: the default box, factorized systems, solved spectra, the
 dense small-n oracles of the 2n x 2n SUSY operators and of the
 Jaynes-Cummings algebra report and level match, the oracles that no code
-in the package calls (the H- to H+ intertwining map, the sampled zero-mode
+in the package calls (the blockwise supercharge action and its eigen-relation
+residual, the H- to H+ intertwining map, the sampled zero-mode
 profile, the zero mode rebuilt from W, the closed-form Jaynes-Cummings
 eigenstates and the entangle sweep one full-grid state at a time), and a
 tracemalloc peak probe.
@@ -269,7 +270,7 @@ def jc_dense_match(analytic_eigenstate):
 
 @pytest.fixture(scope="session")
 def free_superpotential():
-    return sq.Superpotential("free", lambda x: np.zeros_like(x), (-1, +1), "odd")
+    return sq.Superpotential("free", lambda x: np.zeros_like(x))
 
 
 @pytest.fixture(scope="session")
@@ -314,6 +315,34 @@ def build_supercharges():
         Q2[n:, :n] = 1j * B_adj
         return Q1, Q2
     return build
+
+
+@pytest.fixture(scope="session")
+def blockwise_supercharge():
+    """Q1 or Q2 applied to a spinor block by block, as a new state.
+
+    Q1 maps (phi_up, phi_down) to (B phi_down, B+ phi_up) and Q2 to
+    (-i B phi_down, +i B+ phi_up): the two-term stencils of B and B+ with
+    no interleaving, copied into a fresh `SpinorState`.
+    """
+    def apply(system, state, which):
+        up, down = system.B @ state.down, system.B_adj @ state.up
+        if which == "q2":
+            up, down = -1j * up, 1j * down
+        return sq.SpinorState(up, down, state.weight)
+    return apply
+
+
+@pytest.fixture(scope="session")
+def blockwise_residual(blockwise_supercharge):
+    """|| Q state - q state || with Q applied by `apply` (the blockwise action)."""
+    def residual(system, state, eigenvalue, which, apply=blockwise_supercharge):
+        mapped = apply(system, state, which)
+        r_up = mapped.up - eigenvalue * state.up
+        r_dn = mapped.down - eigenvalue * state.down
+        val = np.real(np.vdot(r_up, r_up)) + np.real(np.vdot(r_dn, r_dn))
+        return float(np.sqrt(val * state.weight))
+    return residual
 
 
 @pytest.fixture(scope="session")

@@ -547,8 +547,15 @@ class TestVerifyCommand:
         lambda system, s: sq.SpinorState(-1j * (system.B @ s.down),
                                          -1j * (system.B_adj @ s.up), s.weight),
     ), ids=("sign_flipped", "minus_i_on_both_blocks"))
-    def test_mutated_q2_fails_the_eigenstate_residual(self, tmp_path, monkeypatch, mutant):
-        monkeypatch.setattr(sq.entanglement, "apply_q2", mutant)
+    def test_mutated_q2_fails_the_eigenstate_residual(self, tmp_path, monkeypatch, mutant,
+                                                      blockwise_supercharge, blockwise_residual):
+        # the residual verify calls, with Q2 replaced by the mutant
+        def apply(system, state, which):
+            return mutant(system, state) if which == "q2" else \
+                blockwise_supercharge(system, state, which)
+
+        monkeypatch.setattr(cli, "supercharge_residual",
+                            lambda *args: blockwise_residual(*args, apply=apply))
         assert "supercharge_eigenstate_residual" in self.failed_checks(tmp_path)
 
 

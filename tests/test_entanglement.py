@@ -1,5 +1,7 @@
 """Spin-times-mode states, Schmidt structure and the three concurrence routes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,51 +306,75 @@ class TestSuperchargeEigenstates:
 
     def test_q1_eigen_relation_via_assembled_matrix(self, harmonic_level_one,
                                                     build_supercharges):
-        system, pp, states = harmonic_level_one
+        system, pp, rows = harmonic_level_one
         q1, _ = build_supercharges(system)
         root = np.sqrt(pp.energy)
-        for sign, st_ in ((+1, states.q1_plus), (-1, states.q1_minus)):
+        q1_rows = [(sign, st_) for family, sign, _, st_ in rows if family == "q1"]
+        assert [sign for sign, _ in q1_rows] == [+1, -1]
+        for sign, st_ in q1_rows:
             vec = np.concatenate([st_.up, st_.down])
             resid = np.sqrt(system.grid.dx) * np.linalg.norm(
                 q1 @ vec - sign * root * vec)
             assert resid <= 1e-8
 
     def test_q2_eigen_relation(self, harmonic_level_one):
-        system, pp, states = harmonic_level_one
+        system, pp, rows = harmonic_level_one
         root = np.sqrt(pp.energy)
-        for sign, st_ in ((+1, states.q2_plus), (-1, states.q2_minus)):
+        q2_rows = [(sign, st_) for family, sign, _, st_ in rows if family == "q2"]
+        assert [sign for sign, _ in q2_rows] == [+1, -1]
+        for sign, st_ in q2_rows:
             assert sq.supercharge_residual(system, st_, sign * root, "q2") <= 1e-8
 
     def test_concurrence_maximal(self, harmonic_level_one):
-        _, _, states = harmonic_level_one
-        for st_ in (states.q1_plus, states.q1_minus, states.q2_plus,
-                    states.q2_minus):
+        _, _, rows = harmonic_level_one
+        assert len(rows) == 4
+        for *_, st_ in rows:
             assert sq.concurrence_from_spin(st_) == pytest.approx(1.0, abs=1e-10)
 
     def test_opposite_eigenvalues_orthogonal(self, harmonic_level_one):
-        system, _, states = harmonic_level_one
+        system, _, rows = harmonic_level_one
         dx = system.grid.dx
-        ov = (np.vdot(states.q1_plus.up, states.q1_minus.up)
-              + np.vdot(states.q1_plus.down, states.q1_minus.down)) * dx
+        (_, _, q_plus, plus), (_, _, q_minus, minus) = rows[:2]
+        assert q_plus == -q_minus > 0
+        ov = (np.vdot(plus.up, minus.up) + np.vdot(plus.down, minus.down)) * dx
         assert abs(ov) <= 1e-10
 
     def test_nilpotent_halves_annihilate_their_sectors(self, harmonic_level_one):
-        # Q+ = (Q1 + i Q2)/2 kills spin-up states, Q- kills spin-down states
+        # Q+ = (Q1 + i Q2)/2 kills spin-up states, Q- kills spin-down states;
+        # in the order (down_0, up_0, ...) of SusySystem.Q1, Q2 = -i sz Q1
         system, pp, _ = harmonic_level_one
-        up_state = sq.SpinorState(pp.state.amplitudes,
-                                  np.zeros_like(pp.state.amplitudes),
-                                  system.grid.dx)
-        a = sq.apply_q1(system, up_state)
-        b = sq.apply_q2(system, up_state)
-        q_plus_up = np.concatenate([a.up + 1j * b.up, a.down + 1j * b.down]) / 2
-        assert np.max(np.abs(q_plus_up)) <= 1e-10
+        n = system.grid.n_points
+        sz = np.tile([-1.0, 1.0], n)
+        psi = pp.state.amplitudes
 
-        down_state = sq.SpinorState(np.zeros_like(pp.state.amplitudes),
-                                    pp.state.amplitudes, system.grid.dx)
-        a = sq.apply_q1(system, down_state)
-        b = sq.apply_q2(system, down_state)
-        q_minus_down = np.concatenate([a.up - 1j * b.up, a.down - 1j * b.down]) / 2
+        def halves(up, down):
+            a = system.Q1 @ np.stack([down, up], axis=-1).ravel()
+            b = -1j * (sz * a)
+            return (a + 1j * b) / 2, (a - 1j * b) / 2
+
+        q_plus_up, _ = halves(psi, np.zeros_like(psi))
+        assert np.max(np.abs(q_plus_up)) <= 1e-10
+        _, q_minus_down = halves(np.zeros_like(psi), psi)
         assert np.max(np.abs(q_minus_down)) <= 1e-10
+
+    @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
+    def test_residual_matches_blockwise_action(self, name, blockwise_residual):
+        # four rows per level in report order, eigenvalue sign * sqrt(E), and
+        # the residual of each bit for bit that of the blockwise Q1/Q2 oracle
+        grid = sq.make_grid(-10.0, 10.0, 201)
+        system = sq.build_susy_system(sq.get_superpotential(name), grid)
+        levels = [p for p in sq.solve_spectrum(system.H_plus, 8, grid)
+                  if p.energy >= sq.EPS0][:6]
+        assert len(levels) == 6
+        for pp in levels:
+            rows = sq.supercharge_eigenstates(system, pp.energy, pp.state,
+                                              sq.intertwine_down(system, pp))
+            assert [(family, sign) for family, sign, *_ in rows] == [
+                ("q1", +1), ("q1", -1), ("q2", +1), ("q2", -1)]
+            for family, sign, eigenvalue, st_ in rows:
+                assert eigenvalue == sign * math.sqrt(pp.energy)
+                assert (sq.supercharge_residual(system, st_, eigenvalue, family)
+                        == blockwise_residual(system, st_, eigenvalue, family))
 
     def test_zero_energy_rejected(self, systems, nonzero_levels):
         plus_nz, minus_nz = nonzero_levels["harmonic"]
@@ -363,6 +389,6 @@ class TestSuperchargeEigenstates:
         assert sq.concurrence_from_spin(state) == 0.0
 
     def test_residual_which_validated(self, harmonic_level_one):
-        system, pp, states = harmonic_level_one
+        system, _, rows = harmonic_level_one
         with pytest.raises(ValueError):
-            sq.supercharge_residual(system, states.q1_plus, 1.0, "q3")
+            sq.supercharge_residual(system, rows[0][3], 1.0, "q3")

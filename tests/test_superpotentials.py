@@ -1,4 +1,4 @@
-"""Registry lookups and declared symmetry metadata."""
+"""Registry lookups, parameters and the symmetry of the bundled W."""
 
 import numpy as np
 import pytest
@@ -20,14 +20,12 @@ def test_sign_condition_on_default_box(name):
 @pytest.mark.parametrize("name", ["harmonic", "cubic", "tanh"])
 def test_declared_odd_parity_holds_on_nodes(name):
     W = sq.get_superpotential(name)
-    assert W.parity == "odd"
     x = sq.make_grid(-10, 10, 2001).nodes()
     assert np.array_equal(W(-x), -W(x))
 
 
 def test_shifted_cubic_not_odd():
     W = sq.get_superpotential("shifted_cubic")
-    assert W.parity == "none"
     assert W(np.array([-1.0]))[0] != -W(np.array([1.0]))[0]
 
 
@@ -51,12 +49,12 @@ def test_harmonic_values():
 def test_harmonic_negative_scale_flips_signs():
     W = sq.get_superpotential("harmonic", scale=-1.0)
     assert W(np.array([2.0]))[0] == -2.0
-    assert W.asymptotic_signs == (+1, -1)
+    assert W(np.array([-10.0, 10.0])).tolist() == [10.0, -10.0]
     assert sq.check_sign_condition(W, sq.make_grid(-10, 10, 101)) is False
 
 
 def test_vanishing_boundary_sign_indeterminate():
-    W = sq.Superpotential("bump", lambda x: x * np.exp(-x * x), (-1, +1), "odd")
+    W = sq.Superpotential("bump", lambda x: x * np.exp(-x * x))
     with pytest.raises(sq.IndeterminateSignError):
         sq.check_sign_condition(W, sq.make_grid(-800.0, 800.0, 101))
 
