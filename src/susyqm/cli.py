@@ -39,11 +39,11 @@ from .operators import (
 from .spectral import (
     EPS0,
     align_phase,
+    eigenstates,
     intertwine_down,
     operator_norm,
     pair_partner_levels,
     solve_in_pairing_windows,
-    solve_spectrum,
     zero_mode,
 )
 from .superpotentials import REGISTRY_NAMES, get_superpotential
@@ -219,43 +219,33 @@ def _grid_payload(grid: Grid):
     return {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points}
 
 
-def _solve_both_sides(W, grid, levels, states=()):
-    """Both partner spectra plus the validated pairing report.
+def _solve_both_sides(W, grid, levels):
+    """Both partner spectra, as bisection results, plus the validated pairing report.
 
     H+ is solved blind for its k = levels + 1 lowest levels. H- is solved
     only inside the pairing windows those levels define
     (`solve_in_pairing_windows`); when a window count fails, pairing has
     failed, and H- is solved blind as well, so that `pair_partner_levels`
-    names the level without a partner. The sides named in `states` ("plus",
-    "minus") are solved with their eigenvectors and returned as lists of
-    EigenPair above the zero-mode threshold; the others get energies only
-    (bisection without inverse iteration) and None in their slot. `spectrum`
-    reads no eigenvector, `supercharge` only those of H+, `entangle` and
-    `verify` both.
+    names the level without a partner. No eigenvector is formed here: each
+    command asks `_nonzero_states` for the sides it reads, so `spectrum`
+    forms none, `supercharge` those of H+, `entangle` and `verify` both.
     """
     try:
         system = build_susy_system(W, grid)
     except ValueError as exc:  # W not finite, unresolved jump, or H+- overflow
         raise ConfigError(str(exc)) from exc
     k = levels + 1  # room for the zero mode / the wall-node zero of H+
-
-    def blind(H, side):
-        return solve_spectrum(H, k, grid) if side in states else H.eigh(0, k - 1, eigvals_only=True)
-
-    def energies(side, solved):
-        return [p.energy for p in solved] if side in states else solved
-
-    plus = blind(system.H_plus, "plus")
-    minus = solve_in_pairing_windows(system.H_minus, energies("plus", plus), PAIR_TOL,
-                                     grid if "minus" in states else None)
+    plus = system.H_plus.eigh(0, k - 1)
+    minus = solve_in_pairing_windows(system.H_minus, plus.values, PAIR_TOL)
     if minus is None:  # pairing failed: only the blind solve names the level
-        minus = blind(system.H_minus, "minus")
-    report = pair_partner_levels(energies("plus", plus), energies("minus", minus), PAIR_TOL)
-    nonzero = (
-        [p for p in solved if p.energy >= EPS0] if side in states else None
-        for side, solved in (("plus", plus), ("minus", minus))
-    )
-    return system, *nonzero, report
+        minus = system.H_minus.eigh(0, k - 1)
+    report = pair_partner_levels(plus.values, minus.values, PAIR_TOL)
+    return system, plus, minus, report
+
+
+def _nonzero_states(solved, grid):
+    """EigenPairs of one solved side above the zero-mode threshold, ascending."""
+    return [p for p in eigenstates(solved, grid) if p.energy >= EPS0]
 
 
 def _zero_mode_residual(system):
@@ -350,7 +340,8 @@ def run_entangle(cfg, outdir, fmt):
             f"exceeds the cap of {SWEEP_MAX_ROWS} rows"
         )
 
-    _, plus_nz, minus_nz, _ = _solve_both_sides(W, grid, level, ("plus", "minus"))
+    _, plus, minus, _ = _solve_both_sides(W, grid, level)
+    plus_nz, minus_nz = _nonzero_states(plus, grid), _nonzero_states(minus, grid)
     if level > min(len(plus_nz), len(minus_nz)):
         raise ConfigError(f"level {level} outside the solved band of {min(len(plus_nz), len(minus_nz))} paired levels")
     pp = plus_nz[level - 1]
@@ -383,8 +374,8 @@ def run_supercharge(cfg, outdir, fmt):
     grid = _parse_grid(cfg)
     levels = _parse_levels(cfg, grid)
 
-    system, plus_nz, _, _ = _solve_both_sides(W, grid, levels, ("plus",))
-    solved = plus_nz[:levels]
+    system, plus, _, _ = _solve_both_sides(W, grid, levels)
+    solved = _nonzero_states(plus, grid)[:levels]
     violations = []
     rows = []  # (index, energy, family, sign, residual, concurrence)
     for i, pp in enumerate(solved, start=1):
@@ -462,7 +453,8 @@ def run_verify(cfg, outdir, fmt):
     grid = _parse_grid(cfg)
     levels = _parse_levels(cfg, grid)
 
-    system, plus_nz, minus_nz, report = _solve_both_sides(W, grid, levels, ("plus", "minus"))
+    system, plus, minus, report = _solve_both_sides(W, grid, levels)
+    plus_nz, minus_nz = _nonzero_states(plus, grid), _nonzero_states(minus, grid)
     checks = []
 
     def check(name, value, bound):

@@ -12,7 +12,6 @@ __all__ = [
     "IndeterminateSignError",
     "ConfigError",
     "GridMismatchError",
-    "ZeroNormError",
 ]
 
 
@@ -46,7 +45,3 @@ class ConfigError(SusyQMError):
 
 class GridMismatchError(SusyQMError, ValueError):
     """Operands live on different grids."""
-
-
-class ZeroNormError(SusyQMError, ValueError):
-    """Cannot normalize a zero vector."""

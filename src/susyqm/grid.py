@@ -10,15 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, ZeroNormError
+from .errors import GridMismatchError
 
 __all__ = [
     "Grid",
     "Wavefunction",
     "make_grid",
     "inner_product",
-    "norm",
-    "normalize",
     "fix_phase",
 ]
 
@@ -88,10 +86,6 @@ def inner_product(f: Wavefunction, g: Wavefunction) -> complex:
     return complex(np.vdot(f.amplitudes, g.amplitudes) * f.grid.dx)
 
 
-def norm(f: Wavefunction) -> float:
-    return float(np.sqrt(np.real(np.vdot(f.amplitudes, f.amplitudes)) * f.grid.dx))
-
-
 def fix_phase(amplitudes: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the largest-modulus entry is real positive.
 
@@ -105,12 +99,4 @@ def fix_phase(amplitudes: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(amplitudes):
         return amplitudes * (np.conj(pivot) / abs(pivot))
     return amplitudes if pivot > 0 else -amplitudes
-
-
-def normalize(f: Wavefunction) -> Wavefunction:
-    """Unit dx-weighted norm plus the deterministic phase convention."""
-    n = norm(f)
-    if n == 0.0 or not np.isfinite(n):
-        raise ZeroNormError("cannot normalize state with zero or non-finite norm")
-    return Wavefunction(f.grid, fix_phase(f.amplitudes / n))
 

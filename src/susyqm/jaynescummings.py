@@ -167,14 +167,6 @@ class JCAlgebraReport:
     truncation_corner_deviation: float
     comm_n_exc_h: float
 
-    def max_guarded_deviation(self) -> float:
-        return max(
-            self.q1_sq_minus_q2_sq,
-            self.anti_q1_q2,
-            self.comm_q_h0_guarded,
-            self.anti_sz_q,
-        )
-
 
 def _diagonal(values) -> np.ndarray:
     out = np.zeros((3, np.size(values)))
@@ -355,7 +347,7 @@ def numeric_vs_analytic(
         )
     omega, gamma = sys.omega, sys.gamma
     n_max, g = sys.fock.n_max, sys.fock.guard_n_max
-    evals = H.eigh(0, 2 * n_max + 1, eigvals_only=True)
+    evals = H.eigh(0, 2 * n_max + 1).values
 
     # closed-form levels in excitation order: ground, (minus, plus) of each
     # doublet n, top singleton; E_num[k] is the numeric match of level k

@@ -15,7 +15,8 @@ and H- are exactly isospectral on nonzero eigenvalues as a matrix-level
 theorem, not just in the dx -> 0 limit. No operator is ever held as an n x n
 array; `to_dense()` exists only for small-n test oracles. LAPACK bisection on
 the bands is the package's one eigensolver: `Tridiagonal.eigh` selects its
-eigenvalues by index, `Tridiagonal.eigh_windows` by value windows. Its two
+eigenvalues by index, `Tridiagonal.eigh_windows` by value windows, and both
+return a `Bisection`, whose eigenvectors are formed only when asked for. Its two
 routines, `dstebz` and `dstein`, are scipy's compiled LAPACK wrappers, loaded
 straight from scipy's `linalg/_flapack` extension file: importing
 `scipy.linalg` itself would pull in scipy's array-API layer and more than
@@ -50,6 +51,7 @@ from .superpotentials import Superpotential
 __all__ = [
     "Bidiagonal",
     "Tridiagonal",
+    "Bisection",
     "SusySystem",
     "build_annihilator",
     "build_susy_system",
@@ -180,97 +182,31 @@ class Tridiagonal(_Banded):
     def T(self) -> "Tridiagonal":
         return self
 
-    def eigh(self, lo, hi, tol=1e-300, eigvals_only=False):
-        """Eigenvalues lo..hi, ascending, and their eigenvectors (columns).
+    def eigh(self, lo, hi, tol=1e-300) -> "Bisection":
+        """Eigenvalues lo..hi (0 <= lo <= hi < n), ascending; eigenvectors on request.
 
         The default tol, well under any eigenvalue gap, converges to machine
         width; tol = 0 stops at LAPACK's eps * ||T||.
         """
-        _, *out = self._bisect([(_BY_INDEX, 0.0, 1.0, lo + 1, hi + 1)], tol, eigvals_only)
-        return out[0] if eigvals_only else tuple(out)
+        if not 0 <= lo <= hi < self.diag.size:
+            raise ValueError(f"eigenvalue indices {lo}..{hi} outside 0..{self.diag.size - 1}")
+        return Bisection(self, [(_BY_INDEX, 0.0, 1.0, lo + 1, hi + 1)], tol)
 
-    def eigh_windows(self, windows, tol=1e-300, eigvals_only=False):
-        """Eigenvalues in each half-open window (a, b], and their eigenvectors.
+    def eigh_windows(self, windows, tol=1e-300) -> "Bisection":
+        """Eigenvalues in each half-open window (a, b], ascending; eigenvectors on request.
 
         `windows` is a sequence of (a, b) with a < b, ascending and disjoint,
-        so the eigenvalues come out ascending. Returns the number found in
-        each window, the eigenvalues and, unless eigvals_only, their
-        eigenvectors (columns) from one inverse iteration over all windows,
-        which reorthogonalises within a cluster as `eigh` does. tol as in
-        `eigh`; tol = inf stops at once, so only the counts are exact. A
-        window may start at -inf, where bisection starts at LAPACK's own
-        Gershgorin bound.
+        so the eigenvalues come out ascending, and `counts` holds the number
+        found in each window. The eigenvectors of all windows come from one
+        inverse iteration, which reorthogonalises within a cluster as for
+        `eigh`. tol as in `eigh`; tol = inf stops at once, so only the counts
+        are exact. A window may start at -inf, where bisection starts at
+        LAPACK's own Gershgorin bound.
         """
         bounds = np.array(windows, dtype=float).reshape(-1, 2)
         if np.any(bounds[:, 0] >= bounds[:, 1]) or np.any(bounds[1:, 0] < bounds[:-1, 1]):
             raise ValueError("windows must be non-empty, ascending and disjoint")
-        return self._bisect([(_BY_VALUE, a, b, 0, 0) for a, b in bounds.tolist()],
-                            tol, eigvals_only)
-
-    def _bisect(self, selections, tol, eigvals_only):
-        """The package's one eigensolver: LAPACK bisection (stebz) on the bands.
-
-        One stebz call per selection (LAPACK range code, vl, vu, il, iu), then
-        one stein call for the eigenvectors of all of them. Bands beyond
-        _BAND_MAX are scaled by a power of two first, which is exact, so the
-        squares in the Sturm count stay finite; value bounds scale with them.
-        On a near multiple of the identity, stebz may find the Gershgorin
-        interval of an index selection too small and compute nothing (info
-        2); that selection is redone over all eigenvalues, keeping il..iu.
-        There stein may also fail to converge (info > 0). Then bisection and
-        stein are redone on the bands with the diagonal shifted by its median
-        sigma: the shift keeps every eigenvector and brings the diagonal down
-        to the scale of its spread, where the shifted eigenvalues are resolved
-        again. The eigenvalues returned are always those of the unshifted
-        bisection.
-        Returns the count per selection, the eigenvalues and, unless
-        eigvals_only, the eigenvectors.
-        """
-        big = max(np.max(np.abs(self.diag)), np.max(np.abs(self.off), initial=0.0))
-        exp = int(np.frexp(big)[1]) if big > _BAND_MAX else 0
-        d, e = np.ldexp(self.diag, -exp), np.ldexp(self.off, -exp)
-        if not e.size:  # the wrappers take max(n - 1, 1) entries; LAPACK reads none at n = 1
-            e = np.zeros(1)
-        order = "E" if eigvals_only else "B"  # stein takes eigenvalues by block
-
-        def bisect(d, shift):
-            """Counts, eigenvalues, their blocks and isplit of the bands (d, e)."""
-            counts, values, blocks = [], [], []
-            for rng, vl, vu, il, iu in selections:
-                m, w, iblock, isplit, info = _STEBZ(
-                    d, e, rng, np.ldexp(vl, -exp) - shift, np.ldexp(vu, -exp) - shift,
-                    il, iu, float(tol), order)
-                keep = slice(m)
-                if info == 2:  # an index selection whose Gershgorin interval was too small
-                    m, w, iblock, isplit, info = _STEBZ(d, e, _ALL, 0.0, 0.0, 0, 0, float(tol), order)
-                    keep = np.argsort(w[:m], kind="stable")[il - 1:iu]
-                if info != 0:
-                    raise np.linalg.LinAlgError(f"stebz failed (info = {info})")
-                values.append(w[keep].copy())  # a view would keep all n entries alive
-                blocks.append(iblock[keep].copy())
-                counts.append(values[-1].size)
-            return counts, np.concatenate(values), np.concatenate(blocks), isplit
-
-        def stein(d, w, blocks, isplit):
-            """Eigenvectors of the bands (d, e) for w, columns in ascending order of w."""
-            by_block = np.lexsort((w, blocks))
-            iblock = np.zeros(d.size, dtype=blocks.dtype)  # stein reads n entries
-            iblock[:w.size] = blocks[by_block]
-            v, info = _STEIN(d, e, w[by_block], iblock, isplit)
-            return v[:, np.argsort(w[by_block])], info
-
-        counts, w, blocks, isplit = bisect(d, 0.0)
-        if eigvals_only:
-            return counts, np.ldexp(w, exp)
-        v, info = stein(d, w, blocks, isplit)
-        if info > 0:  # inverse iteration stalled on nearly equal eigenvalues
-            sigma = np.median(d)
-            shifted_counts, *shifted = bisect(d - sigma, sigma)
-            if shifted_counts == counts:
-                v, info = stein(d - sigma, *shifted)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"stein: {info} eigenvectors failed to converge")
-        return counts, np.ldexp(np.sort(w), exp), v
+        return Bisection(self, [(_BY_VALUE, a, b, 0, 0) for a, b in bounds.tolist()], tol)
 
     def __matmul__(self, v):
         v = self._vector(v)
@@ -281,6 +217,95 @@ class Tridiagonal(_Banded):
 
     def to_dense(self) -> np.ndarray:
         return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
+
+
+class Bisection:
+    """The package's one eigensolver: LAPACK bisection (stebz) on a Tridiagonal's bands.
+
+    Read-only result of `Tridiagonal.eigh` and `Tridiagonal.eigh_windows`:
+    `counts` holds the number of eigenvalues found per selection and
+    `values` all of them, ascending. `vectors()` forms their eigenvectors by
+    inverse iteration (stein) on the stebz output held here; no other code
+    runs stein, so an eigenvector exists only where a caller asks for it.
+
+    One stebz call per selection (LAPACK range code, vl, vu, il, iu), in
+    block order, as stein takes them. Bands beyond _BAND_MAX are scaled by a
+    power of two first, which is exact, so the squares in the Sturm count
+    stay finite; value bounds scale with them. On a near multiple of the
+    identity, stebz may find the Gershgorin interval of an index selection
+    too small and compute nothing (info 2); that selection is redone over
+    all eigenvalues, keeping il..iu.
+    """
+
+    __slots__ = ("counts", "values", "_d", "_e", "_selections", "_tol", "_found")
+
+    def __init__(self, T: Tridiagonal, selections, tol):
+        big = max(np.max(np.abs(T.diag)), np.max(np.abs(T.off), initial=0.0))
+        exp = int(np.frexp(big)[1]) if big > _BAND_MAX else 0
+        d, e = np.ldexp(T.diag, -exp), np.ldexp(T.off, -exp)
+        if not e.size:  # the wrappers take max(n - 1, 1) entries; LAPACK reads none at n = 1
+            e = np.zeros(1)
+        selections = [(rng, np.ldexp(vl, -exp), np.ldexp(vu, -exp), il, iu)
+                      for rng, vl, vu, il, iu in selections]
+        for name, value in (("_d", d), ("_e", e), ("_selections", selections),
+                            ("_tol", float(tol))):
+            object.__setattr__(self, name, value)
+        counts, w, blocks, isplit = self._bisect(d, 0.0)
+        values = np.ldexp(np.sort(w), exp)
+        values.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_found", (w, blocks, isplit))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def vectors(self) -> np.ndarray:
+        """Eigenvectors of `values`, as columns in the same order, by inverse iteration.
+
+        stein may fail to converge on nearly equal eigenvalues (info > 0).
+        Then bisection and stein are redone on the bands with the diagonal
+        shifted by its median sigma: the shift keeps every eigenvector and
+        brings the diagonal down to the scale of its spread, where the
+        shifted eigenvalues are resolved again. `values` stay those of the
+        unshifted bisection.
+        """
+        d = self._d
+        v, info = self._stein(d, *self._found)
+        if info > 0:
+            sigma = np.median(d)
+            counts, *shifted = self._bisect(d - sigma, sigma)
+            if counts == self.counts:
+                v, info = self._stein(d - sigma, *shifted)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"stein: {info} eigenvectors failed to converge")
+        return v
+
+    def _bisect(self, d, shift):
+        """Counts, eigenvalues, their blocks and isplit of the bands (d, e), bounds shifted."""
+        counts, values, blocks = [], [], []
+        for rng, vl, vu, il, iu in self._selections:
+            m, w, iblock, isplit, info = _STEBZ(d, self._e, rng, vl - shift, vu - shift,
+                                                il, iu, self._tol, "B")
+            keep = slice(m)
+            if info == 2:  # an index selection whose Gershgorin interval was too small
+                m, w, iblock, isplit, info = _STEBZ(d, self._e, _ALL, 0.0, 0.0, 0, 0,
+                                                    self._tol, "B")
+                keep = np.argsort(w[:m], kind="stable")[il - 1:iu]
+            if info != 0:
+                raise np.linalg.LinAlgError(f"stebz failed (info = {info})")
+            values.append(w[keep].copy())  # a view would keep all n entries alive
+            blocks.append(iblock[keep].copy())
+            counts.append(values[-1].size)
+        return tuple(counts), np.concatenate(values), np.concatenate(blocks), isplit
+
+    def _stein(self, d, w, blocks, isplit):
+        """Eigenvectors of the bands (d, e) for w, columns in ascending order of w."""
+        by_block = np.lexsort((w, blocks))
+        iblock = np.zeros(d.size, dtype=blocks.dtype)  # stein reads n entries
+        iblock[:w.size] = blocks[by_block]
+        v, info = _STEIN(d, self._e, w[by_block], iblock, isplit)
+        return v[:, np.argsort(w[by_block])], info
 
 
 def build_annihilator(W: Superpotential, grid: Grid) -> Bidiagonal:

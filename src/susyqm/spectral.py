@@ -3,14 +3,15 @@
 Solving, degeneracy pairing, the zero mode, and the intertwining map from H+
 to H- eigenstates. Every Hamiltonian here is a symmetric Tridiagonal, solved
 on its bands by LAPACK bisection; there is no dense eigensolver.
-`solve_spectrum` takes the k lowest levels blind (`Tridiagonal.eigh`).
-`solve_in_pairing_windows` takes H- only inside the windows its partner H+
-levels define (`Tridiagonal.eigh_windows`), about a third of the Sturm
+`solve_in_pairing_windows` bisects H- only inside the windows its partner
+H+ levels define (`Tridiagonal.eigh_windows`), about a third of the Sturm
 sweeps, and reports by returning None when the windows fail to hold exactly
-the k lowest H- levels. The zero mode is read off the stored bands of B, so this module
-holds no copy of B's stencil. Energies below EPS0 = 1e-10 count as zero
-modes; the division by sqrt(E) in the intertwining map is guarded by the
-same threshold.
+the k lowest H- levels. `eigenstates` forms the eigenpairs of a bisection
+result; `solve_spectrum` is the blind solve of the k lowest levels
+(`Tridiagonal.eigh`) followed by it. The zero mode is read off the stored
+bands of B, so this module holds no copy of B's stencil. Energies below
+EPS0 = 1e-10 count as zero modes; the division by sqrt(E) in the
+intertwining map is guarded by the same threshold.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DegeneracyError, SignConditionError
 from .grid import Grid, Wavefunction, fix_phase, inner_product
-from .operators import SusySystem, Tridiagonal, check_sign_condition
+from .operators import Bisection, SusySystem, Tridiagonal, check_sign_condition
 
 __all__ = [
     "EPS0",
@@ -29,6 +30,7 @@ __all__ = [
     "LevelPair",
     "DegeneracyReport",
     "solve_spectrum",
+    "eigenstates",
     "solve_in_pairing_windows",
     "pair_partner_levels",
     "zero_mode",
@@ -48,28 +50,27 @@ class EigenPair:
 
 
 def solve_spectrum(H: Tridiagonal, k: int, grid: Grid):
-    """k lowest eigenpairs of a symmetric tridiagonal H on `grid`, ascending.
+    """k lowest eigenpairs of a symmetric tridiagonal H on `grid`, ascending."""
+    return eigenstates(H.eigh(0, k - 1), grid)
 
-    Bisection on the bands resolves the near-kernel eigenvalue at machine
-    scale instead of the ~eps*||H|| blur of the generic drivers; the work is
-    O(n) per eigenpair. Deterministic: fixed driver, fixed phase fix.
+
+def eigenstates(solved: Bisection, grid: Grid):
+    """The EigenPairs of a bisection result on `grid`, ascending.
+
+    Here the eigenvectors are formed (`Bisection.vectors`), each phase-fixed
+    and scaled to unit dx-weighted norm. Bisection on the bands resolves the
+    near-kernel eigenvalue at machine scale instead of the ~eps*||H|| blur
+    of the generic drivers; the work is O(n) per eigenpair. Deterministic:
+    fixed driver, fixed phase fix.
     """
-    n = H.shape[0]
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k = {k} out of range [1, {n}]")
-    return _eigenpairs(*H.eigh(0, k - 1), grid)
-
-
-def _eigenpairs(energies, vectors, grid):
+    vectors = solved.vectors()
     return [
         EigenPair(float(e), Wavefunction(grid, fix_phase(vectors[:, j]) / np.sqrt(grid.dx)))
-        for j, e in enumerate(energies)
+        for j, e in enumerate(solved.values)
     ]
 
 
-def solve_in_pairing_windows(H_minus: Tridiagonal, plus_energies, tol: float,
-                             grid: Optional[Grid] = None):
+def solve_in_pairing_windows(H_minus: Tridiagonal, plus_energies, tol: float):
     """The H- levels that pair with the H+ levels, solved only where they must lie.
 
     `plus_energies` are the k lowest H+ levels, ascending, with one below
@@ -79,13 +80,13 @@ def solve_in_pairing_windows(H_minus: Tridiagonal, plus_energies, tol: float,
     e >= EPS0, each clipped to start where the previous one ends. H+ only
     decides where to look: the result stands only if every window holds
     exactly one level and a loose count of the H- levels up to e_top + tol
-    equals the number found, so no H- level lies between windows. The list
-    is then the k lowest H- levels, as `Tridiagonal.eigh` finds them blind,
-    to the last ulp or two, and goes to `pair_partner_levels` unchanged.
+    equals the number found, so no H- level lies between windows. Its
+    values are then the k lowest H- levels, as `Tridiagonal.eigh` finds them
+    blind, to the last ulp or two, and go to `pair_partner_levels` unchanged;
+    its eigenvectors come from one inverse iteration over all windows.
 
-    Returns the k energies, ascending, or, with a `grid`, their EigenPairs
-    (one inverse iteration over all windows). Returns None when any count
-    fails: pairing has failed, and only a blind solve can name the level.
+    Returns the windows' Bisection, or None when any count fails: pairing
+    has failed, and only a blind solve can name the level.
     """
     plus = np.asarray(plus_energies, dtype=float)
     windows = [(-np.inf, EPS0)]
@@ -94,14 +95,11 @@ def solve_in_pairing_windows(H_minus: Tridiagonal, plus_energies, tol: float,
     if len(windows) != plus.size or any(a >= b for a, b in windows):
         return None
     # an infinite tol stops the bisection at once: only the count is read
-    (total,), _ = H_minus.eigh_windows([(-np.inf, windows[-1][1])], tol=np.inf,
-                                       eigvals_only=True)
+    (total,) = H_minus.eigh_windows([(-np.inf, windows[-1][1])], tol=np.inf).counts
     if total != len(windows):
         return None
-    counts, *found = H_minus.eigh_windows(windows, eigvals_only=grid is None)
-    if any(c != 1 for c in counts):
-        return None
-    return found[0] if grid is None else _eigenpairs(*found, grid)
+    found = H_minus.eigh_windows(windows)
+    return found if all(c == 1 for c in found.counts) else None
 
 
 @dataclass(frozen=True)
@@ -248,7 +246,7 @@ def operator_norm(H: Tridiagonal) -> float:
     width. For H+- the bound stays far above -hi.
     """
     n = H.shape[0]
-    hi = H.eigh(n - 1, n - 1, tol=0.0, eigvals_only=True)[0]
+    hi = H.eigh(n - 1, n - 1, tol=0.0).values[0]
     e = np.abs(H.off)
     radius = np.zeros(n)
     radius[:-1] += e
@@ -260,5 +258,5 @@ def operator_norm(H: Tridiagonal) -> float:
     lower = low - 2.0 * widen
     if -hi <= lower < 0.0:
         return float(abs(hi))
-    lo = H.eigh(0, 0, tol=0.0, eigvals_only=True)[0]
+    lo = H.eigh(0, 0, tol=0.0).values[0]
     return float(max(abs(lo), abs(hi)))

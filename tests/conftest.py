@@ -2,10 +2,11 @@
 dense small-n oracles of the 2n x 2n SUSY operators and of the
 Jaynes-Cummings algebra report and level match, the oracles that no code
 in the package calls (the blockwise supercharge action and its eigen-relation
-residual, the H- to H+ intertwining map, the sampled zero-mode
-profile, the zero mode rebuilt from W, the closed-form Jaynes-Cummings
-eigenstates and the entangle sweep one full-grid state at a time), and a
-tracemalloc peak probe.
+residual, the H- to H+ intertwining map, the dx-weighted norm and
+normalization of a wavefunction, the sampled zero-mode profile, the zero
+mode rebuilt from W, the guarded maximum of the Jaynes-Cummings algebra
+report, the closed-form Jaynes-Cummings eigenstates and the entangle sweep
+one full-grid state at a time), and a tracemalloc peak probe.
 
 Everything here is session-scoped; building a 2001-point system and solving
 both partners takes a noticeable fraction of a second, and many tests share
@@ -88,15 +89,16 @@ def entangle_sweep_oracle():
     """Rows of the `entangle` report, one full-grid state at a time.
 
     The level pair comes from the command's own solve
-    (`cli._solve_both_sides`), since the rows check the batch route, not the
-    eigensolver. Each (|c1|, phase) state is then built as
+    (`cli._solve_both_sides`, `cli._nonzero_states`), since the rows check
+    the batch route, not the eigensolver. Each (|c1|, phase) state is then built as
     c1 psi+ |up> + c2 psi- |down> on all n nodes with weight dx and analyzed
     alone: no two-mode reduction and no batch axis. Rows come in the
     command's order (|c1| outer, phase inner) and column order.
     """
     def rows(W, grid, level=1, c1_points=21, phase_points=8):
-        _, plus_nz, minus_nz, _ = cli._solve_both_sides(W, grid, level, ("plus", "minus"))
-        pp, mm = plus_nz[level - 1], minus_nz[level - 1]
+        _, plus, minus, _ = cli._solve_both_sides(W, grid, level)
+        pp = cli._nonzero_states(plus, grid)[level - 1]
+        mm = cli._nonzero_states(minus, grid)[level - 1]
         overlap = sq.inner_product(pp.state, mm.state)
         out = []
         for c1 in np.linspace(0.0, 1.0, c1_points):
@@ -123,6 +125,31 @@ def jc_default():
 @pytest.fixture(scope="session")
 def jc_match(jc_default):
     return sq.numeric_vs_analytic(jc_default)
+
+
+@pytest.fixture(scope="session")
+def max_guarded_deviation():
+    """Largest of the algebra report's identities restricted to the guard band."""
+    def deviation(alg):
+        return max(alg.q1_sq_minus_q2_sq, alg.anti_q1_q2, alg.comm_q_h0_guarded,
+                   alg.anti_sz_q)
+    return deviation
+
+
+@pytest.fixture(scope="session")
+def norm():
+    """dx-weighted norm of a wavefunction."""
+    def value(f):
+        return float(np.sqrt(np.real(np.vdot(f.amplitudes, f.amplitudes)) * f.grid.dx))
+    return value
+
+
+@pytest.fixture(scope="session")
+def normalize(norm):
+    """The wavefunction at unit dx-weighted norm with the package's phase convention."""
+    def unit(f):
+        return sq.Wavefunction(f.grid, sq.fix_phase(f.amplitudes / norm(f)))
+    return unit
 
 
 @pytest.fixture(scope="session")

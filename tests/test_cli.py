@@ -576,34 +576,58 @@ class TestPairingWindows:
     def blind_verdict(self, system, levels):
         k = levels + 1
         with pytest.raises(sq.DegeneracyError) as exc:
-            sq.pair_partner_levels(system.H_plus.eigh(0, k - 1, eigvals_only=True),
-                                   system.H_minus.eigh(0, k - 1, eigvals_only=True),
+            sq.pair_partner_levels(system.H_plus.eigh(0, k - 1).values,
+                                   system.H_minus.eigh(0, k - 1).values,
                                    cli.PAIR_TOL)
         return str(exc.value)
 
-    def spy_blind_solves(self, monkeypatch):
+    @staticmethod
+    def spy(monkeypatch, owner, name):
+        """Calls of owner.name as (object, positional arguments...), results unchanged."""
         calls = []
-        eigh = sq.Tridiagonal.eigh
+        method = getattr(owner, name)
 
-        def spy(H, lo, hi, *args, **kwargs):
-            calls.append((H, lo, hi))
-            return eigh(H, lo, hi, *args, **kwargs)
-        monkeypatch.setattr(sq.Tridiagonal, "eigh", spy)
+        def spy(obj, *args, **kwargs):
+            calls.append((obj, *args))
+            return method(obj, *args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
         return calls
 
-    @pytest.mark.parametrize("states", ((), ("plus",), ("plus", "minus")))
+    # the sides whose eigenstates a command reads -> the commands that read them
+    READERS = {(): ("spectrum",), ("plus",): ("supercharge",),
+               ("plus", "minus"): ("entangle", "verify")}
+
+    @pytest.mark.parametrize("states", tuple(READERS))
     @pytest.mark.parametrize("name", W_NAMES)
-    def test_blind_minus_solve_skipped_when_pairing_holds(self, monkeypatch, name, states):
-        calls = self.spy_blind_solves(monkeypatch)
-        system, *_ = cli._solve_both_sides(sq.get_superpotential(name), self.GRID, 6, states)
-        # the one blind solve is H+'s; H- only goes through its windows
-        assert calls == [(system.H_plus, 0, 6)]
+    def test_blind_minus_solve_skipped_when_pairing_holds(self, tmp_path, monkeypatch,
+                                                          name, states):
+        for command in self.READERS[states]:
+            solved = []  # what the command's own solve returned
+            solve = cli._solve_both_sides
+            monkeypatch.setattr(cli, "_solve_both_sides",
+                                lambda *args: solved.append(solve(*args)) or solved[-1])
+            calls = self.spy(monkeypatch, sq.Tridiagonal, "eigh")
+            stein = self.spy(monkeypatch, sq.Bisection, "vectors")
+            payload = {"command": command, "superpotential": {"name": name},
+                       "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 1001},
+                       "level" if command == "entangle" else "levels": 6}
+            cli.main(["--config", write_config(tmp_path, payload), "--out", str(tmp_path)])
+            monkeypatch.undo()
+            ((system, plus, minus, _),) = solved
+            # the one blind solve is H+'s; H- only goes through its windows.
+            # spectrum and verify also bisect H-'s top level for its norm
+            n = self.GRID.n_points
+            norm = [(system.H_minus, n - 1, n - 1)] if command in ("spectrum", "verify") else []
+            assert calls == [(system.H_plus, 0, 6), *norm], command
+            # inverse iteration runs once on each side whose eigenstates are read
+            sides = {"plus": plus, "minus": minus}
+            assert stein == [(sides[side],) for side in states], command
 
     def test_shifted_levels_empty_the_windows(self, monkeypatch):
         # every H- level 1e-9 up: no window holds its level, and the blind
         # solve names the first H+ level without a partner, as it always has
         mutate_minus(monkeypatch, lambda H: sq.Tridiagonal(H.diag + 1e-9, H.off))
-        calls = self.spy_blind_solves(monkeypatch)
+        calls = self.spy(monkeypatch, sq.Tridiagonal, "eigh")
         W = sq.get_superpotential("harmonic")
         with pytest.raises(sq.DegeneracyError) as exc:
             cli._solve_both_sides(W, self.GRID, 6)
@@ -616,15 +640,14 @@ class TestPairingWindows:
         # one decoupled H- level halfway between the 3rd and 4th H+ levels:
         # every window still holds exactly one level, only the count sees it
         W = sq.get_superpotential("harmonic")
-        plus = cli.build_susy_system(W, self.GRID).H_plus.eigh(0, 6, eigvals_only=True)
+        plus = cli.build_susy_system(W, self.GRID).H_plus.eigh(0, 6).values
         stray = float(plus[3] + plus[4]) / 2.0
         mutate_minus(monkeypatch, lambda H: sq.Tridiagonal(np.append(H.diag, stray),
                                                             np.append(H.off, 0.0)))
         system = cli.build_susy_system(W, self.GRID)
-        counts, _ = system.H_minus.eigh_windows(
-            [(-np.inf, cli.EPS0)] + [(e - cli.PAIR_TOL, e + cli.PAIR_TOL) for e in plus[1:]],
-            eigvals_only=True)
-        assert counts == [1] * 7
+        found = system.H_minus.eigh_windows(
+            [(-np.inf, cli.EPS0)] + [(e - cli.PAIR_TOL, e + cli.PAIR_TOL) for e in plus[1:]])
+        assert found.counts == (1,) * 7
         with pytest.raises(sq.DegeneracyError) as exc:
             cli._solve_both_sides(W, self.GRID, 6)
         assert str(exc.value) == self.blind_verdict(system, 6)

@@ -173,8 +173,8 @@ def alg(jc_default):
 
 
 class TestAlgebraReport:
-    def test_guarded_identities(self, alg):
-        assert alg.max_guarded_deviation() <= 1e-12
+    def test_guarded_identities(self, alg, max_guarded_deviation):
+        assert max_guarded_deviation(alg) <= 1e-12
 
     def test_exact_structural_identities(self, alg):
         assert alg.anti_sz_q == 0.0
@@ -191,9 +191,9 @@ class TestAlgebraReport:
         # [Q, H0] = 0 holds on the whole truncated space, not just the guard band
         assert alg.comm_q_h0_full <= 1e-12
 
-    def test_zero_coupling_algebra(self):
+    def test_zero_coupling_algebra(self, max_guarded_deviation):
         alg = sq.verify_susy_algebra(sq.build_jc(1.0, 0.0, 16))
-        assert alg.max_guarded_deviation() <= 1e-12
+        assert max_guarded_deviation(alg) <= 1e-12
         assert alg.comm_q_h0_full <= 1e-12
 
     @pytest.mark.parametrize("gamma", (0.1, 0.0))

@@ -89,21 +89,27 @@ class TestTridiagonalWindows:
 
     def test_counts_values_and_vectors_per_window(self):
         T = sq.Tridiagonal([3.0, 1.0, 2.0, 5.0], [0.0, 0.0, 0.0])
-        counts, values, vectors = T.eigh_windows([(0.0, 1.5), (1.5, 2.5), (2.5, 2.9), (2.9, 5.0)])
-        assert counts == [1, 1, 0, 2]
-        assert values.tolist() == [1.0, 2.0, 3.0, 5.0]
-        assert np.array_equal(np.abs(vectors), np.eye(4)[:, [1, 2, 0, 3]])
+        found = T.eigh_windows([(0.0, 1.5), (1.5, 2.5), (2.5, 2.9), (2.9, 5.0)])
+        assert found.counts == (1, 1, 0, 2)
+        assert found.values.tolist() == [1.0, 2.0, 3.0, 5.0]
+        assert np.array_equal(np.abs(found.vectors()), np.eye(4)[:, [1, 2, 0, 3]])
+        with pytest.raises(ValueError):
+            found.values[0] = 0.0
+        with pytest.raises(AttributeError):
+            found.counts = (4,)
 
     def test_windows_agree_with_index_selection(self):
         rng = np.random.default_rng(11)
         T = sq.Tridiagonal(rng.normal(size=60), rng.normal(size=59))
-        blind, blind_vectors = T.eigh(0, 59)
+        solved = T.eigh(0, 59)
+        blind = solved.values
         cuts = (blind[:-1] + blind[1:]) / 2.0
         bounds = np.concatenate([[blind[0] - 1.0], cuts, [blind[-1] + 1.0]])
-        counts, values, vectors = T.eigh_windows(np.column_stack([bounds[:-1], bounds[1:]]))
-        assert counts == [1] * 60
-        assert np.max(np.abs(values - blind)) <= 4 * np.finfo(float).eps * np.max(np.abs(blind))
-        assert np.min(np.abs(np.sum(vectors * blind_vectors, axis=0))) >= 1.0 - 1e-12
+        found = T.eigh_windows(np.column_stack([bounds[:-1], bounds[1:]]))
+        assert found.counts == (1,) * 60
+        assert np.max(np.abs(found.values - blind)) <= 4 * np.finfo(float).eps * np.max(np.abs(blind))
+        overlaps = np.sum(found.vectors() * solved.vectors(), axis=0)
+        assert np.min(np.abs(overlaps)) >= 1.0 - 1e-12
 
     def test_infinite_tol_still_counts_exactly(self):
         # a window from -inf starts at LAPACK's Gershgorin bound, which the
@@ -111,12 +117,11 @@ class TestTridiagonalWindows:
         rng = np.random.default_rng(12)
         for T in (sq.Tridiagonal(rng.normal(size=50), rng.normal(size=49)),
                   sq.Tridiagonal(np.r_[1.0, 2.0 * np.ones(48), 1.0], -np.ones(49))):
-            evals = T.eigh(0, 49, eigvals_only=True)
+            evals = T.eigh(0, 49).values
             hi = (evals[29] + evals[30]) / 2.0
-            (count,), _ = T.eigh_windows([(-np.inf, hi)], tol=np.inf, eigvals_only=True)
-            assert count == 30
-            (lowest,), values = T.eigh_windows([(-np.inf, evals[0] + 1e-6)], eigvals_only=True)
-            assert lowest == 1 and abs(values[0] - evals[0]) <= 1e-14
+            assert T.eigh_windows([(-np.inf, hi)], tol=np.inf).counts == (30,)
+            lowest = T.eigh_windows([(-np.inf, evals[0] + 1e-6)])
+            assert lowest.counts == (1,) and abs(lowest.values[0] - evals[0]) <= 1e-14
 
     @pytest.mark.parametrize("windows", ([(1.0, 1.0)], [(0.0, 2.0), (1.0, 3.0)],
                                          [(2.0, 3.0), (0.0, 1.0)]))
@@ -132,8 +137,16 @@ class TestTridiagonalIndexSelection:
     def test_one_by_one(self):
         T = sq.Tridiagonal([2.0], [])
         assert sq.operator_norm(T) == 2.0
-        values, vectors = T.eigh(0, 0)
-        assert values.tolist() == [2.0] and vectors.tolist() == [[1.0]]
+        solved = T.eigh(0, 0)
+        assert solved.values.tolist() == [2.0] and solved.vectors().tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("lo, hi", ((0, 3), (2, 1), (-1, 1)))
+    def test_indices_outside_the_matrix_rejected(self, capfd, lo, hi):
+        # before LAPACK is called: its error handler would print to stdout
+        T = sq.Tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match=f"indices {lo}..{hi} outside 0..2"):
+            T.eigh(lo, hi)
+        assert capfd.readouterr() == ("", "")
 
     def test_near_multiples_of_the_identity(self):
         # stebz finds the Gershgorin interval of some of these index
@@ -161,7 +174,7 @@ class TestTridiagonalIndexSelection:
             bound = (n + 6) * eps * np.max(np.abs(T.diag) + radius)
             dense = np.linalg.eigvalsh(T.to_dense())
             for lo, hi in ((0, n - 1), (0, 0), (n - 1, n - 1)):
-                got = T.eigh(lo, hi, tol=0.0, eigvals_only=True)
+                got = T.eigh(lo, hi, tol=0.0).values
                 m, w, *_, info = operators._STEBZ(T.diag, T.off, 2, 0.0, 1.0, lo + 1, hi + 1,
                                                   0.0, "E")
                 if info == 0:
@@ -194,7 +207,8 @@ class TestTridiagonalIndexSelection:
             lam, s = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-17, -13)
             T = sq.Tridiagonal(lam * (1.0 + s * rng.standard_normal(n)),
                                lam * s * rng.standard_normal(n - 1))
-            values, vectors = T.eigh(0, n - 1)
+            solved = T.eigh(0, n - 1)
+            values, vectors = solved.values, solved.vectors()
             m, w, iblock, isplit, info = operators._STEBZ(T.diag, T.off, 2, 0.0, 1.0, 1, n,
                                                           1e-300, "B")
             if info == 2:
@@ -213,7 +227,7 @@ class TestTridiagonalIndexSelection:
             radius[:-1] += np.abs(T.off)
             radius[1:] += np.abs(T.off)
             G = np.max(np.abs(T.diag) + radius)
-            assert np.array_equal(values, T.eigh(0, n - 1, eigvals_only=True))
+            assert np.array_equal(values, T.eigh(0, n - 1).values)
             residual = np.linalg.norm(T.to_dense() @ vectors - vectors * values, axis=0)
             assert np.max(residual) <= (n + 11) * eps * G
             assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= 4 * n * eps

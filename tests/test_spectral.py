@@ -91,13 +91,13 @@ class TestSolveInPairingWindows:
         grid = sq.make_grid(-10.0, 10.0, n_points)
         system = sq.build_susy_system(sq.get_superpotential(name), grid)
         k = levels + 1
-        plus = system.H_plus.eigh(0, k - 1, eigvals_only=True)
+        plus = system.H_plus.eigh(0, k - 1).values
+        found = sq.solve_in_pairing_windows(system.H_minus, plus, PAIR_TOL)
+        assert found is not None
         if n_points * k > 10 ** 6:
-            found = sq.solve_in_pairing_windows(system.H_minus, plus, PAIR_TOL)
-            assert found is not None
-            assert max_ulps(found, system.H_minus.eigh(0, k - 1, eigvals_only=True)) <= 2
+            assert max_ulps(found.values, system.H_minus.eigh(0, k - 1).values) <= 2
             return
-        found = sq.solve_in_pairing_windows(system.H_minus, plus, PAIR_TOL, grid)
+        found = sq.eigenstates(found, grid)
         blind = sq.solve_spectrum(system.H_minus, k, grid)
         assert len(found) == k
         assert max_ulps([p.energy for p in found], [p.energy for p in blind]) <= 2
@@ -108,10 +108,11 @@ class TestSolveInPairingWindows:
         # bands, H+ levels and tolerance scaled by 2^600 take the windows too
         grid = sq.make_grid(-10.0, 10.0, 1001)
         system = sq.build_susy_system(sq.get_superpotential("shifted_cubic"), grid)
-        plus = system.H_plus.eigh(0, 6, eigvals_only=True)
+        plus = system.H_plus.eigh(0, 6).values
         big = sq.Tridiagonal(np.ldexp(system.H_minus.diag, 600), np.ldexp(system.H_minus.off, 600))
-        found = sq.solve_in_pairing_windows(big, np.ldexp(plus, 600), np.ldexp(PAIR_TOL, 600), grid)
+        found = sq.solve_in_pairing_windows(big, np.ldexp(plus, 600), np.ldexp(PAIR_TOL, 600))
         assert found is not None
+        found = sq.eigenstates(found, grid)
         blind = sq.solve_spectrum(big, 7, grid)
         assert max_ulps([p.energy for p in found], [p.energy for p in blind]) <= 2
         for w, b in zip(found, blind):
@@ -121,7 +122,7 @@ class TestSolveInPairingWindows:
         # the windows reproduce the k lowest H- levels only when H+ has its
         # wall-node zero and nothing else below EPS0
         system = systems["harmonic"]
-        plus = system.H_plus.eigh(0, 6, eigvals_only=True)
+        plus = system.H_plus.eigh(0, 6).values
         assert sq.solve_in_pairing_windows(system.H_minus, plus, PAIR_TOL) is not None
         assert sq.solve_in_pairing_windows(system.H_minus, plus[1:], PAIR_TOL) is None
         lifted = np.concatenate([[0.0], plus[:-1]])
@@ -181,16 +182,16 @@ class TestPairPartnerLevels:
 
 
 class TestZeroMode:
-    def test_harmonic_matches_sampled_gaussian(self, systems, grid2001):
+    def test_harmonic_matches_sampled_gaussian(self, systems, grid2001, normalize):
         psi0 = sq.zero_mode(systems["harmonic"])
         x = grid2001.nodes()
-        gauss = sq.normalize(sq.Wavefunction(grid2001, np.exp(-x * x / 2)))
+        gauss = normalize(sq.Wavefunction(grid2001, np.exp(-x * x / 2)))
         # node sampling of the analytic profile carries an O(dx^2) deficit
         assert abs(sq.inner_product(psi0, gauss)) >= 1 - 1e-5
 
-    def test_tanh_matches_sampled_sech(self, systems, grid2001):
+    def test_tanh_matches_sampled_sech(self, systems, grid2001, normalize):
         psi0 = sq.zero_mode(systems["tanh"])
-        sech = sq.normalize(sq.Wavefunction(grid2001, 1 / np.cosh(grid2001.nodes())))
+        sech = normalize(sq.Wavefunction(grid2001, 1 / np.cosh(grid2001.nodes())))
         assert abs(sq.inner_product(psi0, sech)) >= 1 - 1e-5
 
     def test_sign_condition_violation_raises(self):
@@ -256,22 +257,22 @@ class TestZeroMode:
 
 
 class TestIntertwining:
-    def test_down_map_is_first_hermite(self, systems, grid2001):
+    def test_down_map_is_first_hermite(self, systems, grid2001, normalize):
         plus = sq.solve_spectrum(systems["harmonic"].H_plus, 2, grid2001)
         ground = plus[1]  # entry 0 is the wall-node zero
         assert ground.energy == pytest.approx(1.0, abs=1e-4)
         mapped = sq.intertwine_down(systems["harmonic"], ground)
         x = grid2001.nodes()
-        herm1 = sq.normalize(sq.Wavefunction(grid2001, x * np.exp(-x * x / 2)))
+        herm1 = normalize(sq.Wavefunction(grid2001, x * np.exp(-x * x / 2)))
         assert abs(sq.inner_product(mapped, herm1)) >= 1 - 1e-4
 
-    def test_round_trip_fidelity(self, systems, nonzero_levels, intertwine_up):
+    def test_round_trip_fidelity(self, systems, nonzero_levels, intertwine_up, norm):
         plus_nz, _ = nonzero_levels["harmonic"]
         pp = plus_nz[0]
         down = sq.intertwine_down(systems["harmonic"], pp)
         back = intertwine_up(
             systems["harmonic"], sq.EigenPair(pp.energy, down))
-        fid = abs(sq.inner_product(back, pp.state)) ** 2 / sq.norm(back) ** 2
+        fid = abs(sq.inner_product(back, pp.state)) ** 2 / norm(back) ** 2
         assert fid >= 1 - 1e-10
 
     def test_zero_mode_input_rejected(self, systems, spectra):
@@ -309,7 +310,7 @@ class TestOperatorNorm:
     @staticmethod
     def both_bisections(H):
         n = H.shape[0]
-        lo, hi = (H.eigh(j, j, tol=0.0, eigvals_only=True)[0] for j in (0, n - 1))
+        lo, hi = (H.eigh(j, j, tol=0.0).values[0] for j in (0, n - 1))
         return float(max(abs(lo), abs(hi)))
 
     @staticmethod

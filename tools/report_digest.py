@@ -1,0 +1,119 @@
+"""One sha256 per susyqm run over a fixed set of configs, to compare two checkouts.
+
+Usage:
+
+    python tools/report_digest.py [CHECKOUT] > digests.txt
+
+CHECKOUT (default: the checkout holding this script) is a susyqm source tree;
+its `susyqm.cli` is imported from its `src/` and run in process on 87
+configs, each once with `--format csv` and once with `--format json`:
+
+- the bundled configs in `configs/`;
+- the seed-1 and seed-2 jobs of the four benchmark workloads, read from the
+  checkout's `perfbench/workloads.make_jobs`;
+- the edge cases in `EXTRA` below, and every command for each bundled W at
+  201 points.
+
+Each output line is `<run> <format> <sha256>`. The hash covers the report
+files (names and bytes), the exit code (or the exception a run raised),
+stdout and stderr, with the run's output directory masked in the text.
+Run it on a second checkout of the parent commit and on the change, then
+`diff` the two files: a change that keeps every output reads no difference.
+"""
+
+import contextlib
+import glob
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+W_NAMES = ("harmonic", "cubic", "shifted_cubic", "tanh")
+
+
+def _grid(n_points):
+    return {"x_min": -10.0, "x_max": 10.0, "n_points": n_points}
+
+
+def _config(command, name, n_points, key="levels", value=6, **params):
+    w = {"name": name, "params": params} if params else {"name": name}
+    return {"command": command, "superpotential": w, "grid": _grid(n_points), key: value}
+
+
+def _jc(omega, gamma, n_max):
+    return {"command": "jc", "jc_params": {"omega": omega, "gamma": gamma, "n_max": n_max}}
+
+
+EXTRA = [
+    ("supercharge/tanh/1001/levels=20", _config("supercharge", "tanh", 1001, value=20)),
+    ("supercharge/harmonic/201/scale=-1", _config("supercharge", "harmonic", 201, scale=-1.0)),
+    ("verify/cubic/1001", _config("verify", "cubic", 1001)),
+    ("verify/shifted_cubic/2001/levels=20", _config("verify", "shifted_cubic", 2001, value=20)),
+    ("verify/harmonic/32001", _config("verify", "harmonic", 32001)),
+    ("spectrum/cubic/32001", _config("spectrum", "cubic", 32001)),
+    ("entangle/shifted_cubic/2001/level=5",
+     _config("entangle", "shifted_cubic", 2001, key="level", value=5)),
+    ("jc/1e4/0.1/64", _jc(1e4, 0.1, 64)),
+    ("jc/1/3/64", _jc(1.0, 3.0, 64)),
+    ("spectrum/harmonic/201/scale=1e153", _config("spectrum", "harmonic", 201, scale=1e153)),
+] + [
+    (f"{command}/{name}/201", _config(command, name, 201, key, value))
+    for name in W_NAMES
+    for command, key, value in (("spectrum", "levels", 6), ("supercharge", "levels", 6),
+                                ("verify", "levels", 6), ("entangle", "level", 3))
+]
+
+
+def configs(root, workloads):
+    """(label, config dict) of every run, in a fixed order."""
+    out = []
+    for path in sorted(glob.glob(os.path.join(root, "configs", "*.json"))):
+        with open(path, encoding="utf-8") as fh:
+            out.append((os.path.basename(path), json.load(fh)))
+    for seed in (1, 2):
+        for workload in workloads.WORKLOADS:
+            for i, cfg in enumerate(workloads.make_jobs(workload, seed, root)):
+                out.append((f"{workload}/seed={seed}/job{i:02d}", cfg))
+    return out + EXTRA
+
+
+def digest(cli, cfg, fmt, scratch):
+    """sha256 of one run's report files, exit code, stdout and stderr."""
+    with tempfile.TemporaryDirectory(dir=scratch) as outdir:
+        path = os.path.join(outdir, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                ending = f"exit {cli.main(['--config', path, '--out', outdir, '--format', fmt])}"
+            except Exception as exc:  # a crash is an outcome to compare, not an end
+                ending = f"raised {type(exc).__name__}: {exc}"
+        h = hashlib.sha256()
+        for name in sorted(os.listdir(outdir)):
+            if name != "config.json":
+                with open(os.path.join(outdir, name), "rb") as fh:
+                    h.update(f"{name}\n".encode() + fh.read())
+        for text in (ending, stdout.getvalue(), stderr.getvalue()):
+            h.update(b"\0" + text.replace(outdir, "OUT").encode())
+    return h.hexdigest()
+
+
+def main(argv):
+    root = os.path.abspath(argv[1] if len(argv) > 1 else
+                           os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    import workloads
+
+    cli = workloads.load_cli(root)
+    with tempfile.TemporaryDirectory() as scratch:
+        for label, cfg in configs(root, workloads):
+            for fmt in ("csv", "json"):
+                print(label, fmt, digest(cli, cfg, fmt, scratch), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
