@@ -27,8 +27,9 @@ condition: B psi = 0 at the wall for H-, Dirichlet for H+. Every row of
 B psi = 0 is then solved by the two-term recursion between neighbouring nodes,
 so B has an exact one-dimensional kernel on any box and H- an exact zero mode,
 while H+ carries an exact, decoupled 0 at the wall node (its last row and
-column vanish). The spectral module files that H+ zero apart from the physical
-zero mode.
+column vanish). B's n - 1 nonzero superdiagonal entries give it rank n - 1,
+so each side has exactly that one zero: level 0 of each solved side is its
+zero by construction, and the spectral module pairs levels 1.. of the two.
 
 The 2n x 2n supercharge Q1 = [[0, B], [B_adj, 0]] is tridiagonal as well, in
 the order (down_0, up_0, down_1, up_1, ...): `SusySystem.Q1`, B's Golub-Kahan

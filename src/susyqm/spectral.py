@@ -3,20 +3,27 @@
 Solving, degeneracy pairing, the zero mode, and the intertwining map from H+
 to H- eigenstates. Every Hamiltonian here is a symmetric Tridiagonal, solved
 on its bands by LAPACK bisection; there is no dense eigensolver.
+Level 0 of each solved side is its zero by B's construction: B has n - 1
+rows with a nonzero superdiagonal and an empty last row, so H- = B_adj B has
+exactly one zero (the kernel of B) and H+ = B B_adj exactly one, an exact 0
+on its decoupled wall node, while the nonzero levels of both sides are the
+same squared singular values of B. No threshold classifies levels: pairing
+zips levels 1.. of the two sides, and the zero-mode verdict of the commands
+reads |E0| <= EPS0 = 1e-10 on H-'s level 0.
+
 `solve_in_pairing_windows` bisects H- only inside the windows its partner
 H+ levels define (`Tridiagonal.eigh_windows`), about a third of the Sturm
 sweeps, and reports by returning None when the windows fail to hold exactly
 the k lowest H- levels. `eigenstates` forms the eigenpairs of a bisection
 result; `solve_spectrum` is the blind solve of the k lowest levels
 (`Tridiagonal.eigh`) followed by it. The zero mode is read off the stored
-bands of B, so this module holds no copy of B's stencil. Energies below
-EPS0 = 1e-10 count as zero modes; the division by sqrt(E) in the
-intertwining map is guarded by the same threshold.
+bands of B, so this module holds no copy of B's stencil. The division by
+sqrt(E) in the intertwining map is guarded by EPS0 as well.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,11 +80,11 @@ def eigenstates(solved: Bisection, grid: Grid):
 def solve_in_pairing_windows(H_minus: Tridiagonal, plus_energies, tol: float):
     """The H- levels that pair with the H+ levels, solved only where they must lie.
 
-    `plus_energies` are the k lowest H+ levels, ascending, with one below
-    EPS0 (the wall-node zero). Bisection on H-'s own bands runs in one
-    zero-mode window (-inf, EPS0], which LAPACK starts at its own Gershgorin
-    lower bound of H-, and one window (e - tol, e + tol] per H+ level
-    e >= EPS0, each clipped to start where the previous one ends. H+ only
+    `plus_energies` are the k lowest H+ levels, ascending; level 0 is the
+    wall-node zero by B's construction. Bisection on H-'s own bands runs in
+    one zero-mode window (-inf, EPS0], which LAPACK starts at its own
+    Gershgorin lower bound of H-, and one window (e - tol, e + tol] per H+
+    level 1.., each clipped to start where the previous one ends. H+ only
     decides where to look: the result stands only if every window holds
     exactly one level and a loose count of the H- levels up to e_top + tol
     equals the number found, so no H- level lies between windows. Its
@@ -88,11 +95,10 @@ def solve_in_pairing_windows(H_minus: Tridiagonal, plus_energies, tol: float):
     Returns the windows' Bisection, or None when any count fails: pairing
     has failed, and only a blind solve can name the level.
     """
-    plus = np.asarray(plus_energies, dtype=float)
     windows = [(-np.inf, EPS0)]
-    for e in plus[plus >= EPS0].tolist():
+    for e in np.asarray(plus_energies, dtype=float)[1:].tolist():
         windows.append((max(e - tol, windows[-1][1]), e + tol))
-    if len(windows) != plus.size or any(a >= b for a, b in windows):
+    if any(a >= b for a, b in windows):
         return None
     # an infinite tol stops the bisection at once: only the count is read
     (total,) = H_minus.eigh_windows([(-np.inf, windows[-1][1])], tol=np.inf).counts
@@ -113,14 +119,15 @@ class LevelPair:
 class DegeneracyReport:
     """Outcome of pairing the partner spectra.
 
-    `zero_mode_energy` is the sub-EPS0 eigenvalue of H- (the physical zero
-    mode); sub-EPS0 eigenvalues of H+ land in `closure_artifacts`, excluded
-    from pairing. With the empty wall row of B that is exactly one value, the
-    decoupled 0 of H+ at the wall node.
+    Level 0 of each side is its zero by B's construction, so no threshold
+    classifies it: `zero_mode_energy` is level 0 of H- (the physical zero
+    mode, as the bisection found it), and `closure_artifacts` holds level 0
+    of H+, the exact 0 of its decoupled wall node, left out of pairing.
+    `pairs` zips levels 1.. of the two sides.
     """
 
     pairs: tuple
-    zero_mode_energy: Optional[float]
+    zero_mode_energy: float
     closure_artifacts: tuple
 
     @property
@@ -130,7 +137,9 @@ class DegeneracyReport:
 
 def _check_ascending(values, label):
     arr = np.asarray(values, dtype=float)
-    if arr.size > 1 and np.any(np.diff(arr) < 0):
+    if arr.size == 0:
+        raise ValueError(f"{label} spectrum must hold its zero level")
+    if np.any(np.diff(arr) < 0):
         raise ValueError(f"{label} spectrum must be sorted ascending")
     return arr
 
@@ -138,28 +147,21 @@ def _check_ascending(values, label):
 def pair_partner_levels(
     spec_plus: Sequence[float], spec_minus: Sequence[float], tol: float
 ) -> DegeneracyReport:
-    """Greedy minimal-gap matching of the nonzero partner levels.
+    """Level-by-level matching of the partner levels above each side's zero.
 
-    Both inputs ascending. A mid-stream gap above tol raises DegeneracyError
-    carrying the H+ level that failed to find a partner.
+    Both inputs ascending, each with its zero at level 0. Level i >= 1 of H+
+    pairs with level i of H-. A paired H+ level below EPS0 is a second zero
+    mode, which no partner state can be formed from, and a gap above tol
+    fails the pairing; either raises DegeneracyError carrying the H+ level.
     """
     plus = _check_ascending(spec_plus, "H+")
     minus = _check_ascending(spec_minus, "H-")
 
-    plus_zero = [float(e) for e in plus if e < EPS0]
-    minus_zero = [float(e) for e in minus if e < EPS0]
-    plus_nz = [float(e) for e in plus if e >= EPS0]
-    minus_nz = [float(e) for e in minus if e >= EPS0]
-
-    if len(minus_zero) > 1:
-        raise DegeneracyError(
-            f"H- has {len(minus_zero)} eigenvalues below {EPS0}; "
-            "the zero mode must be unique",
-            level=minus_zero[1],
-        )
-
     pairs = []
-    for ep, em in zip(plus_nz, minus_nz):
+    for ep, em in zip(plus[1:].tolist(), minus[1:].tolist()):
+        if ep < EPS0:
+            raise DegeneracyError(
+                f"level {ep!r} of H+ is below {EPS0}: a second zero mode", level=ep)
         gap = abs(ep - em)
         if gap > tol:
             raise DegeneracyError(
@@ -171,8 +173,8 @@ def pair_partner_levels(
 
     return DegeneracyReport(
         pairs=tuple(pairs),
-        zero_mode_energy=minus_zero[0] if minus_zero else None,
-        closure_artifacts=tuple(plus_zero),
+        zero_mode_energy=float(minus[0]),
+        closure_artifacts=(float(plus[0]),),
     )
 
 

@@ -89,16 +89,17 @@ def entangle_sweep_oracle():
     """Rows of the `entangle` report, one full-grid state at a time.
 
     The level pair comes from the command's own solve
-    (`cli._solve_both_sides`, `cli._nonzero_states`), since the rows check
-    the batch route, not the eigensolver. Each (|c1|, phase) state is then built as
-    c1 psi+ |up> + c2 psi- |down> on all n nodes with weight dx and analyzed
-    alone: no two-mode reduction and no batch axis. Rows come in the
+    (`cli._solve_both_sides`, then `eigenstates` at that level), since the
+    rows check the batch route, not the eigensolver. Each (|c1|, phase)
+    state is then built as c1 psi+ |up> + c2 psi- |down> on all n nodes
+    with weight dx and analyzed alone: no two-mode reduction and no batch
+    axis. Rows come in the
     command's order (|c1| outer, phase inner) and column order.
     """
     def rows(W, grid, level=1, c1_points=21, phase_points=8):
         _, plus, minus, _ = cli._solve_both_sides(W, grid, level)
-        pp = cli._nonzero_states(plus, grid)[level - 1]
-        mm = cli._nonzero_states(minus, grid)[level - 1]
+        pp = sq.eigenstates(plus, grid)[level]
+        mm = sq.eigenstates(minus, grid)[level]
         overlap = sq.inner_product(pp.state, mm.state)
         out = []
         for c1 in np.linspace(0.0, 1.0, c1_points):

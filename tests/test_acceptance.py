@@ -83,13 +83,9 @@ def test_c1_zero_mode(lab, name):
                   / np.linalg.norm(psi0.amplitudes))
     bound = 1e-12 * sq.operator_norm(system.H_minus)
     zm = e["pairing"].zero_mode_energy
-    if zm is not None:
-        where = f"one eigenvalue {zm:.3e} below {sq.EPS0}"
-    else:
-        where = (f"no eigenvalue below {sq.EPS0} "
-                 f"(lowest {e['pairing'].pairs[0].e_minus:.3e})")
-    report(1, f"zero mode {name}", zm is not None and resid <= bound,
-           f"{where}; kernel-recursion residual {resid:.3e} vs bound {bound:.3e}")
+    report(1, f"zero mode {name}", abs(zm) <= sq.EPS0 and resid <= bound,
+           f"|E0| = {abs(zm):.3e} (bound {sq.EPS0}); kernel-recursion residual "
+           f"{resid:.3e} vs bound {bound:.3e}")
 
 
 # criterion 2: continuum harmonic ladder within absolute tolerance

@@ -667,23 +667,49 @@ class TestBorderlineVerdicts:
         return {c["name"] for c in payload["checks"] if not c["passed"]}
 
     def test_off_diagonal_squares_beyond_range_lose_pairing(self, tmp_path, capsys):
+        # levels 1.. still pair, but H-'s level 0, the zero mode, is lifted
+        # to about 100
         rc, err = self.run(tmp_path, capsys, harmonic_config("spectrum", 201, scale=1e153))
         assert rc == 1
-        assert err.startswith("physics violation: level ")
-        assert "of H+ has no partner within tol = 1e-10 (nearest H- level " in err
+        assert err.startswith("physics violation: zero mode |E0| = ")
+        assert err.endswith(" of H- exceeds EPS0 = 1e-10\n")
+        assert len(err.splitlines()) == 1
 
     def test_flat_superpotential_on_wide_box_has_many_zero_modes(self, tmp_path, capsys):
+        # level 1 of H+ lies below EPS0: the pairing stops at a second zero mode
         rc, err = self.run(tmp_path, capsys, harmonic_config(
             "spectrum", 201, scale=2.0 ** -40, half_width=10.0 * 2 ** 20))
         assert rc == 1
-        assert err == ("physics violation: H- has 7 eigenvalues below 1e-10; "
-                       "the zero mode must be unique\n")
+        assert err.startswith("physics violation: level ")
+        assert err.endswith(" of H+ is below 1e-10: a second zero mode\n")
+        assert len(err.splitlines()) == 1
 
     def test_fine_grid_zero_mode_below_minus_eps0(self, tmp_path, capsys):
         rc, err = self.run(tmp_path, capsys, harmonic_config("verify", 32001))
         assert rc == 1
         assert self.failed_checks(tmp_path) == {"zero_mode_present"}
         assert err.startswith("verify: zero_mode_present = ")
+
+    @pytest.mark.parametrize("scale, half_width, rc", (
+        (2.0 ** 16, 10.0 * 2 ** -8, 1),  # |E0| = 2.98e-8 on the bisection floor
+        (2.0 ** -16, 10.0 * 2 ** 8, 0),
+    ))
+    def test_spectrum_and_verify_agree_on_the_zero_mode(self, tmp_path, capsys,
+                                                        scale, half_width, rc):
+        spectrum_rc, err = self.run(tmp_path, capsys, {**harmonic_config(
+            "spectrum", 2001, scale=scale, half_width=half_width),
+            "output": {"format": "json"}})
+        verify_rc, _ = self.run(tmp_path, capsys, harmonic_config(
+            "verify", 2001, scale=scale, half_width=half_width))
+        assert (spectrum_rc, verify_rc) == (rc, rc)
+        e0 = json.loads((tmp_path / "spectrum.json").read_text())["zero_mode_energy"]
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        (zero,) = [c for c in checks if c["name"] == "zero_mode_present"]
+        assert zero["value"] == abs(e0)
+        assert zero["passed"] is (rc == 0)
+        if rc:
+            assert err == (f"physics violation: zero mode |E0| = {zero['value']:.3e} "
+                           "of H- exceeds EPS0 = 1e-10\n")
 
     def test_steep_narrow_box_fails_energy_deviation(self, tmp_path, capsys):
         rc, err = self.run(tmp_path, capsys, harmonic_config(
@@ -692,6 +718,22 @@ class TestBorderlineVerdicts:
         assert self.failed_checks(tmp_path) == {"zero_mode_present",
                                                 "intertwine_energy_deviation"}
         assert "verify: intertwine_energy_deviation = " in err
+
+
+@pytest.mark.parametrize("command", ("spectrum", "supercharge", "entangle", "verify"))
+def test_reversed_superpotential_ends_in_one_violation_line(tmp_path, capsys, command):
+    # W = -x: H+ has a second level below EPS0, which pairing stops at
+    # before any intertwining or supercharge state divides by its sqrt(E);
+    # an exception out of cli.main would be a traceback
+    payload = harmonic_config(command, 201, scale=-1.0)
+    if command == "entangle":
+        payload["level"] = payload.pop("levels")
+    rc = cli.main(["--config", write_config(tmp_path, payload), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("physics violation: ")
+    assert err.endswith(" of H+ is below 1e-10: a second zero mode\n")
 
 
 class TestConfigErrors:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susyqm as sq
+from susyqm import cli
 from susyqm.cli import PAIR_TOL
 
 
@@ -119,8 +120,8 @@ class TestSolveInPairingWindows:
             assert abs(sq.inner_product(w.state, b.state)) >= 1.0 - 1e-12
 
     def test_no_result_without_exactly_one_plus_zero(self, systems):
-        # the windows reproduce the k lowest H- levels only when H+ has its
-        # wall-node zero and nothing else below EPS0
+        # the windows reproduce the k lowest H- levels only when level 0 of
+        # the H+ levels is its wall-node zero and level 1 its first nonzero one
         system = systems["harmonic"]
         plus = system.H_plus.eigh(0, 6).values
         assert sq.solve_in_pairing_windows(system.H_minus, plus, PAIR_TOL) is not None
@@ -130,28 +131,50 @@ class TestSolveInPairingWindows:
 
 
 class TestPairPartnerLevels:
+    """Level 0 of each side is its zero; levels 1.. pair level for level."""
+
     def test_exact_lists_with_zero_mode(self):
-        report = sq.pair_partner_levels([1.0, 2.0], [0.0, 1.0, 2.0], tol=1e-6)
+        report = sq.pair_partner_levels([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], tol=1e-6)
         assert [(p.e_plus, p.e_minus) for p in report.pairs] == [(1, 1), (2, 2)]
         assert report.zero_mode_energy == 0.0
-        assert report.closure_artifacts == ()
+        assert report.closure_artifacts == (0.0,)
 
     def test_forced_mismatch_names_offending_level(self):
         with pytest.raises(sq.DegeneracyError) as err:
-            sq.pair_partner_levels([1.5], [0.0, 1.0], tol=1e-6)
+            sq.pair_partner_levels([0.0, 1.5], [0.0, 1.0], tol=1e-6)
         assert err.value.level == 1.5
         assert "1.5" in str(err.value)
 
     def test_double_zero_mode_rejected(self):
-        with pytest.raises(sq.DegeneracyError):
-            sq.pair_partner_levels([1.0], [1e-14, 5e-11, 1.0], tol=1e-6)
+        # a paired H+ level below EPS0 is a second zero mode, even when its
+        # H- partner matches it within tol
+        with pytest.raises(sq.DegeneracyError) as err:
+            sq.pair_partner_levels([0.0, 5e-11, 1.0], [1e-14, 5e-11, 1.0], tol=1e-6)
+        assert err.value.level == 5e-11
+        assert "a second zero mode" in str(err.value)
+
+    def test_lifted_zero_mode_keeps_levels_paired(self):
+        # the H- zero mode bisected to 2^-23, as at 2^20 + 1 harmonic
+        # points: the pairs stay level for level, and only the zero-mode
+        # verdict fails
+        report = sq.pair_partner_levels([0.0, 1.0, 2.0], [2.0 ** -23, 1.0, 2.0], tol=1e-10)
+        assert [(p.e_plus, p.e_minus, p.gap) for p in report.pairs] == [(1, 1, 0), (2, 2, 0)]
+        assert report.zero_mode_energy == 2.0 ** -23
+        assert cli._zero_mode_check(report) == {
+            "name": "zero_mode_present", "value": 2.0 ** -23, "bound": sq.EPS0,
+            "passed": False}
 
     def test_non_ascending_rejected(self):
         with pytest.raises(ValueError):
             sq.pair_partner_levels([2.0, 1.0], [0.0, 1.0], tol=1e-6)
 
+    @pytest.mark.parametrize("plus, minus", (([], [0.0, 1.0]), ([0.0, 1.0], [])))
+    def test_side_without_its_zero_level_rejected(self, plus, minus):
+        with pytest.raises(ValueError, match="must hold its zero level"):
+            sq.pair_partner_levels(plus, minus, tol=1e-6)
+
     def test_trailing_tail_recorded_not_fatal(self):
-        report = sq.pair_partner_levels([1.0, 2.0, 9.0], [0.0, 1.0, 2.0], tol=1e-6)
+        report = sq.pair_partner_levels([0.0, 1.0, 2.0, 9.0], [0.0, 1.0, 2.0], tol=1e-6)
         assert len(report.pairs) == 2
 
     def test_plus_side_artifact_excluded(self):
@@ -166,7 +189,7 @@ class TestPairPartnerLevels:
             [p.energy for p in plus], [m.energy for m in minus], tol=1e-10)
         assert len(report.pairs) == 6
         assert report.max_gap <= 1e-10
-        assert report.zero_mode_energy is not None
+        assert abs(report.zero_mode_energy) <= sq.EPS0
 
     @given(
         ticks=st.lists(st.integers(1, 1000), min_size=1, max_size=8, unique=True),
@@ -174,11 +197,30 @@ class TestPairPartnerLevels:
     )
     @settings(max_examples=50, deadline=None)
     def test_property_jittered_twins_always_pair(self, ticks, jitter):
-        plus = [0.05 * t for t in sorted(ticks)]  # separation far above tol
-        minus = [e + j for e, j in zip(plus, jitter)]
+        levels = [0.05 * t for t in sorted(ticks)]  # separation far above tol
+        plus = [0.0] + levels
+        minus = [0.0] + [e + j for e, j in zip(levels, jitter)]
         report = sq.pair_partner_levels(plus, minus, tol=1e-10)
-        assert len(report.pairs) == len(plus)
+        assert len(report.pairs) == len(levels)
         assert report.max_gap <= 1e-10
+
+
+class TestZeroLevelsFromStructure:
+    """Level 0 of each side is its zero by B's construction, no threshold needed."""
+
+    @pytest.mark.parametrize("n_points", (201, 2001, 8001))
+    @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
+    def test_one_zero_a_side(self, name, n_points):
+        # B's empty last row leaves H+'s last band row zero, so the wall node
+        # decouples with an exact 0; every other level of either side is
+        # a nonzero squared singular value of B, at least EPS0
+        system = sq.build_susy_system(sq.get_superpotential(name),
+                                      sq.make_grid(-10.0, 10.0, n_points))
+        assert system.H_plus.diag[-1] == 0.0
+        assert system.H_plus.off[-1] == 0.0
+        assert system.H_plus.eigh(0, 0).values[0] == 0.0
+        for H in (system.H_plus, system.H_minus):
+            assert H.eigh(1, 1).values[0] >= sq.EPS0
 
 
 class TestZeroMode:

@@ -5,7 +5,7 @@ Usage:
     python tools/report_digest.py [CHECKOUT] > digests.txt
 
 CHECKOUT (default: the checkout holding this script) is a susyqm source tree;
-its `susyqm.cli` is imported from its `src/` and run in process on 87
+its `susyqm.cli` is imported from its `src/` and run in process on 91
 configs, each once with `--format csv` and once with `--format json`:
 
 - the bundled configs in `configs/`;
@@ -33,13 +33,14 @@ import tempfile
 W_NAMES = ("harmonic", "cubic", "shifted_cubic", "tanh")
 
 
-def _grid(n_points):
-    return {"x_min": -10.0, "x_max": 10.0, "n_points": n_points}
+def _grid(n_points, half_width=10.0):
+    return {"x_min": -half_width, "x_max": half_width, "n_points": n_points}
 
 
-def _config(command, name, n_points, key="levels", value=6, **params):
+def _config(command, name, n_points, key="levels", value=6, half_width=10.0, **params):
     w = {"name": name, "params": params} if params else {"name": name}
-    return {"command": command, "superpotential": w, "grid": _grid(n_points), key: value}
+    return {"command": command, "superpotential": w, "grid": _grid(n_points, half_width),
+            key: value}
 
 
 def _jc(omega, gamma, n_max):
@@ -58,6 +59,14 @@ EXTRA = [
     ("jc/1e4/0.1/64", _jc(1e4, 0.1, 64)),
     ("jc/1/3/64", _jc(1.0, 3.0, 64)),
     ("spectrum/harmonic/201/scale=1e153", _config("spectrum", "harmonic", 201, scale=1e153)),
+    # the zero-mode verdict's edges: |E0| just above EPS0, and W = -x, whose
+    # H+ has a second level below EPS0
+    ("spectrum/harmonic/32001", _config("spectrum", "harmonic", 32001)),
+    ("spectrum/harmonic/2001/scale=2^16/half_width=10*2^-8",
+     _config("spectrum", "harmonic", 2001, half_width=10.0 * 2 ** -8, scale=2.0 ** 16)),
+    ("entangle/harmonic/201/scale=-1",
+     _config("entangle", "harmonic", 201, key="level", value=3, scale=-1.0)),
+    ("spectrum/harmonic/201/scale=-1", _config("spectrum", "harmonic", 201, scale=-1.0)),
 ] + [
     (f"{command}/{name}/201", _config(command, name, 201, key, value))
     for name in W_NAMES
