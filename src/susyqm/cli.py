@@ -38,17 +38,16 @@ from .operators import (
 )
 from .spectral import (
     EPS0,
+    PAIR_TOL,
     align_phase,
     eigenstates,
     intertwine_down,
     operator_norm,
-    pair_partner_levels,
-    solve_in_pairing_windows,
+    solve_partners,
     zero_mode,
 )
 from .superpotentials import REGISTRY_NAMES, get_superpotential
 
-PAIR_TOL = 1e-10
 INTERTWINE_TOL = 1e-8
 MATRIX_SQ_TOL = 1e-13
 ANTICOMM_TOL = 1e-12
@@ -159,9 +158,13 @@ def _real(obj, key, where):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-    if not math.isfinite(v):
+    try:
+        value = float(v)
+    except OverflowError:  # a JSON integer beyond float range
+        value = math.inf
+    if not math.isfinite(value):
         raise ConfigError(f"{where}.{key} must be finite, got {v!r}")
-    return float(v)
+    return value
 
 
 def _integer(obj, key, where, minimum=None):
@@ -220,28 +223,19 @@ def _grid_payload(grid: Grid):
 
 
 def _solve_both_sides(W, grid, levels):
-    """Both partner spectra, as bisection results, plus the validated pairing report.
+    """The system of W on `grid` and its paired levels 0..levels: (system, plus, minus).
 
-    H+ is solved blind for its k = levels + 1 lowest levels: level 0 of
-    each side is its zero by B's construction, levels 1..levels pair. H- is
-    solved only inside the pairing windows those levels define
-    (`solve_in_pairing_windows`); when a window count fails, pairing has
-    failed, and H- is solved blind as well, so that `pair_partner_levels`
-    names the level without a partner. No eigenvector is formed here: each
-    command asks `eigenstates` for the sides it reads, so `spectrum` forms
-    none, `supercharge` those of H+, `entangle` and `verify` both.
+    `solve_partners` solves and pairs both sides, as bisection results; a
+    failed pairing raises its DegeneracyError. No eigenvector is formed
+    here: each command asks `eigenstates` for the sides it reads, so
+    `spectrum` forms none, `supercharge` those of H+, `entangle` and
+    `verify` both.
     """
     try:
         system = build_susy_system(W, grid)
     except ValueError as exc:  # W not finite, unresolved jump, or H+- overflow
         raise ConfigError(str(exc)) from exc
-    k = levels + 1  # level 0: the zero mode of H- / the wall-node zero of H+
-    plus = system.H_plus.eigh(0, k - 1)
-    minus = solve_in_pairing_windows(system.H_minus, plus.values, PAIR_TOL)
-    if minus is None:  # pairing failed: only the blind solve names the level
-        minus = system.H_minus.eigh(0, k - 1)
-    report = pair_partner_levels(plus.values, minus.values, PAIR_TOL)
-    return system, plus, minus, report
+    return (system, *solve_partners(system.H_plus, system.H_minus, levels))
 
 
 def _check(name, value, bound):
@@ -250,13 +244,14 @@ def _check(name, value, bound):
             "passed": bool(value <= bound)}
 
 
-def _zero_mode_check(report):
+def _zero_mode_check(minus):
     """The zero-mode verdict of `spectrum` and `verify`: |E0| of H- <= EPS0.
 
-    Level 0 of H- is its zero mode by B's construction; the bisection finds
-    it only to about eps ||H-||, and this check reads how far.
+    `minus` is the bisection result of H-. Its level 0 is the zero mode by
+    B's construction; the bisection finds it only to about eps ||H-||, and
+    this check reads how far.
     """
-    return _check("zero_mode_present", abs(report.zero_mode_energy), EPS0)
+    return _check("zero_mode_present", abs(minus.values[0]), EPS0)
 
 
 def _zero_mode_residual(system):
@@ -301,11 +296,11 @@ def run_spectrum(cfg, outdir, fmt):
     grid = _parse_grid(cfg)
     levels = _parse_levels(cfg, grid)
 
-    system, _, _, report = _solve_both_sides(W, grid, levels)
+    system, plus, minus = _solve_both_sides(W, grid, levels)
     psi0, resid, bound = _zero_mode_residual(system)
 
     violations = []
-    zero = _zero_mode_check(report)
+    zero = _zero_mode_check(minus)
     if not zero["passed"]:
         violations.append(f"zero mode |E0| = {zero['value']:.3e} of H- exceeds EPS0 = {EPS0}")
     if resid > bound:
@@ -314,14 +309,14 @@ def run_spectrum(cfg, outdir, fmt):
             f"1e-12 ||H-|| = {bound:.3e}"
         )
 
-    pairs = np.array([(p.e_plus, p.e_minus, p.gap) for p in report.pairs]).reshape(-1, 3)
+    e_plus, e_minus = plus.values[1:], minus.values[1:]  # level i pairs with level i
     spectrum_text = _table_text(fmt, {
         "superpotential": W.name,
         "grid": _grid_payload(grid),
-        "zero_mode_energy": report.zero_mode_energy,
-        "closure_artifacts": list(report.closure_artifacts),
+        "zero_mode_energy": float(minus.values[0]),
+        "closure_artifacts": [float(plus.values[0])],
     }, ("index", "E_plus", "E_minus", "gap"), ("d", ".17g", ".17g", ".17g"),
-        (np.arange(1, len(pairs) + 1), *pairs.T), rows_key="pairs")
+        (np.arange(1, levels + 1), e_plus, e_minus, np.abs(e_plus - e_minus)), rows_key="pairs")
     x, amps = grid.nodes(), psi0.amplitudes
     if fmt == "csv":
         zero_text = _table_text(fmt, None, ("x", "re", "im"), (".17g",) * 3,
@@ -349,7 +344,7 @@ def run_entangle(cfg, outdir, fmt):
             f"exceeds the cap of {SWEEP_MAX_ROWS} rows"
         )
 
-    _, plus, minus, _ = _solve_both_sides(W, grid, level)
+    _, plus, minus = _solve_both_sides(W, grid, level)
     pp = eigenstates(plus, grid)[level]
     mm = eigenstates(minus, grid)[level]
     overlap = inner_product(pp.state, mm.state)
@@ -380,7 +375,7 @@ def run_supercharge(cfg, outdir, fmt):
     grid = _parse_grid(cfg)
     levels = _parse_levels(cfg, grid)
 
-    system, plus, _, _ = _solve_both_sides(W, grid, levels)
+    system, plus, _ = _solve_both_sides(W, grid, levels)
     solved = eigenstates(plus, grid)[1:]
     violations = []
     rows = []  # (index, energy, family, sign, residual, concurrence)
@@ -459,7 +454,7 @@ def run_verify(cfg, outdir, fmt):
     grid = _parse_grid(cfg)
     levels = _parse_levels(cfg, grid)
 
-    system, plus, minus, report = _solve_both_sides(W, grid, levels)
+    system, plus, minus = _solve_both_sides(W, grid, levels)
     _, resid, bound = _zero_mode_residual(system)
 
     worst_map = 0.0
@@ -478,8 +473,8 @@ def run_verify(cfg, outdir, fmt):
                 system, pp.energy, pp.state, raw):
             worst_eig = max(worst_eig, supercharge_residual(system, st, eigenvalue, family))
     checks = [
-        _check("pairing_max_gap", report.max_gap, PAIR_TOL),
-        _zero_mode_check(report),
+        _check("pairing_max_gap", np.max(np.abs(plus.values[1:] - minus.values[1:])), PAIR_TOL),
+        _zero_mode_check(minus),
         _check("zero_mode_residual", resid, bound),
         _check("intertwine_map_residual", worst_map, INTERTWINE_TOL),
         _check("intertwine_energy_deviation", worst_energy, INTERTWINE_TOL),
@@ -536,7 +531,7 @@ def load_config(path):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge integers, deep nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -575,7 +570,10 @@ def main(argv=None) -> int:
         output = cfg.get("output", {})
         outdir = args.out if args.out is not None else output.get("path", ".")
         fmt = args.format if args.format is not None else output.get("format", "csv")
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {outdir!r}: {exc}") from exc
         return COMMANDS[cfg["command"]][0](cfg, outdir, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

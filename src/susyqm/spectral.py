@@ -1,8 +1,9 @@
 """Eigenproblems of the partner Hamiltonians.
 
-Solving, degeneracy pairing, the zero mode, and the intertwining map from H+
-to H- eigenstates. Every Hamiltonian here is a symmetric Tridiagonal, solved
-on its bands by LAPACK bisection; there is no dense eigensolver.
+Solving and pairing the partner levels, the zero mode, and the intertwining
+map from H+ to H- eigenstates. Every Hamiltonian here is a symmetric
+Tridiagonal, solved on its bands by LAPACK bisection; there is no dense
+eigensolver.
 Level 0 of each solved side is its zero by B's construction: B has n - 1
 rows with a nonzero superdiagonal and an empty last row, so H- = B_adj B has
 exactly one zero (the kernel of B) and H+ = B B_adj exactly one, an exact 0
@@ -11,19 +12,19 @@ same squared singular values of B. No threshold classifies levels: pairing
 zips levels 1.. of the two sides, and the zero-mode verdict of the commands
 reads |E0| <= EPS0 = 1e-10 on H-'s level 0.
 
-`solve_in_pairing_windows` bisects H- only inside the windows its partner
-H+ levels define (`Tridiagonal.eigh_windows`), about a third of the Sturm
-sweeps, and reports by returning None when the windows fail to hold exactly
-the k lowest H- levels. `eigenstates` forms the eigenpairs of a bisection
-result; `solve_spectrum` is the blind solve of the k lowest levels
-(`Tridiagonal.eigh`) followed by it. The zero mode is read off the stored
-bands of B, so this module holds no copy of B's stencil. The division by
+`solve_partners` is the one owner of the pairing decision and of its
+tolerance PAIR_TOL = 1e-10: it bisects H+ blind and H- only inside the
+windows the H+ levels define, blind only when those fail, and raises
+DegeneracyError for a second zero mode or a level without a partner.
+`eigenstates` forms the eigenpairs of a bisection result; `solve_spectrum`
+is the blind solve of the k lowest levels (`Tridiagonal.eigh`) followed by
+it. The zero mode is read off the stored bands of B, so this module holds
+no copy of B's stencil. The division by
 sqrt(E) in the intertwining map is guarded by EPS0 as well.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,12 +35,9 @@ from .operators import Bisection, SusySystem, Tridiagonal, check_sign_condition
 __all__ = [
     "EPS0",
     "EigenPair",
-    "LevelPair",
-    "DegeneracyReport",
     "solve_spectrum",
     "eigenstates",
-    "solve_in_pairing_windows",
-    "pair_partner_levels",
+    "solve_partners",
     "zero_mode",
     "intertwine_down",
     "align_phase",
@@ -47,6 +45,7 @@ __all__ = [
 ]
 
 EPS0 = 1e-10
+PAIR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -77,105 +76,57 @@ def eigenstates(solved: Bisection, grid: Grid):
     ]
 
 
-def solve_in_pairing_windows(H_minus: Tridiagonal, plus_energies, tol: float):
-    """The H- levels that pair with the H+ levels, solved only where they must lie.
+def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int):
+    """Levels 0..levels of both partners, paired, as two bisection results (plus, minus).
 
-    `plus_energies` are the k lowest H+ levels, ascending; level 0 is the
-    wall-node zero by B's construction. Bisection on H-'s own bands runs in
+    The one owner of the pairing decision and its tolerance PAIR_TOL. Level
+    0 of each side is its zero by B's construction; level i >= 1 of H+ pairs
+    with level i of H-. H+ is bisected blind. Its level 1 below EPS0 is a
+    second zero mode, which no partner state can be formed from; levels are
+    ascending, so this is the only level that rule can fire on, and it
+    raises before H- is touched. H- is then bisected only where its levels
+    must lie (`Tridiagonal.eigh_windows`), about a third of the Sturm sweeps:
     one zero-mode window (-inf, EPS0], which LAPACK starts at its own
-    Gershgorin lower bound of H-, and one window (e - tol, e + tol] per H+
-    level 1.., each clipped to start where the previous one ends. H+ only
-    decides where to look: the result stands only if every window holds
-    exactly one level and a loose count of the H- levels up to e_top + tol
-    equals the number found, so no H- level lies between windows. Its
-    values are then the k lowest H- levels, as `Tridiagonal.eigh` finds them
-    blind, to the last ulp or two, and go to `pair_partner_levels` unchanged;
-    its eigenvectors come from one inverse iteration over all windows.
-
-    Returns the windows' Bisection, or None when any count fails: pairing
-    has failed, and only a blind solve can name the level.
+    Gershgorin lower bound of H-, and one window (e - PAIR_TOL, e + PAIR_TOL]
+    per H+ level e of 1.., each clipped to start where the previous one
+    ends. The windows' result stands only if every window holds exactly one
+    level and a loose count of the H- levels up to the top window's end
+    equals the number found, so no H- level lies between windows; its values
+    are then the levels + 1 lowest H- levels, as `Tridiagonal.eigh` finds them
+    blind, to the last ulp or two. When any count fails, H- is bisected
+    blind. A gap above PAIR_TOL between paired levels raises
+    DegeneracyError, naming the H+ level. No eigenvector is formed: the
+    caller asks `eigenstates` for the sides it reads.
     """
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
+    plus = H_plus.eigh(0, levels)
+    e_plus = plus.values[1:].tolist()
+    if e_plus[0] < EPS0:
+        raise DegeneracyError(
+            f"level {e_plus[0]!r} of H+ is below {EPS0}: a second zero mode", level=e_plus[0])
+
     windows = [(-np.inf, EPS0)]
-    for e in np.asarray(plus_energies, dtype=float)[1:].tolist():
-        windows.append((max(e - tol, windows[-1][1]), e + tol))
-    if any(a >= b for a, b in windows):
-        return None
-    # an infinite tol stops the bisection at once: only the count is read
-    (total,) = H_minus.eigh_windows([(-np.inf, windows[-1][1])], tol=np.inf).counts
-    if total != len(windows):
-        return None
-    found = H_minus.eigh_windows(windows)
-    return found if all(c == 1 for c in found.counts) else None
+    for e in e_plus:
+        windows.append((max(e - PAIR_TOL, windows[-1][1]), e + PAIR_TOL))
+    minus = None
+    if all(a < b for a, b in windows):
+        # an infinite tol stops the bisection at once: only the count is read
+        (total,) = H_minus.eigh_windows([(-np.inf, windows[-1][1])], tol=np.inf).counts
+        if total == len(windows):
+            minus = H_minus.eigh_windows(windows)
+    if minus is None or any(c != 1 for c in minus.counts):
+        minus = H_minus.eigh(0, levels)
 
-
-@dataclass(frozen=True)
-class LevelPair:
-    e_plus: float
-    e_minus: float
-    gap: float
-
-
-@dataclass(frozen=True)
-class DegeneracyReport:
-    """Outcome of pairing the partner spectra.
-
-    Level 0 of each side is its zero by B's construction, so no threshold
-    classifies it: `zero_mode_energy` is level 0 of H- (the physical zero
-    mode, as the bisection found it), and `closure_artifacts` holds level 0
-    of H+, the exact 0 of its decoupled wall node, left out of pairing.
-    `pairs` zips levels 1.. of the two sides.
-    """
-
-    pairs: tuple
-    zero_mode_energy: float
-    closure_artifacts: tuple
-
-    @property
-    def max_gap(self) -> float:
-        return max((p.gap for p in self.pairs), default=0.0)
-
-
-def _check_ascending(values, label):
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError(f"{label} spectrum must hold its zero level")
-    if np.any(np.diff(arr) < 0):
-        raise ValueError(f"{label} spectrum must be sorted ascending")
-    return arr
-
-
-def pair_partner_levels(
-    spec_plus: Sequence[float], spec_minus: Sequence[float], tol: float
-) -> DegeneracyReport:
-    """Level-by-level matching of the partner levels above each side's zero.
-
-    Both inputs ascending, each with its zero at level 0. Level i >= 1 of H+
-    pairs with level i of H-. A paired H+ level below EPS0 is a second zero
-    mode, which no partner state can be formed from, and a gap above tol
-    fails the pairing; either raises DegeneracyError carrying the H+ level.
-    """
-    plus = _check_ascending(spec_plus, "H+")
-    minus = _check_ascending(spec_minus, "H-")
-
-    pairs = []
-    for ep, em in zip(plus[1:].tolist(), minus[1:].tolist()):
-        if ep < EPS0:
-            raise DegeneracyError(
-                f"level {ep!r} of H+ is below {EPS0}: a second zero mode", level=ep)
+    for ep, em in zip(e_plus, minus.values[1:].tolist()):
         gap = abs(ep - em)
-        if gap > tol:
+        if gap > PAIR_TOL:
             raise DegeneracyError(
-                f"level {ep!r} of H+ has no partner within tol = {tol} "
+                f"level {ep!r} of H+ has no partner within tol = {PAIR_TOL} "
                 f"(nearest H- level {em!r}, gap {gap:.3e})",
                 level=ep,
             )
-        pairs.append(LevelPair(ep, em, gap))
-
-    return DegeneracyReport(
-        pairs=tuple(pairs),
-        zero_mode_energy=float(minus[0]),
-        closure_artifacts=(float(plus[0]),),
-    )
+    return plus, minus
 
 
 def zero_mode(sys: SusySystem) -> Wavefunction:

@@ -97,7 +97,7 @@ def entangle_sweep_oracle():
     command's order (|c1| outer, phase inner) and column order.
     """
     def rows(W, grid, level=1, c1_points=21, phase_points=8):
-        _, plus, minus, _ = cli._solve_both_sides(W, grid, level)
+        _, plus, minus = cli._solve_both_sides(W, grid, level)
         pp = sq.eigenstates(plus, grid)[level]
         mm = sq.eigenstates(minus, grid)[level]
         overlap = sq.inner_product(pp.state, mm.state)

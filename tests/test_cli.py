@@ -1,15 +1,21 @@
 """End-to-end runs of the JSON-config driver against temporary directories."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import susyqm as sq
 from susyqm import cli
@@ -574,12 +580,11 @@ class TestPairingWindows:
     GRID = sq.make_grid(-10.0, 10.0, 1001)
 
     def blind_verdict(self, system, levels):
-        k = levels + 1
-        with pytest.raises(sq.DegeneracyError) as exc:
-            sq.pair_partner_levels(system.H_plus.eigh(0, k - 1).values,
-                                   system.H_minus.eigh(0, k - 1).values,
-                                   cli.PAIR_TOL)
-        return str(exc.value)
+        """The verdict on the first pair of the blind lists apart by more than PAIR_TOL."""
+        plus, minus = (H.eigh(0, levels).values.tolist() for H in (system.H_plus, system.H_minus))
+        ep, em = next((p, m) for p, m in zip(plus[1:], minus[1:]) if abs(p - m) > cli.PAIR_TOL)
+        return (f"level {ep!r} of H+ has no partner within tol = {cli.PAIR_TOL} "
+                f"(nearest H- level {em!r}, gap {abs(ep - em):.3e})")
 
     @staticmethod
     def spy(monkeypatch, owner, name):
@@ -613,7 +618,7 @@ class TestPairingWindows:
                        "level" if command == "entangle" else "levels": 6}
             cli.main(["--config", write_config(tmp_path, payload), "--out", str(tmp_path)])
             monkeypatch.undo()
-            ((system, plus, minus, _),) = solved
+            ((system, plus, minus),) = solved
             # the one blind solve is H+'s; H- only goes through its windows.
             # spectrum and verify also bisect H-'s top level for its norm
             n = self.GRID.n_points
@@ -734,6 +739,56 @@ def test_reversed_superpotential_ends_in_one_violation_line(tmp_path, capsys, co
     assert len(err.splitlines()) == 1
     assert err.startswith("physics violation: ")
     assert err.endswith(" of H+ is below 1e-10: a second zero mode\n")
+
+
+GRID_COMMANDS = ("spectrum", "supercharge", "entangle", "verify")
+SCALES = st.one_of(st.just(0.0), st.builds(lambda sign, k: sign * 2.0 ** k,
+                                           st.sampled_from((-1.0, 1.0)), st.integers(-60, 520)))
+HALF_WIDTHS = st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def grid_configs(draw):
+    """A config of a grid command: any W, an asymmetric box, 3..401 points."""
+    command = draw(st.sampled_from(GRID_COMMANDS))
+    name = draw(st.sampled_from(W_NAMES))
+    w = {"name": name}
+    if name == "harmonic":
+        w["params"] = {"scale": draw(SCALES)}
+    elif name == "shifted_cubic":
+        w["params"] = {"a": draw(st.floats(-1e300, 1e300))}
+    n_points = draw(st.integers(3, 401))
+    levels = draw(st.integers(1, max(1, n_points // 10 - 1)))
+    return {"command": command, "superpotential": w,
+            "grid": {"x_min": -draw(HALF_WIDTHS), "x_max": draw(HALF_WIDTHS),
+                     "n_points": n_points},
+            "level" if command == "entangle" else "levels": levels}
+
+
+@given(payload=grid_configs())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_grid_commands_end_in_an_exit_code_and_one_line(tmp_path, payload):
+    # every config ends with exit 0, 1 or 2: silent on 0, one stderr line
+    # otherwise (verify's exit 1 prints one line a failed check), no warning
+    # and no temp file left behind
+    outdir = tempfile.mkdtemp(dir=tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = cli.main(["--config", write_config(tmp_path, payload), "--out", outdir])
+    text, lines = err.getvalue(), err.getvalue().splitlines()
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert text == ""
+    elif rc == 1 and payload["command"] == "verify" and text.startswith("verify: "):
+        assert all(line.startswith("verify: ") for line in lines)
+    else:
+        assert len(lines) == 1
+    assert not caught
+    assert "Warning" not in out.getvalue() + err.getvalue()
+    assert not [f for f in os.listdir(outdir) if f.startswith(".susyqm-tmp-")]
 
 
 class TestConfigErrors:
@@ -857,6 +912,30 @@ class TestConfigErrors:
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, where", (
+        (spectrum_config(grid={**BOX, "x_min": -10 ** 400}), "grid.x_min"),
+        (spectrum_config(superpotential={"name": "harmonic", "params": {"scale": 10 ** 400}}),
+         "superpotential.params.scale"),
+        ({"command": "jc", "jc_params": {"omega": 10 ** 400, "gamma": 0.1, "n_max": 8}},
+         "jc_params.omega"),
+    ), ids=("x_min", "scale", "omega"))
+    def test_integer_beyond_float_range(self, tmp_path, capsys, payload, where):
+        self.run_expecting_config_error(tmp_path, capsys, payload, f"{where} must be finite")
+
+    @pytest.mark.parametrize("text", (
+        b'{"command": "jc", "jc_params": {"omega": 1' + b"0" * 5000 + b"}}",
+        b'{"command": "spectrum\xff"}',
+        b"[" * 100000 + b"]" * 100000,
+    ), ids=("integer_past_digit_limit", "not_utf8", "nesting_past_recursion_limit"))
+    def test_unloadable_json(self, tmp_path, capsys, text):
+        path = tmp_path / "broken.json"
+        path.write_bytes(text)
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"config error: config file {path} is not valid JSON: ")
+        assert len(err.splitlines()) == 1
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = cli.main(["--config", str(tmp_path / "absent.json")])
         assert rc == 2
@@ -882,6 +961,29 @@ class TestOutputResolution:
         assert rc == 0
         assert (override / "spectrum.csv").exists()
         assert not configured.exists()
+
+
+    @pytest.mark.parametrize("below", ("", "sub"), ids=("file", "below_file"))
+    def test_output_directory_that_cannot_be_made(self, tmp_path, capsys, below):
+        # --out naming a regular file (FileExistsError) or a path below one
+        # (NotADirectoryError)
+        blocker = tmp_path / "report"
+        blocker.write_text("not a directory", encoding="utf-8")
+        outdir = os.path.join(blocker, below) if below else str(blocker)
+        rc = cli.main(["--config", write_config(tmp_path, spectrum_config()), "--out", outdir])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"config error: cannot create output directory {outdir!r}: ")
+        assert len(err.splitlines()) == 1
+        assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+    def test_empty_output_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, spectrum_config(output={"path": ""}))
+        rc = cli.main(["--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: cannot create output directory '': ")
+        assert len(err.splitlines()) == 1
 
 
 class TestDeterminism:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susyqm as sq
-from susyqm import cli
-from susyqm.cli import PAIR_TOL
+from susyqm import cli, spectral
+from susyqm.spectral import PAIR_TOL
 
 
 class TestSolveSpectrum:
@@ -82,7 +82,14 @@ def max_ulps(got, want):
     return float(np.max(np.abs(got - want) / np.spacing(np.abs(want))))
 
 
+def diagonal(levels):
+    """A Tridiagonal whose levels are `levels`: its diagonal, off-diagonal zero."""
+    return sq.Tridiagonal(np.asarray(levels, dtype=float), np.zeros(len(levels) - 1))
+
+
 class TestSolveInPairingWindows:
+    """H- is bisected inside the pairing windows of the H+ levels: one count per window."""
+
     @pytest.mark.parametrize("n_points, levels", WINDOW_CASES)
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
     def test_matches_blind_solve(self, name, n_points, levels):
@@ -92,9 +99,8 @@ class TestSolveInPairingWindows:
         grid = sq.make_grid(-10.0, 10.0, n_points)
         system = sq.build_susy_system(sq.get_superpotential(name), grid)
         k = levels + 1
-        plus = system.H_plus.eigh(0, k - 1).values
-        found = sq.solve_in_pairing_windows(system.H_minus, plus, PAIR_TOL)
-        assert found is not None
+        _, found = sq.solve_partners(system.H_plus, system.H_minus, levels)
+        assert found.counts == (1,) * k  # the windows held, no blind solve
         if n_points * k > 10 ** 6:
             assert max_ulps(found.values, system.H_minus.eigh(0, k - 1).values) <= 2
             return
@@ -105,14 +111,15 @@ class TestSolveInPairingWindows:
         for w, b in zip(found, blind):
             assert abs(sq.inner_product(w.state, b.state)) >= 1.0 - 1e-12
 
-    def test_bands_beyond_squaring_range(self):
-        # bands, H+ levels and tolerance scaled by 2^600 take the windows too
+    def test_bands_beyond_squaring_range(self, monkeypatch):
+        # bands of both sides and the tolerance scaled by 2^600 take the windows too
         grid = sq.make_grid(-10.0, 10.0, 1001)
         system = sq.build_susy_system(sq.get_superpotential("shifted_cubic"), grid)
-        plus = system.H_plus.eigh(0, 6).values
-        big = sq.Tridiagonal(np.ldexp(system.H_minus.diag, 600), np.ldexp(system.H_minus.off, 600))
-        found = sq.solve_in_pairing_windows(big, np.ldexp(plus, 600), np.ldexp(PAIR_TOL, 600))
-        assert found is not None
+        big_plus, big = (sq.Tridiagonal(np.ldexp(H.diag, 600), np.ldexp(H.off, 600))
+                         for H in (system.H_plus, system.H_minus))
+        monkeypatch.setattr(spectral, "PAIR_TOL", np.ldexp(PAIR_TOL, 600))
+        _, found = sq.solve_partners(big_plus, big, 6)
+        assert found.counts == (1,) * 7
         found = sq.eigenstates(found, grid)
         blind = sq.solve_spectrum(big, 7, grid)
         assert max_ulps([p.energy for p in found], [p.energy for p in blind]) <= 2
@@ -121,27 +128,68 @@ class TestSolveInPairingWindows:
 
     def test_no_result_without_exactly_one_plus_zero(self, systems):
         # the windows reproduce the k lowest H- levels only when level 0 of
-        # the H+ levels is its wall-node zero and level 1 its first nonzero one
+        # the H+ levels is its wall-node zero and level 1 its first nonzero
+        # one; H+ here is diagonal, with the harmonic H+ levels on it
         system = systems["harmonic"]
-        plus = system.H_plus.eigh(0, 6).values
-        assert sq.solve_in_pairing_windows(system.H_minus, plus, PAIR_TOL) is not None
-        assert sq.solve_in_pairing_windows(system.H_minus, plus[1:], PAIR_TOL) is None
+        plus = system.H_plus.eigh(0, 7).values
+        _, found = sq.solve_partners(diagonal(plus), system.H_minus, 6)
+        assert found.counts == (1,) * 7
+        # no zero: the windows sit one level up and the count fails; the
+        # blind solve names the first unpaired level
+        with pytest.raises(sq.DegeneracyError, match="has no partner") as err:
+            sq.solve_partners(diagonal(plus[1:]), system.H_minus, 6)
+        assert err.value.level == plus[2]
+        # two zeros: level 1 of H+ is a second zero mode
         lifted = np.concatenate([[0.0], plus[:-1]])
-        assert sq.solve_in_pairing_windows(system.H_minus, lifted, PAIR_TOL) is None
+        with pytest.raises(sq.DegeneracyError, match="a second zero mode"):
+            sq.solve_partners(diagonal(lifted), system.H_minus, 6)
+
+    def test_crowded_levels_fall_back_to_the_blind_solve(self):
+        # two levels 1e-10 apart: window 1 takes both and window 2 none, so
+        # H- is bisected blind, and the pairs still hold level for level
+        levels = [0.0, 1.0, 1.0 + 1e-10, 2.0]
+        windows = [(-np.inf, sq.EPS0), (1.0 - PAIR_TOL, 1.0 + PAIR_TOL),
+                   (1.0 + PAIR_TOL, 1.0 + 1e-10 + PAIR_TOL), (2.0 - PAIR_TOL, 2.0 + PAIR_TOL)]
+        assert diagonal(levels).eigh_windows(windows).counts == (1, 2, 0, 1)
+        plus, minus = sq.solve_partners(diagonal(levels), diagonal(levels), 3)
+        assert minus.counts == (4,)  # one index selection: the blind solve
+        assert plus.values.tolist() == minus.values.tolist() == levels
+
+    def test_second_zero_mode_raises_before_h_minus_is_touched(self, monkeypatch):
+        touched = []
+        for name in ("eigh", "eigh_windows"):
+            method = getattr(sq.Tridiagonal, name)
+
+            def spy(H, *args, _method=method, **kwargs):
+                touched.append(H)
+                return _method(H, *args, **kwargs)
+            monkeypatch.setattr(sq.Tridiagonal, name, spy)
+        H_plus, H_minus = diagonal([0.0, 5e-11, 1.0]), diagonal([1e-14, 5e-11, 1.0])
+        with pytest.raises(sq.DegeneracyError, match="a second zero mode"):
+            sq.solve_partners(H_plus, H_minus, 2)
+        assert touched == [H_plus]
+
+    @pytest.mark.parametrize("levels", (0, -1))
+    def test_levels_below_one_rejected(self, levels):
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            sq.solve_partners(diagonal([0.0, 1.0]), diagonal([0.0, 1.0]), levels)
 
 
 class TestPairPartnerLevels:
-    """Level 0 of each side is its zero; levels 1.. pair level for level."""
+    """Level 0 of each side is its zero; levels 1.. pair level for level.
+
+    Each side is a diagonal Tridiagonal, whose levels are its diagonal.
+    """
 
     def test_exact_lists_with_zero_mode(self):
-        report = sq.pair_partner_levels([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], tol=1e-6)
-        assert [(p.e_plus, p.e_minus) for p in report.pairs] == [(1, 1), (2, 2)]
-        assert report.zero_mode_energy == 0.0
-        assert report.closure_artifacts == (0.0,)
+        plus, minus = sq.solve_partners(diagonal([0.0, 1.0, 2.0]), diagonal([0.0, 1.0, 2.0]), 2)
+        assert list(zip(plus.values[1:].tolist(), minus.values[1:].tolist())) == [(1, 1), (2, 2)]
+        assert minus.values[0] == 0.0
+        assert plus.values[0] == 0.0
 
     def test_forced_mismatch_names_offending_level(self):
         with pytest.raises(sq.DegeneracyError) as err:
-            sq.pair_partner_levels([0.0, 1.5], [0.0, 1.0], tol=1e-6)
+            sq.solve_partners(diagonal([0.0, 1.5]), diagonal([0.0, 1.0]), 1)
         assert err.value.level == 1.5
         assert "1.5" in str(err.value)
 
@@ -149,7 +197,7 @@ class TestPairPartnerLevels:
         # a paired H+ level below EPS0 is a second zero mode, even when its
         # H- partner matches it within tol
         with pytest.raises(sq.DegeneracyError) as err:
-            sq.pair_partner_levels([0.0, 5e-11, 1.0], [1e-14, 5e-11, 1.0], tol=1e-6)
+            sq.solve_partners(diagonal([0.0, 5e-11, 1.0]), diagonal([1e-14, 5e-11, 1.0]), 2)
         assert err.value.level == 5e-11
         assert "a second zero mode" in str(err.value)
 
@@ -157,39 +205,31 @@ class TestPairPartnerLevels:
         # the H- zero mode bisected to 2^-23, as at 2^20 + 1 harmonic
         # points: the pairs stay level for level, and only the zero-mode
         # verdict fails
-        report = sq.pair_partner_levels([0.0, 1.0, 2.0], [2.0 ** -23, 1.0, 2.0], tol=1e-10)
-        assert [(p.e_plus, p.e_minus, p.gap) for p in report.pairs] == [(1, 1, 0), (2, 2, 0)]
-        assert report.zero_mode_energy == 2.0 ** -23
-        assert cli._zero_mode_check(report) == {
+        plus, minus = sq.solve_partners(
+            diagonal([0.0, 1.0, 2.0]), diagonal([2.0 ** -23, 1.0, 2.0]), 2)
+        assert plus.values[1:].tolist() == minus.values[1:].tolist() == [1.0, 2.0]
+        assert minus.values[0] == 2.0 ** -23
+        assert cli._zero_mode_check(minus) == {
             "name": "zero_mode_present", "value": 2.0 ** -23, "bound": sq.EPS0,
             "passed": False}
 
-    def test_non_ascending_rejected(self):
-        with pytest.raises(ValueError):
-            sq.pair_partner_levels([2.0, 1.0], [0.0, 1.0], tol=1e-6)
-
-    @pytest.mark.parametrize("plus, minus", (([], [0.0, 1.0]), ([0.0, 1.0], [])))
-    def test_side_without_its_zero_level_rejected(self, plus, minus):
-        with pytest.raises(ValueError, match="must hold its zero level"):
-            sq.pair_partner_levels(plus, minus, tol=1e-6)
-
     def test_trailing_tail_recorded_not_fatal(self):
-        report = sq.pair_partner_levels([0.0, 1.0, 2.0, 9.0], [0.0, 1.0, 2.0], tol=1e-6)
-        assert len(report.pairs) == 2
+        # an H+ level above the levels asked for is never read
+        plus, minus = sq.solve_partners(
+            diagonal([0.0, 1.0, 2.0, 9.0]), diagonal([0.0, 1.0, 2.0]), 2)
+        assert plus.values.tolist() == minus.values.tolist() == [0.0, 1.0, 2.0]
 
     def test_plus_side_artifact_excluded(self):
-        report = sq.pair_partner_levels([1e-13, 1.0], [0.0, 1.0], tol=1e-6)
-        assert report.closure_artifacts == (1e-13,)
-        assert len(report.pairs) == 1
+        plus, minus = sq.solve_partners(diagonal([1e-13, 1.0]), diagonal([0.0, 1.0]), 1)
+        assert plus.values[0] == 1e-13
+        assert minus.values.tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic"))
-    def test_bundled_superpotentials_pair_tightly(self, spectra, name):
-        plus, minus = spectra[name]
-        report = sq.pair_partner_levels(
-            [p.energy for p in plus], [m.energy for m in minus], tol=1e-10)
-        assert len(report.pairs) == 6
-        assert report.max_gap <= 1e-10
-        assert abs(report.zero_mode_energy) <= sq.EPS0
+    def test_bundled_superpotentials_pair_tightly(self, systems, name):
+        plus, minus = sq.solve_partners(systems[name].H_plus, systems[name].H_minus, 6)
+        assert plus.values.size == minus.values.size == 7
+        assert np.max(np.abs(plus.values[1:] - minus.values[1:])) <= 1e-10
+        assert abs(minus.values[0]) <= sq.EPS0
 
     @given(
         ticks=st.lists(st.integers(1, 1000), min_size=1, max_size=8, unique=True),
@@ -198,11 +238,11 @@ class TestPairPartnerLevels:
     @settings(max_examples=50, deadline=None)
     def test_property_jittered_twins_always_pair(self, ticks, jitter):
         levels = [0.05 * t for t in sorted(ticks)]  # separation far above tol
-        plus = [0.0] + levels
-        minus = [0.0] + [e + j for e, j in zip(levels, jitter)]
-        report = sq.pair_partner_levels(plus, minus, tol=1e-10)
-        assert len(report.pairs) == len(levels)
-        assert report.max_gap <= 1e-10
+        plus, minus = sq.solve_partners(
+            diagonal([0.0] + levels), diagonal([0.0] + [e + j for e, j in zip(levels, jitter)]),
+            len(levels))
+        assert minus.counts == (1,) * (len(levels) + 1)
+        assert np.max(np.abs(plus.values[1:] - minus.values[1:])) <= 1e-10
 
 
 class TestZeroLevelsFromStructure:

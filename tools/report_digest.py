@@ -5,7 +5,7 @@ Usage:
     python tools/report_digest.py [CHECKOUT] > digests.txt
 
 CHECKOUT (default: the checkout holding this script) is a susyqm source tree;
-its `susyqm.cli` is imported from its `src/` and run in process on 91
+its `susyqm.cli` is imported from its `src/` and run in process on 93
 configs, each once with `--format csv` and once with `--format json`:
 
 - the bundled configs in `configs/`;
@@ -67,6 +67,13 @@ EXTRA = [
     ("entangle/harmonic/201/scale=-1",
      _config("entangle", "harmonic", 201, key="level", value=3, scale=-1.0)),
     ("spectrum/harmonic/201/scale=-1", _config("spectrum", "harmonic", 201, scale=-1.0)),
+    # both pairing verdicts from real configs: a flat W on a wide box, whose
+    # H+ level 1 is a second zero mode, and a steep W on a narrow box, whose
+    # H+ level has no partner within PAIR_TOL
+    ("spectrum/harmonic/201/scale=2^-40/half_width=10*2^20",
+     _config("spectrum", "harmonic", 201, half_width=10.0 * 2 ** 20, scale=2.0 ** -40)),
+    ("spectrum/harmonic/2001/scale=2^20/half_width=10*2^-10",
+     _config("spectrum", "harmonic", 2001, half_width=10.0 * 2 ** -10, scale=2.0 ** 20)),
 ] + [
     (f"{command}/{name}/201", _config(command, name, 201, key, value))
     for name in W_NAMES
