@@ -6,6 +6,11 @@ computation starts. All numeric text is 17 significant digits with LF line
 endings, files are written atomically (temp file + rename), and every code
 path is deterministic, so rerunning a config reproduces its outputs byte for
 byte. Exit codes: 0 success, 1 physics-invariant violation, 2 config error.
+Every command states its verdicts as (name, value, bound) checks and ends
+through one `_finish`: a failed check exits 1 with one stderr line,
+`physics violation: <first failed name> = <value> exceeds <bound>`, plus
+`(and N more)` when N other checks failed. Every other ending is one stderr
+line too.
 """
 
 import argparse
@@ -27,7 +32,13 @@ from .entanglement import (
 )
 from .errors import ConfigError, PhysicsViolationError, SusyQMError
 from .grid import Grid, inner_product, make_grid
-from .jaynescummings import build_jc, numeric_vs_analytic, verify_susy_algebra
+from .jaynescummings import (
+    FIDELITY_TOL,
+    GAP_TOL,
+    build_jc,
+    numeric_vs_analytic,
+    verify_susy_algebra,
+)
 from .operators import (
     Tridiagonal,
     band_commutator,
@@ -239,7 +250,11 @@ def _solve_both_sides(W, grid, levels):
 
 
 def _check(name, value, bound):
-    """One verify check: its value passes when it is at most its bound."""
+    """One verdict of any command: its value passes when it is at most its bound.
+
+    A NaN value fails. `verify` writes its checks to its report; every
+    command ends through `_finish` of its checks.
+    """
     return {"name": name, "value": float(value), "bound": float(bound),
             "passed": bool(value <= bound)}
 
@@ -260,6 +275,23 @@ def _zero_mode_residual(system):
     resid = np.linalg.norm(system.H_minus @ psi0.amplitudes)
     resid /= np.linalg.norm(psi0.amplitudes)
     return psi0, resid, 1e-12 * operator_norm(system.H_minus)
+
+
+def _supercharge_level(system, pp):
+    """intertwine_down of the H+ eigenpair `pp` and its four supercharge rows.
+
+    A row is (family, sign, state, residual), in report order; the mapped
+    state carries the relative phase the eigenstates need.
+    """
+    mapped = intertwine_down(system, pp)
+    return mapped, [(family, sign, st, supercharge_residual(system, st, eigenvalue, family))
+                    for family, sign, eigenvalue, st in supercharge_eigenstates(
+                        system, pp.energy, pp.state, mapped)]
+
+
+def _supercharge_check(residuals):
+    """The supercharge verdict of `supercharge` and `verify`: the largest residual."""
+    return _check("supercharge_eigenstate_residual", max([0.0, *residuals]), INTERTWINE_TOL)
 
 
 def _susy_identities(system):
@@ -298,16 +330,7 @@ def run_spectrum(cfg, outdir, fmt):
 
     system, plus, minus = _solve_both_sides(W, grid, levels)
     psi0, resid, bound = _zero_mode_residual(system)
-
-    violations = []
-    zero = _zero_mode_check(minus)
-    if not zero["passed"]:
-        violations.append(f"zero mode |E0| = {zero['value']:.3e} of H- exceeds EPS0 = {EPS0}")
-    if resid > bound:
-        violations.append(
-            f"zero-mode residual ||H- psi0|| = {resid:.3e} exceeds "
-            f"1e-12 ||H-|| = {bound:.3e}"
-        )
+    checks = [_zero_mode_check(minus), _check("zero_mode_residual", resid, bound)]
 
     e_plus, e_minus = plus.values[1:], minus.values[1:]  # level i pairs with level i
     spectrum_text = _table_text(fmt, {
@@ -327,7 +350,7 @@ def run_spectrum(cfg, outdir, fmt):
 
     _write(outdir, "spectrum." + fmt, spectrum_text)
     _write(outdir, "zero_mode." + fmt, zero_text)
-    return _finish(violations)
+    return _finish(checks)
 
 
 def run_entangle(cfg, outdir, fmt):
@@ -376,28 +399,17 @@ def run_supercharge(cfg, outdir, fmt):
     levels = _parse_levels(cfg, grid)
 
     system, plus, _ = _solve_both_sides(W, grid, levels)
-    solved = eigenstates(plus, grid)[1:]
-    violations = []
     rows = []  # (index, energy, family, sign, residual, concurrence)
-    for i, pp in enumerate(solved, start=1):
-        # intertwine_down carries the relative phase the eigenstates need
-        mapped = intertwine_down(system, pp)
-        for family, sign, eigenvalue, st in supercharge_eigenstates(
-                system, pp.energy, pp.state, mapped):
-            resid = supercharge_residual(system, st, eigenvalue, family)
-            rows.append((i, pp.energy, family, sign, resid, concurrence_from_spin(st)))
-            if resid > INTERTWINE_TOL:
-                violations.append(
-                    f"supercharge eigenstate residual {resid:.3e} at level {i} "
-                    f"({family}, sign {sign:+d}) exceeds {INTERTWINE_TOL}"
-                )
+    for i, pp in enumerate(eigenstates(plus, grid)[1:], start=1):
+        rows += [(i, pp.energy, family, sign, resid, concurrence_from_spin(st))
+                 for family, sign, st, resid in _supercharge_level(system, pp)[1]]
+    columns = list(zip(*rows))
 
     text = _table_text(fmt, {"superpotential": W.name, "grid": _grid_payload(grid)},
                        ("index", "energy", "family", "sign", "residual", "concurrence"),
-                       ("d", ".17g", "s", "+d", ".17g", ".17g"),
-                       list(zip(*rows)) or [()] * 6)  # no solved level: header only
+                       ("d", ".17g", "s", "+d", ".17g", ".17g"), columns)
     _write(outdir, "supercharge." + fmt, text)
-    return _finish(violations)
+    return _finish([_supercharge_check(columns[4])])
 
 
 def run_jc(cfg, outdir, fmt):
@@ -442,11 +454,11 @@ def run_jc(cfg, outdir, fmt):
 
     _write(outdir, "jc_levels." + fmt, levels_text)
     _write(outdir, "jc_algebra.json", _json_text(algebra_payload))
-    violations = [
-        f"level n={n} branch={b}: {kind} = {value!r} out of tolerance"
-        for n, b, kind, value in match.failures
-    ]
-    return _finish(violations)
+    # a failure row holds its gap, or its fidelity F, read as the deficit 1 - F
+    return _finish([
+        _check(f"gap[n={n},branch={b}]", value, GAP_TOL) if kind == "gap" else
+        _check(f"fidelity_deficit[n={n},branch={b}]", 1.0 - value, FIDELITY_TOL)
+        for n, b, kind, value in match.failures])
 
 
 def run_verify(cfg, outdir, fmt):
@@ -457,46 +469,31 @@ def run_verify(cfg, outdir, fmt):
     system, plus, minus = _solve_both_sides(W, grid, levels)
     _, resid, bound = _zero_mode_residual(system)
 
-    worst_map = 0.0
-    worst_energy = 0.0
-    worst_eig = 0.0
+    worst_map = worst_energy = 0.0
+    residuals = []
     dx = grid.dx
     for pp, mm in zip(eigenstates(plus, grid)[1:], eigenstates(minus, grid)[1:]):
-        raw = intertwine_down(system, pp)
+        raw, states = _supercharge_level(system, pp)
         mapped = align_phase(raw, mm.state)
         worst_map = max(worst_map, math.sqrt(dx) * float(
             np.linalg.norm(mapped.amplitudes - mm.state.amplitudes)))
         worst_energy = max(worst_energy, abs(
             dx * float(np.linalg.norm(system.B @ mm.state.amplitudes) ** 2)
             - mm.energy))
-        for family, _, eigenvalue, st in supercharge_eigenstates(
-                system, pp.energy, pp.state, raw):
-            worst_eig = max(worst_eig, supercharge_residual(system, st, eigenvalue, family))
+        residuals += [r for *_, r in states]
     checks = [
         _check("pairing_max_gap", np.max(np.abs(plus.values[1:] - minus.values[1:])), PAIR_TOL),
         _zero_mode_check(minus),
         _check("zero_mode_residual", resid, bound),
         _check("intertwine_map_residual", worst_map, INTERTWINE_TOL),
         _check("intertwine_energy_deviation", worst_energy, INTERTWINE_TOL),
-        _check("supercharge_eigenstate_residual", worst_eig, INTERTWINE_TOL),
+        _supercharge_check(residuals),
         *(_check(*identity) for identity in _susy_identities(system)),
     ]
-    passed = all(c["passed"] for c in checks)
-    payload = {
-        "superpotential": W.name,
-        "grid": _grid_payload(grid),
-        "levels": levels,
-        "checks": checks,
-        "passed": passed,
-    }
+    payload = {"superpotential": W.name, "grid": _grid_payload(grid), "levels": levels,
+               "checks": checks, "passed": all(c["passed"] for c in checks)}
     _write(outdir, "verify.json", _json_text(payload))
-    if passed:
-        return 0
-    for c in checks:
-        if not c["passed"]:
-            print(f"verify: {c['name']} = {c['value']:.6e} exceeds {c['bound']:.6e}",
-                  file=sys.stderr)
-    return 1
+    return _finish(checks)
 
 
 def _write(outdir, filename, text):
@@ -505,12 +502,18 @@ def _write(outdir, filename, text):
     print(f"wrote {path}")
 
 
-def _finish(violations):
-    """Exit code for a finished run: 1 with one stderr line if anything failed."""
-    if not violations:
+def _finish(checks):
+    """Exit code of a finished run: 0 if every check passed, else 1.
+
+    An exit 1 prints one stderr line, naming the first failed check and
+    counting the others.
+    """
+    failed = [c for c in checks if not c["passed"]]
+    if not failed:
         return 0
-    more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
-    print(f"physics violation: {violations[0]}{more}", file=sys.stderr)
+    more = f" (and {len(failed) - 1} more)" if len(failed) > 1 else ""
+    print(f"physics violation: {failed[0]['name']} = {failed[0]['value']!r} "
+          f"exceeds {failed[0]['bound']!r}{more}", file=sys.stderr)
     return 1
 
 

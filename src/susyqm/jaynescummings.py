@@ -42,6 +42,11 @@ __all__ = [
     "JCMatchReport",
 ]
 
+# a level matches when its gap is at most GAP_TOL and its fidelity deficit
+# 1 - F at most FIDELITY_TOL
+GAP_TOL = 1e-10
+FIDELITY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FockSpace:
@@ -99,7 +104,9 @@ def build_jc(omega: float, gamma: float, n_max: int) -> JCSystem:
     """Q, H0, Hint and H on the 2(n_max+1)-dimensional space, in O(n_max).
 
     Raises ValueError for a nonpositive omega, a negative gamma, n_max < 4,
-    or couplings so large that a band of H overflows.
+    or couplings so large that 2 (n_max + 1) times a band entry of H
+    overflows: the algebra check multiplies H's bands by the excitation
+    number, up to n_max + 1, and by sqrt(n_max) Q, and takes differences.
     """
     omega = float(omega)
     gamma = float(gamma)
@@ -117,10 +124,11 @@ def build_jc(omega: float, gamma: float, n_max: int) -> JCSystem:
         H0 = Tridiagonal(omega * (m + 0.5 * fock.spins()), zeros[1:])
         Hint = Tridiagonal(zeros, gamma * q_off)
         H = Tridiagonal(H0.diag + Hint.diag, H0.off + Hint.off)
-    if not (np.all(np.isfinite(H.diag)) and np.all(np.isfinite(H.off))):
+    largest = float(max(np.abs(H.diag).max(), np.abs(H.off).max()))
+    if not np.isfinite(2.0 * (fock.n_max + 1) * largest):  # Python floats: no warning
         raise ValueError(
             f"omega = {omega!r}, gamma = {gamma!r} are too large for n_max = "
-            f"{fock.n_max}: the bands of H overflow"
+            f"{fock.n_max}: 2 (n_max + 1) times a band of H overflows"
         )
     return JCSystem(fock, omega, gamma, Q, H0, Hint, H)
 
@@ -259,7 +267,8 @@ class JCMatchReport:
     rows (n, -1) and (n, +1), or one row (n, 0) for gamma = 0, where the
     doublet is one degenerate eigenspace and its concurrence, which needs a
     single eigenvector, is NaN. `failures` lists (n, branch, "gap" or
-    "fidelity", value) row by row, a row's gap before its fidelity.
+    "fidelity", value) row by row, a row's gap before its fidelity: a gap
+    above GAP_TOL, or a fidelity F whose deficit 1 - F is above FIDELITY_TOL.
     """
 
     n: np.ndarray
@@ -315,9 +324,7 @@ def _label_evidence(sys: JCSystem):
     return worst_impl, best_alt
 
 
-def numeric_vs_analytic(
-    sys: JCSystem, gap_tol: float = 1e-10, fidelity_tol: float = 1e-10
-) -> JCMatchReport:
+def numeric_vs_analytic(sys: JCSystem) -> JCMatchReport:
     """Diagonalize H and match against the analytic levels and states.
 
     In the excitation order H is |0 down> plus one 2x2 block per doublet n,
@@ -377,6 +384,9 @@ def numeric_vs_analytic(
         v1 = np.stack([c, shift - h])
         v2 = np.stack([shift + h, c])
         v = np.where(np.hypot(*v1) >= np.hypot(*v2), v1, v2)
+        # scaled by an exact power of two first, so a subnormal v keeps its
+        # digits through the normalization
+        v = np.ldexp(v, -np.frexp(np.abs(v).max(axis=0))[1])
         up, down = v / np.hypot(*v)
         E_a, E_n = analytic[k], E_num[k]
         gap = np.abs(E_n - E_a)
@@ -399,9 +409,10 @@ def numeric_vs_analytic(
         (0, n_exc), (0, branch), (e0, E_a), (E_num[0], E_n),
         (abs(E_num[0] - e0), gap), (1.0, fid), (0.0, conc),
     ))
-    # row by row, a row's gap failure before its fidelity failure; not >=:
-    # a block with neither coupling nor splitting gives NaN, which fails
-    bad = np.stack([gap > gap_tol, ~(fid >= 1.0 - fidelity_tol)], axis=1)
+    # row by row, a row's gap failure before its fidelity failure; a value
+    # passes when it is at most its bound, so the NaN fidelity of a block
+    # with neither coupling nor splitting fails
+    bad = ~np.stack([gap <= GAP_TOL, 1.0 - fid <= FIDELITY_TOL], axis=1)
     row, kind = np.nonzero(bad)
     failures = tuple(zip(n_col[row].tolist(), branch[row].tolist(),
                          np.array(["gap", "fidelity"])[kind].tolist(),

@@ -417,15 +417,15 @@ class TestJCCommand:
 
     def test_absolute_gap_tolerance_verdict(self, tmp_path, capsys):
         # omega 1e4 puts E near 5e5, where one or two ulps exceed the
-        # absolute gap_tol of 1e-10
+        # absolute GAP_TOL of 1e-10
         cfg = write_config(tmp_path, {
             "command": "jc",
             "jc_params": {"omega": 1e4, "gamma": 0.1, "n_max": 64},
         })
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
-            "physics violation: level n=48 branch=-1: gap = 1.1641532182693481e-10 "
-            "out of tolerance (and 10 more)\n")
+            "physics violation: gap[n=48,branch=-1] = 1.1641532182693481e-10 "
+            "exceeds 1e-10 (and 10 more)\n")
 
     def test_report_memory(self, tmp_path, traced_peak):
         # At its peak the JSON writer holds the report text T twice, as the
@@ -476,7 +476,7 @@ class TestJCCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("physics violation: level n=")
+        assert err.startswith("physics violation: gap[n=")
         assert "more)" in err
 
 
@@ -500,7 +500,8 @@ class TestVerifyCommand:
             self, tmp_path, capsys, monkeypatch):
         # tanh's kernel vector does not vanish at the box edge, yet every
         # physics check is green; a bound no value can meet forces the red
-        # path, which must still write the report and name the failed check
+        # path, which must still write the report and name the first failed
+        # check on one stderr line
         monkeypatch.setattr(cli, "MATRIX_SQ_TOL", -1.0)
         cfg = write_config(tmp_path, {
             "command": "verify",
@@ -514,9 +515,10 @@ class TestVerifyCommand:
         assert payload["passed"] is False
         failed = {c["name"] for c in payload["checks"] if not c["passed"]}
         assert failed == {"q1_squared_vs_hamiltonian", "q2_squared_vs_hamiltonian"}
-        err = capsys.readouterr().err
-        assert "verify: q1_squared_vs_hamiltonian" in err
-        assert "verify: q2_squared_vs_hamiltonian" in err
+        (q1,) = [c for c in payload["checks"] if c["name"] == "q1_squared_vs_hamiltonian"]
+        assert capsys.readouterr().err == (
+            f"physics violation: q1_squared_vs_hamiltonian = {q1['value']!r} "
+            "exceeds -1.0 (and 1 more)\n")
 
     # dx = 0.2: the H- mutant below lifts the zero mode by about 1e-12 / dx^2,
     # which stays under EPS0 (at 201 points it reaches 1.00005e-10 and
@@ -676,8 +678,8 @@ class TestBorderlineVerdicts:
         # to about 100
         rc, err = self.run(tmp_path, capsys, harmonic_config("spectrum", 201, scale=1e153))
         assert rc == 1
-        assert err.startswith("physics violation: zero mode |E0| = ")
-        assert err.endswith(" of H- exceeds EPS0 = 1e-10\n")
+        assert err.startswith("physics violation: zero_mode_present = ")
+        assert err.endswith(" exceeds 1e-10\n")
         assert len(err.splitlines()) == 1
 
     def test_flat_superpotential_on_wide_box_has_many_zero_modes(self, tmp_path, capsys):
@@ -693,7 +695,8 @@ class TestBorderlineVerdicts:
         rc, err = self.run(tmp_path, capsys, harmonic_config("verify", 32001))
         assert rc == 1
         assert self.failed_checks(tmp_path) == {"zero_mode_present"}
-        assert err.startswith("verify: zero_mode_present = ")
+        assert err.startswith("physics violation: zero_mode_present = ")
+        assert err.endswith(" exceeds 1e-10\n")
 
     @pytest.mark.parametrize("scale, half_width, rc", (
         (2.0 ** 16, 10.0 * 2 ** -8, 1),  # |E0| = 2.98e-8 on the bisection floor
@@ -713,8 +716,8 @@ class TestBorderlineVerdicts:
         assert zero["value"] == abs(e0)
         assert zero["passed"] is (rc == 0)
         if rc:
-            assert err == (f"physics violation: zero mode |E0| = {zero['value']:.3e} "
-                           "of H- exceeds EPS0 = 1e-10\n")
+            assert err == (f"physics violation: zero_mode_present = {zero['value']!r} "
+                           "exceeds 1e-10\n")
 
     def test_steep_narrow_box_fails_energy_deviation(self, tmp_path, capsys):
         rc, err = self.run(tmp_path, capsys, harmonic_config(
@@ -722,7 +725,8 @@ class TestBorderlineVerdicts:
         assert rc == 1
         assert self.failed_checks(tmp_path) == {"zero_mode_present",
                                                 "intertwine_energy_deviation"}
-        assert "verify: intertwine_energy_deviation = " in err
+        assert err.startswith("physics violation: zero_mode_present = ")
+        assert err.endswith(" exceeds 1e-10 (and 1 more)\n")
 
 
 @pytest.mark.parametrize("command", ("spectrum", "supercharge", "entangle", "verify"))
@@ -765,13 +769,9 @@ def grid_configs(draw):
             "level" if command == "entangle" else "levels": levels}
 
 
-@given(payload=grid_configs())
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_grid_commands_end_in_an_exit_code_and_one_line(tmp_path, payload):
-    # every config ends with exit 0, 1 or 2: silent on 0, one stderr line
-    # otherwise (verify's exit 1 prints one line a failed check), no warning
-    # and no temp file left behind
+def assert_one_line_ending(tmp_path, payload):
+    """The run of `payload` ends in exit 0, 1 or 2: silent on 0, one stderr
+    line otherwise, no warning and no temp file left behind."""
     outdir = tempfile.mkdtemp(dir=tmp_path)
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
@@ -782,13 +782,28 @@ def test_grid_commands_end_in_an_exit_code_and_one_line(tmp_path, payload):
     assert rc in (0, 1, 2)
     if rc == 0:
         assert text == ""
-    elif rc == 1 and payload["command"] == "verify" and text.startswith("verify: "):
-        assert all(line.startswith("verify: ") for line in lines)
     else:
         assert len(lines) == 1
     assert not caught
     assert "Warning" not in out.getvalue() + err.getvalue()
     assert not [f for f in os.listdir(outdir) if f.startswith(".susyqm-tmp-")]
+
+
+@given(payload=grid_configs())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_grid_commands_end_in_an_exit_code_and_one_line(tmp_path, payload):
+    assert_one_line_ending(tmp_path, payload)
+
+
+@given(omega=st.floats(0.0, 1.7e308, exclude_min=True),
+       gamma=st.one_of(st.just(0.0), st.floats(5e-324, 1e308)),
+       n_max=st.integers(4, 256))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_jc_ends_in_an_exit_code_and_one_line(tmp_path, omega, gamma, n_max):
+    assert_one_line_ending(tmp_path, {"command": "jc", "jc_params": {
+        "omega": omega, "gamma": gamma, "n_max": n_max}})
 
 
 class TestConfigErrors:
@@ -893,6 +908,15 @@ class TestConfigErrors:
         self.run_expecting_config_error(
             tmp_path, capsys,
             {"command": "jc", "jc_params": {"omega": 1e308, "gamma": 0.1, "n_max": 8}},
+            "overflow")
+
+    def test_jc_algebra_check_overflow(self, tmp_path, capsys):
+        # H's bands are finite, but [N, H] in the algebra check overflowed
+        # into NaN, which the JSON report could not hold
+        self.run_expecting_config_error(
+            tmp_path, capsys,
+            {"command": "jc", "jc_params": {"omega": 1.0, "gamma": 2.5647331063962154e306,
+                                            "n_max": 17}},
             "overflow")
 
     def test_jc_cutoff_too_small(self, tmp_path, capsys):

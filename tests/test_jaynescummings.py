@@ -7,6 +7,7 @@ import pytest
 
 import susyqm as sq
 from susyqm import cli
+from susyqm import jaynescummings as jcm
 
 COLUMNS = ("n", "branch", "E_analytic", "E_numeric", "gap", "fidelity", "concurrence")
 
@@ -71,6 +72,26 @@ class TestBuildJC:
     def test_rejects_overflowing_bands(self, omega, gamma):
         with pytest.raises(ValueError, match="overflow"):
             sq.build_jc(omega, gamma, 8)
+
+    @pytest.mark.parametrize("coupling", ("omega", "gamma"))
+    def test_largest_couplings_keep_the_algebra_finite(self, coupling):
+        # the largest band entry of H is omega (n_max + 1/2) or gamma
+        # sqrt(n_max). Just below the float range over 2 (n_max + 1), every
+        # product of the algebra check stays finite; 1% above, the couplings
+        # are rejected ([N, H] used to overflow into NaN)
+        n_max = 17
+        top = np.finfo(float).max / (2 * (n_max + 1)) * (1.0 - 2.0 ** -10)
+        omega, gamma = ((top / (n_max + 0.5), 1.0) if coupling == "omega"
+                        else (1.0, top / np.sqrt(n_max)))
+        sys_ = sq.build_jc(omega, gamma, n_max)
+        with np.errstate(all="raise"):
+            alg = sq.verify_susy_algebra(sys_)
+            match = sq.numeric_vs_analytic(sys_)
+        assert np.all(np.isfinite(list(asdict(alg).values())))
+        assert np.isfinite(match.max_gap)
+        bigger = (1.01 * omega, gamma) if coupling == "omega" else (omega, 1.01 * gamma)
+        with pytest.raises(ValueError, match="overflow"):
+            sq.build_jc(*bigger, n_max)
 
     def test_zero_coupling_free_hamiltonian(self):
         sys_ = sq.build_jc(1.0, 0.0, 8)
@@ -280,7 +301,7 @@ class TestNumericMatch:
                 getattr(jc_match, name)[0] = 0
 
     @pytest.mark.parametrize("gamma", (0.1, 0.0))
-    def test_failures_row_by_row(self, gamma):
+    def test_failures_row_by_row(self, gamma, monkeypatch):
         # the failures of a row-by-row scan of the columns, in its order: a
         # row's gap before its fidelity, and a NaN fidelity fails. |2 down>
         # lifted by 0.01 moves doublet 2 off its levels; doublet 1 decoupled
@@ -292,8 +313,10 @@ class TestNumericMatch:
         off[1] = 0.0
         sys_ = sq.JCSystem(sys_.fock, sys_.omega, sys_.gamma, sys_.Q, sys_.H0,
                            sys_.Hint, sq.Tridiagonal(diag, off))
+        monkeypatch.setattr(jcm, "GAP_TOL", 1e-3)
+        monkeypatch.setattr(jcm, "FIDELITY_TOL", 0.0)
         with np.errstate(invalid="ignore"):
-            match = sq.numeric_vs_analytic(sys_, gap_tol=1e-3, fidelity_tol=0.0)
+            match = sq.numeric_vs_analytic(sys_)
         expected = []
         for n, b, gap, fid in zip(match.n.tolist(), match.branch.tolist(),
                                   match.gap.tolist(), match.fidelity.tolist()):
@@ -312,8 +335,10 @@ class TestNumericMatch:
         assert jc_match.label_residual_implemented <= 1e-12
         assert jc_match.label_residual_alternative > 1.0
 
-    def test_failures_surface_under_impossible_tolerance(self, jc_default):
-        match = sq.numeric_vs_analytic(jc_default, gap_tol=0.0, fidelity_tol=0.0)
+    def test_failures_surface_under_impossible_tolerance(self, jc_default, monkeypatch):
+        monkeypatch.setattr(jcm, "GAP_TOL", 0.0)
+        monkeypatch.setattr(jcm, "FIDELITY_TOL", 0.0)
+        match = sq.numeric_vs_analytic(jc_default)
         assert not match.all_matched
 
     def test_degenerate_zero_coupling_path(self):
@@ -343,6 +368,19 @@ class TestNumericMatch:
         assert match.all_matched
         assert match.min_fidelity >= 1 - 1e-10
         assert match.min_excited_concurrence == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("gamma", (1e-310, 1e-320, 5e-324))
+    def test_subnormal_coupling(self, tmp_path, gamma):
+        # each block's vector (c, +-c) has a subnormal c: normalized as it
+        # stands, it lost its digits (C = 1 - 1.7e-14 at 1e-310) or failed
+        # the unit-norm check of the concurrence (below about 1e-315)
+        match = sq.numeric_vs_analytic(sq.build_jc(1.0, gamma, 8))
+        eps = np.finfo(float).eps
+        assert match.all_matched
+        assert 1.0 - match.min_fidelity <= 2 * eps
+        assert 1.0 - match.min_excited_concurrence <= 2 * eps
+        cfg = {"command": "jc", "jc_params": {"omega": 1.0, "gamma": gamma, "n_max": 8}}
+        assert cli.run_jc(cfg, str(tmp_path), "csv") == 0
 
     @pytest.mark.parametrize("gamma", (0.1, 0.0))
     @pytest.mark.parametrize("n_max", (16, 64))

@@ -1,11 +1,11 @@
-"""One sha256 per susyqm run over a fixed set of configs, to compare two checkouts.
+"""Two sha256 per susyqm run over a fixed set of configs, to compare two checkouts.
 
 Usage:
 
     python tools/report_digest.py [CHECKOUT] > digests.txt
 
 CHECKOUT (default: the checkout holding this script) is a susyqm source tree;
-its `susyqm.cli` is imported from its `src/` and run in process on 93
+its `susyqm.cli` is imported from its `src/` and run in process on 96
 configs, each once with `--format csv` and once with `--format json`:
 
 - the bundled configs in `configs/`;
@@ -14,11 +14,13 @@ configs, each once with `--format csv` and once with `--format json`:
 - the edge cases in `EXTRA` below, and every command for each bundled W at
   201 points.
 
-Each output line is `<run> <format> <sha256>`. The hash covers the report
-files (names and bytes), the exit code (or the exception a run raised),
-stdout and stderr, with the run's output directory masked in the text.
-Run it on a second checkout of the parent commit and on the change, then
-`diff` the two files: a change that keeps every output reads no difference.
+Each output line is `<run> <format> <reports> <ending>`, two sha256. The
+first covers the report files (names and bytes); the second the ending: the
+exit code (or the exception a run raised), stdout and stderr, with the run's
+output directory masked in the text. Run it on a second checkout of the
+parent commit and on the change, then `diff` the two files: a change that
+keeps every output reads no difference, and one that moves only a stderr
+line moves only the second hash of its runs.
 """
 
 import contextlib
@@ -74,6 +76,11 @@ EXTRA = [
      _config("spectrum", "harmonic", 201, half_width=10.0 * 2 ** 20, scale=2.0 ** -40)),
     ("spectrum/harmonic/2001/scale=2^20/half_width=10*2^-10",
      _config("spectrum", "harmonic", 2001, half_width=10.0 * 2 ** -10, scale=2.0 ** 20)),
+    # many failed checks in one run, and a subnormal coupling
+    ("verify/harmonic/201/scale=1e153", _config("verify", "harmonic", 201, scale=1e153)),
+    ("supercharge/harmonic/201/scale=1e153",
+     _config("supercharge", "harmonic", 201, scale=1e153)),
+    ("jc/1/1e-320/8", _jc(1.0, 1e-320, 8)),
 ] + [
     (f"{command}/{name}/201", _config(command, name, 201, key, value))
     for name in W_NAMES
@@ -96,7 +103,7 @@ def configs(root, workloads):
 
 
 def digest(cli, cfg, fmt, scratch):
-    """sha256 of one run's report files, exit code, stdout and stderr."""
+    """sha256 of one run's report files, and sha256 of its exit code, stdout and stderr."""
     with tempfile.TemporaryDirectory(dir=scratch) as outdir:
         path = os.path.join(outdir, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -107,14 +114,14 @@ def digest(cli, cfg, fmt, scratch):
                 ending = f"exit {cli.main(['--config', path, '--out', outdir, '--format', fmt])}"
             except Exception as exc:  # a crash is an outcome to compare, not an end
                 ending = f"raised {type(exc).__name__}: {exc}"
-        h = hashlib.sha256()
+        reports, end = hashlib.sha256(), hashlib.sha256()
         for name in sorted(os.listdir(outdir)):
             if name != "config.json":
                 with open(os.path.join(outdir, name), "rb") as fh:
-                    h.update(f"{name}\n".encode() + fh.read())
+                    reports.update(f"{name}\n".encode() + fh.read())
         for text in (ending, stdout.getvalue(), stderr.getvalue()):
-            h.update(b"\0" + text.replace(outdir, "OUT").encode())
-    return h.hexdigest()
+            end.update(b"\0" + text.replace(outdir, "OUT").encode())
+    return f"{reports.hexdigest()} {end.hexdigest()}"
 
 
 def main(argv):
