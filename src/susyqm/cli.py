@@ -67,6 +67,11 @@ SWEEP_COLUMNS = (
     "|c1|", "phase_diff", "overlap_abs", "sigma_x", "sigma_y", "sigma_z",
     "lambda1", "lambda2", "C_spin", "C_overlap", "C_svd",
 )
+# bytes of one complex (levels, n) array in the batched supercharge pass. A
+# block's four states and the temporaries of its residuals hold about nine
+# such arrays at once, so a block adds under 1 MB to a run at any grid size:
+# 6 levels a block at 1001 points, 3 at 2001, 1 from 3073 points on
+SUPERCHARGE_BLOCK_BYTES = 96 * 1024
 JC_COLUMNS = ("n", "branch", "E_analytic", "E_numeric", "gap", "concurrence")
 # Largest (c1, phase) sweep an entangle run accepts, from the report size: the
 # widest row is the JSON one, eleven `"key": value,` lines of 17-digit values
@@ -158,8 +163,8 @@ def _check_keys(obj, required, optional, where):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    if unknown:  # quoted, so a key holding a line break keeps the message on one line
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
     missing = [k for k in required if k not in obj]
     if missing:
         raise ConfigError(f"missing required field(s) in {where}: {', '.join(missing)}")
@@ -199,6 +204,9 @@ def _parse_superpotential(cfg):
     if not isinstance(params, dict):
         raise ConfigError("superpotential.params must be a JSON object")
     for key in params:
+        if not key.isidentifier():  # no parameter name; it would be written out unquoted
+            raise ConfigError(f"bad parameter(s) for superpotential {name!r}: "
+                              f"{key!r} is not a parameter name")
         _real(params, key, "superpotential.params")
     try:
         return get_superpotential(name, **params)
@@ -277,16 +285,65 @@ def _zero_mode_residual(system):
     return psi0, resid, 1e-12 * operator_norm(system.H_minus)
 
 
-def _supercharge_level(system, pp):
-    """intertwine_down of the H+ eigenpair `pp` and its four supercharge rows.
+def _level_blocks(grid, count):
+    """Slices of levels 1..count - 1 in ascending blocks, for the batched supercharge pass.
 
-    A row is (family, sign, state, residual), in report order; the mapped
-    state carries the relative phase the eigenstates need.
+    A block holds as many levels as fit one complex array of
+    SUPERCHARGE_BLOCK_BYTES on `grid`, at least one. Each command builds and
+    drops a block's states inside one call (`_supercharge_columns`,
+    `_intertwine_deviations`), so one block's arrays are alive at a time.
+    """
+    step = max(1, SUPERCHARGE_BLOCK_BYTES // (16 * grid.n_points))
+    return [slice(lo, min(lo + step, count)) for lo in range(1, count, step)]
+
+
+def _supercharge_block(system, pp):
+    """intertwine_down of a batch of H+ eigenpairs `pp` and its four supercharge rows.
+
+    A row is (family, sign, states, residuals), in report order, each over
+    the levels of `pp`; the mapped states carry the relative phase the
+    eigenstates need. Every row entry is what its level gives alone, bit
+    for bit. `supercharge` and `verify` both take their supercharge states
+    from here, one block of levels at a time (`_level_blocks`).
     """
     mapped = intertwine_down(system, pp)
     return mapped, [(family, sign, st, supercharge_residual(system, st, eigenvalue, family))
                     for family, sign, eigenvalue, st in supercharge_eigenstates(
                         system, pp.energy, pp.state, mapped)]
+
+
+def _supercharge_columns(system, block, pp):
+    """The supercharge report's columns for the slice `block` of levels, H+ eigenpairs `pp`.
+
+    Each column is a (level, family) array: index, energy, family, sign,
+    residual and concurrence.
+    """
+    family, sign, states, residuals = zip(*_supercharge_block(system, pp)[1])
+    shape = (len(pp), len(states))
+    return (np.broadcast_to(np.arange(block.start, block.stop)[:, None], shape),
+            np.broadcast_to(pp.energy[:, None], shape),
+            np.broadcast_to(family, shape), np.broadcast_to(sign, shape),
+            np.stack(residuals, axis=-1),
+            np.stack([concurrence_from_spin(st) for st in states], axis=-1))
+
+
+def _intertwine_deviations(system, pp, mm):
+    """verify's per-level values for a block of paired eigenpairs pp (H+) and mm (H-).
+
+    Three lists over the levels: sqrt(dx) ||aligned map - psi-||, the
+    deviation |dx ||B psi-||^2 - E-|, and the four supercharge residuals of
+    each level, levels outer.
+    """
+    raw, rows = _supercharge_block(system, pp)
+    dx = system.grid.dx
+    gap = align_phase(raw, mm.state).amplitudes - mm.state.amplitudes
+    images = system.B @ mm.state.amplitudes
+    # norm ** 2 of a Python float is libm pow, as for one state's np.linalg.norm;
+    # an array's ** 2 is x * x, which can differ in the last bit
+    return ((math.sqrt(dx) * np.sqrt(np.vecdot(gap, gap))).tolist(),
+            [abs(dx * norm ** 2 - e) for norm, e in zip(
+                np.sqrt(np.vecdot(images, images)).tolist(), mm.energy.tolist())],
+            np.stack([r for *_, r in rows], axis=-1).ravel().tolist())
 
 
 def _supercharge_check(residuals):
@@ -399,17 +456,17 @@ def run_supercharge(cfg, outdir, fmt):
     levels = _parse_levels(cfg, grid)
 
     system, plus, _ = _solve_both_sides(W, grid, levels)
-    rows = []  # (index, energy, family, sign, residual, concurrence)
-    for i, pp in enumerate(eigenstates(plus, grid)[1:], start=1):
-        rows += [(i, pp.energy, family, sign, resid, concurrence_from_spin(st))
-                 for family, sign, st, resid in _supercharge_level(system, pp)[1]]
-    columns = list(zip(*rows))
+    pairs = eigenstates(plus, grid)
+    blocks = [_supercharge_columns(system, block, pairs[block])
+              for block in _level_blocks(grid, len(pairs))]
+    # one row per (level, family), levels outer
+    columns = [np.concatenate(col).ravel() for col in zip(*blocks)]
 
     text = _table_text(fmt, {"superpotential": W.name, "grid": _grid_payload(grid)},
                        ("index", "energy", "family", "sign", "residual", "concurrence"),
                        ("d", ".17g", "s", "+d", ".17g", ".17g"), columns)
     _write(outdir, "supercharge." + fmt, text)
-    return _finish([_supercharge_check(columns[4])])
+    return _finish([_supercharge_check(columns[4].tolist())])
 
 
 def run_jc(cfg, outdir, fmt):
@@ -469,24 +526,18 @@ def run_verify(cfg, outdir, fmt):
     system, plus, minus = _solve_both_sides(W, grid, levels)
     _, resid, bound = _zero_mode_residual(system)
 
-    worst_map = worst_energy = 0.0
-    residuals = []
-    dx = grid.dx
-    for pp, mm in zip(eigenstates(plus, grid)[1:], eigenstates(minus, grid)[1:]):
-        raw, states = _supercharge_level(system, pp)
-        mapped = align_phase(raw, mm.state)
-        worst_map = max(worst_map, math.sqrt(dx) * float(
-            np.linalg.norm(mapped.amplitudes - mm.state.amplitudes)))
-        worst_energy = max(worst_energy, abs(
-            dx * float(np.linalg.norm(system.B @ mm.state.amplitudes) ** 2)
-            - mm.energy))
-        residuals += [r for *_, r in states]
+    plus_pairs, minus_pairs = eigenstates(plus, grid), eigenstates(minus, grid)
+    deviations = [_intertwine_deviations(system, plus_pairs[block], minus_pairs[block])
+                  for block in _level_blocks(grid, len(plus_pairs))]
+    # each a list over levels 1..levels, ascending
+    maps, energies, residuals = ([value for block in column for value in block]
+                                 for column in zip(*deviations))
     checks = [
         _check("pairing_max_gap", np.max(np.abs(plus.values[1:] - minus.values[1:])), PAIR_TOL),
         _zero_mode_check(minus),
         _check("zero_mode_residual", resid, bound),
-        _check("intertwine_map_residual", worst_map, INTERTWINE_TOL),
-        _check("intertwine_energy_deviation", worst_energy, INTERTWINE_TOL),
+        _check("intertwine_map_residual", max([0.0, *maps]), INTERTWINE_TOL),
+        _check("intertwine_energy_deviation", max([0.0, *energies]), INTERTWINE_TOL),
         _supercharge_check(residuals),
         *(_check(*identity) for identity in _susy_identities(system)),
     ]

@@ -25,7 +25,6 @@ state costs two amplitudes instead of n. The overlap route reads
 the reduction.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -257,7 +256,7 @@ _SUPERCHARGE_STATES = (("q1", +1, 1), ("q1", -1, -1), ("q2", +1, 1j), ("q2", -1,
 
 
 def supercharge_eigenstates(
-    sys: SusySystem, E: float, psi_plus: Wavefunction, psi_minus: Wavefunction
+    sys: SusySystem, E, psi_plus: Wavefunction, psi_minus: Wavefunction
 ) -> tuple:
     """The four maximally entangled supercharge eigenstates at energy E.
 
@@ -265,34 +264,41 @@ def supercharge_eigenstates(
     (psi+ |up> +- psi- |down>)/sqrt(2) for Q1 and (psi+ |up> +- i psi- |down>)
     /sqrt(2) for Q2, with eigenvalue sign * sqrt(E). psi_minus must carry the
     intertwining-consistent phase (i.e. be B+ psi+ / sqrt(E) up to round-off),
-    otherwise these are not eigenstates.
+    otherwise these are not eigenstates. For a batch, E is an array over the
+    leading axis of the two states, and each row holds an eigenvalue array
+    and a batch of states, each as it is built alone.
     """
-    if E <= EPS0:
-        raise ValueError(f"E = {E!r} is at or below the zero-mode threshold {EPS0}")
+    energy = np.asarray(E, dtype=float)
+    low = energy[energy <= EPS0]
+    if low.size:
+        raise ValueError(f"E = {float(low.min())!r} is at or below the zero-mode threshold {EPS0}")
     if psi_plus.grid != psi_minus.grid:
         raise ValueError("psi_plus and psi_minus must share a grid")
     dx = sys.grid.dx
     up = psi_plus.amplitudes / np.sqrt(2.0)
     dn = psi_minus.amplitudes / np.sqrt(2.0)
-    root = math.sqrt(E)
+    root = _values(np.sqrt(energy))
     return tuple((family, sign, sign * root, SpinorState(up, phase * dn, dx))
                  for family, sign, phase in _SUPERCHARGE_STATES)
 
 
-def supercharge_residual(
-    sys: SusySystem, state: SpinorState, eigenvalue: float, which: str
-) -> float:
+def supercharge_residual(sys: SusySystem, state: SpinorState, eigenvalue, which: str):
     """|| Q state - q state || for q the claimed supercharge eigenvalue.
 
     Q1 acts blockwise as (B phi_down, B+ phi_up), two-term stencils, and
-    Q2 = -i sz Q1 as (-i B phi_down, +i B+ phi_up).
+    Q2 = -i sz Q1 as (-i B phi_down, +i B+ phi_up). For a batch of states,
+    `eigenvalue` is an array over its leading axes and the result an array
+    of residuals, each the residual of its state alone.
     """
     if which not in ("q1", "q2"):
         raise ValueError(f"which must be 'q1' or 'q2', got {which!r}")
-    q_up, q_dn = sys.B @ state.down, sys.B_adj @ state.up
-    if which == "q2":
-        q_up, q_dn = -1j * q_up, 1j * q_dn
-    r_up = q_up - eigenvalue * state.up
-    r_dn = q_dn - eigenvalue * state.down
-    val = np.real(np.vdot(r_up, r_up)) + np.real(np.vdot(r_dn, r_dn))
-    return float(np.sqrt(val * state.weight))
+    eigenvalue = np.asarray(eigenvalue)[..., None]
+    val = 0.0  # the up half's squared norm, then the down half's added
+    for op, source, target, phase in ((sys.B, state.down, state.up, -1j),
+                                      (sys.B_adj, state.up, state.down, 1j)):
+        q = op @ source
+        if which == "q2":
+            q = phase * q
+        r = q - eigenvalue * target
+        val = val + np.vecdot(r, r).real
+    return _values(np.sqrt(val * state.weight))

@@ -58,14 +58,19 @@ def make_grid(x_min: float, x_max: float, n_points: int) -> Grid:
 
 @dataclass(frozen=True)
 class Wavefunction:
-    """Amplitude vector over a grid. Immutable; amplitudes read-only."""
+    """Amplitudes over a grid, the node index last. Immutable; amplitudes read-only.
+
+    A 1-D array is one state; any leading axes index a batch of states on
+    the same grid, and every function of the package that takes a
+    Wavefunction acts on each state of a batch alone.
+    """
 
     grid: Grid
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes)
-        if amps.ndim != 1 or len(amps) != self.grid.n_points:
+        if amps.ndim < 1 or amps.shape[-1] != self.grid.n_points:
             raise ValueError(
                 f"amplitude vector of length {amps.shape} does not fit a "
                 f"{self.grid.n_points}-point grid"
@@ -80,23 +85,31 @@ def _require_same_grid(f: Wavefunction, g: Wavefunction):
         raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
 
 
-def inner_product(f: Wavefunction, g: Wavefunction) -> complex:
-    """<f|g> = sum conj(f_i) g_i dx. Conjugate-symmetric by construction."""
+def inner_product(f: Wavefunction, g: Wavefunction):
+    """<f|g> = sum conj(f_i) g_i dx. Conjugate-symmetric by construction.
+
+    A complex for one state; for a batch, a complex array over its leading
+    axes. np.vecdot takes each sum with the BLAS dot that np.vdot uses, so a
+    state of a batch and the same state alone agree bit for bit.
+    """
     _require_same_grid(f, g)
-    return complex(np.vdot(f.amplitudes, g.amplitudes) * f.grid.dx)
+    ov = np.vecdot(f.amplitudes, g.amplitudes) * f.grid.dx
+    return complex(ov) if ov.ndim == 0 else ov.astype(complex)
 
 
 def fix_phase(amplitudes: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the largest-modulus entry is real positive.
 
-    Ties break on the first occurrence, which makes eigenvector signs
-    deterministic across runs.
+    Each state along the last axis is rotated alone. Ties break on the first
+    occurrence, which makes eigenvector signs deterministic across runs. A
+    real state is multiplied by +-1, which is exact; a complex one by
+    conj(pivot) / |pivot|, with |pivot| by hypot, as abs() of one complex
+    takes it. A zero state is returned as it is.
     """
-    i = int(np.argmax(np.abs(amplitudes)))
-    pivot = amplitudes[i]
-    if pivot == 0:
-        return amplitudes
-    if np.iscomplexobj(amplitudes):
-        return amplitudes * (np.conj(pivot) / abs(pivot))
-    return amplitudes if pivot > 0 else -amplitudes
-
+    a = np.asarray(amplitudes)
+    pivot = np.take_along_axis(a, np.argmax(np.abs(a), axis=-1, keepdims=True), axis=-1)
+    if not np.iscomplexobj(a):
+        return a * np.where(pivot >= 0, 1.0, -1.0)  # a NaN pivot flips, as pivot > 0 fails
+    zero = pivot == 0
+    modulus = np.where(zero, 1.0, np.hypot(pivot.real, pivot.imag))
+    return np.where(zero, a, a * (np.conj(pivot) / modulus))

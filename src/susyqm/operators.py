@@ -103,7 +103,9 @@ class _Banded:
     """Read-only n x n matrix stored as its diagonal and one off-diagonal band.
 
     Both bands are copied as float arrays and frozen. `A @ v` applies the
-    matrix to a real or complex vector of length n in O(n).
+    matrix along the last axis of a real or complex array whose last axis
+    has length n, in O(n) per vector: a (k, n) stack of k vectors is one
+    call, and each of its rows is the product of that row alone, bit for bit.
     """
 
     __slots__ = ("diag", "off")
@@ -134,7 +136,7 @@ class _Banded:
 
     def _vector(self, v):
         v = np.asarray(v)
-        if v.shape != self.diag.shape:
+        if v.shape[-1:] != self.diag.shape:
             raise ValueError(
                 f"cannot apply a {self.shape} banded matrix to shape {v.shape}"
             )
@@ -165,9 +167,9 @@ class Bidiagonal(_Banded):
         v = self._vector(v)
         out = self.diag * v
         if self.lower:
-            out[1:] += self.off * v[:-1]
+            out[..., 1:] += self.off * v[..., :-1]
         else:
-            out[:-1] += self.off * v[1:]
+            out[..., :-1] += self.off * v[..., 1:]
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -212,8 +214,8 @@ class Tridiagonal(_Banded):
     def __matmul__(self, v):
         v = self._vector(v)
         out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
+        out[..., :-1] += self.off * v[..., 1:]
+        out[..., 1:] += self.off * v[..., :-1]
         return out
 
     def to_dense(self) -> np.ndarray:

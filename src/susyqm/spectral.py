@@ -16,14 +16,15 @@ reads |E0| <= EPS0 = 1e-10 on H-'s level 0.
 tolerance PAIR_TOL = 1e-10: it bisects H+ blind and H- only inside the
 windows the H+ levels define, blind only when those fail, and raises
 DegeneracyError for a second zero mode or a level without a partner.
-`eigenstates` forms the eigenpairs of a bisection result; `solve_spectrum`
-is the blind solve of the k lowest levels (`Tridiagonal.eigh`) followed by
-it. The zero mode is read off the stored bands of B, so this module holds
+`eigenstates` forms the eigenpairs of a bisection result as one batch
+(`EigenPair` over a leading level axis); `solve_spectrum` is the blind solve
+of the k lowest levels (`Tridiagonal.eigh`) followed by it. The
+intertwining map and the phase alignment act on such a batch as on one
+state. The zero mode is read off the stored bands of B, so this module holds
 no copy of B's stencil. The division by
 sqrt(E) in the intertwining map is guarded by EPS0 as well.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,34 +47,49 @@ __all__ = [
 
 EPS0 = 1e-10
 PAIR_TOL = 1e-10
+# octaves one block of zero_mode's running product may span: its partial
+# products stay within 2^+-1001, well inside the normal range 2^-1022..2^1024
+_PRODUCT_SPAN = 1000.0
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One eigenvalue with its eigenstate on the grid."""
+    """One eigenvalue with its eigenstate on the grid, or a batch of them.
+
+    A batch holds an array of energies and a state whose leading axis runs
+    over the same levels, and indexes like a sequence of its pairs: an
+    integer gives one EigenPair (a float energy and a 1-D state), a slice a
+    batch.
+    """
 
     energy: float
     state: Wavefunction
 
+    def __len__(self):
+        return len(self.energy)
 
-def solve_spectrum(H: Tridiagonal, k: int, grid: Grid):
-    """k lowest eigenpairs of a symmetric tridiagonal H on `grid`, ascending."""
+    def __getitem__(self, index):
+        energy = self.energy[index]
+        return EigenPair(energy if np.ndim(energy) else float(energy),
+                         Wavefunction(self.state.grid, self.state.amplitudes[index]))
+
+
+def solve_spectrum(H: Tridiagonal, k: int, grid: Grid) -> EigenPair:
+    """k lowest eigenpairs of a symmetric tridiagonal H on `grid`, ascending, as one batch."""
     return eigenstates(H.eigh(0, k - 1), grid)
 
 
-def eigenstates(solved: Bisection, grid: Grid):
-    """The EigenPairs of a bisection result on `grid`, ascending.
+def eigenstates(solved: Bisection, grid: Grid) -> EigenPair:
+    """The eigenpairs of a bisection result on `grid`, ascending, as one batch.
 
-    Here the eigenvectors are formed (`Bisection.vectors`), each phase-fixed
-    and scaled to unit dx-weighted norm. Bisection on the bands resolves the
-    near-kernel eigenvalue at machine scale instead of the ~eps*||H|| blur
-    of the generic drivers; the work is O(n) per eigenpair. Deterministic:
-    fixed driver, fixed phase fix.
+    Here the eigenvectors are formed (`Bisection.vectors`), phase-fixed and
+    scaled to unit dx-weighted norm as one array, a row a level. Bisection
+    on the bands resolves the near-kernel eigenvalue at machine scale
+    instead of the ~eps*||H|| blur of the generic drivers; the work is O(n)
+    per eigenpair. Deterministic: fixed driver, fixed phase fix.
     """
-    vectors = solved.vectors()
-    return [
-        EigenPair(float(e), Wavefunction(grid, fix_phase(vectors[:, j]) / np.sqrt(grid.dx)))
-        for j, e in enumerate(solved.values)
-    ]
+    amps = fix_phase(solved.vectors().T)
+    amps /= np.sqrt(grid.dx)
+    return EigenPair(solved.values, Wavefunction(grid, amps))
 
 
 def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int):
@@ -136,9 +152,19 @@ def zero_mode(sys: SusySystem) -> Wavefunction:
     psi_{i+1} = -(diag_i / off_i) psi_i solves every row exactly; off_i > 0
     on every cell by construction, and B has no wall row, so this is the
     exact kernel of B on any box whatever its stencil. W is read only at the
-    two endpoints, by the sign-condition guard. The running product is kept
-    exact by power-of-two rescaling (frexp/ldexp), so only the final scaling
-    can underflow far tails to zero.
+    two endpoints, by the sign-condition guard.
+
+    The running product is kept as mantissa and power-of-two exponent, so
+    only the final scaling can underflow far tails to zero. It is taken in
+    blocks of ratios: each block is one running product (multiply.accumulate)
+    started from the mantissa carried out of the previous block, split by
+    frexp, its exponents offset by the carried exponent. No partial product
+    of a block leaves the normal range, since a block of L ratios spans at
+    most L max|log2 r| <= _PRODUCT_SPAN octaves, and a power of two scales a
+    normal product exactly: every mantissa and exponent is the one the
+    step-by-step recursion psi_{i+1} = frexp(psi_i r_i) gives, bit for bit.
+    Ratios so tiny or huge that L would be 0 take blocks of one, which are
+    that step itself.
     """
     if not check_sign_condition(sys.W, sys.grid):
         raise SignConditionError(
@@ -146,15 +172,24 @@ def zero_mode(sys: SusySystem) -> Wavefunction:
             "(W < 0 at x_min, W > 0 at x_max); no normalizable zero mode"
         )
     B = sys.B
+    ratios = -B.diag[:-1] / B.off
+    with np.errstate(divide="ignore"):  # a zero ratio zeroes the rest, whatever its block
+        octaves = np.abs(np.log2(np.abs(ratios)))
+    worst = np.max(octaves, where=np.isfinite(octaves), initial=0.0)
+    step = ratios.size if worst * ratios.size <= _PRODUCT_SPAN else max(
+        1, int(_PRODUCT_SPAN // worst))
+    mants = np.empty(ratios.size + 1)
+    exps = np.empty(ratios.size + 1, dtype=np.int64)
     c, ex = 1.0, 0
-    mants, exps = [c], [ex]
-    for r in (-B.diag[:-1] / B.off).tolist():
-        c, e = math.frexp(c * r)
-        ex += e
-        mants.append(c)
-        exps.append(ex)
+    mants[0], exps[0] = c, ex
+    for lo in range(0, ratios.size, step):
+        block = np.multiply.accumulate(np.concatenate(([c], ratios[lo:lo + step])))[1:]
+        m, e = np.frexp(block)
+        mants[lo + 1:lo + 1 + m.size] = m
+        exps[lo + 1:lo + 1 + m.size] = e + ex
+        c, ex = float(m[-1]), ex + int(e[-1])
 
-    amps = np.ldexp(mants, np.array(exps) - max(exps))  # far tails underflow to 0
+    amps = np.ldexp(mants, exps - exps.max())  # far tails underflow to 0
     nrm = np.sqrt(np.sum(amps * amps) * sys.grid.dx)
     return Wavefunction(sys.grid, amps / nrm)
 
@@ -164,25 +199,34 @@ def intertwine_down(sys: SusySystem, pair_plus: EigenPair) -> Wavefunction:
 
     Returned as the literal map, neither re-normalized nor re-phased: for a
     true eigenstate the norm lands within ~1e-8 of one, and downstream
-    supercharge eigenstates need exactly this relative phase.
+    supercharge eigenstates need exactly this relative phase. A batch of
+    eigenpairs maps to the batch of its states, each as it maps alone.
     """
-    if pair_plus.energy <= EPS0:
+    energy = np.asarray(pair_plus.energy, dtype=float)
+    low = energy[energy <= EPS0]
+    if low.size:
         raise ValueError(
-            f"energy {pair_plus.energy!r} is at or below the zero-mode threshold "
+            f"energy {float(low.min())!r} is at or below the zero-mode threshold "
             f"{EPS0}; the zero mode has no partner state"
         )
-    amps = (sys.B_adj @ pair_plus.state.amplitudes) / np.sqrt(pair_plus.energy)
+    amps = (sys.B_adj @ pair_plus.state.amplitudes) / np.sqrt(energy)[..., None]
     return Wavefunction(sys.grid, amps)
 
 
 def align_phase(mapped: Wavefunction, reference: Wavefunction) -> Wavefunction:
-    """Rotate `mapped` so its overlap with `reference` is real positive."""
-    ov = inner_product(mapped, reference)
-    if ov == 0:
-        return mapped
-    if np.iscomplexobj(mapped.amplitudes):
-        return Wavefunction(mapped.grid, mapped.amplitudes * (ov / abs(ov)))
-    return mapped if ov.real > 0 else Wavefunction(mapped.grid, -mapped.amplitudes)
+    """Rotate `mapped` so its overlap with `reference` is real positive.
+
+    Each state of a batch is rotated by its own overlap: a real state is
+    negated when that overlap is not positive, a complex one multiplied by
+    ov / |ov|; a state of zero overlap is kept.
+    """
+    ov = np.asarray(inner_product(mapped, reference))[..., None]
+    amps = mapped.amplitudes
+    zero = ov == 0
+    if np.iscomplexobj(amps):
+        unit = ov / np.where(zero, 1.0, np.hypot(ov.real, ov.imag))
+        return Wavefunction(mapped.grid, np.where(zero, amps, amps * unit))
+    return Wavefunction(mapped.grid, np.where(zero | (ov.real > 0), amps, -amps))
 
 
 def operator_norm(H: Tridiagonal) -> float:

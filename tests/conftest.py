@@ -4,9 +4,10 @@ Jaynes-Cummings algebra report and level match, the oracles that no code
 in the package calls (the blockwise supercharge action and its eigen-relation
 residual, the H- to H+ intertwining map, the dx-weighted norm and
 normalization of a wavefunction, the sampled zero-mode profile, the zero
-mode rebuilt from W, the guarded maximum of the Jaynes-Cummings algebra
-report, the closed-form Jaynes-Cummings eigenstates and the entangle sweep
-one full-grid state at a time), and a tracemalloc peak probe.
+mode rebuilt from W and by a step-by-step frexp loop, the guarded maximum
+of the Jaynes-Cummings algebra report, the closed-form Jaynes-Cummings
+eigenstates and the entangle sweep one full-grid state at a time), and a
+tracemalloc peak probe.
 
 Everything here is session-scoped; building a 2001-point system and solving
 both partners takes a noticeable fraction of a second, and many tests share
@@ -207,6 +208,29 @@ def zero_mode_from_w():
             mants[i + 1], exps[i + 1] = c, ex
         amps = np.ldexp(mants, exps - int(np.max(exps)))
         return amps / np.sqrt(np.sum(amps * amps) * dx)
+    return recurse
+
+
+@pytest.fixture(scope="session")
+def zero_mode_sequential():
+    """The zero mode of a system by one frexp a step over B's bands.
+
+    psi_{i+1} = psi_i r_i with r_i = -diag_i / off_i, each product rounded
+    once and split by math.frexp into mantissa and exponent, then scaled by
+    the largest exponent and normalized: the step-by-step recursion that
+    `zero_mode` takes in blocks. Returns the amplitudes.
+    """
+    def recurse(system):
+        B = system.B
+        c, ex = 1.0, 0
+        mants, exps = [c], [ex]
+        for r in (-B.diag[:-1] / B.off).tolist():
+            c, e = math.frexp(c * r)
+            ex += e
+            mants.append(c)
+            exps.append(ex)
+        amps = np.ldexp(mants, np.array(exps) - max(exps))
+        return amps / np.sqrt(np.sum(amps * amps) * system.grid.dx)
     return recurse
 
 

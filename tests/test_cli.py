@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -360,6 +361,45 @@ class TestSuperchargeCommand:
             for s in ("+1", "-1")
         }
 
+    @pytest.mark.parametrize("n_points, block_bytes", (
+        (201, None), (201, 16 * 201 * 4), (1001, None)), ids=("201", "201-blocks_of_4", "1001"))
+    @pytest.mark.parametrize("name", W_NAMES)
+    def test_rows_equal_the_per_level_calls(self, tmp_path, monkeypatch, name, n_points,
+                                            block_bytes):
+        # levels at the cap, over several blocks (one at 201 points unless the
+        # blocks are cut to 4 levels, leaving a short last one); every cell
+        # equals, bit for bit, what the 1-D calls give for its level alone
+        if block_bytes is not None:
+            monkeypatch.setattr(cli, "SUPERCHARGE_BLOCK_BYTES", block_bytes)
+        levels = n_points // 10 - 1
+        payload = {"command": "supercharge", "superpotential": {"name": name},
+                   "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": n_points},
+                   "levels": levels}
+        assert cli.main(["--config", write_config(tmp_path, payload), "--out", str(tmp_path),
+                         "--format", "json"]) == 0
+        rows = json.loads((tmp_path / "supercharge.json").read_text())["rows"]
+
+        W, grid = sq.get_superpotential(name), sq.make_grid(-10.0, 10.0, n_points)
+        system, plus, _ = cli._solve_both_sides(W, grid, levels)
+        pairs = sq.eigenstates(plus, grid)
+        expected = []
+        for i in range(1, levels + 1):
+            pp = pairs[i]
+            mapped = sq.intertwine_down(system, pp)
+            assert mapped.amplitudes.shape == (n_points,)
+            for family, sign, q, st in sq.supercharge_eigenstates(
+                    system, pp.energy, pp.state, mapped):
+                residual = sq.supercharge_residual(system, st, q, family)
+                concurrence = sq.concurrence_from_spin(st)
+                assert type(q) is type(residual) is type(concurrence) is float
+                expected.append({"index": i, "energy": pp.energy, "family": family,
+                                 "sign": sign, "residual": residual,
+                                 "concurrence": concurrence})
+        assert [tuple(row.items()) for row in rows] == [tuple(row.items()) for row in expected]
+        for got, want in zip(rows, expected):  # equal floats, and equal bits
+            for key in ("energy", "residual", "concurrence"):
+                assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes()
+
 
 def reference_jc_reports(omega, gamma, n_max):
     """jc's three reports, the levels table by `reference_table`.
@@ -520,6 +560,34 @@ class TestVerifyCommand:
             f"physics violation: q1_squared_vs_hamiltonian = {q1['value']!r} "
             "exceeds -1.0 (and 1 more)\n")
 
+    @pytest.mark.parametrize("name", W_NAMES)
+    def test_intertwining_values_equal_the_per_level_calls(self, tmp_path, name):
+        # 20 levels at 1001 points: blocks of 6, 6, 6 and 2; each check is the
+        # largest of its per-level values, each from the 1-D calls alone
+        levels, grid = 20, sq.make_grid(-10.0, 10.0, 1001)
+        payload = {"command": "verify", "superpotential": {"name": name},
+                   "grid": cli._grid_payload(grid), "levels": levels}
+        cli.main(["--config", write_config(tmp_path, payload), "--out", str(tmp_path)])
+        checks = {c["name"]: c["value"]
+                  for c in json.loads((tmp_path / "verify.json").read_text())["checks"]}
+
+        system, plus, minus = cli._solve_both_sides(sq.get_superpotential(name), grid, levels)
+        plus, minus = sq.eigenstates(plus, grid), sq.eigenstates(minus, grid)
+        maps, energies, residuals = [0.0], [0.0], [0.0]
+        for i in range(1, levels + 1):
+            pp, mm = plus[i], minus[i]
+            mapped = sq.intertwine_down(system, pp)
+            aligned = sq.align_phase(mapped, mm.state)
+            maps.append(math.sqrt(grid.dx) * float(
+                np.linalg.norm(aligned.amplitudes - mm.state.amplitudes)))
+            energies.append(abs(grid.dx * float(
+                np.linalg.norm(system.B @ mm.state.amplitudes) ** 2) - mm.energy))
+            residuals += [sq.supercharge_residual(system, st, q, family) for family, _, q, st
+                          in sq.supercharge_eigenstates(system, pp.energy, pp.state, mapped)]
+        assert checks["intertwine_map_residual"] == max(maps)
+        assert checks["intertwine_energy_deviation"] == max(energies)
+        assert checks["supercharge_eigenstate_residual"] == max(residuals)
+
     # dx = 0.2: the H- mutant below lifts the zero mode by about 1e-12 / dx^2,
     # which stays under EPS0 (at 201 points it reaches 1.00005e-10 and
     # zero_mode_present fails too)
@@ -557,13 +625,19 @@ class TestVerifyCommand:
     ), ids=("sign_flipped", "minus_i_on_both_blocks"))
     def test_mutated_q2_fails_the_eigenstate_residual(self, tmp_path, monkeypatch, mutant,
                                                       blockwise_supercharge, blockwise_residual):
-        # the residual verify calls, with Q2 replaced by the mutant
+        # the residual verify calls, with Q2 replaced by the mutant; verify
+        # passes a block of levels, whose states are taken one at a time
         def apply(system, state, which):
             return mutant(system, state) if which == "q2" else \
                 blockwise_supercharge(system, state, which)
 
-        monkeypatch.setattr(cli, "supercharge_residual",
-                            lambda *args: blockwise_residual(*args, apply=apply))
+        def residuals(system, states, eigenvalues, which):
+            return np.array([
+                blockwise_residual(system, sq.SpinorState(up, down, states.weight), q, which,
+                                   apply=apply)
+                for up, down, q in zip(states.up, states.down, eigenvalues)])
+
+        monkeypatch.setattr(cli, "supercharge_residual", residuals)
         assert "supercharge_eigenstate_residual" in self.failed_checks(tmp_path)
 
 
@@ -771,7 +845,8 @@ def grid_configs(draw):
 
 def assert_one_line_ending(tmp_path, payload):
     """The run of `payload` ends in exit 0, 1 or 2: silent on 0, one stderr
-    line otherwise, no warning and no temp file left behind."""
+    line otherwise, no warning and no temp file left behind. Returns the
+    exit code and the stderr text."""
     outdir = tempfile.mkdtemp(dir=tmp_path)
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
@@ -787,6 +862,7 @@ def assert_one_line_ending(tmp_path, payload):
     assert not caught
     assert "Warning" not in out.getvalue() + err.getvalue()
     assert not [f for f in os.listdir(outdir) if f.startswith(".susyqm-tmp-")]
+    return rc, text
 
 
 @given(payload=grid_configs())
@@ -804,6 +880,88 @@ def test_grid_commands_end_in_an_exit_code_and_one_line(tmp_path, payload):
 def test_jc_ends_in_an_exit_code_and_one_line(tmp_path, omega, gamma, n_max):
     assert_one_line_ending(tmp_path, {"command": "jc", "jc_params": {
         "omega": omega, "gamma": gamma, "n_max": n_max}})
+
+
+# the JSON kind each field of a config takes; "object" for the nested blocks
+FIELD_KINDS = {
+    (): "object", ("command",): "string", ("superpotential",): "object",
+    ("superpotential", "name"): "string", ("superpotential", "params"): "object",
+    ("superpotential", "params", "a"): "number", ("grid",): "object",
+    ("grid", "x_min"): "number", ("grid", "x_max"): "number",
+    ("grid", "n_points"): "integer", ("levels",): "integer", ("level",): "integer",
+    ("sweep",): "object", ("sweep", "c1_points"): "integer",
+    ("sweep", "phase_points"): "integer", ("jc_params",): "object",
+    ("jc_params", "omega"): "number", ("jc_params", "gamma"): "number",
+    ("jc_params", "n_max"): "integer", ("output",): "object",
+    ("output", "path"): "string", ("output", "format"): "string",
+}
+JSON_VALUES = (None, True, False, 0, 3, -7, 10 ** 400, 2.5, 3.0, -1e308, "", "csv", "x_min",
+               [], [1, "a"], [[]], {}, {"name": "harmonic"})
+
+
+def _accepts(kind, value):
+    if kind == "object":
+        return isinstance(value, dict)
+    if kind == "string":
+        return isinstance(value, str)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (kind == "number" and isinstance(value, float))
+
+
+def _valid_config(command):
+    """A config of `command` that runs, every optional key present."""
+    cfg = {"command": command, "output": {"path": "reports", "format": "json"}}
+    if command == "jc":
+        cfg["jc_params"] = {"omega": 1.0, "gamma": 0.1, "n_max": 8}
+        return cfg
+    cfg["superpotential"] = {"name": "shifted_cubic", "params": {"a": 0.5}}
+    cfg["grid"] = {"x_min": -10.0, "x_max": 10.0, "n_points": 101}
+    cfg["level" if command == "entangle" else "levels"] = 3
+    if command == "entangle":
+        cfg["sweep"] = {"c1_points": 3, "phase_points": 2}
+    return cfg
+
+
+def _paths(obj, path=()):
+    """Every path into a config, the root included, parents before children."""
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, path + (key,))
+
+
+def _replaced(cfg, path, value):
+    if not path:
+        return value
+    return {**cfg, path[0]: _replaced(cfg[path[0]], path[1:], value)}
+
+
+@st.composite
+def malformed_configs(draw):
+    """A valid config of any command with one field of a wrong JSON kind, or
+    one unknown key added to one of its objects (root, superpotential,
+    params, grid, sweep, jc_params or output)."""
+    cfg = _valid_config(draw(st.sampled_from(tuple(cli.COMMANDS))))
+    paths = list(_paths(cfg))
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(paths))
+        kind = FIELD_KINDS[path]
+        value = draw(st.sampled_from([v for v in JSON_VALUES if not _accepts(kind, v)]))
+        return _replaced(cfg, path, value)
+    path = draw(st.sampled_from([p for p in paths if FIELD_KINDS[p] == "object"]))
+    block = functools.reduce(lambda obj, key: obj[key], path, cfg)
+    key = draw(st.text(min_size=1, max_size=12).filter(lambda k: k not in block))
+    return _replaced(cfg, path, {**block, key: draw(st.sampled_from(JSON_VALUES))})
+
+
+@given(payload=malformed_configs())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_configs_end_in_one_config_error_line(tmp_path, payload):
+    rc, text = assert_one_line_ending(tmp_path, payload)
+    assert rc == 2
+    assert text.startswith("config error: ")
 
 
 class TestConfigErrors:
@@ -945,6 +1103,17 @@ class TestConfigErrors:
     ), ids=("x_min", "scale", "omega"))
     def test_integer_beyond_float_range(self, tmp_path, capsys, payload, where):
         self.run_expecting_config_error(tmp_path, capsys, payload, f"{where} must be finite")
+
+    @pytest.mark.parametrize("payload, needle", (
+        ({**spectrum_config(), "\x1e": 1}, "unknown key(s) in config: '\\x1e'"),
+        (spectrum_config(grid={**BOX, "a\nb": 1}), "unknown key(s) in grid: 'a\\nb'"),
+        (spectrum_config(superpotential={"name": "harmonic", "params": {"a\u2028b": 1.0}}),
+         "bad parameter(s) for superpotential 'harmonic': 'a\\u2028b' is not a parameter name"),
+    ), ids=("record_separator", "newline", "line_separator_in_params"))
+    def test_keys_with_line_breaks_stay_on_one_line(self, tmp_path, capsys, payload, needle):
+        # found by test_malformed_configs_end_in_one_config_error_line: the
+        # keys were written unquoted, and their line breaks split the line
+        self.run_expecting_config_error(tmp_path, capsys, payload, needle)
 
     @pytest.mark.parametrize("text", (
         b'{"command": "jc", "jc_params": {"omega": 1' + b"0" * 5000 + b"}}",

@@ -123,6 +123,28 @@ class TestNormalize:
         assert pivot.real > 0
 
 
+class TestBatchedWavefunction:
+    def test_leading_axes_are_a_batch(self):
+        g = sq.make_grid(-1, 1, 5)
+        f = sq.Wavefunction(g, np.arange(30.0).reshape(2, 3, 5))
+        assert f.amplitudes.shape == (2, 3, 5)
+        for bad in (np.ones((3, 4)), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                sq.Wavefunction(g, bad)
+
+    def test_inner_product_of_a_batch_is_each_row_alone(self):
+        rng = np.random.default_rng(4)
+        g = sq.make_grid(-1, 1, 17)
+        f = sq.Wavefunction(g, rng.normal(size=(4, 17)) + 1j * rng.normal(size=(4, 17)))
+        h = sq.Wavefunction(g, rng.normal(size=(4, 17)))
+        ov = sq.inner_product(f, h)
+        assert ov.dtype == complex and ov.shape == (4,)
+        for j in range(4):
+            one = sq.inner_product(sq.Wavefunction(g, f.amplitudes[j]),
+                                   sq.Wavefunction(g, h.amplitudes[j]))
+            assert type(one) is complex and ov[j] == one
+
+
 class TestSerialization:
     def test_wavefunction_immutable(self):
         g = sq.make_grid(0, 1, 3)

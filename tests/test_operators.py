@@ -48,6 +48,22 @@ class TestBandedTypes:
                 floor = 4 * np.finfo(float).eps * (np.abs(dense) @ np.abs(v))
                 assert np.all(np.abs(op @ v - dense @ v) <= floor)
 
+    @pytest.mark.parametrize("dtype", (float, complex))
+    def test_stack_is_its_rows_bit_for_bit(self, operators, dtype):
+        # `@` acts along the last axis: a (k, n) or (j, k, n) stack in one
+        # call, each vector exactly as alone
+        rng = np.random.default_rng(9)
+        V = rng.normal(size=(2, 3, self.N)).astype(dtype)
+        if dtype is complex:
+            V += 1j * rng.normal(size=V.shape)
+        for M in operators:
+            for op in (M, M.T):
+                for stack in (V[0], V):
+                    out = op @ stack
+                    assert out.shape == stack.shape and out.dtype == stack.dtype
+                    for got, v in zip(out.reshape(-1, self.N), stack.reshape(-1, self.N)):
+                        assert got.tobytes() == (op @ v).tobytes()
+
     def test_transpose_is_dense_transpose(self, operators):
         for M in operators:
             assert np.array_equal(M.T.to_dense(), M.to_dense().T)
@@ -78,8 +94,9 @@ class TestBandedTypes:
 
     def test_shape_mismatch_rejected(self, operators):
         for M in operators:
-            with pytest.raises(ValueError):
-                M @ np.ones(self.N + 1)
+            for v in (np.ones(self.N + 1), np.ones((2, self.N + 1)), np.float64(1.0)):
+                with pytest.raises(ValueError):
+                    M @ v
         with pytest.raises(ValueError):
             sq.Tridiagonal(np.ones(4), np.ones(4))
 

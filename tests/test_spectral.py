@@ -329,6 +329,41 @@ class TestZeroMode:
             self, systems, zero_mode_profile_overlap, name):
         assert zero_mode_profile_overlap(systems[name]) >= 1 - 1e-5
 
+    @pytest.mark.parametrize("n_points", (201, 2001, 32001))
+    @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
+    def test_blocked_product_is_the_sequential_loop(self, zero_mode_sequential, name, n_points):
+        system = sq.build_susy_system(sq.get_superpotential(name),
+                                      sq.make_grid(-10.0, 10.0, n_points))
+        got = sq.zero_mode(system).amplitudes
+        assert got.tobytes() == zero_mode_sequential(system).tobytes()
+
+    def test_stiff_cell_box_is_the_sequential_loop(self, zero_mode_sequential):
+        # harmonic 1e5 x at dx = 0.1: every cell with x > 0 is stiff, its
+        # ratio 1/(1 + dx W) down to 1e-5, and the tail underflows to zero
+        grid = sq.make_grid(-10.0, 10.0, 201)
+        W = sq.get_superpotential("harmonic", scale=1e5)
+        assert np.sum(1.0 - grid.dx * W(grid.nodes()) <= 0.0) == 100
+        system = sq.build_susy_system(W, grid)
+        got = sq.zero_mode(system).amplitudes
+        assert got[-1] == 0.0 < got[100]
+        assert got.tobytes() == zero_mode_sequential(system).tobytes()
+
+    @pytest.mark.parametrize("ratios", (
+        np.ldexp(1.0, np.tile([700, -700], 250)),  # blocks of one
+        np.ldexp(1.0, np.tile([1000, -1060], 250)),  # subnormal products
+        np.exp(np.random.default_rng(3).uniform(-14.0, 14.0, 500)),  # 20-octave ratios
+        np.concatenate([np.full(300, 0.5), [0.0], np.full(199, 3.0)]),  # a zero ratio
+        np.concatenate([np.full(300, 2.0), [-0.0], np.full(199, -1.5)]),
+    ), ids=("huge", "subnormal", "random", "zero", "negative_zero"))
+    def test_extreme_ratios_are_the_sequential_loop(self, zero_mode_sequential, ratios):
+        # B set by hand to diag_i = -r_i, off_i = 1: the block length follows
+        # max|log2 r| down to blocks of one, and a zero ratio zeroes the rest
+        grid = sq.make_grid(-10.0, 10.0, ratios.size + 1)
+        B = sq.Bidiagonal(np.append(-ratios, 0.0), np.ones(ratios.size))
+        system = sq.SusySystem(grid, sq.get_superpotential("harmonic"), B, B.T, None, None)
+        got = sq.zero_mode(system).amplitudes
+        assert got.tobytes() == zero_mode_sequential(system).tobytes()
+
     def test_strong_superpotential_truncates_instead_of_oscillating(self, systems):
         # for W = x^3 the explicit factor 1 - dx W crosses zero inside the box;
         # the stiff-cell ratio keeps the kernel positive and its tail underflows
@@ -380,6 +415,72 @@ class TestIntertwining:
             val = systems[name].grid.dx * np.linalg.norm(
                 systems[name].B @ mm.state.amplitudes) ** 2
             assert val == pytest.approx(mm.energy, abs=1e-8)
+
+
+class TestBatches:
+    """A batch of eigenpairs or states is taken row by row, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def harmonic(self):
+        grid = sq.make_grid(-10.0, 10.0, 401)
+        system = sq.build_susy_system(sq.get_superpotential("harmonic"), grid)
+        plus, minus = sq.solve_partners(system.H_plus, system.H_minus, 12)
+        return system, plus, minus
+
+    @staticmethod
+    def same_bits(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_eigenstates_are_phase_fixed_rows(self, harmonic):
+        system, plus, _ = harmonic
+        grid = system.grid
+        pairs = sq.eigenstates(plus, grid)
+        vectors = plus.vectors()
+        assert len(pairs) == 13 and pairs.state.amplitudes.shape == (13, 401)
+        for j, pair in enumerate(pairs):
+            assert type(pair.energy) is float and pair.energy == plus.values[j]
+            assert self.same_bits(pair.state.amplitudes,
+                                  sq.fix_phase(vectors[:, j]) / np.sqrt(grid.dx))
+        block = pairs[3:7]
+        assert self.same_bits(block.energy, plus.values[3:7])
+        assert self.same_bits(block.state.amplitudes, pairs.state.amplitudes[3:7])
+
+    def test_intertwine_down_rows(self, harmonic):
+        system, plus, _ = harmonic
+        pairs = sq.eigenstates(plus, system.grid)[1:]
+        mapped = sq.intertwine_down(system, pairs)
+        for j, pair in enumerate(pairs):
+            assert self.same_bits(mapped.amplitudes[j],
+                                  sq.intertwine_down(system, pair).amplitudes)
+        with pytest.raises(ValueError, match="energy 0.0 is at or below"):
+            sq.intertwine_down(system, sq.eigenstates(plus, system.grid)[:3])
+
+    def test_align_phase_and_inner_product_rows(self, harmonic):
+        system, plus, minus = harmonic
+        grid = system.grid
+        raw = sq.intertwine_down(system, sq.eigenstates(plus, grid)[1:])
+        rng = np.random.default_rng(11)
+        flips = sq.Wavefunction(grid, raw.amplitudes * rng.choice([-1.0, 1.0], (12, 1)))
+        ref = sq.eigenstates(minus, grid)[1:].state
+        twisted = sq.Wavefunction(grid, flips.amplitudes * np.exp(1j * rng.uniform(0, 7, (12, 1))))
+        for mapped in (flips, twisted):
+            aligned, ov = sq.align_phase(mapped, ref), sq.inner_product(mapped, ref)
+            for j in range(12):
+                one = sq.Wavefunction(grid, mapped.amplitudes[j])
+                other = sq.Wavefunction(grid, ref.amplitudes[j])
+                assert ov[j] == sq.inner_product(one, other)
+                assert self.same_bits(aligned.amplitudes[j],
+                                      sq.align_phase(one, other).amplitudes)
+
+    def test_fix_phase_rows(self):
+        rng = np.random.default_rng(12)
+        for a in (rng.normal(size=(5, 9)),
+                  rng.normal(size=(5, 9)) + 1j * rng.normal(size=(5, 9)),
+                  np.zeros((2, 9)), np.zeros((2, 9), dtype=complex)):
+            fixed = sq.fix_phase(a)
+            for row, got in zip(a, fixed):
+                assert self.same_bits(got, sq.fix_phase(row))
 
 
 class TestOperatorNorm:

@@ -5,7 +5,7 @@ Usage:
     python tools/report_digest.py [CHECKOUT] > digests.txt
 
 CHECKOUT (default: the checkout holding this script) is a susyqm source tree;
-its `susyqm.cli` is imported from its `src/` and run in process on 96
+its `susyqm.cli` is imported from its `src/` and run in process on 98
 configs, each once with `--format csv` and once with `--format json`:
 
 - the bundled configs in `configs/`;
@@ -81,6 +81,10 @@ EXTRA = [
     ("supercharge/harmonic/201/scale=1e153",
      _config("supercharge", "harmonic", 201, scale=1e153)),
     ("jc/1/1e-320/8", _jc(1.0, 1e-320, 8)),
+    # the batched supercharge pass across block boundaries: verify at the
+    # levels cap, and supercharge over 199 levels in blocks of 3
+    ("verify/harmonic/1001/levels=99", _config("verify", "harmonic", 1001, value=99)),
+    ("supercharge/cubic/2001/levels=199", _config("supercharge", "cubic", 2001, value=199)),
 ] + [
     (f"{command}/{name}/201", _config(command, name, 201, key, value))
     for name in W_NAMES
