@@ -28,7 +28,7 @@ from .entanglement import (
     build_energy_eigenstate,
     concurrence_from_spin,
     supercharge_eigenstates,
-    supercharge_residual,
+    supercharge_residuals,
 )
 from .errors import ConfigError, PhysicsViolationError, SusyQMError
 from .grid import Grid, inner_product, make_grid
@@ -241,20 +241,21 @@ def _grid_payload(grid: Grid):
     return {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points}
 
 
-def _solve_both_sides(W, grid, levels):
+def _solve_both_sides(W, grid, levels, tol=1e-300):
     """The system of W on `grid` and its paired levels 0..levels: (system, plus, minus).
 
     `solve_partners` solves and pairs both sides, as bisection results; a
     failed pairing raises its DegeneracyError. No eigenvector is formed
     here: each command asks `eigenstates` for the sides it reads, so
     `spectrum` forms none, `supercharge` those of H+, `entangle` and
-    `verify` both.
+    `verify` both. `supercharge` reads no H- level and passes tol = inf,
+    so its pairing is settled by counts where they certify it.
     """
     try:
         system = build_susy_system(W, grid)
     except ValueError as exc:  # W not finite, unresolved jump, or H+- overflow
         raise ConfigError(str(exc)) from exc
-    return (system, *solve_partners(system.H_plus, system.H_minus, levels))
+    return (system, *solve_partners(system.H_plus, system.H_minus, levels, tol))
 
 
 def _check(name, value, bound):
@@ -297,34 +298,23 @@ def _level_blocks(grid, count):
     return [slice(lo, min(lo + step, count)) for lo in range(1, count, step)]
 
 
-def _supercharge_block(system, pp):
-    """intertwine_down of a batch of H+ eigenpairs `pp` and its four supercharge rows.
-
-    A row is (family, sign, states, residuals), in report order, each over
-    the levels of `pp`; the mapped states carry the relative phase the
-    eigenstates need. Every row entry is what its level gives alone, bit
-    for bit. `supercharge` and `verify` both take their supercharge states
-    from here, one block of levels at a time (`_level_blocks`).
-    """
-    mapped = intertwine_down(system, pp)
-    return mapped, [(family, sign, st, supercharge_residual(system, st, eigenvalue, family))
-                    for family, sign, eigenvalue, st in supercharge_eigenstates(
-                        system, pp.energy, pp.state, mapped)]
-
-
 def _supercharge_columns(system, block, pp):
     """The supercharge report's columns for the slice `block` of levels, H+ eigenpairs `pp`.
 
     Each column is a (level, family) array: index, energy, family, sign,
-    residual and concurrence.
+    residual and concurrence, every entry what its level gives alone, bit
+    for bit. The states are those of intertwine_down of `pp`, which carries
+    the relative phase the eigenstates need.
     """
-    family, sign, states, residuals = zip(*_supercharge_block(system, pp)[1])
-    shape = (len(pp), len(states))
+    mapped = intertwine_down(system, pp)
+    # the residuals' temporaries are dropped before the four states are formed
+    residuals = supercharge_residuals(system, pp.energy, pp.state, mapped)
+    family, sign, _, states = zip(*supercharge_eigenstates(system, pp.energy, pp.state, mapped))
+    shape = residuals.shape
     return (np.broadcast_to(np.arange(block.start, block.stop)[:, None], shape),
             np.broadcast_to(pp.energy[:, None], shape),
             np.broadcast_to(family, shape), np.broadcast_to(sign, shape),
-            np.stack(residuals, axis=-1),
-            np.stack([concurrence_from_spin(st) for st in states], axis=-1))
+            residuals, np.stack([concurrence_from_spin(st) for st in states], axis=-1))
 
 
 def _intertwine_deviations(system, pp, mm):
@@ -334,7 +324,7 @@ def _intertwine_deviations(system, pp, mm):
     deviation |dx ||B psi-||^2 - E-|, and the four supercharge residuals of
     each level, levels outer.
     """
-    raw, rows = _supercharge_block(system, pp)
+    raw = intertwine_down(system, pp)
     dx = system.grid.dx
     gap = align_phase(raw, mm.state).amplitudes - mm.state.amplitudes
     images = system.B @ mm.state.amplitudes
@@ -343,12 +333,13 @@ def _intertwine_deviations(system, pp, mm):
     return ((math.sqrt(dx) * np.sqrt(np.vecdot(gap, gap))).tolist(),
             [abs(dx * norm ** 2 - e) for norm, e in zip(
                 np.sqrt(np.vecdot(images, images)).tolist(), mm.energy.tolist())],
-            np.stack([r for *_, r in rows], axis=-1).ravel().tolist())
+            supercharge_residuals(system, pp.energy, pp.state, raw).ravel().tolist())
 
 
 def _supercharge_check(residuals):
     """The supercharge verdict of `supercharge` and `verify`: the largest residual."""
-    return _check("supercharge_eigenstate_residual", max([0.0, *residuals]), INTERTWINE_TOL)
+    return _check("supercharge_eigenstate_residual", np.max(residuals, initial=0.0),
+                  INTERTWINE_TOL)
 
 
 def _susy_identities(system):
@@ -455,7 +446,7 @@ def run_supercharge(cfg, outdir, fmt):
     grid = _parse_grid(cfg)
     levels = _parse_levels(cfg, grid)
 
-    system, plus, _ = _solve_both_sides(W, grid, levels)
+    system, plus, _ = _solve_both_sides(W, grid, levels, np.inf)  # reads no H- level
     pairs = eigenstates(plus, grid)
     blocks = [_supercharge_columns(system, block, pairs[block])
               for block in _level_blocks(grid, len(pairs))]
@@ -466,7 +457,7 @@ def run_supercharge(cfg, outdir, fmt):
                        ("index", "energy", "family", "sign", "residual", "concurrence"),
                        ("d", ".17g", "s", "+d", ".17g", ".17g"), columns)
     _write(outdir, "supercharge." + fmt, text)
-    return _finish([_supercharge_check(columns[4].tolist())])
+    return _finish([_supercharge_check(columns[4])])
 
 
 def run_jc(cfg, outdir, fmt):
@@ -536,13 +527,15 @@ def run_verify(cfg, outdir, fmt):
         _check("pairing_max_gap", np.max(np.abs(plus.values[1:] - minus.values[1:])), PAIR_TOL),
         _zero_mode_check(minus),
         _check("zero_mode_residual", resid, bound),
-        _check("intertwine_map_residual", max([0.0, *maps]), INTERTWINE_TOL),
-        _check("intertwine_energy_deviation", max([0.0, *energies]), INTERTWINE_TOL),
+        _check("intertwine_map_residual", np.max(maps, initial=0.0), INTERTWINE_TOL),
+        _check("intertwine_energy_deviation", np.max(energies, initial=0.0), INTERTWINE_TOL),
         _supercharge_check(residuals),
         *(_check(*identity) for identity in _susy_identities(system)),
     ]
+    # JSON has no NaN or infinity: such a value, which fails its check, is written as null
+    rows = [{**c, "value": c["value"] if math.isfinite(c["value"]) else None} for c in checks]
     payload = {"superpotential": W.name, "grid": _grid_payload(grid), "levels": levels,
-               "checks": checks, "passed": all(c["passed"] for c in checks)}
+               "checks": rows, "passed": all(c["passed"] for c in checks)}
     _write(outdir, "verify.json", _json_text(payload))
     return _finish(checks)
 
@@ -635,7 +628,7 @@ def main(argv=None) -> int:
     except PhysicsViolationError as exc:
         print(f"physics violation: {exc}", file=sys.stderr)
         return 1
-    except SusyQMError as exc:
+    except (SusyQMError, np.linalg.LinAlgError) as exc:  # the latter: LAPACK gave no answer
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,7 +46,7 @@ __all__ = [
     "concurrence_svd",
     "analyze",
     "supercharge_eigenstates",
-    "supercharge_residual",
+    "supercharge_residuals",
 ]
 
 
@@ -255,6 +255,17 @@ def analyze(
 _SUPERCHARGE_STATES = (("q1", +1, 1), ("q1", -1, -1), ("q2", +1, 1j), ("q2", -1, -1j))
 
 
+def _level_pair(E, psi_plus: Wavefunction, psi_minus: Wavefunction):
+    """sqrt(E), psi+/sqrt(2) and psi-/sqrt(2) of a level pair or a block of them, checked."""
+    energy = np.asarray(E, dtype=float)
+    low = energy[energy <= EPS0]
+    if low.size:
+        raise ValueError(f"E = {float(low.min())!r} is at or below the zero-mode threshold {EPS0}")
+    if psi_plus.grid != psi_minus.grid:
+        raise ValueError("psi_plus and psi_minus must share a grid")
+    return np.sqrt(energy), psi_plus.amplitudes / np.sqrt(2.0), psi_minus.amplitudes / np.sqrt(2.0)
+
+
 def supercharge_eigenstates(
     sys: SusySystem, E, psi_plus: Wavefunction, psi_minus: Wavefunction
 ) -> tuple:
@@ -268,37 +279,34 @@ def supercharge_eigenstates(
     leading axis of the two states, and each row holds an eigenvalue array
     and a batch of states, each as it is built alone.
     """
-    energy = np.asarray(E, dtype=float)
-    low = energy[energy <= EPS0]
-    if low.size:
-        raise ValueError(f"E = {float(low.min())!r} is at or below the zero-mode threshold {EPS0}")
-    if psi_plus.grid != psi_minus.grid:
-        raise ValueError("psi_plus and psi_minus must share a grid")
-    dx = sys.grid.dx
-    up = psi_plus.amplitudes / np.sqrt(2.0)
-    dn = psi_minus.amplitudes / np.sqrt(2.0)
-    root = _values(np.sqrt(energy))
-    return tuple((family, sign, sign * root, SpinorState(up, phase * dn, dx))
+    root, up, dn = _level_pair(E, psi_plus, psi_minus)
+    root = _values(root)
+    return tuple((family, sign, sign * root, SpinorState(up, phase * dn, sys.grid.dx))
                  for family, sign, phase in _SUPERCHARGE_STATES)
 
 
-def supercharge_residual(sys: SusySystem, state: SpinorState, eigenvalue, which: str):
-    """|| Q state - q state || for q the claimed supercharge eigenvalue.
+def supercharge_residuals(sys: SusySystem, E, psi_plus: Wavefunction, psi_minus: Wavefunction):
+    """|| Q s - q s || of the four `supercharge_eigenstates` s of a level pair, in report order.
 
     Q1 acts blockwise as (B phi_down, B+ phi_up), two-term stencils, and
-    Q2 = -i sz Q1 as (-i B phi_down, +i B+ phi_up). For a batch of states,
-    `eigenvalue` is an array over its leading axes and the result an array
-    of residuals, each the residual of its state alone.
+    Q2 = -i sz Q1 as (-i B phi_down, +i B+ phi_up). B is applied to
+    dn = psi-/sqrt(2) and B+ to up = psi+/sqrt(2) once. A state's down half
+    is dn times its phase p = 1, -1, i or -i and its eigenvalue is sign *
+    sqrt(E), so B of the down half is p B dn and the residual vector is
+    (sign r_up, r_down) with r_up = B dn - sqrt(E) up and r_down =
+    B+ up - sqrt(E) dn for Q1, and (sign r_up, i r_down) for Q2: the phases
+    are exact, and so are the signs, which leave every square of the
+    reduction as it is. So the two states of a family share one residual,
+    reduced as a state's own vector is, real for Q1 and complex for Q2, and
+    each equals what the state gives alone, bit for bit. The result has a
+    last axis of the four states; for a block of levels (E an array over
+    the leading axis of the two states) its leading axes run over the levels.
     """
-    if which not in ("q1", "q2"):
-        raise ValueError(f"which must be 'q1' or 'q2', got {which!r}")
-    eigenvalue = np.asarray(eigenvalue)[..., None]
-    val = 0.0  # the up half's squared norm, then the down half's added
-    for op, source, target, phase in ((sys.B, state.down, state.up, -1j),
-                                      (sys.B_adj, state.up, state.down, 1j)):
-        q = op @ source
-        if which == "q2":
-            q = phase * q
-        r = q - eigenvalue * target
-        val = val + np.vecdot(r, r).real
-    return _values(np.sqrt(val * state.weight))
+    root, up, dn = _level_pair(E, psi_plus, psi_minus)
+    q = root[..., None]
+    r_up, r_down = sys.B @ dn - q * up, sys.B_adj @ up - q * dn
+    q2_up, q2_down = r_up.astype(complex), 1j * r_down
+    q1 = np.vecdot(r_up, r_up) + np.vecdot(r_down, r_down)
+    q2 = np.vecdot(q2_up, q2_up).real + np.vecdot(q2_down, q2_down).real
+    q1, q2 = np.sqrt(q1 * sys.grid.dx), np.sqrt(q2 * sys.grid.dx)
+    return np.stack([q1, q1, q2, q2], axis=-1)

@@ -62,7 +62,9 @@ class Wavefunction:
 
     A 1-D array is one state; any leading axes index a batch of states on
     the same grid, and every function of the package that takes a
-    Wavefunction acts on each state of a batch alone.
+    Wavefunction acts on each state of a batch alone. The amplitudes are a
+    read-only C-contiguous copy; an array that is both already is taken as
+    it is, shared and not copied.
     """
 
     grid: Grid
@@ -75,8 +77,9 @@ class Wavefunction:
                 f"amplitude vector of length {amps.shape} does not fit a "
                 f"{self.grid.n_points}-point grid"
             )
-        amps = amps.copy()
-        amps.flags.writeable = False
+        if amps.flags.writeable or not amps.flags.c_contiguous:
+            amps = amps.copy()
+            amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
 
@@ -97,19 +100,26 @@ def inner_product(f: Wavefunction, g: Wavefunction):
     return complex(ov) if ov.ndim == 0 else ov.astype(complex)
 
 
-def fix_phase(amplitudes: np.ndarray) -> np.ndarray:
+def fix_phase(amplitudes: np.ndarray, out=None) -> np.ndarray:
     """Rotate the global phase so the largest-modulus entry is real positive.
 
     Each state along the last axis is rotated alone. Ties break on the first
     occurrence, which makes eigenvector signs deterministic across runs. A
-    real state is multiplied by +-1, which is exact; a complex one by
+    real state is multiplied by +-1, which is exact, into `out` if given
+    (the input itself rotates it in place); a complex one by
     conj(pivot) / |pivot|, with |pivot| by hypot, as abs() of one complex
     takes it. A zero state is returned as it is.
     """
     a = np.asarray(amplitudes)
-    pivot = np.take_along_axis(a, np.argmax(np.abs(a), axis=-1, keepdims=True), axis=-1)
     if not np.iscomplexobj(a):
-        return a * np.where(pivot >= 0, 1.0, -1.0)  # a NaN pivot flips, as pivot > 0 fails
+        # the first entry of largest modulus, found without an |a| array: the
+        # first largest entry or the first smallest, the earlier on a tie
+        hi, lo = np.argmax(a, axis=-1, keepdims=True), np.argmin(a, axis=-1, keepdims=True)
+        top, bottom = np.take_along_axis(a, hi, axis=-1), np.take_along_axis(a, lo, axis=-1)
+        # a negative pivot flips, and so does a NaN one, as pivot > 0 fails
+        flip = (top < -bottom) | ((top == -bottom) & (lo < hi)) | np.isnan(top)
+        return np.multiply(a, np.where(flip, -1.0, 1.0), out=out)
+    pivot = np.take_along_axis(a, np.argmax(np.abs(a), axis=-1, keepdims=True), axis=-1)
     zero = pivot == 0
     modulus = np.where(zero, 1.0, np.hypot(pivot.real, pivot.imag))
     return np.where(zero, a, a * (np.conj(pivot) / modulus))

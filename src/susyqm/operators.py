@@ -266,22 +266,28 @@ class Bisection:
     def vectors(self) -> np.ndarray:
         """Eigenvectors of `values`, as columns in the same order, by inverse iteration.
 
-        stein may fail to converge on nearly equal eigenvalues (info > 0).
-        Then bisection and stein are redone on the bands with the diagonal
-        shifted by its median sigma: the shift keeps every eigenvector and
-        brings the diagonal down to the scale of its spread, where the
-        shifted eigenvalues are resolved again. `values` stay those of the
-        unshifted bisection.
+        stein may fail to converge on nearly equal eigenvalues (info > 0),
+        or return NaN entries with info = 0 (on bands spanning some 120
+        decades); a non-finite entry makes the sum of the unit vectors
+        non-finite. Then bisection and stein are redone on the bands with
+        the diagonal shifted by its median sigma: the shift keeps every
+        eigenvector and brings the diagonal down to the scale of its spread,
+        where the shifted eigenvalues are resolved again. `values` stay
+        those of the unshifted bisection. A value window that the shift
+        rounds to nothing cannot be redone, nor can a count that changes:
+        then LinAlgError is raised.
         """
         d = self._d
         v, info = self._stein(d, *self._found)
-        if info > 0:
+        if info > 0 or not np.isfinite(v.sum()):
             sigma = np.median(d)
-            counts, *shifted = self._bisect(d - sigma, sigma)
-            if counts == self.counts:
-                v, info = self._stein(d - sigma, *shifted)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"stein: {info} eigenvectors failed to converge")
+            if all(vl - sigma < vu - sigma for rng, vl, vu, *_ in self._selections
+                   if rng == _BY_VALUE):
+                counts, *shifted = self._bisect(d - sigma, sigma)
+                if counts == self.counts:
+                    v, info = self._stein(d - sigma, *shifted)
+        if info != 0 or not np.isfinite(v.sum()):
+            raise np.linalg.LinAlgError(f"stein: eigenvectors failed to converge (info = {info})")
         return v
 
     def _bisect(self, d, shift):
@@ -303,12 +309,26 @@ class Bisection:
         return tuple(counts), np.concatenate(values), np.concatenate(blocks), isplit
 
     def _stein(self, d, w, blocks, isplit):
-        """Eigenvectors of the bands (d, e) for w, columns in ascending order of w."""
+        """Eigenvectors of the bands (d, e) for w, columns in ascending order of w.
+
+        stein takes w grouped by block, ascending within each; its columns
+        are put in ascending order of w in place, one cycle of the
+        permutation at a time, so no second n x m array is formed.
+        """
         by_block = np.lexsort((w, blocks))
         iblock = np.zeros(d.size, dtype=blocks.dtype)  # stein reads n entries
         iblock[:w.size] = blocks[by_block]
         v, info = _STEIN(d, self._e, w[by_block], iblock, isplit)
-        return v[:, np.argsort(w[by_block])], info
+        source = np.argsort(w[by_block]).tolist()  # column j comes from column source[j]
+        for start in range(len(source)):
+            if source[start] != start:
+                held, j = v[:, start].copy(), start
+                while source[j] != start:
+                    k = source[j]
+                    v[:, j], source[j] = v[:, k], j
+                    j = k
+                v[:, j], source[j] = held, j
+        return v, info
 
 
 def build_annihilator(W: Superpotential, grid: Grid) -> Bidiagonal:

@@ -15,7 +15,24 @@ reads |E0| <= EPS0 = 1e-10 on H-'s level 0.
 `solve_partners` is the one owner of the pairing decision and of its
 tolerance PAIR_TOL = 1e-10: it bisects H+ blind and H- only inside the
 windows the H+ levels define, blind only when those fail, and raises
-DegeneracyError for a second zero mode or a level without a partner.
+DegeneracyError for a second zero mode or a level without a partner. A
+caller that reads no H- level (tol = inf) has the pairing settled by a
+count certificate instead, with no H- level bisected: the loose total and
+one Sturm count a window, each level window (a, b] shrunk at both ends by
+m = max(2^-51 b, floor) + 2 ulp(b). Bisection (dstebz) of (a, b] keeps an
+interval [lo, hi] inside it whose Sturm counts bracket the level, 0 < lo <=
+hi <= b, and returns its midpoint once hi - lo < max(ABSTOL, pivmin,
+RELFAC ULP max(|lo|, |hi|)), RELFAC ULP = 2^-51; the Sturm count is
+monotone (Demmel, Dhillon & Ren, ETNA 3, 116 (1995)). So a level counted in
+the shrunk window bisects to a value less than that width outside it, which
+lies in [e - PAIR_TOL, e + PAIR_TOL] for its H+ level e: the two ulps cover
+the rounding of b = fl(e + PAIR_TOL), of the shrunk ends and of m. floor =
+max(1e-300, tiny max(1, big^2)), big the largest |band entry| of H-,
+bounds ABSTOL (the default tol) and pivmin on either side of `Bisection`'s
+power-of-two scaling; where big^2 overflows, every shrunk window is empty.
+Any count other than one a window runs the bisection as it is, so the
+verdict is the same on every input.
+
 `eigenstates` forms the eigenpairs of a bisection result as one batch
 (`EigenPair` over a leading level axis); `solve_spectrum` is the blind solve
 of the k lowest levels (`Tridiagonal.eigh`) followed by it. The
@@ -82,17 +99,20 @@ def eigenstates(solved: Bisection, grid: Grid) -> EigenPair:
     """The eigenpairs of a bisection result on `grid`, ascending, as one batch.
 
     Here the eigenvectors are formed (`Bisection.vectors`), phase-fixed and
-    scaled to unit dx-weighted norm as one array, a row a level. Bisection
-    on the bands resolves the near-kernel eigenvalue at machine scale
-    instead of the ~eps*||H|| blur of the generic drivers; the work is O(n)
-    per eigenpair. Deterministic: fixed driver, fixed phase fix.
+    scaled to unit dx-weighted norm in place, one array with a row a level,
+    which the batch then holds as it is. Bisection on the bands resolves the
+    near-kernel eigenvalue at machine scale instead of the ~eps*||H|| blur
+    of the generic drivers; the work is O(n) per eigenpair. Deterministic:
+    fixed driver, fixed phase fix.
     """
-    amps = fix_phase(solved.vectors().T)
+    amps = np.ascontiguousarray(solved.vectors().T)
+    fix_phase(amps, out=amps)
     amps /= np.sqrt(grid.dx)
+    amps.flags.writeable = False
     return EigenPair(solved.values, Wavefunction(grid, amps))
 
 
-def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int):
+def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int, tol=1e-300):
     """Levels 0..levels of both partners, paired, as two bisection results (plus, minus).
 
     The one owner of the pairing decision and its tolerance PAIR_TOL. Level
@@ -113,6 +133,14 @@ def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int):
     blind. A gap above PAIR_TOL between paired levels raises
     DegeneracyError, naming the H+ level. No eigenvector is formed: the
     caller asks `eigenstates` for the sides it reads.
+
+    `tol` is H-'s bisection tolerance: the default 1e-300, machine width as
+    in `Tridiagonal.eigh`, or inf, which stops bisection at once, as in
+    `eigh_windows`. A caller that reads no H- level passes inf: the pairing
+    is then settled by counts alone where they certify it (see the module
+    docstring and `_inner_windows`), and minus holds only those counts.
+    Where they do not, the path above runs as it is, to the same levels or
+    the same DegeneracyError.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
@@ -130,6 +158,11 @@ def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int):
         # an infinite tol stops the bisection at once: only the count is read
         (total,) = H_minus.eigh_windows([(-np.inf, windows[-1][1])], tol=np.inf).counts
         if total == len(windows):
+            inner = _inner_windows(H_minus, windows) if tol == np.inf else None
+            if inner is not None:
+                counted = H_minus.eigh_windows(inner, tol=np.inf)
+                if counted.counts == (1,) * len(inner):
+                    return plus, counted
             minus = H_minus.eigh_windows(windows)
     if minus is None or any(c != 1 for c in minus.counts):
         minus = H_minus.eigh(0, levels)
@@ -143,6 +176,24 @@ def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int):
                 level=ep,
             )
     return plus, minus
+
+
+def _inner_windows(H, windows):
+    """The pairing windows of H, each level window shrunk by the certificate's margin.
+
+    None when a shrunk window is empty; the margin is derived in the module
+    docstring.
+    """
+    big = max(np.max(np.abs(H.diag)), np.max(np.abs(H.off), initial=0.0))
+    with np.errstate(over="ignore"):
+        floor = max(1e-300, np.finfo(float).tiny * max(1.0, big * big))
+    inner = [windows[0]]
+    for a, b in windows[1:]:
+        m = max(2.0 ** -51 * b, floor) + 2.0 * np.spacing(b)
+        if not a + m < b - m:
+            return None
+        inner.append((a + m, b - m))
+    return inner
 
 
 def zero_mode(sys: SusySystem) -> Wavefunction:

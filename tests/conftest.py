@@ -2,12 +2,13 @@
 dense small-n oracles of the 2n x 2n SUSY operators and of the
 Jaynes-Cummings algebra report and level match, the oracles that no code
 in the package calls (the blockwise supercharge action and its eigen-relation
-residual, the H- to H+ intertwining map, the dx-weighted norm and
-normalization of a wavefunction, the sampled zero-mode profile, the zero
-mode rebuilt from W and by a step-by-step frexp loop, the guarded maximum
-of the Jaynes-Cummings algebra report, the closed-form Jaynes-Cummings
-eigenstates and the entangle sweep one full-grid state at a time), and a
-tracemalloc peak probe.
+residual, that residual by the per-state arithmetic the package used before
+it applied B and B+ once a level pair, the H- to H+ intertwining map, the
+dx-weighted norm and normalization of a wavefunction, the sampled zero-mode
+profile, the zero mode rebuilt from W and by a step-by-step frexp loop, the
+guarded maximum of the Jaynes-Cummings algebra report, the closed-form
+Jaynes-Cummings eigenstates and the entangle sweep one full-grid state at a
+time), and a tracemalloc peak probe.
 
 Everything here is session-scoped; building a 2001-point system and solving
 both partners takes a noticeable fraction of a second, and many tests share
@@ -394,6 +395,31 @@ def blockwise_residual(blockwise_supercharge):
         r_dn = mapped.down - eigenvalue * state.down
         val = np.real(np.vdot(r_up, r_up)) + np.real(np.vdot(r_dn, r_dn))
         return float(np.sqrt(val * state.weight))
+    return residual
+
+
+@pytest.fixture(scope="session")
+def residual_per_state():
+    """|| Q state - q state || of one supercharge eigenstate, or of a batch of them, alone.
+
+    The per-state arithmetic of the package before it applied B and B+ once
+    per level pair: B to the state's down half and B+ to its up half, the
+    Q2 phases -i and +i on the products, and each residual vector reduced
+    with np.vecdot, real for Q1 and complex for Q2. `eigenvalue` is an
+    array over a batch's leading axes; one state gives a Python float.
+    """
+    def residual(system, state, eigenvalue, which):
+        eigenvalue = np.asarray(eigenvalue)[..., None]
+        val = 0.0  # the up half's squared norm, then the down half's added
+        for op, source, target, phase in ((system.B, state.down, state.up, -1j),
+                                          (system.B_adj, state.up, state.down, 1j)):
+            q = op @ source
+            if which == "q2":
+                q = phase * q
+            r = q - eigenvalue * target
+            val = val + np.vecdot(r, r).real
+        val = np.sqrt(val * state.weight)
+        return val.item() if val.ndim == 0 else val
     return residual
 
 

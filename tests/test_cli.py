@@ -365,10 +365,11 @@ class TestSuperchargeCommand:
         (201, None), (201, 16 * 201 * 4), (1001, None)), ids=("201", "201-blocks_of_4", "1001"))
     @pytest.mark.parametrize("name", W_NAMES)
     def test_rows_equal_the_per_level_calls(self, tmp_path, monkeypatch, name, n_points,
-                                            block_bytes):
+                                            block_bytes, residual_per_state):
         # levels at the cap, over several blocks (one at 201 points unless the
         # blocks are cut to 4 levels, leaving a short last one); every cell
-        # equals, bit for bit, what the 1-D calls give for its level alone
+        # equals, bit for bit, what the 1-D calls give for its level alone,
+        # each residual what the per-state arithmetic gives
         if block_bytes is not None:
             monkeypatch.setattr(cli, "SUPERCHARGE_BLOCK_BYTES", block_bytes)
         levels = n_points // 10 - 1
@@ -389,7 +390,7 @@ class TestSuperchargeCommand:
             assert mapped.amplitudes.shape == (n_points,)
             for family, sign, q, st in sq.supercharge_eigenstates(
                     system, pp.energy, pp.state, mapped):
-                residual = sq.supercharge_residual(system, st, q, family)
+                residual = residual_per_state(system, st, q, family)
                 concurrence = sq.concurrence_from_spin(st)
                 assert type(q) is type(residual) is type(concurrence) is float
                 expected.append({"index": i, "energy": pp.energy, "family": family,
@@ -561,7 +562,8 @@ class TestVerifyCommand:
             "exceeds -1.0 (and 1 more)\n")
 
     @pytest.mark.parametrize("name", W_NAMES)
-    def test_intertwining_values_equal_the_per_level_calls(self, tmp_path, name):
+    def test_intertwining_values_equal_the_per_level_calls(self, tmp_path, name,
+                                                           residual_per_state):
         # 20 levels at 1001 points: blocks of 6, 6, 6 and 2; each check is the
         # largest of its per-level values, each from the 1-D calls alone
         levels, grid = 20, sq.make_grid(-10.0, 10.0, 1001)
@@ -582,7 +584,7 @@ class TestVerifyCommand:
                 np.linalg.norm(aligned.amplitudes - mm.state.amplitudes)))
             energies.append(abs(grid.dx * float(
                 np.linalg.norm(system.B @ mm.state.amplitudes) ** 2) - mm.energy))
-            residuals += [sq.supercharge_residual(system, st, q, family) for family, _, q, st
+            residuals += [residual_per_state(system, st, q, family) for family, _, q, st
                           in sq.supercharge_eigenstates(system, pp.energy, pp.state, mapped)]
         assert checks["intertwine_map_residual"] == max(maps)
         assert checks["intertwine_energy_deviation"] == max(energies)
@@ -625,20 +627,87 @@ class TestVerifyCommand:
     ), ids=("sign_flipped", "minus_i_on_both_blocks"))
     def test_mutated_q2_fails_the_eigenstate_residual(self, tmp_path, monkeypatch, mutant,
                                                       blockwise_supercharge, blockwise_residual):
-        # the residual verify calls, with Q2 replaced by the mutant; verify
-        # passes a block of levels, whose states are taken one at a time
+        # the residuals verify calls, with Q2 replaced by the mutant; verify
+        # passes a block of level pairs, whose four states are formed and
+        # taken one at a time, each column of the result one state
         def apply(system, state, which):
             return mutant(system, state) if which == "q2" else \
                 blockwise_supercharge(system, state, which)
 
-        def residuals(system, states, eigenvalues, which):
-            return np.array([
+        def residuals(system, energies, psi_plus, psi_minus):
+            return np.stack([np.array([
                 blockwise_residual(system, sq.SpinorState(up, down, states.weight), q, which,
                                    apply=apply)
                 for up, down, q in zip(states.up, states.down, eigenvalues)])
+                for which, _, eigenvalues, states in sq.supercharge_eigenstates(
+                    system, energies, psi_plus, psi_minus)], axis=-1)
 
-        monkeypatch.setattr(cli, "supercharge_residual", residuals)
+        monkeypatch.setattr(cli, "supercharge_residuals", residuals)
         assert "supercharge_eigenstate_residual" in self.failed_checks(tmp_path)
+
+
+class TestNaNFailsItsCheck:
+    """A NaN value fails its check: the largest of a check's values keeps a NaN."""
+
+    GRID = {"x_min": -10.0, "x_max": 10.0, "n_points": 201}
+
+    @staticmethod
+    def poison_residual(monkeypatch):
+        # one residual row of the first block is NaN, the rest as computed
+        residuals = cli.supercharge_residuals
+
+        def poisoned(*args):
+            out = residuals(*args)
+            if not poisoned.done:
+                out[0, 1] = np.nan
+                poisoned.done = True
+            return out
+        poisoned.done = False
+        monkeypatch.setattr(cli, "supercharge_residuals", poisoned)
+
+    @staticmethod
+    def poison_deviation(monkeypatch, column):
+        # one per-level value of verify's first block (column 0: the
+        # aligned map residual, 1: the energy deviation) is NaN
+        deviations = cli._intertwine_deviations
+
+        def poisoned(*args):
+            out = deviations(*args)
+            out[column][0] = math.nan
+            return out
+        monkeypatch.setattr(cli, "_intertwine_deviations", poisoned)
+
+    def test_supercharge_residual_row(self, tmp_path, monkeypatch, capsys):
+        self.poison_residual(monkeypatch)
+        payload = {"command": "supercharge", "superpotential": {"name": "harmonic"},
+                   "grid": self.GRID, "levels": 6}
+        assert cli.main(["--config", write_config(tmp_path, payload),
+                         "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "physics violation: supercharge_eigenstate_residual = nan exceeds 1e-08\n")
+        _, rows = read_csv(tmp_path / "supercharge.csv")
+        assert [r[4] for r in rows].count("nan") == 1
+
+    @pytest.mark.parametrize("poison, name", (
+        ("map", "intertwine_map_residual"),
+        ("energy", "intertwine_energy_deviation"),
+        ("residual", "supercharge_eigenstate_residual"),
+    ))
+    def test_verify_value(self, tmp_path, monkeypatch, capsys, poison, name):
+        if poison == "residual":
+            self.poison_residual(monkeypatch)
+        else:
+            self.poison_deviation(monkeypatch, ("map", "energy").index(poison))
+        payload = {"command": "verify", "superpotential": {"name": "harmonic"},
+                   "grid": self.GRID, "levels": 6}
+        assert cli.main(["--config", write_config(tmp_path, payload),
+                         "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"physics violation: {name} = nan exceeds 1e-08\n"
+        report = json.loads((tmp_path / "verify.json").read_text())
+        failed = [c for c in report["checks"] if not c["passed"]]
+        # JSON has no NaN: the value is written as null
+        assert failed == [{"name": name, "value": None, "bound": 1e-08, "passed": False}]
+        assert report["passed"] is False
 
 
 def harmonic_config(command, n_points, scale=1.0, half_width=10.0, levels=6):
@@ -703,6 +772,29 @@ class TestPairingWindows:
             # inverse iteration runs once on each side whose eigenstates are read
             sides = {"plus": plus, "minus": minus}
             assert stein == [(sides[side],) for side in states], command
+
+    @pytest.mark.parametrize("name", W_NAMES)
+    def test_supercharge_bisects_minus_only_for_counts(self, tmp_path, monkeypatch, name):
+        # supercharge reads no H- level: its pairing holds on counts alone, a
+        # loose total and one count a window, each stopped at once (tol =
+        # inf); verify bisects H- in the windows to machine width
+        for command, minus_tols in (("supercharge", [np.inf, np.inf]),
+                                    ("verify", [np.inf, 1e-300, 0.0])):
+            made = []
+            init = sq.Bisection.__init__
+
+            def spy(solved, T, selections, tol, _init=init):
+                made.append((T, tol))
+                _init(solved, T, selections, tol)
+            monkeypatch.setattr(sq.Bisection, "__init__", spy)
+            payload = {"command": command, "superpotential": {"name": name},
+                       "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 1001}, "levels": 6}
+            cli.main(["--config", write_config(tmp_path, payload), "--out", str(tmp_path)])
+            monkeypatch.undo()
+            (H_plus, plus_tol), *minus = made
+            assert plus_tol == 1e-300
+            assert all(T is not H_plus for T, _ in minus)
+            assert [tol for _, tol in minus] == minus_tols, command
 
     def test_shifted_levels_empty_the_windows(self, monkeypatch):
         # every H- level 1e-9 up: no window holds its level, and the blind
@@ -863,6 +955,15 @@ def assert_one_line_ending(tmp_path, payload):
     assert "Warning" not in out.getvalue() + err.getvalue()
     assert not [f for f in os.listdir(outdir) if f.startswith(".susyqm-tmp-")]
     return rc, text
+
+
+def test_nan_eigenvector_is_redone_not_a_traceback(tmp_path):
+    # stein returns NaN for H-'s level 1 here; the shifted redo of
+    # `Bisection.vectors` gives the state, and the run ends in exit 0
+    payload = harmonic_config("entangle", 20, scale=2.0 ** 206)
+    payload["grid"]["x_max"] = 1.0
+    payload["level"] = payload.pop("levels") - 5
+    assert assert_one_line_ending(tmp_path, payload) == (0, "")
 
 
 @given(payload=grid_configs())

@@ -320,10 +320,12 @@ class TestSuperchargeEigenstates:
     def test_q2_eigen_relation(self, harmonic_level_one):
         system, pp, rows = harmonic_level_one
         root = np.sqrt(pp.energy)
-        q2_rows = [(sign, st_) for family, sign, _, st_ in rows if family == "q2"]
-        assert [sign for sign, _ in q2_rows] == [+1, -1]
-        for sign, st_ in q2_rows:
-            assert sq.supercharge_residual(system, st_, sign * root, "q2") <= 1e-8
+        q2_rows = [(sign, q) for family, sign, q, _ in rows if family == "q2"]
+        assert q2_rows == [(+1, root), (-1, -root)]
+        residuals = sq.supercharge_residuals(system, pp.energy, pp.state,
+                                             sq.intertwine_down(system, pp))
+        assert residuals.shape == (4,)
+        assert np.all(residuals[2:] <= 1e-8)
 
     def test_concurrence_maximal(self, harmonic_level_one):
         _, _, rows = harmonic_level_one
@@ -371,10 +373,36 @@ class TestSuperchargeEigenstates:
                                               sq.intertwine_down(system, pp))
             assert [(family, sign) for family, sign, *_ in rows] == [
                 ("q1", +1), ("q1", -1), ("q2", +1), ("q2", -1)]
-            for family, sign, eigenvalue, st_ in rows:
+            residuals = sq.supercharge_residuals(system, pp.energy, pp.state,
+                                                 sq.intertwine_down(system, pp))
+            for (family, sign, eigenvalue, st_), residual in zip(rows, residuals.tolist(),
+                                                                 strict=True):
                 assert eigenvalue == sign * math.sqrt(pp.energy)
-                assert (sq.supercharge_residual(system, st_, eigenvalue, family)
-                        == blockwise_residual(system, st_, eigenvalue, family))
+                assert residual == blockwise_residual(system, st_, eigenvalue, family)
+
+    @pytest.mark.parametrize("n_points", (201, 1001))
+    @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
+    def test_block_residuals_are_the_per_state_arithmetic(self, name, n_points,
+                                                          residual_per_state):
+        # levels at the cap as one block and in blocks of 6: each residual of
+        # a block equals, bit for bit, the per-state arithmetic on its state
+        # alone, B and B+ applied to every state on its own
+        grid = sq.make_grid(-10.0, 10.0, n_points)
+        system = sq.build_susy_system(sq.get_superpotential(name), grid)
+        levels = n_points // 10 - 1
+        pairs = sq.eigenstates(system.H_plus.eigh(0, levels), grid)[1:]
+        for step in (levels, 6):
+            for lo in range(0, levels, step):
+                pp = pairs[lo:lo + step]
+                mapped = sq.intertwine_down(system, pp)
+                got = sq.supercharge_residuals(system, pp.energy, pp.state, mapped)
+                assert got.shape == (len(pp), 4)
+                for k, (family, _, eigenvalues, states) in enumerate(
+                        sq.supercharge_eigenstates(system, pp.energy, pp.state, mapped)):
+                    want = [residual_per_state(system, sq.SpinorState(up, down, grid.dx),
+                                               q, family)
+                            for up, down, q in zip(states.up, states.down, eigenvalues.tolist())]
+                    assert got[:, k].tobytes() == np.array(want).tobytes()
 
     def test_zero_energy_rejected(self, systems, nonzero_levels):
         plus_nz, minus_nz = nonzero_levels["harmonic"]
@@ -388,7 +416,12 @@ class TestSuperchargeEigenstates:
                                psi0.amplitudes, grid2001.dx)
         assert sq.concurrence_from_spin(state) == 0.0
 
-    def test_residual_which_validated(self, harmonic_level_one):
-        system, _, rows = harmonic_level_one
-        with pytest.raises(ValueError):
-            sq.supercharge_residual(system, rows[0][3], 1.0, "q3")
+    def test_residuals_validate_energy_and_grid(self, harmonic_level_one):
+        system, pp, _ = harmonic_level_one
+        mapped = sq.intertwine_down(system, pp)
+        with pytest.raises(ValueError, match="zero-mode threshold"):
+            sq.supercharge_residuals(system, [pp.energy, 0.0], pp.state, mapped)
+        other = sq.Wavefunction(sq.make_grid(-9.0, 9.0, system.grid.n_points),
+                                mapped.amplitudes)
+        with pytest.raises(ValueError, match="share a grid"):
+            sq.supercharge_residuals(system, pp.energy, pp.state, other)

@@ -145,7 +145,48 @@ class TestBatchedWavefunction:
             assert type(one) is complex and ov[j] == one
 
 
+class TestFixPhaseWithoutModulusArray:
+    """The real pivot is found from argmax and argmin, with no |a| array."""
+
+    @staticmethod
+    def by_modulus(a):
+        """The definition: the sign of the first entry of largest |a_i|; a NaN one flips."""
+        pivot = np.take_along_axis(a, np.argmax(np.abs(a), axis=-1, keepdims=True), axis=-1)
+        return a * np.where(pivot >= 0, 1.0, -1.0)
+
+    @given(rows=st.lists(st.lists(st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, np.inf, -np.inf, np.nan]),
+        min_size=5, max_size=5), min_size=1, max_size=6))
+    @settings(max_examples=400, deadline=None)
+    def test_real_rows_match_the_modulus_definition(self, rows):
+        # few distinct values, so ties between +m and -m, signed zeros,
+        # infinities and NaN come up often; the result equals the definition
+        # bit for bit, as a new array and in place
+        a = np.array(rows)
+        want = self.by_modulus(a)
+        assert sq.fix_phase(a).tobytes() == want.tobytes()
+        b = a.copy()
+        assert sq.fix_phase(b, out=b) is b
+        assert b.tobytes() == want.tobytes()
+
+
 class TestSerialization:
+    def test_frozen_contiguous_amplitudes_are_shared(self):
+        # a read-only C-contiguous array is taken as it is; anything else is
+        # copied, so the state never shares memory that can be written
+        g = sq.make_grid(0, 1, 3)
+        frozen = np.arange(6.0).reshape(2, 3)
+        frozen.flags.writeable = False
+        assert sq.Wavefunction(g, frozen).amplitudes is frozen
+        writable = np.arange(6.0).reshape(2, 3)
+        fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        fortran.flags.writeable = False
+        for amps in (writable, fortran, np.broadcast_to(np.ones(3), (2, 3))):
+            kept = sq.Wavefunction(g, amps).amplitudes
+            assert not np.shares_memory(kept, amps)
+            assert kept.flags.c_contiguous and not kept.flags.writeable
+            assert np.array_equal(kept, amps)
+
     def test_wavefunction_immutable(self):
         g = sq.make_grid(0, 1, 3)
         f = sq.Wavefunction(g, np.ones(3))

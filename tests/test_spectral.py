@@ -155,6 +155,16 @@ class TestSolveInPairingWindows:
         assert minus.counts == (4,)  # one index selection: the blind solve
         assert plus.values.tolist() == minus.values.tolist() == levels
 
+    def test_crowded_levels_fall_back_without_reading_levels(self):
+        # a caller that reads no H- level (tol = inf): the second level sits
+        # at the end of window 1, outside its shrunk part, and shrunk window
+        # 2 holds no level, so the counts certify nothing and the path above
+        # runs as it is, to the blind solve
+        levels = [0.0, 1.0, 1.0 + 1e-10, 2.0]
+        plus, minus = sq.solve_partners(diagonal(levels), diagonal(levels), 3, np.inf)
+        assert minus.counts == (4,)
+        assert plus.values.tolist() == minus.values.tolist() == levels
+
     def test_second_zero_mode_raises_before_h_minus_is_touched(self, monkeypatch):
         touched = []
         for name in ("eigh", "eigh_windows"):
@@ -173,6 +183,73 @@ class TestSolveInPairingWindows:
     def test_levels_below_one_rejected(self, levels):
         with pytest.raises(ValueError, match="levels must be >= 1"):
             sq.solve_partners(diagonal([0.0, 1.0]), diagonal([0.0, 1.0]), levels)
+
+
+def pairing_outcome(H_plus, H_minus, levels, tol):
+    """How `solve_partners` ends: (message, level) of its DegeneracyError, or
+    ("paired", certified) with certified True when counts alone settled it."""
+    try:
+        _, minus = sq.solve_partners(H_plus, H_minus, levels, tol)
+    except sq.DegeneracyError as err:
+        return str(err), err.level
+    return "paired", minus._tol == np.inf
+
+
+class TestCountCertificate:
+    """tol = inf settles the pairing from counts where they certify it, with the same verdict.
+
+    Each side is a diagonal Tridiagonal, whose Sturm count flips exactly at
+    its levels, so a level can be put at any float next to a window's end.
+    """
+
+    @staticmethod
+    def same_verdict(H_plus, H_minus, levels):
+        counted = pairing_outcome(H_plus, H_minus, levels, np.inf)
+        bisected = pairing_outcome(H_plus, H_minus, levels, 1e-300)
+        assert counted[0] == bisected[0]
+        if counted[0] == "paired":
+            assert bisected[1] is False
+        else:
+            assert counted == bisected
+        return counted
+
+    @pytest.mark.parametrize("e", (1.0, 3.7, 6.5e4, 6e5, 4e6))
+    def test_levels_next_to_the_window_ends(self, e):
+        # H- level at e +- PAIR_TOL + k ulp(e), k in -6..6: where fl(e +-
+        # PAIR_TOL) rounds outward a plain count of the window would pair a
+        # level the bisected gap rejects; the certificate leaves such levels
+        # to the bisection. From 2^17 on the margin of 2^-51 e + 2 ulp(e)
+        # exceeds PAIR_TOL, so every case is bisected
+        outcomes = [self.same_verdict(diagonal([0.0, e]), diagonal([0.0, em]), 1)
+                    for em in (e + side * PAIR_TOL + k * np.spacing(e)
+                               for side in (-1, 1) for k in range(-6, 7))]
+        certified = outcomes.count(("paired", True))
+        assert certified > 0 if e < 1e5 else certified == 0
+        assert {kind == "paired" for kind, _ in outcomes} == {True, False}
+
+    @pytest.mark.parametrize("n_points", (201, 1001, 2001))
+    @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
+    def test_bundled_systems_pair_on_counts(self, name, n_points):
+        # at the levels cap every level of the bundled W is certified
+        system = sq.build_susy_system(sq.get_superpotential(name),
+                                      sq.make_grid(-10.0, 10.0, n_points))
+        assert self.same_verdict(system.H_plus, system.H_minus,
+                                 n_points // 10 - 1) == ("paired", True)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_property_same_verdict_as_the_bisection(self, data):
+        scale = data.draw(st.sampled_from((1.0, 3.7, 6.5e4, 6e5, 4e6)))
+        count = data.draw(st.integers(1, 4))
+        e_plus = [scale * (1 + i) for i in range(count)]
+        e_minus = [e + data.draw(st.sampled_from((-1, 0, 1))) * PAIR_TOL
+                   + data.draw(st.integers(-6, 6)) * np.spacing(e) for e in e_plus]
+        # the H- zero mode, lifted above EPS0 now and then, and a stray H- level
+        zero = data.draw(st.sampled_from((0.0, 1e-14, 2e-10)))
+        stray = data.draw(st.sampled_from(([], [scale * 0.5], [scale * (count + 0.5)])))
+        H_plus = diagonal([0.0, *e_plus])
+        H_minus = diagonal(sorted([zero, *e_minus, *stray]))
+        self.same_verdict(H_plus, H_minus, count)
 
 
 class TestPairPartnerLevels:

@@ -5,7 +5,7 @@ Usage:
     python tools/report_digest.py [CHECKOUT] > digests.txt
 
 CHECKOUT (default: the checkout holding this script) is a susyqm source tree;
-its `susyqm.cli` is imported from its `src/` and run in process on 98
+its `susyqm.cli` is imported from its `src/` and run in process on 101
 configs, each once with `--format csv` and once with `--format json`:
 
 - the bundled configs in `configs/`;
@@ -85,6 +85,16 @@ EXTRA = [
     # levels cap, and supercharge over 199 levels in blocks of 3
     ("verify/harmonic/1001/levels=99", _config("verify", "harmonic", 1001, value=99)),
     ("supercharge/cubic/2001/levels=199", _config("supercharge", "cubic", 2001, value=199)),
+    # supercharge settles its pairing by counts: a second zero mode, a level
+    # without a partner (the count certificate fails and the bisection names
+    # the level), and levels near 6.5e4, whose shrunk windows are a few ulps
+    # narrower than the pairing windows
+    ("supercharge/harmonic/201/scale=2^-40/half_width=10*2^20",
+     _config("supercharge", "harmonic", 201, half_width=10.0 * 2 ** 20, scale=2.0 ** -40)),
+    ("supercharge/harmonic/2001/scale=2^20/half_width=10*2^-10",
+     _config("supercharge", "harmonic", 2001, half_width=10.0 * 2 ** -10, scale=2.0 ** 20)),
+    ("supercharge/harmonic/2001/scale=2^16/half_width=10*2^-8",
+     _config("supercharge", "harmonic", 2001, half_width=10.0 * 2 ** -8, scale=2.0 ** 16)),
 ] + [
     (f"{command}/{name}/201", _config(command, name, 201, key, value))
     for name in W_NAMES
