@@ -39,14 +39,7 @@ from .jaynescummings import (
     numeric_vs_analytic,
     verify_susy_algebra,
 )
-from .operators import (
-    Tridiagonal,
-    band_commutator,
-    band_max_abs,
-    band_product,
-    band_rows,
-    build_susy_system,
-)
+from .operators import band_max_abs, band_rows, build_susy_system, supercharge_products
 from .spectral import (
     EPS0,
     PAIR_TOL,
@@ -304,17 +297,21 @@ def _supercharge_columns(system, block, pp):
     Each column is a (level, family) array: index, energy, family, sign,
     residual and concurrence, every entry what its level gives alone, bit
     for bit. The states are those of intertwine_down of `pp`, which carries
-    the relative phase the eigenstates need.
+    the relative phase the eigenstates need. The two states of a family
+    differ only in the sign of the down half, which leaves every product the
+    concurrence reduces as it is, so each family's + state gives the
+    concurrence of both.
     """
     mapped = intertwine_down(system, pp)
     # the residuals' temporaries are dropped before the four states are formed
     residuals = supercharge_residuals(system, pp.energy, pp.state, mapped)
     family, sign, _, states = zip(*supercharge_eigenstates(system, pp.energy, pp.state, mapped))
+    q1, q2 = concurrence_from_spin(states[0]), concurrence_from_spin(states[2])
     shape = residuals.shape
     return (np.broadcast_to(np.arange(block.start, block.stop)[:, None], shape),
             np.broadcast_to(pp.energy[:, None], shape),
             np.broadcast_to(family, shape), np.broadcast_to(sign, shape),
-            residuals, np.stack([concurrence_from_spin(st) for st in states], axis=-1))
+            residuals, np.stack([q1, q1, q2, q2], axis=-1))
 
 
 def _intertwine_deviations(system, pp, mm):
@@ -347,25 +344,21 @@ def _susy_identities(system):
 
     Every operator is read in the order of `SusySystem.Q1`, where
     H = diag(H+, H-) is pentadiagonal: its rows interleave the separately
-    formed bands of H+-. Q2 = -i R with R = sz Q1 real, so Q2^2 = -R^2,
-    {Q1, Q2} = -i {Q1, R}, and Q2 is Hermitian iff R + R^T = 0; no complex
-    array is formed. Entry by entry {sz, Q1}_jk = R_jk + R_kj, so one band
-    product gives both the parity and the hermiticity check.
+    formed bands of H+-. The four products come from `supercharge_products`,
+    one at a time: Q2^2 = -R^2, {Q1, Q2} = -i {Q1, R}, and {sz, Q1} gives
+    both the parity and the hermiticity check.
     """
     n = system.grid.n_points
-    parity = Tridiagonal(np.tile([-1.0, 1.0], n), np.zeros(2 * n - 1))  # sz: -1 down, +1 up
-    q1 = band_rows(system.Q1)
-    R = parity.diag * q1
     H = np.zeros((5, 2 * n))
     H[0::2, 0::2] = band_rows(system.H_minus)
     H[0::2, 1::2] = band_rows(system.H_plus)
-    parity_q1 = band_max_abs(band_commutator(band_rows(parity), q1, anti=True))
+    products = supercharge_products(system.Q1)  # each reduced before the next is formed
     return (
-        ("q1_squared_vs_hamiltonian", band_max_abs(band_product(q1, q1) - H), MATRIX_SQ_TOL),
-        ("q2_squared_vs_hamiltonian", band_max_abs(band_product(R, R) + H), MATRIX_SQ_TOL),
-        ("anticommutator_q1_q2", band_max_abs(band_commutator(q1, R, anti=True)), ANTICOMM_TOL),
-        ("anticommutator_parity_q1", parity_q1, ANTICOMM_TOL),
-        ("q2_hermiticity", parity_q1, ANTICOMM_TOL),
+        ("q1_squared_vs_hamiltonian", band_max_abs(next(products) - H), MATRIX_SQ_TOL),
+        ("q2_squared_vs_hamiltonian", band_max_abs(next(products) + H), MATRIX_SQ_TOL),
+        ("anticommutator_q1_q2", band_max_abs(next(products)), ANTICOMM_TOL),
+        ("anticommutator_parity_q1", parity := band_max_abs(next(products)), ANTICOMM_TOL),
+        ("q2_hermiticity", parity, ANTICOMM_TOL),
     )
 
 
@@ -494,7 +487,6 @@ def run_jc(cfg, outdir, fmt):
             "max_gap": match.max_gap,
             "min_fidelity": match.min_fidelity,
             "min_excited_concurrence": match.min_excited_concurrence,
-            "ground_concurrence_svd": match.ground_concurrence_svd,
             "degenerate": match.degenerate,
             "all_matched": match.all_matched,
         },

@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import NormalizationError
 from .grid import Wavefunction
 from .operators import SusySystem
 from .spectral import EPS0
@@ -95,7 +96,7 @@ class SpinorState:
 def _require_normalized(norm_squared, tol: float = 1e-8):
     dev = np.abs(np.asarray(norm_squared) - 1.0).max()
     if dev > tol:
-        raise ValueError(f"spinor state is not normalized: |<psi|psi> - 1| = {dev:.3e}")
+        raise NormalizationError(f"spinor state is not normalized: |<psi|psi> - 1| = {dev:.3e}")
 
 
 def _require_unit_coefficients(c1, c2):

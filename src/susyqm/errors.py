@@ -12,6 +12,7 @@ __all__ = [
     "IndeterminateSignError",
     "ConfigError",
     "GridMismatchError",
+    "NormalizationError",
 ]
 
 
@@ -45,3 +46,7 @@ class ConfigError(SusyQMError):
 
 class GridMismatchError(SusyQMError, ValueError):
     """Operands live on different grids."""
+
+
+class NormalizationError(PhysicsViolationError, ValueError):
+    """A state that should have unit norm is off by more than its tolerance."""

@@ -4,16 +4,20 @@ H = omega (b+ b + sz/2) + gamma (b s+ + b+ s-) conserves the excitation
 number N = b+ b + (sz + 1)/2, so in the excitation order |0 down>, |0 up>,
 |1 down>, |1 up>, ... every operator of the model is symmetric tridiagonal and
 is stored as its bands (`operators.Tridiagonal`), built in O(n_max). The
-supercharge Q = b s+ + b+ s- has a zero diagonal and sqrt(m) on the
-off-diagonal between |m-1 up> and |m down>; it squares to N away from the
-cutoff, which hides an N=2 SUSY structure in the model:
-H = omega Q^2 + gamma Q - omega/2 up to a single corrupted entry at the
-truncation corner. H is |0 down> plus one 2x2 block per excitation manifold,
-the SUSY doublet (|n-1 up>, |n down>), plus |n_max up>; the numeric match
-takes all blocks at once in array passes and reports its levels as
-read-only columns, one row per level. `FockSpace.excitation_order` maps
-between this order and the (up, down) layout of `SpinorState`. Levels are
-only certified for n <= n_max - 2.
+supercharge Q = b s+ + b+ s- is `operators.golub_kahan` of the Fock
+annihilator b, the upper bidiagonal with an empty diagonal and sqrt(1..n_max)
+above it, whose last row is empty like that of the grid B: the same
+[[0, b], [b+, 0]] as the grid's Q1, with sqrt(m) between |m-1 up> and
+|m down>. It squares to N away from the cutoff, which hides an N=2 SUSY
+structure in the model: H = omega Q^2 + gamma Q - omega/2 up to a single
+corrupted entry at the truncation corner. The algebra report reads the
+products of that structure from `operators.supercharge_products`, as the
+grid `verify` does. H is |0 down> plus one 2x2 block per excitation
+manifold, the SUSY doublet (|n-1 up>, |n down>), plus |n_max up>; the
+numeric match reads every doublet from its block's eigen-angle in array
+passes and reports its levels as read-only columns, one row per level.
+`FockSpace.excitation_order` maps between this order and the (up, down)
+layout of `SpinorState`. Levels are only certified for n <= n_max - 2.
 """
 
 from dataclasses import dataclass
@@ -21,13 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from .entanglement import concurrence_overlap
 from .operators import (
+    Bidiagonal,
     Tridiagonal,
     band_commutator,
     band_max_abs,
-    band_product,
     band_rows,
+    golub_kahan,
+    supercharge_products,
 )
 
 __all__ = [
@@ -116,13 +121,12 @@ def build_jc(omega: float, gamma: float, n_max: int) -> JCSystem:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     fock = FockSpace(int(n_max))
     m = fock.photons()
-    q_off = np.zeros(m.size - 1)
-    q_off[1::2] = np.sqrt(m[2::2])  # |m-1 up> <-> |m down>
+    b = Bidiagonal(np.zeros(fock.dimension), np.sqrt(np.arange(1.0, fock.dimension)))
+    Q = golub_kahan(b)  # |m-1 up> <-> |m down>
     zeros = np.zeros(m.size)
-    Q = Tridiagonal(zeros, q_off)
     with np.errstate(over="ignore"):  # overflow is rejected just below
         H0 = Tridiagonal(omega * (m + 0.5 * fock.spins()), zeros[1:])
-        Hint = Tridiagonal(zeros, gamma * q_off)
+        Hint = Tridiagonal(zeros, gamma * Q.off)
         H = Tridiagonal(H0.diag + Hint.diag, H0.off + Hint.off)
     largest = float(max(np.abs(H.diag).max(), np.abs(H.off).max()))
     if not np.isfinite(2.0 * (fock.n_max + 1) * largest):  # Python floats: no warning
@@ -204,34 +208,33 @@ def verify_susy_algebra(sys: JCSystem) -> JCAlgebraReport:
 
     Every operator involved is tridiagonal in the excitation order and is
     read as three rows of entries; each product is pentadiagonal and is held
-    as five rows, by the band-product kernel of `operators` that the grid
-    `verify` shares. No 2(n_max+1)-square array is formed. Q2 = i sz Q1 is
-    purely imaginary: its bands are i times those of R = sz Q1, Q1's bands
-    with the sz sign of the row. Every product with Q2 is then i or
-    i^2 = -1 times the same product with R, which is exact, so the report
-    reads the real rows of R. `dev` holds one identity's deviation at a time.
+    as five rows, by the band-product kernel of `operators`. No
+    2(n_max+1)-square array is formed. Q2 = i sz Q1 is i R, and the four
+    products of the N=2 algebra, Q1^2, R^2 = -Q2^2, {Q1, R} = -i {Q1, Q2}
+    and {sz, Q1}, come from `supercharge_products`, which the grid `verify`
+    shares. `dev` holds one identity's deviation at a time; Q1^2 is kept for
+    the two Hamiltonian identities.
     """
     fock = sys.fock
     omega, gamma = sys.omega, sys.gamma
     m = fock.photons()
     guarded = _entries(m <= fock.guard_n_max)
-    sz = fock.spins()
+
+    products = supercharge_products(sys.Q)
+    q1_sq = next(products)
+    dev = q1_sq + next(products)  # Q1^2 - Q2^2
+    q1_sq_minus_q2_sq = band_max_abs(dev, guarded)
+    anti_q1_q2 = band_max_abs(next(products), guarded)  # {Q1, Q2} / i
+    anti_sz_q = band_max_abs(next(products))
+    products.close()  # and with it the rows of Q1, R and sz it holds
+
     Q1 = band_rows(sys.Q)
-    R = sz * Q1
     H0 = band_rows(sys.H0)
     H = band_rows(sys.H)
-    q1_sq = band_product(Q1, Q1)
     eye = _wide(_diagonal(np.ones(m.size)))
-
-    dev = q1_sq + band_product(R, R)  # Q1^2 - Q2^2
-    q1_sq_minus_q2_sq = band_max_abs(dev, guarded)
-    dev = band_commutator(Q1, R, anti=True)  # {Q1, Q2} / i
-    anti_q1_q2 = band_max_abs(dev, guarded)
     dev = band_commutator(Q1, H0)
     comm_q_h0_guarded = band_max_abs(dev, guarded)
     comm_q_h0_full = band_max_abs(dev)
-    dev = band_commutator(_diagonal(sz), Q1, anti=True)
-    anti_sz_q = band_max_abs(dev)
     dev = H - (H0 + band_rows(sys.Hint))
     h_equals_h0_plus_hint = band_max_abs(dev)
     # H0 = omega (Q^2 - 1/2) holds on every row but the top Fock level
@@ -242,7 +245,8 @@ def verify_susy_algebra(sys: JCSystem) -> JCAlgebraReport:
     corner_dev = abs(dev[2, corner] - omega * (fock.n_max + 1))
     dev[2, corner] = 0.0
     h_q2_identity_offcorner = band_max_abs(dev)
-    dev = band_commutator(_diagonal(m + (sz + 1.0) / 2.0), H)  # [b+ b + (sz + 1)/2, H]
+    # [b+ b + (sz + 1)/2, H]
+    dev = band_commutator(_diagonal(m + (fock.spins() + 1.0) / 2.0), H)
     comm_n_exc_h = band_max_abs(dev)
 
     return JCAlgebraReport(
@@ -281,7 +285,6 @@ class JCMatchReport:
     max_gap: float
     min_fidelity: float
     min_excited_concurrence: Optional[float]
-    ground_concurrence_svd: float
     degenerate: bool
     label_residual_implemented: float
     label_residual_alternative: float
@@ -334,12 +337,15 @@ def numeric_vs_analytic(sys: JCSystem) -> JCMatchReport:
     closed-form levels, paired with the ascending numeric ones, is the
     matching with the smallest largest gap, and exact level crossings
     between doublets do no harm. Each eigenvector is the closed-form
-    eigenvector of its 2x2 block on the block's branch, formed from the
-    bands, two entries per level, and scored against
-    (|n-1 up> + branch |n down>)/sqrt(2). The ground row is the
-    singleton |0 down>, an exact product state: fidelity 1 and ground
-    concurrence 0 hold by structure. For gamma = 0 the excited
-    levels are doubly degenerate and each block is one eigenspace that
+    eigenvector of its 2x2 block [[a, c], [c, b]] on the block's branch,
+    read from its eigen-angle: with s = c / hypot((a - b)/2, c) its
+    fidelity against (|n-1 up> + branch |n down>)/sqrt(2) is (1 + s)/2 and
+    its concurrence |s|, so a resonant block (a = b) reads 1 for both,
+    exactly. A block with c = a - b = 0 has no single eigenvector: its s,
+    fidelity and concurrence are NaN, and the NaN fidelity fails. The
+    ground row is the singleton |0 down>, an exact product state: fidelity 1
+    and concurrence 0 hold by structure. For gamma = 0 the excited levels
+    are doubly degenerate and each block is one eigenspace that
     equals the analytic span, so its fidelity is exactly 1; the row has
     branch 0, the mean of its two numeric eigenvalues, the larger gap and
     a NaN concurrence.
@@ -375,23 +381,18 @@ def numeric_vs_analytic(sys: JCSystem) -> JCMatchReport:
         a, b, c = H.diag[first], H.diag[first + 1], H.off[first]
         n_exc = (k + 1) // 2
         branch = np.where(k % 2, -1, 1)
-        # (H - lam) v = 0 row by row: v = (c, lam - a) or (lam - b, c), the
-        # longer. lam - a and lam - b are taken from the block's centre, as
-        # shift - h and shift + h, not from the numeric E: its rounding of
-        # eps |E| would swamp a splitting 2 gamma sqrt(n) of that size
-        h = (a - b) / 2.0
-        shift = branch * np.hypot(h, c)  # lam - (a + b)/2
-        v1 = np.stack([c, shift - h])
-        v2 = np.stack([shift + h, c])
-        v = np.where(np.hypot(*v1) >= np.hypot(*v2), v1, v2)
-        # scaled by an exact power of two first, so a subnormal v keeps its
-        # digits through the normalization
-        v = np.ldexp(v, -np.frexp(np.abs(v).max(axis=0))[1])
-        up, down = v / np.hypot(*v)
+        # the block's eigenvectors are (cos t, sin t) on the upper branch and
+        # (-sin t, cos t) on the lower, with sin 2t = s: both have fidelity
+        # (1 + s)/2 against (|n-1 up> + branch |n down>)/sqrt(2) and
+        # concurrence 2 |cos t sin t| = |s|. s comes from the bands alone,
+        # not from the numeric E, whose rounding of eps |E| would swamp a
+        # splitting 2 gamma sqrt(n) of that size. At resonance (a = b)
+        # hypot(0, c) = |c|, so s = 1 exactly, for a subnormal c too
+        s = c / np.hypot((a - b) / 2.0, c)
         E_a, E_n = analytic[k], E_num[k]
         gap = np.abs(E_n - E_a)
-        fid = (up + branch * down) ** 2 / 2.0
-        conc = concurrence_overlap(up, down, 0.0)
+        fid = (1.0 + s) / 2.0
+        conc = np.abs(s)
     else:
         n_exc = n[:g]
         branch = np.zeros(g, dtype=int)
@@ -425,7 +426,6 @@ def numeric_vs_analytic(sys: JCSystem) -> JCMatchReport:
         max_gap=float(np.nanmax(gap)),
         min_fidelity=float(np.nanmin(fid)),
         min_excited_concurrence=None if degenerate else float(np.nanmin(conc)),
-        ground_concurrence_svd=0.0,
         degenerate=degenerate,
         label_residual_implemented=float(impl_res),
         label_residual_alternative=float(alt_res),

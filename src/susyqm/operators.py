@@ -32,10 +32,12 @@ so each side has exactly that one zero: level 0 of each solved side is its
 zero by construction, and the spectral module pairs levels 1.. of the two.
 
 The 2n x 2n supercharge Q1 = [[0, B], [B_adj, 0]] is tridiagonal as well, in
-the order (down_0, up_0, down_1, up_1, ...): `SusySystem.Q1`, B's Golub-Kahan
-form. Identities between tridiagonals are read entry by entry in O(n) with one
-band-product kernel (`band_rows`, `band_product`, `band_commutator`,
-`band_max_abs`), which the algebra checks of both models use.
+the order (down_0, up_0, down_1, up_1, ...): `golub_kahan(B)`, which
+`SusySystem.Q1` returns for the grid B and `jaynescummings.build_jc` for the
+Fock annihilator b. Identities between tridiagonals are read entry by entry in
+O(n) with one band-product kernel (`band_rows`, `band_product`,
+`band_commutator`, `band_max_abs`); `supercharge_products` forms the four
+products of the N=2 algebra that the checks of both models read.
 """
 
 import importlib.machinery
@@ -54,6 +56,7 @@ __all__ = [
     "Tridiagonal",
     "Bisection",
     "SusySystem",
+    "golub_kahan",
     "build_annihilator",
     "build_susy_system",
     "check_sign_condition",
@@ -61,6 +64,7 @@ __all__ = [
     "band_product",
     "band_commutator",
     "band_max_abs",
+    "supercharge_products",
 ]
 
 SQRT2 = np.sqrt(2.0)
@@ -331,6 +335,22 @@ class Bisection:
         return v, info
 
 
+def golub_kahan(B: Bidiagonal) -> Tridiagonal:
+    """[[0, B], [B.T, 0]] for an upper bidiagonal B, in the order (down_0, up_0, down_1, ...).
+
+    The diagonal is zero and the off-diagonal is (d_0, u_0, d_1, u_1, ...,
+    d_{n-1}) for B's bands d and u (Demmel & Kahan, SIAM J. Sci. Stat.
+    Comput. 11, 873 (1990)). A lower bidiagonal is rejected.
+    """
+    if B.lower:
+        raise ValueError("the Golub-Kahan form is taken of an upper bidiagonal")
+    d = B.diag
+    off = np.empty(2 * d.size - 1)
+    off[0::2] = d
+    off[1::2] = B.off
+    return Tridiagonal(np.zeros(2 * d.size), off)
+
+
 def build_annihilator(W: Superpotential, grid: Grid) -> Bidiagonal:
     """B = (D_fwd + W)/sqrt(2) as its two bands, with an empty last row.
 
@@ -381,18 +401,11 @@ class SusySystem:
 
     @property
     def Q1(self) -> Tridiagonal:
-        """Q1 = [[0, B], [B_adj, 0]] in the order (down_0, up_0, down_1, up_1, ...).
+        """Q1 = [[0, B], [B_adj, 0]], B's `golub_kahan` form; built on each access.
 
-        The diagonal is zero and the off-diagonal is (d_0, u_0, d_1, u_1, ...,
-        d_{n-1}) for B's bands d and u (Demmel & Kahan, SIAM J. Sci. Stat.
-        Comput. 11, 873 (1990)). sz is -1 on even positions and +1 on odd
-        ones, so Q2 = -i sz Q1. Built on each access.
+        sz is -1 on even positions and +1 on odd ones, so Q2 = -i sz Q1.
         """
-        d = self.B.diag
-        off = np.empty(2 * d.size - 1)
-        off[0::2] = d
-        off[1::2] = self.B.off
-        return Tridiagonal(np.zeros(2 * d.size), off)
+        return golub_kahan(self.B)
 
 
 def build_susy_system(W: Superpotential, grid: Grid) -> SusySystem:
@@ -470,3 +483,25 @@ def band_commutator(A: np.ndarray, B: np.ndarray, anti: bool = False) -> np.ndar
 def band_max_abs(M: np.ndarray, mask=True) -> float:
     """Largest |entry| of M where `mask` holds; 0.0 if it holds nowhere."""
     return float(np.max(np.abs(M), where=mask, initial=0.0))
+
+
+def supercharge_products(Q1: Tridiagonal):
+    """Q1^2, R^2, {Q1, R} and {sz, Q1} for R = sz Q1, five rows each, one at a time.
+
+    sz is -1 on even positions and +1 on odd ones, as in `golub_kahan`, so
+    R is Q1 with the sz sign of each row. Q2 = c R with c = -i (the grid) or
+    +i (Jaynes-Cummings) is purely imaginary, and every product with it is c
+    or c^2 = -1 times the same product with R, which is exact: Q2^2 = -R^2,
+    {Q1, Q2} = c {Q1, R}, and {sz, Q1} = 0 is also the hermiticity of Q2
+    (entry by entry {sz, Q1}_jk = R_jk + R_kj). No complex array is formed.
+    A generator: each product is formed when the next is asked for, so the
+    caller decides how many are alive at once.
+    """
+    q1 = band_rows(Q1)
+    sz = np.zeros_like(q1)  # the three rows of the diagonal sz
+    sz[1] = np.tile([-1.0, 1.0], Q1.diag.size // 2)
+    R = sz[1] * q1
+    yield band_product(q1, q1)
+    yield band_product(R, R)
+    yield band_commutator(q1, R, anti=True)
+    yield band_commutator(sz, q1, anti=True)

@@ -338,6 +338,23 @@ class TestEntangleCommand:
 
 
 class TestSuperchargeCommand:
+    def test_unnormalized_state_ends_in_one_line(self, tmp_path, monkeypatch, capsys):
+        # harmonic at 2^19 + 1 points ends so, |<psi|psi> - 1| = 1.5e-8 on an
+        # intertwined state; here every intertwined state is stretched by 1e-7
+        mapped = cli.intertwine_down
+
+        def stretched(system, pairs):
+            out = mapped(system, pairs)
+            return sq.Wavefunction(out.grid, out.amplitudes * (1.0 + 1e-7))
+        monkeypatch.setattr(cli, "intertwine_down", stretched)
+        cfg = write_config(tmp_path, {"command": "supercharge",
+                                      "superpotential": {"name": "harmonic"},
+                                      "grid": dict(BOX), "levels": 2})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("physics violation: spinor state is not normalized: ")
+        assert err.count("\n") == 1
+
     def test_rows_and_residuals(self, tmp_path):
         cfg = write_config(tmp_path, {
             "command": "supercharge",
@@ -431,7 +448,6 @@ def reference_jc_reports(omega, gamma, n_max):
             "max_gap": match.max_gap,
             "min_fidelity": match.min_fidelity,
             "min_excited_concurrence": match.min_excited_concurrence,
-            "ground_concurrence_svd": match.ground_concurrence_svd,
             "degenerate": match.degenerate,
             "all_matched": match.all_matched,
         },

@@ -116,6 +116,15 @@ class TestSpinExpectation:
         with pytest.raises(ValueError):
             sq.spin_expectation(state)
 
+    def test_unnormalized_state_is_a_physics_violation(self):
+        # a package error, which the CLI ends in one line, and still a ValueError
+        state = sq.SpinorState(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0)
+        for route in (sq.spin_expectation, sq.concurrence_from_spin, sq.schmidt_svd_oracle):
+            with pytest.raises(sq.NormalizationError, match="not normalized") as info:
+                route(state)
+            assert isinstance(info.value, sq.PhysicsViolationError)
+            assert isinstance(info.value, ValueError)
+
 
 class TestSchmidtCoefficients:
     def test_maximal(self):

@@ -41,6 +41,15 @@ class TestBuildJC:
         assert np.array_equal(sys_.H0.diag, 2.0 * (m + 0.5 * spin))
         assert np.array_equal(sys_.Hint.off, 0.5 * expected)
 
+    @pytest.mark.parametrize("n_max", (4, 64, 513))
+    def test_supercharge_is_golub_kahan_of_the_annihilator(self, n_max):
+        # b has an empty diagonal and sqrt(1..n_max) above it, and an empty
+        # last row, like the grid B; Q is its [[0, b], [b+, 0]], bit for bit
+        b = sq.Bidiagonal(np.zeros(n_max + 1), np.sqrt(np.arange(1, n_max + 1)))
+        Q, expected = sq.build_jc(1.0, 0.1, n_max).Q, sq.golub_kahan(b)
+        assert Q.diag.tobytes() == expected.diag.tobytes()
+        assert Q.off.tobytes() == expected.off.tobytes()
+
     def test_number_operator_exact(self):
         # omega b+ b is the integer ladder, not sqrt(m) sqrt(m) rounded
         sys_ = sq.build_jc(1.0, 0.1, 512)
@@ -286,7 +295,8 @@ class TestNumericMatch:
         assert jc_match.min_excited_concurrence == pytest.approx(1.0, abs=1e-10)
 
     def test_ground_level_not_entangled(self, jc_match):
-        assert jc_match.ground_concurrence_svd <= 1e-10
+        assert jc_match.n[0] == 0
+        assert jc_match.concurrence[0] <= 1e-10
 
     def test_row_budget(self, jc_match, jc_default):
         # ground plus two branches per certified doublet, in every column
@@ -330,6 +340,47 @@ class TestNumericMatch:
             assert [f[:3] for f in match.failures[:4]] == [
                 (1, -1, "gap"), (1, -1, "fidelity"), (1, 1, "gap"), (1, 1, "fidelity")]
             assert np.isnan(match.failures[1][3])
+
+    def test_resonant_doublets_read_one_exactly(self):
+        # a = b on every resonant block, so s = c / |c| = 1: fidelity and
+        # concurrence are 1 with no rounding
+        match = sq.numeric_vs_analytic(sq.build_jc(1.0, 0.1, 512))
+        excited = match.n > 0
+        assert np.all(match.fidelity == 1.0)
+        assert np.all(match.concurrence[excited] == 1.0)
+        assert match.min_fidelity == match.min_excited_concurrence == 1.0
+
+    def test_eigen_angle_matches_numpy_eigh(self):
+        # hand-built blocks [[a, c], [c, b]] on (|n-1 up>, |n down>): a != b,
+        # a negative c, a subnormal c at resonance and off it, and
+        # c = a - b = 0, which has no single eigenvector. The oracle is
+        # numpy's eigh of the block shifted by its centre and scaled by a
+        # power of two, which keeps the eigenvectors and brings the subnormal
+        # entries to order one
+        blocks = ((0.3, -0.45, 0.7), (1.5, 1.5, 1e-310), (1.0, 0.5, 1e-310),
+                  (4.5, 4.7, -0.2), (2.0, 2.0, 0.0), (6.0, 5.0, 0.25))
+        sys_ = sq.build_jc(1.0, 0.1, 8)
+        diag, off = sys_.H.diag.copy(), sys_.H.off.copy()
+        for n, (a, b, c) in enumerate(blocks, start=1):
+            diag[2 * n - 1], diag[2 * n], off[2 * n - 1] = a, b, c
+        sys_ = sq.JCSystem(sys_.fock, sys_.omega, sys_.gamma, sys_.Q, sys_.H0,
+                           sys_.Hint, sq.Tridiagonal(diag, off))
+        with np.errstate(invalid="ignore"):
+            match = sq.numeric_vs_analytic(sys_)
+        eps = np.finfo(float).eps
+        for row in range(1, match.n.size):
+            n, branch = int(match.n[row]), int(match.branch[row])
+            a, b, c = blocks[n - 1]
+            if c == a - b == 0.0:
+                assert np.isnan(match.fidelity[row]) and np.isnan(match.concurrence[row])
+                assert (n, branch, "fidelity") in [f[:3] for f in match.failures]
+                continue
+            h = (a - b) / 2.0
+            scale = -np.frexp(max(abs(h), abs(c)))[1]
+            _, vectors = np.linalg.eigh(np.ldexp([[h, c], [c, -h]], scale))
+            up, down = vectors[:, 0 if branch < 0 else 1]
+            assert abs(match.fidelity[row] - (up + branch * down) ** 2 / 2.0) <= 4 * eps
+            assert abs(match.concurrence[row] - 2.0 * abs(up * down)) <= 4 * eps
 
     def test_photon_label_evidence(self, jc_match):
         assert jc_match.label_residual_implemented <= 1e-12

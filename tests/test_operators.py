@@ -515,3 +515,60 @@ class TestSupercharges:
         assert np.max(np.abs(np.dot(P, q1) + np.dot(q1, P))) == 0.0
         assert np.max(np.abs(np.dot(P, q2) + np.dot(q2, P))) == 0.0
 
+
+
+def band_dense(rows):
+    """The dense matrix of a product's five rows: row 2 + o, column j holds (j, j + o)."""
+    n = rows.shape[1]
+    return sum(np.diag(rows[2 + o, max(0, -o):n - max(0, o)], o) for o in range(-2, 3))
+
+
+class TestSuperchargeAlgebra:
+    def test_golub_kahan_is_the_interleaved_block_matrix(self):
+        # [[0, B], [B.T, 0]] in the (up, down) layout, read in the order
+        # (down_0, up_0, down_1, up_1, ...)
+        rng = np.random.default_rng(5)
+        n = 6
+        B = sq.Bidiagonal(rng.normal(size=n), rng.normal(size=n - 1))
+        block = np.zeros((2 * n, 2 * n))
+        block[:n, n:] = B.to_dense()
+        block[n:, :n] = B.to_dense().T
+        order = np.stack([n + np.arange(n), np.arange(n)], axis=1).ravel()
+        Q = sq.golub_kahan(B)
+        assert isinstance(Q, sq.Tridiagonal)
+        assert np.array_equal(Q.to_dense(), block[np.ix_(order, order)])
+        with pytest.raises(ValueError, match="upper"):
+            sq.golub_kahan(B.T)
+
+    def test_products_match_dense(self, unfused_product):
+        # a general tridiagonal, diagonal included, so no term of any product
+        # vanishes by structure; each entry sums at most three rounded terms
+        rng = np.random.default_rng(9)
+        n = 12
+        Q1 = sq.Tridiagonal(rng.normal(size=n), rng.normal(size=n - 1))
+        q = Q1.to_dense()
+        sz = np.diag(np.tile([-1.0, 1.0], n // 2))
+        R = unfused_product(sz, q)
+        dense = (unfused_product(q, q), unfused_product(R, R),
+                 unfused_product(q, R) + unfused_product(R, q),
+                 unfused_product(sz, q) + unfused_product(q, sz))
+        products = sq.supercharge_products(Q1)
+        for want in dense:
+            got = band_dense(next(products))
+            assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+        assert next(products, None) is None
+
+    def test_products_formed_one_at_a_time(self, traced_peak):
+        # in units of one five-row array (40 n bytes), a caller that reduces
+        # each product before asking for the next holds at most: the two
+        # products of an anticommutator (2), the generator's rows of Q1, R
+        # and sz (3 x 3/5) and one slice product inside band_product (1/5),
+        # 4 units; the four products formed at once would take 4 alone
+        n = 20000
+        Q1 = sq.Tridiagonal(np.zeros(n), np.ones(n - 1))
+
+        def reduce_each():
+            products = sq.supercharge_products(Q1)
+            for _ in range(4):
+                float(next(products).max())
+        assert traced_peak(reduce_each) < 4.5 * 5 * n * 8

@@ -1,7 +1,9 @@
 """Eigensolver, partner-level pairing, zero mode and intertwining maps."""
 
 import dataclasses
+import decimal
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -617,3 +619,54 @@ class TestOperatorNorm:
     def test_edge_matrices_match_both_bisections(self, diag, off):
         H = sq.Tridiagonal(diag, off)
         assert sq.operator_norm(H) == self.both_bisections(H)
+
+
+class TestFortyDigitOracle:
+    """The `sturm_eigenvalue` oracle, checked against exact spectra, then on H+-."""
+
+    @pytest.mark.parametrize("n", (7, 200))
+    def test_toeplitz_closed_form(self, sturm_eigenvalue, n):
+        # the eigenvalues of the Toeplitz tridiagonal (a, b) are
+        # a + 2 b cos(k pi/(n + 1)), k = 1..n, ascending in k for b < 0; a and
+        # b are the exact values of their doubles, the closed form is taken
+        # at 50 digits, and the oracle stops at a width of 1e-30 max(1, |x|)
+        a, b = 0.3, -0.7
+        T = sq.Tridiagonal(np.full(n, a), np.full(n - 1, b))
+        with mpmath.workdps(50):
+            for k in sorted({0, 1, n // 2, n - 1}):
+                exact = mpmath.mpf(a) + 2 * mpmath.mpf(b) * mpmath.cos(
+                    (k + 1) * mpmath.pi / (n + 1))
+                got = sturm_eigenvalue(T, k, float(exact))
+                assert abs(got - decimal.Decimal(mpmath.nstr(exact, 50))) <= 1e-30
+
+    @pytest.mark.parametrize("n", (1, 2, 13, 50))
+    def test_dense_eigvalsh(self, sturm_eigenvalue, n):
+        # dense symmetric eigenvalues are backward stable: each is within a
+        # small multiple of eps ||T|| of the exact one; n eps ||T|| covers it
+        rng = np.random.default_rng(n)
+        T = sq.Tridiagonal(rng.normal(size=n), rng.normal(size=n - 1))
+        dense = np.linalg.eigvalsh(T.to_dense())
+        bound = n * np.finfo(float).eps * np.max(np.abs(dense))
+        for k, value in enumerate(dense.tolist()):
+            assert abs(float(sturm_eigenvalue(T, k, value)) - value) <= bound
+
+    def test_bracket_must_hold_the_level(self, sturm_eigenvalue):
+        with pytest.raises(ValueError, match="not within"):
+            sturm_eigenvalue(sq.Tridiagonal([1.0, 3.0], [0.0]), 0, 2.0)
+
+    @pytest.mark.parametrize("name", ("harmonic", "cubic"))
+    def test_partner_levels_to_eps_times_norm(self, sturm_eigenvalue, systems, name):
+        # LAPACK's Sturm count in doubles is the exact count of T with each
+        # off-diagonal moved by at most 2.5 roundoffs (Kahan; Demmel, Applied
+        # Numerical Linear Algebra, Thm 5.13), 3 with the stored e^2 rounded
+        # once more: by Weyl at most 2 * 3 (eps/2) max|e| <= 3 eps ||H|| on an
+        # eigenvalue. stebz stops at a width of 2 eps |E|, whose midpoint adds
+        # eps |E| <= eps ||H||. So |E_double - E| <= 4 eps ||H||. Seen at
+        # 2001 points: at most 0.12 eps ||H|| (harmonic level 1 of H+- , 6e-13)
+        system = systems[name]
+        plus, minus = sq.solve_partners(system.H_plus, system.H_minus, 3)
+        for H, side in ((system.H_plus, plus), (system.H_minus, minus)):
+            bound = 4 * np.finfo(float).eps * sq.operator_norm(H)
+            for k in (1, 2, 3):
+                exact = sturm_eigenvalue(H, k, side.values[k])
+                assert abs(float(decimal.Decimal(side.values[k]) - exact)) <= bound, (k, bound)

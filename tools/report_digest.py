@@ -5,7 +5,7 @@ Usage:
     python tools/report_digest.py [CHECKOUT] > digests.txt
 
 CHECKOUT (default: the checkout holding this script) is a susyqm source tree;
-its `susyqm.cli` is imported from its `src/` and run in process on 101
+its `susyqm.cli` is imported from its `src/` and run in process on 103
 configs, each once with `--format csv` and once with `--format json`:
 
 - the bundled configs in `configs/`;
@@ -81,6 +81,10 @@ EXTRA = [
     ("supercharge/harmonic/201/scale=1e153",
      _config("supercharge", "harmonic", 201, scale=1e153)),
     ("jc/1/1e-320/8", _jc(1.0, 1e-320, 8)),
+    # a weak coupling whose splitting is below the rounding of E (it once
+    # failed with fidelity 0.99999989), and the crossing E(1, -) = E(16, -)
+    ("jc/1/1e-12/16", _jc(1.0, 1e-12, 16)),
+    ("jc/1/5/16", _jc(1.0, 5.0, 16)),
     # the batched supercharge pass across block boundaries: verify at the
     # levels cap, and supercharge over 199 levels in blocks of 3
     ("verify/harmonic/1001/levels=99", _config("verify", "harmonic", 1001, value=99)),
