@@ -26,8 +26,7 @@ import numpy as np
 from .entanglement import (
     analyze,
     build_energy_eigenstate,
-    concurrence_from_spin,
-    supercharge_eigenstates,
+    supercharge_concurrences,
     supercharge_residuals,
 )
 from .errors import ConfigError, PhysicsViolationError, SusyQMError
@@ -298,20 +297,19 @@ def _supercharge_columns(system, block, pp):
     residual and concurrence, every entry what its level gives alone, bit
     for bit. The states are those of intertwine_down of `pp`, which carries
     the relative phase the eigenstates need. The two states of a family
-    differ only in the sign of the down half, which leaves every product the
-    concurrence reduces as it is, so each family's + state gives the
-    concurrence of both.
+    differ only in the sign of the down half, so `supercharge_concurrences`
+    forms only each family's + state.
     """
     mapped = intertwine_down(system, pp)
-    # the residuals' temporaries are dropped before the four states are formed
+    # the residuals' temporaries are dropped before the two states are formed
     residuals = supercharge_residuals(system, pp.energy, pp.state, mapped)
-    family, sign, _, states = zip(*supercharge_eigenstates(system, pp.energy, pp.state, mapped))
-    q1, q2 = concurrence_from_spin(states[0]), concurrence_from_spin(states[2])
+    rows = supercharge_concurrences(system, pp.energy, pp.state, mapped)
+    family, sign, concurrence = zip(*rows)
     shape = residuals.shape
     return (np.broadcast_to(np.arange(block.start, block.stop)[:, None], shape),
             np.broadcast_to(pp.energy[:, None], shape),
             np.broadcast_to(family, shape), np.broadcast_to(sign, shape),
-            residuals, np.stack([q1, q1, q2, q2], axis=-1))
+            residuals, np.stack(concurrence, axis=-1))
 
 
 def _intertwine_deviations(system, pp, mm):

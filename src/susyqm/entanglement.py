@@ -46,6 +46,7 @@ __all__ = [
     "schmidt_svd_oracle",
     "concurrence_svd",
     "analyze",
+    "supercharge_concurrences",
     "supercharge_eigenstates",
     "supercharge_residuals",
 ]
@@ -280,10 +281,31 @@ def supercharge_eigenstates(
     leading axis of the two states, and each row holds an eigenvalue array
     and a batch of states, each as it is built alone.
     """
+    return _supercharge_states(sys, E, psi_plus, psi_minus, (+1, -1))
+
+
+def _supercharge_states(sys: SusySystem, E, psi_plus, psi_minus, signs) -> tuple:
+    """The rows of `supercharge_eigenstates` whose sign is in `signs`, in report order."""
     root, up, dn = _level_pair(E, psi_plus, psi_minus)
     root = _values(root)
     return tuple((family, sign, sign * root, SpinorState(up, phase * dn, sys.grid.dx))
-                 for family, sign, phase in _SUPERCHARGE_STATES)
+                 for family, sign, phase in _SUPERCHARGE_STATES if sign in signs)
+
+
+def supercharge_concurrences(sys: SusySystem, E, psi_plus: Wavefunction,
+                             psi_minus: Wavefunction) -> tuple:
+    """Rows (family, sign, concurrence) of the four `supercharge_eigenstates`, in report order.
+
+    The two states of a family differ only in the sign of the down half,
+    which leaves every product `concurrence_from_spin` reduces as it is, so
+    only each family's + state is formed, and its concurrence is both
+    states', bit for bit. Batched as `supercharge_eigenstates`: for a block
+    of levels each concurrence is an array over them.
+    """
+    q1, q2 = (concurrence_from_spin(state)
+              for *_, state in _supercharge_states(sys, E, psi_plus, psi_minus, (+1,)))
+    return tuple((family, sign, q)
+                 for (family, sign, _), q in zip(_SUPERCHARGE_STATES, (q1, q1, q2, q2)))
 
 
 def supercharge_residuals(sys: SusySystem, E, psi_plus: Wavefunction, psi_minus: Wavefunction):

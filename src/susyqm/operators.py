@@ -17,10 +17,24 @@ array; `to_dense()` exists only for small-n test oracles. LAPACK bisection on
 the bands is the package's one eigensolver: `Tridiagonal.eigh` selects its
 eigenvalues by index, `Tridiagonal.eigh_windows` by value windows, and both
 return a `Bisection`, whose eigenvectors are formed only when asked for. Its two
-routines, `dstebz` and `dstein`, are scipy's compiled LAPACK wrappers, loaded
-straight from scipy's `linalg/_flapack` extension file: importing
+routines, `dstebz` and `dstein`, come from scipy's compiled LAPACK wrappers,
+loaded straight from scipy's `linalg/_flapack` extension file: importing
 `scipy.linalg` itself would pull in scipy's array-API layer and more than
-double the start-up time of every command.
+double the start-up time of every command. `dstein` is called through its
+wrapper; `dstebz` through ctypes at the routine address its wrapper calls
+(`_cpointer`, `_Stebz`), with the wrapper's arguments, so it gives the
+wrapper's bits, and the call releases the GIL, which the wrapper holds.
+
+A large solve, levels x n >= 2^15 at a finite tol (`_SPLIT_WORK`, about
+10 ms of Sturm counts), bisects its selections as two halves: `eigh` splits
+an index range into two fixed halves unless it is the whole spectrum (which
+LAPACK solves as "all"). When a second core is free, `Bisection` runs the
+first half in a second thread while this one runs the second, each half on
+its own workspace. Sturm counts are monotone, so disjoint selections bisect
+independently (Demmel, Dhillon & Ren, ETNA 3, 116 (1995)). The split depends
+only on the solve; the number of cores this process may use decides only
+whether the halves run at the same time, so every result is the same bits on
+one core or several.
 
 The empty last row is the discrete form of the SUSY-preserving interval
 condition: B psi = 0 at the wall for H-, Dirichlet for H+. Every row of
@@ -40,9 +54,11 @@ O(n) with one band-product kernel (`band_rows`, `band_product`,
 products of the N=2 algebra that the checks of both models read.
 """
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,11 +112,93 @@ def _load_flapack(root):
     raise ImportError(f"no LAPACK extension _flapack in {directory} (scipy {version('scipy')})")
 
 
+def _routine(wrapper):
+    """The compiled routine an f2py `wrapper` calls, as a ctypes function returning nothing.
+
+    `wrapper._cpointer` is a capsule holding the routine's address. The
+    function declares no argument types, so ctypes converts nothing: every
+    argument must be a pointer, a `ctypes.byref` or a `c_void_p`. A ctypes
+    foreign function releases the GIL while the routine runs.
+    """
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    capsule = wrapper._cpointer
+    return ctypes.CFUNCTYPE(None)(address(capsule, name(capsule)))
+
+
 _FLAPACK = _load_flapack(importlib.util.find_spec("scipy").submodule_search_locations[0])
-_STEBZ, _STEIN = _FLAPACK.dstebz, _FLAPACK.dstein
+_DSTEBZ, _STEIN = _routine(_FLAPACK.dstebz), _FLAPACK.dstein
 # stebz range codes of the scipy wrapper: all eigenvalues, those in (vl, vu],
 # or il..iu
 _ALL, _BY_VALUE, _BY_INDEX = 0, 1, 2
+# levels x n from which a solve at a finite tol is bisected as two halves
+# that may run at once: a Sturm count costs about 6.7 ns a row and a level
+# about 50 counts at the default tol, so 2^15 level-rows are about 10 ms of
+# bisection, some 70 times the 0.14 ms of starting and joining a thread; at
+# tol = inf a level costs a count or two and no solve is split
+_SPLIT_WORK = 2 ** 15
+# the cores this process may run on: they decide only whether the two halves
+# run at the same time, never how a solve is split
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+class _Scalars(ctypes.Structure):
+    """The scalar arguments of one dstebz call, passed by address."""
+
+    _fields_ = [("n", ctypes.c_int), ("il", ctypes.c_int), ("iu", ctypes.c_int),
+                ("m", ctypes.c_int), ("nsplit", ctypes.c_int), ("info", ctypes.c_int),
+                ("vl", ctypes.c_double), ("vu", ctypes.c_double), ("tol", ctypes.c_double)]
+
+
+# range codes _ALL, _BY_VALUE, _BY_INDEX, then order "B" (by block); LAPACK only reads them
+_CODES = tuple(ctypes.byref(ctypes.c_char(c)) for c in b"AVIB")
+
+
+class _Stebz:
+    """dstebz on fixed bands (d, e), called as scipy's wrapper calls it, on arguments held here.
+
+    Range and order go as one character each and every other argument by
+    address, as in the wrapper's own call, so a result is the wrapper's bit
+    for bit. The scalars live in one ctypes structure, and the outputs and
+    work space in one float and one int array allocated once: every
+    argument outlives the call, and a repeated call allocates nothing. The
+    bands are reached through ctypes' own buffer view, which takes a
+    writable array (LAPACK only reads them) and costs a sixth of
+    `c_void_p(a.ctypes.data)`. One thread owns an instance. A call returns (m, info)
+    and leaves w[:m] and iblock[:m] holding the eigenvalues and their
+    blocks, and isplit the block ends.
+    """
+
+    __slots__ = ("w", "iblock", "isplit", "_scalars", "_args")
+
+    def __init__(self, d, e):
+        n = d.size
+        if not (d.dtype == e.dtype == np.float64 and d.flags.c_contiguous and d.flags.writeable
+                and e.flags.c_contiguous and e.flags.writeable and e.size >= n - 1):
+            raise ValueError("stebz takes writable contiguous float64 bands of n and n - 1 entries")
+        reals = np.empty(5 * n)  # w, work
+        ints = np.zeros(5 * n, dtype=np.int32)  # iblock, isplit, iwork
+        self.w, self.iblock, self.isplit = reals[:n], ints[:n], ints[n:2 * n]
+        self._scalars = s = _Scalars(n)
+        ref, real, field = ctypes.byref, ctypes.c_double.from_buffer, _Scalars
+        r, i = real(reals), ctypes.c_int32.from_buffer(ints)
+        # each ctypes view holds its array, so every argument outlives the call
+        self._args = (_CODES[3], ref(s, field.n.offset), ref(s, field.vl.offset),
+                      ref(s, field.vu.offset), ref(s, field.il.offset), ref(s, field.iu.offset),
+                      ref(s, field.tol.offset), ref(real(d)), ref(real(e)),
+                      ref(s, field.m.offset), ref(s, field.nsplit.offset), ref(r), ref(i),
+                      ref(i, 4 * n), ref(r, 8 * n), ref(i, 8 * n), ref(s, field.info.offset))
+
+    def __call__(self, rng, vl, vu, il, iu, tol):
+        s = self._scalars
+        # what LAPACK would reject, checked here, so its error handler never runs
+        if rng == _BY_VALUE and vl >= vu or rng == _BY_INDEX and not 1 <= il <= iu <= s.n:
+            raise ValueError(f"stebz selection out of range: {(rng, vl, vu, il, iu)}")
+        s.vl, s.vu, s.il, s.iu, s.tol = vl, vu, il, iu, tol
+        _DSTEBZ(_CODES[rng], *self._args)
+        return s.m, s.info
 
 
 class _Banded:
@@ -193,11 +291,21 @@ class Tridiagonal(_Banded):
         """Eigenvalues lo..hi (0 <= lo <= hi < n), ascending; eigenvectors on request.
 
         The default tol, well under any eigenvalue gap, converges to machine
-        width; tol = 0 stops at LAPACK's eps * ||T||.
+        width; tol = 0 stops at LAPACK's eps * ||T||. A large range, levels x
+        n >= 2^15 at a finite tol, that is not the whole spectrum is bisected
+        as the two selections lo..mid and mid + 1..hi, mid = (lo + hi) // 2,
+        whose `counts` the result holds; each level then stops within the
+        same width from a different start, so it can differ from a
+        one-selection solve in its last bit or two.
         """
-        if not 0 <= lo <= hi < self.diag.size:
-            raise ValueError(f"eigenvalue indices {lo}..{hi} outside 0..{self.diag.size - 1}")
-        return Bisection(self, [(_BY_INDEX, 0.0, 1.0, lo + 1, hi + 1)], tol)
+        n = self.diag.size
+        if not 0 <= lo <= hi < n:
+            raise ValueError(f"eigenvalue indices {lo}..{hi} outside 0..{n - 1}")
+        ranges = [(lo, hi)]
+        if lo < hi and hi - lo + 1 < n and _large(hi - lo + 1, n, tol):
+            mid = (lo + hi) // 2
+            ranges = [(lo, mid), (mid + 1, hi)]
+        return Bisection(self, [(_BY_INDEX, 0.0, 1.0, a + 1, b + 1) for a, b in ranges], tol)
 
     def eigh_windows(self, windows, tol=1e-300) -> "Bisection":
         """Eigenvalues in each half-open window (a, b], ascending; eigenvectors on request.
@@ -236,12 +344,18 @@ class Bisection:
     runs stein, so an eigenvector exists only where a caller asks for it.
 
     One stebz call per selection (LAPACK range code, vl, vu, il, iu), in
-    block order, as stein takes them. Bands beyond _BAND_MAX are scaled by a
-    power of two first, which is exact, so the squares in the Sturm count
-    stay finite; value bounds scale with them. On a near multiple of the
-    identity, stebz may find the Gershgorin interval of an index selection
-    too small and compute nothing (info 2); that selection is redone over
-    all eigenvalues, keeping il..iu.
+    block order, as stein takes them, through the ctypes binding `_Stebz`.
+    A large solve (levels x n >= 2^15 at a finite tol, see the module
+    docstring) runs the first half of its selections, in order and on one
+    workspace, in a second thread when a second core is free, and the
+    second half in this thread on another; otherwise this thread runs every
+    selection on one workspace, to the same bits, since each selection's
+    result depends only on the bands and the selection. Bands beyond
+    _BAND_MAX are scaled by a power of two first, which is exact, so the
+    squares in the Sturm count stay finite; value bounds scale with them.
+    On a near multiple of the identity, stebz may find the Gershgorin
+    interval of an index selection too small and compute nothing (info 2);
+    that selection is redone over all eigenvalues, keeping il..iu.
     """
 
     __slots__ = ("counts", "values", "_d", "_e", "_selections", "_tol", "_found")
@@ -296,21 +410,38 @@ class Bisection:
 
     def _bisect(self, d, shift):
         """Counts, eigenvalues, their blocks and isplit of the bands (d, e), bounds shifted."""
-        counts, values, blocks = [], [], []
-        for rng, vl, vu, il, iu in self._selections:
-            m, w, iblock, isplit, info = _STEBZ(d, self._e, rng, vl - shift, vu - shift,
-                                                il, iu, self._tol, "B")
-            keep = slice(m)
-            if info == 2:  # an index selection whose Gershgorin interval was too small
-                m, w, iblock, isplit, info = _STEBZ(d, self._e, _ALL, 0.0, 0.0, 0, 0,
-                                                    self._tol, "B")
-                keep = np.argsort(w[:m], kind="stable")[il - 1:iu]
+        selections = [(rng, vl - shift, vu - shift, il, iu)
+                      for rng, vl, vu, il, iu in self._selections]
+        levels = sum(iu - il + 1 if rng == _BY_INDEX else 1 for rng, _, _, il, iu in selections)
+        half = len(selections) // 2 if _large(levels, d.size, self._tol) else 0
+        parts = [selections[:half], selections[half:]] if half else [selections]
+        if len(parts) == 1 or _CORES == 1:
+            stebz = _Stebz(d, self._e)
+            found = [_bisect_part(stebz, part, self._tol) for part in parts]
+        else:
+            found = [None, None]
+
+            def first_half():
+                try:
+                    found[0] = _bisect_part(_Stebz(d, self._e), parts[0], self._tol)
+                except Exception as exc:  # raised below, in the thread that joins
+                    found[0] = exc
+
+            worker = threading.Thread(target=first_half)
+            worker.start()
+            try:
+                found[1] = _bisect_part(_Stebz(d, self._e), parts[1], self._tol)
+            finally:
+                worker.join()
+            if isinstance(found[0], Exception):
+                raise found[0]
+        rows = [row for part, _ in found for row in part]
+        for _, _, info in rows:
             if info != 0:
                 raise np.linalg.LinAlgError(f"stebz failed (info = {info})")
-            values.append(w[keep].copy())  # a view would keep all n entries alive
-            blocks.append(iblock[keep].copy())
-            counts.append(values[-1].size)
-        return tuple(counts), np.concatenate(values), np.concatenate(blocks), isplit
+        values, blocks, _ = zip(*rows)
+        return (tuple(w.size for w in values), np.concatenate(values), np.concatenate(blocks),
+                found[-1][1])
 
     def _stein(self, d, w, blocks, isplit):
         """Eigenvectors of the bands (d, e) for w, columns in ascending order of w.
@@ -333,6 +464,31 @@ class Bisection:
                     j = k
                 v[:, j], source[j] = held, j
         return v, info
+
+
+def _large(levels, n, tol) -> bool:
+    """Whether a solve of `levels` eigenvalues of an n x n matrix at `tol` is split in halves."""
+    return tol < np.inf and levels * n >= _SPLIT_WORK
+
+
+def _bisect_part(stebz, selections, tol):
+    """`selections` in order on one `_Stebz`: per selection (w, blocks, info), and isplit.
+
+    A selection stebz finds too small a Gershgorin interval for (info 2) is
+    redone over all eigenvalues, keeping il..iu. The first selection that
+    fails ends the part.
+    """
+    rows = []
+    for rng, vl, vu, il, iu in selections:
+        m, info = stebz(rng, vl, vu, il, iu, tol)
+        keep = slice(m)
+        if info == 2:  # an index selection whose Gershgorin interval was too small
+            m, info = stebz(_ALL, 0.0, 0.0, 0, 0, tol)
+            keep = np.argsort(stebz.w[:m], kind="stable")[il - 1:iu]
+        rows.append((stebz.w[keep].copy(), stebz.iblock[keep].copy(), info))
+        if info != 0:
+            break
+    return rows, stebz.isplit.copy()
 
 
 def golub_kahan(B: Bidiagonal) -> Tridiagonal:

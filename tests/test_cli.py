@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import susyqm as sq
-from susyqm import cli
+from susyqm import cli, operators
 
 BOX = {"x_min": -10.0, "x_max": 10.0, "n_points": 401}
 ROOT = Path(__file__).resolve().parent.parent
@@ -934,17 +934,22 @@ HALF_WIDTHS = st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
 
 
 @st.composite
-def grid_configs(draw):
-    """A config of a grid command: any W, an asymmetric box, 3..401 points."""
-    command = draw(st.sampled_from(GRID_COMMANDS))
+def grid_configs(draw, commands=GRID_COMMANDS, points=(3, 401), split=False):
+    """A config of a grid command: any W, an asymmetric box, 3..401 points.
+
+    With `split`, (levels + 1) x points reaches operators._SPLIT_WORK, so
+    the H+ solve is bisected as two halves.
+    """
+    command = draw(st.sampled_from(commands))
     name = draw(st.sampled_from(W_NAMES))
     w = {"name": name}
     if name == "harmonic":
         w["params"] = {"scale": draw(SCALES)}
     elif name == "shifted_cubic":
         w["params"] = {"a": draw(st.floats(-1e300, 1e300))}
-    n_points = draw(st.integers(3, 401))
-    levels = draw(st.integers(1, max(1, n_points // 10 - 1)))
+    n_points = draw(st.integers(*points))
+    least = -(-operators._SPLIT_WORK // n_points) - 1 if split else 1
+    levels = draw(st.integers(least, max(1, n_points // 10 - 1)))
     return {"command": command, "superpotential": w,
             "grid": {"x_min": -draw(HALF_WIDTHS), "x_max": draw(HALF_WIDTHS),
                      "n_points": n_points},
@@ -987,6 +992,38 @@ def test_nan_eigenvector_is_redone_not_a_traceback(tmp_path):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_grid_commands_end_in_an_exit_code_and_one_line(tmp_path, payload):
     assert_one_line_ending(tmp_path, payload)
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_split_solves_end_in_an_exit_code_and_one_line(tmp_path, command, data):
+    # the property above stops at 401 points, where no solve is split
+    payload = data.draw(grid_configs((command,), (700, 1201), split=True))
+    levels = payload.get("levels", payload.get("level"))
+    assert (levels + 1) * payload["grid"]["n_points"] >= operators._SPLIT_WORK
+    assert_one_line_ending(tmp_path, payload)
+
+
+@pytest.mark.parametrize("name", ("harmonic", "shifted_cubic"))
+def test_reports_on_one_core_and_two_are_the_same_bytes(tmp_path, monkeypatch, name):
+    # the H+ solve of 100 levels at 1001 points is split in two halves; the
+    # cores decide only whether they run at once
+    reports = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(operators, "_CORES", cores)
+        for command in ("spectrum", "supercharge", "verify"):
+            out = tmp_path / f"{command}-{cores}"
+            out.mkdir()
+            payload = {"command": command, "superpotential": {"name": name},
+                       "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 1001},
+                       "levels": 99}
+            rc = cli.main(["--config", write_config(tmp_path, payload), "--out", str(out)])
+            reports[command, cores] = rc, {f.name: f.read_bytes() for f in out.iterdir()}
+    for command in ("spectrum", "supercharge", "verify"):
+        assert reports[command, 1] == reports[command, 2]
+        assert reports[command, 1][0] == 0
 
 
 @given(omega=st.floats(0.0, 1.7e308, exclude_min=True),

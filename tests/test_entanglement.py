@@ -413,6 +413,22 @@ class TestSuperchargeEigenstates:
                             for up, down, q in zip(states.up, states.down, eigenvalues.tolist())]
                     assert got[:, k].tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("name", ("harmonic", "shifted_cubic"))
+    def test_concurrences_are_those_of_the_four_states(self, name):
+        # formed from the two + states only, each row is concurrence_from_spin
+        # of its own state, bit for bit, for one level and a block of them
+        grid = sq.make_grid(-10.0, 10.0, 201)
+        system = sq.build_susy_system(sq.get_superpotential(name), grid)
+        pairs = sq.eigenstates(system.H_plus.eigh(0, 8), grid)[1:]
+        for pp in (pairs, pairs[3]):
+            mapped = sq.intertwine_down(system, pp)
+            got = sq.supercharge_concurrences(system, pp.energy, pp.state, mapped)
+            want = [(family, sign, sq.concurrence_from_spin(state)) for family, sign, _, state
+                    in sq.supercharge_eigenstates(system, pp.energy, pp.state, mapped)]
+            assert [row[:2] for row in got] == [row[:2] for row in want]
+            for (*_, q), (*_, q_want) in zip(got, want, strict=True):
+                assert np.asarray(q).tobytes() == np.asarray(q_want).tobytes()
+
     def test_zero_energy_rejected(self, systems, nonzero_levels):
         plus_nz, minus_nz = nonzero_levels["harmonic"]
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 """Factorized operators: B, its adjoint, the partner pair and supercharges."""
 
+import ctypes
+import decimal
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,9 @@ import pytest
 import scipy
 import scipy.linalg as sla
 import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg.lapack import dstebz
 
 import susyqm as sq
 from susyqm import operators
@@ -192,8 +198,7 @@ class TestTridiagonalIndexSelection:
             dense = np.linalg.eigvalsh(T.to_dense())
             for lo, hi in ((0, n - 1), (0, 0), (n - 1, n - 1)):
                 got = T.eigh(lo, hi, tol=0.0).values
-                m, w, *_, info = operators._STEBZ(T.diag, T.off, 2, 0.0, 1.0, lo + 1, hi + 1,
-                                                  0.0, "E")
+                m, w, *_, info = dstebz(T.diag, T.off, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
                 if info == 0:
                     assert np.array_equal(got, w[:m])
                 else:
@@ -226,11 +231,9 @@ class TestTridiagonalIndexSelection:
                                lam * s * rng.standard_normal(n - 1))
             solved = T.eigh(0, n - 1)
             values, vectors = solved.values, solved.vectors()
-            m, w, iblock, isplit, info = operators._STEBZ(T.diag, T.off, 2, 0.0, 1.0, 1, n,
-                                                          1e-300, "B")
+            m, w, iblock, isplit, info = dstebz(T.diag, T.off, 2, 0.0, 1.0, 1, n, 1e-300, "B")
             if info == 2:
-                m, w, iblock, isplit, info = operators._STEBZ(T.diag, T.off, 0, 0.0, 0.0, 0, 0,
-                                                              1e-300, "B")
+                m, w, iblock, isplit, info = dstebz(T.diag, T.off, 0, 0.0, 0.0, 0, 0, 1e-300, "B")
             assert info == 0 and m == n
             by_block = np.lexsort((w, iblock))
             v, info = operators._STEIN(T.diag, T.off, w[by_block], iblock[by_block], isplit)
@@ -302,9 +305,15 @@ class TestLapackLoader:
         assert run.stdout.strip() == "[]"
 
     def test_routines_are_the_get_lapack_funcs_objects(self):
-        # the eigensolver is scipy.linalg's own double-precision wrapper pair
+        # the eigensolver is scipy.linalg's own double-precision pair: stein
+        # is its wrapper, and stebz is called at the routine address that
+        # its wrapper calls
         stebz, stein = sla.get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
-        assert operators._STEBZ is stebz
+        get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi))
+        address = get_pointer(stebz._cpointer, None)
+        assert address is not None
+        assert ctypes.cast(operators._DSTEBZ, ctypes.c_void_p).value == address
         assert operators._STEIN is stein
 
     def test_missing_extension_names_directory_and_version(self, tmp_path):
@@ -315,6 +324,183 @@ class TestLapackLoader:
         message = str(info.value)
         assert str(tmp_path / "linalg") in message
         assert f"scipy {scipy.__version__}" in message
+
+
+def wrapper_part(d, e, selections, tol):
+    """`operators._bisect_part` on scipy's dstebz wrapper, written out: the loop it replaced."""
+    rows = []
+    for rng, vl, vu, il, iu in selections:
+        m, w, iblock, isplit, info = dstebz(d, e, rng, vl, vu, il, iu, tol, "B")
+        keep = slice(m)
+        if info == 2:
+            m, w, iblock, isplit, info = dstebz(d, e, 0, 0.0, 0.0, 0, 0, tol, "B")
+            keep = np.argsort(w[:m], kind="stable")[il - 1:iu]
+        rows.append((w[keep], iblock[keep], info))
+        if info != 0:
+            break
+    return rows, isplit
+
+
+def assert_same_parts(got, want):
+    (rows, isplit), (want_rows, want_isplit) = got, want
+    assert len(rows) == len(want_rows)
+    for (w, blocks, info), (want_w, want_blocks, want_info) in zip(rows, want_rows):
+        assert info == want_info
+        assert w.tobytes() == want_w.tobytes()
+        assert blocks.tobytes() == want_blocks.tobytes()
+    assert isplit.tobytes() == want_isplit.tobytes()
+
+
+def near_identity(rng, n):
+    """A near multiple of the identity, on which stebz may compute nothing (info 2)."""
+    lam, s = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-17, -13)
+    return lam * (1.0 + s * rng.standard_normal(n)), lam * s * rng.standard_normal(n - 1)
+
+
+@st.composite
+def stebz_cases(draw):
+    """Bands of 1..300 rows at any scale the squares stay finite on, and selections of them."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        d, e = near_identity(rng, n)
+        scale = float(np.max(np.abs(d)))
+    else:  # tiny bands underflow their squares, huge ones reach operators._BAND_MAX
+        scale = 10.0 ** draw(st.floats(-300.0, 145.0))
+        d, e = scale * rng.standard_normal(n), scale * rng.standard_normal(n - 1)
+    selections = []
+    for rng_code in draw(st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=4)):
+        if rng_code == 1:
+            vl = scale * draw(st.floats(-4.0, 4.0))
+            vu = vl + scale * draw(st.floats(1e-6, 8.0))
+            selections.append((1, vl, vu, 0, 0) if vl < vu else (0, 0.0, 0.0, 0, 0))
+        elif rng_code == 2:
+            il, iu = sorted(draw(st.lists(st.integers(1, n), min_size=2, max_size=2)))
+            selections.append((2, 0.0, 1.0, il, iu))
+        else:
+            selections.append((0, 0.0, 0.0, 0, 0))
+    tol = draw(st.sampled_from((1e-300, 0.0, np.inf)))
+    return d, e if n > 1 else np.zeros(1), selections, tol
+
+
+class TestStebzBinding:
+    """dstebz at scipy's routine pointer against scipy's own wrapper, bit for bit."""
+
+    @given(case=stebz_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_selections_on_one_workspace_equal_the_wrapper(self, case):
+        # every call of a part reuses one workspace, so what an earlier call
+        # left in it must not reach a later result
+        d, e, selections, tol = case
+        assert_same_parts(operators._bisect_part(operators._Stebz(d, e), selections, tol),
+                          wrapper_part(d, e, selections, tol))
+
+    def test_the_info_2_redo_equals_the_wrapper(self):
+        rng = np.random.default_rng(1)
+        redone = 0
+        while redone < 20:
+            n = int(rng.integers(2, 40))
+            d, e = near_identity(rng, n)
+            for lo, hi in ((1, n), (1, 1), (n, n), (2, n - 1)):
+                selections = [(2, 0.0, 1.0, max(lo, 1), max(hi, lo, 1))]
+                got = operators._bisect_part(operators._Stebz(d, e), selections, 0.0)
+                assert_same_parts(got, wrapper_part(d, e, selections, 0.0))
+                redone += dstebz(d, e, *selections[0], 0.0, "B")[-1] == 2
+
+    def test_what_lapack_rejects_is_refused_before_the_call(self):
+        stebz = operators._Stebz(np.ones(3), np.zeros(2))
+        for selection in ((1, 1.0, 1.0, 0, 0), (2, 0.0, 1.0, 0, 2), (2, 0.0, 1.0, 3, 2),
+                          (2, 0.0, 1.0, 1, 4)):
+            with pytest.raises(ValueError, match="out of range"):
+                stebz(*selection, 0.0)
+        with pytest.raises(ValueError, match="contiguous float64"):
+            operators._Stebz(np.ones(6)[::2], np.zeros(2))
+        with pytest.raises(ValueError, match="contiguous float64"):
+            operators._Stebz(np.ones(3, dtype=np.float32), np.zeros(2))
+        frozen = np.zeros(2)
+        frozen.flags.writeable = False  # ctypes views only a writable buffer
+        with pytest.raises(ValueError, match="writable contiguous float64"):
+            operators._Stebz(np.ones(3), frozen)
+
+
+class TestSplitSolve:
+    """A large index selection is bisected as two fixed halves, on one core or two."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        grid = sq.make_grid(-10.0, 10.0, 1001)
+        return {name: sq.build_susy_system(sq.get_superpotential(name), grid).H_plus
+                for name in ("harmonic", "shifted_cubic")}
+
+    def test_split_rule(self):
+        # tol = 1 on levels one apart: few counts a level, and only the counts are read
+        T = sq.Tridiagonal(np.arange(1001.0), np.full(1000, 0.5))
+        below = operators._SPLIT_WORK // 1001  # 32 levels x 1001 rows < 2^15 <= 33 x 1001
+        assert T.eigh(0, below - 1, tol=1.0).counts == (below,)
+        assert T.eigh(0, below, tol=1.0).counts == (17, 16)
+        assert T.eigh(0, 1000, tol=1.0).counts == (1001,)  # the whole spectrum stays one
+        assert T.eigh(500, 500, tol=1.0).counts == (1,)  # one level is never split
+
+    def test_no_split_at_tol_inf(self, monkeypatch):
+        # a level costs a count or two at tol = inf, less than starting a
+        # thread: neither an index range nor 100 windows are split
+        calls = []
+        part = operators._bisect_part
+
+        def recording_part(stebz, selections, tol):
+            calls.append(len(selections))
+            return part(stebz, selections, tol)
+
+        monkeypatch.setattr(operators, "_bisect_part", recording_part)
+        monkeypatch.setattr(operators, "_CORES", 2)
+        T = sq.Tridiagonal(np.arange(1001.0), np.full(1000, 0.5))
+        below = operators._SPLIT_WORK // 1001
+        assert T.eigh(0, below, tol=np.inf).counts == (below + 1,)
+        windows = [(k - 0.5, k + 0.5) for k in range(100)]
+        assert len(T.eigh_windows(windows, tol=np.inf).counts) == 100
+        assert calls == [1, 100]
+
+    @pytest.mark.parametrize("name", ("harmonic", "shifted_cubic"))
+    def test_halves_agree_with_one_selection_and_the_oracle(self, deep, sturm_eigenvalue, name):
+        # both solves lie within 4 eps ||H|| of the exact level (see
+        # test_spectral.TestFortyDigitOracle for the bound), and bisections
+        # from different intervals stop at different points of a 2-ulp width
+        H = deep[name]
+        split = H.eigh(0, 99)
+        assert split.counts == (50, 50)
+        m, w, *_, info = dstebz(H.diag, H.off, 2, 0.0, 1.0, 1, 100, 1e-300, "E")
+        assert info == 0 and m == 100
+        whole = w[:m]
+        assert np.all(np.abs(split.values[1:] - whole[1:]) <= 2 * np.spacing(whole[1:]))
+        bound = 4 * np.finfo(float).eps * sq.operator_norm(H)
+        for k in (1, 2, 3, 50, 99):
+            exact = sturm_eigenvalue(H, k, whole[k])
+            for value in (split.values[k], whole[k]):
+                assert abs(float(decimal.Decimal(value) - exact)) <= bound, (k, value)
+
+    @pytest.mark.parametrize("name", ("harmonic", "shifted_cubic"))
+    def test_one_core_and_two_give_the_same_bits(self, deep, monkeypatch, name):
+        # the cores decide only where the halves run: with two, each runs in
+        # its own thread on its own workspace; with one, this thread runs
+        # both on one
+        calls = []
+        part = operators._bisect_part
+
+        def recording_part(stebz, *args):
+            calls.append((threading.get_ident(), id(stebz)))
+            return part(stebz, *args)
+
+        monkeypatch.setattr(operators, "_bisect_part", recording_part)
+        H = deep[name]
+        results = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(operators, "_CORES", cores)
+            calls.clear()
+            solved = H.eigh(0, 99)
+            results[cores] = (solved.values.tobytes(), solved.vectors().tobytes())
+            assert len(calls) == 2 and len({ident for ident, _ in calls}) == cores
+            assert len({workspace for _, workspace in calls}) == cores
+        assert results[1] == results[2]
 
 
 class TestBuildAnnihilator:
