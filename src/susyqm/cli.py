@@ -47,6 +47,7 @@ from .spectral import (
     intertwine_down,
     operator_norm,
     solve_partners,
+    solve_plus,
     zero_mode,
 )
 from .superpotentials import REGISTRY_NAMES, get_superpotential
@@ -233,21 +234,25 @@ def _grid_payload(grid: Grid):
     return {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points}
 
 
-def _solve_both_sides(W, grid, levels, tol=1e-300):
+def _build_system(W, grid):
+    """The system of W on `grid`, for every grid command; a failed build is a ConfigError."""
+    try:
+        return build_susy_system(W, grid)
+    except ValueError as exc:  # W not finite, unresolved jump, or H+- overflow
+        raise ConfigError(str(exc)) from exc
+
+
+def _solve_both_sides(W, grid, levels):
     """The system of W on `grid` and its paired levels 0..levels: (system, plus, minus).
 
     `solve_partners` solves and pairs both sides, as bisection results; a
     failed pairing raises its DegeneracyError. No eigenvector is formed
     here: each command asks `eigenstates` for the sides it reads, so
-    `spectrum` forms none, `supercharge` those of H+, `entangle` and
-    `verify` both. `supercharge` reads no H- level and passes tol = inf,
-    so its pairing is settled by counts where they certify it.
+    `spectrum` forms none, `entangle` and `verify` both. `supercharge` reads
+    no H- level and solves H+ alone (`solve_plus`).
     """
-    try:
-        system = build_susy_system(W, grid)
-    except ValueError as exc:  # W not finite, unresolved jump, or H+- overflow
-        raise ConfigError(str(exc)) from exc
-    return (system, *solve_partners(system.H_plus, system.H_minus, levels, tol))
+    system = _build_system(W, grid)
+    return (system, *solve_partners(system.H_plus, system.H_minus, levels))
 
 
 def _check(name, value, bound):
@@ -301,9 +306,10 @@ def _supercharge_columns(system, block, pp):
     forms only each family's + state.
     """
     mapped = intertwine_down(system, pp)
-    # the residuals' temporaries are dropped before the two states are formed
-    residuals = supercharge_residuals(system, pp.energy, pp.state, mapped)
+    # the concurrences check each state's unit norm before its residual is
+    # reduced, and drop the two states before the residuals' temporaries
     rows = supercharge_concurrences(system, pp.energy, pp.state, mapped)
+    residuals = supercharge_residuals(system, pp.energy, pp.state, mapped)
     family, sign, concurrence = zip(*rows)
     shape = residuals.shape
     return (np.broadcast_to(np.arange(block.start, block.stop)[:, None], shape),
@@ -437,8 +443,8 @@ def run_supercharge(cfg, outdir, fmt):
     grid = _parse_grid(cfg)
     levels = _parse_levels(cfg, grid)
 
-    system, plus, _ = _solve_both_sides(W, grid, levels, np.inf)  # reads no H- level
-    pairs = eigenstates(plus, grid)
+    system = _build_system(W, grid)
+    pairs = eigenstates(solve_plus(system.H_plus, levels), grid)  # no H- level is read
     blocks = [_supercharge_columns(system, block, pairs[block])
               for block in _level_blocks(grid, len(pairs))]
     # one row per (level, family), levels outer

@@ -12,26 +12,14 @@ same squared singular values of B. No threshold classifies levels: pairing
 zips levels 1.. of the two sides, and the zero-mode verdict of the commands
 reads |E0| <= EPS0 = 1e-10 on H-'s level 0.
 
-`solve_partners` is the one owner of the pairing decision and of its
-tolerance PAIR_TOL = 1e-10: it bisects H+ blind and H- only inside the
-windows the H+ levels define, blind only when those fail, and raises
-DegeneracyError for a second zero mode or a level without a partner. A
-caller that reads no H- level (tol = inf) has the pairing settled by a
-count certificate instead, with no H- level bisected: the loose total and
-one Sturm count a window, each level window (a, b] shrunk at both ends by
-m = max(2^-51 b, floor) + 2 ulp(b). Bisection (dstebz) of (a, b] keeps an
-interval [lo, hi] inside it whose Sturm counts bracket the level, 0 < lo <=
-hi <= b, and returns its midpoint once hi - lo < max(ABSTOL, pivmin,
-RELFAC ULP max(|lo|, |hi|)), RELFAC ULP = 2^-51; the Sturm count is
-monotone (Demmel, Dhillon & Ren, ETNA 3, 116 (1995)). So a level counted in
-the shrunk window bisects to a value less than that width outside it, which
-lies in [e - PAIR_TOL, e + PAIR_TOL] for its H+ level e: the two ulps cover
-the rounding of b = fl(e + PAIR_TOL), of the shrunk ends and of m. floor =
-max(1e-300, tiny max(1, big^2)), big the largest |band entry| of H-,
-bounds ABSTOL (the default tol) and pivmin on either side of `Bisection`'s
-power-of-two scaling; where big^2 overflows, every shrunk window is empty.
-Any count other than one a window runs the bisection as it is, so the
-verdict is the same on every input.
+`solve_plus` bisects H+ blind and raises DegeneracyError for a second zero
+mode. That is all `supercharge` solves: its states need only an H+
+eigenpair and B, since the intertwining relation H- B_adj = B_adj H+ makes
+B_adj psi+ / sqrt(E) an H- eigenstate. `solve_partners` is the one owner of
+the pairing decision and of its tolerance PAIR_TOL = 1e-10: it takes the H+
+levels of `solve_plus`, bisects H- only inside the windows they define,
+blind only when those fail, and raises DegeneracyError for a level without
+a partner.
 
 `eigenstates` forms the eigenpairs of a bisection result as one batch
 (`EigenPair` over a leading level axis); `solve_spectrum` is the blind solve
@@ -55,6 +43,7 @@ __all__ = [
     "EigenPair",
     "solve_spectrum",
     "eigenstates",
+    "solve_plus",
     "solve_partners",
     "zero_mode",
     "intertwine_down",
@@ -112,44 +101,45 @@ def eigenstates(solved: Bisection, grid: Grid) -> EigenPair:
     return EigenPair(solved.values, Wavefunction(grid, amps))
 
 
-def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int, tol=1e-300):
-    """Levels 0..levels of both partners, paired, as two bisection results (plus, minus).
+def solve_plus(H_plus: Tridiagonal, levels: int) -> Bisection:
+    """Levels 0..levels of H+, bisected blind, as one bisection result.
 
-    The one owner of the pairing decision and its tolerance PAIR_TOL. Level
-    0 of each side is its zero by B's construction; level i >= 1 of H+ pairs
-    with level i of H-. H+ is bisected blind. Its level 1 below EPS0 is a
-    second zero mode, which no partner state can be formed from; levels are
-    ascending, so this is the only level that rule can fire on, and it
-    raises before H- is touched. H- is then bisected only where its levels
-    must lie (`Tridiagonal.eigh_windows`), about a third of the Sturm sweeps:
-    one zero-mode window (-inf, EPS0], which LAPACK starts at its own
-    Gershgorin lower bound of H-, and one window (e - PAIR_TOL, e + PAIR_TOL]
-    per H+ level e of 1.., each clipped to start where the previous one
-    ends. The windows' result stands only if every window holds exactly one
-    level and a loose count of the H- levels up to the top window's end
-    equals the number found, so no H- level lies between windows; its values
-    are then the levels + 1 lowest H- levels, as `Tridiagonal.eigh` finds them
-    blind, to the last ulp or two. When any count fails, H- is bisected
-    blind. A gap above PAIR_TOL between paired levels raises
-    DegeneracyError, naming the H+ level. No eigenvector is formed: the
-    caller asks `eigenstates` for the sides it reads.
-
-    `tol` is H-'s bisection tolerance: the default 1e-300, machine width as
-    in `Tridiagonal.eigh`, or inf, which stops bisection at once, as in
-    `eigh_windows`. A caller that reads no H- level passes inf: the pairing
-    is then settled by counts alone where they certify it (see the module
-    docstring and `_inner_windows`), and minus holds only those counts.
-    Where they do not, the path above runs as it is, to the same levels or
-    the same DegeneracyError.
+    Level 0 is H+'s wall-node zero by B's construction. Its level 1 at or
+    below EPS0, in the zero window (-inf, EPS0] of H-, is a second zero mode,
+    which no partner state can be formed from: it raises DegeneracyError.
+    Levels are ascending, so this is the only level that rule can fire on.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     plus = H_plus.eigh(0, levels)
-    e_plus = plus.values[1:].tolist()
-    if e_plus[0] < EPS0:
-        raise DegeneracyError(
-            f"level {e_plus[0]!r} of H+ is below {EPS0}: a second zero mode", level=e_plus[0])
+    e1 = float(plus.values[1])
+    if e1 <= EPS0:
+        raise DegeneracyError(f"level {e1!r} of H+ is below {EPS0}: a second zero mode", level=e1)
+    return plus
 
+
+def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int):
+    """Levels 0..levels of both partners, paired, as two bisection results (plus, minus).
+
+    The one owner of the pairing decision and its tolerance PAIR_TOL. H+ is
+    solved by `solve_plus`, so a second zero mode raises before H- is
+    touched. Level 0 of each side is its zero by B's construction; level
+    i >= 1 of H+ pairs with level i of H-. H- is bisected only where its
+    levels must lie (`Tridiagonal.eigh_windows`), about a third of the Sturm
+    sweeps: one zero-mode window (-inf, EPS0], which LAPACK starts at its
+    own Gershgorin lower bound of H-, and one window (e - PAIR_TOL,
+    e + PAIR_TOL] per H+ level e of 1.., each clipped to start where the
+    previous one ends. The windows' result stands only if every window holds
+    exactly one level and a loose count of the H- levels up to the top
+    window's end equals the number found, so no H- level lies between
+    windows; its values are then the levels + 1 lowest H- levels, as
+    `Tridiagonal.eigh` finds them blind, to the last ulp or two. When any
+    count fails, H- is bisected blind. A gap above PAIR_TOL between paired
+    levels raises DegeneracyError, naming the H+ level. No eigenvector is
+    formed: the caller asks `eigenstates` for the sides it reads.
+    """
+    plus = solve_plus(H_plus, levels)
+    e_plus = plus.values[1:].tolist()
     windows = [(-np.inf, EPS0)]
     for e in e_plus:
         windows.append((max(e - PAIR_TOL, windows[-1][1]), e + PAIR_TOL))
@@ -158,11 +148,6 @@ def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int, tol=1
         # an infinite tol stops the bisection at once: only the count is read
         (total,) = H_minus.eigh_windows([(-np.inf, windows[-1][1])], tol=np.inf).counts
         if total == len(windows):
-            inner = _inner_windows(H_minus, windows) if tol == np.inf else None
-            if inner is not None:
-                counted = H_minus.eigh_windows(inner, tol=np.inf)
-                if counted.counts == (1,) * len(inner):
-                    return plus, counted
             minus = H_minus.eigh_windows(windows)
     if minus is None or any(c != 1 for c in minus.counts):
         minus = H_minus.eigh(0, levels)
@@ -176,24 +161,6 @@ def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int, tol=1
                 level=ep,
             )
     return plus, minus
-
-
-def _inner_windows(H, windows):
-    """The pairing windows of H, each level window shrunk by the certificate's margin.
-
-    None when a shrunk window is empty; the margin is derived in the module
-    docstring.
-    """
-    big = max(np.max(np.abs(H.diag)), np.max(np.abs(H.off), initial=0.0))
-    with np.errstate(over="ignore"):
-        floor = max(1e-300, np.finfo(float).tiny * max(1.0, big * big))
-    inner = [windows[0]]
-    for a, b in windows[1:]:
-        m = max(2.0 ** -51 * b, floor) + 2.0 * np.spacing(b)
-        if not a + m < b - m:
-            return None
-        inner.append((a + m, b - m))
-    return inner
 
 
 def zero_mode(sys: SusySystem) -> Wavefunction:

@@ -768,10 +768,10 @@ class TestPairingWindows:
     def test_blind_minus_solve_skipped_when_pairing_holds(self, tmp_path, monkeypatch,
                                                           name, states):
         for command in self.READERS[states]:
-            solved = []  # what the command's own solve returned
-            solve = cli._solve_both_sides
-            monkeypatch.setattr(cli, "_solve_both_sides",
-                                lambda *args: solved.append(solve(*args)) or solved[-1])
+            returned = {}  # what the command's own build and solves returned
+            for fn in ("_build_system", "solve_partners", "solve_plus"):
+                monkeypatch.setattr(cli, fn, lambda *args, _fn=fn, _call=getattr(cli, fn):
+                                    returned.setdefault(_fn, _call(*args)))
             calls = self.spy(monkeypatch, sq.Tridiagonal, "eigh")
             stein = self.spy(monkeypatch, sq.Bisection, "vectors")
             payload = {"command": command, "superpotential": {"name": name},
@@ -779,7 +779,11 @@ class TestPairingWindows:
                        "level" if command == "entangle" else "levels": 6}
             cli.main(["--config", write_config(tmp_path, payload), "--out", str(tmp_path)])
             monkeypatch.undo()
-            ((system, plus, minus),) = solved
+            system = returned["_build_system"]
+            # supercharge solves H+ alone; the others pair both sides
+            assert ("solve_plus" in returned) is (command == "supercharge"), command
+            assert ("solve_partners" in returned) is (command != "supercharge"), command
+            plus, minus = returned.get("solve_partners", (returned.get("solve_plus"), None))
             # the one blind solve is H+'s; H- only goes through its windows.
             # spectrum and verify also bisect H-'s top level for its norm
             n = self.GRID.n_points
@@ -791,26 +795,50 @@ class TestPairingWindows:
 
     @pytest.mark.parametrize("name", W_NAMES)
     def test_supercharge_bisects_minus_only_for_counts(self, tmp_path, monkeypatch, name):
-        # supercharge reads no H- level: its pairing holds on counts alone, a
-        # loose total and one count a window, each stopped at once (tol =
-        # inf); verify bisects H- in the windows to machine width
-        for command, minus_tols in (("supercharge", [np.inf, np.inf]),
-                                    ("verify", [np.inf, 1e-300, 0.0])):
+        # supercharge reads no H- level and solves H+ alone: one bisection, of
+        # H+ at machine width, and one inverse iteration, on it; verify counts
+        # H- below the top window (tol = inf), bisects it in the windows to
+        # machine width and bisects its top level for the norm (tol = 0)
+        for command, minus_tols in (("supercharge", []), ("verify", [np.inf, 1e-300, 0.0])):
             made = []
             init = sq.Bisection.__init__
 
             def spy(solved, T, selections, tol, _init=init):
-                made.append((T, tol))
+                made.append((solved, T, tol))
                 _init(solved, T, selections, tol)
             monkeypatch.setattr(sq.Bisection, "__init__", spy)
+            stein = self.spy(monkeypatch, sq.Bisection, "vectors")
             payload = {"command": command, "superpotential": {"name": name},
                        "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 1001}, "levels": 6}
             cli.main(["--config", write_config(tmp_path, payload), "--out", str(tmp_path)])
             monkeypatch.undo()
-            (H_plus, plus_tol), *minus = made
+            (plus, H_plus, plus_tol), *minus = made
             assert plus_tol == 1e-300
-            assert all(T is not H_plus for T, _ in minus)
-            assert [tol for _, tol in minus] == minus_tols, command
+            assert all(T is not H_plus for _, T, _ in minus)
+            assert [tol for *_, tol in minus] == minus_tols, command
+            if command == "supercharge":
+                assert stein == [(plus,)]
+
+    def test_supercharge_reads_no_minus_level(self, tmp_path, monkeypatch):
+        # every H- level 1e-9 up, which no window holds: the pairing commands
+        # name a level without a partner, while supercharge writes the same
+        # bytes and exit code as on the true H-
+        payload = {"command": "supercharge", "superpotential": {"name": "harmonic"},
+                   "grid": cli._grid_payload(self.GRID), "levels": 6}
+        runs = []
+        for mutated in (False, True):
+            if mutated:
+                mutate_minus(monkeypatch, lambda H: sq.Tridiagonal(H.diag + 1e-9, H.off))
+            out = tmp_path / f"mutated={mutated}"
+            out.mkdir()
+            for fmt in ("csv", "json"):
+                rc = cli.main(["--config", write_config(tmp_path, payload), "--out", str(out),
+                               "--format", fmt])
+                runs.append((rc, (out / f"supercharge.{fmt}").read_bytes()))
+        assert runs[:2] == runs[2:]
+        assert [rc for rc, _ in runs] == [0] * 4
+        with pytest.raises(sq.DegeneracyError, match="of H[+] has no partner"):
+            cli._solve_both_sides(sq.get_superpotential("harmonic"), self.GRID, 6)
 
     def test_shifted_levels_empty_the_windows(self, monkeypatch):
         # every H- level 1e-9 up: no window holds its level, and the blind
@@ -910,6 +938,21 @@ class TestBorderlineVerdicts:
         assert err.startswith("physics violation: zero_mode_present = ")
         assert err.endswith(" exceeds 1e-10 (and 1 more)\n")
 
+    def test_one_ulp_gap_fails_only_the_pairing_commands(self, tmp_path, capsys):
+        # a steep W on a narrow box: near 4.19e6 an ulp is 4.657e-10, above
+        # PAIR_TOL, so H+ level 6 and its H- partner, one ulp apart, fail the
+        # pairing of spectrum and verify; supercharge reads no H- level
+        box = {"scale": 2.0 ** 20, "half_width": 10.0 * 2 ** -10}
+        line = ("physics violation: level 4193884.5263342857 of H+ has no partner within "
+                "tol = 1e-10 (nearest H- level 4193884.526334286, gap 4.657e-10)\n")
+        for command in ("spectrum", "verify"):
+            assert self.run(tmp_path, capsys, harmonic_config(command, 2001, **box)) == (1, line)
+        assert self.run(tmp_path, capsys, {**harmonic_config("supercharge", 2001, **box),
+                                           "output": {"format": "json"}}) == (0, "")
+        rows = json.loads((tmp_path / "supercharge.json").read_text())["rows"]
+        assert len(rows) == 4 * 6
+        assert max(row["residual"] for row in rows) <= 1e-8
+
 
 @pytest.mark.parametrize("command", ("spectrum", "supercharge", "entangle", "verify"))
 def test_reversed_superpotential_ends_in_one_violation_line(tmp_path, capsys, command):
@@ -985,6 +1028,17 @@ def test_nan_eigenvector_is_redone_not_a_traceback(tmp_path):
     payload["grid"]["x_max"] = 1.0
     payload["level"] = payload.pop("levels") - 5
     assert assert_one_line_ending(tmp_path, payload) == (0, "")
+
+
+def test_unpaired_supercharge_state_ends_on_its_norm(tmp_path):
+    # bands near 1e260: H+ level 1 bisects to 338, which pairs with no H-
+    # level, and B_adj psi+ / sqrt(E) is far from unit norm. supercharge
+    # reads no H- level, so the norm check ends the run, before a residual
+    # of the state could overflow into a warning
+    payload = harmonic_config("supercharge", 53, scale=-2.0 ** 432, half_width=1.0, levels=2)
+    rc, err = assert_one_line_ending(tmp_path, payload)
+    assert rc == 1
+    assert err.startswith("physics violation: spinor state is not normalized: ")
 
 
 @given(payload=grid_configs())

@@ -157,86 +157,128 @@ class TestSolveInPairingWindows:
         assert minus.counts == (4,)  # one index selection: the blind solve
         assert plus.values.tolist() == minus.values.tolist() == levels
 
-    def test_crowded_levels_fall_back_without_reading_levels(self):
-        # a caller that reads no H- level (tol = inf): the second level sits
-        # at the end of window 1, outside its shrunk part, and shrunk window
-        # 2 holds no level, so the counts certify nothing and the path above
-        # runs as it is, to the blind solve
+    def test_crowded_levels_fall_back_without_reading_levels(self, monkeypatch):
+        # a caller that reads no H- level solves H+ alone: the crowded
+        # levels that send the pairing above to the blind H- solve come
+        # back as they are, from one bisection of H+, and no H- is touched
         levels = [0.0, 1.0, 1.0 + 1e-10, 2.0]
-        plus, minus = sq.solve_partners(diagonal(levels), diagonal(levels), 3, np.inf)
-        assert minus.counts == (4,)
-        assert plus.values.tolist() == minus.values.tolist() == levels
+        H_plus = diagonal(levels)
+        touched = bisected(monkeypatch)
+        plus = sq.solve_plus(H_plus, 3)
+        assert touched == [H_plus]
+        assert plus.counts == (4,)
+        assert plus.values.tolist() == levels
 
     def test_second_zero_mode_raises_before_h_minus_is_touched(self, monkeypatch):
-        touched = []
-        for name in ("eigh", "eigh_windows"):
-            method = getattr(sq.Tridiagonal, name)
-
-            def spy(H, *args, _method=method, **kwargs):
-                touched.append(H)
-                return _method(H, *args, **kwargs)
-            monkeypatch.setattr(sq.Tridiagonal, name, spy)
+        touched = bisected(monkeypatch)
         H_plus, H_minus = diagonal([0.0, 5e-11, 1.0]), diagonal([1e-14, 5e-11, 1.0])
         with pytest.raises(sq.DegeneracyError, match="a second zero mode"):
             sq.solve_partners(H_plus, H_minus, 2)
         assert touched == [H_plus]
 
+    @pytest.mark.parametrize("solve", (
+        lambda H_plus: sq.solve_plus(H_plus, 2),
+        lambda H_plus: sq.solve_partners(H_plus, diagonal([0.0, sq.EPS0, 1.0]), 2),
+    ), ids=("solve_plus", "solve_partners"))
+    def test_level_at_eps0_is_a_second_zero_mode(self, solve):
+        # the zero window of H- is (-inf, EPS0], and intertwine_down refuses
+        # E <= EPS0: an H+ level 1 of exactly EPS0 is a second zero mode, not
+        # a level whose partner state divides by sqrt(E) later
+        with pytest.raises(sq.DegeneracyError, match="a second zero mode") as err:
+            solve(diagonal([0.0, sq.EPS0, 1.0]))
+        assert err.value.level == sq.EPS0
+
     @pytest.mark.parametrize("levels", (0, -1))
     def test_levels_below_one_rejected(self, levels):
         with pytest.raises(ValueError, match="levels must be >= 1"):
             sq.solve_partners(diagonal([0.0, 1.0]), diagonal([0.0, 1.0]), levels)
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            sq.solve_plus(diagonal([0.0, 1.0]), levels)
 
 
-def pairing_outcome(H_plus, H_minus, levels, tol):
-    """How `solve_partners` ends: (message, level) of its DegeneracyError, or
-    ("paired", certified) with certified True when counts alone settled it."""
+def bisected(monkeypatch):
+    """The Tridiagonals bisected from now on, in order (`eigh` and `eigh_windows`)."""
+    touched = []
+    for name in ("eigh", "eigh_windows"):
+        method = getattr(sq.Tridiagonal, name)
+
+        def spy(H, *args, _method=method, **kwargs):
+            touched.append(H)
+            return _method(H, *args, **kwargs)
+        monkeypatch.setattr(sq.Tridiagonal, name, spy)
+    return touched
+
+
+def pairing_outcome(plus_levels, minus_levels, levels):
+    """How `solve_partners` ends on two diagonal Tridiagonals: (message, level)
+    of its DegeneracyError, or ("paired", windowed, H- values) with windowed
+    True when the H- windows held, so H- was not bisected blind."""
     try:
-        _, minus = sq.solve_partners(H_plus, H_minus, levels, tol)
+        _, minus = sq.solve_partners(diagonal(plus_levels), diagonal(minus_levels), levels)
     except sq.DegeneracyError as err:
         return str(err), err.level
-    return "paired", minus._tol == np.inf
+    return "paired", minus.counts == (1,) * (levels + 1), minus.values.tolist()
+
+
+def gap_rule(plus_levels, minus_levels, levels):
+    """The pairing verdict read off exact levels: the first H+ level of 1..levels
+    farther than PAIR_TOL from the H- level of its index, as `solve_partners`
+    words it, or "paired"."""
+    e_plus, e_minus = plus_levels[:levels + 1], sorted(minus_levels)[:levels + 1]
+    for ep, em in zip(map(float, e_plus[1:]), map(float, e_minus[1:])):
+        gap = abs(ep - em)
+        if gap > PAIR_TOL:
+            return (f"level {ep!r} of H+ has no partner within tol = {PAIR_TOL} "
+                    f"(nearest H- level {em!r}, gap {gap:.3e})"), ep
+    return "paired"
 
 
 class TestCountCertificate:
-    """tol = inf settles the pairing from counts where they certify it, with the same verdict.
+    """The pairing windows reach the gap rule's verdict on the exact levels.
 
     Each side is a diagonal Tridiagonal, whose Sturm count flips exactly at
-    its levels, so a level can be put at any float next to a window's end.
+    its levels and whose bisected levels are its diagonal, so a level can be
+    put at any float next to a window's end and the verdict read off the
+    levels themselves. (The name is that of the count certificate, a second
+    pairing path these inputs pinned; `supercharge` now solves H+ alone.)
     """
 
     @staticmethod
-    def same_verdict(H_plus, H_minus, levels):
-        counted = pairing_outcome(H_plus, H_minus, levels, np.inf)
-        bisected = pairing_outcome(H_plus, H_minus, levels, 1e-300)
-        assert counted[0] == bisected[0]
-        if counted[0] == "paired":
-            assert bisected[1] is False
+    def same_verdict(plus_levels, minus_levels, levels):
+        outcome = pairing_outcome(plus_levels, minus_levels, levels)
+        expected = gap_rule(plus_levels, minus_levels, levels)
+        if expected == "paired":
+            assert outcome[0] == "paired"
+            assert outcome[2] == sorted(minus_levels)[:levels + 1]
         else:
-            assert counted == bisected
-        return counted
+            assert outcome == expected
+        return outcome
 
     @pytest.mark.parametrize("e", (1.0, 3.7, 6.5e4, 6e5, 4e6))
     def test_levels_next_to_the_window_ends(self, e):
         # H- level at e +- PAIR_TOL + k ulp(e), k in -6..6: where fl(e +-
-        # PAIR_TOL) rounds outward a plain count of the window would pair a
-        # level the bisected gap rejects; the certificate leaves such levels
-        # to the bisection. From 2^17 on the margin of 2^-51 e + 2 ulp(e)
-        # exceeds PAIR_TOL, so every case is bisected
-        outcomes = [self.same_verdict(diagonal([0.0, e]), diagonal([0.0, em]), 1)
+        # PAIR_TOL) rounds outward the window holds a level the gap rule
+        # rejects, and the gap check after it names the level. From 2^20 on
+        # an ulp of e exceeds 2 PAIR_TOL, so fl(e +- PAIR_TOL) = e, the
+        # level's window is empty and every case is bisected blind
+        outcomes = [self.same_verdict([0.0, e], [0.0, em], 1)
                     for em in (e + side * PAIR_TOL + k * np.spacing(e)
                                for side in (-1, 1) for k in range(-6, 7))]
-        certified = outcomes.count(("paired", True))
-        assert certified > 0 if e < 1e5 else certified == 0
-        assert {kind == "paired" for kind, _ in outcomes} == {True, False}
+        windowed = sum(outcome[:2] == ("paired", True) for outcome in outcomes)
+        assert windowed > 0 if e < 2.0 ** 20 else windowed == 0
+        assert {outcome[0] == "paired" for outcome in outcomes} == {True, False}
 
     @pytest.mark.parametrize("n_points", (201, 1001, 2001))
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
     def test_bundled_systems_pair_on_counts(self, name, n_points):
-        # at the levels cap every level of the bundled W is certified
+        # at the levels cap every level of the bundled W pairs through the
+        # windows, with no blind H- solve
         system = sq.build_susy_system(sq.get_superpotential(name),
                                       sq.make_grid(-10.0, 10.0, n_points))
-        assert self.same_verdict(system.H_plus, system.H_minus,
-                                 n_points // 10 - 1) == ("paired", True)
+        levels = n_points // 10 - 1
+        plus, minus = sq.solve_partners(system.H_plus, system.H_minus, levels)
+        assert minus.counts == (1,) * (levels + 1)
+        assert np.max(np.abs(plus.values[1:] - minus.values[1:])) <= PAIR_TOL
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -249,9 +291,7 @@ class TestCountCertificate:
         # the H- zero mode, lifted above EPS0 now and then, and a stray H- level
         zero = data.draw(st.sampled_from((0.0, 1e-14, 2e-10)))
         stray = data.draw(st.sampled_from(([], [scale * 0.5], [scale * (count + 0.5)])))
-        H_plus = diagonal([0.0, *e_plus])
-        H_minus = diagonal(sorted([zero, *e_minus, *stray]))
-        self.same_verdict(H_plus, H_minus, count)
+        self.same_verdict([0.0, *e_plus], sorted([zero, *e_minus, *stray]), count)
 
 
 class TestPairPartnerLevels:

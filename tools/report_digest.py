@@ -14,13 +14,15 @@ configs, each once with `--format csv` and once with `--format json`:
 - the edge cases in `EXTRA` below, and every command for each bundled W at
   201 points.
 
-Each output line is `<run> <format> <reports> <ending>`, two sha256. The
-first covers the report files (names and bytes); the second the ending: the
-exit code (or the exception a run raised), stdout and stderr, with the run's
-output directory masked in the text. Run it on a second checkout of the
-parent commit and on the change, then `diff` the two files: a change that
-keeps every output reads no difference, and one that moves only a stderr
-line moves only the second hash of its runs.
+Each output line is `<run> <format> <ending> <reports> <output>`. The ending
+is plain text, `exit N` or `raised <exception name>`; then come two sha256.
+The first covers the report files (names and bytes); the second the ending
+in full (the exit code, or the exception with its message), stdout and
+stderr, with the run's output directory masked in the text. Run it on a
+second checkout of the parent commit and on the change, then `diff` the two
+files: a change that keeps every output reads no difference, one that moves
+only a stderr line moves only the last hash of its runs, and a moved ending
+reads as text, for example `exit 1` against `exit 0`.
 """
 
 import contextlib
@@ -89,10 +91,11 @@ EXTRA = [
     # levels cap, and supercharge over 199 levels in blocks of 3
     ("verify/harmonic/1001/levels=99", _config("verify", "harmonic", 1001, value=99)),
     ("supercharge/cubic/2001/levels=199", _config("supercharge", "cubic", 2001, value=199)),
-    # supercharge settles its pairing by counts: a second zero mode, a level
-    # without a partner (the count certificate fails and the bisection names
-    # the level), and levels near 6.5e4, whose shrunk windows are a few ulps
-    # narrower than the pairing windows
+    # supercharge solves H+ alone, so its endings are its own: a second zero
+    # mode of H+; a steep W on a narrow box, whose H+ level 6 lies one ulp
+    # (4.657e-10, above PAIR_TOL) from its H- partner, which spectrum and
+    # verify reject and supercharge does not read; and levels near 6.5e4 on
+    # the steep box whose zero mode spectrum and verify find lifted
     ("supercharge/harmonic/201/scale=2^-40/half_width=10*2^20",
      _config("supercharge", "harmonic", 201, half_width=10.0 * 2 ** 20, scale=2.0 ** -40)),
     ("supercharge/harmonic/2001/scale=2^20/half_width=10*2^-10",
@@ -121,7 +124,7 @@ def configs(root, workloads):
 
 
 def digest(cli, cfg, fmt, scratch):
-    """sha256 of one run's report files, and sha256 of its exit code, stdout and stderr."""
+    """One run's ending as text, sha256 of its reports, and sha256 of its ending and output."""
     with tempfile.TemporaryDirectory(dir=scratch) as outdir:
         path = os.path.join(outdir, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -129,9 +132,11 @@ def digest(cli, cfg, fmt, scratch):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
-                ending = f"exit {cli.main(['--config', path, '--out', outdir, '--format', fmt])}"
+                rc = cli.main(["--config", path, "--out", outdir, "--format", fmt])
+                ending = plain = f"exit {rc}"
             except Exception as exc:  # a crash is an outcome to compare, not an end
-                ending = f"raised {type(exc).__name__}: {exc}"
+                plain = f"raised {type(exc).__name__}"
+                ending = f"{plain}: {exc}"
         reports, end = hashlib.sha256(), hashlib.sha256()
         for name in sorted(os.listdir(outdir)):
             if name != "config.json":
@@ -139,7 +144,7 @@ def digest(cli, cfg, fmt, scratch):
                     reports.update(f"{name}\n".encode() + fh.read())
         for text in (ending, stdout.getvalue(), stderr.getvalue()):
             end.update(b"\0" + text.replace(outdir, "OUT").encode())
-    return f"{reports.hexdigest()} {end.hexdigest()}"
+    return f"{plain} {reports.hexdigest()} {end.hexdigest()}"
 
 
 def main(argv):
