@@ -247,9 +247,10 @@ def _solve_both_sides(W, grid, levels):
 
     `solve_partners` solves and pairs both sides, as bisection results; a
     failed pairing raises its DegeneracyError. No eigenvector is formed
-    here: each command asks `eigenstates` for the sides it reads, so
-    `spectrum` forms none, `entangle` and `verify` both. `supercharge` reads
-    no H- level and solves H+ alone (`solve_plus`).
+    here: each command asks `eigenstates` for the levels it reads, so
+    `spectrum` forms none, `entangle` its one level of each side and `verify`
+    levels 1.. of both. `supercharge` reads no H- level and solves H+ alone
+    (`solve_plus`).
     """
     system = _build_system(W, grid)
     return (system, *solve_partners(system.H_plus, system.H_minus, levels))
@@ -284,7 +285,7 @@ def _zero_mode_residual(system):
 
 
 def _level_blocks(grid, count):
-    """Slices of levels 1..count - 1 in ascending blocks, for the batched supercharge pass.
+    """Slices of a batch of `count` levels in ascending blocks, for the batched supercharge pass.
 
     A block holds as many levels as fit one complex array of
     SUPERCHARGE_BLOCK_BYTES on `grid`, at least one. Each command builds and
@@ -292,11 +293,11 @@ def _level_blocks(grid, count):
     `_intertwine_deviations`), so one block's arrays are alive at a time.
     """
     step = max(1, SUPERCHARGE_BLOCK_BYTES // (16 * grid.n_points))
-    return [slice(lo, min(lo + step, count)) for lo in range(1, count, step)]
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _supercharge_columns(system, block, pp):
-    """The supercharge report's columns for the slice `block` of levels, H+ eigenpairs `pp`.
+    """The supercharge report's columns for the slice `block` of levels 1.., H+ eigenpairs `pp`.
 
     Each column is a (level, family) array: index, energy, family, sign,
     residual and concurrence, every entry what its level gives alone, bit
@@ -312,7 +313,7 @@ def _supercharge_columns(system, block, pp):
     residuals = supercharge_residuals(system, pp.energy, pp.state, mapped)
     family, sign, concurrence = zip(*rows)
     shape = residuals.shape
-    return (np.broadcast_to(np.arange(block.start, block.stop)[:, None], shape),
+    return (np.broadcast_to(np.arange(block.start + 1, block.stop + 1)[:, None], shape),
             np.broadcast_to(pp.energy[:, None], shape),
             np.broadcast_to(family, shape), np.broadcast_to(sign, shape),
             residuals, np.stack(concurrence, axis=-1))
@@ -413,8 +414,7 @@ def run_entangle(cfg, outdir, fmt):
         )
 
     _, plus, minus = _solve_both_sides(W, grid, level)
-    pp = eigenstates(plus, grid)[level]
-    mm = eigenstates(minus, grid)[level]
+    pp, mm = (eigenstates(side, grid, slice(level, level + 1))[0] for side in (plus, minus))
     overlap = inner_product(pp.state, mm.state)
 
     # row r = i * phase_points + j holds c1 grid point i and phase j
@@ -444,7 +444,8 @@ def run_supercharge(cfg, outdir, fmt):
     levels = _parse_levels(cfg, grid)
 
     system = _build_system(W, grid)
-    pairs = eigenstates(solve_plus(system.H_plus, levels), grid)  # no H- level is read
+    # no H- level is read, nor H+'s wall-node zero
+    pairs = eigenstates(solve_plus(system.H_plus, levels), grid, slice(1, None))
     blocks = [_supercharge_columns(system, block, pairs[block])
               for block in _level_blocks(grid, len(pairs))]
     # one row per (level, family), levels outer
@@ -513,7 +514,8 @@ def run_verify(cfg, outdir, fmt):
     system, plus, minus = _solve_both_sides(W, grid, levels)
     _, resid, bound = _zero_mode_residual(system)
 
-    plus_pairs, minus_pairs = eigenstates(plus, grid), eigenstates(minus, grid)
+    # levels 1.. of each side: no check reads H+'s wall node or H-'s kernel vector
+    plus_pairs, minus_pairs = (eigenstates(side, grid, slice(1, None)) for side in (plus, minus))
     deviations = [_intertwine_deviations(system, plus_pairs[block], minus_pairs[block])
                   for block in _level_blocks(grid, len(plus_pairs))]
     # each a list over levels 1..levels, ascending

@@ -20,21 +20,30 @@ return a `Bisection`, whose eigenvectors are formed only when asked for. Its two
 routines, `dstebz` and `dstein`, come from scipy's compiled LAPACK wrappers,
 loaded straight from scipy's `linalg/_flapack` extension file: importing
 `scipy.linalg` itself would pull in scipy's array-API layer and more than
-double the start-up time of every command. `dstein` is called through its
-wrapper; `dstebz` through ctypes at the routine address its wrapper calls
-(`_cpointer`, `_Stebz`), with the wrapper's arguments, so it gives the
-wrapper's bits, and the call releases the GIL, which the wrapper holds.
+double the start-up time of every command. Both are called through ctypes
+at the routine address their wrapper calls (`_cpointer`; `_Stebz`, `_Stein`),
+with the wrapper's arguments, so they give the wrapper's bits, and each call
+releases the GIL, which the wrapper holds.
 
-A large solve, levels x n >= 2^15 at a finite tol (`_SPLIT_WORK`, about
-10 ms of Sturm counts), bisects its selections as two halves: `eigh` splits
-an index range into two fixed halves unless it is the whole spectrum (which
-LAPACK solves as "all"). When a second core is free, `Bisection` runs the
-first half in a second thread while this one runs the second, each half on
-its own workspace. Sturm counts are monotone, so disjoint selections bisect
-independently (Demmel, Dhillon & Ren, ETNA 3, 116 (1995)). The split depends
-only on the solve; the number of cores this process may use decides only
-whether the halves run at the same time, so every result is the same bits on
-one core or several.
+Eigenvectors are formed one gap group at a time. stein alone
+reorthogonalises every run of eigenvalues closer than 1e-3 ||T||, which on a
+fine grid is all the low levels, at O(n m^2) for m of them (Dhillon, BIT 38,
+685 (1998)). Here only eigenvalues closer than _GROUP_GAP ||T|| share a
+call, every other level is formed alone in O(n), and only the groups that
+hold the levels a caller reads run.
+
+A large solve, levels x n >= 2^15 (`_SPLIT_WORK`, about 10 ms of Sturm
+counts), bisects its selections as two halves: `eigh` splits an index range
+into two fixed halves unless it is the whole spectrum (which LAPACK solves
+as "all"); the eigenvectors of as many levels are formed as two fixed halves
+of their groups. When a second core is free, `Bisection` runs the first half
+in a second thread while this one runs the second, each half on its own
+workspace. Sturm counts are monotone, so disjoint selections bisect
+independently (Demmel, Dhillon & Ren, ETNA 3, 116 (1995)), and stein resets
+its random seed on every call, so a group's vectors depend only on its own
+call. The split depends only on the solve; the number of cores this process
+may use decides only whether the halves run at the same time, so every
+result is the same bits on one core or several.
 
 The empty last row is the discrete form of the SUSY-preserving interval
 condition: B psi = 0 at the wall for H-, Dirichlet for H+. Every row of
@@ -129,16 +138,21 @@ def _routine(wrapper):
 
 
 _FLAPACK = _load_flapack(importlib.util.find_spec("scipy").submodule_search_locations[0])
-_DSTEBZ, _STEIN = _routine(_FLAPACK.dstebz), _FLAPACK.dstein
+_DSTEBZ, _DSTEIN = _routine(_FLAPACK.dstebz), _routine(_FLAPACK.dstein)
 # stebz range codes of the scipy wrapper: all eigenvalues, those in (vl, vu],
 # or il..iu
 _ALL, _BY_VALUE, _BY_INDEX = 0, 1, 2
-# levels x n from which a solve at a finite tol is bisected as two halves
-# that may run at once: a Sturm count costs about 6.7 ns a row and a level
-# about 50 counts at the default tol, so 2^15 level-rows are about 10 ms of
-# bisection, some 70 times the 0.14 ms of starting and joining a thread; at
-# tol = inf a level costs a count or two and no solve is split
+# levels x n from which a solve is bisected, or its eigenvectors formed, as
+# two halves that may run at once: a Sturm count costs about 6.7 ns a row and
+# a level about 50 counts at the default tol, so 2^15 level-rows are about
+# 10 ms of bisection, some 70 times the 0.14 ms of starting and joining a
+# thread; an eigenvector costs a few passes over its n rows
 _SPLIT_WORK = 2 ** 15
+# gap / ||T|| below which neighbouring eigenvalues share one stein call:
+# vectors formed in separate calls are orthogonal to about eps ||T|| / gap,
+# held here to 1e-9, a tenth of the 1e-8 to which the commands hold every
+# value read off a vector (see `Bisection.vectors`)
+_GROUP_GAP = np.finfo(float).eps / 1e-9
 # the cores this process may run on: they decide only whether the two halves
 # run at the same time, never how a solve is split
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -175,8 +189,7 @@ class _Stebz:
 
     def __init__(self, d, e):
         n = d.size
-        if not (d.dtype == e.dtype == np.float64 and d.flags.c_contiguous and d.flags.writeable
-                and e.flags.c_contiguous and e.flags.writeable and e.size >= n - 1):
+        if not (_writable(d, np.float64, n) and _writable(e, np.float64, n - 1)):
             raise ValueError("stebz takes writable contiguous float64 bands of n and n - 1 entries")
         reals = np.empty(5 * n)  # w, work
         ints = np.zeros(5 * n, dtype=np.int32)  # iblock, isplit, iwork
@@ -199,6 +212,63 @@ class _Stebz:
         s.vl, s.vu, s.il, s.iu, s.tol = vl, vu, il, iu, tol
         _DSTEBZ(_CODES[rng], *self._args)
         return s.m, s.info
+
+
+class _SteinScalars(ctypes.Structure):
+    """The scalar arguments of one dstein call, passed by address."""
+
+    _fields_ = [("n", ctypes.c_int), ("m", ctypes.c_int), ("ldz", ctypes.c_int),
+                ("info", ctypes.c_int)]
+
+
+class _Stein:
+    """dstein on fixed bands (d, e), one group of eigenvalues a call, as scipy's wrapper calls it.
+
+    `w` holds eigenvalues in the order stein takes them, `iblock` their
+    stebz blocks and `isplit` the block ends; `z` is the n x len(w) Fortran
+    array the calls fill. A call (lo, hi) hands stein w[lo:hi] and
+    iblock[lo:hi], which must be ascending by block and by value within a
+    block, and every other argument by address as the wrapper does, so the
+    columns it writes straight into z[:, lo:hi] are the wrapper's for that
+    group bit for bit; it returns stein's info. stein draws its random
+    starts from a seed it resets on every call, so a group's vectors do not
+    depend on the calls before it. Arguments are held as in `_Stebz`, the
+    work space is allocated once, and one thread owns an instance.
+    """
+
+    __slots__ = ("_scalars", "_args", "_w", "_iblock", "_z", "_column")
+
+    def __init__(self, d, e, isplit, w, iblock, z):
+        n, m = d.size, w.size
+        if not (_writable(d, np.float64, n) and _writable(e, np.float64, n - 1)
+                and _writable(isplit, np.int32, n) and _writable(w, np.float64, m)
+                and _writable(iblock, np.int32, m) and _writable(z.T, np.float64, n * m)
+                and z.shape == (n, m) and 0 < m <= n):
+            raise ValueError("stein takes writable contiguous bands, blocks and columns")
+        work = np.empty(5 * n)
+        ints = np.empty(2 * n, dtype=np.int32)  # iwork, ifail
+        self._scalars = s = _SteinScalars(n, 0, n, 0)
+        ref, real, field = ctypes.byref, ctypes.c_double.from_buffer, _SteinScalars
+        i = ctypes.c_int32.from_buffer(ints)
+        # each ctypes view holds its array, so every argument outlives the call
+        self._w, self._iblock, self._z = real(w), ctypes.c_int32.from_buffer(iblock), real(z.T)
+        self._column = 8 * n  # bytes from one column of z to the next
+        self._args = (ref(s, field.n.offset), ref(real(d)), ref(real(e)),
+                      ref(s, field.m.offset), ref(ctypes.c_int32.from_buffer(isplit)),
+                      ref(s, field.ldz.offset), ref(real(work)), ref(i), ref(i, 4 * n),
+                      ref(s, field.info.offset))
+
+    def __call__(self, lo, hi):
+        self._scalars.m = hi - lo
+        n, d, e, m, isplit, *tail = self._args
+        _DSTEIN(n, d, e, m, ctypes.byref(self._w, 8 * lo), ctypes.byref(self._iblock, 4 * lo),
+                isplit, ctypes.byref(self._z, self._column * lo), *tail)
+        return self._scalars.info
+
+
+def _writable(a, dtype, size) -> bool:
+    """Whether `a` is a writable C-contiguous array of `dtype` with at least `size` entries."""
+    return a.dtype == dtype and a.flags.c_contiguous and a.flags.writeable and a.size >= size
 
 
 class _Banded:
@@ -292,17 +362,17 @@ class Tridiagonal(_Banded):
 
         The default tol, well under any eigenvalue gap, converges to machine
         width; tol = 0 stops at LAPACK's eps * ||T||. A large range, levels x
-        n >= 2^15 at a finite tol, that is not the whole spectrum is bisected
-        as the two selections lo..mid and mid + 1..hi, mid = (lo + hi) // 2,
-        whose `counts` the result holds; each level then stops within the
-        same width from a different start, so it can differ from a
-        one-selection solve in its last bit or two.
+        n >= 2^15, that is not the whole spectrum is bisected as the two
+        selections lo..mid and mid + 1..hi, mid = (lo + hi) // 2, whose
+        `counts` the result holds; each level then stops within the same
+        width from a different start, so it can differ from a one-selection
+        solve in its last bit or two.
         """
         n = self.diag.size
         if not 0 <= lo <= hi < n:
             raise ValueError(f"eigenvalue indices {lo}..{hi} outside 0..{n - 1}")
         ranges = [(lo, hi)]
-        if lo < hi and hi - lo + 1 < n and _large(hi - lo + 1, n, tol):
+        if lo < hi and hi - lo + 1 < n and _large(hi - lo + 1, n):
             mid = (lo + hi) // 2
             ranges = [(lo, mid), (mid + 1, hi)]
         return Bisection(self, [(_BY_INDEX, 0.0, 1.0, a + 1, b + 1) for a, b in ranges], tol)
@@ -312,11 +382,10 @@ class Tridiagonal(_Banded):
 
         `windows` is a sequence of (a, b) with a < b, ascending and disjoint,
         so the eigenvalues come out ascending, and `counts` holds the number
-        found in each window. The eigenvectors of all windows come from one
-        inverse iteration, which reorthogonalises within a cluster as for
-        `eigh`. tol as in `eigh`; tol = inf stops at once, so only the counts
-        are exact. A window may start at -inf, where bisection starts at
-        LAPACK's own Gershgorin bound.
+        found in each window. Their eigenvectors are formed by gap groups
+        across all windows, as for `eigh`. tol as in `eigh`; tol = inf stops
+        at once, so only the counts are exact. A window may start at -inf,
+        where bisection starts at LAPACK's own Gershgorin bound.
         """
         bounds = np.array(windows, dtype=float).reshape(-1, 2)
         if np.any(bounds[:, 0] >= bounds[:, 1]) or np.any(bounds[1:, 0] < bounds[:-1, 1]):
@@ -339,18 +408,21 @@ class Bisection:
 
     Read-only result of `Tridiagonal.eigh` and `Tridiagonal.eigh_windows`:
     `counts` holds the number of eigenvalues found per selection and
-    `values` all of them, ascending. `vectors()` forms their eigenvectors by
-    inverse iteration (stein) on the stebz output held here; no other code
-    runs stein, so an eigenvector exists only where a caller asks for it.
+    `values` all of them, ascending. `vectors(levels)` forms the
+    eigenvectors of the levels asked for by inverse iteration (stein) on
+    the stebz output held here; no other code runs stein, so an eigenvector
+    exists only where a caller asks for it.
 
     One stebz call per selection (LAPACK range code, vl, vu, il, iu), in
-    block order, as stein takes them, through the ctypes binding `_Stebz`.
-    A large solve (levels x n >= 2^15 at a finite tol, see the module
-    docstring) runs the first half of its selections, in order and on one
-    workspace, in a second thread when a second core is free, and the
-    second half in this thread on another; otherwise this thread runs every
-    selection on one workspace, to the same bits, since each selection's
-    result depends only on the bands and the selection. Bands beyond
+    block order, through the ctypes binding `_Stebz`, and one stein call
+    per gap group of eigenvalues, through `_Stein`. A large solve, or a
+    large set of eigenvectors (levels x n >= 2^15, see the module
+    docstring), runs the first half of its selections or groups, in order
+    and on one workspace, in a second thread when a second core is free,
+    and the second half in this thread on another; otherwise this thread
+    runs them all on one workspace, to the same bits, since each
+    selection's result depends only on the bands and the selection, and
+    each group's only on the bands and its eigenvalues. Bands beyond
     _BAND_MAX are scaled by a power of two first, which is exact, so the
     squares in the Sturm count stay finite; value bounds scale with them.
     On a near multiple of the identity, stebz may find the Gershgorin
@@ -381,8 +453,22 @@ class Bisection:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
 
-    def vectors(self) -> np.ndarray:
-        """Eigenvectors of `values`, as columns in the same order, by inverse iteration.
+    def vectors(self, levels=slice(None)) -> np.ndarray:
+        """Eigenvectors of values[levels], as columns in the same order, by inverse iteration.
+
+        `levels` is a slice of unit step; by default every level. The
+        values, ascending, fall into gap groups: a value joins the group of
+        the one below it when their gap is below _GROUP_GAP ||T||, with
+        ||T|| bounded by max|d| + 2 max|e| of the bands. stein forms a group
+        in one call, which reorthogonalises within it, and every other
+        level alone; vectors formed apart are orthogonal to about
+        eps ||T|| / gap <= 1e-9. Only the groups that hold the levels
+        asked for run, each writing its columns straight into one Fortran
+        array, of which the levels' columns are returned as a view. The
+        groups depend only on the values and the bands, and each group's
+        vectors only on its own call, so a level's vector is the same bits
+        whichever levels are asked for with it and on one core or two,
+        unless the redo below runs.
 
         stein may fail to converge on nearly equal eigenvalues (info > 0),
         or return NaN entries with info = 0 (on bands spanning some 120
@@ -390,20 +476,27 @@ class Bisection:
         non-finite. Then bisection and stein are redone on the bands with
         the diagonal shifted by its median sigma: the shift keeps every
         eigenvector and brings the diagonal down to the scale of its spread,
-        where the shifted eigenvalues are resolved again. `values` stay
-        those of the unshifted bisection. A value window that the shift
-        rounds to nothing cannot be redone, nor can a count that changes:
-        then LinAlgError is raised.
+        where the shifted eigenvalues are resolved again. The groups keep
+        the gap threshold of the unshifted bands, so a cluster that only the
+        shift resolves is still formed, and reorthogonalised, in one call.
+        `values` stay those of the unshifted bisection. A value window that
+        the shift rounds to nothing cannot be redone, nor can a count that
+        changes: then LinAlgError is raised.
         """
-        d = self._d
-        v, info = self._stein(d, *self._found)
+        first, stop, step = levels.indices(self.values.size)
+        if step != 1:
+            raise ValueError(f"levels must be a slice of unit step, got {levels}")
+        stop = max(first, stop)
+        d, e = self._d, self._e
+        gap = _GROUP_GAP * (np.abs(d).max() + 2.0 * np.abs(e).max())  # max|d| + 2 max|e| >= ||T||
+        v, info = self._stein(d, gap, *self._found, first, stop)
         if info > 0 or not np.isfinite(v.sum()):
             sigma = np.median(d)
             if all(vl - sigma < vu - sigma for rng, vl, vu, *_ in self._selections
                    if rng == _BY_VALUE):
                 counts, *shifted = self._bisect(d - sigma, sigma)
                 if counts == self.counts:
-                    v, info = self._stein(d - sigma, *shifted)
+                    v, info = self._stein(d - sigma, gap, *shifted, first, stop)
         if info != 0 or not np.isfinite(v.sum()):
             raise np.linalg.LinAlgError(f"stein: eigenvectors failed to converge (info = {info})")
         return v
@@ -413,28 +506,10 @@ class Bisection:
         selections = [(rng, vl - shift, vu - shift, il, iu)
                       for rng, vl, vu, il, iu in self._selections]
         levels = sum(iu - il + 1 if rng == _BY_INDEX else 1 for rng, _, _, il, iu in selections)
-        half = len(selections) // 2 if _large(levels, d.size, self._tol) else 0
+        half = len(selections) // 2 if _large(levels, d.size) else 0
         parts = [selections[:half], selections[half:]] if half else [selections]
-        if len(parts) == 1 or _CORES == 1:
-            stebz = _Stebz(d, self._e)
-            found = [_bisect_part(stebz, part, self._tol) for part in parts]
-        else:
-            found = [None, None]
-
-            def first_half():
-                try:
-                    found[0] = _bisect_part(_Stebz(d, self._e), parts[0], self._tol)
-                except Exception as exc:  # raised below, in the thread that joins
-                    found[0] = exc
-
-            worker = threading.Thread(target=first_half)
-            worker.start()
-            try:
-                found[1] = _bisect_part(_Stebz(d, self._e), parts[1], self._tol)
-            finally:
-                worker.join()
-            if isinstance(found[0], Exception):
-                raise found[0]
+        found = _in_halves(parts, lambda: _Stebz(d, self._e),
+                           lambda stebz, part: _bisect_part(stebz, part, self._tol))
         rows = [row for part, _ in found for row in part]
         for _, _, info in rows:
             if info != 0:
@@ -443,32 +518,73 @@ class Bisection:
         return (tuple(w.size for w in values), np.concatenate(values), np.concatenate(blocks),
                 found[-1][1])
 
-    def _stein(self, d, w, blocks, isplit):
-        """Eigenvectors of the bands (d, e) for w, columns in ascending order of w.
+    def _stein(self, d, gap, w, blocks, isplit, first, stop):
+        """Eigenvectors of the bands (d, e) for levels first..stop - 1 of w ascending, and info.
 
-        stein takes w grouped by block, ascending within each; its columns
-        are put in ascending order of w in place, one cycle of the
-        permutation at a time, so no second n x m array is formed.
+        The groups of values less than `gap` apart (see `vectors`) that hold
+        those levels are formed in ascending order into the columns of one
+        n x k Fortran array. stein takes the values of a call by block, so a
+        group that spans several blocks is formed in block order and its
+        columns are then moved to ascending order.
         """
-        by_block = np.lexsort((w, blocks))
-        iblock = np.zeros(d.size, dtype=blocks.dtype)  # stein reads n entries
-        iblock[:w.size] = blocks[by_block]
-        v, info = _STEIN(d, self._e, w[by_block], iblock, isplit)
-        source = np.argsort(w[by_block]).tolist()  # column j comes from column source[j]
-        for start in range(len(source)):
-            if source[start] != start:
-                held, j = v[:, start].copy(), start
-                while source[j] != start:
-                    k = source[j]
-                    v[:, j], source[j] = v[:, k], j
-                    j = k
-                v[:, j], source[j] = held, j
-        return v, info
+        n = d.size
+        if first == stop:
+            return np.empty((n, 0), order="F"), 0
+        order = np.lexsort((blocks, w))  # ascending, equal values by block
+        w, blocks = w[order], blocks[order]
+        bounds = np.concatenate(([0], np.flatnonzero(w[1:] - w[:-1] >= gap) + 1, [w.size]))
+        g0 = np.searchsorted(bounds, first, side="right") - 1
+        g1 = np.searchsorted(bounds, stop - 1, side="right")
+        lo, hi = bounds[g0], bounds[g1]
+        ends = (bounds[g0:g1 + 1] - lo).tolist()
+        groups = list(zip(ends[:-1], ends[1:]))
+        ws, bs = w[lo:hi], blocks[lo:hi]
+        mixed = bs.min() < bs.max()
+        if mixed:  # group by group, blocks ascending; the sort is stable, so values stay ascending
+            by_block = np.lexsort((bs, np.repeat(np.arange(len(groups)), np.diff(ends))))
+            ws, bs = ws[by_block], bs[by_block]
+        z = np.empty((n, hi - lo), order="F")
+        half = len(groups) // 2 if _large(hi - lo, n) else 0
+        parts = [groups[:half], groups[half:]] if half else [groups]
+        infos = _in_halves(parts, lambda: _Stein(d, self._e, isplit, ws, bs, z), _stein_part)
+        if mixed:  # column j holds the vector of value by_block[j]
+            moved = by_block != np.arange(hi - lo)
+            z[:, by_block[moved]] = z[:, moved]
+        return z[:, first - lo:stop - lo], sum(infos)
 
 
-def _large(levels, n, tol) -> bool:
-    """Whether a solve of `levels` eigenvalues of an n x n matrix at `tol` is split in halves."""
-    return tol < np.inf and levels * n >= _SPLIT_WORK
+def _large(levels, n) -> bool:
+    """Whether the work on `levels` eigenvalues or eigenvectors of an n x n T is split in two."""
+    return levels * n >= _SPLIT_WORK
+
+
+def _in_halves(parts, workspace, task):
+    """[task(space, part) for each part] of one or two parts, in order.
+
+    Two parts run at once when a second core is free: the first in a second
+    thread while this one runs the second, each on its own workspace(). On
+    one core, or for one part, this thread runs them all on one workspace.
+    """
+    if len(parts) == 1 or _CORES == 1:
+        space = workspace()
+        return [task(space, part) for part in parts]
+    found = [None, None]
+
+    def first_half():
+        try:
+            found[0] = task(workspace(), parts[0])
+        except Exception as exc:  # raised below, in the thread that joins
+            found[0] = exc
+
+    worker = threading.Thread(target=first_half)
+    worker.start()
+    try:
+        found[1] = task(workspace(), parts[1])
+    finally:
+        worker.join()
+    if isinstance(found[0], Exception):
+        raise found[0]
+    return found
 
 
 def _bisect_part(stebz, selections, tol):
@@ -489,6 +605,11 @@ def _bisect_part(stebz, selections, tol):
         if info != 0:
             break
     return rows, stebz.isplit.copy()
+
+
+def _stein_part(stein, groups):
+    """The groups (lo, hi) in order on one `_Stein`: the sum of their infos."""
+    return sum(stein(lo, hi) for lo, hi in groups)
 
 
 def golub_kahan(B: Bidiagonal) -> Tridiagonal:

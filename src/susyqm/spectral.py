@@ -21,13 +21,13 @@ levels of `solve_plus`, bisects H- only inside the windows they define,
 blind only when those fail, and raises DegeneracyError for a level without
 a partner.
 
-`eigenstates` forms the eigenpairs of a bisection result as one batch
-(`EigenPair` over a leading level axis); `solve_spectrum` is the blind solve
-of the k lowest levels (`Tridiagonal.eigh`) followed by it. The
-intertwining map and the phase alignment act on such a batch as on one
-state. The zero mode is read off the stored bands of B, so this module holds
-no copy of B's stencil. The division by
-sqrt(E) in the intertwining map is guarded by EPS0 as well.
+`eigenstates` forms the eigenpairs of the levels a caller reads from a
+bisection result as one batch (`EigenPair` over a leading level axis);
+`solve_spectrum` is the blind solve of the k lowest levels
+(`Tridiagonal.eigh`) followed by it. The intertwining map and the phase
+alignment act on such a batch as on one state. The zero mode is read off
+the stored bands of B, so this module holds no copy of B's stencil. The
+division by sqrt(E) in the intertwining map is guarded by EPS0 as well.
 """
 
 from dataclasses import dataclass
@@ -84,21 +84,23 @@ def solve_spectrum(H: Tridiagonal, k: int, grid: Grid) -> EigenPair:
     return eigenstates(H.eigh(0, k - 1), grid)
 
 
-def eigenstates(solved: Bisection, grid: Grid) -> EigenPair:
-    """The eigenpairs of a bisection result on `grid`, ascending, as one batch.
+def eigenstates(solved: Bisection, grid: Grid, levels=slice(None)) -> EigenPair:
+    """The eigenpairs values[levels] of a bisection result on `grid`, ascending, as one batch.
 
-    Here the eigenvectors are formed (`Bisection.vectors`), phase-fixed and
-    scaled to unit dx-weighted norm in place, one array with a row a level,
-    which the batch then holds as it is. Bisection on the bands resolves the
-    near-kernel eigenvalue at machine scale instead of the ~eps*||H|| blur
-    of the generic drivers; the work is O(n) per eigenpair. Deterministic:
-    fixed driver, fixed phase fix.
+    `levels` is a slice of unit step; by default every level. Here the
+    eigenvectors of those levels alone are formed (`Bisection.vectors`),
+    phase-fixed and scaled to unit dx-weighted norm in place: the Fortran
+    array the inverse iteration fills is read as one array with a row a
+    level, which the batch then holds as it is. Bisection on the bands
+    resolves the near-kernel eigenvalue at machine scale instead of the
+    ~eps*||H|| blur of the generic drivers; the work is O(n) per eigenpair.
+    Deterministic: fixed driver, fixed phase fix.
     """
-    amps = np.ascontiguousarray(solved.vectors().T)
+    amps = solved.vectors(levels=levels).T
     fix_phase(amps, out=amps)
     amps /= np.sqrt(grid.dx)
     amps.flags.writeable = False
-    return EigenPair(solved.values, Wavefunction(grid, amps))
+    return EigenPair(solved.values[levels], Wavefunction(grid, amps))
 
 
 def solve_plus(H_plus: Tridiagonal, levels: int) -> Bisection:

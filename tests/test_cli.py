@@ -819,6 +819,38 @@ class TestPairingWindows:
             if command == "supercharge":
                 assert stein == [(plus,)]
 
+    @pytest.mark.parametrize("name", W_NAMES)
+    def test_commands_form_only_the_levels_they_read(self, tmp_path, monkeypatch, name):
+        # supercharge and verify read levels 1.. of each side they solve,
+        # entangle its one level a side: none asks for a level-0 vector (H+'s
+        # wall node, H-'s kernel). At 1001 points level 1 of every bundled W
+        # lies above the gap threshold from level 0, so no gap group takes
+        # level 0 along either: stein forms exactly the levels read
+        vectors, stein_part = sq.Bisection.vectors, operators._stein_part
+        for command, asked in (("supercharge", [slice(1, None)]),
+                               ("verify", [slice(1, None)] * 2),
+                               ("entangle", [slice(6, 7)] * 2)):
+            levels, formed = [], []
+
+            def spy(solved, levels=slice(None), _levels=levels):
+                _levels.append(levels)
+                return vectors(solved, levels=levels)
+
+            def recording(stein, part, _formed=formed):
+                _formed.append(sum(hi - lo for lo, hi in part))
+                return stein_part(stein, part)
+
+            monkeypatch.setattr(sq.Bisection, "vectors", spy)
+            monkeypatch.setattr(operators, "_stein_part", recording)
+            payload = {"command": command, "superpotential": {"name": name},
+                       "grid": cli._grid_payload(self.GRID),
+                       "level" if command == "entangle" else "levels": 6}
+            assert cli.main(["--config", write_config(tmp_path, payload),
+                             "--out", str(tmp_path)]) == 0
+            monkeypatch.undo()
+            assert levels == asked, command
+            assert formed == [6 if level.stop is None else 1 for level in asked], command
+
     def test_supercharge_reads_no_minus_level(self, tmp_path, monkeypatch):
         # every H- level 1e-9 up, which no window holds: the pairing commands
         # name a level without a partner, while supercharge writes the same

@@ -29,6 +29,52 @@ def small_grid():
     return sq.make_grid(-10, 10, 201)
 
 
+def wrapper_vectors(solved):
+    """`Bisection.vectors()` on scipy's dstein wrapper, one call per gap group, written out.
+
+    The values ascending, equal ones by block, start a new group where one
+    lies at least operators._GROUP_GAP (max|d| + 2 max|e|) above the one
+    below it; each group goes to the wrapper by block, and its columns are
+    put at its values' places by indexing. Returns the vectors and the sum
+    of the wrapper's infos.
+    """
+    d, e = solved._d, solved._e
+    w, blocks, isplit = solved._found
+    n = d.size
+    order = sorted(range(w.size), key=lambda j: (w[j], blocks[j]))
+    gap = operators._GROUP_GAP * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+    groups = [[0]]
+    for k in range(1, w.size):
+        if w[order[k]] - w[order[k - 1]] >= gap:
+            groups.append([k])
+        else:
+            groups[-1].append(k)
+    v = np.empty((n, w.size), order="F")
+    total = 0
+    for group in groups:
+        by_block = sorted(group, key=lambda k: blocks[order[k]])
+        iblock = np.zeros(n, dtype=np.int32)
+        iblock[:len(group)] = [blocks[order[k]] for k in by_block]
+        z, info = operators._FLAPACK.dstein(d, e, np.array([w[order[k]] for k in by_block]),
+                                            iblock, isplit)
+        v[:, by_block] = z
+        total += info
+    return v, total
+
+
+def twin_blocks(rng, half):
+    """A tridiagonal in blocks, then behind one more zero a copy of it scaled by 1 - 1e-12.
+
+    Its levels are positive, so each has a twin 1e-12 relatively below it,
+    in a later block: the two share a gap group whose blocks descend.
+    """
+    diag = 10.0 + rng.normal(size=half)
+    off = rng.normal(size=half - 1) * (rng.random(half - 1) < 0.7)
+    scale = 1.0 - 1e-12
+    return sq.Tridiagonal(np.concatenate([diag, scale * diag]),
+                          np.concatenate([off, [0.0], scale * off]))
+
+
 class TestBandedTypes:
     """`@` and `.T @` of the banded operators against their dense form."""
 
@@ -211,16 +257,18 @@ class TestTridiagonalIndexSelection:
     def test_near_multiples_of_the_identity_with_eigenvectors(self):
         # inverse iteration (stein) does not converge on some of these; it is
         # redone on T - sigma, sigma the median of the diagonal. A matrix
-        # whose plain stebz + stein succeeds keeps that result bit for bit.
-        # A redone one: lambda comes from the unshifted bisection, within
+        # whose plain stebz + stein succeeds keeps that result bit for bit:
+        # the oracle is scipy's stein wrapper, called once per gap group. A
+        # redone one: lambda comes from the unshifted bisection, within
         # 5.5 eps G of an exact eigenvalue (see the test above), and v from
         # inverse iteration on T - sigma, which is exact (each diagonal entry
         # is within a factor 2 of sigma), at the shifted bisection's
         # eigenvalue, within another 5.5 eps G; stein's own residual is taken
         # as n eps ||T - sigma|| <= n eps G. So ||T v - lambda v|| <=
-        # (n + 11) eps G; the worst measured is 1.6 eps G. stein
-        # reorthogonalises within a cluster, |V^T V - I| taken as 4 n eps;
-        # the worst measured is 2.3 n eps.
+        # (n + 11) eps G; the worst measured is 1.6 eps G. The redo keeps the
+        # gap threshold of T, on whose scale all levels of such a matrix are
+        # one gap group, which stein reorthogonalises: |V^T V - I| is taken
+        # as 4 n eps; the worst measured is 2.3 n eps.
         rng = np.random.default_rng(0)
         eps = np.finfo(float).eps
         redone = 0
@@ -235,12 +283,10 @@ class TestTridiagonalIndexSelection:
             if info == 2:
                 m, w, iblock, isplit, info = dstebz(T.diag, T.off, 0, 0.0, 0.0, 0, 0, 1e-300, "B")
             assert info == 0 and m == n
-            by_block = np.lexsort((w, iblock))
-            v, info = operators._STEIN(T.diag, T.off, w[by_block], iblock[by_block], isplit)
-            if info == 0:
-                ascending = np.argsort(w[by_block])
-                assert np.array_equal(values, w[by_block][ascending])
-                assert np.array_equal(vectors, v[:, ascending])
+            assert np.array_equal(values, np.sort(w[:m]))
+            v, info = wrapper_vectors(solved)
+            if info == 0 and np.all(np.isfinite(v)):
+                assert vectors.tobytes(order="F") == v.tobytes(order="F")
                 continue
             redone += 1
             radius = np.zeros(n)
@@ -257,26 +303,21 @@ class TestTridiagonalIndexSelection:
 class TestEigenvectorOrder:
     @pytest.mark.parametrize("seed", range(20))
     def test_split_blocks_reordered_in_place_as_by_indexing(self, seed):
-        # off-diagonal zeros split T into blocks whose eigenvalues interleave,
-        # so stein's block order is a permutation of several cycles; the
-        # columns put in ascending order in place equal the indexed copy
+        # off-diagonal zeros split T into blocks, and every level has a twin
+        # in a later block just below it, so their gap groups span blocks,
+        # which stein takes in block order; the columns put in ascending
+        # order in place equal the per-group wrapper's put there by indexing
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 60))
-        off = rng.normal(size=n - 1) * (rng.random(n - 1) < 0.7)
-        T = sq.Tridiagonal(rng.normal(size=n), off)
-        lo = int(rng.integers(0, n))
-        hi = int(rng.integers(lo, n))
+        half = int(rng.integers(1, 30))
+        T = twin_blocks(rng, half)
+        lo = 2 * int(rng.integers(0, half))
+        hi = int(rng.integers(lo + 1, 2 * half))
         solved = T.eigh(lo, hi)
-        w, blocks, isplit = solved._found
-        by_block = np.lexsort((w, blocks))
-        iblock = np.zeros(n, dtype=blocks.dtype)
-        iblock[:w.size] = blocks[by_block]
-        v, info = operators._STEIN(T.diag, T.off if n > 1 else np.zeros(1), w[by_block],
-                                   iblock, isplit)
+        w, blocks, _ = solved._found
+        assert np.any(np.diff(blocks[np.lexsort((blocks, w))]) < 0)  # blocks descend somewhere
+        want, info = wrapper_vectors(solved)
         assert info == 0
-        want = v[:, np.argsort(w[by_block])]
         assert solved.vectors().tobytes(order="F") == want.tobytes(order="F")
-
 
     def test_nan_vectors_are_redone_on_the_shifted_bands(self):
         # on H- of W = 2^206 x on a 20-point box the diagonal spans 3 to 5e123
@@ -288,6 +329,89 @@ class TestEigenvectorOrder:
         assert np.all(np.isfinite(v))
         _, dense = np.linalg.eigh(system.H_minus.to_dense())
         assert np.allclose(np.abs(np.sum(v * dense[:, :2], axis=0)), 1.0, atol=1e-12)
+
+
+def double_well(coupling):
+    """Two free-Laplacian halves of 100 rows joined by `coupling`: one block, close level pairs."""
+    off = np.full(199, -1.0)
+    off[99] = -coupling
+    return sq.Tridiagonal(np.full(200, 2.0), off)
+
+
+class TestEigenvectorGroups:
+    """One stein call per gap group, and only for the groups that hold the levels asked for."""
+
+    @staticmethod
+    def recorded_groups(monkeypatch):
+        """The groups (lo, hi) of every `_stein_part` call, a list a call."""
+        parts = []
+        stein_part = operators._stein_part
+
+        def recording(stein, part):
+            parts.append(list(part))
+            return stein_part(stein, part)
+
+        monkeypatch.setattr(operators, "_stein_part", recording)
+        return parts
+
+    def test_near_degenerate_levels_share_a_call(self, monkeypatch):
+        # the halves' levels pair up 4e-12 to 1e-10 apart, under the gap
+        # threshold _GROUP_GAP ||T|| = 8.9e-7, and the pairs lie 3e-3 and more
+        # apart, above it: each pair is one stein call, reorthogonalised
+        # within it. Vectors of different calls are orthogonal to about
+        # eps ||T|| / gap <= 1e-9, the derived bound, which the whole set
+        # meets (measured 1.6e-14); formed one call a level, the two of a
+        # pair are not (measured 9.7e-6)
+        T = double_well(1e-7)
+        solved = T.eigh(0, 9)
+        gap = operators._GROUP_GAP * 4.0  # max|d| + 2 max|e|
+        splits = np.diff(solved.values)
+        assert np.all(splits[0::2] < gap) and np.all(splits[1::2] >= gap)
+        w, blocks, isplit = solved._found
+        assert np.all(blocks == 1)
+        parts = self.recorded_groups(monkeypatch)
+        v = solved.vectors()
+        assert parts == [[(k, k + 2) for k in range(0, 10, 2)]]
+        assert np.max(np.abs(v.T @ v - np.eye(10))) <= 1e-9
+        residual = np.linalg.norm(T @ v.T - solved.values[:, None] * v.T, axis=1)
+        assert np.max(residual) <= 200 * np.finfo(float).eps * 4.0  # n eps ||T||, as above
+        iblock = np.zeros(200, dtype=np.int32)
+        iblock[0] = 1
+        apart = np.column_stack([operators._FLAPACK.dstein(T.diag, T.off, solved.values[k:k + 1],
+                                                           iblock, isplit)[0][:, 0]
+                                 for k in range(10)])
+        assert np.max(np.abs(np.sum(apart[:, 0::2] * apart[:, 1::2], axis=0))) > 1e-9
+
+    @pytest.mark.parametrize("case", ("harmonic", "shifted_cubic", "double_well", "twin_blocks"))
+    def test_level_alone_equals_level_with_every_level(self, monkeypatch, case):
+        # only the groups holding the levels asked for run, and a group's
+        # vectors depend only on its own call: a level alone, a slice and
+        # every level give the same bits
+        if case == "double_well":
+            T = double_well(1e-7)
+        elif case == "twin_blocks":
+            T = twin_blocks(np.random.default_rng(3), 40)
+        else:
+            T = sq.build_susy_system(sq.get_superpotential(case),
+                                     sq.make_grid(-10.0, 10.0, 1001)).H_plus
+        solved = T.eigh(0, 39)
+        every = solved.vectors()
+        parts = self.recorded_groups(monkeypatch)
+        for k in (0, 1, 2, 17, 38, 39):
+            parts.clear()
+            alone = solved.vectors(slice(k, k + 1))
+            assert alone.tobytes(order="F") == every[:, k].tobytes()
+            (groups,) = parts
+            assert len(groups) == 1 and groups[0][1] - groups[0][0] <= 2
+        assert solved.vectors(slice(1, None)).tobytes(order="F") == every[:, 1:].tobytes(order="F")
+        assert solved.vectors(slice(5, 9)).tobytes(order="F") == every[:, 5:9].tobytes(order="F")
+
+    def test_empty_and_strided_selections(self):
+        solved = double_well(1e-7).eigh(0, 3)
+        assert solved.vectors(slice(2, 2)).shape == (200, 0)
+        assert solved.vectors(slice(3, 1)).shape == (200, 0)
+        with pytest.raises(ValueError, match="unit step"):
+            solved.vectors(slice(0, 4, 2))
 
 
 class TestLapackLoader:
@@ -305,16 +429,15 @@ class TestLapackLoader:
         assert run.stdout.strip() == "[]"
 
     def test_routines_are_the_get_lapack_funcs_objects(self):
-        # the eigensolver is scipy.linalg's own double-precision pair: stein
-        # is its wrapper, and stebz is called at the routine address that
-        # its wrapper calls
+        # the eigensolver is scipy.linalg's own double-precision pair, each
+        # called at the routine address that its wrapper calls
         stebz, stein = sla.get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
         get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
             ("PyCapsule_GetPointer", ctypes.pythonapi))
-        address = get_pointer(stebz._cpointer, None)
-        assert address is not None
-        assert ctypes.cast(operators._DSTEBZ, ctypes.c_void_p).value == address
-        assert operators._STEIN is stein
+        for wrapper, routine in ((stebz, operators._DSTEBZ), (stein, operators._DSTEIN)):
+            address = get_pointer(wrapper._cpointer, None)
+            assert address is not None
+            assert ctypes.cast(routine, ctypes.c_void_p).value == address
 
     def test_missing_extension_names_directory_and_version(self, tmp_path):
         (tmp_path / "linalg").mkdir()
@@ -442,23 +565,27 @@ class TestSplitSolve:
         assert T.eigh(500, 500, tol=1.0).counts == (1,)  # one level is never split
 
     def test_no_split_at_tol_inf(self, monkeypatch):
-        # a level costs a count or two at tol = inf, less than starting a
-        # thread: neither an index range nor 100 windows are split
+        # one rule, whatever the tol, splits a large solve; the one solve the
+        # package makes at tol = inf, the loose count of solve_partners, is
+        # one window, one selection, which is never split
         calls = []
         part = operators._bisect_part
 
         def recording_part(stebz, selections, tol):
-            calls.append(len(selections))
+            calls.append((len(selections), tol))
             return part(stebz, selections, tol)
 
         monkeypatch.setattr(operators, "_bisect_part", recording_part)
         monkeypatch.setattr(operators, "_CORES", 2)
         T = sq.Tridiagonal(np.arange(1001.0), np.full(1000, 0.5))
         below = operators._SPLIT_WORK // 1001
-        assert T.eigh(0, below, tol=np.inf).counts == (below + 1,)
-        windows = [(k - 0.5, k + 0.5) for k in range(100)]
-        assert len(T.eigh_windows(windows, tol=np.inf).counts) == 100
-        assert calls == [1, 100]
+        assert T.eigh(0, below, tol=np.inf).counts == (17, 16)
+        system = sq.build_susy_system(sq.get_superpotential("harmonic"),
+                                      sq.make_grid(-10.0, 10.0, 1001))
+        calls.clear()
+        sq.solve_partners(system.H_plus, system.H_minus, 99)
+        assert 100 * 1001 >= operators._SPLIT_WORK
+        assert [call for call in calls if call[1] == np.inf] == [(1, np.inf)]
 
     @pytest.mark.parametrize("name", ("harmonic", "shifted_cubic"))
     def test_halves_agree_with_one_selection_and_the_oracle(self, deep, sturm_eigenvalue, name):
@@ -482,24 +609,33 @@ class TestSplitSolve:
     def test_one_core_and_two_give_the_same_bits(self, deep, monkeypatch, name):
         # the cores decide only where the halves run: with two, each runs in
         # its own thread on its own workspace; with one, this thread runs
-        # both on one
-        calls = []
-        part = operators._bisect_part
+        # both on one. The 100 eigenvectors are formed in two halves alike
+        calls, groups = [], []
+        part, stein_part = operators._bisect_part, operators._stein_part
 
         def recording_part(stebz, *args):
             calls.append((threading.get_ident(), id(stebz)))
             return part(stebz, *args)
 
+        def recording_stein_part(stein, part):
+            groups.append((threading.get_ident(), id(stein), len(part)))
+            return stein_part(stein, part)
+
         monkeypatch.setattr(operators, "_bisect_part", recording_part)
+        monkeypatch.setattr(operators, "_stein_part", recording_stein_part)
         H = deep[name]
         results = {}
         for cores in (1, 2):
             monkeypatch.setattr(operators, "_CORES", cores)
             calls.clear()
+            groups.clear()
             solved = H.eigh(0, 99)
-            results[cores] = (solved.values.tobytes(), solved.vectors().tobytes())
+            results[cores] = (solved.values.tobytes(), solved.vectors().tobytes(order="F"))
             assert len(calls) == 2 and len({ident for ident, _ in calls}) == cores
             assert len({workspace for _, workspace in calls}) == cores
+            assert len(groups) == 2 and len({ident for ident, *_ in groups}) == cores
+            assert len({workspace for _, workspace, _ in groups}) == cores
+            assert sum(count for *_, count in groups) == 100  # every level alone
         assert results[1] == results[2]
 
 
