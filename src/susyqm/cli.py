@@ -540,7 +540,10 @@ def run_verify(cfg, outdir, fmt):
 
 def _write(outdir, filename, text):
     path = os.path.join(outdir, filename)
-    _atomic_write(path, text)
+    try:
+        _atomic_write(path, text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path}: {exc}") from exc
     print(f"wrote {path}")
 
 
@@ -628,6 +631,9 @@ def main(argv=None) -> int:
         return 1
     except (SusyQMError, np.linalg.LinAlgError) as exc:  # the latter: LAPACK gave no answer
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a grid or Fock space too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

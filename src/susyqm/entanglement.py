@@ -6,7 +6,9 @@ of independent states. The concurrence is computed by three independent
 routes: from the spin expectation vector, from the coefficient decomposition
 c1 psi+ |up> + c2 psi- |down>, and from the singular values of the 2 x N
 coefficient stack. The routes agreeing to 1e-12 is one of the main
-verification targets of the package, so none of them share code.
+verification targets of the package, so no two of them share code; the spin
+route's two functions, `spin_expectation` and `concurrence_from_spin`, read
+one Gram reduction, `_spin_gram`.
 
 Every route reduces over the last axis and keeps the leading ones, so a
 sweep of states is one call. On a single state (1-D components) each route
@@ -135,16 +137,21 @@ def build_energy_eigenstate(
     return SpinorState(c1[..., None] * R[:, 0], c2[..., None] * R[:, 1], 1.0)
 
 
+def _spin_gram(state: SpinorState):
+    """<u|u>, <d|d> and weight * <u|d> of the spin route, once the state is checked normalized."""
+    uu = np.vecdot(state.up, state.up).real
+    dd = np.vecdot(state.down, state.down).real
+    _require_normalized((uu + dd) * state.weight)
+    return uu, dd, np.vecdot(state.up, state.down) * state.weight
+
+
 def spin_expectation(state: SpinorState) -> np.ndarray:
     """(<sx>, <sy>, <sz>) along a new last axis, the up component conjugated.
 
     The sign of <sy> follows from the raising operator [[0, 1], [0, 0]] in the
     (up, down) basis.
     """
-    uu = np.vecdot(state.up, state.up).real
-    dd = np.vecdot(state.down, state.down).real
-    _require_normalized((uu + dd) * state.weight)
-    cross = np.vecdot(state.up, state.down) * state.weight
+    uu, dd, cross = _spin_gram(state)
     sz = (uu - dd) * state.weight
     return np.stack([2.0 * cross.real, 2.0 * cross.imag, sz], axis=-1)
 
@@ -168,14 +175,8 @@ def concurrence_from_spin(state: SpinorState):
     the naive form loses half its digits: near product states |<sigma>| is
     1 - O(eps) and sqrt(1 - |<sigma>|^2) turns round-off into sqrt(eps) noise.
     """
-    w = state.weight
-    uu = np.vecdot(state.up, state.up).real
-    dd = np.vecdot(state.down, state.down).real
-    _require_normalized((uu + dd) * w)
-    a = uu * w
-    b = dd * w
-    cross = np.vecdot(state.up, state.down) * w
-    val = a * b - (cross.real ** 2 + cross.imag ** 2)
+    uu, dd, cross = _spin_gram(state)
+    val = (uu * state.weight) * (dd * state.weight) - (cross.real ** 2 + cross.imag ** 2)
     return _values(np.minimum(2.0 * np.sqrt(np.maximum(val, 0.0)), 1.0))
 
 

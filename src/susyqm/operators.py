@@ -21,16 +21,19 @@ routines, `dstebz` and `dstein`, come from scipy's compiled LAPACK wrappers,
 loaded straight from scipy's `linalg/_flapack` extension file: importing
 `scipy.linalg` itself would pull in scipy's array-API layer and more than
 double the start-up time of every command. Both are called through ctypes
-at the routine address their wrapper calls (`_cpointer`; `_Stebz`, `_Stein`),
-with the wrapper's arguments, so they give the wrapper's bits, and each call
-releases the GIL, which the wrapper holds.
+at the routine address their wrapper calls (`_cpointer`), with the wrapper's
+arguments, on one workspace a thread (`_Lapack`), so they give the wrapper's
+bits, and each call releases the GIL, which the wrapper holds.
 
 Eigenvectors are formed one gap group at a time. stein alone
-reorthogonalises every run of eigenvalues closer than 1e-3 ||T||, which on a
-fine grid is all the low levels, at O(n m^2) for m of them (Dhillon, BIT 38,
-685 (1998)). Here only eigenvalues closer than _GROUP_GAP ||T|| share a
-call, every other level is formed alone in O(n), and only the groups that
-hold the levels a caller reads run.
+reorthogonalises every run of eigenvalues of one block closer than
+1e-3 ||T||, which on a fine grid is all the low levels, at O(n m^2) for m of
+them (Dhillon, BIT 38, 685 (1998)). Here only eigenvalues closer than
+_GROUP_GAP ||T|| share a call, every other level is formed alone in O(n),
+and only the groups that hold the levels a caller reads run. Vectors of
+different blocks have disjoint supports, so they are exactly orthogonal
+however they are formed; a group still spans blocks, since blocks may
+interleave (see `Bisection.vectors`).
 
 A large solve, levels x n >= 2^15 (`_SPLIT_WORK`, about 10 ms of Sturm
 counts), bisects its selections as two halves: `eigh` splits an index range
@@ -159,7 +162,10 @@ _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else o
 
 
 class _Scalars(ctypes.Structure):
-    """The scalar arguments of one dstebz call, passed by address."""
+    """The scalar arguments of one dstebz or dstein call, passed by address.
+
+    stein reads n as ldz as well, and m as the size of its group.
+    """
 
     _fields_ = [("n", ctypes.c_int), ("il", ctypes.c_int), ("iu", ctypes.c_int),
                 ("m", ctypes.c_int), ("nsplit", ctypes.c_int), ("info", ctypes.c_int),
@@ -170,100 +176,80 @@ class _Scalars(ctypes.Structure):
 _CODES = tuple(ctypes.byref(ctypes.c_char(c)) for c in b"AVIB")
 
 
-class _Stebz:
-    """dstebz on fixed bands (d, e), called as scipy's wrapper calls it, on arguments held here.
+class _Lapack:
+    """dstebz and dstein on fixed bands (d, e), called as scipy's wrappers call them.
 
     Range and order go as one character each and every other argument by
-    address, as in the wrapper's own call, so a result is the wrapper's bit
+    address, as in the wrappers' own calls, so a result is the wrapper's bit
     for bit. The scalars live in one ctypes structure, and the outputs and
-    work space in one float and one int array allocated once: every
-    argument outlives the call, and a repeated call allocates nothing. The
-    bands are reached through ctypes' own buffer view, which takes a
-    writable array (LAPACK only reads them) and costs a sixth of
-    `c_void_p(a.ctypes.data)`. One thread owns an instance. A call returns (m, info)
-    and leaves w[:m] and iblock[:m] holding the eigenvalues and their
-    blocks, and isplit the block ends.
+    work space of both routines in one float and one int array allocated
+    once: every argument outlives the call, and a repeated call allocates
+    nothing. The bands are reached through ctypes' own buffer view, which
+    takes a writable array (LAPACK only reads them) and costs a sixth of
+    `c_void_p(a.ctypes.data)`. One thread owns an instance. `stebz` leaves
+    w[:m] and iblock[:m] holding the eigenvalues and their blocks, and
+    isplit the block ends, until the next call of either routine.
     """
 
-    __slots__ = ("w", "iblock", "isplit", "_scalars", "_args")
+    __slots__ = ("w", "iblock", "isplit", "_scalars", "_stebz", "_stein")
 
     def __init__(self, d, e):
         n = d.size
         if not (_writable(d, np.float64, n) and _writable(e, np.float64, n - 1)):
-            raise ValueError("stebz takes writable contiguous float64 bands of n and n - 1 entries")
-        reals = np.empty(5 * n)  # w, work
-        ints = np.zeros(5 * n, dtype=np.int32)  # iblock, isplit, iwork
+            raise ValueError("LAPACK takes writable contiguous float64 bands of n and n - 1 entries")
+        reals = np.empty(5 * n)  # stebz: w, work; stein: work
+        ints = np.zeros(5 * n, dtype=np.int32)  # stebz: iblock, isplit, iwork; stein: iwork, ifail
         self.w, self.iblock, self.isplit = reals[:n], ints[:n], ints[n:2 * n]
         self._scalars = s = _Scalars(n)
         ref, real, field = ctypes.byref, ctypes.c_double.from_buffer, _Scalars
         r, i = real(reals), ctypes.c_int32.from_buffer(ints)
+        n_, m, info = (ref(s, f.offset) for f in (field.n, field.m, field.info))
+        bands = (ref(real(d)), ref(real(e)))
         # each ctypes view holds its array, so every argument outlives the call
-        self._args = (_CODES[3], ref(s, field.n.offset), ref(s, field.vl.offset),
-                      ref(s, field.vu.offset), ref(s, field.il.offset), ref(s, field.iu.offset),
-                      ref(s, field.tol.offset), ref(real(d)), ref(real(e)),
-                      ref(s, field.m.offset), ref(s, field.nsplit.offset), ref(r), ref(i),
-                      ref(i, 4 * n), ref(r, 8 * n), ref(i, 8 * n), ref(s, field.info.offset))
+        self._stebz = (_CODES[3], n_, ref(s, field.vl.offset), ref(s, field.vu.offset),
+                       ref(s, field.il.offset), ref(s, field.iu.offset), ref(s, field.tol.offset),
+                       *bands, m, ref(s, field.nsplit.offset), ref(r), ref(i), ref(i, 4 * n),
+                       ref(r, 8 * n), ref(i, 8 * n), info)
+        self._stein = (n_, *bands, m), (n_, ref(r), ref(i), ref(i, 4 * n), info)
 
-    def __call__(self, rng, vl, vu, il, iu, tol):
+    def stebz(self, rng, vl, vu, il, iu, tol):
+        """One dstebz call (LAPACK range code, vl, vu, il, iu, tol), ordered by block: (m, info)."""
         s = self._scalars
         # what LAPACK would reject, checked here, so its error handler never runs
         if rng == _BY_VALUE and vl >= vu or rng == _BY_INDEX and not 1 <= il <= iu <= s.n:
             raise ValueError(f"stebz selection out of range: {(rng, vl, vu, il, iu)}")
         s.vl, s.vu, s.il, s.iu, s.tol = vl, vu, il, iu, tol
-        _DSTEBZ(_CODES[rng], *self._args)
+        _DSTEBZ(_CODES[rng], *self._stebz)
         return s.m, s.info
 
+    def stein(self, isplit, w, iblock, z, groups):
+        """One dstein call per group (lo, hi) of w, in order: the sum of their infos.
 
-class _SteinScalars(ctypes.Structure):
-    """The scalar arguments of one dstein call, passed by address."""
-
-    _fields_ = [("n", ctypes.c_int), ("m", ctypes.c_int), ("ldz", ctypes.c_int),
-                ("info", ctypes.c_int)]
-
-
-class _Stein:
-    """dstein on fixed bands (d, e), one group of eigenvalues a call, as scipy's wrapper calls it.
-
-    `w` holds eigenvalues in the order stein takes them, `iblock` their
-    stebz blocks and `isplit` the block ends; `z` is the n x len(w) Fortran
-    array the calls fill. A call (lo, hi) hands stein w[lo:hi] and
-    iblock[lo:hi], which must be ascending by block and by value within a
-    block, and every other argument by address as the wrapper does, so the
-    columns it writes straight into z[:, lo:hi] are the wrapper's for that
-    group bit for bit; it returns stein's info. stein draws its random
-    starts from a seed it resets on every call, so a group's vectors do not
-    depend on the calls before it. Arguments are held as in `_Stebz`, the
-    work space is allocated once, and one thread owns an instance.
-    """
-
-    __slots__ = ("_scalars", "_args", "_w", "_iblock", "_z", "_column")
-
-    def __init__(self, d, e, isplit, w, iblock, z):
-        n, m = d.size, w.size
-        if not (_writable(d, np.float64, n) and _writable(e, np.float64, n - 1)
-                and _writable(isplit, np.int32, n) and _writable(w, np.float64, m)
+        `w` holds eigenvalues, `iblock` their stebz blocks and `isplit` the
+        block ends; `z` is the n x len(w) Fortran array the calls fill. A
+        group hands stein w[lo:hi] and iblock[lo:hi], which must be
+        ascending by block and by value within a block, so the columns it
+        writes straight into z[:, lo:hi] are the wrapper's for that group
+        bit for bit. stein draws its random starts from a seed it resets on
+        every call, so a group's vectors do not depend on the calls before it.
+        Its work space is this workspace's, so the arrays passed must not be
+        views of `self.w`, `self.iblock` or `self.isplit`.
+        """
+        n, m = self._scalars.n, w.size
+        if not (_writable(isplit, np.int32, n) and _writable(w, np.float64, m)
                 and _writable(iblock, np.int32, m) and _writable(z.T, np.float64, n * m)
                 and z.shape == (n, m) and 0 < m <= n):
-            raise ValueError("stein takes writable contiguous bands, blocks and columns")
-        work = np.empty(5 * n)
-        ints = np.empty(2 * n, dtype=np.int32)  # iwork, ifail
-        self._scalars = s = _SteinScalars(n, 0, n, 0)
-        ref, real, field = ctypes.byref, ctypes.c_double.from_buffer, _SteinScalars
-        i = ctypes.c_int32.from_buffer(ints)
-        # each ctypes view holds its array, so every argument outlives the call
-        self._w, self._iblock, self._z = real(w), ctypes.c_int32.from_buffer(iblock), real(z.T)
-        self._column = 8 * n  # bytes from one column of z to the next
-        self._args = (ref(s, field.n.offset), ref(real(d)), ref(real(e)),
-                      ref(s, field.m.offset), ref(ctypes.c_int32.from_buffer(isplit)),
-                      ref(s, field.ldz.offset), ref(real(work)), ref(i), ref(i, 4 * n),
-                      ref(s, field.info.offset))
-
-    def __call__(self, lo, hi):
-        self._scalars.m = hi - lo
-        n, d, e, m, isplit, *tail = self._args
-        _DSTEIN(n, d, e, m, ctypes.byref(self._w, 8 * lo), ctypes.byref(self._iblock, 4 * lo),
-                isplit, ctypes.byref(self._z, self._column * lo), *tail)
-        return self._scalars.info
+            raise ValueError("stein takes writable contiguous blocks, values and columns")
+        ref, real, index = ctypes.byref, ctypes.c_double.from_buffer, ctypes.c_int32.from_buffer
+        (head, tail), values, blocks, columns = self._stein, real(w), index(iblock), real(z.T)
+        split = ref(index(isplit))
+        info = 0
+        for lo, hi in groups:
+            self._scalars.m = hi - lo
+            _DSTEIN(*head, ref(values, 8 * lo), ref(blocks, 4 * lo), split,
+                    ref(columns, 8 * n * lo), *tail)
+            info += self._scalars.info
+        return info
 
 
 def _writable(a, dtype, size) -> bool:
@@ -414,8 +400,8 @@ class Bisection:
     exists only where a caller asks for it.
 
     One stebz call per selection (LAPACK range code, vl, vu, il, iu), in
-    block order, through the ctypes binding `_Stebz`, and one stein call
-    per gap group of eigenvalues, through `_Stein`. A large solve, or a
+    block order, and one stein call per gap group of eigenvalues, both
+    through the ctypes workspace `_Lapack`. A large solve, or a
     large set of eigenvectors (levels x n >= 2^15, see the module
     docstring), runs the first half of its selections or groups, in order
     and on one workspace, in a second thread when a second core is free,
@@ -444,7 +430,7 @@ class Bisection:
                             ("_tol", float(tol))):
             object.__setattr__(self, name, value)
         counts, w, blocks, isplit = self._bisect(d, 0.0)
-        values = np.ldexp(np.sort(w), exp)
+        values = np.ldexp(w, exp)
         values.flags.writeable = False
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "values", values)
@@ -460,11 +446,16 @@ class Bisection:
         values, ascending, fall into gap groups: a value joins the group of
         the one below it when their gap is below _GROUP_GAP ||T||, with
         ||T|| bounded by max|d| + 2 max|e| of the bands. stein forms a group
-        in one call, which reorthogonalises within it, and every other
-        level alone; vectors formed apart are orthogonal to about
-        eps ||T|| / gap <= 1e-9. Only the groups that hold the levels
-        asked for run, each writing its columns straight into one Fortran
-        array, of which the levels' columns are returned as a view. The
+        in one call, which reorthogonalises within each of its stebz
+        blocks, and every other level alone; vectors formed apart are
+        orthogonal to about eps ||T|| / gap <= 1e-9, and vectors of
+        different blocks exactly. A group may span blocks: where blocks
+        interleave, as on a near multiple of the identity, a run of one
+        block's close values is cut by another block's, and only the whole
+        group, handed to stein by block, keeps that run in one call. Only
+        the groups that hold the levels asked for run, each writing its
+        columns straight into one Fortran array, of which the levels'
+        columns are returned as a view. The
         groups depend only on the values and the bands, and each group's
         vectors only on its own call, so a level's vector is the same bits
         whichever levels are asked for with it and on one core or two,
@@ -502,36 +493,36 @@ class Bisection:
         return v
 
     def _bisect(self, d, shift):
-        """Counts, eigenvalues, their blocks and isplit of the bands (d, e), bounds shifted."""
+        """Counts, eigenvalues ascending (equal ones by block), their blocks and isplit of (d, e).
+
+        The selections' value bounds are shifted by `shift`.
+        """
         selections = [(rng, vl - shift, vu - shift, il, iu)
                       for rng, vl, vu, il, iu in self._selections]
         levels = sum(iu - il + 1 if rng == _BY_INDEX else 1 for rng, _, _, il, iu in selections)
-        half = len(selections) // 2 if _large(levels, d.size) else 0
-        parts = [selections[:half], selections[half:]] if half else [selections]
-        found = _in_halves(parts, lambda: _Stebz(d, self._e),
-                           lambda stebz, part: _bisect_part(stebz, part, self._tol))
+        found = _in_halves(selections, levels, d.size, lambda: _Lapack(d, self._e),
+                           lambda lapack, part: _bisect_part(lapack, part, self._tol))
         rows = [row for part, _ in found for row in part]
         for _, _, info in rows:
             if info != 0:
                 raise np.linalg.LinAlgError(f"stebz failed (info = {info})")
         values, blocks, _ = zip(*rows)
-        return (tuple(w.size for w in values), np.concatenate(values), np.concatenate(blocks),
-                found[-1][1])
+        w, blocks = np.concatenate(values), np.concatenate(blocks)
+        order = np.lexsort((blocks, w))
+        return tuple(v.size for v in values), w[order], blocks[order], found[-1][1]
 
     def _stein(self, d, gap, w, blocks, isplit, first, stop):
-        """Eigenvectors of the bands (d, e) for levels first..stop - 1 of w ascending, and info.
+        """Eigenvectors of the bands (d, e) for levels first..stop - 1 of w, and info.
 
-        The groups of values less than `gap` apart (see `vectors`) that hold
-        those levels are formed in ascending order into the columns of one
-        n x k Fortran array. stein takes the values of a call by block, so a
-        group that spans several blocks is formed in block order and its
-        columns are then moved to ascending order.
+        w ascends, equal values by block. The gap groups (see `vectors`)
+        that hold those levels are formed in ascending order into the
+        columns of one n x k Fortran array. stein takes the values of a call
+        by block, so a group that spans several blocks is formed in block
+        order and its columns are then moved to ascending order.
         """
         n = d.size
         if first == stop:
             return np.empty((n, 0), order="F"), 0
-        order = np.lexsort((blocks, w))  # ascending, equal values by block
-        w, blocks = w[order], blocks[order]
         bounds = np.concatenate(([0], np.flatnonzero(w[1:] - w[:-1] >= gap) + 1, [w.size]))
         g0 = np.searchsorted(bounds, first, side="right") - 1
         g1 = np.searchsorted(bounds, stop - 1, side="right")
@@ -544,9 +535,8 @@ class Bisection:
             by_block = np.lexsort((bs, np.repeat(np.arange(len(groups)), np.diff(ends))))
             ws, bs = ws[by_block], bs[by_block]
         z = np.empty((n, hi - lo), order="F")
-        half = len(groups) // 2 if _large(hi - lo, n) else 0
-        parts = [groups[:half], groups[half:]] if half else [groups]
-        infos = _in_halves(parts, lambda: _Stein(d, self._e, isplit, ws, bs, z), _stein_part)
+        infos = _in_halves(groups, hi - lo, n, lambda: _Lapack(d, self._e),
+                           lambda lapack, part: lapack.stein(isplit, ws, bs, z, part))
         if mixed:  # column j holds the vector of value by_block[j]
             moved = by_block != np.arange(hi - lo)
             z[:, by_block[moved]] = z[:, moved]
@@ -558,13 +548,16 @@ def _large(levels, n) -> bool:
     return levels * n >= _SPLIT_WORK
 
 
-def _in_halves(parts, workspace, task):
-    """[task(space, part) for each part] of one or two parts, in order.
+def _in_halves(items, levels, n, workspace, task):
+    """[task(space, part)] for `items` as one part, or as two fixed halves if `_large(levels, n)`.
 
-    Two parts run at once when a second core is free: the first in a second
-    thread while this one runs the second, each on its own workspace(). On
-    one core, or for one part, this thread runs them all on one workspace.
+    The first half is items[:len(items) // 2]. Two halves run at once when
+    a second core is free: the first in a second thread while this one runs
+    the second, each on its own workspace(). On one core, or for one part,
+    this thread runs them all on one workspace.
     """
+    half = len(items) // 2 if _large(levels, n) else 0
+    parts = [items[:half], items[half:]] if half else [items]
     if len(parts) == 1 or _CORES == 1:
         space = workspace()
         return [task(space, part) for part in parts]
@@ -587,8 +580,8 @@ def _in_halves(parts, workspace, task):
     return found
 
 
-def _bisect_part(stebz, selections, tol):
-    """`selections` in order on one `_Stebz`: per selection (w, blocks, info), and isplit.
+def _bisect_part(lapack, selections, tol):
+    """`selections` in order on one `_Lapack`: per selection (w, blocks, info), and isplit.
 
     A selection stebz finds too small a Gershgorin interval for (info 2) is
     redone over all eigenvalues, keeping il..iu. The first selection that
@@ -596,20 +589,15 @@ def _bisect_part(stebz, selections, tol):
     """
     rows = []
     for rng, vl, vu, il, iu in selections:
-        m, info = stebz(rng, vl, vu, il, iu, tol)
+        m, info = lapack.stebz(rng, vl, vu, il, iu, tol)
         keep = slice(m)
         if info == 2:  # an index selection whose Gershgorin interval was too small
-            m, info = stebz(_ALL, 0.0, 0.0, 0, 0, tol)
-            keep = np.argsort(stebz.w[:m], kind="stable")[il - 1:iu]
-        rows.append((stebz.w[keep].copy(), stebz.iblock[keep].copy(), info))
+            m, info = lapack.stebz(_ALL, 0.0, 0.0, 0, 0, tol)
+            keep = np.argsort(lapack.w[:m], kind="stable")[il - 1:iu]
+        rows.append((lapack.w[keep].copy(), lapack.iblock[keep].copy(), info))
         if info != 0:
             break
-    return rows, stebz.isplit.copy()
-
-
-def _stein_part(stein, groups):
-    """The groups (lo, hi) in order on one `_Stein`: the sum of their infos."""
-    return sum(stein(lo, hi) for lo, hi in groups)
+    return rows, lapack.isplit.copy()
 
 
 def golub_kahan(B: Bidiagonal) -> Tridiagonal:

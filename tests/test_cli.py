@@ -826,7 +826,7 @@ class TestPairingWindows:
         # wall node, H-'s kernel). At 1001 points level 1 of every bundled W
         # lies above the gap threshold from level 0, so no gap group takes
         # level 0 along either: stein forms exactly the levels read
-        vectors, stein_part = sq.Bisection.vectors, operators._stein_part
+        vectors, stein = sq.Bisection.vectors, operators._Lapack.stein
         for command, asked in (("supercharge", [slice(1, None)]),
                                ("verify", [slice(1, None)] * 2),
                                ("entangle", [slice(6, 7)] * 2)):
@@ -836,12 +836,12 @@ class TestPairingWindows:
                 _levels.append(levels)
                 return vectors(solved, levels=levels)
 
-            def recording(stein, part, _formed=formed):
-                _formed.append(sum(hi - lo for lo, hi in part))
-                return stein_part(stein, part)
+            def recording(lapack, isplit, w, iblock, z, groups, _formed=formed):
+                _formed.append(sum(hi - lo for lo, hi in groups))
+                return stein(lapack, isplit, w, iblock, z, groups)
 
             monkeypatch.setattr(sq.Bisection, "vectors", spy)
-            monkeypatch.setattr(operators, "_stein_part", recording)
+            monkeypatch.setattr(operators._Lapack, "stein", recording)
             payload = {"command": command, "superpotential": {"name": name},
                        "grid": cli._grid_payload(self.GRID),
                        "level" if command == "entangle" else "levels": 6}
@@ -1409,6 +1409,36 @@ class TestOutputResolution:
         assert err.startswith(f"config error: cannot create output directory {outdir!r}: ")
         assert len(err.splitlines()) == 1
         assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+    def test_report_that_cannot_be_written(self, tmp_path, capsys):
+        # a directory where the report goes: os.replace cannot put the
+        # finished temporary file there, which is then removed
+        (tmp_path / "spectrum.csv").mkdir()
+        rc = cli.main(["--config", write_config(tmp_path, spectrum_config()),
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        path = os.path.join(str(tmp_path), "spectrum.csv")
+        assert err.startswith(f"config error: cannot write report {path}: ")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.glob(".susyqm-tmp-*"))
+
+    @pytest.mark.parametrize("command", ("spectrum", "jc"))
+    def test_system_too_large_to_allocate(self, tmp_path, capsys, monkeypatch, command):
+        # an array the machine cannot hold ends in one line; the builders are
+        # made to raise, since a real request of such an array would end as
+        # the machine's overcommit policy decides
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(cli, "build_susy_system", too_large)
+        monkeypatch.setattr(cli, "build_jc", too_large)
+        payload = (spectrum_config() if command == "spectrum" else
+                   {"command": "jc", "jc_params": {"omega": 1.0, "gamma": 0.1, "n_max": 8}})
+        rc = cli.main(["--config", write_config(tmp_path, payload), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 72.8 TiB for an array\n")
 
     def test_empty_output_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, spectrum_config(output={"path": ""}))

@@ -62,6 +62,17 @@ def wrapper_vectors(solved):
     return v, total
 
 
+def recorded_stein(monkeypatch, record):
+    """Spy on every `_Lapack.stein` call: record(lapack, w, groups) is run before it."""
+    stein = operators._Lapack.stein
+
+    def recording(lapack, isplit, w, iblock, z, groups):
+        record(lapack, w, groups)
+        return stein(lapack, isplit, w, iblock, z, groups)
+
+    monkeypatch.setattr(operators._Lapack, "stein", recording)
+
+
 def twin_blocks(rng, half):
     """A tridiagonal in blocks, then behind one more zero a copy of it scaled by 1 - 1e-12.
 
@@ -319,6 +330,28 @@ class TestEigenvectorOrder:
         assert info == 0
         assert solved.vectors().tobytes(order="F") == want.tobytes(order="F")
 
+    def test_interleaved_blocks_keep_their_vectors_orthogonal(self):
+        # a near multiple of the identity splits into blocks whose values
+        # interleave within the gap threshold, so another block's value cuts
+        # a run of one block's close values: only the whole gap group, handed
+        # to stein by block, keeps that run in one call, reorthogonalised.
+        # Every set of vectors keeps the 1e-9 orthogonality that
+        # `Bisection.vectors` states (the worst measured is 7.9e-14); with
+        # groups that end at a block, 101 of these 300 sets break it, the
+        # worst with an overlap of 1 to three digits
+        rng = np.random.default_rng(0)
+        cut = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            solved = sq.Tridiagonal(*near_identity(rng, n)).eigh(0, n - 1)
+            w, blocks, _ = solved._found
+            blocks = blocks[np.lexsort((blocks, w))]  # in ascending order of the values
+            cut += any(np.ptp(np.flatnonzero(blocks == b)) >= np.sum(blocks == b)
+                       for b in np.unique(blocks))
+            v = solved.vectors()
+            assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-9
+        assert cut > 0
+
     def test_nan_vectors_are_redone_on_the_shifted_bands(self):
         # on H- of W = 2^206 x on a 20-point box the diagonal spans 3 to 5e123
         # and stein returns NaN in level 1's vector with info = 0; the redo on
@@ -343,15 +376,9 @@ class TestEigenvectorGroups:
 
     @staticmethod
     def recorded_groups(monkeypatch):
-        """The groups (lo, hi) of every `_stein_part` call, a list a call."""
+        """The groups (lo, hi) of every `_Lapack.stein` call, a list a call."""
         parts = []
-        stein_part = operators._stein_part
-
-        def recording(stein, part):
-            parts.append(list(part))
-            return stein_part(stein, part)
-
-        monkeypatch.setattr(operators, "_stein_part", recording)
+        recorded_stein(monkeypatch, lambda lapack, w, groups: parts.append(list(groups)))
         return parts
 
     def test_near_degenerate_levels_share_a_call(self, monkeypatch):
@@ -405,6 +432,32 @@ class TestEigenvectorGroups:
             assert len(groups) == 1 and groups[0][1] - groups[0][0] <= 2
         assert solved.vectors(slice(1, None)).tobytes(order="F") == every[:, 1:].tobytes(order="F")
         assert solved.vectors(slice(5, 9)).tobytes(order="F") == every[:, 5:9].tobytes(order="F")
+
+    def test_wall_node_is_formed_after_the_levels_above_it(self, monkeypatch):
+        # harmonic H+ at 32001 points: ||T|| is about 5e6, so the gap
+        # threshold is 1.14, and levels 1..6 (block 1, about one apart) share
+        # a gap group with the wall node's exact zero (block 2, level 0).
+        # stein takes the group by block, the wall's one-row block last, and
+        # a one-row block draws no random start, so levels 1..6 are scipy's
+        # wrapper on those six values alone, bit for bit
+        system = sq.build_susy_system(sq.get_superpotential("harmonic"),
+                                      sq.make_grid(-10.0, 10.0, 32001))
+        solved = system.H_plus.eigh(0, 6)
+        w, blocks, isplit = solved._found
+        gap = operators._GROUP_GAP * (np.max(np.abs(solved._d)) + 2.0 * np.max(np.abs(solved._e)))
+        assert blocks.tolist() == [2, 1, 1, 1, 1, 1, 1] and w[0] == 0.0
+        assert np.all(np.diff(w) < gap)
+        formed = []
+        recorded_stein(monkeypatch, lambda lapack, w, groups: formed.extend(
+            w[a:b].tolist() for a, b in groups))
+        v = solved.vectors(slice(1, 7))
+        assert formed == [solved.values[1:7].tolist() + [0.0]]
+        iblock = np.zeros(32001, dtype=np.int32)
+        iblock[:6] = 1
+        want, info = operators._FLAPACK.dstein(solved._d, solved._e, solved.values[1:7],
+                                               iblock, isplit)
+        assert info == 0
+        assert v.tobytes(order="F") == want.tobytes(order="F")
 
     def test_empty_and_strided_selections(self):
         solved = double_well(1e-7).eigh(0, 3)
@@ -515,7 +568,7 @@ class TestStebzBinding:
         # every call of a part reuses one workspace, so what an earlier call
         # left in it must not reach a later result
         d, e, selections, tol = case
-        assert_same_parts(operators._bisect_part(operators._Stebz(d, e), selections, tol),
+        assert_same_parts(operators._bisect_part(operators._Lapack(d, e), selections, tol),
                           wrapper_part(d, e, selections, tol))
 
     def test_the_info_2_redo_equals_the_wrapper(self):
@@ -526,24 +579,63 @@ class TestStebzBinding:
             d, e = near_identity(rng, n)
             for lo, hi in ((1, n), (1, 1), (n, n), (2, n - 1)):
                 selections = [(2, 0.0, 1.0, max(lo, 1), max(hi, lo, 1))]
-                got = operators._bisect_part(operators._Stebz(d, e), selections, 0.0)
+                got = operators._bisect_part(operators._Lapack(d, e), selections, 0.0)
                 assert_same_parts(got, wrapper_part(d, e, selections, 0.0))
                 redone += dstebz(d, e, *selections[0], 0.0, "B")[-1] == 2
 
     def test_what_lapack_rejects_is_refused_before_the_call(self):
-        stebz = operators._Stebz(np.ones(3), np.zeros(2))
+        lapack = operators._Lapack(np.ones(3), np.zeros(2))
         for selection in ((1, 1.0, 1.0, 0, 0), (2, 0.0, 1.0, 0, 2), (2, 0.0, 1.0, 3, 2),
                           (2, 0.0, 1.0, 1, 4)):
             with pytest.raises(ValueError, match="out of range"):
-                stebz(*selection, 0.0)
+                lapack.stebz(*selection, 0.0)
         with pytest.raises(ValueError, match="contiguous float64"):
-            operators._Stebz(np.ones(6)[::2], np.zeros(2))
+            operators._Lapack(np.ones(6)[::2], np.zeros(2))
         with pytest.raises(ValueError, match="contiguous float64"):
-            operators._Stebz(np.ones(3, dtype=np.float32), np.zeros(2))
+            operators._Lapack(np.ones(3, dtype=np.float32), np.zeros(2))
         frozen = np.zeros(2)
         frozen.flags.writeable = False  # ctypes views only a writable buffer
         with pytest.raises(ValueError, match="writable contiguous float64"):
-            operators._Stebz(np.ones(3), frozen)
+            operators._Lapack(np.ones(3), frozen)
+
+    def test_stein_arrays_are_checked_before_the_call(self):
+        # stein's values, blocks, block ends and columns are viewed by
+        # address, so each must be a writable contiguous array of its type
+        # and size, and the columns a Fortran n x m array with 0 < m <= n
+        lapack = operators._Lapack(np.ones(3), np.zeros(2))
+        isplit, w = np.array([1, 2, 3], dtype=np.int32), np.ones(2)
+        iblock, z = np.array([1, 2], dtype=np.int32), np.empty((3, 2), order="F")
+        frozen = np.ones(2)
+        frozen.flags.writeable = False
+        for args in ((isplit[:2], w, iblock, z), (isplit.astype(np.int64), w, iblock, z),
+                     (isplit, frozen, iblock, z), (isplit, np.ones(4)[::2], iblock, z),
+                     (isplit, w, iblock[:1], z), (isplit, w, iblock, np.empty((3, 2))),
+                     (isplit, w, iblock, np.empty((2, 2), order="F")),
+                     (isplit, w[:0], iblock[:0], np.empty((3, 0), order="F"))):
+            with pytest.raises(ValueError, match="stein takes writable contiguous"):
+                lapack.stein(*args, [(0, 1)])
+        assert lapack.stein(isplit, w, iblock, z, [(0, 1), (1, 2)]) == 0
+        assert np.array_equal(np.abs(z), np.eye(3)[:, :2])
+
+    def test_stein_after_stebz_on_one_workspace_equals_the_wrappers(self):
+        # stebz and stein share the workspace's arrays: what one leaves
+        # there must reach neither the other's result nor its own next one
+        rng = np.random.default_rng(4)
+        n = 40
+        d, e = rng.normal(size=n), rng.normal(size=n - 1) * (rng.random(n - 1) < 0.8)
+        lapack = operators._Lapack(d, e)
+        selections = [(0, 0.0, 0.0, 0, 0)]
+        for _ in range(2):
+            found = operators._bisect_part(lapack, selections, 0.0)
+            assert_same_parts(found, wrapper_part(d, e, selections, 0.0))
+            ((w, blocks, _),), isplit = found
+            k = int(np.sum(blocks == 1))  # block 1's values, ascending, come first
+            z = np.empty((n, k), order="F")
+            assert lapack.stein(isplit, w[:k], blocks[:k], z, [(0, k)]) == 0
+            iblock = np.zeros(n, dtype=np.int32)
+            iblock[:k] = 1
+            want, info = operators._FLAPACK.dstein(d, e, w[:k], iblock, isplit)
+            assert info == 0 and z.tobytes(order="F") == want.tobytes(order="F")
 
 
 class TestSplitSolve:
@@ -571,9 +663,9 @@ class TestSplitSolve:
         calls = []
         part = operators._bisect_part
 
-        def recording_part(stebz, selections, tol):
+        def recording_part(lapack, selections, tol):
             calls.append((len(selections), tol))
-            return part(stebz, selections, tol)
+            return part(lapack, selections, tol)
 
         monkeypatch.setattr(operators, "_bisect_part", recording_part)
         monkeypatch.setattr(operators, "_CORES", 2)
@@ -611,18 +703,15 @@ class TestSplitSolve:
         # its own thread on its own workspace; with one, this thread runs
         # both on one. The 100 eigenvectors are formed in two halves alike
         calls, groups = [], []
-        part, stein_part = operators._bisect_part, operators._stein_part
+        part = operators._bisect_part
 
-        def recording_part(stebz, *args):
-            calls.append((threading.get_ident(), id(stebz)))
-            return part(stebz, *args)
-
-        def recording_stein_part(stein, part):
-            groups.append((threading.get_ident(), id(stein), len(part)))
-            return stein_part(stein, part)
+        def recording_part(lapack, *args):
+            calls.append((threading.get_ident(), id(lapack)))
+            return part(lapack, *args)
 
         monkeypatch.setattr(operators, "_bisect_part", recording_part)
-        monkeypatch.setattr(operators, "_stein_part", recording_stein_part)
+        recorded_stein(monkeypatch, lambda lapack, w, part: groups.append(
+            (threading.get_ident(), id(lapack), len(part))))
         H = deep[name]
         results = {}
         for cores in (1, 2):
