@@ -30,7 +30,7 @@ from .entanglement import (
     supercharge_residuals,
 )
 from .errors import ConfigError, PhysicsViolationError, SusyQMError
-from .grid import Grid, inner_product, make_grid
+from .grid import Grid, inner_product, make_grid, sum_of_squares
 from .jaynescummings import (
     FIDELITY_TOL,
     GAP_TOL,
@@ -243,13 +243,14 @@ def _build_system(W, grid):
 
 
 def _solve_both_sides(W, grid, levels):
-    """The system of W on `grid` and its paired levels 0..levels: (system, plus, minus).
+    """The system of W on `grid` and its paired levels: (system, plus, minus).
 
-    `solve_partners` solves and pairs both sides, as bisection results; a
-    failed pairing raises its DegeneracyError. No eigenvector is formed
-    here: each command asks `eigenstates` for the levels it reads, so
-    `spectrum` forms none, `entangle` its one level of each side and `verify`
-    levels 1.. of both. `supercharge` reads no H- level and solves H+ alone
+    `solve_partners` solves and pairs H+ levels 0..levels - 1 with H-
+    levels 1..levels, as bisection results; a failed pairing raises its
+    DegeneracyError. No eigenvector is formed here: each command asks
+    `eigenstates` for the levels it reads, so `spectrum` forms none,
+    `entangle` its one level of each side and `verify` every H+ level and
+    levels 1.. of H-. `supercharge` reads no H- level and solves H+ alone
     (`solve_plus`).
     """
     system = _build_system(W, grid)
@@ -279,8 +280,8 @@ def _zero_mode_check(minus):
 def _zero_mode_residual(system):
     """The zero mode psi0, ||H- psi0|| / ||psi0|| and its bound 1e-12 ||H-||."""
     psi0 = zero_mode(system)
-    resid = np.linalg.norm(system.H_minus @ psi0.amplitudes)
-    resid /= np.linalg.norm(psi0.amplitudes)
+    resid = np.sqrt(sum_of_squares(system.H_minus @ psi0.amplitudes))
+    resid /= np.sqrt(sum_of_squares(psi0.amplitudes))
     return psi0, resid, 1e-12 * operator_norm(system.H_minus)
 
 
@@ -297,7 +298,7 @@ def _level_blocks(grid, count):
 
 
 def _supercharge_columns(system, block, pp):
-    """The supercharge report's columns for the slice `block` of levels 1.., H+ eigenpairs `pp`.
+    """The supercharge report's columns for the slice `block` of the H+ levels, eigenpairs `pp`.
 
     Each column is a (level, family) array: index, energy, family, sign,
     residual and concurrence, every entry what its level gives alone, bit
@@ -330,11 +331,11 @@ def _intertwine_deviations(system, pp, mm):
     dx = system.grid.dx
     gap = align_phase(raw, mm.state).amplitudes - mm.state.amplitudes
     images = system.B @ mm.state.amplitudes
-    # norm ** 2 of a Python float is libm pow, as for one state's np.linalg.norm;
+    # norm ** 2 of a Python float is libm pow, as for one state's norm alone;
     # an array's ** 2 is x * x, which can differ in the last bit
-    return ((math.sqrt(dx) * np.sqrt(np.vecdot(gap, gap))).tolist(),
+    return ((math.sqrt(dx) * np.sqrt(sum_of_squares(gap))).tolist(),
             [abs(dx * norm ** 2 - e) for norm, e in zip(
-                np.sqrt(np.vecdot(images, images)).tolist(), mm.energy.tolist())],
+                np.sqrt(sum_of_squares(images)).tolist(), mm.energy.tolist())],
             supercharge_residuals(system, pp.energy, pp.state, raw).ravel().tolist())
 
 
@@ -345,16 +346,16 @@ def _supercharge_check(residuals):
 
 
 def _susy_identities(system):
-    """(name, value, bound) of verify's five 2n x 2n identity checks, in O(n).
+    """(name, value, bound) of verify's five (2n - 1)-square identity checks, in O(n).
 
     Every operator is read in the order of `SusySystem.Q1`, where
-    H = diag(H+, H-) is pentadiagonal: its rows interleave the separately
-    formed bands of H+-. The four products come from `supercharge_products`,
-    one at a time: Q2^2 = -R^2, {Q1, Q2} = -i {Q1, R}, and {sz, Q1} gives
-    both the parity and the hermiticity check.
+    H = diag(H+, H-) is pentadiagonal: its rows interleave the n rows of H-
+    with the n - 1 rows of H+, each side's bands formed separately. The four
+    products come from `supercharge_products`, one at a time:
+    Q2^2 = -R^2, {Q1, Q2} = -i {Q1, R}, and {sz, Q1} gives both the parity
+    and the hermiticity check.
     """
-    n = system.grid.n_points
-    H = np.zeros((5, 2 * n))
+    H = np.zeros((5, 2 * system.grid.n_points - 1))
     H[0::2, 0::2] = band_rows(system.H_minus)
     H[0::2, 1::2] = band_rows(system.H_plus)
     products = supercharge_products(system.Q1)  # each reduced before the next is formed
@@ -378,12 +379,11 @@ def run_spectrum(cfg, outdir, fmt):
     psi0, resid, bound = _zero_mode_residual(system)
     checks = [_zero_mode_check(minus), _check("zero_mode_residual", resid, bound)]
 
-    e_plus, e_minus = plus.values[1:], minus.values[1:]  # level i pairs with level i
+    e_plus, e_minus = plus.values, minus.values[1:]  # H- level 0 is the zero mode
     spectrum_text = _table_text(fmt, {
         "superpotential": W.name,
         "grid": _grid_payload(grid),
         "zero_mode_energy": float(minus.values[0]),
-        "closure_artifacts": [float(plus.values[0])],
     }, ("index", "E_plus", "E_minus", "gap"), ("d", ".17g", ".17g", ".17g"),
         (np.arange(1, levels + 1), e_plus, e_minus, np.abs(e_plus - e_minus)), rows_key="pairs")
     x, amps = grid.nodes(), psi0.amplitudes
@@ -414,7 +414,9 @@ def run_entangle(cfg, outdir, fmt):
         )
 
     _, plus, minus = _solve_both_sides(W, grid, level)
-    pp, mm = (eigenstates(side, grid, slice(level, level + 1))[0] for side in (plus, minus))
+    # report level k is H+ level k - 1 and H- level k
+    pp, mm = (eigenstates(side, grid, slice(k, k + 1))[0]
+              for side, k in ((plus, level - 1), (minus, level)))
     overlap = inner_product(pp.state, mm.state)
 
     # row r = i * phase_points + j holds c1 grid point i and phase j
@@ -444,8 +446,7 @@ def run_supercharge(cfg, outdir, fmt):
     levels = _parse_levels(cfg, grid)
 
     system = _build_system(W, grid)
-    # no H- level is read, nor H+'s wall-node zero
-    pairs = eigenstates(solve_plus(system.H_plus, levels), grid, slice(1, None))
+    pairs = eigenstates(solve_plus(system.H_plus, levels), grid)  # no H- level is read
     blocks = [_supercharge_columns(system, block, pairs[block])
               for block in _level_blocks(grid, len(pairs))]
     # one row per (level, family), levels outer
@@ -514,15 +515,15 @@ def run_verify(cfg, outdir, fmt):
     system, plus, minus = _solve_both_sides(W, grid, levels)
     _, resid, bound = _zero_mode_residual(system)
 
-    # levels 1.. of each side: no check reads H+'s wall node or H-'s kernel vector
-    plus_pairs, minus_pairs = (eigenstates(side, grid, slice(1, None)) for side in (plus, minus))
+    # every H+ level and levels 1.. of H-: no check reads H-'s kernel vector
+    plus_pairs, minus_pairs = eigenstates(plus, grid), eigenstates(minus, grid, slice(1, None))
     deviations = [_intertwine_deviations(system, plus_pairs[block], minus_pairs[block])
                   for block in _level_blocks(grid, len(plus_pairs))]
-    # each a list over levels 1..levels, ascending
+    # each a list over report levels 1..levels, ascending
     maps, energies, residuals = ([value for block in column for value in block]
                                  for column in zip(*deviations))
     checks = [
-        _check("pairing_max_gap", np.max(np.abs(plus.values[1:] - minus.values[1:])), PAIR_TOL),
+        _check("pairing_max_gap", np.max(np.abs(plus.values - minus.values[1:])), PAIR_TOL),
         _zero_mode_check(minus),
         _check("zero_mode_residual", resid, bound),
         _check("intertwine_map_residual", np.max(maps, initial=0.0), INTERTWINE_TOL),

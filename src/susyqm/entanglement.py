@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NormalizationError
-from .grid import Wavefunction
+from .grid import Wavefunction, sum_of_squares
 from .operators import SusySystem
 from .spectral import EPS0
 
@@ -313,24 +313,24 @@ def supercharge_residuals(sys: SusySystem, E, psi_plus: Wavefunction, psi_minus:
     """|| Q s - q s || of the four `supercharge_eigenstates` s of a level pair, in report order.
 
     Q1 acts blockwise as (B phi_down, B+ phi_up), two-term stencils, and
-    Q2 = -i sz Q1 as (-i B phi_down, +i B+ phi_up). B is applied to
+    Q2 = -i sz Q1 as (-i B phi_down, +i B+ phi_up), the up half on the
+    n - 1 cells: psi+ on the nodes holds 0 at the last. B is applied to
     dn = psi-/sqrt(2) and B+ to up = psi+/sqrt(2) once. A state's down half
     is dn times its phase p = 1, -1, i or -i and its eigenvalue is sign *
     sqrt(E), so B of the down half is p B dn and the residual vector is
     (sign r_up, r_down) with r_up = B dn - sqrt(E) up and r_down =
     B+ up - sqrt(E) dn for Q1, and (sign r_up, i r_down) for Q2: the phases
-    are exact, and so are the signs, which leave every square of the
-    reduction as it is. So the two states of a family share one residual,
-    reduced as a state's own vector is, real for Q1 and complex for Q2, and
-    each equals what the state gives alone, bit for bit. The result has a
-    last axis of the four states; for a block of levels (E an array over
-    the leading axis of the two states) its leading axes run over the levels.
+    are exact, and so are the signs, so every entry of each of the four
+    vectors has the modulus of the entry of (r_up, r_down), and its squared
+    modulus, re^2 + im^2 with one part an exact zero, the same square. So the
+    four states share one residual, each half's squares summed by
+    `sum_of_squares`, which equals what each state gives alone, bit for bit.
+    The result has a last axis of the four states; for a block of levels (E
+    an array over the leading axis of the two states) its leading axes run
+    over the levels.
     """
     root, up, dn = _level_pair(E, psi_plus, psi_minus)
-    q = root[..., None]
+    q, up = root[..., None], up[..., :-1]  # the up half on the n - 1 cells
     r_up, r_down = sys.B @ dn - q * up, sys.B_adj @ up - q * dn
-    q2_up, q2_down = r_up.astype(complex), 1j * r_down
-    q1 = np.vecdot(r_up, r_up) + np.vecdot(r_down, r_down)
-    q2 = np.vecdot(q2_up, q2_up).real + np.vecdot(q2_down, q2_down).real
-    q1, q2 = np.sqrt(q1 * sys.grid.dx), np.sqrt(q2 * sys.grid.dx)
-    return np.stack([q1, q1, q2, q2], axis=-1)
+    residual = np.sqrt((sum_of_squares(r_up) + sum_of_squares(r_down)) * sys.grid.dx)
+    return np.stack([residual] * 4, axis=-1)

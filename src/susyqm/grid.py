@@ -17,6 +17,7 @@ __all__ = [
     "Wavefunction",
     "make_grid",
     "inner_product",
+    "sum_of_squares",
     "fix_phase",
 ]
 
@@ -98,6 +99,16 @@ def inner_product(f: Wavefunction, g: Wavefunction):
     _require_same_grid(f, g)
     ov = np.vecdot(f.amplitudes, g.amplitudes) * f.grid.dx
     return complex(ov) if ov.ndim == 0 else ov.astype(complex)
+
+
+def sum_of_squares(a: np.ndarray) -> np.ndarray:
+    """The sum of a_i^2 over the last axis of a real array, by numpy's pairwise sum.
+
+    No BLAS call: BLAS's dot splits a long vector across its threads, so its
+    sum depends on the thread count, while this one does not, and each row
+    of a batch sums as it does alone.
+    """
+    return np.add.reduce(a * a, axis=-1)
 
 
 def fix_phase(amplitudes: np.ndarray, out=None) -> np.ndarray:

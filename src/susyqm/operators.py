@@ -1,11 +1,12 @@
 """Discrete SUSY factorization on bands.
 
 B = (D_fwd + W)/sqrt(2) with the forward difference (D psi)_i =
-(psi_{i+1} - psi_i)/dx on rows 0..n-2 and an empty last row. B is upper
-bidiagonal and kept as its two bands; B_adj is its transpose on the same
-bands. The partner Hamiltonians H+ = B B_adj and H- = B_adj B are symmetric
-tridiagonal and formed band by band in O(n): with d the diagonal and u the
-superdiagonal of B,
+(psi_{i+1} - psi_i)/dx, one row a cell: an (n - 1) x n upper bidiagonal on
+the n nodes, kept as its two bands of n - 1 entries; B_adj is its
+transpose on the same bands. The partner Hamiltonians H+ = B B_adj, on the
+n - 1 cells, and H- = B_adj B, on the n nodes, are symmetric tridiagonal
+and formed band by band in O(n): with d the diagonal and u the
+superdiagonal of B, and terms outside the bands left out,
 
     H+ : diagonal d_i^2 + u_i^2,      off-diagonal u_i d_{i+1}
     H- : diagonal d_i^2 + u_{i-1}^2,  off-diagonal d_i u_i
@@ -48,17 +49,18 @@ call. The split depends only on the solve; the number of cores this process
 may use decides only whether the halves run at the same time, so every
 result is the same bits on one core or several.
 
-The empty last row is the discrete form of the SUSY-preserving interval
-condition: B psi = 0 at the wall for H-, Dirichlet for H+. Every row of
-B psi = 0 is then solved by the two-term recursion between neighbouring nodes,
-so B has an exact one-dimensional kernel on any box and H- an exact zero mode,
-while H+ carries an exact, decoupled 0 at the wall node (its last row and
-column vanish). B's n - 1 nonzero superdiagonal entries give it rank n - 1,
-so each side has exactly that one zero: level 0 of each solved side is its
-zero by construction, and the spectral module pairs levels 1.. of the two.
+B has no row at the last node, which is the discrete form of the
+SUSY-preserving interval condition: B psi = 0 at the wall for H-, Dirichlet
+for H+. Every row of B psi = 0 is solved by the two-term recursion between
+neighbouring nodes, so B has an exact one-dimensional kernel on any box and
+H- an exact zero mode. B's n - 1 nonzero superdiagonal entries give it rank
+n - 1, so that kernel is the only zero of either side: H+ is positive
+definite, its level i is the squared singular value that is H-'s level
+i + 1, and level 0 of H- is its zero mode.
 
-The 2n x 2n supercharge Q1 = [[0, B], [B_adj, 0]] is tridiagonal as well, in
-the order (down_0, up_0, down_1, up_1, ...): `golub_kahan(B)`, which
+The (2n - 1) x (2n - 1) supercharge Q1 = [[0, B], [B_adj, 0]] has B's kernel
+as its one zero. It is tridiagonal as well, in the order (down_0, up_0,
+down_1, up_1, ..., down_{n-1}): `golub_kahan(B)`, which
 `SusySystem.Q1` returns for the grid B and `jaynescummings.build_jc` for the
 Fock annihilator b. Identities between tridiagonals are read entry by entry in
 O(n) with one band-product kernel (`band_rows`, `band_product`,
@@ -142,6 +144,15 @@ def _routine(wrapper):
 
 _FLAPACK = _load_flapack(importlib.util.find_spec("scipy").submodule_search_locations[0])
 _DSTEBZ, _DSTEIN = _routine(_FLAPACK.dstebz), _routine(_FLAPACK.dstein)
+# sets OpenBLAS's thread count for the calling thread alone and returns the
+# one before (OpenBLAS 0.3.27 on), found in the LAPACK library's own BLAS
+# under scipy's prefix, or unprefixed as some builds leave this one name;
+# with another BLAS, `int`, which sets nothing and returns its argument
+_BLAS = ctypes.CDLL(_FLAPACK.__file__)
+_BLAS_THREADS = getattr(_BLAS, "scipy_openblas_set_num_threads_local",
+                        getattr(_BLAS, "openblas_set_num_threads_local", int))
+if _BLAS_THREADS is not int:
+    _BLAS_THREADS.argtypes, _BLAS_THREADS.restype = (ctypes.c_int,), ctypes.c_int
 # stebz range codes of the scipy wrapper: all eigenvalues, those in (vl, vu],
 # or il..iu
 _ALL, _BY_VALUE, _BY_INDEX = 0, 1, 2
@@ -232,6 +243,9 @@ class _Lapack:
         writes straight into z[:, lo:hi] are the wrapper's for that group
         bit for bit. stein draws its random starts from a seed it resets on
         every call, so a group's vectors do not depend on the calls before it.
+        Its BLAS calls run on one OpenBLAS thread: a dot product split across
+        threads sums in another order, so on a long vector the bits of every
+        eigenvector would depend on the thread count.
         Its work space is this workspace's, so the arrays passed must not be
         views of `self.w`, `self.iblock` or `self.isplit`.
         """
@@ -244,11 +258,15 @@ class _Lapack:
         (head, tail), values, blocks, columns = self._stein, real(w), index(iblock), real(z.T)
         split = ref(index(isplit))
         info = 0
-        for lo, hi in groups:
-            self._scalars.m = hi - lo
-            _DSTEIN(*head, ref(values, 8 * lo), ref(blocks, 4 * lo), split,
-                    ref(columns, 8 * n * lo), *tail)
-            info += self._scalars.info
+        threads = _BLAS_THREADS(1)
+        try:
+            for lo, hi in groups:
+                self._scalars.m = hi - lo
+                _DSTEIN(*head, ref(values, 8 * lo), ref(blocks, 4 * lo), split,
+                        ref(columns, 8 * n * lo), *tail)
+                info += self._scalars.info
+        finally:
+            _BLAS_THREADS(threads)
         return info
 
 
@@ -258,24 +276,24 @@ def _writable(a, dtype, size) -> bool:
 
 
 class _Banded:
-    """Read-only n x n matrix stored as its diagonal and one off-diagonal band.
+    """Read-only matrix stored as its diagonal and one off-diagonal band.
 
     Both bands are copied as float arrays and frozen. `A @ v` applies the
     matrix along the last axis of a real or complex array whose last axis
-    has length n, in O(n) per vector: a (k, n) stack of k vectors is one
-    call, and each of its rows is the product of that row alone, bit for bit.
+    has the length of a column, in O(n) per vector: a (k, n) stack of k
+    vectors is one call, and each of its rows is the product of that row
+    alone, bit for bit.
     """
 
     __slots__ = ("diag", "off")
+    lower = False  # a Bidiagonal's transpose flag; a symmetric Tridiagonal is never lower
 
     def __init__(self, diag, off):
         diag = np.array(diag, dtype=float)
         off = np.array(off, dtype=float)
-        if diag.ndim != 1 or off.shape != (diag.size - 1,):
-            raise ValueError(
-                f"bands of shapes {diag.shape} and {off.shape} do not form a "
-                "square matrix (need n and n - 1 entries)"
-            )
+        if diag.ndim != 1 or off.ndim != 1 or diag.size - off.size not in self._EXCESS:
+            raise ValueError(f"bands of shapes {diag.shape} and {off.shape} do not form "
+                             f"a {type(self).__name__}")
         diag.flags.writeable = False
         off.flags.writeable = False
         object.__setattr__(self, "diag", diag)
@@ -286,7 +304,9 @@ class _Banded:
 
     @property
     def shape(self):
-        return (self.diag.size, self.diag.size)
+        """diag.size rows and off.size + 1 columns, or the transpose if `lower`."""
+        shape = (self.diag.size, self.off.size + 1)
+        return shape[::-1] if self.lower else shape
 
     @property
     def nbytes(self) -> int:
@@ -294,24 +314,28 @@ class _Banded:
 
     def _vector(self, v):
         v = np.asarray(v)
-        if v.shape[-1:] != self.diag.shape:
+        if v.shape[-1:] != self.shape[1:]:
             raise ValueError(
                 f"cannot apply a {self.shape} banded matrix to shape {v.shape}"
             )
         return v
 
     def __repr__(self):
-        return f"{type(self).__name__}(n={self.diag.size})"
+        return f"{type(self).__name__}(shape={self.shape})"
 
 
 class Bidiagonal(_Banded):
-    """Bidiagonal matrix: `off` on the superdiagonal, or the subdiagonal if `lower`.
+    """Bidiagonal matrix, its shape read from its bands: upper, or lower if `lower`.
 
-    `.T` is the transpose: the same band values with the off-diagonal moved
-    to the other side.
+    An upper m x n bidiagonal holds `diag` at (i, i) and `off` at (i, i + 1):
+    n - 1 entries of `off`, and m = n entries of `diag` (square) or m = n - 1
+    (one row short, as the grid's B). `lower` is its transpose, n x m, with
+    `off` at (i + 1, i). `.T` is the transpose: the same band values with
+    the off-diagonal moved to the other side.
     """
 
     __slots__ = ("lower",)
+    _EXCESS = (0, 1)  # diag.size - off.size: one row short, or square
 
     def __init__(self, diag, off, lower=False):
         super().__init__(diag, off)
@@ -323,21 +347,25 @@ class Bidiagonal(_Banded):
 
     def __matmul__(self, v):
         v = self._vector(v)
-        out = self.diag * v
-        if self.lower:
-            out[..., 1:] += self.off * v[..., :-1]
-        else:
-            out[..., :-1] += self.off * v[..., 1:]
+        m, k = self.diag.size, self.off.size
+        row, column = (1, 0) if self.lower else (0, 1)  # of the off-diagonal's first entry
+        out = np.zeros(v.shape[:-1] + self.shape[:1], np.result_type(self.diag, v))
+        np.multiply(self.diag, v[..., :m], out=out[..., :m])
+        out[..., row:row + k] += self.off * v[..., column:column + k]
         return out
 
     def to_dense(self) -> np.ndarray:
-        return np.diag(self.diag) + np.diag(self.off, -1 if self.lower else 1)
+        m, k = self.diag.size, self.off.size
+        # the square bidiagonal of k + 1 rows, its last row left out when one row short
+        upper = (np.diag(np.append(self.diag, 0.0)[:k + 1]) + np.diag(self.off, 1))[:m]
+        return upper.T if self.lower else upper
 
 
 class Tridiagonal(_Banded):
     """Symmetric tridiagonal matrix: `off` on both the super- and subdiagonal."""
 
     __slots__ = ()
+    _EXCESS = (1,)
 
     @property
     def T(self) -> "Tridiagonal":
@@ -601,23 +629,25 @@ def _bisect_part(lapack, selections, tol):
 
 
 def golub_kahan(B: Bidiagonal) -> Tridiagonal:
-    """[[0, B], [B.T, 0]] for an upper bidiagonal B, in the order (down_0, up_0, down_1, ...).
+    """[[0, B], [B.T, 0]] for an upper m x n B, in the order (down_0, up_0, down_1, ...).
 
-    The diagonal is zero and the off-diagonal is (d_0, u_0, d_1, u_1, ...,
-    d_{n-1}) for B's bands d and u (Demmel & Kahan, SIAM J. Sci. Stat.
-    Comput. 11, 873 (1990)). A lower bidiagonal is rejected.
+    Down runs over B's n columns and up over its m rows, so the form has
+    size m + n: 2n for a square B, 2n - 1 for the grid's B, one row short,
+    whose order ends on down_{n-1}. The diagonal is zero and the
+    off-diagonal is (d_0, u_0, d_1, u_1, ...) for B's bands d and u, ending
+    on d_{n-1} or u_{n-2} (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11,
+    873 (1990)). A lower bidiagonal is rejected.
     """
     if B.lower:
         raise ValueError("the Golub-Kahan form is taken of an upper bidiagonal")
-    d = B.diag
-    off = np.empty(2 * d.size - 1)
-    off[0::2] = d
+    off = np.empty(B.diag.size + B.off.size)
+    off[0::2] = B.diag
     off[1::2] = B.off
-    return Tridiagonal(np.zeros(2 * d.size), off)
+    return Tridiagonal(np.zeros(off.size + 1), off)
 
 
 def build_annihilator(W: Superpotential, grid: Grid) -> Bidiagonal:
-    """B = (D_fwd + W)/sqrt(2) as its two bands, with an empty last row.
+    """B = (D_fwd + W)/sqrt(2) as its two bands: (n - 1) x n, a row a cell.
 
     Row i couples nodes i and i+1. W sits on node i (kernel ratio
     psi_{i+1}/psi_i = 1 - dx W_i, explicit Euler) unless that factor is not
@@ -644,17 +674,17 @@ def build_annihilator(W: Superpotential, grid: Grid) -> Bidiagonal:
             f"superpotential {W.name!r} changes by more than 2/dx in the cell "
             f"at x = {bad}; refine the grid"
         )
-    diag = np.zeros(grid.n_points)  # the last row stays empty: no wall equation
-    diag[:-1] = np.where(stiff, -inv_dx, w[:-1] - inv_dx) / SQRT2
-    return Bidiagonal(diag, sup)
+    return Bidiagonal(np.where(stiff, -inv_dx, w[:-1] - inv_dx) / SQRT2, sup)
 
 
 @dataclass(frozen=True)
 class SusySystem:
     """Grid, superpotential, B, its adjoint, and the partner Hamiltonians.
 
-    B and B_adj = B.T are Bidiagonal; H_plus = B B_adj and H_minus = B_adj B
-    are Tridiagonal.
+    B is the (n - 1) x n Bidiagonal of the grid's n nodes and B_adj = B.T;
+    H_plus = B B_adj, (n - 1) x (n - 1) and positive definite, and
+    H_minus = B_adj B, n x n with B's kernel as its one zero, are
+    Tridiagonal.
     """
 
     grid: Grid
@@ -668,7 +698,8 @@ class SusySystem:
     def Q1(self) -> Tridiagonal:
         """Q1 = [[0, B], [B_adj, 0]], B's `golub_kahan` form; built on each access.
 
-        sz is -1 on even positions and +1 on odd ones, so Q2 = -i sz Q1.
+        Its size is 2n - 1, and its one zero is B's kernel. sz is -1 on even
+        positions and +1 on odd ones, so Q2 = -i sz Q1.
         """
         return golub_kahan(self.B)
 
@@ -684,12 +715,10 @@ def build_susy_system(W: Superpotential, grid: Grid) -> SusySystem:
     with np.errstate(over="ignore"):  # overflow is rejected just below
         dd = d * d
         uu = u * u
-        plus_diag = dd.copy()
-        plus_diag[:-1] += uu
-        minus_diag = dd.copy()
+        minus_diag = np.append(dd, 0.0)
         minus_diag[1:] += uu
-        H_plus = Tridiagonal(plus_diag, u * d[1:])
-        H_minus = Tridiagonal(minus_diag, d[:-1] * u)
+        H_plus = Tridiagonal(dd + uu, u[:-1] * d[1:])
+        H_minus = Tridiagonal(minus_diag, d * u)
     for H in (H_plus, H_minus):
         if not (np.all(np.isfinite(H.diag)) and np.all(np.isfinite(H.off))):
             raise ValueError(
@@ -764,7 +793,7 @@ def supercharge_products(Q1: Tridiagonal):
     """
     q1 = band_rows(Q1)
     sz = np.zeros_like(q1)  # the three rows of the diagonal sz
-    sz[1] = np.tile([-1.0, 1.0], Q1.diag.size // 2)
+    sz[1] = np.tile([-1.0, 1.0], Q1.diag.size - Q1.diag.size // 2)[:Q1.diag.size]
     R = sz[1] * q1
     yield band_product(q1, q1)
     yield band_product(R, R)

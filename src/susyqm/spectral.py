@@ -4,13 +4,13 @@ Solving and pairing the partner levels, the zero mode, and the intertwining
 map from H+ to H- eigenstates. Every Hamiltonian here is a symmetric
 Tridiagonal, solved on its bands by LAPACK bisection; there is no dense
 eigensolver.
-Level 0 of each solved side is its zero by B's construction: B has n - 1
-rows with a nonzero superdiagonal and an empty last row, so H- = B_adj B has
-exactly one zero (the kernel of B) and H+ = B B_adj exactly one, an exact 0
-on its decoupled wall node, while the nonzero levels of both sides are the
-same squared singular values of B. No threshold classifies levels: pairing
-zips levels 1.. of the two sides, and the zero-mode verdict of the commands
-reads |E0| <= EPS0 = 1e-10 on H-'s level 0.
+B is (n - 1) x n with a nonzero superdiagonal, so H- = B_adj B, on the n
+nodes, has exactly one zero, the kernel of B, as its level 0, and
+H+ = B B_adj, on the n - 1 cells, has none: level i of H+ and level i + 1 of
+H- are the same squared singular value of B. No threshold classifies
+levels: pairing zips the H+ levels with levels 1.. of H-, and the
+zero-mode verdict of the commands reads |E0| <= EPS0 = 1e-10 on H-'s
+level 0.
 
 `solve_plus` bisects H+ blind and raises DegeneracyError for a second zero
 mode. That is all `supercharge` solves: its states need only an H+
@@ -22,7 +22,9 @@ blind only when those fail, and raises DegeneracyError for a level without
 a partner.
 
 `eigenstates` forms the eigenpairs of the levels a caller reads from a
-bisection result as one batch (`EigenPair` over a leading level axis);
+bisection result as one batch (`EigenPair` over a leading level axis),
+every state on the n nodes: an H+ state of n - 1 cells takes a trailing
+zero at the last node, the one place it is put on the nodes;
 `solve_spectrum` is the blind solve of the k lowest levels
 (`Tridiagonal.eigh`) followed by it. The intertwining map and the phase
 alignment act on such a batch as on one state. The zero mode is read off
@@ -91,12 +93,17 @@ def eigenstates(solved: Bisection, grid: Grid, levels=slice(None)) -> EigenPair:
     eigenvectors of those levels alone are formed (`Bisection.vectors`),
     phase-fixed and scaled to unit dx-weighted norm in place: the Fortran
     array the inverse iteration fills is read as one array with a row a
-    level, which the batch then holds as it is. Bisection on the bands
+    level, which the batch then holds as it is. An H+ vector, on the n - 1
+    cells, is put on the n nodes with 0 at the last, by one copy of the
+    batch: `intertwine_down` reads its cells back, and spinors pair it with
+    H- states on the nodes. Bisection on the bands
     resolves the near-kernel eigenvalue at machine scale instead of the
     ~eps*||H|| blur of the generic drivers; the work is O(n) per eigenpair.
     Deterministic: fixed driver, fixed phase fix.
     """
     amps = solved.vectors(levels=levels).T
+    if amps.shape[-1] == grid.n_points - 1:
+        amps = np.append(amps, np.zeros((amps.shape[0], 1)), axis=-1)
     fix_phase(amps, out=amps)
     amps /= np.sqrt(grid.dx)
     amps.flags.writeable = False
@@ -104,33 +111,34 @@ def eigenstates(solved: Bisection, grid: Grid, levels=slice(None)) -> EigenPair:
 
 
 def solve_plus(H_plus: Tridiagonal, levels: int) -> Bisection:
-    """Levels 0..levels of H+, bisected blind, as one bisection result.
+    """Levels 0..levels - 1 of H+, bisected blind, as one bisection result.
 
-    Level 0 is H+'s wall-node zero by B's construction. Its level 1 at or
-    below EPS0, in the zero window (-inf, EPS0] of H-, is a second zero mode,
-    which no partner state can be formed from: it raises DegeneracyError.
-    Levels are ascending, so this is the only level that rule can fire on.
+    H+ = B B_adj is positive definite by B's construction, so each level
+    pairs with a nonzero H- level. Its level 0 at or below EPS0, in the zero
+    window (-inf, EPS0] of H-, is a second zero mode, which no partner state
+    can be formed from: it raises DegeneracyError. Levels are ascending, so
+    this is the only level that rule can fire on.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    plus = H_plus.eigh(0, levels)
-    e1 = float(plus.values[1])
-    if e1 <= EPS0:
-        raise DegeneracyError(f"level {e1!r} of H+ is below {EPS0}: a second zero mode", level=e1)
+    plus = H_plus.eigh(0, levels - 1)
+    e0 = float(plus.values[0])
+    if e0 <= EPS0:
+        raise DegeneracyError(f"level {e0!r} of H+ is below {EPS0}: a second zero mode", level=e0)
     return plus
 
 
 def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int):
-    """Levels 0..levels of both partners, paired, as two bisection results (plus, minus).
+    """Levels 0..levels - 1 of H+ and 0..levels of H-, paired, as two bisection results.
 
     The one owner of the pairing decision and its tolerance PAIR_TOL. H+ is
     solved by `solve_plus`, so a second zero mode raises before H- is
-    touched. Level 0 of each side is its zero by B's construction; level
-    i >= 1 of H+ pairs with level i of H-. H- is bisected only where its
+    touched. Level 0 of H- is its zero by B's construction; level i of H+
+    pairs with level i + 1 of H-. H- is bisected only where its
     levels must lie (`Tridiagonal.eigh_windows`), about a third of the Sturm
     sweeps: one zero-mode window (-inf, EPS0], which LAPACK starts at its
     own Gershgorin lower bound of H-, and one window (e - PAIR_TOL,
-    e + PAIR_TOL] per H+ level e of 1.., each clipped to start where the
+    e + PAIR_TOL] per H+ level e, each clipped to start where the
     previous one ends. The windows' result stands only if every window holds
     exactly one level and a loose count of the H- levels up to the top
     window's end equals the number found, so no H- level lies between
@@ -141,7 +149,7 @@ def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int):
     formed: the caller asks `eigenstates` for the sides it reads.
     """
     plus = solve_plus(H_plus, levels)
-    e_plus = plus.values[1:].tolist()
+    e_plus = plus.values.tolist()
     windows = [(-np.inf, EPS0)]
     for e in e_plus:
         windows.append((max(e - PAIR_TOL, windows[-1][1]), e + PAIR_TOL))
@@ -170,7 +178,7 @@ def zero_mode(sys: SusySystem) -> Wavefunction:
 
     Row i of B psi = 0 is diag_i psi_i + off_i psi_{i+1} = 0, so
     psi_{i+1} = -(diag_i / off_i) psi_i solves every row exactly; off_i > 0
-    on every cell by construction, and B has no wall row, so this is the
+    on every cell by construction, and B has a row a cell, so this is the
     exact kernel of B on any box whatever its stencil. W is read only at the
     two endpoints, by the sign-condition guard.
 
@@ -192,7 +200,7 @@ def zero_mode(sys: SusySystem) -> Wavefunction:
             "(W < 0 at x_min, W > 0 at x_max); no normalizable zero mode"
         )
     B = sys.B
-    ratios = -B.diag[:-1] / B.off
+    ratios = -B.diag / B.off
     with np.errstate(divide="ignore"):  # a zero ratio zeroes the rest, whatever its block
         octaves = np.abs(np.log2(np.abs(ratios)))
     worst = np.max(octaves, where=np.isfinite(octaves), initial=0.0)
@@ -220,7 +228,9 @@ def intertwine_down(sys: SusySystem, pair_plus: EigenPair) -> Wavefunction:
     Returned as the literal map, neither re-normalized nor re-phased: for a
     true eigenstate the norm lands within ~1e-8 of one, and downstream
     supercharge eigenstates need exactly this relative phase. A batch of
-    eigenpairs maps to the batch of its states, each as it maps alone.
+    eigenpairs maps to the batch of its states, each as it maps alone. The
+    H+ states are on the n nodes as `eigenstates` puts them, 0 at the last;
+    one that is not raises ValueError.
     """
     energy = np.asarray(pair_plus.energy, dtype=float)
     low = energy[energy <= EPS0]
@@ -229,7 +239,10 @@ def intertwine_down(sys: SusySystem, pair_plus: EigenPair) -> Wavefunction:
             f"energy {float(low.min())!r} is at or below the zero-mode threshold "
             f"{EPS0}; the zero mode has no partner state"
         )
-    amps = (sys.B_adj @ pair_plus.state.amplitudes) / np.sqrt(energy)[..., None]
+    amps = pair_plus.state.amplitudes
+    if np.any(amps[..., -1] != 0.0):  # B_adj reads the n - 1 cells of an H+ state
+        raise ValueError("an H+ state must be 0 at the last node, as `eigenstates` puts it")
+    amps = (sys.B_adj @ amps[..., :-1]) / np.sqrt(energy)[..., None]
     return Wavefunction(sys.grid, amps)
 
 

@@ -46,14 +46,13 @@ def systems(grid2001):
 
 @pytest.fixture(scope="session")
 def spectra(systems, grid2001):
-    """(plus, minus) eigenpair lists, k = N_LEVELS + 1 per side.
+    """(plus, minus) eigenpair lists: N_LEVELS on the plus side, N_LEVELS + 1 on the minus side.
 
-    The extra slot holds the zero mode (minus side) or the exact zero of the
-    decoupled wall node (plus side).
+    The extra slot of the minus side holds the zero mode; H+ has no zero.
     """
     out = {}
     for name, system in systems.items():
-        plus = sq.solve_spectrum(system.H_plus, N_LEVELS + 1, grid2001)
+        plus = sq.solve_spectrum(system.H_plus, N_LEVELS, grid2001)
         minus = sq.solve_spectrum(system.H_minus, N_LEVELS + 1, grid2001)
         out[name] = (plus, minus)
     return out
@@ -147,7 +146,7 @@ def entangle_sweep_oracle():
     """
     def rows(W, grid, level=1, c1_points=21, phase_points=8):
         _, plus, minus = cli._solve_both_sides(W, grid, level)
-        pp = sq.eigenstates(plus, grid)[level]
+        pp = sq.eigenstates(plus, grid)[level - 1]
         mm = sq.eigenstates(minus, grid)[level]
         overlap = sq.inner_product(pp.state, mm.state)
         out = []
@@ -204,12 +203,16 @@ def normalize(norm):
 
 @pytest.fixture(scope="session")
 def intertwine_up():
-    """B psi- / sqrt(E): the H+ partner of an H- eigenpair, mirror of intertwine_down."""
+    """B psi- / sqrt(E): the H+ partner of an H- eigenpair, mirror of intertwine_down.
+
+    Its n - 1 cells are put on the n nodes with 0 at the last, as
+    `eigenstates` puts an H+ state.
+    """
     def up(system, pair_minus):
         if pair_minus.energy <= sq.EPS0:
             raise ValueError(f"energy {pair_minus.energy!r} is at or below {sq.EPS0}")
         amps = (system.B @ pair_minus.state.amplitudes) / np.sqrt(pair_minus.energy)
-        return sq.Wavefunction(system.grid, amps)
+        return sq.Wavefunction(system.grid, np.append(amps, 0.0))
     return up
 
 
@@ -272,7 +275,7 @@ def zero_mode_sequential():
         B = system.B
         c, ex = 1.0, 0
         mants, exps = [c], [ex]
-        for r in (-B.diag[:-1] / B.off).tolist():
+        for r in (-B.diag / B.off).tolist():
             c, e = math.frexp(c * r)
             ex += e
             mants.append(c)
@@ -390,29 +393,32 @@ def unfused_product():
 
 @pytest.fixture(scope="session")
 def build_susy_hamiltonian():
-    """Dense 2n x 2n block-diagonal diag(H+, H-), spin-up block first."""
+    """Dense (2n - 1)-square block-diagonal diag(H+, H-), the n - 1 spin-up rows first."""
     def build(system):
-        n = system.grid.n_points
-        H = np.zeros((2 * n, 2 * n))
-        H[:n, :n] = system.H_plus.to_dense()
-        H[n:, n:] = system.H_minus.to_dense()
+        m, n = system.B.shape
+        H = np.zeros((m + n, m + n))
+        H[:m, :m] = system.H_plus.to_dense()
+        H[m:, m:] = system.H_minus.to_dense()
         return H
     return build
 
 
 @pytest.fixture(scope="session")
 def build_supercharges():
-    """Dense Q1 = [[0, B], [B+, 0]] and Q2 = [[0, -iB], [iB+, 0]], both Hermitian."""
+    """Dense Q1 = [[0, B], [B+, 0]] and Q2 = [[0, -iB], [iB+, 0]], both Hermitian.
+
+    (2n - 1)-square: the n - 1 spin-up rows of B first, then the n nodes.
+    """
     def build(system):
-        n = system.grid.n_points
+        m, n = system.B.shape
         B = system.B.to_dense()
         B_adj = system.B_adj.to_dense()
-        Q1 = np.zeros((2 * n, 2 * n))
-        Q1[:n, n:] = B
-        Q1[n:, :n] = B_adj
-        Q2 = np.zeros((2 * n, 2 * n), dtype=complex)
-        Q2[:n, n:] = -1j * B
-        Q2[n:, :n] = 1j * B_adj
+        Q1 = np.zeros((m + n, m + n))
+        Q1[:m, m:] = B
+        Q1[m:, :m] = B_adj
+        Q2 = np.zeros((m + n, m + n), dtype=complex)
+        Q2[:m, m:] = -1j * B
+        Q2[m:, :m] = 1j * B_adj
         return Q1, Q2
     return build
 
@@ -423,10 +429,14 @@ def blockwise_supercharge():
 
     Q1 maps (phi_up, phi_down) to (B phi_down, B+ phi_up) and Q2 to
     (-i B phi_down, +i B+ phi_up): the two-term stencils of B and B+ with
-    no interleaving, copied into a fresh `SpinorState`.
+    no interleaving, copied into a fresh `SpinorState`. phi_up lives on the
+    n - 1 cells and sits on the n nodes with 0 at the last, as the package
+    puts an H+ state: B+ reads its cells, and B phi_down is put on the nodes
+    the same way.
     """
     def apply(system, state, which):
-        up, down = system.B @ state.down, system.B_adj @ state.up
+        up, down = system.B @ state.down, system.B_adj @ state.up[..., :-1]
+        up = np.concatenate((up, np.zeros(up.shape[:-1] + (1,), up.dtype)), axis=-1)
         if which == "q2":
             up, down = -1j * up, 1j * down
         return sq.SpinorState(up, down, state.weight)
@@ -435,12 +445,16 @@ def blockwise_supercharge():
 
 @pytest.fixture(scope="session")
 def blockwise_residual(blockwise_supercharge):
-    """|| Q state - q state || with Q applied by `apply` (the blockwise action)."""
+    """|| Q state - q state || with Q applied by `apply` (the blockwise action).
+
+    The up half is read on its n - 1 cells. Each half's squared moduli,
+    re^2 + im^2, are summed by numpy's pairwise sum, with no BLAS call.
+    """
     def residual(system, state, eigenvalue, which, apply=blockwise_supercharge):
         mapped = apply(system, state, which)
-        r_up = mapped.up - eigenvalue * state.up
+        r_up = (mapped.up - eigenvalue * state.up)[:-1]
         r_dn = mapped.down - eigenvalue * state.down
-        val = np.real(np.vdot(r_up, r_up)) + np.real(np.vdot(r_dn, r_dn))
+        val = sum(np.sum(r.real ** 2 + r.imag ** 2) for r in (r_up, r_dn))
         return float(np.sqrt(val * state.weight))
     return residual
 
@@ -450,21 +464,24 @@ def residual_per_state():
     """|| Q state - q state || of one supercharge eigenstate, or of a batch of them, alone.
 
     The per-state arithmetic of the package before it applied B and B+ once
-    per level pair: B to the state's down half and B+ to its up half, the
-    Q2 phases -i and +i on the products, and each residual vector reduced
-    with np.vecdot, real for Q1 and complex for Q2. `eigenvalue` is an
-    array over a batch's leading axes; one state gives a Python float.
+    per level pair: B to the state's down half and B+ to its up half, read
+    on its n - 1 cells, the Q2 phases -i and +i on the products, and the
+    squared moduli re^2 + im^2 of each residual vector summed over its last
+    axis by numpy's pairwise sum, real for Q1 and complex for Q2.
+    `eigenvalue` is an array over a batch's leading axes; one state gives a
+    Python float.
     """
     def residual(system, state, eigenvalue, which):
         eigenvalue = np.asarray(eigenvalue)[..., None]
         val = 0.0  # the up half's squared norm, then the down half's added
-        for op, source, target, phase in ((system.B, state.down, state.up, -1j),
-                                          (system.B_adj, state.up, state.down, 1j)):
+        up = state.up[..., :-1]
+        for op, source, target, phase in ((system.B, state.down, up, -1j),
+                                          (system.B_adj, up, state.down, 1j)):
             q = op @ source
             if which == "q2":
                 q = phase * q
             r = q - eigenvalue * target
-            val = val + np.vecdot(r, r).real
+            val = val + np.sum(r.real ** 2 + r.imag ** 2, axis=-1)
         val = np.sqrt(val * state.weight)
         return val.item() if val.ndim == 0 else val
     return residual
@@ -472,10 +489,10 @@ def residual_per_state():
 
 @pytest.fixture(scope="session")
 def witten_parity():
-    """Dense diag(I_n, -I_n); anticommutes with both supercharges."""
+    """Dense diag(I_{n-1}, -I_n) of n nodes; anticommutes with both supercharges."""
     def build(n):
-        P = np.eye(2 * n)
-        P[n:, n:] *= -1.0
+        P = np.eye(2 * n - 1)
+        P[n - 1:, n - 1:] *= -1.0
         return P
     return build
 

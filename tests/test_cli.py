@@ -402,7 +402,7 @@ class TestSuperchargeCommand:
         pairs = sq.eigenstates(plus, grid)
         expected = []
         for i in range(1, levels + 1):
-            pp = pairs[i]
+            pp = pairs[i - 1]  # report index i is H+ level i - 1
             mapped = sq.intertwine_down(system, pp)
             assert mapped.amplitudes.shape == (n_points,)
             for family, sign, q, st in sq.supercharge_eigenstates(
@@ -581,7 +581,8 @@ class TestVerifyCommand:
     def test_intertwining_values_equal_the_per_level_calls(self, tmp_path, name,
                                                            residual_per_state):
         # 20 levels at 1001 points: blocks of 6, 6, 6 and 2; each check is the
-        # largest of its per-level values, each from the 1-D calls alone
+        # largest of its per-level values, each from the 1-D calls alone, its
+        # norms by numpy's pairwise sum of squares
         levels, grid = 20, sq.make_grid(-10.0, 10.0, 1001)
         payload = {"command": "verify", "superpotential": {"name": name},
                    "grid": cli._grid_payload(grid), "levels": levels}
@@ -593,13 +594,13 @@ class TestVerifyCommand:
         plus, minus = sq.eigenstates(plus, grid), sq.eigenstates(minus, grid)
         maps, energies, residuals = [0.0], [0.0], [0.0]
         for i in range(1, levels + 1):
-            pp, mm = plus[i], minus[i]
+            pp, mm = plus[i - 1], minus[i]
             mapped = sq.intertwine_down(system, pp)
-            aligned = sq.align_phase(mapped, mm.state)
-            maps.append(math.sqrt(grid.dx) * float(
-                np.linalg.norm(aligned.amplitudes - mm.state.amplitudes)))
-            energies.append(abs(grid.dx * float(
-                np.linalg.norm(system.B @ mm.state.amplitudes) ** 2) - mm.energy))
+            gap = sq.align_phase(mapped, mm.state).amplitudes - mm.state.amplitudes
+            image = system.B @ mm.state.amplitudes
+            maps.append(math.sqrt(grid.dx) * float(np.sqrt(np.sum(gap * gap))))
+            energies.append(abs(grid.dx * float(np.sqrt(np.sum(image * image))) ** 2
+                                - mm.energy))
             residuals += [residual_per_state(system, st, q, family) for family, _, q, st
                           in sq.supercharge_eigenstates(system, pp.energy, pp.state, mapped)]
         assert checks["intertwine_map_residual"] == max(maps)
@@ -636,10 +637,10 @@ class TestVerifyCommand:
                           "q2_squared_vs_hamiltonian": shift}
 
     @pytest.mark.parametrize("mutant", (
-        lambda system, s: sq.SpinorState(1j * (system.B @ s.down),
-                                         -1j * (system.B_adj @ s.up), s.weight),
-        lambda system, s: sq.SpinorState(-1j * (system.B @ s.down),
-                                         -1j * (system.B_adj @ s.up), s.weight),
+        lambda system, s: sq.SpinorState(np.append(1j * (system.B @ s.down), 0.0),
+                                         -1j * (system.B_adj @ s.up[:-1]), s.weight),
+        lambda system, s: sq.SpinorState(np.append(-1j * (system.B @ s.down), 0.0),
+                                         -1j * (system.B_adj @ s.up[:-1]), s.weight),
     ), ids=("sign_flipped", "minus_i_on_both_blocks"))
     def test_mutated_q2_fails_the_eigenstate_residual(self, tmp_path, monkeypatch, mutant,
                                                       blockwise_supercharge, blockwise_residual):
@@ -742,8 +743,9 @@ class TestPairingWindows:
 
     def blind_verdict(self, system, levels):
         """The verdict on the first pair of the blind lists apart by more than PAIR_TOL."""
-        plus, minus = (H.eigh(0, levels).values.tolist() for H in (system.H_plus, system.H_minus))
-        ep, em = next((p, m) for p, m in zip(plus[1:], minus[1:]) if abs(p - m) > cli.PAIR_TOL)
+        plus = system.H_plus.eigh(0, levels - 1).values.tolist()
+        minus = system.H_minus.eigh(0, levels).values.tolist()
+        ep, em = next((p, m) for p, m in zip(plus, minus[1:]) if abs(p - m) > cli.PAIR_TOL)
         return (f"level {ep!r} of H+ has no partner within tol = {cli.PAIR_TOL} "
                 f"(nearest H- level {em!r}, gap {abs(ep - em):.3e})")
 
@@ -788,7 +790,7 @@ class TestPairingWindows:
             # spectrum and verify also bisect H-'s top level for its norm
             n = self.GRID.n_points
             norm = [(system.H_minus, n - 1, n - 1)] if command in ("spectrum", "verify") else []
-            assert calls == [(system.H_plus, 0, 6), *norm], command
+            assert calls == [(system.H_plus, 0, 5), *norm], command
             # inverse iteration runs once on each side whose eigenstates are read
             sides = {"plus": plus, "minus": minus}
             assert stein == [(sides[side],) for side in states], command
@@ -821,15 +823,16 @@ class TestPairingWindows:
 
     @pytest.mark.parametrize("name", W_NAMES)
     def test_commands_form_only_the_levels_they_read(self, tmp_path, monkeypatch, name):
-        # supercharge and verify read levels 1.. of each side they solve,
-        # entangle its one level a side: none asks for a level-0 vector (H+'s
-        # wall node, H-'s kernel). At 1001 points level 1 of every bundled W
-        # lies above the gap threshold from level 0, so no gap group takes
-        # level 0 along either: stein forms exactly the levels read
+        # supercharge and verify read every H+ level and levels 1.. of H-,
+        # entangle its one level a side (H+ level 5 and H- level 6 for report
+        # level 6): none asks for H-'s kernel vector. At 1001 points level 1
+        # of H- lies above the gap threshold from level 0 for every bundled
+        # W, so no gap group takes level 0 along: stein forms exactly the
+        # levels read
         vectors, stein = sq.Bisection.vectors, operators._Lapack.stein
-        for command, asked in (("supercharge", [slice(1, None)]),
-                               ("verify", [slice(1, None)] * 2),
-                               ("entangle", [slice(6, 7)] * 2)):
+        for command, asked in (("supercharge", [slice(None)]),
+                               ("verify", [slice(None), slice(1, None)]),
+                               ("entangle", [slice(5, 6), slice(6, 7)])):
             levels, formed = [], []
 
             def spy(solved, levels=slice(None), _levels=levels):
@@ -881,7 +884,7 @@ class TestPairingWindows:
         with pytest.raises(sq.DegeneracyError) as exc:
             cli._solve_both_sides(W, self.GRID, 6)
         system = cli.build_susy_system(W, self.GRID)
-        assert [(lo, hi) for H, lo, hi in calls] == [(0, 6), (0, 6)]  # H+, then H- blind
+        assert [(lo, hi) for H, lo, hi in calls] == [(0, 5), (0, 6)]  # H+, then H- blind
         assert str(exc.value) == self.blind_verdict(system, 6)
         assert "of H+ has no partner within tol = 1e-10 (nearest H- level" in str(exc.value)
 
@@ -889,18 +892,18 @@ class TestPairingWindows:
         # one decoupled H- level halfway between the 3rd and 4th H+ levels:
         # every window still holds exactly one level, only the count sees it
         W = sq.get_superpotential("harmonic")
-        plus = cli.build_susy_system(W, self.GRID).H_plus.eigh(0, 6).values
-        stray = float(plus[3] + plus[4]) / 2.0
+        plus = cli.build_susy_system(W, self.GRID).H_plus.eigh(0, 5).values
+        stray = float(plus[2] + plus[3]) / 2.0
         mutate_minus(monkeypatch, lambda H: sq.Tridiagonal(np.append(H.diag, stray),
                                                             np.append(H.off, 0.0)))
         system = cli.build_susy_system(W, self.GRID)
         found = system.H_minus.eigh_windows(
-            [(-np.inf, cli.EPS0)] + [(e - cli.PAIR_TOL, e + cli.PAIR_TOL) for e in plus[1:]])
+            [(-np.inf, cli.EPS0)] + [(e - cli.PAIR_TOL, e + cli.PAIR_TOL) for e in plus])
         assert found.counts == (1,) * 7
         with pytest.raises(sq.DegeneracyError) as exc:
             cli._solve_both_sides(W, self.GRID, 6)
         assert str(exc.value) == self.blind_verdict(system, 6)
-        assert f"level {float(plus[4])!r} of H+ has no partner" in str(exc.value)
+        assert f"level {float(plus[3])!r} of H+ has no partner" in str(exc.value)
         assert f"nearest H- level {stray!r}" in str(exc.value)
 
 
@@ -925,7 +928,7 @@ class TestBorderlineVerdicts:
         assert len(err.splitlines()) == 1
 
     def test_flat_superpotential_on_wide_box_has_many_zero_modes(self, tmp_path, capsys):
-        # level 1 of H+ lies below EPS0: the pairing stops at a second zero mode
+        # level 0 of H+ lies below EPS0: the pairing stops at a second zero mode
         rc, err = self.run(tmp_path, capsys, harmonic_config(
             "spectrum", 201, scale=2.0 ** -40, half_width=10.0 * 2 ** 20))
         assert rc == 1
@@ -971,12 +974,13 @@ class TestBorderlineVerdicts:
         assert err.endswith(" exceeds 1e-10 (and 1 more)\n")
 
     def test_one_ulp_gap_fails_only_the_pairing_commands(self, tmp_path, capsys):
-        # a steep W on a narrow box: near 4.19e6 an ulp is 4.657e-10, above
-        # PAIR_TOL, so H+ level 6 and its H- partner, one ulp apart, fail the
-        # pairing of spectrum and verify; supercharge reads no H- level
+        # a steep W on a narrow box: from 2^21 = 2.1e6 on an ulp is
+        # 4.657e-10, above PAIR_TOL, so H+ level 1 (report level 2) and its
+        # H- partner, one ulp apart, fail the pairing of spectrum and verify;
+        # supercharge reads no H- level
         box = {"scale": 2.0 ** 20, "half_width": 10.0 * 2 ** -10}
-        line = ("physics violation: level 4193884.5263342857 of H+ has no partner within "
-                "tol = 1e-10 (nearest H- level 4193884.526334286, gap 4.657e-10)\n")
+        line = ("physics violation: level 2097047.136500835 of H+ has no partner within "
+                "tol = 1e-10 (nearest H- level 2097047.1365008354, gap 4.657e-10)\n")
         for command in ("spectrum", "verify"):
             assert self.run(tmp_path, capsys, harmonic_config(command, 2001, **box)) == (1, line)
         assert self.run(tmp_path, capsys, {**harmonic_config("supercharge", 2001, **box),
@@ -1012,8 +1016,9 @@ HALF_WIDTHS = st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
 def grid_configs(draw, commands=GRID_COMMANDS, points=(3, 401), split=False):
     """A config of a grid command: any W, an asymmetric box, 3..401 points.
 
-    With `split`, (levels + 1) x points reaches operators._SPLIT_WORK, so
-    the H+ solve is bisected as two halves.
+    With `split`, levels x (points - 1) reaches operators._SPLIT_WORK, so
+    the H+ solve, its levels 0..levels - 1 on the n - 1 cells, is bisected
+    as two halves; the levels stay within twice the least that splits.
     """
     command = draw(st.sampled_from(commands))
     name = draw(st.sampled_from(W_NAMES))
@@ -1023,8 +1028,9 @@ def grid_configs(draw, commands=GRID_COMMANDS, points=(3, 401), split=False):
     elif name == "shifted_cubic":
         w["params"] = {"a": draw(st.floats(-1e300, 1e300))}
     n_points = draw(st.integers(*points))
-    least = -(-operators._SPLIT_WORK // n_points) - 1 if split else 1
-    levels = draw(st.integers(least, max(1, n_points // 10 - 1)))
+    least = -(-operators._SPLIT_WORK // (n_points - 1)) if split else 1
+    most = min(2 * least, n_points // 10 - 1) if split else n_points // 10 - 1
+    levels = draw(st.integers(least, max(1, most)))
     return {"command": command, "superpotential": w,
             "grid": {"x_min": -draw(HALF_WIDTHS), "x_max": draw(HALF_WIDTHS),
                      "n_points": n_points},
@@ -1063,11 +1069,12 @@ def test_nan_eigenvector_is_redone_not_a_traceback(tmp_path):
 
 
 def test_unpaired_supercharge_state_ends_on_its_norm(tmp_path):
-    # bands near 1e260: H+ level 1 bisects to 338, which pairs with no H-
-    # level, and B_adj psi+ / sqrt(E) is far from unit norm. supercharge
-    # reads no H- level, so the norm check ends the run, before a residual
-    # of the state could overflow into a warning
-    payload = harmonic_config("supercharge", 53, scale=-2.0 ** 432, half_width=1.0, levels=2)
+    # bands near 1e260: H+ levels 0 and 1 bisect to 338, which pairs with no
+    # H- level, and level 2 to 9.1e256; B_adj psi+ / sqrt(E) of a level read
+    # is far from unit norm. supercharge reads no H- level, so the norm
+    # check ends the run, before a residual of the state could overflow
+    # into a warning
+    payload = harmonic_config("supercharge", 53, scale=-2.0 ** 432, half_width=1.0, levels=3)
     rc, err = assert_one_line_ending(tmp_path, payload)
     assert rc == 1
     assert err.startswith("physics violation: spinor state is not normalized: ")
@@ -1085,10 +1092,11 @@ def test_grid_commands_end_in_an_exit_code_and_one_line(tmp_path, payload):
 @settings(max_examples=4, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_split_solves_end_in_an_exit_code_and_one_line(tmp_path, command, data):
-    # the property above stops at 401 points, where no solve is split
-    payload = data.draw(grid_configs((command,), (700, 1201), split=True))
+    # the property above stops at 401 points, where no solve is split; this
+    # one draws 700 to 8001 points, the H+ solve split on its n - 1 rows
+    payload = data.draw(grid_configs((command,), (700, 8001), split=True))
     levels = payload.get("levels", payload.get("level"))
-    assert (levels + 1) * payload["grid"]["n_points"] >= operators._SPLIT_WORK
+    assert levels * (payload["grid"]["n_points"] - 1) >= operators._SPLIT_WORK
     assert_one_line_ending(tmp_path, payload)
 
 

@@ -320,8 +320,8 @@ class TestSuperchargeEigenstates:
         root = np.sqrt(pp.energy)
         q1_rows = [(sign, st_) for family, sign, _, st_ in rows if family == "q1"]
         assert [sign for sign, _ in q1_rows] == [+1, -1]
-        for sign, st_ in q1_rows:
-            vec = np.concatenate([st_.up, st_.down])
+        for sign, st_ in q1_rows:  # the up half on its n - 1 cells, as Q1 holds it
+            vec = np.concatenate([st_.up[:-1], st_.down])
             resid = np.sqrt(system.grid.dx) * np.linalg.norm(
                 q1 @ vec - sign * root * vec)
             assert resid <= 1e-8
@@ -352,14 +352,17 @@ class TestSuperchargeEigenstates:
 
     def test_nilpotent_halves_annihilate_their_sectors(self, harmonic_level_one):
         # Q+ = (Q1 + i Q2)/2 kills spin-up states, Q- kills spin-down states;
-        # in the order (down_0, up_0, ...) of SusySystem.Q1, Q2 = -i sz Q1
+        # in the order (down_0, up_0, ..., down_{n-1}) of SusySystem.Q1,
+        # Q2 = -i sz Q1. An up half sits on the n - 1 cells: psi on the
+        # nodes ends in 0 there (an H+ state), and its last node is dropped
         system, pp, _ = harmonic_level_one
         n = system.grid.n_points
-        sz = np.tile([-1.0, 1.0], n)
+        sz = np.resize([-1.0, 1.0], 2 * n - 1)
         psi = pp.state.amplitudes
+        assert psi[-1] == 0.0
 
         def halves(up, down):
-            a = system.Q1 @ np.stack([down, up], axis=-1).ravel()
+            a = system.Q1 @ np.stack([down, up], axis=-1).ravel()[:-1]
             b = -1j * (sz * a)
             return (a + 1j * b) / 2, (a - 1j * b) / 2
 
@@ -399,7 +402,7 @@ class TestSuperchargeEigenstates:
         grid = sq.make_grid(-10.0, 10.0, n_points)
         system = sq.build_susy_system(sq.get_superpotential(name), grid)
         levels = n_points // 10 - 1
-        pairs = sq.eigenstates(system.H_plus.eigh(0, levels), grid)[1:]
+        pairs = sq.eigenstates(system.H_plus.eigh(0, levels - 1), grid)
         for step in (levels, 6):
             for lo in range(0, levels, step):
                 pp = pairs[lo:lo + step]
@@ -419,7 +422,7 @@ class TestSuperchargeEigenstates:
         # of its own state, bit for bit, for one level and a block of them
         grid = sq.make_grid(-10.0, 10.0, 201)
         system = sq.build_susy_system(sq.get_superpotential(name), grid)
-        pairs = sq.eigenstates(system.H_plus.eigh(0, 8), grid)[1:]
+        pairs = sq.eigenstates(system.H_plus.eigh(0, 7), grid)
         for pp in (pairs, pairs[3]):
             mapped = sq.intertwine_down(system, pp)
             got = sq.supercharge_concurrences(system, pp.energy, pp.state, mapped)

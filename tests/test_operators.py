@@ -140,6 +140,41 @@ class TestBandedTypes:
             assert M.shape == (self.N, self.N)
             assert M.nbytes == (2 * self.N - 1) * 8
 
+    @pytest.mark.parametrize("dtype", (float, complex))
+    def test_one_row_short_bidiagonal(self, dtype):
+        # N - 1 entries in both bands: an (N - 1) x N upper bidiagonal, as
+        # the grid's B, and its N x (N - 1) transpose, each applied along
+        # the last axis as its dense form, a stack row by row bit for bit
+        rng = np.random.default_rng(7)
+        B = sq.Bidiagonal(rng.normal(size=self.N - 1), rng.normal(size=self.N - 1))
+        assert B.shape == (self.N - 1, self.N) and B.T.shape == (self.N, self.N - 1)
+        assert B.nbytes == (2 * self.N - 2) * 8
+        dense = B.to_dense()
+        assert np.array_equal(dense, np.triu(dense)) and np.array_equal(B.T.to_dense(), dense.T)
+        expected = np.zeros((self.N - 1, self.N))
+        expected[:, :-1] += np.diag(B.diag)
+        expected[:, 1:] += np.diag(B.off)
+        assert np.array_equal(dense, expected)
+        for op in (B, B.T):
+            V = rng.normal(size=(2, 3, op.shape[1])).astype(dtype)
+            if dtype is complex:
+                V += 1j * rng.normal(size=V.shape)
+            out = op @ V
+            assert out.shape == (2, 3, op.shape[0]) and out.dtype == V.dtype
+            floor = 4 * np.finfo(float).eps * (np.abs(op.to_dense()) @ np.abs(V[0, 0]))
+            assert np.all(np.abs(out[0, 0] - op.to_dense() @ V[0, 0]) <= floor)
+            for got, v in zip(out.reshape(-1, op.shape[0]), V.reshape(-1, op.shape[1])):
+                assert got.tobytes() == (op @ v).tobytes()
+            with pytest.raises(ValueError, match="cannot apply"):
+                op @ np.zeros(op.shape[1] + 1)
+
+    def test_bands_must_form_the_matrix(self):
+        d = np.ones(self.N)
+        for make, diag, off in ((sq.Tridiagonal, d[:-1], d[:-1]), (sq.Bidiagonal, d[:-2], d[:-1]),
+                                (sq.Bidiagonal, d, d[:-2]), (sq.Tridiagonal, d, d)):
+            with pytest.raises(ValueError, match="do not form"):
+                make(diag, off)
+
     def test_read_only(self, operators):
         for M in operators:
             with pytest.raises(ValueError):
@@ -433,28 +468,26 @@ class TestEigenvectorGroups:
         assert solved.vectors(slice(1, None)).tobytes(order="F") == every[:, 1:].tobytes(order="F")
         assert solved.vectors(slice(5, 9)).tobytes(order="F") == every[:, 5:9].tobytes(order="F")
 
-    def test_wall_node_is_formed_after_the_levels_above_it(self, monkeypatch):
-        # harmonic H+ at 32001 points: ||T|| is about 5e6, so the gap
-        # threshold is 1.14, and levels 1..6 (block 1, about one apart) share
-        # a gap group with the wall node's exact zero (block 2, level 0).
-        # stein takes the group by block, the wall's one-row block last, and
-        # a one-row block draws no random start, so levels 1..6 are scipy's
-        # wrapper on those six values alone, bit for bit
+    def test_low_levels_of_one_block_are_one_call(self, monkeypatch):
+        # harmonic H+ at 32001 points, 32000 rows with no wall node: ||T|| is
+        # about 5e6, so the gap threshold is 1.14, and levels 0..5 (one
+        # block, about one apart) share one gap group, formed in one stein
+        # call, equal to scipy's wrapper on those six values, bit for bit
         system = sq.build_susy_system(sq.get_superpotential("harmonic"),
                                       sq.make_grid(-10.0, 10.0, 32001))
-        solved = system.H_plus.eigh(0, 6)
+        solved = system.H_plus.eigh(0, 5)
         w, blocks, isplit = solved._found
         gap = operators._GROUP_GAP * (np.max(np.abs(solved._d)) + 2.0 * np.max(np.abs(solved._e)))
-        assert blocks.tolist() == [2, 1, 1, 1, 1, 1, 1] and w[0] == 0.0
+        assert blocks.tolist() == [1] * 6 and w[0] > 0.5
         assert np.all(np.diff(w) < gap)
         formed = []
         recorded_stein(monkeypatch, lambda lapack, w, groups: formed.extend(
             w[a:b].tolist() for a, b in groups))
-        v = solved.vectors(slice(1, 7))
-        assert formed == [solved.values[1:7].tolist() + [0.0]]
-        iblock = np.zeros(32001, dtype=np.int32)
+        v = solved.vectors()
+        assert formed == [solved.values.tolist()]
+        iblock = np.zeros(32000, dtype=np.int32)
         iblock[:6] = 1
-        want, info = operators._FLAPACK.dstein(solved._d, solved._e, solved.values[1:7],
+        want, info = operators._FLAPACK.dstein(solved._d, solved._e, solved.values,
                                                iblock, isplit)
         assert info == 0
         assert v.tobytes(order="F") == want.tobytes(order="F")
@@ -491,6 +524,29 @@ class TestLapackLoader:
             address = get_pointer(wrapper._cpointer, None)
             assert address is not None
             assert ctypes.cast(routine, ctypes.c_void_p).value == address
+
+    def test_vectors_are_the_same_bits_on_any_blas_thread_count(self):
+        # at 32001 points dstein's dot products over a vector split across
+        # OpenBLAS's threads, which sum in another order; stein runs its BLAS
+        # on one thread of its own, so the vectors are the bits of one thread
+        # whatever the process-wide count. A scipy OpenBLAS whose per-thread
+        # setter was not found would leave the count to the process: refused
+        lib = ctypes.CDLL(operators._FLAPACK.__file__)
+        names = ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads")
+        if not all(hasattr(lib, name) for name in names):
+            pytest.skip("the LAPACK library's BLAS is not scipy's OpenBLAS")
+        assert operators._BLAS_THREADS is not int
+        set_threads, get_threads = (getattr(lib, name) for name in names)
+        H = sq.build_susy_system(sq.get_superpotential("harmonic"),
+                                 sq.make_grid(-10.0, 10.0, 32001)).H_minus
+        before, bits = get_threads(), []
+        try:
+            for threads in (1, 2):
+                set_threads(threads)
+                bits.append(H.eigh(0, 6).vectors().tobytes(order="F"))
+        finally:
+            set_threads(before)
+        assert bits[0] == bits[1]
 
     def test_missing_extension_names_directory_and_version(self, tmp_path):
         (tmp_path / "linalg").mkdir()
@@ -733,8 +789,8 @@ class TestBuildAnnihilator:
         g = sq.make_grid(0, 1, 5)
         B = sq.build_annihilator(free_superpotential, g)
         expected = (np.diag(np.full(5, -1 / g.dx)) + np.diag(np.full(4, 1 / g.dx), 1))
-        expected[-1] = 0.0  # no wall equation: the last row is empty
-        assert np.array_equal(B.to_dense(), expected / ROOT2)
+        # no wall equation: a row a cell, 4 x 5
+        assert np.array_equal(B.to_dense(), expected[:-1] / ROOT2)
 
     def test_stiff_cells_move_w_to_the_right_node(self):
         # W = 4x on dx = 0.5: 1 - dx W_i <= 0 from x = 0.5 on, so cells 1..3
@@ -746,7 +802,6 @@ class TestBuildAnnihilator:
             [0.0, -2.0, 6.0, 0.0, 0.0],
             [0.0, 0.0, -2.0, 8.0, 0.0],
             [0.0, 0.0, 0.0, -2.0, 10.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0],
         ]) / ROOT2
         assert np.array_equal(B.to_dense(), expected)
 
@@ -829,21 +884,22 @@ class TestSusyHamiltonian:
     def test_blocks_bit_exact(self, small_grid, build_susy_hamiltonian):
         system = sq.build_susy_system(sq.get_superpotential("tanh"), small_grid)
         H = build_susy_hamiltonian(system)
-        n = small_grid.n_points
-        assert np.array_equal(H[:n, :n], system.H_plus.to_dense())
-        assert np.array_equal(H[n:, n:], system.H_minus.to_dense())
-        assert np.max(np.abs(H[:n, n:])) == 0.0
+        m = small_grid.n_points - 1  # H+ on the cells
+        assert H.shape == (2 * m + 1, 2 * m + 1)
+        assert np.array_equal(H[:m, :m], system.H_plus.to_dense())
+        assert np.array_equal(H[m:, m:], system.H_minus.to_dense())
+        assert np.max(np.abs(H[:m, m:])) == 0.0
 
     def test_free_case_fully_doubly_degenerate(self, free_superpotential,
                                                build_susy_hamiltonian):
         g = sq.make_grid(-5, 5, 61)
         system = sq.build_susy_system(free_superpotential, g)
         H = build_susy_hamiltonian(system)
-        # the empty last row of B decouples the wall node of H+ exactly
-        assert system.H_plus.diag[-1] == 0.0
-        assert system.H_plus.off[-1] == 0.0
+        # H+ has no wall node: every level but H-'s zero mode has a twin
+        assert system.H_plus.shape == (60, 60)
         evals = np.sort(sla.eigvalsh(H))
-        gaps = evals[1::2] - evals[0::2]  # consecutive twins
+        assert abs(evals[0]) <= 1e-10 * evals[-1] < evals[1]
+        gaps = evals[2::2] - evals[1::2]  # consecutive twins
         assert np.max(np.abs(gaps)) <= 1e-10 * max(1.0, abs(evals[-1]))
 
     def test_harmonic_spectrum_is_union_of_blocks(self, small_grid,
@@ -864,11 +920,11 @@ class TestSupercharges:
         g = sq.make_grid(0, 1, 3)
         system = sq.build_susy_system(free_superpotential, g)
         q1, q2 = build_supercharges(system)
-        B = np.array([[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, 0.0]]) / ROOT2
-        zero = np.zeros((3, 3))
-        assert np.array_equal(q1, np.block([[zero, B], [B.T, zero]]))
+        B = np.array([[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0]]) / ROOT2
+        up, down = np.zeros((2, 2)), np.zeros((3, 3))
+        assert np.array_equal(q1, np.block([[up, B], [B.T, down]]))
         assert np.array_equal(q2, np.block(
-            [[zero, -1j * B], [1j * B.T, zero]]))
+            [[up, -1j * B], [1j * B.T, down]]))
 
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
     def test_squares_equal_hamiltonian(self, small_grid, name, unfused_product,
@@ -894,16 +950,17 @@ class TestSupercharges:
     def test_interleaved_q1_is_the_applied_supercharge(self, small_grid, name,
                                                        build_supercharges,
                                                        blockwise_supercharge):
-        # position 2i holds down_i and 2i + 1 up_i; the zero diagonal of Q1
-        # only adds exact zeros, so each entry is the stencil's two rounded
-        # products summed once
+        # position 2i holds down_i and 2i + 1 up_i, up on the n - 1 cells; the
+        # zero diagonal of Q1 only adds exact zeros, so each entry is the
+        # stencil's two rounded products summed once
         system = sq.build_susy_system(sq.get_superpotential(name), small_grid)
         n = small_grid.n_points
         Q1 = system.Q1
-        sz = np.tile([-1.0, 1.0], n)
+        assert Q1.shape == (2 * n - 1, 2 * n - 1)
+        sz = np.resize([-1.0, 1.0], 2 * n - 1)
 
-        def interleave(state):
-            return np.stack([state.down, state.up], axis=-1).ravel()
+        def interleave(state):  # the up half's last node is not a cell
+            return np.stack([state.down, state.up], axis=-1).ravel()[:-1]
 
         rng = np.random.default_rng(3)
         real = rng.normal(size=(2, n))
@@ -913,8 +970,9 @@ class TestSupercharges:
             assert np.array_equal(Q1 @ v, interleave(blockwise_supercharge(system, state, "q1")))
             assert np.array_equal(-1j * (sz * (Q1 @ v)),
                                   interleave(blockwise_supercharge(system, state, "q2")))
-        order = np.stack([n + np.arange(n), np.arange(n)], axis=1).ravel()
-        layout = np.empty((2 * n, 2 * n))
+        # the dense form holds the n - 1 up rows first, then the n down rows
+        order = np.stack([n - 1 + np.arange(n), np.arange(n)], axis=1).ravel()[:-1]
+        layout = np.empty((2 * n - 1, 2 * n - 1))
         layout[np.ix_(order, order)] = Q1.to_dense()
         assert np.array_equal(layout, build_supercharges(system)[0])
 
@@ -935,30 +993,33 @@ def band_dense(rows):
 
 
 class TestSuperchargeAlgebra:
-    def test_golub_kahan_is_the_interleaved_block_matrix(self):
-        # [[0, B], [B.T, 0]] in the (up, down) layout, read in the order
-        # (down_0, up_0, down_1, up_1, ...)
+    @pytest.mark.parametrize("m", (6, 5), ids=("square", "one_row_short"))
+    def test_golub_kahan_is_the_interleaved_block_matrix(self, m):
+        # [[0, B], [B.T, 0]] of an m x n B in the (up, down) layout, read in
+        # the order (down_0, up_0, down_1, up_1, ...): size 2n for the
+        # square Fock b, 2n - 1 ending on down_{n-1} for the grid's B
         rng = np.random.default_rng(5)
         n = 6
-        B = sq.Bidiagonal(rng.normal(size=n), rng.normal(size=n - 1))
-        block = np.zeros((2 * n, 2 * n))
-        block[:n, n:] = B.to_dense()
-        block[n:, :n] = B.to_dense().T
-        order = np.stack([n + np.arange(n), np.arange(n)], axis=1).ravel()
+        B = sq.Bidiagonal(rng.normal(size=m), rng.normal(size=n - 1))
+        block = np.zeros((m + n, m + n))
+        block[:m, m:] = B.to_dense()
+        block[m:, :m] = B.to_dense().T
+        order = np.stack([m + np.arange(n), np.arange(n)], axis=1).ravel()[:m + n]
         Q = sq.golub_kahan(B)
         assert isinstance(Q, sq.Tridiagonal)
         assert np.array_equal(Q.to_dense(), block[np.ix_(order, order)])
         with pytest.raises(ValueError, match="upper"):
             sq.golub_kahan(B.T)
 
-    def test_products_match_dense(self, unfused_product):
+    @pytest.mark.parametrize("n", (12, 13))
+    def test_products_match_dense(self, unfused_product, n):
         # a general tridiagonal, diagonal included, so no term of any product
-        # vanishes by structure; each entry sums at most three rounded terms
+        # vanishes by structure; each entry sums at most three rounded terms.
+        # An odd size, as the grid's Q1, ends on a down position (-1)
         rng = np.random.default_rng(9)
-        n = 12
         Q1 = sq.Tridiagonal(rng.normal(size=n), rng.normal(size=n - 1))
         q = Q1.to_dense()
-        sz = np.diag(np.tile([-1.0, 1.0], n // 2))
+        sz = np.diag([(-1.0) ** (j + 1) for j in range(n)])
         R = unfused_product(sz, q)
         dense = (unfused_product(q, q), unfused_product(R, R),
                  unfused_product(q, R) + unfused_product(R, q),

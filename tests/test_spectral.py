@@ -6,6 +6,7 @@ import decimal
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,7 @@ class TestSolveSpectrum:
         for n, pair in enumerate(minus):
             assert pair.energy == pytest.approx(n - n * n * dx * dx / 4, abs=5e-6)
         plus = sq.solve_spectrum(systems["harmonic"].H_plus, 5, grid2001)
-        for n, pair in enumerate(plus[1:], start=1):  # entry 0 is the wall-node zero
+        for n, pair in enumerate(plus, start=1):  # H+ level n - 1 is H- level n
             assert pair.energy == pytest.approx(n - n * n * dx * dx / 4, abs=5e-6)
 
     def test_energies_ascending_states_orthonormal(self, spectra, grid2001):
@@ -124,20 +125,20 @@ class TestSolveInPairingWindows:
         for w, b in zip(found, blind):
             assert abs(sq.inner_product(w.state, b.state)) >= 1.0 - 1e-12
 
-    def test_no_result_without_exactly_one_plus_zero(self, systems):
-        # the windows reproduce the k lowest H- levels only when level 0 of
-        # the H+ levels is its wall-node zero and level 1 its first nonzero
-        # one; H+ here is diagonal, with the harmonic H+ levels on it
+    def test_no_result_unless_the_plus_levels_are_the_partners(self, systems):
+        # the windows reproduce the k lowest H- levels only when the H+
+        # levels, with no zero, are H-'s levels 1..; H+ here is diagonal,
+        # with the harmonic H+ levels on it
         system = systems["harmonic"]
-        plus = system.H_plus.eigh(0, 7).values
+        plus = system.H_plus.eigh(0, 6).values
         _, found = sq.solve_partners(diagonal(plus), system.H_minus, 6)
         assert found.counts == (1,) * 7
-        # no zero: the windows sit one level up and the count fails; the
-        # blind solve names the first unpaired level
+        # the lowest level missing: the windows sit one level up and the
+        # count fails; the blind solve names the first unpaired level
         with pytest.raises(sq.DegeneracyError, match="has no partner") as err:
             sq.solve_partners(diagonal(plus[1:]), system.H_minus, 6)
-        assert err.value.level == plus[2]
-        # two zeros: level 1 of H+ is a second zero mode
+        assert err.value.level == plus[1]
+        # a zero added: level 0 of H+ is a second zero mode
         lifted = np.concatenate([[0.0], plus[:-1]])
         with pytest.raises(sq.DegeneracyError, match="a second zero mode"):
             sq.solve_partners(diagonal(lifted), system.H_minus, 6)
@@ -149,25 +150,25 @@ class TestSolveInPairingWindows:
         windows = [(-np.inf, sq.EPS0), (1.0 - PAIR_TOL, 1.0 + PAIR_TOL),
                    (1.0 + PAIR_TOL, 1.0 + 1e-10 + PAIR_TOL), (2.0 - PAIR_TOL, 2.0 + PAIR_TOL)]
         assert diagonal(levels).eigh_windows(windows).counts == (1, 2, 0, 1)
-        plus, minus = sq.solve_partners(diagonal(levels), diagonal(levels), 3)
+        plus, minus = sq.solve_partners(diagonal(levels[1:]), diagonal(levels), 3)
         assert minus.counts == (4,)  # one index selection: the blind solve
-        assert plus.values.tolist() == minus.values.tolist() == levels
+        assert plus.values.tolist() == minus.values[1:].tolist() == levels[1:]
 
     def test_crowded_levels_fall_back_without_reading_levels(self, monkeypatch):
         # a caller that reads no H- level solves H+ alone: the crowded
         # levels that send the pairing above to the blind H- solve come
         # back as they are, from one bisection of H+, and no H- is touched
-        levels = [0.0, 1.0, 1.0 + 1e-10, 2.0]
+        levels = [1.0, 1.0 + 1e-10, 2.0]
         H_plus = diagonal(levels)
         touched = bisected(monkeypatch)
         plus = sq.solve_plus(H_plus, 3)
         assert touched == [H_plus]
-        assert plus.counts == (4,)
+        assert plus.counts == (3,)
         assert plus.values.tolist() == levels
 
     def test_second_zero_mode_raises_before_h_minus_is_touched(self, monkeypatch):
         touched = bisected(monkeypatch)
-        H_plus, H_minus = diagonal([0.0, 5e-11, 1.0]), diagonal([1e-14, 5e-11, 1.0])
+        H_plus, H_minus = diagonal([5e-11, 1.0]), diagonal([1e-14, 5e-11, 1.0])
         with pytest.raises(sq.DegeneracyError, match="a second zero mode"):
             sq.solve_partners(H_plus, H_minus, 2)
         assert touched == [H_plus]
@@ -178,10 +179,10 @@ class TestSolveInPairingWindows:
     ), ids=("solve_plus", "solve_partners"))
     def test_level_at_eps0_is_a_second_zero_mode(self, solve):
         # the zero window of H- is (-inf, EPS0], and intertwine_down refuses
-        # E <= EPS0: an H+ level 1 of exactly EPS0 is a second zero mode, not
+        # E <= EPS0: an H+ level 0 of exactly EPS0 is a second zero mode, not
         # a level whose partner state divides by sqrt(E) later
         with pytest.raises(sq.DegeneracyError, match="a second zero mode") as err:
-            solve(diagonal([0.0, sq.EPS0, 1.0]))
+            solve(diagonal([sq.EPS0, 1.0]))
         assert err.value.level == sq.EPS0
 
     @pytest.mark.parametrize("levels", (0, -1))
@@ -217,11 +218,11 @@ def pairing_outcome(plus_levels, minus_levels, levels):
 
 
 def gap_rule(plus_levels, minus_levels, levels):
-    """The pairing verdict read off exact levels: the first H+ level of 1..levels
-    farther than PAIR_TOL from the H- level of its index, as `solve_partners`
-    words it, or "paired"."""
-    e_plus, e_minus = plus_levels[:levels + 1], sorted(minus_levels)[:levels + 1]
-    for ep, em in zip(map(float, e_plus[1:]), map(float, e_minus[1:])):
+    """The pairing verdict read off exact levels: the first H+ level i of
+    0..levels - 1 farther than PAIR_TOL from H- level i + 1, as
+    `solve_partners` words it, or "paired"."""
+    e_plus, e_minus = plus_levels[:levels], sorted(minus_levels)[:levels + 1]
+    for ep, em in zip(map(float, e_plus), map(float, e_minus[1:])):
         gap = abs(ep - em)
         if gap > PAIR_TOL:
             return (f"level {ep!r} of H+ has no partner within tol = {PAIR_TOL} "
@@ -257,7 +258,7 @@ class TestCountCertificate:
         # rejects, and the gap check after it names the level. From 2^20 on
         # an ulp of e exceeds 2 PAIR_TOL, so fl(e +- PAIR_TOL) = e, the
         # level's window is empty and every case is bisected blind
-        outcomes = [self.same_verdict([0.0, e], [0.0, em], 1)
+        outcomes = [self.same_verdict([e], [0.0, em], 1)
                     for em in (e + side * PAIR_TOL + k * np.spacing(e)
                                for side in (-1, 1) for k in range(-6, 7))]
         windowed = sum(outcome[:2] == ("paired", True) for outcome in outcomes)
@@ -274,7 +275,7 @@ class TestCountCertificate:
         levels = n_points // 10 - 1
         plus, minus = sq.solve_partners(system.H_plus, system.H_minus, levels)
         assert minus.counts == (1,) * (levels + 1)
-        assert np.max(np.abs(plus.values[1:] - minus.values[1:])) <= PAIR_TOL
+        assert np.max(np.abs(plus.values - minus.values[1:])) <= PAIR_TOL
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -287,24 +288,23 @@ class TestCountCertificate:
         # the H- zero mode, lifted above EPS0 now and then, and a stray H- level
         zero = data.draw(st.sampled_from((0.0, 1e-14, 2e-10)))
         stray = data.draw(st.sampled_from(([], [scale * 0.5], [scale * (count + 0.5)])))
-        self.same_verdict([0.0, *e_plus], sorted([zero, *e_minus, *stray]), count)
+        self.same_verdict(e_plus, sorted([zero, *e_minus, *stray]), count)
 
 
 class TestPairPartnerLevels:
-    """Level 0 of each side is its zero; levels 1.. pair level for level.
+    """Level 0 of H- is its zero; H+ level i pairs with H- level i + 1.
 
     Each side is a diagonal Tridiagonal, whose levels are its diagonal.
     """
 
     def test_exact_lists_with_zero_mode(self):
-        plus, minus = sq.solve_partners(diagonal([0.0, 1.0, 2.0]), diagonal([0.0, 1.0, 2.0]), 2)
-        assert list(zip(plus.values[1:].tolist(), minus.values[1:].tolist())) == [(1, 1), (2, 2)]
+        plus, minus = sq.solve_partners(diagonal([1.0, 2.0]), diagonal([0.0, 1.0, 2.0]), 2)
+        assert list(zip(plus.values.tolist(), minus.values[1:].tolist())) == [(1, 1), (2, 2)]
         assert minus.values[0] == 0.0
-        assert plus.values[0] == 0.0
 
     def test_forced_mismatch_names_offending_level(self):
         with pytest.raises(sq.DegeneracyError) as err:
-            sq.solve_partners(diagonal([0.0, 1.5]), diagonal([0.0, 1.0]), 1)
+            sq.solve_partners(diagonal([1.5]), diagonal([0.0, 1.0]), 1)
         assert err.value.level == 1.5
         assert "1.5" in str(err.value)
 
@@ -312,7 +312,7 @@ class TestPairPartnerLevels:
         # a paired H+ level below EPS0 is a second zero mode, even when its
         # H- partner matches it within tol
         with pytest.raises(sq.DegeneracyError) as err:
-            sq.solve_partners(diagonal([0.0, 5e-11, 1.0]), diagonal([1e-14, 5e-11, 1.0]), 2)
+            sq.solve_partners(diagonal([5e-11, 1.0]), diagonal([1e-14, 5e-11, 1.0]), 2)
         assert err.value.level == 5e-11
         assert "a second zero mode" in str(err.value)
 
@@ -321,8 +321,8 @@ class TestPairPartnerLevels:
         # points: the pairs stay level for level, and only the zero-mode
         # verdict fails
         plus, minus = sq.solve_partners(
-            diagonal([0.0, 1.0, 2.0]), diagonal([2.0 ** -23, 1.0, 2.0]), 2)
-        assert plus.values[1:].tolist() == minus.values[1:].tolist() == [1.0, 2.0]
+            diagonal([1.0, 2.0]), diagonal([2.0 ** -23, 1.0, 2.0]), 2)
+        assert plus.values.tolist() == minus.values[1:].tolist() == [1.0, 2.0]
         assert minus.values[0] == 2.0 ** -23
         assert cli._zero_mode_check(minus) == {
             "name": "zero_mode_present", "value": 2.0 ** -23, "bound": sq.EPS0,
@@ -331,19 +331,14 @@ class TestPairPartnerLevels:
     def test_trailing_tail_recorded_not_fatal(self):
         # an H+ level above the levels asked for is never read
         plus, minus = sq.solve_partners(
-            diagonal([0.0, 1.0, 2.0, 9.0]), diagonal([0.0, 1.0, 2.0]), 2)
-        assert plus.values.tolist() == minus.values.tolist() == [0.0, 1.0, 2.0]
-
-    def test_plus_side_artifact_excluded(self):
-        plus, minus = sq.solve_partners(diagonal([1e-13, 1.0]), diagonal([0.0, 1.0]), 1)
-        assert plus.values[0] == 1e-13
-        assert minus.values.tolist() == [0.0, 1.0]
+            diagonal([1.0, 2.0, 9.0]), diagonal([0.0, 1.0, 2.0]), 2)
+        assert plus.values.tolist() == minus.values[1:].tolist() == [1.0, 2.0]
 
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic"))
     def test_bundled_superpotentials_pair_tightly(self, systems, name):
         plus, minus = sq.solve_partners(systems[name].H_plus, systems[name].H_minus, 6)
-        assert plus.values.size == minus.values.size == 7
-        assert np.max(np.abs(plus.values[1:] - minus.values[1:])) <= 1e-10
+        assert plus.values.size + 1 == minus.values.size == 7
+        assert np.max(np.abs(plus.values - minus.values[1:])) <= 1e-10
         assert abs(minus.values[0]) <= sq.EPS0
 
     @given(
@@ -354,28 +349,46 @@ class TestPairPartnerLevels:
     def test_property_jittered_twins_always_pair(self, ticks, jitter):
         levels = [0.05 * t for t in sorted(ticks)]  # separation far above tol
         plus, minus = sq.solve_partners(
-            diagonal([0.0] + levels), diagonal([0.0] + [e + j for e, j in zip(levels, jitter)]),
+            diagonal(levels), diagonal([0.0] + [e + j for e, j in zip(levels, jitter)]),
             len(levels))
         assert minus.counts == (1,) * (len(levels) + 1)
-        assert np.max(np.abs(plus.values[1:] - minus.values[1:])) <= 1e-10
+        assert np.max(np.abs(plus.values - minus.values[1:])) <= 1e-10
 
 
 class TestZeroLevelsFromStructure:
-    """Level 0 of each side is its zero by B's construction, no threshold needed."""
+    """B's kernel is the one zero of the pair, at level 0 of H-, by construction."""
 
     @pytest.mark.parametrize("n_points", (201, 2001, 8001))
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
     def test_one_zero_a_side(self, name, n_points):
-        # B's empty last row leaves H+'s last band row zero, so the wall node
-        # decouples with an exact 0; every other level of either side is
-        # a nonzero squared singular value of B, at least EPS0
+        # one zero for the two sides: B is one row short of square, so H+
+        # on its n - 1 cells has none and H- one, its level 0; every other
+        # level is a nonzero squared singular value of B, at least EPS0
         system = sq.build_susy_system(sq.get_superpotential(name),
                                       sq.make_grid(-10.0, 10.0, n_points))
-        assert system.H_plus.diag[-1] == 0.0
-        assert system.H_plus.off[-1] == 0.0
-        assert system.H_plus.eigh(0, 0).values[0] == 0.0
-        for H in (system.H_plus, system.H_minus):
-            assert H.eigh(1, 1).values[0] >= sq.EPS0
+        assert system.H_plus.shape == (n_points - 1, n_points - 1)
+        assert abs(system.H_minus.eigh(0, 0).values[0]) <= sq.EPS0
+        assert system.H_plus.eigh(0, 0).values[0] >= sq.EPS0
+        assert system.H_minus.eigh(1, 1).values[0] >= sq.EPS0
+
+    @pytest.mark.parametrize("n_points", (21, 201, 2001))
+    @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
+    def test_b_is_one_row_short_and_q1_has_one_zero(self, name, n_points):
+        # B is (n - 1) x n and H+- are its products; counted by Sturm counts
+        # (tol = inf reads only the counts), H+ has no level at or below EPS0,
+        # H- one, and Q1, of size 2n - 1, one in (-EPS0, EPS0]
+        system = sq.build_susy_system(sq.get_superpotential(name),
+                                      sq.make_grid(-10.0, 10.0, n_points))
+        B = sps.csr_matrix(system.B.to_dense())
+        assert B.shape == (n_points - 1, n_points)
+        assert np.array_equal(system.H_plus.to_dense(), (B @ B.T).toarray())
+        assert np.array_equal(system.H_minus.to_dense(), (B.T @ B).toarray())
+        low = [(-np.inf, sq.EPS0)]
+        assert system.H_plus.eigh_windows(low, tol=np.inf).counts == (0,)
+        assert system.H_minus.eigh_windows(low, tol=np.inf).counts == (1,)
+        Q1 = system.Q1
+        assert Q1.shape == (2 * n_points - 1, 2 * n_points - 1)
+        assert Q1.eigh_windows([(-sq.EPS0, sq.EPS0)], tol=np.inf).counts == (1,)
 
 
 class TestZeroMode:
@@ -429,15 +442,15 @@ class TestZeroMode:
 
     def test_tanh_kernel_residual_is_a_wall_effect(self, systems, grid2001):
         # sech decays too slowly to vanish at x = 10, yet B has no wall
-        # equation, so the boundary amplitude leaves no residual on any row
+        # equation, only a row a cell, so the boundary amplitude leaves no
+        # residual on any row, the last cell's included
         system = systems["tanh"]
         psi0 = sq.zero_mode(system)
         assert psi0.amplitudes[-1] > 1e-5
         resid_vec = system.B @ psi0.amplitudes
-        interior = np.sqrt(grid2001.dx) * np.linalg.norm(resid_vec[:-1])
-        wall = np.sqrt(grid2001.dx) * abs(resid_vec[-1])
-        assert interior <= 1e-12
-        assert wall <= 1e-12
+        assert resid_vec.shape == (grid2001.n_points - 1,)
+        assert np.sqrt(grid2001.dx) * np.linalg.norm(resid_vec) <= 1e-12
+        assert np.sqrt(grid2001.dx) * abs(resid_vec[-1]) <= 1e-12
 
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
     def test_agrees_with_analytic_integral_profile(
@@ -474,7 +487,7 @@ class TestZeroMode:
         # B set by hand to diag_i = -r_i, off_i = 1: the block length follows
         # max|log2 r| down to blocks of one, and a zero ratio zeroes the rest
         grid = sq.make_grid(-10.0, 10.0, ratios.size + 1)
-        B = sq.Bidiagonal(np.append(-ratios, 0.0), np.ones(ratios.size))
+        B = sq.Bidiagonal(-ratios, np.ones(ratios.size))
         system = sq.SusySystem(grid, sq.get_superpotential("harmonic"), B, B.T, None, None)
         got = sq.zero_mode(system).amplitudes
         assert got.tobytes() == zero_mode_sequential(system).tobytes()
@@ -490,8 +503,8 @@ class TestZeroMode:
 
 class TestIntertwining:
     def test_down_map_is_first_hermite(self, systems, grid2001, normalize):
-        plus = sq.solve_spectrum(systems["harmonic"].H_plus, 2, grid2001)
-        ground = plus[1]  # entry 0 is the wall-node zero
+        plus = sq.solve_spectrum(systems["harmonic"].H_plus, 1, grid2001)
+        ground = plus[0]  # H+ has no zero: its level 0 is H-'s level 1
         assert ground.energy == pytest.approx(1.0, abs=1e-4)
         mapped = sq.intertwine_down(systems["harmonic"], ground)
         x = grid2001.nodes()
@@ -508,11 +521,24 @@ class TestIntertwining:
         assert fid >= 1 - 1e-10
 
     def test_zero_mode_input_rejected(self, systems, spectra):
-        plus, _ = spectra["harmonic"]
-        artifact = plus[0]
-        assert artifact.energy < sq.EPS0
+        # the zero mode's energy has no partner state, whatever the state
+        plus, minus = spectra["harmonic"]
+        assert minus[0].energy < sq.EPS0
         with pytest.raises(ValueError):
-            sq.intertwine_down(systems["harmonic"], artifact)
+            sq.intertwine_down(systems["harmonic"], sq.EigenPair(minus[0].energy, plus[0].state))
+
+    def test_nonzero_last_node_rejected(self, systems, spectra):
+        # an H+ state lives on the n - 1 cells, 0 at the last node: a state
+        # with anything else there is refused, not cut, alone or in a batch
+        plus, _ = spectra["harmonic"]
+        amps = plus.state.amplitudes.copy()
+        assert np.all(amps[:, -1] == 0.0)
+        amps[1, -1] = 1e-300
+        bad = sq.EigenPair(plus.energy, sq.Wavefunction(plus.state.grid, amps))
+        for pair in (bad, bad[1]):
+            with pytest.raises(ValueError, match="last node"):
+                sq.intertwine_down(systems["harmonic"], pair)
+        assert sq.intertwine_down(systems["harmonic"], bad[0]).amplitudes.shape == amps[0].shape
 
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic"))
     def test_mapped_state_matches_solved_partner(self, systems, nonzero_levels, name):
@@ -552,29 +578,32 @@ class TestBatches:
         grid = system.grid
         pairs = sq.eigenstates(plus, grid)
         vectors = plus.vectors()
-        assert len(pairs) == 13 and pairs.state.amplitudes.shape == (13, 401)
+        assert vectors.shape == (400, 12)  # H+ on the cells
+        assert len(pairs) == 12 and pairs.state.amplitudes.shape == (12, 401)
         for j, pair in enumerate(pairs):
+            # on the nodes, 0 at the last, then phase-fixed and scaled
             assert type(pair.energy) is float and pair.energy == plus.values[j]
             assert self.same_bits(pair.state.amplitudes,
-                                  sq.fix_phase(vectors[:, j]) / np.sqrt(grid.dx))
+                                  sq.fix_phase(np.append(vectors[:, j], 0.0)) / np.sqrt(grid.dx))
         block = pairs[3:7]
         assert self.same_bits(block.energy, plus.values[3:7])
         assert self.same_bits(block.state.amplitudes, pairs.state.amplitudes[3:7])
 
     def test_intertwine_down_rows(self, harmonic):
         system, plus, _ = harmonic
-        pairs = sq.eigenstates(plus, system.grid)[1:]
+        pairs = sq.eigenstates(plus, system.grid)
         mapped = sq.intertwine_down(system, pairs)
         for j, pair in enumerate(pairs):
             assert self.same_bits(mapped.amplitudes[j],
                                   sq.intertwine_down(system, pair).amplitudes)
         with pytest.raises(ValueError, match="energy 0.0 is at or below"):
-            sq.intertwine_down(system, sq.eigenstates(plus, system.grid)[:3])
+            sq.intertwine_down(system, sq.EigenPair(np.append(pairs.energy[:2], 0.0),
+                                                    pairs[:3].state))
 
     def test_align_phase_and_inner_product_rows(self, harmonic):
         system, plus, minus = harmonic
         grid = system.grid
-        raw = sq.intertwine_down(system, sq.eigenstates(plus, grid)[1:])
+        raw = sq.intertwine_down(system, sq.eigenstates(plus, grid))
         rng = np.random.default_rng(11)
         flips = sq.Wavefunction(grid, raw.amplitudes * rng.choice([-1.0, 1.0], (12, 1)))
         ref = sq.eigenstates(minus, grid)[1:].state
@@ -635,16 +664,40 @@ class TestOperatorNorm:
     @pytest.mark.parametrize("n", (201, 2001, 32001))
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
     def test_partner_hamiltonians_take_one_bisection(self, monkeypatch, name, n):
-        # both partners are positive semidefinite with Gershgorin's lower
-        # bound far above -lambda_max, so lambda_max alone gives the same norm
-        system = sq.build_susy_system(sq.get_superpotential(name),
-                                      sq.make_grid(-10.0, 10.0, n))
-        for H in (system.H_minus, system.H_plus):
-            expected = self.both_bisections(H)
-            calls = self.count_bisections(monkeypatch)
-            assert sq.operator_norm(H) == expected
-            assert len(calls) == 1
-            monkeypatch.undo()
+        # H-, whose norm the commands read, is positive semidefinite with
+        # Gershgorin's lower bound below 0 and far above -lambda_max, so
+        # lambda_max alone gives the same norm
+        H = sq.build_susy_system(sq.get_superpotential(name),
+                                 sq.make_grid(-10.0, 10.0, n)).H_minus
+        expected = self.both_bisections(H)
+        assert self.widened_lower_bound(H) < 0.0
+        calls = self.count_bisections(monkeypatch)
+        assert sq.operator_norm(H) == expected
+        assert len(calls) == 1
+
+    @staticmethod
+    def widened_lower_bound(H):
+        """Gershgorin's lower bound of H widened twice as far as stebz widens it."""
+        e = np.abs(H.off)
+        radius = np.concatenate((e, [0.0])) + np.concatenate(([0.0], e))
+        low, high = np.min(H.diag - radius), np.max(H.diag + radius)
+        pivmin = np.finfo(float).tiny * max(1.0, np.max(e)) ** 2
+        return low - 2.0 * (2.1 * (H.shape[0] * np.finfo(float).eps * max(abs(low), abs(high))
+                                   + 2.0 * pivmin))
+
+    @pytest.mark.parametrize("n", (201, 2001, 32001))
+    @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
+    def test_plus_hamiltonian_bisects_its_bottom_only_at_a_bound_above_zero(
+            self, monkeypatch, name, n):
+        # the positive definite H+ may have Gershgorin's widened lower bound
+        # at or above 0, where both extremes are bisected, to the same norm;
+        # below 0 lambda_max alone gives it
+        H = sq.build_susy_system(sq.get_superpotential(name),
+                                 sq.make_grid(-10.0, 10.0, n)).H_plus
+        expected = self.both_bisections(H)
+        calls = self.count_bisections(monkeypatch)
+        assert sq.operator_norm(H) == expected
+        assert len(calls) == (1 if self.widened_lower_bound(H) < 0.0 else 2)
 
     @pytest.mark.parametrize("diag, off", (
         (np.full(5, 3.0), np.zeros(4)),          # a multiple of the identity
@@ -701,8 +754,9 @@ class TestFortyDigitOracle:
         # 2001 points: at most 0.12 eps ||H|| (harmonic level 1 of H+- , 6e-13)
         system = systems[name]
         plus, minus = sq.solve_partners(system.H_plus, system.H_minus, 3)
-        for H, side in ((system.H_plus, plus), (system.H_minus, minus)):
+        for H, side, levels in ((system.H_plus, plus, (0, 1, 2)),
+                                (system.H_minus, minus, (1, 2, 3))):
             bound = 4 * np.finfo(float).eps * sq.operator_norm(H)
-            for k in (1, 2, 3):
+            for k in levels:
                 exact = sturm_eigenvalue(H, k, side.values[k])
                 assert abs(float(decimal.Decimal(side.values[k]) - exact)) <= bound, (k, bound)

@@ -5,7 +5,7 @@ Usage:
     python tools/report_digest.py [CHECKOUT] > digests.txt
 
 CHECKOUT (default: the checkout holding this script) is a susyqm source tree;
-its `susyqm.cli` is imported from its `src/` and run in process on 103
+its `susyqm.cli` is imported from its `src/` and run in process on 106
 configs, each once with `--format csv` and once with `--format json`:
 
 - the bundled configs in `configs/`;
@@ -56,7 +56,9 @@ EXTRA = [
     ("supercharge/harmonic/201/scale=-1", _config("supercharge", "harmonic", 201, scale=-1.0)),
     ("verify/cubic/1001", _config("verify", "cubic", 1001)),
     ("verify/shifted_cubic/2001/levels=20", _config("verify", "shifted_cubic", 2001, value=20)),
-    ("verify/harmonic/32001", _config("verify", "harmonic", 32001)),
+    # verify at 32001 points for every W: its sums of squares must not depend
+    # on the BLAS thread count
+    *((f"verify/{name}/32001", _config("verify", name, 32001)) for name in W_NAMES),
     ("spectrum/cubic/32001", _config("spectrum", "cubic", 32001)),
     ("entangle/shifted_cubic/2001/level=5",
      _config("entangle", "shifted_cubic", 2001, key="level", value=5)),
