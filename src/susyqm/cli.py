@@ -6,8 +6,9 @@ computation starts. All numeric text is 17 significant digits with LF line
 endings, files are written atomically (temp file + rename), and every code
 path is deterministic, so rerunning a config reproduces its outputs byte for
 byte. Exit codes: 0 success, 1 physics-invariant violation, 2 config error.
-Every command states its verdicts as (name, value, bound) checks and ends
-through one `_finish`: a failed check exits 1 with one stderr line,
+`susyqm.checks` owns the verdicts (for `jc`, `numeric_vs_analytic`); each
+command ends through one `_finish` of the checks they return: a failed
+check exits 1 with one stderr line,
 `physics violation: <first failed name> = <value> exceeds <bound>`, plus
 `(and N more)` when N other checks failed. Every other ending is one stderr
 line too.
@@ -23,48 +24,19 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .entanglement import (
-    analyze,
-    build_energy_eigenstate,
-    supercharge_concurrences,
-    supercharge_residuals,
-)
+from . import checks
+from .entanglement import analyze, build_energy_eigenstate
 from .errors import ConfigError, PhysicsViolationError, SusyQMError
-from .grid import Grid, inner_product, make_grid, sum_of_squares
-from .jaynescummings import (
-    FIDELITY_TOL,
-    GAP_TOL,
-    build_jc,
-    numeric_vs_analytic,
-    verify_susy_algebra,
-)
-from .operators import band_max_abs, band_rows, build_susy_system, supercharge_products
-from .spectral import (
-    EPS0,
-    PAIR_TOL,
-    align_phase,
-    eigenstates,
-    intertwine_down,
-    operator_norm,
-    solve_partners,
-    solve_plus,
-    zero_mode,
-)
+from .grid import Grid, inner_product, make_grid
+from .jaynescummings import build_jc, numeric_vs_analytic, verify_susy_algebra
+from .operators import build_susy_system
+from .spectral import eigenstates, solve_partners
 from .superpotentials import REGISTRY_NAMES, get_superpotential
-
-INTERTWINE_TOL = 1e-8
-MATRIX_SQ_TOL = 1e-13
-ANTICOMM_TOL = 1e-12
 
 SWEEP_COLUMNS = (
     "|c1|", "phase_diff", "overlap_abs", "sigma_x", "sigma_y", "sigma_z",
     "lambda1", "lambda2", "C_spin", "C_overlap", "C_svd",
 )
-# bytes of one complex (levels, n) array in the batched supercharge pass. A
-# block's four states and the temporaries of its residuals hold about nine
-# such arrays at once, so a block adds under 1 MB to a run at any grid size:
-# 6 levels a block at 1001 points, 3 at 2001, 1 from 3073 points on
-SUPERCHARGE_BLOCK_BYTES = 96 * 1024
 JC_COLUMNS = ("n", "branch", "E_analytic", "E_numeric", "gap", "concurrence")
 # Largest (c1, phase) sweep an entangle run accepts, from the report size: the
 # widest row is the JSON one, eleven `"key": value,` lines of 17-digit values
@@ -242,132 +214,6 @@ def _build_system(W, grid):
         raise ConfigError(str(exc)) from exc
 
 
-def _solve_both_sides(W, grid, levels):
-    """The system of W on `grid` and its paired levels: (system, plus, minus).
-
-    `solve_partners` solves and pairs H+ levels 0..levels - 1 with H-
-    levels 1..levels, as bisection results; a failed pairing raises its
-    DegeneracyError. No eigenvector is formed here: each command asks
-    `eigenstates` for the levels it reads, so `spectrum` forms none,
-    `entangle` its one level of each side and `verify` every H+ level and
-    levels 1.. of H-. `supercharge` reads no H- level and solves H+ alone
-    (`solve_plus`).
-    """
-    system = _build_system(W, grid)
-    return (system, *solve_partners(system.H_plus, system.H_minus, levels))
-
-
-def _check(name, value, bound):
-    """One verdict of any command: its value passes when it is at most its bound.
-
-    A NaN value fails. `verify` writes its checks to its report; every
-    command ends through `_finish` of its checks.
-    """
-    return {"name": name, "value": float(value), "bound": float(bound),
-            "passed": bool(value <= bound)}
-
-
-def _zero_mode_check(minus):
-    """The zero-mode verdict of `spectrum` and `verify`: |E0| of H- <= EPS0.
-
-    `minus` is the bisection result of H-. Its level 0 is the zero mode by
-    B's construction; the bisection finds it only to about eps ||H-||, and
-    this check reads how far.
-    """
-    return _check("zero_mode_present", abs(minus.values[0]), EPS0)
-
-
-def _zero_mode_residual(system):
-    """The zero mode psi0, ||H- psi0|| / ||psi0|| and its bound 1e-12 ||H-||."""
-    psi0 = zero_mode(system)
-    resid = np.sqrt(sum_of_squares(system.H_minus @ psi0.amplitudes))
-    resid /= np.sqrt(sum_of_squares(psi0.amplitudes))
-    return psi0, resid, 1e-12 * operator_norm(system.H_minus)
-
-
-def _level_blocks(grid, count):
-    """Slices of a batch of `count` levels in ascending blocks, for the batched supercharge pass.
-
-    A block holds as many levels as fit one complex array of
-    SUPERCHARGE_BLOCK_BYTES on `grid`, at least one. Each command builds and
-    drops a block's states inside one call (`_supercharge_columns`,
-    `_intertwine_deviations`), so one block's arrays are alive at a time.
-    """
-    step = max(1, SUPERCHARGE_BLOCK_BYTES // (16 * grid.n_points))
-    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
-def _supercharge_columns(system, block, pp):
-    """The supercharge report's columns for the slice `block` of the H+ levels, eigenpairs `pp`.
-
-    Each column is a (level, family) array: index, energy, family, sign,
-    residual and concurrence, every entry what its level gives alone, bit
-    for bit. The states are those of intertwine_down of `pp`, which carries
-    the relative phase the eigenstates need. The two states of a family
-    differ only in the sign of the down half, so `supercharge_concurrences`
-    forms only each family's + state.
-    """
-    mapped = intertwine_down(system, pp)
-    # the concurrences check each state's unit norm before its residual is
-    # reduced, and drop the two states before the residuals' temporaries
-    rows = supercharge_concurrences(system, pp.energy, pp.state, mapped)
-    residuals = supercharge_residuals(system, pp.energy, pp.state, mapped)
-    family, sign, concurrence = zip(*rows)
-    shape = residuals.shape
-    return (np.broadcast_to(np.arange(block.start + 1, block.stop + 1)[:, None], shape),
-            np.broadcast_to(pp.energy[:, None], shape),
-            np.broadcast_to(family, shape), np.broadcast_to(sign, shape),
-            residuals, np.stack(concurrence, axis=-1))
-
-
-def _intertwine_deviations(system, pp, mm):
-    """verify's per-level values for a block of paired eigenpairs pp (H+) and mm (H-).
-
-    Three lists over the levels: sqrt(dx) ||aligned map - psi-||, the
-    deviation |dx ||B psi-||^2 - E-|, and the four supercharge residuals of
-    each level, levels outer.
-    """
-    raw = intertwine_down(system, pp)
-    dx = system.grid.dx
-    gap = align_phase(raw, mm.state).amplitudes - mm.state.amplitudes
-    images = system.B @ mm.state.amplitudes
-    # norm ** 2 of a Python float is libm pow, as for one state's norm alone;
-    # an array's ** 2 is x * x, which can differ in the last bit
-    return ((math.sqrt(dx) * np.sqrt(sum_of_squares(gap))).tolist(),
-            [abs(dx * norm ** 2 - e) for norm, e in zip(
-                np.sqrt(sum_of_squares(images)).tolist(), mm.energy.tolist())],
-            supercharge_residuals(system, pp.energy, pp.state, raw).ravel().tolist())
-
-
-def _supercharge_check(residuals):
-    """The supercharge verdict of `supercharge` and `verify`: the largest residual."""
-    return _check("supercharge_eigenstate_residual", np.max(residuals, initial=0.0),
-                  INTERTWINE_TOL)
-
-
-def _susy_identities(system):
-    """(name, value, bound) of verify's five (2n - 1)-square identity checks, in O(n).
-
-    Every operator is read in the order of `SusySystem.Q1`, where
-    H = diag(H+, H-) is pentadiagonal: its rows interleave the n rows of H-
-    with the n - 1 rows of H+, each side's bands formed separately. The four
-    products come from `supercharge_products`, one at a time:
-    Q2^2 = -R^2, {Q1, Q2} = -i {Q1, R}, and {sz, Q1} gives both the parity
-    and the hermiticity check.
-    """
-    H = np.zeros((5, 2 * system.grid.n_points - 1))
-    H[0::2, 0::2] = band_rows(system.H_minus)
-    H[0::2, 1::2] = band_rows(system.H_plus)
-    products = supercharge_products(system.Q1)  # each reduced before the next is formed
-    return (
-        ("q1_squared_vs_hamiltonian", band_max_abs(next(products) - H), MATRIX_SQ_TOL),
-        ("q2_squared_vs_hamiltonian", band_max_abs(next(products) + H), MATRIX_SQ_TOL),
-        ("anticommutator_q1_q2", band_max_abs(next(products)), ANTICOMM_TOL),
-        ("anticommutator_parity_q1", parity := band_max_abs(next(products)), ANTICOMM_TOL),
-        ("q2_hermiticity", parity, ANTICOMM_TOL),
-    )
-
-
 # ------------------------------------------------------------------ commands
 
 def run_spectrum(cfg, outdir, fmt):
@@ -375,9 +221,7 @@ def run_spectrum(cfg, outdir, fmt):
     grid = _parse_grid(cfg)
     levels = _parse_levels(cfg, grid)
 
-    system, plus, minus = _solve_both_sides(W, grid, levels)
-    psi0, resid, bound = _zero_mode_residual(system)
-    checks = [_zero_mode_check(minus), _check("zero_mode_residual", resid, bound)]
+    plus, minus, psi0, verdicts = checks.spectrum(_build_system(W, grid), levels)
 
     e_plus, e_minus = plus.values, minus.values[1:]  # H- level 0 is the zero mode
     spectrum_text = _table_text(fmt, {
@@ -396,7 +240,7 @@ def run_spectrum(cfg, outdir, fmt):
 
     _write(outdir, "spectrum." + fmt, spectrum_text)
     _write(outdir, "zero_mode." + fmt, zero_text)
-    return _finish(checks)
+    return _finish(verdicts)
 
 
 def run_entangle(cfg, outdir, fmt):
@@ -413,7 +257,8 @@ def run_entangle(cfg, outdir, fmt):
             f"exceeds the cap of {SWEEP_MAX_ROWS} rows"
         )
 
-    _, plus, minus = _solve_both_sides(W, grid, level)
+    system = _build_system(W, grid)
+    plus, minus = solve_partners(system.H_plus, system.H_minus, level)
     # report level k is H+ level k - 1 and H- level k
     pp, mm = (eigenstates(side, grid, slice(k, k + 1))[0]
               for side, k in ((plus, level - 1), (minus, level)))
@@ -445,18 +290,12 @@ def run_supercharge(cfg, outdir, fmt):
     grid = _parse_grid(cfg)
     levels = _parse_levels(cfg, grid)
 
-    system = _build_system(W, grid)
-    pairs = eigenstates(solve_plus(system.H_plus, levels), grid)  # no H- level is read
-    blocks = [_supercharge_columns(system, block, pairs[block])
-              for block in _level_blocks(grid, len(pairs))]
-    # one row per (level, family), levels outer
-    columns = [np.concatenate(col).ravel() for col in zip(*blocks)]
-
+    columns, verdicts = checks.supercharge(_build_system(W, grid), levels)
     text = _table_text(fmt, {"superpotential": W.name, "grid": _grid_payload(grid)},
                        ("index", "energy", "family", "sign", "residual", "concurrence"),
                        ("d", ".17g", "s", "+d", ".17g", ".17g"), columns)
     _write(outdir, "supercharge." + fmt, text)
-    return _finish([_supercharge_check(columns[4])])
+    return _finish(verdicts)
 
 
 def run_jc(cfg, outdir, fmt):
@@ -500,11 +339,7 @@ def run_jc(cfg, outdir, fmt):
 
     _write(outdir, "jc_levels." + fmt, levels_text)
     _write(outdir, "jc_algebra.json", _json_text(algebra_payload))
-    # a failure row holds its gap, or its fidelity F, read as the deficit 1 - F
-    return _finish([
-        _check(f"gap[n={n},branch={b}]", value, GAP_TOL) if kind == "gap" else
-        _check(f"fidelity_deficit[n={n},branch={b}]", 1.0 - value, FIDELITY_TOL)
-        for n, b, kind, value in match.failures])
+    return _finish(match.failures)
 
 
 def run_verify(cfg, outdir, fmt):
@@ -512,31 +347,14 @@ def run_verify(cfg, outdir, fmt):
     grid = _parse_grid(cfg)
     levels = _parse_levels(cfg, grid)
 
-    system, plus, minus = _solve_both_sides(W, grid, levels)
-    _, resid, bound = _zero_mode_residual(system)
-
-    # every H+ level and levels 1.. of H-: no check reads H-'s kernel vector
-    plus_pairs, minus_pairs = eigenstates(plus, grid), eigenstates(minus, grid, slice(1, None))
-    deviations = [_intertwine_deviations(system, plus_pairs[block], minus_pairs[block])
-                  for block in _level_blocks(grid, len(plus_pairs))]
-    # each a list over report levels 1..levels, ascending
-    maps, energies, residuals = ([value for block in column for value in block]
-                                 for column in zip(*deviations))
-    checks = [
-        _check("pairing_max_gap", np.max(np.abs(plus.values - minus.values[1:])), PAIR_TOL),
-        _zero_mode_check(minus),
-        _check("zero_mode_residual", resid, bound),
-        _check("intertwine_map_residual", np.max(maps, initial=0.0), INTERTWINE_TOL),
-        _check("intertwine_energy_deviation", np.max(energies, initial=0.0), INTERTWINE_TOL),
-        _supercharge_check(residuals),
-        *(_check(*identity) for identity in _susy_identities(system)),
-    ]
+    verdicts = checks.verify(_build_system(W, grid), levels)
     # JSON has no NaN or infinity: such a value, which fails its check, is written as null
-    rows = [{**c, "value": c["value"] if math.isfinite(c["value"]) else None} for c in checks]
+    rows = [{"name": c.name, "value": c.value if math.isfinite(c.value) else None,
+             "bound": c.bound, "passed": c.passed} for c in verdicts]
     payload = {"superpotential": W.name, "grid": _grid_payload(grid), "levels": levels,
-               "checks": rows, "passed": all(c["passed"] for c in checks)}
+               "checks": rows, "passed": all(c.passed for c in verdicts)}
     _write(outdir, "verify.json", _json_text(payload))
-    return _finish(checks)
+    return _finish(verdicts)
 
 
 def _write(outdir, filename, text):
@@ -548,18 +366,18 @@ def _write(outdir, filename, text):
     print(f"wrote {path}")
 
 
-def _finish(checks):
+def _finish(verdicts):
     """Exit code of a finished run: 0 if every check passed, else 1.
 
     An exit 1 prints one stderr line, naming the first failed check and
     counting the others.
     """
-    failed = [c for c in checks if not c["passed"]]
+    failed = [c for c in verdicts if not c.passed]
     if not failed:
         return 0
     more = f" (and {len(failed) - 1} more)" if len(failed) > 1 else ""
-    print(f"physics violation: {failed[0]['name']} = {failed[0]['value']!r} "
-          f"exceeds {failed[0]['bound']!r}{more}", file=sys.stderr)
+    print(f"physics violation: {failed[0].name} = {failed[0].value!r} "
+          f"exceeds {failed[0].bound!r}{more}", file=sys.stderr)
     return 1
 
 

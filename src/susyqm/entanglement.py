@@ -13,8 +13,8 @@ one Gram reduction, `_spin_gram`.
 Every route reduces over the last axis and keeps the leading ones, so a
 sweep of states is one call. On a single state (1-D components) each route
 returns Python floats, computed with the same arithmetic as one row of a
-batch: np.vecdot takes each inner product with the BLAS dot that np.vdot
-uses, so a row of a batch and the same state alone agree bit for bit.
+batch: every inner product is a `grid.sum_of_products`, so a row of a batch
+and the same state alone agree bit for bit.
 
 `build_energy_eigenstate` writes c1 psi+ |up> + c2 psi- |down> in an
 orthonormal basis of span{psi+, psi-}, the columns of Q in the QR
@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NormalizationError
-from .grid import Wavefunction, sum_of_squares
+from .grid import Wavefunction, sum_of_products, sum_of_squares
 from .operators import SusySystem
 from .spectral import EPS0
 
@@ -92,7 +92,7 @@ class SpinorState:
         object.__setattr__(self, "down", down)
 
     def norm_squared(self):
-        s = np.vecdot(self.up, self.up).real + np.vecdot(self.down, self.down).real
+        s = sum_of_squares(self.up) + sum_of_squares(self.down)
         return _values(s * self.weight)
 
 
@@ -129,7 +129,7 @@ def build_energy_eigenstate(
     _require_unit_coefficients(c1, c2)
     dx = psi_plus.grid.dx
     for name, psi in (("psi_plus", psi_plus), ("psi_minus", psi_minus)):
-        nrm2 = np.real(np.vdot(psi.amplitudes, psi.amplitudes)) * dx
+        nrm2 = float(sum_of_squares(psi.amplitudes)) * dx
         if abs(nrm2 - 1.0) > 1e-8:
             raise ValueError(f"{name} is not unit-norm: ||psi||^2 = {nrm2!r}")
     stack = np.sqrt(dx) * np.column_stack([psi_plus.amplitudes, psi_minus.amplitudes])
@@ -139,10 +139,9 @@ def build_energy_eigenstate(
 
 def _spin_gram(state: SpinorState):
     """<u|u>, <d|d> and weight * <u|d> of the spin route, once the state is checked normalized."""
-    uu = np.vecdot(state.up, state.up).real
-    dd = np.vecdot(state.down, state.down).real
+    uu, dd = sum_of_squares(state.up), sum_of_squares(state.down)
     _require_normalized((uu + dd) * state.weight)
-    return uu, dd, np.vecdot(state.up, state.down) * state.weight
+    return uu, dd, sum_of_products(state.up, state.down) * state.weight
 
 
 def spin_expectation(state: SpinorState) -> np.ndarray:

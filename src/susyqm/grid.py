@@ -17,6 +17,7 @@ __all__ = [
     "Wavefunction",
     "make_grid",
     "inner_product",
+    "sum_of_products",
     "sum_of_squares",
     "fix_phase",
 ]
@@ -93,21 +94,30 @@ def inner_product(f: Wavefunction, g: Wavefunction):
     """<f|g> = sum conj(f_i) g_i dx. Conjugate-symmetric by construction.
 
     A complex for one state; for a batch, a complex array over its leading
-    axes. np.vecdot takes each sum with the BLAS dot that np.vdot uses, so a
-    state of a batch and the same state alone agree bit for bit.
+    axes, each a state's `sum_of_products` alone.
     """
     _require_same_grid(f, g)
-    ov = np.vecdot(f.amplitudes, g.amplitudes) * f.grid.dx
+    ov = sum_of_products(f.amplitudes, g.amplitudes) * f.grid.dx
     return complex(ov) if ov.ndim == 0 else ov.astype(complex)
 
 
-def sum_of_squares(a: np.ndarray) -> np.ndarray:
-    """The sum of a_i^2 over the last axis of a real array, by numpy's pairwise sum.
+def sum_of_products(u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The sum of conj(u_i) d_i over the last axis, by numpy's pairwise sum.
 
     No BLAS call: BLAS's dot splits a long vector across its threads, so its
     sum depends on the thread count, while this one does not, and each row
-    of a batch sums as it does alone.
+    of a batch sums as it does alone. A complex u is taken as u.real - i
+    u.imag, so (u, u) sums to a real, exactly.
     """
+    if np.iscomplexobj(u):
+        return sum_of_products(u.real, d) - 1j * sum_of_products(u.imag, d)
+    return np.add.reduce(u * d, axis=-1)
+
+
+def sum_of_squares(a: np.ndarray) -> np.ndarray:
+    """The sum of |a_i|^2 over the last axis, by numpy's pairwise sum."""
+    if np.iscomplexobj(a):
+        return sum_of_squares(a.real) + sum_of_squares(a.imag)
     return np.add.reduce(a * a, axis=-1)
 
 

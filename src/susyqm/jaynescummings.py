@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .checks import Check
 from .operators import (
     Bidiagonal,
     Tridiagonal,
@@ -270,9 +271,9 @@ class JCMatchReport:
     Row 0 is the ground state; then, for n = 1 .. guard_n_max, the doublet n:
     rows (n, -1) and (n, +1), or one row (n, 0) for gamma = 0, where the
     doublet is one degenerate eigenspace and its concurrence, which needs a
-    single eigenvector, is NaN. `failures` lists (n, branch, "gap" or
-    "fidelity", value) row by row, a row's gap before its fidelity: a gap
-    above GAP_TOL, or a fidelity F whose deficit 1 - F is above FIDELITY_TOL.
+    single eigenvector, is NaN. `failures` holds a `checks.Check` for each
+    failed value, row by row, a row's gap (against GAP_TOL) before its
+    fidelity deficit 1 - F (against FIDELITY_TOL).
     """
 
     n: np.ndarray
@@ -410,14 +411,14 @@ def numeric_vs_analytic(sys: JCSystem) -> JCMatchReport:
         (0, n_exc), (0, branch), (e0, E_a), (E_num[0], E_n),
         (abs(E_num[0] - e0), gap), (1.0, fid), (0.0, conc),
     ))
-    # row by row, a row's gap failure before its fidelity failure; a value
-    # passes when it is at most its bound, so the NaN fidelity of a block
-    # with neither coupling nor splitting fails
-    bad = ~np.stack([gap <= GAP_TOL, 1.0 - fid <= FIDELITY_TOL], axis=1)
-    row, kind = np.nonzero(bad)
-    failures = tuple(zip(n_col[row].tolist(), branch[row].tolist(),
-                         np.array(["gap", "fidelity"])[kind].tolist(),
-                         np.stack([gap, fid], axis=1)[bad].tolist()))
+    # row by row, a row's gap before its fidelity deficit; a value passes
+    # when it is at most its bound, so the NaN fidelity of a block with
+    # neither coupling nor splitting fails
+    values, bounds = np.stack([gap, 1.0 - fid], axis=1), (GAP_TOL, FIDELITY_TOL)
+    row, kind = np.nonzero(~(values <= bounds))
+    failures = tuple(
+        Check(f"{('gap', 'fidelity_deficit')[k]}[n={n_col[r]},branch={branch[r]}]",
+              values[r, k], bounds[k]) for r, k in zip(row.tolist(), kind.tolist()))
 
     impl_res, alt_res = _label_evidence(sys)
     # NaN cells hold no value and are skipped, as `failures` names them

@@ -298,3 +298,67 @@ def test_c9_cli_determinism(tmp_path):
     report(9, "CLI determinism", not mismatched,
            "byte-identical reruns: " + ", ".join(details)
            + ("" if not mismatched else f"; DIFFERS: {', '.join(mismatched)}"))
+
+
+# criterion 10: every bundled W against its continuum levels (Chebyshev
+# reference); H+ levels 0..5, the partners of report levels 1..6
+
+CONTINUUM_BOXES = {"harmonic": 10.0, "cubic": 5.0, "shifted_cubic": 5.0, "tanh": 10.0}
+
+
+@pytest.fixture(scope="module")
+def continuum_errors(continuum_levels):
+    """max |E+_n - E_n| over n = 1..6 at 2001, 4001 and 8001 points, per W.
+
+    H+'s rows live on the cells, so its Dirichlet walls sit half a cell
+    outside the box. tanh's states reach the walls, so its reference puts
+    them there, at +-(L + dx/2); the others vanish well inside the box.
+    """
+    out = {}
+    for name, half in CONTINUUM_BOXES.items():
+        out[name] = []
+        for n_points in (2001, 4001, 8001):
+            grid = sq.make_grid(-half, half, n_points)
+            system = sq.build_susy_system(sq.get_superpotential(name), grid)
+            wall = half + grid.dx / 2.0 if name == "tanh" else half
+            plus = sq.solve_plus(system.H_plus, 6).values
+            out[name].append(float(np.max(np.abs(plus - continuum_levels(name, -wall, wall)))))
+    return out
+
+
+def continuum_line(errors):
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    return orders, ("max |E+_n - E_n| over n = 1..6 at 2001/4001/8001 points "
+                    + "/".join(f"{e:.3e}" for e in errors)
+                    + ", observed order " + ", ".join(f"{p:.2f}" for p in orders))
+
+
+@pytest.mark.parametrize("name", W_NAMES)
+def test_c10_reference_uses_the_bundled_w(continuum_w, name):
+    W, dW = continuum_w[name]
+    x = np.linspace(-5.0, 5.0, 101)
+    assert np.allclose(W(x), sq.get_superpotential(name)(x), rtol=1e-15, atol=0.0)
+    h = 1e-5  # W' of the closed form against a central difference of the bundled W
+    W_pkg = sq.get_superpotential(name)
+    assert np.allclose(dW(x), (W_pkg(x + h) - W_pkg(x - h)) / (2 * h), rtol=1e-6, atol=1e-8)
+
+
+def test_c10_reference_reproduces_the_harmonic_ladder(continuum_levels):
+    dev = float(np.max(np.abs(continuum_levels("harmonic", -10.0, 10.0) - np.arange(1, 7))))
+    report(10, "continuum reference, harmonic ladder", dev <= 1e-11,
+           f"max |E_n - n| over n = 1..6 is {dev:.3e} (tol 1e-11)")
+
+
+@pytest.mark.parametrize("name", ("harmonic", "cubic", "tanh"))
+def test_c10_second_order(continuum_errors, name):
+    orders, line = continuum_line(continuum_errors[name])
+    report(10, f"continuum convergence {name}", min(orders) >= 1.9, line + " (at least 1.9)")
+
+
+def test_c10_shifted_cubic_first_order(continuum_errors):
+    # W = x^3 + 1/2 has no parity, so the O(dx) term of the one-sided B
+    # does not cancel: a pinned first order, which a second-order scheme
+    # would move above this window
+    orders, line = continuum_line(continuum_errors["shifted_cubic"])
+    report(10, "continuum convergence shifted_cubic", all(0.9 <= p <= 1.2 for p in orders),
+           line + " (pinned between 0.9 and 1.2)")

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import susyqm as sq
-from susyqm import cli, operators
+from susyqm import checks, cli, entanglement, operators, spectral
 
 BOX = {"x_min": -10.0, "x_max": 10.0, "n_points": 401}
 ROOT = Path(__file__).resolve().parent.parent
@@ -341,12 +341,12 @@ class TestSuperchargeCommand:
     def test_unnormalized_state_ends_in_one_line(self, tmp_path, monkeypatch, capsys):
         # harmonic at 2^19 + 1 points ends so, |<psi|psi> - 1| = 1.5e-8 on an
         # intertwined state; here every intertwined state is stretched by 1e-7
-        mapped = cli.intertwine_down
+        mapped = spectral.intertwine_down
 
         def stretched(system, pairs):
             out = mapped(system, pairs)
             return sq.Wavefunction(out.grid, out.amplitudes * (1.0 + 1e-7))
-        monkeypatch.setattr(cli, "intertwine_down", stretched)
+        monkeypatch.setattr(spectral, "intertwine_down", stretched)
         cfg = write_config(tmp_path, {"command": "supercharge",
                                       "superpotential": {"name": "harmonic"},
                                       "grid": dict(BOX), "levels": 2})
@@ -388,7 +388,7 @@ class TestSuperchargeCommand:
         # equals, bit for bit, what the 1-D calls give for its level alone,
         # each residual what the per-state arithmetic gives
         if block_bytes is not None:
-            monkeypatch.setattr(cli, "SUPERCHARGE_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(checks, "SUPERCHARGE_BLOCK_BYTES", block_bytes)
         levels = n_points // 10 - 1
         payload = {"command": "supercharge", "superpotential": {"name": name},
                    "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": n_points},
@@ -398,8 +398,8 @@ class TestSuperchargeCommand:
         rows = json.loads((tmp_path / "supercharge.json").read_text())["rows"]
 
         W, grid = sq.get_superpotential(name), sq.make_grid(-10.0, 10.0, n_points)
-        system, plus, _ = cli._solve_both_sides(W, grid, levels)
-        pairs = sq.eigenstates(plus, grid)
+        system = sq.build_susy_system(W, grid)
+        pairs = sq.eigenstates(sq.solve_plus(system.H_plus, levels), grid)
         expected = []
         for i in range(1, levels + 1):
             pp = pairs[i - 1]  # report index i is H+ level i - 1
@@ -559,7 +559,7 @@ class TestVerifyCommand:
         # physics check is green; a bound no value can meet forces the red
         # path, which must still write the report and name the first failed
         # check on one stderr line
-        monkeypatch.setattr(cli, "MATRIX_SQ_TOL", -1.0)
+        monkeypatch.setattr(checks, "MATRIX_SQ_TOL", -1.0)
         cfg = write_config(tmp_path, {
             "command": "verify",
             "superpotential": {"name": "tanh"},
@@ -590,7 +590,8 @@ class TestVerifyCommand:
         checks = {c["name"]: c["value"]
                   for c in json.loads((tmp_path / "verify.json").read_text())["checks"]}
 
-        system, plus, minus = cli._solve_both_sides(sq.get_superpotential(name), grid, levels)
+        system = sq.build_susy_system(sq.get_superpotential(name), grid)
+        plus, minus = sq.solve_partners(system.H_plus, system.H_minus, levels)
         plus, minus = sq.eigenstates(plus, grid), sq.eigenstates(minus, grid)
         maps, energies, residuals = [0.0], [0.0], [0.0]
         for i in range(1, levels + 1):
@@ -659,7 +660,7 @@ class TestVerifyCommand:
                 for which, _, eigenvalues, states in sq.supercharge_eigenstates(
                     system, energies, psi_plus, psi_minus)], axis=-1)
 
-        monkeypatch.setattr(cli, "supercharge_residuals", residuals)
+        monkeypatch.setattr(entanglement, "supercharge_residuals", residuals)
         assert "supercharge_eigenstate_residual" in self.failed_checks(tmp_path)
 
 
@@ -671,7 +672,7 @@ class TestNaNFailsItsCheck:
     @staticmethod
     def poison_residual(monkeypatch):
         # one residual row of the first block is NaN, the rest as computed
-        residuals = cli.supercharge_residuals
+        residuals = entanglement.supercharge_residuals
 
         def poisoned(*args):
             out = residuals(*args)
@@ -680,19 +681,19 @@ class TestNaNFailsItsCheck:
                 poisoned.done = True
             return out
         poisoned.done = False
-        monkeypatch.setattr(cli, "supercharge_residuals", poisoned)
+        monkeypatch.setattr(entanglement, "supercharge_residuals", poisoned)
 
     @staticmethod
     def poison_deviation(monkeypatch, column):
         # one per-level value of verify's first block (column 0: the
         # aligned map residual, 1: the energy deviation) is NaN
-        deviations = cli._intertwine_deviations
+        deviations = checks._intertwine_deviations
 
         def poisoned(*args):
             out = deviations(*args)
             out[column][0] = math.nan
             return out
-        monkeypatch.setattr(cli, "_intertwine_deviations", poisoned)
+        monkeypatch.setattr(checks, "_intertwine_deviations", poisoned)
 
     def test_supercharge_residual_row(self, tmp_path, monkeypatch, capsys):
         self.poison_residual(monkeypatch)
@@ -745,8 +746,8 @@ class TestPairingWindows:
         """The verdict on the first pair of the blind lists apart by more than PAIR_TOL."""
         plus = system.H_plus.eigh(0, levels - 1).values.tolist()
         minus = system.H_minus.eigh(0, levels).values.tolist()
-        ep, em = next((p, m) for p, m in zip(plus, minus[1:]) if abs(p - m) > cli.PAIR_TOL)
-        return (f"level {ep!r} of H+ has no partner within tol = {cli.PAIR_TOL} "
+        ep, em = next((p, m) for p, m in zip(plus, minus[1:]) if abs(p - m) > spectral.PAIR_TOL)
+        return (f"level {ep!r} of H+ has no partner within tol = {spectral.PAIR_TOL} "
                 f"(nearest H- level {em!r}, gap {abs(ep - em):.3e})")
 
     @staticmethod
@@ -770,10 +771,29 @@ class TestPairingWindows:
     def test_blind_minus_solve_skipped_when_pairing_holds(self, tmp_path, monkeypatch,
                                                           name, states):
         for command in self.READERS[states]:
-            returned = {}  # what the command's own build and solves returned
-            for fn in ("_build_system", "solve_partners", "solve_plus"):
-                monkeypatch.setattr(cli, fn, lambda *args, _fn=fn, _call=getattr(cli, fn):
-                                    returned.setdefault(_fn, _call(*args)))
+            # what the command's own build and solves returned, not the
+            # solve_plus inside solve_partners
+            returned, active = {}, []
+
+            def recording(fn, call):
+                def spy(*args):
+                    nested = bool(active)
+                    active.append(fn)
+                    try:
+                        result = call(*args)
+                    finally:
+                        active.pop()
+                    if not nested:
+                        returned.setdefault(fn, result)
+                    return result
+                return spy
+            monkeypatch.setattr(cli, "_build_system", recording("_build_system",
+                                                                 cli._build_system))
+            for fn in ("solve_partners", "solve_plus"):
+                spy = recording(fn, getattr(spectral, fn))
+                for owner in (spectral, cli):  # checks calls spectral's, entangle cli's
+                    if hasattr(owner, fn):
+                        monkeypatch.setattr(owner, fn, spy)
             calls = self.spy(monkeypatch, sq.Tridiagonal, "eigh")
             stein = self.spy(monkeypatch, sq.Bisection, "vectors")
             payload = {"command": command, "superpotential": {"name": name},
@@ -873,7 +893,8 @@ class TestPairingWindows:
         assert runs[:2] == runs[2:]
         assert [rc for rc, _ in runs] == [0] * 4
         with pytest.raises(sq.DegeneracyError, match="of H[+] has no partner"):
-            cli._solve_both_sides(sq.get_superpotential("harmonic"), self.GRID, 6)
+            checks.spectrum(cli.build_susy_system(sq.get_superpotential("harmonic"), self.GRID),
+                            6)
 
     def test_shifted_levels_empty_the_windows(self, monkeypatch):
         # every H- level 1e-9 up: no window holds its level, and the blind
@@ -881,9 +902,9 @@ class TestPairingWindows:
         mutate_minus(monkeypatch, lambda H: sq.Tridiagonal(H.diag + 1e-9, H.off))
         calls = self.spy(monkeypatch, sq.Tridiagonal, "eigh")
         W = sq.get_superpotential("harmonic")
-        with pytest.raises(sq.DegeneracyError) as exc:
-            cli._solve_both_sides(W, self.GRID, 6)
         system = cli.build_susy_system(W, self.GRID)
+        with pytest.raises(sq.DegeneracyError) as exc:
+            sq.solve_partners(system.H_plus, system.H_minus, 6)
         assert [(lo, hi) for H, lo, hi in calls] == [(0, 5), (0, 6)]  # H+, then H- blind
         assert str(exc.value) == self.blind_verdict(system, 6)
         assert "of H+ has no partner within tol = 1e-10 (nearest H- level" in str(exc.value)
@@ -898,10 +919,10 @@ class TestPairingWindows:
                                                             np.append(H.off, 0.0)))
         system = cli.build_susy_system(W, self.GRID)
         found = system.H_minus.eigh_windows(
-            [(-np.inf, cli.EPS0)] + [(e - cli.PAIR_TOL, e + cli.PAIR_TOL) for e in plus])
+            [(-np.inf, sq.EPS0)] + [(e - spectral.PAIR_TOL, e + spectral.PAIR_TOL) for e in plus])
         assert found.counts == (1,) * 7
         with pytest.raises(sq.DegeneracyError) as exc:
-            cli._solve_both_sides(W, self.GRID, 6)
+            sq.solve_partners(system.H_plus, system.H_minus, 6)
         assert str(exc.value) == self.blind_verdict(system, 6)
         assert f"level {float(plus[3])!r} of H+ has no partner" in str(exc.value)
         assert f"nearest H- level {stray!r}" in str(exc.value)

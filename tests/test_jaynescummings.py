@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import susyqm as sq
-from susyqm import cli
+from susyqm import checks, cli
 from susyqm import jaynescummings as jcm
 
 COLUMNS = ("n", "branch", "E_analytic", "E_numeric", "gap", "fidelity", "concurrence")
@@ -281,7 +281,7 @@ class TestAlgebraReport:
         n = 8001
         system = sq.build_susy_system(sq.get_superpotential("harmonic"),
                                       sq.make_grid(-10.0, 10.0, n))
-        assert traced_peak(lambda: cli._susy_identities(system)) < 6 * 5 * 2 * n * 8
+        assert traced_peak(lambda: checks._susy_identities(system)) < 6 * 5 * 2 * n * 8
 
 
 class TestNumericMatch:
@@ -312,8 +312,8 @@ class TestNumericMatch:
 
     @pytest.mark.parametrize("gamma", (0.1, 0.0))
     def test_failures_row_by_row(self, gamma, monkeypatch):
-        # the failures of a row-by-row scan of the columns, in its order: a
-        # row's gap before its fidelity, and a NaN fidelity fails. |2 down>
+        # the failed checks of a row-by-row scan of the columns, in its order:
+        # a row's gap before its fidelity deficit, and a NaN fidelity fails. |2 down>
         # lifted by 0.01 moves doublet 2 off its levels; doublet 1 decoupled
         # by hand has neither coupling nor splitting, so no eigenvector: its
         # fidelity is NaN at gamma = 0.1
@@ -331,15 +331,18 @@ class TestNumericMatch:
         for n, b, gap, fid in zip(match.n.tolist(), match.branch.tolist(),
                                   match.gap.tolist(), match.fidelity.tolist()):
             if gap > 1e-3:
-                expected.append((n, b, "gap", gap))
+                expected.append(checks.Check(f"gap[n={n},branch={b}]", gap, 1e-3))
             if not fid >= 1.0:
-                expected.append((n, b, "fidelity", fid))
+                expected.append(checks.Check(f"fidelity_deficit[n={n},branch={b}]",
+                                             1.0 - fid, 0.0))
         assert repr(match.failures) == repr(tuple(expected))
-        assert (2, 0 if gamma == 0.0 else -1, "gap") in [f[:3] for f in match.failures]
+        assert not any(f.passed for f in match.failures)
+        names = [f.name for f in match.failures]
+        assert f"gap[n=2,branch={0 if gamma == 0.0 else -1}]" in names
         if gamma:
-            assert [f[:3] for f in match.failures[:4]] == [
-                (1, -1, "gap"), (1, -1, "fidelity"), (1, 1, "gap"), (1, 1, "fidelity")]
-            assert np.isnan(match.failures[1][3])
+            assert names[:4] == ["gap[n=1,branch=-1]", "fidelity_deficit[n=1,branch=-1]",
+                                 "gap[n=1,branch=1]", "fidelity_deficit[n=1,branch=1]"]
+            assert np.isnan(match.failures[1].value)
 
     def test_resonant_doublets_read_one_exactly(self):
         # a = b on every resonant block, so s = c / |c| = 1: fidelity and
@@ -373,7 +376,8 @@ class TestNumericMatch:
             a, b, c = blocks[n - 1]
             if c == a - b == 0.0:
                 assert np.isnan(match.fidelity[row]) and np.isnan(match.concurrence[row])
-                assert (n, branch, "fidelity") in [f[:3] for f in match.failures]
+                assert (f"fidelity_deficit[n={n},branch={branch}]"
+                        in [f.name for f in match.failures])
                 continue
             h = (a - b) / 2.0
             scale = -np.frexp(max(abs(h), abs(c)))[1]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susyqm as sq
-from susyqm import cli, spectral
+from susyqm import checks, spectral
 from susyqm.spectral import PAIR_TOL
 
 
@@ -316,17 +316,20 @@ class TestPairPartnerLevels:
         assert err.value.level == 5e-11
         assert "a second zero mode" in str(err.value)
 
-    def test_lifted_zero_mode_keeps_levels_paired(self):
+    def test_lifted_zero_mode_keeps_levels_paired(self, monkeypatch):
         # the H- zero mode bisected to 2^-23, as at 2^20 + 1 harmonic
         # points: the pairs stay level for level, and only the zero-mode
-        # verdict fails
+        # verdict fails, here `spectrum`'s check given these levels
         plus, minus = sq.solve_partners(
             diagonal([1.0, 2.0]), diagonal([2.0 ** -23, 1.0, 2.0]), 2)
         assert plus.values.tolist() == minus.values[1:].tolist() == [1.0, 2.0]
         assert minus.values[0] == 2.0 ** -23
-        assert cli._zero_mode_check(minus) == {
-            "name": "zero_mode_present", "value": 2.0 ** -23, "bound": sq.EPS0,
-            "passed": False}
+        monkeypatch.setattr(spectral, "solve_partners", lambda *args: (plus, minus))
+        system = sq.build_susy_system(sq.get_superpotential("harmonic"),
+                                      sq.make_grid(-10.0, 10.0, 201))
+        present = checks.spectrum(system, 2)[3][0]
+        assert present == checks.Check("zero_mode_present", 2.0 ** -23, sq.EPS0)
+        assert present.passed is False
 
     def test_trailing_tail_recorded_not_fatal(self):
         # an H+ level above the levels asked for is never read

@@ -5,7 +5,7 @@ Usage:
     python tools/report_digest.py [CHECKOUT] > digests.txt
 
 CHECKOUT (default: the checkout holding this script) is a susyqm source tree;
-its `susyqm.cli` is imported from its `src/` and run in process on 106
+its `susyqm.cli` is imported from its `src/` and run in process on 110
 configs, each once with `--format csv` and once with `--format json`:
 
 - the bundled configs in `configs/`;
@@ -59,6 +59,12 @@ EXTRA = [
     # verify at 32001 points for every W: its sums of squares must not depend
     # on the BLAS thread count
     *((f"verify/{name}/32001", _config("verify", name, 32001)) for name in W_NAMES),
+    # and neither may entangle's overlaps and spin sums nor supercharge's
+    # concurrences
+    *((f"entangle/{name}/32001/level=6", _config("entangle", name, 32001, key="level"))
+      for name in ("harmonic", "cubic")),
+    *((f"supercharge/{name}/32001", _config("supercharge", name, 32001))
+      for name in ("harmonic", "cubic")),
     ("spectrum/cubic/32001", _config("spectrum", "cubic", 32001)),
     ("entangle/shifted_cubic/2001/level=5",
      _config("entangle", "shifted_cubic", 2001, key="level", value=5)),
