@@ -30,7 +30,6 @@ from .errors import ConfigError, PhysicsViolationError, SusyQMError
 from .grid import Grid, inner_product, make_grid
 from .jaynescummings import build_jc, numeric_vs_analytic, verify_susy_algebra
 from .operators import build_susy_system
-from .spectral import eigenstates, solve_partners
 from .superpotentials import REGISTRY_NAMES, get_superpotential
 
 SWEEP_COLUMNS = (
@@ -257,11 +256,7 @@ def run_entangle(cfg, outdir, fmt):
             f"exceeds the cap of {SWEEP_MAX_ROWS} rows"
         )
 
-    system = _build_system(W, grid)
-    plus, minus = solve_partners(system.H_plus, system.H_minus, level)
-    # report level k is H+ level k - 1 and H- level k
-    pp, mm = (eigenstates(side, grid, slice(k, k + 1))[0]
-              for side, k in ((plus, level - 1), (minus, level)))
+    pp, mm, verdicts = checks.entangle(_build_system(W, grid), level)
     overlap = inner_product(pp.state, mm.state)
 
     # row r = i * phase_points + j holds c1 grid point i and phase j
@@ -282,7 +277,7 @@ def run_entangle(cfg, outdir, fmt):
         "E_minus": mm.energy,
     }, SWEEP_COLUMNS, (".17g",) * len(columns), columns)
     _write(outdir, "entangle." + fmt, text)
-    return _finish([])
+    return _finish(verdicts)
 
 
 def run_supercharge(cfg, outdir, fmt):

@@ -25,6 +25,13 @@ SVD concurrences, is the same in exact arithmetic as on the grid, while a
 state costs two amplitudes instead of n. The overlap route reads
 <psi+|psi-> from the grid, so the cross term it uses is computed apart from
 the reduction.
+
+A level's four supercharge eigenstates (psi+ |up> + p psi- |down>)/sqrt(2),
+p = 1, -1, i, -i, differ only by the unit phase p on the down half, so they
+share one concurrence and one eigen-relation residual:
+`supercharge_concurrences` and `supercharge_residuals` give one value a
+level and form no complex state. `supercharge_eigenstates` forms all four,
+as the reference the tests read them against.
 """
 
 from dataclasses import dataclass
@@ -251,12 +258,6 @@ def analyze(
     )
 
 
-# (family, sign, phase) of a level's four supercharge eigenstates, in report
-# order; the state is (psi+ |up> + phase psi- |down>)/sqrt(2). The real
-# phases are ints, so the Q1 states keep real components.
-_SUPERCHARGE_STATES = (("q1", +1, 1), ("q1", -1, -1), ("q2", +1, 1j), ("q2", -1, -1j))
-
-
 def _level_pair(E, psi_plus: Wavefunction, psi_minus: Wavefunction):
     """sqrt(E), psi+/sqrt(2) and psi-/sqrt(2) of a level pair or a block of them, checked."""
     energy = np.asarray(E, dtype=float)
@@ -279,37 +280,38 @@ def supercharge_eigenstates(
     intertwining-consistent phase (i.e. be B+ psi+ / sqrt(E) up to round-off),
     otherwise these are not eigenstates. For a batch, E is an array over the
     leading axis of the two states, and each row holds an eigenvalue array
-    and a batch of states, each as it is built alone.
+    and a batch of states, each as it is built alone. The reference the
+    per-level values of `supercharge_concurrences` and
+    `supercharge_residuals` are tested against; no command forms these.
     """
-    return _supercharge_states(sys, E, psi_plus, psi_minus, (+1, -1))
-
-
-def _supercharge_states(sys: SusySystem, E, psi_plus, psi_minus, signs) -> tuple:
-    """The rows of `supercharge_eigenstates` whose sign is in `signs`, in report order."""
     root, up, dn = _level_pair(E, psi_plus, psi_minus)
     root = _values(root)
+    # the real phases are ints, so the Q1 states keep real components
     return tuple((family, sign, sign * root, SpinorState(up, phase * dn, sys.grid.dx))
-                 for family, sign, phase in _SUPERCHARGE_STATES if sign in signs)
+                 for family, sign, phase in (("q1", +1, 1), ("q1", -1, -1),
+                                             ("q2", +1, 1j), ("q2", -1, -1j)))
 
 
 def supercharge_concurrences(sys: SusySystem, E, psi_plus: Wavefunction,
-                             psi_minus: Wavefunction) -> tuple:
-    """Rows (family, sign, concurrence) of the four `supercharge_eigenstates`, in report order.
+                             psi_minus: Wavefunction):
+    """The concurrence shared by the four `supercharge_eigenstates` of a level pair.
 
-    The two states of a family differ only in the sign of the down half,
-    which leaves every product `concurrence_from_spin` reduces as it is, so
-    only each family's + state is formed, and its concurrence is both
-    states', bit for bit. Batched as `supercharge_eigenstates`: for a block
-    of levels each concurrence is an array over them.
+    A state's down half is psi-/sqrt(2) times a unit phase, 1, -1, i or -i,
+    which leaves <u|u>, <d|d> and |<u|d>|^2, every product
+    `concurrence_from_spin` reduces, as they are in exact arithmetic. So
+    only the real Q1 + state (psi+ |up> + psi- |down>)/sqrt(2) is formed,
+    and its concurrence is each state's: bit for bit that of the Q1 - state,
+    and a Q2 state's own differs from it only in the rounding of its complex
+    sums, by an ulp where it differs at all. A Python float for one level;
+    for a block of levels (E an array over the leading axis of the two
+    states) an array over them.
     """
-    q1, q2 = (concurrence_from_spin(state)
-              for *_, state in _supercharge_states(sys, E, psi_plus, psi_minus, (+1,)))
-    return tuple((family, sign, q)
-                 for (family, sign, _), q in zip(_SUPERCHARGE_STATES, (q1, q1, q2, q2)))
+    _, up, dn = _level_pair(E, psi_plus, psi_minus)
+    return concurrence_from_spin(SpinorState(up, dn, sys.grid.dx))
 
 
 def supercharge_residuals(sys: SusySystem, E, psi_plus: Wavefunction, psi_minus: Wavefunction):
-    """|| Q s - q s || of the four `supercharge_eigenstates` s of a level pair, in report order.
+    """|| Q s - q s ||, shared by the four `supercharge_eigenstates` s of a level pair.
 
     Q1 acts blockwise as (B phi_down, B+ phi_up), two-term stencils, and
     Q2 = -i sz Q1 as (-i B phi_down, +i B+ phi_up), the up half on the
@@ -324,12 +326,10 @@ def supercharge_residuals(sys: SusySystem, E, psi_plus: Wavefunction, psi_minus:
     modulus, re^2 + im^2 with one part an exact zero, the same square. So the
     four states share one residual, each half's squares summed by
     `sum_of_squares`, which equals what each state gives alone, bit for bit.
-    The result has a last axis of the four states; for a block of levels (E
-    an array over the leading axis of the two states) its leading axes run
-    over the levels.
+    A Python float for one level; for a block of levels (E an array over the
+    leading axis of the two states) an array over them.
     """
     root, up, dn = _level_pair(E, psi_plus, psi_minus)
     q, up = root[..., None], up[..., :-1]  # the up half on the n - 1 cells
     r_up, r_down = sys.B @ dn - q * up, sys.B_adj @ up - q * dn
-    residual = np.sqrt((sum_of_squares(r_up) + sum_of_squares(r_down)) * sys.grid.dx)
-    return np.stack([residual] * 4, axis=-1)
+    return _values(np.sqrt((sum_of_squares(r_up) + sum_of_squares(r_down)) * sys.grid.dx))

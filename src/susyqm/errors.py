@@ -25,7 +25,7 @@ class PhysicsViolationError(SusyQMError):
 
 
 class DegeneracyError(PhysicsViolationError):
-    """Partner spectra failed to pair; carries the offending level."""
+    """H+ has a second zero mode, a level at or below EPS0; carries that level."""
 
     def __init__(self, message, level=None):
         super().__init__(message)

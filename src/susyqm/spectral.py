@@ -15,11 +15,11 @@ level 0.
 `solve_plus` bisects H+ blind and raises DegeneracyError for a second zero
 mode. That is all `supercharge` solves: its states need only an H+
 eigenpair and B, since the intertwining relation H- B_adj = B_adj H+ makes
-B_adj psi+ / sqrt(E) an H- eigenstate. `solve_partners` is the one owner of
-the pairing decision and of its tolerance PAIR_TOL = 1e-10: it takes the H+
-levels of `solve_plus`, bisects H- only inside the windows they define,
-blind only when those fail, and raises DegeneracyError for a level without
-a partner.
+B_adj psi+ / sqrt(E) an H- eigenstate. `solve_partners` takes the H+
+levels of `solve_plus` and bisects H- only inside the pairing windows of
+half-width PAIR_TOL = 1e-10 they define, blind only when those fail. It
+only solves: the pairing verdict, the largest gap between paired levels
+against PAIR_TOL, is read from its result by `susyqm.checks`.
 
 `eigenstates` forms the eigenpairs of the levels a caller reads from a
 bisection result as one batch (`EigenPair` over a leading level axis),
@@ -129,10 +129,9 @@ def solve_plus(H_plus: Tridiagonal, levels: int) -> Bisection:
 
 
 def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int):
-    """Levels 0..levels - 1 of H+ and 0..levels of H-, paired, as two bisection results.
+    """Levels 0..levels - 1 of H+ and 0..levels of H-, as two bisection results.
 
-    The one owner of the pairing decision and its tolerance PAIR_TOL. H+ is
-    solved by `solve_plus`, so a second zero mode raises before H- is
+    H+ is solved by `solve_plus`, so a second zero mode raises before H- is
     touched. Level 0 of H- is its zero by B's construction; level i of H+
     pairs with level i + 1 of H-. H- is bisected only where its
     levels must lie (`Tridiagonal.eigh_windows`), about a third of the Sturm
@@ -144,14 +143,14 @@ def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int):
     window's end equals the number found, so no H- level lies between
     windows; its values are then the levels + 1 lowest H- levels, as
     `Tridiagonal.eigh` finds them blind, to the last ulp or two. When any
-    count fails, H- is bisected blind. A gap above PAIR_TOL between paired
-    levels raises DegeneracyError, naming the H+ level. No eigenvector is
-    formed: the caller asks `eigenstates` for the sides it reads.
+    count fails, H- is bisected blind. Either way the levels are returned as
+    found, whatever their gaps: pairing is judged by the caller. No
+    eigenvector is formed: the caller asks `eigenstates` for the sides it
+    reads.
     """
     plus = solve_plus(H_plus, levels)
-    e_plus = plus.values.tolist()
     windows = [(-np.inf, EPS0)]
-    for e in e_plus:
+    for e in plus.values.tolist():
         windows.append((max(e - PAIR_TOL, windows[-1][1]), e + PAIR_TOL))
     minus = None
     if all(a < b for a, b in windows):
@@ -161,15 +160,6 @@ def solve_partners(H_plus: Tridiagonal, H_minus: Tridiagonal, levels: int):
             minus = H_minus.eigh_windows(windows)
     if minus is None or any(c != 1 for c in minus.counts):
         minus = H_minus.eigh(0, levels)
-
-    for ep, em in zip(e_plus, minus.values[1:].tolist()):
-        gap = abs(ep - em)
-        if gap > PAIR_TOL:
-            raise DegeneracyError(
-                f"level {ep!r} of H+ has no partner within tol = {PAIR_TOL} "
-                f"(nearest H- level {em!r}, gap {gap:.3e})",
-                level=ep,
-            )
     return plus, minus
 
 

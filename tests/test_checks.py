@@ -48,13 +48,15 @@ def ending(found):
 
 
 # (W, params, half width, points): passing runs, runs that fail some checks
-# (a zero mode just above EPS0 on a steep box, and H+- near overflow), and a
-# second zero mode of H+, which the solve raises
+# (a zero mode just above EPS0 on a steep box, levels one ulp from their
+# partners on a steeper one, and H+- near overflow), and a second zero mode
+# of H+, which the solve raises
 GRID_CASES = (
     ("harmonic", {}, 10.0, 201),
     ("tanh", {}, 10.0, 201),
     ("cubic", {}, 10.0, 201),
     ("harmonic", {"scale": 2.0 ** 16}, 10.0 * 2 ** -8, 2001),
+    ("harmonic", {"scale": 2.0 ** 20}, 10.0 * 2 ** -10, 2001),
     ("harmonic", {"scale": 1e153}, 10.0, 201),
     ("harmonic", {"scale": 2.0 ** -40}, 10.0 * 2 ** 20, 201),
 )
@@ -66,7 +68,7 @@ def test_grid_checks_equal_the_reports(tmp_path, capsys, name, params, half_widt
     # stderr line follow from them, and verify.json holds them as they are
     system = sq.build_susy_system(sq.get_superpotential(name, **params),
                                   sq.make_grid(-half_width, half_width, n_points))
-    for command in ("spectrum", "supercharge", "verify"):
+    for command in ("spectrum", "entangle", "supercharge", "verify"):
         try:
             found = getattr(checks, command)(system, 6)
         except sq.SusyQMError as exc:
@@ -77,7 +79,7 @@ def test_grid_checks_equal_the_reports(tmp_path, capsys, name, params, half_widt
             expected = ending(found)
         payload = {"command": command, "superpotential": {"name": name, "params": params},
                    "grid": {"x_min": -half_width, "x_max": half_width, "n_points": n_points},
-                   "levels": 6}
+                   "level" if command == "entangle" else "levels": 6}
         rc, err, out = run(tmp_path, capsys, payload)
         assert (rc, err) == expected, command
         if command == "verify" and found is not None:
@@ -113,6 +115,7 @@ def test_other_layers_are_called_through_their_modules(monkeypatch):
     # a tracer that patches layer namespaces needs
     calls = []
     for module, name in ((spectral, "solve_plus"), (spectral, "intertwine_down"),
+                         (entanglement, "supercharge_concurrences"),
                          (entanglement, "supercharge_residuals")):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name:
@@ -120,4 +123,5 @@ def test_other_layers_are_called_through_their_modules(monkeypatch):
     system = sq.build_susy_system(sq.get_superpotential("harmonic"),
                                   sq.make_grid(-10.0, 10.0, 201))
     checks.supercharge(system, 2)
-    assert calls == ["solve_plus", "intertwine_down", "supercharge_residuals"]
+    assert calls == ["solve_plus", "intertwine_down", "supercharge_concurrences",
+                     "supercharge_residuals"]

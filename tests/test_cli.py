@@ -53,6 +53,11 @@ def read_csv(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+# verify's five identity checks, in report order
+IDENTITY_CHECKS = ("q1_squared_vs_hamiltonian", "q2_squared_vs_hamiltonian",
+                   "anticommutator_q1_q2", "anticommutator_parity_q1", "q2_hermiticity")
+
+
 def mutate_minus(monkeypatch, mutate):
     """Make the commands build H- as mutate(H-), B and H+ unchanged."""
     build = cli.build_susy_system
@@ -379,14 +384,16 @@ class TestSuperchargeCommand:
         }
 
     @pytest.mark.parametrize("n_points, block_bytes", (
-        (201, None), (201, 16 * 201 * 4), (1001, None)), ids=("201", "201-blocks_of_4", "1001"))
+        (201, None), (201, 8 * 201 * 4), (1001, None)), ids=("201", "201-blocks_of_4", "1001"))
     @pytest.mark.parametrize("name", W_NAMES)
     def test_rows_equal_the_per_level_calls(self, tmp_path, monkeypatch, name, n_points,
                                             block_bytes, residual_per_state):
         # levels at the cap, over several blocks (one at 201 points unless the
         # blocks are cut to 4 levels, leaving a short last one); every cell
         # equals, bit for bit, what the 1-D calls give for its level alone,
-        # each residual what the per-state arithmetic gives
+        # each residual what the per-state arithmetic gives, and each
+        # concurrence that of the level's Q1 + state, the first row, within
+        # an ulp of the row's own state
         if block_bytes is not None:
             monkeypatch.setattr(checks, "SUPERCHARGE_BLOCK_BYTES", block_bytes)
         levels = n_points // 10 - 1
@@ -405,10 +412,12 @@ class TestSuperchargeCommand:
             pp = pairs[i - 1]  # report index i is H+ level i - 1
             mapped = sq.intertwine_down(system, pp)
             assert mapped.amplitudes.shape == (n_points,)
-            for family, sign, q, st in sq.supercharge_eigenstates(
-                    system, pp.energy, pp.state, mapped):
+            states = sq.supercharge_eigenstates(system, pp.energy, pp.state, mapped)
+            concurrence = sq.concurrence_from_spin(states[0][3])
+            for family, sign, q, st in states:
                 residual = residual_per_state(system, st, q, family)
-                concurrence = sq.concurrence_from_spin(st)
+                own = sq.concurrence_from_spin(st)
+                assert abs(own - concurrence) <= np.spacing(concurrence)
                 assert type(q) is type(residual) is type(concurrence) is float
                 expected.append({"index": i, "energy": pp.energy, "family": family,
                                  "sign": sign, "residual": residual,
@@ -417,6 +426,63 @@ class TestSuperchargeCommand:
         for got, want in zip(rows, expected):  # equal floats, and equal bits
             for key in ("energy", "residual", "concurrence"):
                 assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes()
+
+    @pytest.mark.parametrize("name, params, n_points", (
+        *((name, {}, n_points) for n_points in (201, 1001) for name in W_NAMES),
+        # the benchmark's shifted_cubic jobs whose Q2 concurrence cells moved
+        # by an ulp when the cells became the Q1 + state's
+        ("shifted_cubic", {"a": -0.7312715117751976}, 1001),
+        ("shifted_cubic", {"a": 0.9120685437784988}, 1001),
+    ))
+    def test_cells_hold_for_each_state_alone(self, tmp_path, name, params, n_points,
+                                             build_supercharges):
+        # every level at the cap, its four states formed alone by
+        # supercharge_eigenstates, against the report's row of each state.
+        # Concurrence: the state's own is within an ulp of its cell (the Q2
+        # states of shifted_cubic levels 68, 73, 75, 86 and 92 at 1001
+        # points, among others, sit one ulp off). Residual: the state's own
+        # ||Q s - q s||, with Q1 and Q2 the dense matrices, each applied to
+        # its own states, is the cell within round-off. Every row of Q holds
+        # two nonzeros, and zeros add exactly, so each entry of Q v - q v is
+        # computed within gamma_3 (|Q| |v| + |q| |v|) of the exact one,
+        # gamma_3 = 3u / (1 - 3u) with u = eps / 2, both here and in the
+        # package's blockwise residual. |||Q|||_2 is at most rho, the largest
+        # row sum of |Q|, so each computed vector is within gamma_3 (rho + |q|)
+        # ||s|| of the exact one, and each norm of N squares is rounded by
+        # at most (N + 2) u relative: the two residuals differ by at most
+        # 2 gamma_3 (rho + |q|) ||s|| + 2 (N + 2) u max(r)
+        levels = n_points // 10 - 1
+        payload = {"command": "supercharge",
+                   "superpotential": {"name": name, "params": params},
+                   "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": n_points},
+                   "levels": levels}
+        assert cli.main(["--config", write_config(tmp_path, payload), "--out", str(tmp_path),
+                         "--format", "json"]) == 0
+        rows = json.loads((tmp_path / "supercharge.json").read_text())["rows"]
+
+        grid = sq.make_grid(-10.0, 10.0, n_points)
+        system = sq.build_susy_system(sq.get_superpotential(name, **params), grid)
+        pairs = sq.eigenstates(sq.solve_plus(system.H_plus, levels), grid)
+        u = np.finfo(float).eps / 2
+        gamma3 = 3 * u / (1 - 3 * u)
+        dense = dict(zip(("q1", "q2"), build_supercharges(system)))
+        rho = float(np.max(np.sum(np.abs(dense["q1"]), axis=1)))
+        N = 2 * n_points - 1
+        states = sq.supercharge_eigenstates(system, pairs.energy, pairs.state,
+                                            sq.intertwine_down(system, pairs))
+        for k, (family, sign, q, st) in enumerate(states):
+            # the n - 1 up cells first, then the n down nodes, one column a level
+            v = np.concatenate([st.up[:, :-1], st.down], axis=1).T
+            own = np.sqrt(grid.dx) * np.linalg.norm(dense[family] @ v - q * v, axis=0)
+            norms = np.sqrt(grid.dx) * np.linalg.norm(v, axis=0)
+            for i, row in enumerate(rows[k::4]):
+                assert (row["index"], row["family"], row["sign"]) == (i + 1, family, sign)
+                cell = row["concurrence"]
+                assert abs(sq.concurrence_from_spin(sq.SpinorState(
+                    st.up[i], st.down[i], grid.dx)) - cell) <= np.spacing(cell)
+                bound = (2 * gamma3 * (rho + abs(q[i])) * norms[i]
+                         + 2 * (N + 2) * u * max(own[i], row["residual"]))
+                assert abs(own[i] - row["residual"]) <= bound
 
 
 def reference_jc_reports(omega, gamma, n_max):
@@ -637,6 +703,35 @@ class TestVerifyCommand:
         assert failed == {"q1_squared_vs_hamiltonian": shift,
                           "q2_squared_vs_hamiltonian": shift}
 
+    def test_nonzero_q1_diagonal_fails_every_identity(self, tmp_path, monkeypatch):
+        # Q1 = [[0, B], [B+, 0]] with a diagonal of 1e-6 max|B|: the squares
+        # gain its square and its products with the bands, R = sz Q1 no
+        # longer meets Q1 in {Q1, R}, and {sz, Q1} = 2 sz diag(Q1)
+        golub_kahan = operators.golub_kahan
+
+        def mutant(B):
+            Q = golub_kahan(B)
+            return sq.Tridiagonal(np.full(Q.diag.size, 1e-6 * np.max(np.abs(Q.off))), Q.off)
+        monkeypatch.setattr(operators, "golub_kahan", mutant)
+        assert set(self.failed_checks(tmp_path)) == set(IDENTITY_CHECKS)
+
+    def test_constant_sz_fails_all_but_the_q1_square(self, tmp_path, monkeypatch):
+        # sz = +1 on every position instead of alternating: R = Q1, so
+        # Q2^2 = -R^2 is -Q1^2, {Q1, R} is 2 Q1^2 and {sz, Q1} is 2 Q1, while
+        # Q1^2 is untouched
+        def mutant(Q1):
+            q1 = operators.band_rows(Q1)
+            sz = np.zeros_like(q1)
+            sz[1] = 1.0
+            R = sz[1] * q1
+            yield operators.band_product(q1, q1)
+            yield operators.band_product(R, R)
+            yield operators.band_commutator(q1, R, anti=True)
+            yield operators.band_commutator(sz, q1, anti=True)
+        monkeypatch.setattr(operators, "supercharge_products", mutant)
+        assert set(self.failed_checks(tmp_path)) == set(IDENTITY_CHECKS) - {
+            "q1_squared_vs_hamiltonian"}
+
     @pytest.mark.parametrize("mutant", (
         lambda system, s: sq.SpinorState(np.append(1j * (system.B @ s.down), 0.0),
                                          -1j * (system.B_adj @ s.up[:-1]), s.weight),
@@ -647,18 +742,18 @@ class TestVerifyCommand:
                                                       blockwise_supercharge, blockwise_residual):
         # the residuals verify calls, with Q2 replaced by the mutant; verify
         # passes a block of level pairs, whose four states are formed and
-        # taken one at a time, each column of the result one state
+        # taken one at a time, and reads the largest of a level's four
         def apply(system, state, which):
             return mutant(system, state) if which == "q2" else \
                 blockwise_supercharge(system, state, which)
 
         def residuals(system, energies, psi_plus, psi_minus):
-            return np.stack([np.array([
+            return np.max([np.array([
                 blockwise_residual(system, sq.SpinorState(up, down, states.weight), q, which,
                                    apply=apply)
                 for up, down, q in zip(states.up, states.down, eigenvalues)])
                 for which, _, eigenvalues, states in sq.supercharge_eigenstates(
-                    system, energies, psi_plus, psi_minus)], axis=-1)
+                    system, energies, psi_plus, psi_minus)], axis=0)
 
         monkeypatch.setattr(entanglement, "supercharge_residuals", residuals)
         assert "supercharge_eigenstate_residual" in self.failed_checks(tmp_path)
@@ -671,13 +766,14 @@ class TestNaNFailsItsCheck:
 
     @staticmethod
     def poison_residual(monkeypatch):
-        # one residual row of the first block is NaN, the rest as computed
+        # the residual of the first level of the first block is NaN, the
+        # rest as computed
         residuals = entanglement.supercharge_residuals
 
         def poisoned(*args):
             out = residuals(*args)
             if not poisoned.done:
-                out[0, 1] = np.nan
+                out[0] = np.nan
                 poisoned.done = True
             return out
         poisoned.done = False
@@ -704,7 +800,7 @@ class TestNaNFailsItsCheck:
         assert capsys.readouterr().err == (
             "physics violation: supercharge_eigenstate_residual = nan exceeds 1e-08\n")
         _, rows = read_csv(tmp_path / "supercharge.csv")
-        assert [r[4] for r in rows].count("nan") == 1
+        assert [r[4] for r in rows].count("nan") == 4  # the level's four rows
 
     @pytest.mark.parametrize("poison, name", (
         ("map", "intertwine_map_residual"),
@@ -741,14 +837,6 @@ class TestPairingWindows:
     """H- is solved inside the pairing windows of H+, blind only on failure."""
 
     GRID = sq.make_grid(-10.0, 10.0, 1001)
-
-    def blind_verdict(self, system, levels):
-        """The verdict on the first pair of the blind lists apart by more than PAIR_TOL."""
-        plus = system.H_plus.eigh(0, levels - 1).values.tolist()
-        minus = system.H_minus.eigh(0, levels).values.tolist()
-        ep, em = next((p, m) for p, m in zip(plus, minus[1:]) if abs(p - m) > spectral.PAIR_TOL)
-        return (f"level {ep!r} of H+ has no partner within tol = {spectral.PAIR_TOL} "
-                f"(nearest H- level {em!r}, gap {abs(ep - em):.3e})")
 
     @staticmethod
     def spy(monkeypatch, owner, name):
@@ -789,11 +877,8 @@ class TestPairingWindows:
                 return spy
             monkeypatch.setattr(cli, "_build_system", recording("_build_system",
                                                                  cli._build_system))
-            for fn in ("solve_partners", "solve_plus"):
-                spy = recording(fn, getattr(spectral, fn))
-                for owner in (spectral, cli):  # checks calls spectral's, entangle cli's
-                    if hasattr(owner, fn):
-                        monkeypatch.setattr(owner, fn, spy)
+            for fn in ("solve_partners", "solve_plus"):  # checks calls spectral's
+                monkeypatch.setattr(spectral, fn, recording(fn, getattr(spectral, fn)))
             calls = self.spy(monkeypatch, sq.Tridiagonal, "eigh")
             stein = self.spy(monkeypatch, sq.Bisection, "vectors")
             payload = {"command": command, "superpotential": {"name": name},
@@ -876,8 +961,8 @@ class TestPairingWindows:
 
     def test_supercharge_reads_no_minus_level(self, tmp_path, monkeypatch):
         # every H- level 1e-9 up, which no window holds: the pairing commands
-        # name a level without a partner, while supercharge writes the same
-        # bytes and exit code as on the true H-
+        # fail their pairing check, while supercharge writes the same bytes
+        # and exit code as on the true H-
         payload = {"command": "supercharge", "superpotential": {"name": "harmonic"},
                    "grid": cli._grid_payload(self.GRID), "levels": 6}
         runs = []
@@ -892,26 +977,31 @@ class TestPairingWindows:
                 runs.append((rc, (out / f"supercharge.{fmt}").read_bytes()))
         assert runs[:2] == runs[2:]
         assert [rc for rc, _ in runs] == [0] * 4
-        with pytest.raises(sq.DegeneracyError, match="of H[+] has no partner"):
-            checks.spectrum(cli.build_susy_system(sq.get_superpotential("harmonic"), self.GRID),
-                            6)
+        pairing = checks.spectrum(
+            cli.build_susy_system(sq.get_superpotential("harmonic"), self.GRID), 6)[3][0]
+        assert pairing.name == "pairing_max_gap" and pairing.passed is False
 
     def test_shifted_levels_empty_the_windows(self, monkeypatch):
-        # every H- level 1e-9 up: no window holds its level, and the blind
-        # solve names the first H+ level without a partner, as it always has
+        # every H- level 1e-9 up: no window holds its level, so H- is
+        # bisected blind, and every pair is 1e-9 apart, which spectrum's
+        # pairing check fails
         mutate_minus(monkeypatch, lambda H: sq.Tridiagonal(H.diag + 1e-9, H.off))
         calls = self.spy(monkeypatch, sq.Tridiagonal, "eigh")
         W = sq.get_superpotential("harmonic")
         system = cli.build_susy_system(W, self.GRID)
-        with pytest.raises(sq.DegeneracyError) as exc:
-            sq.solve_partners(system.H_plus, system.H_minus, 6)
+        _, minus = sq.solve_partners(system.H_plus, system.H_minus, 6)
         assert [(lo, hi) for H, lo, hi in calls] == [(0, 5), (0, 6)]  # H+, then H- blind
-        assert str(exc.value) == self.blind_verdict(system, 6)
-        assert "of H+ has no partner within tol = 1e-10 (nearest H- level" in str(exc.value)
+        monkeypatch.undo()
+        assert minus.values.tolist() == system.H_minus.eigh(0, 6).values.tolist()
+        pairing = checks.spectrum(system, 6)[3][0]
+        assert pairing.name == "pairing_max_gap" and pairing.passed is False
+        assert pairing.value == pytest.approx(1e-9, rel=1e-5)
 
     def test_stray_level_between_windows_fails_the_count(self, monkeypatch):
         # one decoupled H- level halfway between the 3rd and 4th H+ levels:
-        # every window still holds exactly one level, only the count sees it
+        # every window still holds exactly one level, only the count sees it,
+        # and the blind solve puts the stray level in H+ level 3's partner
+        # slot, one level off from there on
         W = sq.get_superpotential("harmonic")
         plus = cli.build_susy_system(W, self.GRID).H_plus.eigh(0, 5).values
         stray = float(plus[2] + plus[3]) / 2.0
@@ -921,11 +1011,16 @@ class TestPairingWindows:
         found = system.H_minus.eigh_windows(
             [(-np.inf, sq.EPS0)] + [(e - spectral.PAIR_TOL, e + spectral.PAIR_TOL) for e in plus])
         assert found.counts == (1,) * 7
-        with pytest.raises(sq.DegeneracyError) as exc:
-            sq.solve_partners(system.H_plus, system.H_minus, 6)
-        assert str(exc.value) == self.blind_verdict(system, 6)
-        assert f"level {float(plus[3])!r} of H+ has no partner" in str(exc.value)
-        assert f"nearest H- level {stray!r}" in str(exc.value)
+        found_plus, minus = sq.solve_partners(system.H_plus, system.H_minus, 6)
+        assert minus.counts == (7,)  # one index selection: the blind solve
+        assert minus.values[4] == stray
+        # H- has a node more than the grid, so no zero mode is read: the
+        # pairing check alone
+        pairing = checks._pairing(found_plus, minus)
+        assert pairing.name == "pairing_max_gap" and pairing.passed is False
+        # the largest gap is between neighbouring levels, about 1 apart
+        gaps = [abs(float(plus[3]) - stray), *np.diff(plus[3:]).tolist()]
+        assert pairing.value == pytest.approx(max(gaps), abs=1e-9)
 
 
 class TestBorderlineVerdicts:
@@ -997,13 +1092,29 @@ class TestBorderlineVerdicts:
     def test_one_ulp_gap_fails_only_the_pairing_commands(self, tmp_path, capsys):
         # a steep W on a narrow box: from 2^21 = 2.1e6 on an ulp is
         # 4.657e-10, above PAIR_TOL, so H+ level 1 (report level 2) and its
-        # H- partner, one ulp apart, fail the pairing of spectrum and verify;
-        # supercharge reads no H- level
+        # H- partner, one ulp apart, fail the pairing check of spectrum,
+        # entangle and verify, whose largest gap is two ulps of 4.2e6. Each
+        # writes its reports and exits 1 on one line. supercharge reads no
+        # H- level
         box = {"scale": 2.0 ** 20, "half_width": 10.0 * 2 ** -10}
-        line = ("physics violation: level 2097047.136500835 of H+ has no partner within "
-                "tol = 1e-10 (nearest H- level 2097047.1365008354, gap 4.657e-10)\n")
-        for command in ("spectrum", "verify"):
-            assert self.run(tmp_path, capsys, harmonic_config(command, 2001, **box)) == (1, line)
+        line = "physics violation: pairing_max_gap = 9.313225746154785e-10 exceeds 1e-10"
+        for command, reports, more in (("spectrum", ("spectrum.csv", "zero_mode.csv"), 1),
+                                       ("entangle", ("entangle.csv",), 0),
+                                       ("verify", ("verify.json",), 2)):
+            out = tmp_path / command
+            payload = harmonic_config(command, 2001, **box)
+            if command == "entangle":
+                payload["level"] = payload.pop("levels")
+            rc = cli.main(["--config", write_config(tmp_path, payload), "--out", str(out)])
+            ending = f" (and {more} more)" if more else ""
+            assert (rc, capsys.readouterr().err) == (1, line + ending + "\n"), command
+            assert sorted(os.listdir(out)) == list(reports), command
+        # verify records the pairing failure with its other failed checks,
+        # the zero mode and the energy deviation of this box
+        found = json.loads((tmp_path / "verify" / "verify.json").read_text())["checks"]
+        assert {c["name"]: c["value"] for c in found if not c["passed"]} == pytest.approx({
+            "pairing_max_gap": 9.313225746154785e-10, "zero_mode_present": 4.77e-7,
+            "intertwine_energy_deviation": 8.68e-7}, rel=1e-3)
         assert self.run(tmp_path, capsys, {**harmonic_config("supercharge", 2001, **box),
                                            "output": {"format": "json"}}) == (0, "")
         rows = json.loads((tmp_path / "supercharge.json").read_text())["rows"]

@@ -1030,6 +1030,29 @@ class TestSuperchargeAlgebra:
             assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
         assert next(products, None) is None
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_property_identities_exact_for_any_bidiagonal(self, data):
+        # for Q1 = golub_kahan(B) of any upper bidiagonal B, square (as the
+        # Fock b) or one row short (as the grid's B), with bands spread over
+        # 300 decades: R^2 = -Q1^2 entry for entry, and {Q1, R} and
+        # {sz, Q1} are exactly 0. Q1's diagonal is zero and sz alternates, so
+        # every term of R^2 is the negated term of Q1^2, in the same order,
+        # and every term of an anticommutator meets its negation. So three of
+        # verify's identity checks read 0 for any B whose products are finite
+        n = data.draw(st.integers(2, 40), label="n")
+        m = data.draw(st.sampled_from((n, n - 1)), label="m")
+        entry = st.builds(lambda sign, mantissa, exponent: sign * np.ldexp(mantissa, exponent),
+                          st.sampled_from((-1.0, 1.0)),
+                          st.floats(1.0, 2.0, exclude_max=True), st.integers(-500, 500))
+        B = sq.Bidiagonal(np.array(data.draw(st.lists(entry, min_size=m, max_size=m))),
+                          np.array(data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1))))
+        q1_sq, r_sq, anti_q1_r, anti_sz_q1 = sq.supercharge_products(sq.golub_kahan(B))
+        assert np.all(np.isfinite(q1_sq))
+        assert np.array_equal(r_sq, -q1_sq)
+        assert not anti_q1_r.any()
+        assert not anti_sz_q1.any()
+
     def test_products_formed_one_at_a_time(self, traced_peak):
         # in units of one five-row array (40 n bytes), a caller that reduces
         # each product before asking for the next holds at most: the two

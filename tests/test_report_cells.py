@@ -1,6 +1,7 @@
 """tools/report_cells.py: columns, ulps and moved cells, on made-up reports (no program runs)."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -46,3 +47,24 @@ def test_moved_columns_count_cells_and_the_largest_move(report_cells):
     assert move == pytest.approx(5e-13) and relative == pytest.approx(1 / 3)
     assert moved["rows.s"] == [2, 1, None, None, None]  # a string moved: text
     assert report_cells.moved_columns(parent, parent) == {}
+
+
+def test_compare_prints_moved_stderr_lines_and_counts_them(report_cells, tmp_path):
+    # two runs with equal reports: the first keeps its ending and stderr, the
+    # second keeps its exit code but moves its one-line reason; a report
+    # only the change writes counts the run's reports as moved
+    runs = {"parent": [("a", "exit 0", ""), ("b", "exit 1", "physics violation: old\n")],
+            "change": [("a", "exit 0", ""), ("b", "exit 1", "physics violation: new\n")]}
+    trees = []
+    for side, endings in runs.items():
+        tree = tmp_path / side
+        for i in range(2):
+            (tree / str(i)).mkdir(parents=True)
+            (tree / str(i) / "r.json").write_text(json.dumps({"x": 1.0}))
+        (tree / "endings.json").write_text(json.dumps(endings))
+        trees.append(str(tree))
+    (tmp_path / "change" / "1" / "verify.json").write_text(json.dumps({"passed": False}))
+    assert report_cells.compare(trees, {False: "PARENT", True: "CHANGE"}) == [
+        "b: stderr 'physics violation: old\\n' -> 'physics violation: new\\n'",
+        "b verify.json: only in CHANGE",
+        "2 runs: reports moved in 1, endings moved in 0, stderr moved in 1"]

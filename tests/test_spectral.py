@@ -134,10 +134,12 @@ class TestSolveInPairingWindows:
         _, found = sq.solve_partners(diagonal(plus), system.H_minus, 6)
         assert found.counts == (1,) * 7
         # the lowest level missing: the windows sit one level up and the
-        # count fails; the blind solve names the first unpaired level
-        with pytest.raises(sq.DegeneracyError, match="has no partner") as err:
-            sq.solve_partners(diagonal(plus[1:]), system.H_minus, 6)
-        assert err.value.level == plus[1]
+        # count fails, so H- is bisected blind and its levels, as found,
+        # fail the pairing check from the first pair on
+        shifted, found = sq.solve_partners(diagonal(plus[1:]), system.H_minus, 6)
+        assert found.counts == (7,)
+        assert found.values.tolist() == system.H_minus.eigh(0, 6).values.tolist()
+        assert checks._pairing(shifted, found).passed is False
         # a zero added: level 0 of H+ is a second zero mode
         lifted = np.concatenate([[0.0], plus[:-1]])
         with pytest.raises(sq.DegeneracyError, match="a second zero mode"):
@@ -207,31 +209,24 @@ def bisected(monkeypatch):
 
 
 def pairing_outcome(plus_levels, minus_levels, levels):
-    """How `solve_partners` ends on two diagonal Tridiagonals: (message, level)
-    of its DegeneracyError, or ("paired", windowed, H- values) with windowed
-    True when the H- windows held, so H- was not bisected blind."""
-    try:
-        _, minus = sq.solve_partners(diagonal(plus_levels), diagonal(minus_levels), levels)
-    except sq.DegeneracyError as err:
-        return str(err), err.level
-    return "paired", minus.counts == (1,) * (levels + 1), minus.values.tolist()
+    """How `solve_partners` and the pairing check end on two diagonal
+    Tridiagonals: (the check, windowed, H- values), windowed True when the
+    H- windows held, so H- was not bisected blind."""
+    plus, minus = sq.solve_partners(diagonal(plus_levels), diagonal(minus_levels), levels)
+    return (checks._pairing(plus, minus), minus.counts == (1,) * (levels + 1),
+            minus.values.tolist())
 
 
 def gap_rule(plus_levels, minus_levels, levels):
-    """The pairing verdict read off exact levels: the first H+ level i of
-    0..levels - 1 farther than PAIR_TOL from H- level i + 1, as
-    `solve_partners` words it, or "paired"."""
+    """The pairing check read off exact levels: the largest gap between H+
+    level i of 0..levels - 1 and H- level i + 1, against PAIR_TOL."""
     e_plus, e_minus = plus_levels[:levels], sorted(minus_levels)[:levels + 1]
-    for ep, em in zip(map(float, e_plus), map(float, e_minus[1:])):
-        gap = abs(ep - em)
-        if gap > PAIR_TOL:
-            return (f"level {ep!r} of H+ has no partner within tol = {PAIR_TOL} "
-                    f"(nearest H- level {em!r}, gap {gap:.3e})"), ep
-    return "paired"
+    return checks.Check("pairing_max_gap", max(
+        abs(ep - em) for ep, em in zip(map(float, e_plus), map(float, e_minus[1:]))), PAIR_TOL)
 
 
 class TestCountCertificate:
-    """The pairing windows reach the gap rule's verdict on the exact levels.
+    """The pairing windows give the exact levels, and the check the gap rule's verdict on them.
 
     Each side is a diagonal Tridiagonal, whose Sturm count flips exactly at
     its levels and whose bisected levels are its diagonal, so a level can be
@@ -242,28 +237,25 @@ class TestCountCertificate:
 
     @staticmethod
     def same_verdict(plus_levels, minus_levels, levels):
-        outcome = pairing_outcome(plus_levels, minus_levels, levels)
-        expected = gap_rule(plus_levels, minus_levels, levels)
-        if expected == "paired":
-            assert outcome[0] == "paired"
-            assert outcome[2] == sorted(minus_levels)[:levels + 1]
-        else:
-            assert outcome == expected
-        return outcome
+        check, windowed, values = pairing_outcome(plus_levels, minus_levels, levels)
+        # windowed or blind, the H- levels are the exact lowest ones
+        assert values == sorted(minus_levels)[:levels + 1]
+        assert check == gap_rule(plus_levels, minus_levels, levels)
+        return check, windowed
 
     @pytest.mark.parametrize("e", (1.0, 3.7, 6.5e4, 6e5, 4e6))
     def test_levels_next_to_the_window_ends(self, e):
         # H- level at e +- PAIR_TOL + k ulp(e), k in -6..6: where fl(e +-
         # PAIR_TOL) rounds outward the window holds a level the gap rule
-        # rejects, and the gap check after it names the level. From 2^20 on
+        # rejects, and the pairing check fails on it. From 2^20 on
         # an ulp of e exceeds 2 PAIR_TOL, so fl(e +- PAIR_TOL) = e, the
         # level's window is empty and every case is bisected blind
         outcomes = [self.same_verdict([e], [0.0, em], 1)
                     for em in (e + side * PAIR_TOL + k * np.spacing(e)
                                for side in (-1, 1) for k in range(-6, 7))]
-        windowed = sum(outcome[:2] == ("paired", True) for outcome in outcomes)
+        windowed = sum(check.passed and held for check, held in outcomes)
         assert windowed > 0 if e < 2.0 ** 20 else windowed == 0
-        assert {outcome[0] == "paired" for outcome in outcomes} == {True, False}
+        assert {check.passed for check, _ in outcomes} == {True, False}
 
     @pytest.mark.parametrize("n_points", (201, 1001, 2001))
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic", "tanh"))
@@ -303,10 +295,12 @@ class TestPairPartnerLevels:
         assert minus.values[0] == 0.0
 
     def test_forced_mismatch_names_offending_level(self):
-        with pytest.raises(sq.DegeneracyError) as err:
-            sq.solve_partners(diagonal([1.5]), diagonal([0.0, 1.0]), 1)
-        assert err.value.level == 1.5
-        assert "1.5" in str(err.value)
+        # the levels come back as found, and the pairing check reads the
+        # offending level's gap
+        plus, minus = sq.solve_partners(diagonal([1.5]), diagonal([0.0, 1.0]), 1)
+        assert (plus.values.tolist(), minus.values.tolist()) == ([1.5], [0.0, 1.0])
+        assert checks._pairing(plus, minus) == checks.Check("pairing_max_gap", 0.5, PAIR_TOL)
+        assert checks._pairing(plus, minus).passed is False
 
     def test_double_zero_mode_rejected(self):
         # a paired H+ level below EPS0 is a second zero mode, even when its
@@ -319,7 +313,7 @@ class TestPairPartnerLevels:
     def test_lifted_zero_mode_keeps_levels_paired(self, monkeypatch):
         # the H- zero mode bisected to 2^-23, as at 2^20 + 1 harmonic
         # points: the pairs stay level for level, and only the zero-mode
-        # verdict fails, here `spectrum`'s check given these levels
+        # verdict fails, here among `spectrum`'s checks given these levels
         plus, minus = sq.solve_partners(
             diagonal([1.0, 2.0]), diagonal([2.0 ** -23, 1.0, 2.0]), 2)
         assert plus.values.tolist() == minus.values[1:].tolist() == [1.0, 2.0]
@@ -327,9 +321,10 @@ class TestPairPartnerLevels:
         monkeypatch.setattr(spectral, "solve_partners", lambda *args: (plus, minus))
         system = sq.build_susy_system(sq.get_superpotential("harmonic"),
                                       sq.make_grid(-10.0, 10.0, 201))
-        present = checks.spectrum(system, 2)[3][0]
+        pairing, present, _ = checks.spectrum(system, 2)[3]
+        assert pairing == checks.Check("pairing_max_gap", 0.0, PAIR_TOL)
         assert present == checks.Check("zero_mode_present", 2.0 ** -23, sq.EPS0)
-        assert present.passed is False
+        assert pairing.passed is True and present.passed is False
 
     def test_trailing_tail_recorded_not_fatal(self):
         # an H+ level above the levels asked for is never read

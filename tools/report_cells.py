@@ -24,8 +24,10 @@ such as a residual of 1e-12 or an overlap that is 0 in exact arithmetic,
 moves by many ulps and a large relative amount, a value of order one by few.
 A report that one side writes and the other does not reads `only in PARENT`
 or `only in CHANGE`, and a moved ending (exit code or exception) is printed
-as both endings. The last line counts the runs, those whose reports moved, and
-those whose ending moved.
+as both endings. Each run's stderr is kept with its output directory masked
+as OUT, and a run whose stderr moved, such as a one-line reason of exit 1,
+is printed with both texts. The last line counts the runs, those whose
+reports moved, those whose ending moved and those whose stderr moved.
 """
 
 import argparse
@@ -42,7 +44,11 @@ TOOLS = os.path.dirname(os.path.abspath(__file__))
 
 
 def write_reports(root, out):
-    """Run every config in checkout `root`: run i writes out/i, endings go to out/endings.json."""
+    """Run every config in checkout `root`: run i writes out/i.
+
+    out/endings.json lists (label, ending, stderr) of each run, stderr with
+    out/i masked as OUT.
+    """
     sys.path.insert(0, TOOLS)
     sys.path.insert(0, os.path.join(root, "perfbench"))
     import report_digest
@@ -56,13 +62,14 @@ def write_reports(root, out):
         path = os.path.join(out, f"{i}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             try:
                 rc = cli.main(["--config", path, "--out", outdir, "--format", "json"])
                 ending = f"exit {rc}"
             except Exception as exc:  # a crash is an outcome to compare
                 ending = f"raised {type(exc).__name__}: {exc}"
-        endings.append((label, ending))
+        endings.append((label, ending, stderr.getvalue().replace(outdir, "OUT")))
     with open(os.path.join(out, "endings.json"), "w", encoding="utf-8") as fh:
         json.dump(endings, fh)
 
@@ -120,13 +127,16 @@ def compare(trees, names):
     for tree in trees:
         with open(os.path.join(tree, "endings.json"), encoding="utf-8") as fh:
             endings.append(json.load(fh))
-    if [label for label, _ in endings[0]] != [label for label, _ in endings[1]]:
+    if [run[0] for run in endings[0]] != [run[0] for run in endings[1]]:
         raise SystemExit("report_cells: the two checkouts list different runs")
-    lines, moved_runs, moved_endings = [], 0, 0
-    for i, ((label, first), (_, second)) in enumerate(zip(*endings)):
+    lines, moved_runs, moved_endings, moved_stderr = [], 0, 0, 0
+    for i, ((label, first, first_err), (_, second, second_err)) in enumerate(zip(*endings)):
         if first != second:
             moved_endings += 1
             lines.append(f"{label}: ending {first!r} -> {second!r}")
+        if first_err != second_err:
+            moved_stderr += 1
+            lines.append(f"{label}: stderr {first_err!r} -> {second_err!r}")
         dirs = [os.path.join(tree, str(i)) for tree in trees]
         files = [set(os.listdir(d)) for d in dirs]
         moved = False
@@ -147,7 +157,7 @@ def compare(trees, names):
                 moved = True
         moved_runs += moved
     lines.append(f"{len(endings[0])} runs: reports moved in {moved_runs}, "
-                 f"endings moved in {moved_endings}")
+                 f"endings moved in {moved_endings}, stderr moved in {moved_stderr}")
     return lines
 
 

@@ -5,7 +5,7 @@ Usage:
     python tools/report_digest.py [CHECKOUT] > digests.txt
 
 CHECKOUT (default: the checkout holding this script) is a susyqm source tree;
-its `susyqm.cli` is imported from its `src/` and run in process on 110
+its `susyqm.cli` is imported from its `src/` and run in process on 112
 configs, each once with `--format csv` and once with `--format json`:
 
 - the bundled configs in `configs/`;
@@ -81,11 +81,18 @@ EXTRA = [
     ("spectrum/harmonic/201/scale=-1", _config("spectrum", "harmonic", 201, scale=-1.0)),
     # both pairing verdicts from real configs: a flat W on a wide box, whose
     # H+ level 1 is a second zero mode, and a steep W on a narrow box, whose
-    # H+ level has no partner within PAIR_TOL
+    # H+ levels lie an ulp or two (above PAIR_TOL) from their H- partners,
+    # which fails the pairing check of every command that pairs: each
+    # writes its reports and exits 1
     ("spectrum/harmonic/201/scale=2^-40/half_width=10*2^20",
      _config("spectrum", "harmonic", 201, half_width=10.0 * 2 ** 20, scale=2.0 ** -40)),
     ("spectrum/harmonic/2001/scale=2^20/half_width=10*2^-10",
      _config("spectrum", "harmonic", 2001, half_width=10.0 * 2 ** -10, scale=2.0 ** 20)),
+    ("verify/harmonic/2001/scale=2^20/half_width=10*2^-10",
+     _config("verify", "harmonic", 2001, half_width=10.0 * 2 ** -10, scale=2.0 ** 20)),
+    ("entangle/harmonic/2001/scale=2^20/half_width=10*2^-10/level=6",
+     _config("entangle", "harmonic", 2001, key="level", half_width=10.0 * 2 ** -10,
+             scale=2.0 ** 20)),
     # many failed checks in one run, and a subnormal coupling
     ("verify/harmonic/201/scale=1e153", _config("verify", "harmonic", 201, scale=1e153)),
     ("supercharge/harmonic/201/scale=1e153",
@@ -100,10 +107,10 @@ EXTRA = [
     ("verify/harmonic/1001/levels=99", _config("verify", "harmonic", 1001, value=99)),
     ("supercharge/cubic/2001/levels=199", _config("supercharge", "cubic", 2001, value=199)),
     # supercharge solves H+ alone, so its endings are its own: a second zero
-    # mode of H+; a steep W on a narrow box, whose H+ level 6 lies one ulp
-    # (4.657e-10, above PAIR_TOL) from its H- partner, which spectrum and
-    # verify reject and supercharge does not read; and levels near 6.5e4 on
-    # the steep box whose zero mode spectrum and verify find lifted
+    # mode of H+; a steep W on a narrow box, whose H+ levels lie an ulp or
+    # two (above PAIR_TOL) from their H- partners, which spectrum and verify
+    # fail and supercharge does not read; and levels near 6.5e4 on the steep
+    # box whose zero mode spectrum and verify find lifted
     ("supercharge/harmonic/201/scale=2^-40/half_width=10*2^20",
      _config("supercharge", "harmonic", 201, half_width=10.0 * 2 ** 20, scale=2.0 ** -40)),
     ("supercharge/harmonic/2001/scale=2^20/half_width=10*2^-10",
