@@ -449,6 +449,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a grid or Fock space too large for this machine
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # anything else, e.g. numpy's overflow or value errors: no traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

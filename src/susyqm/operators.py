@@ -18,13 +18,14 @@ array; `to_dense()` exists only for small-n test oracles. LAPACK bisection on
 the bands is the package's one eigensolver: `Tridiagonal.eigh` selects its
 eigenvalues by index, `Tridiagonal.eigh_windows` by value windows, and both
 return a `Bisection`, whose eigenvectors are formed only when asked for. Its two
-routines, `dstebz` and `dstein`, come from scipy's compiled LAPACK wrappers,
-loaded straight from scipy's `linalg/_flapack` extension file: importing
-`scipy.linalg` itself would pull in scipy's array-API layer and more than
-double the start-up time of every command. Both are called through ctypes
-at the routine address their wrapper calls (`_cpointer`), with the wrapper's
-arguments, on one workspace a thread (`_Lapack`), so they give the wrapper's
-bits, and each call releases the GIL, which the wrapper holds.
+routines, `dstebz` and `dstein`, come from the OpenBLAS that numpy's linalg
+is linked against, which every numpy process has loaded already: numpy's
+bundled build is ILP64 and exports them as `scipy_dstebz_64_` and
+`scipy_dstein_64_`, with 8-byte integers. They are looked up through the
+handle of numpy's `_umath_linalg` extension, whose dlsym reaches the
+libraries it links, and called through ctypes with the arguments of scipy's
+f2py wrappers, on one workspace a thread (`_Lapack`), so they give those
+wrappers' bits, and each call releases the GIL.
 
 Eigenvectors are formed one gap group at a time. stein alone
 reorthogonalises every run of eigenvalues of one block closer than
@@ -69,8 +70,6 @@ products of the N=2 algebra that the checks of both models read.
 """
 
 import ctypes
-import importlib.machinery
-import importlib.util
 import os
 import threading
 from dataclasses import dataclass
@@ -104,55 +103,30 @@ SQRT2 = np.sqrt(2.0)
 _BAND_MAX = float(np.sqrt(np.finfo(float).eps / np.finfo(float).tiny))
 
 
-def _load_flapack(root):
-    """scipy's compiled LAPACK wrappers, read from the scipy package directory `root`.
+def _load_lapack(path):
+    """dstebz, dstein and OpenBLAS's thread setter from the library `path` links.
 
-    This is the extension module whose double-precision routines
-    `scipy.linalg.get_lapack_funcs` returns; loading the file runs no scipy
-    package code.
+    The two routines declare no argument types, so ctypes converts nothing:
+    every argument must be a pointer, a `ctypes.byref` or a `c_void_p`. The
+    setter (OpenBLAS 0.3.27 on) sets OpenBLAS's thread count and returns the
+    one before; despite its name, in numpy's OpenBLAS 0.3.31 the count it
+    sets is seen by every thread. A ctypes foreign function releases the
+    GIL while the routine runs.
     """
-    name = "scipy.linalg._flapack"
-    directory = os.path.join(root, "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(directory, "_flapack" + suffix)
-        if os.path.isfile(path):
-            loader = importlib.machinery.ExtensionFileLoader(name, path)
-            module = importlib.util.module_from_spec(
-                importlib.util.spec_from_file_location(name, path, loader=loader))
-            loader.exec_module(module)
-            return module
-    from importlib.metadata import version
-
-    raise ImportError(f"no LAPACK extension _flapack in {directory} (scipy {version('scipy')})")
+    lib = ctypes.CDLL(path)
+    names = ("scipy_dstebz_64_", "scipy_dstein_64_", "openblas_set_num_threads_local")
+    missing = [name for name in names if not hasattr(lib, name)]
+    if missing:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        raise ImportError(f"numpy's LAPACK ({lapack.get('name')} {lapack.get('version')}) "
+                          f"exports no {', '.join(missing)}")
+    stebz, stein, threads = (getattr(lib, name) for name in names)
+    stebz.restype = stein.restype = None
+    threads.argtypes, threads.restype = (ctypes.c_int,), ctypes.c_int
+    return stebz, stein, threads
 
 
-def _routine(wrapper):
-    """The compiled routine an f2py `wrapper` calls, as a ctypes function returning nothing.
-
-    `wrapper._cpointer` is a capsule holding the routine's address. The
-    function declares no argument types, so ctypes converts nothing: every
-    argument must be a pointer, a `ctypes.byref` or a `c_void_p`. A ctypes
-    foreign function releases the GIL while the routine runs.
-    """
-    api = ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))
-    capsule = wrapper._cpointer
-    return ctypes.CFUNCTYPE(None)(address(capsule, name(capsule)))
-
-
-_FLAPACK = _load_flapack(importlib.util.find_spec("scipy").submodule_search_locations[0])
-_DSTEBZ, _DSTEIN = _routine(_FLAPACK.dstebz), _routine(_FLAPACK.dstein)
-# sets OpenBLAS's thread count for the calling thread alone and returns the
-# one before (OpenBLAS 0.3.27 on), found in the LAPACK library's own BLAS
-# under scipy's prefix, or unprefixed as some builds leave this one name;
-# with another BLAS, `int`, which sets nothing and returns its argument
-_BLAS = ctypes.CDLL(_FLAPACK.__file__)
-_BLAS_THREADS = getattr(_BLAS, "scipy_openblas_set_num_threads_local",
-                        getattr(_BLAS, "openblas_set_num_threads_local", int))
-if _BLAS_THREADS is not int:
-    _BLAS_THREADS.argtypes, _BLAS_THREADS.restype = (ctypes.c_int,), ctypes.c_int
+_DSTEBZ, _DSTEIN, _BLAS_THREADS = _load_lapack(np.linalg._umath_linalg.__file__)
 # stebz range codes of the scipy wrapper: all eigenvalues, those in (vl, vu],
 # or il..iu
 _ALL, _BY_VALUE, _BY_INDEX = 0, 1, 2
@@ -178,8 +152,8 @@ class _Scalars(ctypes.Structure):
     stein reads n as ldz as well, and m as the size of its group.
     """
 
-    _fields_ = [("n", ctypes.c_int), ("il", ctypes.c_int), ("iu", ctypes.c_int),
-                ("m", ctypes.c_int), ("nsplit", ctypes.c_int), ("info", ctypes.c_int),
+    _fields_ = [("n", ctypes.c_int64), ("il", ctypes.c_int64), ("iu", ctypes.c_int64),
+                ("m", ctypes.c_int64), ("nsplit", ctypes.c_int64), ("info", ctypes.c_int64),
                 ("vl", ctypes.c_double), ("vu", ctypes.c_double), ("tol", ctypes.c_double)]
 
 
@@ -192,14 +166,19 @@ class _Lapack:
 
     Range and order go as one character each and every other argument by
     address, as in the wrappers' own calls, so a result is the wrapper's bit
-    for bit. The scalars live in one ctypes structure, and the outputs and
-    work space of both routines in one float and one int array allocated
-    once: every argument outlives the call, and a repeated call allocates
-    nothing. The bands are reached through ctypes' own buffer view, which
-    takes a writable array (LAPACK only reads them) and costs a sixth of
-    `c_void_p(a.ctypes.data)`. One thread owns an instance. `stebz` leaves
-    w[:m] and iblock[:m] holding the eigenvalues and their blocks, and
-    isplit the block ends, until the next call of either routine.
+    for bit. Integers are 8 bytes, as numpy's ILP64 LAPACK takes them. The
+    scalars live in one ctypes structure, and the outputs and work space of
+    both routines in one float and one int array allocated once: every
+    argument outlives the call, and a repeated call allocates nothing. The
+    int array starts with one spare slot: an index selection whose
+    Gershgorin interval is too small (info 2) makes dstebz write 0 to
+    IBLOCK(0), the integer just before the iblock it is given, which here
+    is that slot and not the memory before the array. The bands are reached
+    through ctypes' own buffer view, which takes a writable array (LAPACK
+    only reads them) and costs a sixth of `c_void_p(a.ctypes.data)`. One
+    thread owns an instance. `stebz` leaves w[:m] and iblock[:m] holding the
+    eigenvalues and their blocks, and isplit the block ends, until the next
+    call of either routine.
     """
 
     __slots__ = ("w", "iblock", "isplit", "_scalars", "_stebz", "_stein")
@@ -209,19 +188,20 @@ class _Lapack:
         if not (_writable(d, np.float64, n) and _writable(e, np.float64, n - 1)):
             raise ValueError("LAPACK takes writable contiguous float64 bands of n and n - 1 entries")
         reals = np.empty(5 * n)  # stebz: w, work; stein: work
-        ints = np.zeros(5 * n, dtype=np.int32)  # stebz: iblock, isplit, iwork; stein: iwork, ifail
-        self.w, self.iblock, self.isplit = reals[:n], ints[:n], ints[n:2 * n]
+        # the spare slot, then stebz: iblock, isplit, iwork; stein: iwork, ifail
+        ints = np.zeros(1 + 5 * n, dtype=np.int64)
+        self.w, self.iblock, self.isplit = reals[:n], ints[1:n + 1], ints[n + 1:2 * n + 1]
         self._scalars = s = _Scalars(n)
         ref, real, field = ctypes.byref, ctypes.c_double.from_buffer, _Scalars
-        r, i = real(reals), ctypes.c_int32.from_buffer(ints)
+        r, i = real(reals), ctypes.c_int64.from_buffer(ints)
         n_, m, info = (ref(s, f.offset) for f in (field.n, field.m, field.info))
         bands = (ref(real(d)), ref(real(e)))
         # each ctypes view holds its array, so every argument outlives the call
         self._stebz = (_CODES[3], n_, ref(s, field.vl.offset), ref(s, field.vu.offset),
                        ref(s, field.il.offset), ref(s, field.iu.offset), ref(s, field.tol.offset),
-                       *bands, m, ref(s, field.nsplit.offset), ref(r), ref(i), ref(i, 4 * n),
-                       ref(r, 8 * n), ref(i, 8 * n), info)
-        self._stein = (n_, *bands, m), (n_, ref(r), ref(i), ref(i, 4 * n), info)
+                       *bands, m, ref(s, field.nsplit.offset), _at(r, 0), _at(i, 1),
+                       _at(i, n + 1), _at(r, n), _at(i, 2 * n + 1), info)
+        self._stein = (n_, *bands, m), (n_, _at(r, 0), _at(i, 1), _at(i, n + 1), info)
 
     def stebz(self, rng, vl, vu, il, iu, tol):
         """One dstebz call (LAPACK range code, vl, vu, il, iu, tol), ordered by block: (m, info)."""
@@ -237,37 +217,37 @@ class _Lapack:
         """One dstein call per group (lo, hi) of w, in order: the sum of their infos.
 
         `w` holds eigenvalues, `iblock` their stebz blocks and `isplit` the
-        block ends; `z` is the n x len(w) Fortran array the calls fill. A
-        group hands stein w[lo:hi] and iblock[lo:hi], which must be
-        ascending by block and by value within a block, so the columns it
-        writes straight into z[:, lo:hi] are the wrapper's for that group
-        bit for bit. stein draws its random starts from a seed it resets on
-        every call, so a group's vectors do not depend on the calls before it.
-        Its BLAS calls run on one OpenBLAS thread: a dot product split across
-        threads sums in another order, so on a long vector the bits of every
-        eigenvector would depend on the thread count.
-        Its work space is this workspace's, so the arrays passed must not be
-        views of `self.w`, `self.iblock` or `self.isplit`.
+        block ends, both int64 as numpy's LAPACK takes them; `z` is the
+        n x len(w) Fortran array the calls fill. A group hands stein
+        w[lo:hi] and iblock[lo:hi], which must be ascending by block and by
+        value within a block, so the columns it writes straight into
+        z[:, lo:hi] are the wrapper's for that group bit for bit. stein
+        draws its random starts from a seed it resets on every call, so a
+        group's vectors do not depend on the calls before it. Its caller
+        sets OpenBLAS to one thread around it (see `Bisection._stein`).
+        Its work space is this workspace's, past the spare slot, so the
+        arrays passed must not be views of `self.w`, `self.iblock` or
+        `self.isplit`.
         """
         n, m = self._scalars.n, w.size
-        if not (_writable(isplit, np.int32, n) and _writable(w, np.float64, m)
-                and _writable(iblock, np.int32, m) and _writable(z.T, np.float64, n * m)
+        if not (_writable(isplit, np.int64, n) and _writable(w, np.float64, m)
+                and _writable(iblock, np.int64, m) and _writable(z.T, np.float64, n * m)
                 and z.shape == (n, m) and 0 < m <= n):
             raise ValueError("stein takes writable contiguous blocks, values and columns")
-        ref, real, index = ctypes.byref, ctypes.c_double.from_buffer, ctypes.c_int32.from_buffer
+        real, index = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
         (head, tail), values, blocks, columns = self._stein, real(w), index(iblock), real(z.T)
-        split = ref(index(isplit))
+        split = _at(index(isplit), 0)
         info = 0
-        threads = _BLAS_THREADS(1)
-        try:
-            for lo, hi in groups:
-                self._scalars.m = hi - lo
-                _DSTEIN(*head, ref(values, 8 * lo), ref(blocks, 4 * lo), split,
-                        ref(columns, 8 * n * lo), *tail)
-                info += self._scalars.info
-        finally:
-            _BLAS_THREADS(threads)
+        for lo, hi in groups:
+            self._scalars.m = hi - lo
+            _DSTEIN(*head, _at(values, lo), _at(blocks, lo), split, _at(columns, n * lo), *tail)
+            info += self._scalars.info
         return info
+
+
+def _at(view, k):
+    """The address of entry k of the array that the ctypes scalar `view` starts."""
+    return ctypes.byref(view, k * ctypes.sizeof(view))
 
 
 def _writable(a, dtype, size) -> bool:
@@ -563,8 +543,17 @@ class Bisection:
             by_block = np.lexsort((bs, np.repeat(np.arange(len(groups)), np.diff(ends))))
             ws, bs = ws[by_block], bs[by_block]
         z = np.empty((n, hi - lo), order="F")
-        infos = _in_halves(groups, hi - lo, n, lambda: _Lapack(d, self._e),
-                           lambda lapack, part: lapack.stein(isplit, ws, bs, z, part))
+        # stein's BLAS calls run on one OpenBLAS thread: a dot product split
+        # across threads sums in another order, so on a long vector the bits
+        # of every eigenvector would depend on the thread count. The setter
+        # acts on the whole process, so it is set once, around both halves:
+        # set and restored in each, it could be restored while the other runs
+        threads = _BLAS_THREADS(1)
+        try:
+            infos = _in_halves(groups, hi - lo, n, lambda: _Lapack(d, self._e),
+                               lambda lapack, part: lapack.stein(isplit, ws, bs, z, part))
+        finally:
+            _BLAS_THREADS(threads)
         if mixed:  # column j holds the vector of value by_block[j]
             moved = by_block != np.arange(hi - lo)
             z[:, by_block[moved]] = z[:, moved]

@@ -1580,6 +1580,21 @@ class TestOutputResolution:
         assert capsys.readouterr().err == (
             "error: out of memory: Unable to allocate 72.8 TiB for an array\n")
 
+    @pytest.mark.parametrize("error", (OverflowError("math range error"),
+                                       FloatingPointError("overflow encountered in multiply"),
+                                       ValueError("array must not contain infs or NaNs")))
+    def test_any_other_exception_ends_in_one_line(self, tmp_path, capsys, monkeypatch, error):
+        # an exception of no type main names, such as numpy's, still ends in
+        # one stderr line with exit 1, never a traceback
+        def raising(*args):
+            raise error
+
+        monkeypatch.setitem(cli.COMMANDS, "spectrum", (raising, *cli.COMMANDS["spectrum"][1:]))
+        rc = cli.main(["--config", write_config(tmp_path, spectrum_config()),
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {type(error).__name__}: {error}\n"
+
     def test_empty_output_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, spectrum_config(output={"path": ""}))
         rc = cli.main(["--config", cfg])
@@ -1645,8 +1660,8 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         "    rc = cli.main(['--config', cfg, '--out', f'{sys.argv[1]}/{Path(cfg).stem}'])\n"
         "    assert rc == 0, (cfg, rc)\n"
     )
-    # the package loads scipy's LAPACK extension file itself; a run that has
-    # imported scipy.linalg first must write the same bytes
+    # the package runs LAPACK from numpy's OpenBLAS; a run that has imported
+    # scipy.linalg first, which loads a second OpenBLAS, must write the same bytes
     runs = {"1": ("1", script), "2": ("2", script),
             "scipy.linalg first": ("1", "import scipy.linalg\n" + script)}
     outputs = {}

@@ -1,5 +1,6 @@
 """Factorized operators: B, its adjoint, the partner pair and supercharges."""
 
+import _ctypes
 import ctypes
 import decimal
 import os
@@ -10,18 +11,38 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 import scipy.linalg as sla
 import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dstebz
+from scipy.linalg import _flapack
+from scipy.linalg.lapack import dstebz, dstein
 
 import susyqm as sq
 from susyqm import operators
 
 ROOT2 = np.sqrt(2.0)
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# scipy's own OpenBLAS, which its LAPACK wrappers run on
+_SCIPY_BLAS = ctypes.CDLL(_flapack.__file__)
+_SCIPY_BLAS.scipy_openblas_set_num_threads.argtypes = (ctypes.c_int,)
+_SCIPY_BLAS.scipy_openblas_set_num_threads.restype = None
+_SCIPY_BLAS.scipy_openblas_get_num_threads.restype = ctypes.c_int
+
+
+def wrapper_stein(d, e, w, iblock, isplit):
+    """scipy's dstein wrapper, its BLAS on one thread as `Bisection` runs stein: (z, info).
+
+    On more threads its dot products over a long vector sum in another order.
+    """
+    before = _SCIPY_BLAS.scipy_openblas_get_num_threads()
+    _SCIPY_BLAS.scipy_openblas_set_num_threads(1)
+    try:
+        return dstein(d, e, w, iblock, isplit)
+    finally:
+        _SCIPY_BLAS.scipy_openblas_set_num_threads(before)
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +52,9 @@ def small_grid():
 
 def wrapper_vectors(solved):
     """`Bisection.vectors()` on scipy's dstein wrapper, one call per gap group, written out.
+
+    scipy's wrapper runs its own LAPACK build, an independent oracle of the
+    one numpy's linalg links, on which `_Lapack` runs.
 
     The values ascending, equal ones by block, start a new group where one
     lies at least operators._GROUP_GAP (max|d| + 2 max|e|) above the one
@@ -55,8 +79,7 @@ def wrapper_vectors(solved):
         by_block = sorted(group, key=lambda k: blocks[order[k]])
         iblock = np.zeros(n, dtype=np.int32)
         iblock[:len(group)] = [blocks[order[k]] for k in by_block]
-        z, info = operators._FLAPACK.dstein(d, e, np.array([w[order[k]] for k in by_block]),
-                                            iblock, isplit)
+        z, info = wrapper_stein(d, e, np.array([w[order[k]] for k in by_block]), iblock, isplit)
         v[:, by_block] = z
         total += info
     return v, total
@@ -439,9 +462,8 @@ class TestEigenvectorGroups:
         assert np.max(residual) <= 200 * np.finfo(float).eps * 4.0  # n eps ||T||, as above
         iblock = np.zeros(200, dtype=np.int32)
         iblock[0] = 1
-        apart = np.column_stack([operators._FLAPACK.dstein(T.diag, T.off, solved.values[k:k + 1],
-                                                           iblock, isplit)[0][:, 0]
-                                 for k in range(10)])
+        apart = np.column_stack([wrapper_stein(T.diag, T.off, solved.values[k:k + 1],
+                                               iblock, isplit)[0][:, 0] for k in range(10)])
         assert np.max(np.abs(np.sum(apart[:, 0::2] * apart[:, 1::2], axis=0))) > 1e-9
 
     @pytest.mark.parametrize("case", ("harmonic", "shifted_cubic", "double_well", "twin_blocks"))
@@ -487,8 +509,7 @@ class TestEigenvectorGroups:
         assert formed == [solved.values.tolist()]
         iblock = np.zeros(32000, dtype=np.int32)
         iblock[:6] = 1
-        want, info = operators._FLAPACK.dstein(solved._d, solved._e, solved.values,
-                                               iblock, isplit)
+        want, info = wrapper_stein(solved._d, solved._e, solved.values, iblock, isplit)
         assert info == 0
         assert v.tobytes(order="F") == want.tobytes(order="F")
 
@@ -501,61 +522,79 @@ class TestEigenvectorGroups:
 
 
 class TestLapackLoader:
-    """The bisection routines come from scipy's extension file, not scipy.linalg."""
+    """The bisection routines come from the OpenBLAS numpy's linalg links; scipy is not loaded."""
 
     def test_cli_import_leaves_scipy_linalg_out(self):
-        # only a fresh interpreter shows it: this module imports scipy.linalg
+        # nor any other scipy module; only a fresh interpreter shows it, as
+        # this module imports scipy.linalg
         script = ("import sys\n"
                   "import susyqm.cli\n"
-                  "print([m for m in ('scipy.linalg', 'scipy._lib._util', 'numpy.f2py')"
-                  " if m in sys.modules])\n")
+                  "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"
 
-    def test_routines_are_the_get_lapack_funcs_objects(self):
-        # the eigensolver is scipy.linalg's own double-precision pair, each
-        # called at the routine address that its wrapper calls
-        stebz, stein = sla.get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
-        get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-            ("PyCapsule_GetPointer", ctypes.pythonapi))
-        for wrapper, routine in ((stebz, operators._DSTEBZ), (stein, operators._DSTEIN)):
-            address = get_pointer(wrapper._cpointer, None)
+    def test_routines_are_the_symbols_of_the_library_numpy_linalg_links(self):
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        for name, routine in (("scipy_dstebz_64_", operators._DSTEBZ),
+                              ("scipy_dstein_64_", operators._DSTEIN),
+                              ("openblas_set_num_threads_local", operators._BLAS_THREADS)):
+            address = ctypes.cast(getattr(lib, name), ctypes.c_void_p).value
             assert address is not None
             assert ctypes.cast(routine, ctypes.c_void_p).value == address
 
-    def test_vectors_are_the_same_bits_on_any_blas_thread_count(self):
+    @pytest.fixture
+    def blas_threads(self):
+        """Set and get the process-wide thread count of numpy's OpenBLAS; restored after."""
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        get_threads.restype = ctypes.c_int
+        before = get_threads()
+        yield set_threads, get_threads
+        set_threads(before)
+
+    def test_vectors_are_the_same_bits_on_any_blas_thread_count(self, blas_threads):
         # at 32001 points dstein's dot products over a vector split across
         # OpenBLAS's threads, which sum in another order; stein runs its BLAS
         # on one thread of its own, so the vectors are the bits of one thread
-        # whatever the process-wide count. A scipy OpenBLAS whose per-thread
-        # setter was not found would leave the count to the process: refused
-        lib = ctypes.CDLL(operators._FLAPACK.__file__)
-        names = ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads")
-        if not all(hasattr(lib, name) for name in names):
-            pytest.skip("the LAPACK library's BLAS is not scipy's OpenBLAS")
-        assert operators._BLAS_THREADS is not int
-        set_threads, get_threads = (getattr(lib, name) for name in names)
+        # whatever the process-wide count of numpy's OpenBLAS
+        set_threads, get_threads = blas_threads
         H = sq.build_susy_system(sq.get_superpotential("harmonic"),
                                  sq.make_grid(-10.0, 10.0, 32001)).H_minus
-        before, bits = get_threads(), []
-        try:
-            for threads in (1, 2):
-                set_threads(threads)
-                bits.append(H.eigh(0, 6).vectors().tobytes(order="F"))
-        finally:
-            set_threads(before)
+        bits = []
+        for threads in (1, 2):
+            set_threads(threads)
+            assert get_threads() == threads
+            bits.append(H.eigh(0, 6).vectors().tobytes(order="F"))
         assert bits[0] == bits[1]
 
-    def test_missing_extension_names_directory_and_version(self, tmp_path):
-        (tmp_path / "linalg").mkdir()
-        (tmp_path / "linalg" / "_flapack.py").write_text("")  # not an extension file
+    def test_blas_thread_count_is_restored_after_two_halves(self, blas_threads):
+        # 100 levels x 8000 rows >= 2^15: the eigenvectors are formed as two
+        # halves, at once when a second core is free. The setter acts on the
+        # whole process, so set and restored in each half, the second half
+        # saved the first half's one thread and left the process on it
+        set_threads, get_threads = blas_threads
+        T = sq.build_susy_system(sq.get_superpotential("harmonic"),
+                                 sq.make_grid(-10.0, 10.0, 8001)).H_plus
+        solved = T.eigh(0, 99)
+        set_threads(2)
+        for _ in range(3):
+            solved.vectors()
+            assert get_threads() == 2
+
+    def test_missing_symbol_is_one_import_error_naming_numpys_lapack(self):
+        # the ctypes extension links no LAPACK, so it exports none of the three
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
         with pytest.raises(ImportError) as info:
-            operators._load_flapack(str(tmp_path))
+            operators._load_lapack(_ctypes.__file__)
         message = str(info.value)
-        assert str(tmp_path / "linalg") in message
-        assert f"scipy {scipy.__version__}" in message
+        assert len(message.splitlines()) == 1
+        assert f"{lapack['name']} {lapack['version']}" in message
+        for name in ("scipy_dstebz_64_", "scipy_dstein_64_", "openblas_set_num_threads_local"):
+            assert name in message
 
 
 def wrapper_part(d, e, selections, tol):
@@ -579,8 +618,8 @@ def assert_same_parts(got, want):
     for (w, blocks, info), (want_w, want_blocks, want_info) in zip(rows, want_rows):
         assert info == want_info
         assert w.tobytes() == want_w.tobytes()
-        assert blocks.tobytes() == want_blocks.tobytes()
-    assert isplit.tobytes() == want_isplit.tobytes()
+        assert np.array_equal(blocks, want_blocks)  # int64 here, the wrapper's int32
+    assert np.array_equal(isplit, want_isplit)
 
 
 def near_identity(rng, n):
@@ -616,7 +655,7 @@ def stebz_cases(draw):
 
 
 class TestStebzBinding:
-    """dstebz at scipy's routine pointer against scipy's own wrapper, bit for bit."""
+    """dstebz of numpy's LAPACK against scipy's wrapper of its own build, bit for bit."""
 
     @given(case=stebz_cases())
     @settings(max_examples=200, deadline=None)
@@ -639,6 +678,30 @@ class TestStebzBinding:
                 assert_same_parts(got, wrapper_part(d, e, selections, 0.0))
                 redone += dstebz(d, e, *selections[0], 0.0, "B")[-1] == 2
 
+    def test_the_info_2_write_before_iblock_lands_in_the_spare_slot(self):
+        # iteration 13 of test_near_multiples_of_the_identity: n = 27 and the
+        # selection 27..27, whose Gershgorin interval is too small (info 2).
+        # On that path dstebz writes 0 to IBLOCK(0), the integer just before
+        # the iblock it is given; the workspace keeps one spare slot there,
+        # so the write stays inside its int array
+        rng = np.random.default_rng(0)
+        for _ in range(14):
+            n = int(rng.integers(2, 40))
+            d, e = near_identity(rng, n)
+        selections = [(2, 0.0, 1.0, n, n)]
+        assert n == 27 and dstebz(d, e, *selections[0], 0.0, "B")[-1] == 2
+        lapack = operators._Lapack(d, e)
+        ints = lapack.iblock.base
+        spare = (lapack.iblock.ctypes.data - ints.ctypes.data) // ints.itemsize
+        # the spare slot, then iblock, isplit and stebz's 3n of work space
+        assert spare == 1 and lapack.isplit.base is ints and ints.size == 1 + 5 * n
+        bands = d.tobytes() + e.tobytes()
+        ints[0] = -1
+        got = operators._bisect_part(lapack, selections, 0.0)  # the selection, then its redo
+        assert ints[0] == 0
+        assert d.tobytes() + e.tobytes() == bands
+        assert_same_parts(got, wrapper_part(d, e, selections, 0.0))
+
     def test_what_lapack_rejects_is_refused_before_the_call(self):
         lapack = operators._Lapack(np.ones(3), np.zeros(2))
         for selection in ((1, 1.0, 1.0, 0, 0), (2, 0.0, 1.0, 0, 2), (2, 0.0, 1.0, 3, 2),
@@ -659,11 +722,11 @@ class TestStebzBinding:
         # address, so each must be a writable contiguous array of its type
         # and size, and the columns a Fortran n x m array with 0 < m <= n
         lapack = operators._Lapack(np.ones(3), np.zeros(2))
-        isplit, w = np.array([1, 2, 3], dtype=np.int32), np.ones(2)
-        iblock, z = np.array([1, 2], dtype=np.int32), np.empty((3, 2), order="F")
+        isplit, w = np.array([1, 2, 3], dtype=np.int64), np.ones(2)
+        iblock, z = np.array([1, 2], dtype=np.int64), np.empty((3, 2), order="F")
         frozen = np.ones(2)
         frozen.flags.writeable = False
-        for args in ((isplit[:2], w, iblock, z), (isplit.astype(np.int64), w, iblock, z),
+        for args in ((isplit[:2], w, iblock, z), (isplit.astype(np.int32), w, iblock, z),
                      (isplit, frozen, iblock, z), (isplit, np.ones(4)[::2], iblock, z),
                      (isplit, w, iblock[:1], z), (isplit, w, iblock, np.empty((3, 2))),
                      (isplit, w, iblock, np.empty((2, 2), order="F")),
@@ -690,7 +753,7 @@ class TestStebzBinding:
             assert lapack.stein(isplit, w[:k], blocks[:k], z, [(0, k)]) == 0
             iblock = np.zeros(n, dtype=np.int32)
             iblock[:k] = 1
-            want, info = operators._FLAPACK.dstein(d, e, w[:k], iblock, isplit)
+            want, info = wrapper_stein(d, e, w[:k], iblock, isplit)
             assert info == 0 and z.tobytes(order="F") == want.tobytes(order="F")
 
 
