@@ -1,16 +1,19 @@
 """Every verdict of the commands, as one `Check(name, value, bound)` each.
 
-`spectrum`, `entangle`, `supercharge` and `verify` take a `SusySystem` and a
-level count and return their command's checks with the report columns
-computed alongside; the checks of `jc` are the failed rows of
-`jaynescummings.numeric_vs_analytic`. Pairing is judged here alone: the
-solves return the partner levels as found, and `spectrum`, `entangle` and
-`verify` read their largest gap against `spectral.PAIR_TOL`, so a config
-whose levels do not pair writes its reports and fails that check. The four
-supercharge eigenstates of a level share one residual and one concurrence
-(`entanglement`), which the supercharge report writes on the level's four
-(family, sign) rows. Other layers are called through their modules, so a
-tracer patching their namespaces sees these calls.
+This module alone builds a `Check` and holds a bound: the layers compute,
+and the functions here judge. `spectrum`, `entangle`, `supercharge` and
+`verify` take a `SusySystem` and a level count and return their command's
+checks with the report columns computed alongside; `jc` takes a `JCSystem`
+and returns its match and algebra reports with a check for each failed
+value of the match. Pairing is judged here alone: the solves return the
+partner levels as found, and `spectrum`, `entangle` and `verify` read their
+largest gap against `spectral.PAIR_TOL`, so a config whose levels do not
+pair writes its reports and fails that check. The four supercharge
+eigenstates of a level share one residual and one concurrence, both read
+from the level's one Q1 + state (`entanglement.supercharge_state`), which
+the supercharge report writes on the level's four (family, sign) rows.
+Other layers are called through their modules, so a tracer patching their
+namespaces sees these calls.
 """
 
 import math
@@ -18,11 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import entanglement, grid, operators, spectral
+from . import entanglement, grid, jaynescummings, operators, spectral
 
 INTERTWINE_TOL = 1e-8
 MATRIX_SQ_TOL = 1e-13
 ANTICOMM_TOL = 1e-12
+# the zero mode's residual ||H- psi0|| / ||psi0|| is at most ZERO_MODE_TOL ||H-||
+ZERO_MODE_TOL = 1e-12
+# a jc level matches when its gap is at most GAP_TOL and its fidelity
+# deficit 1 - F at most FIDELITY_TOL
+GAP_TOL = 1e-10
+FIDELITY_TOL = 1e-10
 # bytes of one real (levels, n) array in the batched supercharge pass. A
 # block's intertwined states, its one Q1 state and the temporaries of its
 # residuals hold about ten such arrays at once, so a block adds under 1 MB
@@ -72,7 +81,8 @@ def spectrum(system, levels):
     return plus, minus, psi0, [
         _pairing(plus, minus),
         Check("zero_mode_present", abs(minus.values[0]), spectral.EPS0),
-        Check("zero_mode_residual", residual, 1e-12 * spectral.operator_norm(system.H_minus)),
+        Check("zero_mode_residual", residual,
+              ZERO_MODE_TOL * spectral.operator_norm(system.H_minus)),
     ]
 
 
@@ -105,14 +115,14 @@ def _supercharge_values(system, pp):
     """The concurrence and the residual of each level of a block `pp` of H+ eigenpairs.
 
     Two arrays over the levels, each entry what its level gives alone, bit
-    for bit. The states are those of intertwine_down of `pp`, which carries
-    the relative phase the eigenstates need.
+    for bit, both read from the block's one Q1 + state. Its down half is
+    intertwine_down of `pp`, which carries the relative phase the
+    eigenstates need.
     """
-    mapped = spectral.intertwine_down(system, pp)
-    # the concurrences check each state's unit norm before its residual is
-    # reduced, and drop their state before the residuals' temporaries
-    return (entanglement.supercharge_concurrences(system, pp.energy, pp.state, mapped),
-            entanglement.supercharge_residuals(system, pp.energy, pp.state, mapped))
+    state = entanglement.supercharge_state(pp.state, spectral.intertwine_down(system, pp))
+    # the concurrence checks each state's unit norm before its residual is reduced
+    return (entanglement.concurrence_from_spin(state),
+            entanglement.supercharge_residuals(system, pp.energy, state))
 
 
 def supercharge(system, levels):
@@ -149,7 +159,8 @@ def _intertwine_deviations(system, pp, mm):
     return ((math.sqrt(dx) * np.sqrt(grid.sum_of_squares(gap))).tolist(),
             [abs(dx * norm ** 2 - e) for norm, e in zip(
                 np.sqrt(grid.sum_of_squares(images)).tolist(), mm.energy.tolist())],
-            entanglement.supercharge_residuals(system, pp.energy, pp.state, raw).tolist())
+            entanglement.supercharge_residuals(
+                system, pp.energy, entanglement.supercharge_state(pp.state, raw)).tolist())
 
 
 def _susy_identities(system):
@@ -199,3 +210,24 @@ def verify(system, levels):
               INTERTWINE_TOL),
         *_susy_identities(system),
     ]
+
+
+def jc(system):
+    """(match, algebra, checks) of the jc report: a check for each failed value of the match.
+
+    `match` is `jaynescummings.numeric_vs_analytic` and `algebra`
+    `verify_susy_algebra` of `system`. Row by row, a row's gap (against
+    GAP_TOL) before its fidelity deficit 1 - F (against FIDELITY_TOL), each
+    failed value is one check named `gap[n=..,branch=..]` or
+    `fidelity_deficit[n=..,branch=..]`. A value passes when it is at most
+    its bound, so the NaN fidelity of a block with neither coupling nor
+    splitting fails. Only failed values become checks: every row of a large
+    n_max as a check would cost more than the match.
+    """
+    match = jaynescummings.numeric_vs_analytic(system)
+    algebra = jaynescummings.verify_susy_algebra(system)
+    values, bounds = np.stack([match.gap, 1.0 - match.fidelity], axis=1), (GAP_TOL, FIDELITY_TOL)
+    row, kind = np.nonzero(~(values <= bounds))
+    return match, algebra, [
+        Check(f"{('gap', 'fidelity_deficit')[k]}[n={match.n[r]},branch={match.branch[r]}]",
+              values[r, k], bounds[k]) for r, k in zip(row.tolist(), kind.tolist())]

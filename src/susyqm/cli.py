@@ -6,9 +6,8 @@ computation starts. All numeric text is 17 significant digits with LF line
 endings, files are written atomically (temp file + rename), and every code
 path is deterministic, so rerunning a config reproduces its outputs byte for
 byte. Exit codes: 0 success, 1 physics-invariant violation, 2 config error.
-`susyqm.checks` owns the verdicts (for `jc`, `numeric_vs_analytic`); each
-command ends through one `_finish` of the checks they return: a failed
-check exits 1 with one stderr line,
+`susyqm.checks` owns the verdicts; each command ends through one `_finish`
+of the checks they return: a failed check exits 1 with one stderr line,
 `physics violation: <first failed name> = <value> exceeds <bound>`, plus
 `(and N more)` when N other checks failed. Every other ending is one stderr
 line too.
@@ -28,7 +27,7 @@ from . import checks
 from .entanglement import analyze, build_energy_eigenstate
 from .errors import ConfigError, PhysicsViolationError, SusyQMError
 from .grid import Grid, inner_product, make_grid
-from .jaynescummings import build_jc, numeric_vs_analytic, verify_susy_algebra
+from .jaynescummings import build_jc
 from .operators import build_susy_system
 from .superpotentials import REGISTRY_NAMES, get_superpotential
 
@@ -304,8 +303,7 @@ def run_jc(cfg, outdir, fmt):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    match = numeric_vs_analytic(jc)
-    alg = verify_susy_algebra(jc)
+    match, alg, verdicts = checks.jc(jc)
 
     # a gamma = 0 doublet has no single eigenvector, so its NaN concurrence
     # is written as an empty cell or null
@@ -328,13 +326,13 @@ def run_jc(cfg, outdir, fmt):
             "min_fidelity": match.min_fidelity,
             "min_excited_concurrence": match.min_excited_concurrence,
             "degenerate": match.degenerate,
-            "all_matched": match.all_matched,
+            "all_matched": all(c.passed for c in verdicts),
         },
     }
 
     _write(outdir, "jc_levels." + fmt, levels_text)
     _write(outdir, "jc_algebra.json", _json_text(algebra_payload))
-    return _finish(match.failures)
+    return _finish(verdicts)
 
 
 def run_verify(cfg, outdir, fmt):
@@ -357,7 +355,7 @@ def _write(outdir, filename, text):
     try:
         _atomic_write(path, text)
     except OSError as exc:
-        raise ConfigError(f"cannot write report {path}: {exc}") from exc
+        raise ConfigError(f"cannot write report {path!r}: {exc}") from exc
     print(f"wrote {path}")
 
 
@@ -392,9 +390,9 @@ def load_config(path):
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge integers, deep nesting
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     command = raw.get("command")

@@ -28,10 +28,11 @@ the reduction.
 
 A level's four supercharge eigenstates (psi+ |up> + p psi- |down>)/sqrt(2),
 p = 1, -1, i, -i, differ only by the unit phase p on the down half, so they
-share one concurrence and one eigen-relation residual:
-`supercharge_concurrences` and `supercharge_residuals` give one value a
-level and form no complex state. `supercharge_eigenstates` forms all four,
-as the reference the tests read them against.
+share one concurrence and one eigen-relation residual, both read from the
+one real Q1 + state `supercharge_state` forms: its concurrence is
+`concurrence_from_spin`, and `supercharge_residuals` gives the residual.
+No complex state is formed. `supercharge_eigenstates` forms all four, as
+the reference the tests read them against.
 """
 
 from dataclasses import dataclass
@@ -55,9 +56,9 @@ __all__ = [
     "schmidt_svd_oracle",
     "concurrence_svd",
     "analyze",
-    "supercharge_concurrences",
     "supercharge_eigenstates",
     "supercharge_residuals",
+    "supercharge_state",
 ]
 
 
@@ -78,7 +79,9 @@ class SpinorState:
 
     The components share one shape; the last axis is the mode index and any
     leading axes index a batch of states. weight = dx for grid-sampled
-    components, 1.0 for Fock-space vectors and two-mode reductions.
+    components, 1.0 for Fock-space vectors and two-mode reductions. Each
+    component is kept as a read-only C-contiguous array: one that already
+    is both is taken as it is, shared and not copied, as by `Wavefunction`.
     """
 
     up: np.ndarray
@@ -92,11 +95,11 @@ class SpinorState:
             raise ValueError(
                 "up and down components must be arrays of equal shape, mode index last"
             )
-        up, down = up.copy(), down.copy()
-        up.flags.writeable = False
-        down.flags.writeable = False
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
+        for name, half in (("up", up), ("down", down)):
+            if half.flags.writeable or not half.flags.c_contiguous:
+                half = half.copy()
+                half.flags.writeable = False
+            object.__setattr__(self, name, half)
 
     def norm_squared(self):
         s = sum_of_squares(self.up) + sum_of_squares(self.down)
@@ -258,15 +261,13 @@ def analyze(
     )
 
 
-def _level_pair(E, psi_plus: Wavefunction, psi_minus: Wavefunction):
-    """sqrt(E), psi+/sqrt(2) and psi-/sqrt(2) of a level pair or a block of them, checked."""
+def _root(E):
+    """sqrt(E) of a level or an array of levels, each checked above the zero-mode threshold."""
     energy = np.asarray(E, dtype=float)
     low = energy[energy <= EPS0]
     if low.size:
         raise ValueError(f"E = {float(low.min())!r} is at or below the zero-mode threshold {EPS0}")
-    if psi_plus.grid != psi_minus.grid:
-        raise ValueError("psi_plus and psi_minus must share a grid")
-    return np.sqrt(energy), psi_plus.amplitudes / np.sqrt(2.0), psi_minus.amplitudes / np.sqrt(2.0)
+    return np.sqrt(energy)
 
 
 def supercharge_eigenstates(
@@ -281,55 +282,59 @@ def supercharge_eigenstates(
     otherwise these are not eigenstates. For a batch, E is an array over the
     leading axis of the two states, and each row holds an eigenvalue array
     and a batch of states, each as it is built alone. The reference the
-    per-level values of `supercharge_concurrences` and
-    `supercharge_residuals` are tested against; no command forms these.
+    concurrence and the residual of `supercharge_state` are tested against;
+    no command forms these.
     """
-    root, up, dn = _level_pair(E, psi_plus, psi_minus)
-    root = _values(root)
+    root = _values(_root(E))
+    if psi_plus.grid != psi_minus.grid:
+        raise ValueError("psi_plus and psi_minus must share a grid")
+    up, dn = psi_plus.amplitudes / np.sqrt(2.0), psi_minus.amplitudes / np.sqrt(2.0)
     # the real phases are ints, so the Q1 states keep real components
     return tuple((family, sign, sign * root, SpinorState(up, phase * dn, sys.grid.dx))
                  for family, sign, phase in (("q1", +1, 1), ("q1", -1, -1),
                                              ("q2", +1, 1j), ("q2", -1, -1j)))
 
 
-def supercharge_concurrences(sys: SusySystem, E, psi_plus: Wavefunction,
-                             psi_minus: Wavefunction):
-    """The concurrence shared by the four `supercharge_eigenstates` of a level pair.
+def supercharge_state(psi_plus: Wavefunction, psi_minus: Wavefunction) -> SpinorState:
+    """The Q1 + state (psi+ |up> + psi- |down>)/sqrt(2) of a level pair or a block of them.
 
-    A state's down half is psi-/sqrt(2) times a unit phase, 1, -1, i or -i,
-    which leaves <u|u>, <d|d> and |<u|d>|^2, every product
-    `concurrence_from_spin` reduces, as they are in exact arithmetic. So
-    only the real Q1 + state (psi+ |up> + psi- |down>)/sqrt(2) is formed,
-    and its concurrence is each state's: bit for bit that of the Q1 - state,
-    and a Q2 state's own differs from it only in the rounding of its complex
-    sums, by an ulp where it differs at all. A Python float for one level;
-    for a block of levels (E an array over the leading axis of the two
-    states) an array over them.
+    Each half is divided by sqrt(2) once and kept as it is, not copied. The
+    four `supercharge_eigenstates` of a level differ from it only by a unit
+    phase, 1, -1, i or -i, on the down half, which leaves <u|u>, <d|d> and
+    |<u|d>|^2, every product `concurrence_from_spin` reduces, as they are in
+    exact arithmetic: its concurrence is each state's, bit for bit that of
+    the Q1 - state, and a Q2 state's own differs from it only in the
+    rounding of its complex sums, by an ulp where it differs at all. Its
+    residual is `supercharge_residuals`. For a block of levels the two
+    states carry a leading axis over the levels.
     """
-    _, up, dn = _level_pair(E, psi_plus, psi_minus)
-    return concurrence_from_spin(SpinorState(up, dn, sys.grid.dx))
+    if psi_plus.grid != psi_minus.grid:
+        raise ValueError("psi_plus and psi_minus must share a grid")
+    up, down = psi_plus.amplitudes / np.sqrt(2.0), psi_minus.amplitudes / np.sqrt(2.0)
+    up.flags.writeable = down.flags.writeable = False
+    return SpinorState(up, down, psi_plus.grid.dx)
 
 
-def supercharge_residuals(sys: SusySystem, E, psi_plus: Wavefunction, psi_minus: Wavefunction):
+def supercharge_residuals(sys: SusySystem, E, state: SpinorState):
     """|| Q s - q s ||, shared by the four `supercharge_eigenstates` s of a level pair.
 
-    Q1 acts blockwise as (B phi_down, B+ phi_up), two-term stencils, and
-    Q2 = -i sz Q1 as (-i B phi_down, +i B+ phi_up), the up half on the
-    n - 1 cells: psi+ on the nodes holds 0 at the last. B is applied to
-    dn = psi-/sqrt(2) and B+ to up = psi+/sqrt(2) once. A state's down half
-    is dn times its phase p = 1, -1, i or -i and its eigenvalue is sign *
-    sqrt(E), so B of the down half is p B dn and the residual vector is
-    (sign r_up, r_down) with r_up = B dn - sqrt(E) up and r_down =
-    B+ up - sqrt(E) dn for Q1, and (sign r_up, i r_down) for Q2: the phases
-    are exact, and so are the signs, so every entry of each of the four
-    vectors has the modulus of the entry of (r_up, r_down), and its squared
-    modulus, re^2 + im^2 with one part an exact zero, the same square. So the
-    four states share one residual, each half's squares summed by
-    `sum_of_squares`, which equals what each state gives alone, bit for bit.
-    A Python float for one level; for a block of levels (E an array over the
-    leading axis of the two states) an array over them.
+    `state` is the level's `supercharge_state`, halves up = psi+/sqrt(2) and
+    dn = psi-/sqrt(2). Q1 acts blockwise as (B phi_down, B+ phi_up),
+    two-term stencils, and Q2 = -i sz Q1 as (-i B phi_down, +i B+ phi_up),
+    the up half on the n - 1 cells: psi+ on the nodes holds 0 at the last.
+    B is applied to dn and B+ to up once. A state's down half is dn times
+    its phase p = 1, -1, i or -i and its eigenvalue is sign * sqrt(E), so B
+    of the down half is p B dn and the residual vector is (sign r_up,
+    r_down) with r_up = B dn - sqrt(E) up and r_down = B+ up - sqrt(E) dn
+    for Q1, and (sign r_up, i r_down) for Q2: the phases are exact, and so
+    are the signs, so every entry of each of the four vectors has the
+    modulus of the entry of (r_up, r_down), and its squared modulus,
+    re^2 + im^2 with one part an exact zero, the same square. So the four
+    states share one residual, each half's squares summed by
+    `sum_of_squares`, which equals what each state gives alone, bit for
+    bit. A Python float for one level; for a block of levels (E an array
+    over the leading axis of the state) an array over them.
     """
-    root, up, dn = _level_pair(E, psi_plus, psi_minus)
-    q, up = root[..., None], up[..., :-1]  # the up half on the n - 1 cells
+    q, up, dn = _root(E)[..., None], state.up[..., :-1], state.down  # up on the n - 1 cells
     r_up, r_down = sys.B @ dn - q * up, sys.B_adj @ up - q * dn
-    return _values(np.sqrt((sum_of_squares(r_up) + sum_of_squares(r_down)) * sys.grid.dx))
+    return _values(np.sqrt((sum_of_squares(r_up) + sum_of_squares(r_down)) * state.weight))

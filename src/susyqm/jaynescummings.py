@@ -15,7 +15,8 @@ products of that structure from `operators.supercharge_products`, as the
 grid `verify` does. H is |0 down> plus one 2x2 block per excitation
 manifold, the SUSY doublet (|n-1 up>, |n down>), plus |n_max up>; the
 numeric match reads every doublet from its block's eigen-angle in array
-passes and reports its levels as read-only columns, one row per level.
+passes and reports its levels as read-only columns, one row per level; the
+module computes and `susyqm.checks` judges (`checks.jc`).
 `FockSpace.excitation_order` maps between this order and the (up, down)
 layout of `SpinorState`. Levels are only certified for n <= n_max - 2.
 """
@@ -25,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import Check
 from .operators import (
     Bidiagonal,
     Tridiagonal,
@@ -47,11 +47,6 @@ __all__ = [
     "JCAlgebraReport",
     "JCMatchReport",
 ]
-
-# a level matches when its gap is at most GAP_TOL and its fidelity deficit
-# 1 - F at most FIDELITY_TOL
-GAP_TOL = 1e-10
-FIDELITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -271,9 +266,8 @@ class JCMatchReport:
     Row 0 is the ground state; then, for n = 1 .. guard_n_max, the doublet n:
     rows (n, -1) and (n, +1), or one row (n, 0) for gamma = 0, where the
     doublet is one degenerate eigenspace and its concurrence, which needs a
-    single eigenvector, is NaN. `failures` holds a `checks.Check` for each
-    failed value, row by row, a row's gap (against GAP_TOL) before its
-    fidelity deficit 1 - F (against FIDELITY_TOL).
+    single eigenvector, is NaN. `checks.jc` judges the gap and fidelity
+    columns.
     """
 
     n: np.ndarray
@@ -289,11 +283,6 @@ class JCMatchReport:
     degenerate: bool
     label_residual_implemented: float
     label_residual_alternative: float
-    failures: tuple
-
-    @property
-    def all_matched(self) -> bool:
-        return not self.failures
 
 
 def _column(ground, levels) -> np.ndarray:
@@ -343,11 +332,11 @@ def numeric_vs_analytic(sys: JCSystem) -> JCMatchReport:
     fidelity against (|n-1 up> + branch |n down>)/sqrt(2) is (1 + s)/2 and
     its concurrence |s|, so a resonant block (a = b) reads 1 for both,
     exactly. A block with c = a - b = 0 has no single eigenvector: its s,
-    fidelity and concurrence are NaN, and the NaN fidelity fails. The
-    ground row is the singleton |0 down>, an exact product state: fidelity 1
-    and concurrence 0 hold by structure. For gamma = 0 the excited levels
-    are doubly degenerate and each block is one eigenspace that
-    equals the analytic span, so its fidelity is exactly 1; the row has
+    fidelity and concurrence are NaN, and `checks.jc` fails that fidelity.
+    The ground row is the singleton |0 down>, an exact product state:
+    fidelity 1 and concurrence 0 hold by structure. For gamma = 0 the
+    excited levels are doubly degenerate and each block is one eigenspace
+    that equals the analytic span, so its fidelity is exactly 1; the row has
     branch 0, the mean of its two numeric eigenvalues, the larger gap and
     a NaN concurrence.
 
@@ -411,17 +400,10 @@ def numeric_vs_analytic(sys: JCSystem) -> JCMatchReport:
         (0, n_exc), (0, branch), (e0, E_a), (E_num[0], E_n),
         (abs(E_num[0] - e0), gap), (1.0, fid), (0.0, conc),
     ))
-    # row by row, a row's gap before its fidelity deficit; a value passes
-    # when it is at most its bound, so the NaN fidelity of a block with
-    # neither coupling nor splitting fails
-    values, bounds = np.stack([gap, 1.0 - fid], axis=1), (GAP_TOL, FIDELITY_TOL)
-    row, kind = np.nonzero(~(values <= bounds))
-    failures = tuple(
-        Check(f"{('gap', 'fidelity_deficit')[k]}[n={n_col[r]},branch={branch[r]}]",
-              values[r, k], bounds[k]) for r, k in zip(row.tolist(), kind.tolist()))
 
     impl_res, alt_res = _label_evidence(sys)
-    # NaN cells hold no value and are skipped, as `failures` names them
+    # nanmax and nanmin skip NaN cells, which hold no value; `checks.jc`
+    # fails a NaN fidelity
     return JCMatchReport(
         n_col, branch, E_a, E_n, gap, fid, conc_col,
         max_gap=float(np.nanmax(gap)),
@@ -430,5 +412,4 @@ def numeric_vs_analytic(sys: JCSystem) -> JCMatchReport:
         degenerate=degenerate,
         label_residual_implemented=float(impl_res),
         label_residual_alternative=float(alt_res),
-        failures=failures,
     )

@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import susyqm as sq
-from susyqm import checks, cli, entanglement, spectral
+from susyqm import checks, cli, entanglement, jaynescummings, spectral
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestCheck:
@@ -102,7 +108,7 @@ def test_grid_checks_equal_the_reports(tmp_path, capsys, name, params, half_widt
 def test_jc_checks_equal_the_exit(tmp_path, capsys, omega, gamma, n_max):
     # jc's checks are the failed rows of numeric_vs_analytic; omega 1e4
     # fails gaps of one ulp against the absolute GAP_TOL
-    found = sq.numeric_vs_analytic(sq.build_jc(omega, gamma, n_max)).failures
+    found = checks.jc(sq.build_jc(omega, gamma, n_max))[2]
     assert all(isinstance(c, checks.Check) and not c.passed for c in found)
     assert bool(found) is (omega == 1e4)
     payload = {"command": "jc", "jc_params": {"omega": omega, "gamma": gamma, "n_max": n_max}}
@@ -115,13 +121,44 @@ def test_other_layers_are_called_through_their_modules(monkeypatch):
     # a tracer that patches layer namespaces needs
     calls = []
     for module, name in ((spectral, "solve_plus"), (spectral, "intertwine_down"),
-                         (entanglement, "supercharge_concurrences"),
-                         (entanglement, "supercharge_residuals")):
+                         (entanglement, "supercharge_state"),
+                         (entanglement, "concurrence_from_spin"),
+                         (entanglement, "supercharge_residuals"),
+                         (jaynescummings, "numeric_vs_analytic"),
+                         (jaynescummings, "verify_susy_algebra")):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name:
                             calls.append(_name) or _fn(*a))
     system = sq.build_susy_system(sq.get_superpotential("harmonic"),
                                   sq.make_grid(-10.0, 10.0, 201))
     checks.supercharge(system, 2)
-    assert calls == ["solve_plus", "intertwine_down", "supercharge_concurrences",
-                     "supercharge_residuals"]
+    assert calls == ["solve_plus", "intertwine_down", "supercharge_state",
+                     "concurrence_from_spin", "supercharge_residuals"]
+    calls.clear()
+    checks.jc(sq.build_jc(1.0, 0.1, 16))
+    assert calls == ["numeric_vs_analytic", "verify_susy_algebra"]
+
+
+def test_jaynescummings_neither_imports_nor_holds_the_verdicts():
+    # the layer computes and checks judges: a fresh import of the layer
+    # loads no checks, and the bounds of jc live in checks alone
+    script = ("import sys\n"
+              "import susyqm.jaynescummings\n"
+              "print('susyqm.checks' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+    for name in ("GAP_TOL", "FIDELITY_TOL", "Check"):
+        assert not hasattr(jaynescummings, name), name
+    assert not {"failures", "all_matched"} & set(dir(sq.JCMatchReport))
+
+
+def test_spectrum_bounds_are_the_named_ones():
+    # the zero-mode residual's factor is named with the other bounds
+    system = sq.build_susy_system(sq.get_superpotential("harmonic"),
+                                  sq.make_grid(-10.0, 10.0, 201))
+    *_, (pairing, present, residual) = checks.spectrum(system, 6)
+    assert checks.ZERO_MODE_TOL == 1e-12
+    assert residual.bound == checks.ZERO_MODE_TOL * spectral.operator_norm(system.H_minus)
+    assert (pairing.bound, present.bound) == (spectral.PAIR_TOL, spectral.EPS0)

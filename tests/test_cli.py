@@ -489,7 +489,9 @@ def reference_jc_reports(omega, gamma, n_max):
     """jc's three reports, the levels table by `reference_table`.
 
     The values come from the package's match and algebra reports; a doublet
-    of gamma = 0 has no concurrence, written as an empty cell or null.
+    of gamma = 0 has no concurrence, written as an empty cell or null. The
+    levels all match when every gap and every fidelity deficit is at most
+    1e-10, a NaN fidelity failing.
     """
     jc = sq.build_jc(omega, gamma, n_max)
     match = sq.numeric_vs_analytic(jc)
@@ -515,7 +517,8 @@ def reference_jc_reports(omega, gamma, n_max):
             "min_fidelity": match.min_fidelity,
             "min_excited_concurrence": match.min_excited_concurrence,
             "degenerate": match.degenerate,
-            "all_matched": match.all_matched,
+            "all_matched": bool(np.all(match.gap <= 1e-10)
+                                and np.all(1.0 - match.fidelity <= 1e-10)),
         },
     }
     return {
@@ -741,19 +744,21 @@ class TestVerifyCommand:
     def test_mutated_q2_fails_the_eigenstate_residual(self, tmp_path, monkeypatch, mutant,
                                                       blockwise_supercharge, blockwise_residual):
         # the residuals verify calls, with Q2 replaced by the mutant; verify
-        # passes a block of level pairs, whose four states are formed and
-        # taken one at a time, and reads the largest of a level's four
+        # passes the Q1 + states of a block of levels. Each level's four
+        # states (the down half times 1, -1, i or -i, eigenvalue
+        # sign * sqrt(E)) are formed and taken one at a time, and the largest
+        # of the four is the level's
         def apply(system, state, which):
             return mutant(system, state) if which == "q2" else \
                 blockwise_supercharge(system, state, which)
 
-        def residuals(system, energies, psi_plus, psi_minus):
+        def residuals(system, energies, state):
             return np.max([np.array([
-                blockwise_residual(system, sq.SpinorState(up, down, states.weight), q, which,
-                                   apply=apply)
-                for up, down, q in zip(states.up, states.down, eigenvalues)])
-                for which, _, eigenvalues, states in sq.supercharge_eigenstates(
-                    system, energies, psi_plus, psi_minus)], axis=0)
+                blockwise_residual(system, sq.SpinorState(up, phase * down, state.weight),
+                                   sign * q, which, apply=apply)
+                for up, down, q in zip(state.up, state.down, np.sqrt(energies))])
+                for which, sign, phase in (("q1", +1, 1), ("q1", -1, -1),
+                                           ("q2", +1, 1j), ("q2", -1, -1j))], axis=0)
 
         monkeypatch.setattr(entanglement, "supercharge_residuals", residuals)
         assert "supercharge_eigenstate_residual" in self.failed_checks(tmp_path)
@@ -1506,13 +1511,32 @@ class TestConfigErrors:
         rc = cli.main(["--config", str(path), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith(f"config error: config file {path} is not valid JSON: ")
+        assert err.startswith(f"config error: config file {str(path)!r} is not valid JSON: ")
         assert len(err.splitlines()) == 1
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = cli.main(["--config", str(tmp_path / "absent.json")])
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_paths_holding_a_line_break_stay_on_one_line(self, tmp_path, capsys):
+        # a config path that cannot be read or holds no JSON, and an output
+        # directory where the report cannot be written, each holding a line
+        # break: written unquoted, the path split the ending in two lines
+        missing, broken = str(tmp_path / "no\nsuch.json"), tmp_path / "bad\n.json"
+        broken.write_text("{", encoding="utf-8")
+        outdir = tmp_path / "o\nut"
+        (outdir / "spectrum.csv").mkdir(parents=True)
+        report = os.path.join(str(outdir), "spectrum.csv")
+        for argv, start in (
+                ([missing], f"cannot read config file {missing!r}: "),
+                ([str(broken)], f"config file {str(broken)!r} is not valid JSON: "),
+                ([write_config(tmp_path, spectrum_config()), "--out", str(outdir)],
+                 f"cannot write report {report!r}: ")):
+            assert cli.main(["--config", *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: " + start)
+            assert len(err.splitlines()) == 1 and err.endswith("\n")
 
 
 class TestOutputResolution:
@@ -1559,7 +1583,7 @@ class TestOutputResolution:
         err = capsys.readouterr().err
         assert rc == 2
         path = os.path.join(str(tmp_path), "spectrum.csv")
-        assert err.startswith(f"config error: cannot write report {path}: ")
+        assert err.startswith(f"config error: cannot write report {path!r}: ")
         assert len(err.splitlines()) == 1
         assert not list(tmp_path.glob(".susyqm-tmp-*"))
 
@@ -1594,6 +1618,34 @@ class TestOutputResolution:
                        "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {type(error).__name__}: {error}\n"
+
+    # the package's errors, numpy's LinAlgError and builtin errors, each
+    # raised with a drawn message of one line: the line breaks
+    # str.splitlines knows are left out of the messages
+    RAISED = (OverflowError, FloatingPointError, ZeroDivisionError, ValueError, IndexError,
+              KeyError, RuntimeError, MemoryError, np.linalg.LinAlgError, sq.ConfigError,
+              sq.PhysicsViolationError, sq.SusyQMError)
+    ONE_LINE = st.text(st.characters(blacklist_categories=("Cs",),
+                                     blacklist_characters="\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"),
+                       max_size=40)
+
+    @given(error=st.sampled_from(RAISED), message=ONE_LINE)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_raised_errors_end_in_their_exit_code_and_one_line(self, tmp_path, capsys,
+                                                               error, message):
+        def raising(*args):
+            raise error(message)
+
+        cfg = write_config(tmp_path, spectrum_config())
+        capsys.readouterr()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(cli.COMMANDS, "spectrum", (raising, *cli.COMMANDS["spectrum"][1:]))
+            rc = cli.main(["--config", cfg, "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == (2 if error is sq.ConfigError else 1)
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert "Traceback" not in out + err
 
     def test_empty_output_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, spectrum_config(output={"path": ""}))

@@ -94,6 +94,22 @@ class TestBuildEnergyEigenstate:
             sq.build_energy_eigenstate(c1, c2[:-1], plus_nz[0].state, minus_nz[0].state)
 
 
+class TestSpinorState:
+    def test_halves_kept_read_only_copied_only_when_needed(self):
+        # a read-only C-contiguous half is taken as it is, as by Wavefunction;
+        # a writable or strided one is copied into a read-only array
+        frozen = np.arange(6.0)
+        frozen.flags.writeable = False
+        writable, strided = np.arange(6.0), frozen[::2]
+        state = sq.SpinorState(frozen, writable, 1.0)
+        assert state.up is frozen
+        assert state.down is not writable and not np.shares_memory(state.down, writable)
+        strided_state = sq.SpinorState(strided, strided, 1.0)
+        assert strided_state.up.flags.c_contiguous and strided_state.up.tolist() == [0.0, 2.0, 4.0]
+        for half in (state.down, strided_state.up, strided_state.down):
+            assert not half.flags.writeable
+
+
 class TestSpinExpectation:
     def test_orthogonal_equal_weights_vanishing_spin(self):
         state = sq.SpinorState(np.array([INV_ROOT2, 0.0]),
@@ -332,8 +348,8 @@ class TestSuperchargeEigenstates:
         q2_rows = [(sign, q) for family, sign, q, _ in rows if family == "q2"]
         assert q2_rows == [(+1, root), (-1, -root)]
         # one residual for one level, which both Q2 states share
-        residual = sq.supercharge_residuals(system, pp.energy, pp.state,
-                                            sq.intertwine_down(system, pp))
+        residual = sq.supercharge_residuals(system, pp.energy, sq.supercharge_state(
+            pp.state, sq.intertwine_down(system, pp)))
         assert type(residual) is float
         assert residual <= 1e-8
 
@@ -387,8 +403,8 @@ class TestSuperchargeEigenstates:
                                               sq.intertwine_down(system, pp))
             assert [(family, sign) for family, sign, *_ in rows] == [
                 ("q1", +1), ("q1", -1), ("q2", +1), ("q2", -1)]
-            residual = sq.supercharge_residuals(system, pp.energy, pp.state,
-                                                sq.intertwine_down(system, pp))
+            residual = sq.supercharge_residuals(system, pp.energy, sq.supercharge_state(
+                pp.state, sq.intertwine_down(system, pp)))
             for family, sign, eigenvalue, st_ in rows:
                 assert eigenvalue == sign * math.sqrt(pp.energy)
                 assert residual == blockwise_residual(system, st_, eigenvalue, family)
@@ -409,7 +425,8 @@ class TestSuperchargeEigenstates:
             for lo in range(0, levels, step):
                 pp = pairs[lo:lo + step]
                 mapped = sq.intertwine_down(system, pp)
-                got = sq.supercharge_residuals(system, pp.energy, pp.state, mapped)
+                got = sq.supercharge_residuals(system, pp.energy,
+                                               sq.supercharge_state(pp.state, mapped))
                 assert got.shape == (len(pp),)
                 for family, _, eigenvalues, states in sq.supercharge_eigenstates(
                         system, pp.energy, pp.state, mapped):
@@ -429,7 +446,7 @@ class TestSuperchargeEigenstates:
         pairs = sq.eigenstates(system.H_plus.eigh(0, 18), grid)
         for pp, kind in ((pairs, np.ndarray), (pairs[0], float)):
             mapped = sq.intertwine_down(system, pp)
-            got = sq.supercharge_concurrences(system, pp.energy, pp.state, mapped)
+            got = sq.concurrence_from_spin(sq.supercharge_state(pp.state, mapped))
             assert type(got) is kind
             for family, _, _, state in sq.supercharge_eigenstates(
                     system, pp.energy, pp.state, mapped):
@@ -455,8 +472,24 @@ class TestSuperchargeEigenstates:
         system, pp, _ = harmonic_level_one
         mapped = sq.intertwine_down(system, pp)
         with pytest.raises(ValueError, match="zero-mode threshold"):
-            sq.supercharge_residuals(system, [pp.energy, 0.0], pp.state, mapped)
+            sq.supercharge_residuals(system, [pp.energy, 0.0],
+                                     sq.supercharge_state(pp.state, mapped))
         other = sq.Wavefunction(sq.make_grid(-9.0, 9.0, system.grid.n_points),
                                 mapped.amplitudes)
         with pytest.raises(ValueError, match="share a grid"):
-            sq.supercharge_residuals(system, pp.energy, pp.state, other)
+            sq.supercharge_state(pp.state, other)
+
+    def test_state_is_the_q1_plus_row_halved_once(self, harmonic_level_one):
+        # the halves are psi+-/sqrt(2), bit for bit those of the Q1 + row of
+        # supercharge_eigenstates, read-only, and kept by SpinorState as they
+        # are: the concurrence reads them without a copy
+        system, pp, rows = harmonic_level_one
+        mapped = sq.intertwine_down(system, pp)
+        state = sq.supercharge_state(pp.state, mapped)
+        assert state.weight == system.grid.dx
+        for half, psi, row_half in ((state.up, pp.state, rows[0][3].up),
+                                    (state.down, mapped, rows[0][3].down)):
+            assert half.tobytes() == (psi.amplitudes / np.sqrt(2.0)).tobytes()
+            assert half.tobytes() == row_half.tobytes()
+            assert not half.flags.writeable and half.flags.c_contiguous
+        assert sq.SpinorState(state.up, state.down, state.weight).up is state.up

@@ -7,7 +7,6 @@ import pytest
 
 import susyqm as sq
 from susyqm import checks, cli
-from susyqm import jaynescummings as jcm
 
 COLUMNS = ("n", "branch", "E_analytic", "E_numeric", "gap", "fidelity", "concurrence")
 
@@ -285,11 +284,10 @@ class TestAlgebraReport:
 
 
 class TestNumericMatch:
-    def test_gaps_and_fidelities(self, jc_match):
+    def test_gaps_and_fidelities(self, jc_match, jc_default):
         assert jc_match.max_gap <= 1e-10
         assert jc_match.min_fidelity >= 1 - 1e-10
-        assert jc_match.all_matched
-        assert jc_match.failures == ()
+        assert checks.jc(jc_default)[2] == []
 
     def test_excited_levels_maximally_entangled(self, jc_match):
         assert jc_match.min_excited_concurrence == pytest.approx(1.0, abs=1e-10)
@@ -323,10 +321,10 @@ class TestNumericMatch:
         off[1] = 0.0
         sys_ = sq.JCSystem(sys_.fock, sys_.omega, sys_.gamma, sys_.Q, sys_.H0,
                            sys_.Hint, sq.Tridiagonal(diag, off))
-        monkeypatch.setattr(jcm, "GAP_TOL", 1e-3)
-        monkeypatch.setattr(jcm, "FIDELITY_TOL", 0.0)
+        monkeypatch.setattr(checks, "GAP_TOL", 1e-3)
+        monkeypatch.setattr(checks, "FIDELITY_TOL", 0.0)
         with np.errstate(invalid="ignore"):
-            match = sq.numeric_vs_analytic(sys_)
+            match, _, failures = checks.jc(sys_)
         expected = []
         for n, b, gap, fid in zip(match.n.tolist(), match.branch.tolist(),
                                   match.gap.tolist(), match.fidelity.tolist()):
@@ -335,14 +333,14 @@ class TestNumericMatch:
             if not fid >= 1.0:
                 expected.append(checks.Check(f"fidelity_deficit[n={n},branch={b}]",
                                              1.0 - fid, 0.0))
-        assert repr(match.failures) == repr(tuple(expected))
-        assert not any(f.passed for f in match.failures)
-        names = [f.name for f in match.failures]
+        assert repr(failures) == repr(expected)
+        assert not any(f.passed for f in failures)
+        names = [f.name for f in failures]
         assert f"gap[n=2,branch={0 if gamma == 0.0 else -1}]" in names
         if gamma:
             assert names[:4] == ["gap[n=1,branch=-1]", "fidelity_deficit[n=1,branch=-1]",
                                  "gap[n=1,branch=1]", "fidelity_deficit[n=1,branch=1]"]
-            assert np.isnan(match.failures[1].value)
+            assert np.isnan(failures[1].value)
 
     def test_resonant_doublets_read_one_exactly(self):
         # a = b on every resonant block, so s = c / |c| = 1: fidelity and
@@ -369,7 +367,7 @@ class TestNumericMatch:
         sys_ = sq.JCSystem(sys_.fock, sys_.omega, sys_.gamma, sys_.Q, sys_.H0,
                            sys_.Hint, sq.Tridiagonal(diag, off))
         with np.errstate(invalid="ignore"):
-            match = sq.numeric_vs_analytic(sys_)
+            match, _, failures = checks.jc(sys_)
         eps = np.finfo(float).eps
         for row in range(1, match.n.size):
             n, branch = int(match.n[row]), int(match.branch[row])
@@ -377,7 +375,7 @@ class TestNumericMatch:
             if c == a - b == 0.0:
                 assert np.isnan(match.fidelity[row]) and np.isnan(match.concurrence[row])
                 assert (f"fidelity_deficit[n={n},branch={branch}]"
-                        in [f.name for f in match.failures])
+                        in [f.name for f in failures])
                 continue
             h = (a - b) / 2.0
             scale = -np.frexp(max(abs(h), abs(c)))[1]
@@ -391,17 +389,16 @@ class TestNumericMatch:
         assert jc_match.label_residual_alternative > 1.0
 
     def test_failures_surface_under_impossible_tolerance(self, jc_default, monkeypatch):
-        monkeypatch.setattr(jcm, "GAP_TOL", 0.0)
-        monkeypatch.setattr(jcm, "FIDELITY_TOL", 0.0)
-        match = sq.numeric_vs_analytic(jc_default)
-        assert not match.all_matched
+        monkeypatch.setattr(checks, "GAP_TOL", 0.0)
+        monkeypatch.setattr(checks, "FIDELITY_TOL", 0.0)
+        assert checks.jc(jc_default)[2]
 
     def test_degenerate_zero_coupling_path(self):
-        match = sq.numeric_vs_analytic(sq.build_jc(1.0, 0.0, 16))
+        match, _, failures = checks.jc(sq.build_jc(1.0, 0.0, 16))
         assert match.degenerate
         assert match.max_gap <= 1e-10
         assert match.min_fidelity >= 1 - 1e-10
-        assert match.all_matched
+        assert failures == []
         excited = match.n > 0
         assert excited.any() and np.all(match.branch[excited] == 0)
         assert np.all(np.isnan(match.concurrence[excited]))
@@ -411,16 +408,16 @@ class TestNumericMatch:
     def test_exact_level_crossing(self, gamma):
         # E(1, -) = E(4, -) = -2.5 at gamma 3 and E(1, -) = E(16, -) = -4.5 at
         # gamma 5: a nearest-unused scan hands level 1 the other doublet's vector
-        match = sq.numeric_vs_analytic(sq.build_jc(1.0, gamma, 16))
-        assert match.all_matched
+        match, _, failures = checks.jc(sq.build_jc(1.0, gamma, 16))
+        assert failures == []
         assert match.min_fidelity >= 1 - 1e-10
 
     @pytest.mark.parametrize("gamma", (1e-12, 1e-17))
     def test_weak_coupling(self, gamma):
         # the splitting 2 gamma sqrt(n) is at or below the rounding of E, so an
         # eigenvector formed from the numeric E would be wrong
-        match = sq.numeric_vs_analytic(sq.build_jc(1.0, gamma, 16))
-        assert match.all_matched
+        match, _, failures = checks.jc(sq.build_jc(1.0, gamma, 16))
+        assert failures == []
         assert match.min_fidelity >= 1 - 1e-10
         assert match.min_excited_concurrence == pytest.approx(1.0, abs=1e-10)
 
@@ -429,9 +426,9 @@ class TestNumericMatch:
         # each block's vector (c, +-c) has a subnormal c: normalized as it
         # stands, it lost its digits (C = 1 - 1.7e-14 at 1e-310) or failed
         # the unit-norm check of the concurrence (below about 1e-315)
-        match = sq.numeric_vs_analytic(sq.build_jc(1.0, gamma, 8))
+        match, _, failures = checks.jc(sq.build_jc(1.0, gamma, 8))
         eps = np.finfo(float).eps
-        assert match.all_matched
+        assert failures == []
         assert 1.0 - match.min_fidelity <= 2 * eps
         assert 1.0 - match.min_excited_concurrence <= 2 * eps
         cfg = {"command": "jc", "jc_params": {"omega": 1.0, "gamma": gamma, "n_max": 8}}
