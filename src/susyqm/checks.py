@@ -90,13 +90,14 @@ def entangle(system, level):
     """(pp, mm, checks): the eigenpairs of report level `level` and the pairing check.
 
     Report level k is H+ level k - 1 and H- level k, and only those two
-    eigenstates are formed; the pairing is that of levels 1..level, as
-    `spectrum` reads it.
+    eigenstates are formed, both on the nodes (`spectral.on_nodes`); the
+    pairing is that of levels 1..level, as `spectrum` reads it.
     """
     plus, minus = spectral.solve_partners(system.H_plus, system.H_minus, level)
     pp, mm = (spectral.eigenstates(side, system.grid, slice(k, k + 1))[0]
               for side, k in ((plus, level - 1), (minus, level)))
-    return pp, mm, [_pairing(plus, minus)]
+    return spectral.EigenPair(pp.energy, spectral.on_nodes(pp.state, system.grid)), mm, [
+        _pairing(plus, minus)]
 
 
 def _level_blocks(grid, count):
@@ -105,7 +106,8 @@ def _level_blocks(grid, count):
     A block holds as many levels as fit one real array of
     SUPERCHARGE_BLOCK_BYTES on `grid`, at least one. Each command builds and
     drops a block's states inside one call (`_supercharge_values`,
-    `_intertwine_deviations`), so one block's arrays are alive at a time.
+    `_intertwine_deviations`), its H+ states put on the nodes there, so one
+    block's arrays are alive at a time beside the batch on the cells.
     """
     step = max(1, SUPERCHARGE_BLOCK_BYTES // (8 * grid.n_points))
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
@@ -115,11 +117,12 @@ def _supercharge_values(system, pp):
     """The concurrence and the residual of each level of a block `pp` of H+ eigenpairs.
 
     Two arrays over the levels, each entry what its level gives alone, bit
-    for bit, both read from the block's one Q1 + state. Its down half is
-    intertwine_down of `pp`, which carries the relative phase the
-    eigenstates need.
+    for bit, both read from the block's one Q1 + state. Its up half is `pp`
+    put on the nodes, its down half intertwine_down of `pp`, which carries
+    the relative phase the eigenstates need.
     """
-    state = entanglement.supercharge_state(pp.state, spectral.intertwine_down(system, pp))
+    state = entanglement.supercharge_state(spectral.on_nodes(pp.state, system.grid),
+                                           spectral.intertwine_down(system, pp))
     # the concurrence checks each state's unit norm before its residual is reduced
     return (entanglement.concurrence_from_spin(state),
             entanglement.supercharge_residuals(system, pp.energy, state))
@@ -159,8 +162,8 @@ def _intertwine_deviations(system, pp, mm):
     return ((math.sqrt(dx) * np.sqrt(grid.sum_of_squares(gap))).tolist(),
             [abs(dx * norm ** 2 - e) for norm, e in zip(
                 np.sqrt(grid.sum_of_squares(images)).tolist(), mm.energy.tolist())],
-            entanglement.supercharge_residuals(
-                system, pp.energy, entanglement.supercharge_state(pp.state, raw)).tolist())
+            entanglement.supercharge_residuals(system, pp.energy, entanglement.supercharge_state(
+                spectral.on_nodes(pp.state, system.grid), raw)).tolist())
 
 
 def _susy_identities(system):

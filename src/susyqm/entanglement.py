@@ -43,7 +43,7 @@ import numpy as np
 from .errors import NormalizationError
 from .grid import Wavefunction, sum_of_products, sum_of_squares
 from .operators import SusySystem
-from .spectral import EPS0
+from .spectral import _root
 
 __all__ = [
     "SpinorState",
@@ -128,7 +128,8 @@ def build_energy_eigenstate(
     coordinates in an orthonormal basis of span{psi+, psi-}, so every inner
     product the routes read equals its grid value and no batch of n-point
     vectors is formed. psi+ and psi- are checked once for unit norm, each
-    coefficient pair for |c1|^2 + |c2|^2 = 1.
+    coefficient pair for |c1|^2 + |c2|^2 = 1. psi+ is an H+ state put on
+    the nodes by `spectral.on_nodes`, where psi- lives.
     """
     if psi_plus.grid != psi_minus.grid:
         raise ValueError("psi_plus and psi_minus must share a grid")
@@ -261,15 +262,6 @@ def analyze(
     )
 
 
-def _root(E):
-    """sqrt(E) of a level or an array of levels, each checked above the zero-mode threshold."""
-    energy = np.asarray(E, dtype=float)
-    low = energy[energy <= EPS0]
-    if low.size:
-        raise ValueError(f"E = {float(low.min())!r} is at or below the zero-mode threshold {EPS0}")
-    return np.sqrt(energy)
-
-
 def supercharge_eigenstates(
     sys: SusySystem, E, psi_plus: Wavefunction, psi_minus: Wavefunction
 ) -> tuple:
@@ -298,15 +290,16 @@ def supercharge_eigenstates(
 def supercharge_state(psi_plus: Wavefunction, psi_minus: Wavefunction) -> SpinorState:
     """The Q1 + state (psi+ |up> + psi- |down>)/sqrt(2) of a level pair or a block of them.
 
-    Each half is divided by sqrt(2) once and kept as it is, not copied. The
-    four `supercharge_eigenstates` of a level differ from it only by a unit
-    phase, 1, -1, i or -i, on the down half, which leaves <u|u>, <d|d> and
-    |<u|d>|^2, every product `concurrence_from_spin` reduces, as they are in
-    exact arithmetic: its concurrence is each state's, bit for bit that of
-    the Q1 - state, and a Q2 state's own differs from it only in the
-    rounding of its complex sums, by an ulp where it differs at all. Its
-    residual is `supercharge_residuals`. For a block of levels the two
-    states carry a leading axis over the levels.
+    psi+ is an H+ state put on the nodes by `spectral.on_nodes`, where psi-
+    lives. Each half is divided by sqrt(2) once and kept as it is, not
+    copied. The four `supercharge_eigenstates` of a level differ from it
+    only by a unit phase, 1, -1, i or -i, on the down half, which leaves
+    <u|u>, <d|d> and |<u|d>|^2, every product `concurrence_from_spin`
+    reduces, as they are in exact arithmetic: its concurrence is each
+    state's, bit for bit that of the Q1 - state, and a Q2 state's own
+    differs from it only in the rounding of its complex sums, by an ulp
+    where it differs at all. Its residual is `supercharge_residuals`. For a
+    block of levels the two states carry a leading axis over the levels.
     """
     if psi_plus.grid != psi_minus.grid:
         raise ValueError("psi_plus and psi_minus must share a grid")
@@ -321,7 +314,8 @@ def supercharge_residuals(sys: SusySystem, E, state: SpinorState):
     `state` is the level's `supercharge_state`, halves up = psi+/sqrt(2) and
     dn = psi-/sqrt(2). Q1 acts blockwise as (B phi_down, B+ phi_up),
     two-term stencils, and Q2 = -i sz Q1 as (-i B phi_down, +i B+ phi_up),
-    the up half on the n - 1 cells: psi+ on the nodes holds 0 at the last.
+    the up half read on its n - 1 cells: psi+, put on the nodes by
+    `spectral.on_nodes`, holds 0 at the last node, which is left out.
     B is applied to dn and B+ to up once. A state's down half is dn times
     its phase p = 1, -1, i or -i and its eigenvalue is sign * sqrt(E), so B
     of the down half is p B dn and the residual vector is (sign r_up,

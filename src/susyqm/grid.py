@@ -85,18 +85,14 @@ class Wavefunction:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def _require_same_grid(f: Wavefunction, g: Wavefunction):
-    if f.grid != g.grid:
-        raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
-
-
 def inner_product(f: Wavefunction, g: Wavefunction):
     """<f|g> = sum conj(f_i) g_i dx. Conjugate-symmetric by construction.
 
     A complex for one state; for a batch, a complex array over its leading
     axes, each a state's `sum_of_products` alone.
     """
-    _require_same_grid(f, g)
+    if f.grid != g.grid:
+        raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
     ov = sum_of_products(f.amplitudes, g.amplitudes) * f.grid.dx
     return complex(ov) if ov.ndim == 0 else ov.astype(complex)
 

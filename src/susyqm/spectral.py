@@ -22,21 +22,25 @@ only solves: the pairing verdict, the largest gap between paired levels
 against PAIR_TOL, is read from its result by `susyqm.checks`.
 
 `eigenstates` forms the eigenpairs of the levels a caller reads from a
-bisection result as one batch (`EigenPair` over a leading level axis),
-every state on the n nodes: an H+ state of n - 1 cells takes a trailing
-zero at the last node, the one place it is put on the nodes;
+bisection result as one batch (`EigenPair` over a leading level axis): an
+H- state on the n nodes, an H+ state on the cell grid of the n - 1
+midpoints x_min + dx/2 + i dx, as it is solved, with no copy;
 `solve_spectrum` is the blind solve of the k lowest levels
-(`Tridiagonal.eigh`) followed by it. The intertwining map and the phase
-alignment act on such a batch as on one state. The zero mode is read off
-the stored bands of B, so this module holds no copy of B's stencil. The
-division by sqrt(E) in the intertwining map is guarded by EPS0 as well.
+(`Tridiagonal.eigh`) followed by it. `on_nodes` is the one place a cell
+state meets a node state: it puts it on the n nodes with 0 at the last.
+The cell grid is a label for the same-grid check only; its dx may differ
+from the node dx by an ulp, so every norm and weight reads the node grid's.
+The intertwining map and the phase alignment act on a batch as on one
+state. The zero mode is read off the stored bands of B, so this module
+holds no copy of B's stencil. The division by sqrt(E) in the intertwining
+map is guarded by EPS0 as well.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, SignConditionError
+from .errors import DegeneracyError, GridMismatchError, SignConditionError
 from .grid import Grid, Wavefunction, fix_phase, inner_product
 from .operators import Bisection, SusySystem, Tridiagonal, check_sign_condition
 
@@ -45,6 +49,7 @@ __all__ = [
     "EigenPair",
     "solve_spectrum",
     "eigenstates",
+    "on_nodes",
     "solve_plus",
     "solve_partners",
     "zero_mode",
@@ -91,23 +96,42 @@ def eigenstates(solved: Bisection, grid: Grid, levels=slice(None)) -> EigenPair:
 
     `levels` is a slice of unit step; by default every level. Here the
     eigenvectors of those levels alone are formed (`Bisection.vectors`),
-    phase-fixed and scaled to unit dx-weighted norm in place: the Fortran
-    array the inverse iteration fills is read as one array with a row a
-    level, which the batch then holds as it is. An H+ vector, on the n - 1
-    cells, is put on the n nodes with 0 at the last, by one copy of the
-    batch: `intertwine_down` reads its cells back, and spinors pair it with
-    H- states on the nodes. Bisection on the bands
+    phase-fixed and scaled to unit dx-weighted norm, with the node dx, in
+    place: the Fortran array the inverse iteration fills is read as one
+    array with a row a level, which the batch then holds as it is. A vector
+    of n - 1 entries, an H+ state, is held on the cell grid of `grid`:
+    `intertwine_down` reads it as it is, and `on_nodes` puts a block of it
+    on the nodes where it meets H- states. Bisection on the bands
     resolves the near-kernel eigenvalue at machine scale instead of the
     ~eps*||H|| blur of the generic drivers; the work is O(n) per eigenpair.
     Deterministic: fixed driver, fixed phase fix.
     """
     amps = solved.vectors(levels=levels).T
-    if amps.shape[-1] == grid.n_points - 1:
-        amps = np.append(amps, np.zeros((amps.shape[0], 1)), axis=-1)
     fix_phase(amps, out=amps)
     amps /= np.sqrt(grid.dx)
     amps.flags.writeable = False
-    return EigenPair(solved.values[levels], Wavefunction(grid, amps))
+    on = _cells(grid) if amps.shape[-1] == grid.n_points - 1 else grid
+    return EigenPair(solved.values[levels], Wavefunction(on, amps))
+
+
+def _cells(grid: Grid) -> Grid:
+    """The cell grid of `grid`: its n - 1 midpoints, a label only (see the module)."""
+    return Grid(grid.x_min + grid.dx / 2.0, grid.x_max - grid.dx / 2.0, grid.n_points - 1)
+
+
+def on_nodes(state: Wavefunction, grid: Grid) -> Wavefunction:
+    """An H+ state, or a batch of them, on the cells of `grid`, put on its nodes, 0 at the last.
+
+    The one place a cell state meets a node state: the result is a new
+    read-only array on `grid` itself. A state on any other grid raises
+    GridMismatchError.
+    """
+    if state.grid != _cells(grid):
+        raise GridMismatchError(f"{state.grid} is not the cell grid of {grid}")
+    out = np.zeros(state.amplitudes.shape[:-1] + (grid.n_points,), state.amplitudes.dtype)
+    out[..., :-1] = state.amplitudes
+    out.flags.writeable = False
+    return Wavefunction(grid, out)
 
 
 def solve_plus(H_plus: Tridiagonal, levels: int) -> Bisection:
@@ -219,21 +243,21 @@ def intertwine_down(sys: SusySystem, pair_plus: EigenPair) -> Wavefunction:
     true eigenstate the norm lands within ~1e-8 of one, and downstream
     supercharge eigenstates need exactly this relative phase. A batch of
     eigenpairs maps to the batch of its states, each as it maps alone. The
-    H+ states are on the n nodes as `eigenstates` puts them, 0 at the last;
-    one that is not raises ValueError.
+    H+ states are on the n - 1 cells, as `eigenstates` returns them, and
+    B_adj maps them to the n nodes.
     """
-    energy = np.asarray(pair_plus.energy, dtype=float)
+    amps = (sys.B_adj @ pair_plus.state.amplitudes) / _root(pair_plus.energy)[..., None]
+    return Wavefunction(sys.grid, amps)
+
+
+def _root(E):
+    """sqrt(E) of a level or an array of levels, each checked above the zero-mode threshold."""
+    energy = np.asarray(E, dtype=float)
     low = energy[energy <= EPS0]
     if low.size:
-        raise ValueError(
-            f"energy {float(low.min())!r} is at or below the zero-mode threshold "
-            f"{EPS0}; the zero mode has no partner state"
-        )
-    amps = pair_plus.state.amplitudes
-    if np.any(amps[..., -1] != 0.0):  # B_adj reads the n - 1 cells of an H+ state
-        raise ValueError("an H+ state must be 0 at the last node, as `eigenstates` puts it")
-    amps = (sys.B_adj @ amps[..., :-1]) / np.sqrt(energy)[..., None]
-    return Wavefunction(sys.grid, amps)
+        raise ValueError(f"energy {float(low.min())!r} is at or below the zero-mode threshold "
+                         f"{EPS0}; the zero mode has no partner state")
+    return np.sqrt(energy)
 
 
 def align_phase(mapped: Wavefunction, reference: Wavefunction) -> Wavefunction:

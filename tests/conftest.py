@@ -70,6 +70,19 @@ def nonzero_levels(spectra):
 
 
 @pytest.fixture(scope="session")
+def cell_grid():
+    """The cell grid of a node grid: its n - 1 midpoints x_min + dx/2 + i dx.
+
+    Spelled out here from the node grid's fields, as the label an H+ state
+    carries; its dx can differ from the node dx by an ulp.
+    """
+    def cells(grid):
+        half = grid.dx / 2.0
+        return sq.Grid(grid.x_min + half, grid.x_max - half, grid.n_points - 1)
+    return cells
+
+
+@pytest.fixture(scope="session")
 def traced_peak():
     """tracemalloc peak, in bytes, of run() above the memory held before it."""
     def peak(run):
@@ -183,24 +196,24 @@ def entangle_sweep_oracle():
 
     The level pair comes from the command's own solve (`solve_partners` of
     the built system, then `eigenstates` at that level), since the rows
-    check the batch route, not the eigensolver. Each (|c1|, phase)
-    state is then built as c1 psi+ |up> + c2 psi- |down> on all n nodes
-    with weight dx and analyzed alone: no two-mode reduction and no batch
-    axis. Rows come in the
+    check the batch route, not the eigensolver; psi+ is put on the nodes by
+    `on_nodes`. Each (|c1|, phase) state is then built as
+    c1 psi+ |up> + c2 psi- |down> on all n nodes with weight dx and analyzed
+    alone: no two-mode reduction and no batch axis. Rows come in the
     command's order (|c1| outer, phase inner) and column order.
     """
     def rows(W, grid, level=1, c1_points=21, phase_points=8):
         system = sq.build_susy_system(W, grid)
         plus, minus = sq.solve_partners(system.H_plus, system.H_minus, level)
-        pp = sq.eigenstates(plus, grid)[level - 1]
+        up = sq.on_nodes(sq.eigenstates(plus, grid)[level - 1].state, grid)
         mm = sq.eigenstates(minus, grid)[level]
-        overlap = sq.inner_product(pp.state, mm.state)
+        overlap = sq.inner_product(up, mm.state)
         out = []
         for c1 in np.linspace(0.0, 1.0, c1_points):
             c2_mod = math.sqrt(max(0.0, 1.0 - c1 * c1))
             for phase in np.linspace(0.0, 2.0 * math.pi, phase_points, endpoint=False):
                 c2 = c2_mod * complex(math.cos(phase), math.sin(phase))
-                state = sq.SpinorState(c1 * pp.state.amplitudes,
+                state = sq.SpinorState(c1 * up.amplitudes,
                                        c2 * mm.state.amplitudes, grid.dx)
                 rep = sq.analyze(state, c1, c2, overlap)
                 out.append((
@@ -248,17 +261,17 @@ def normalize(norm):
 
 
 @pytest.fixture(scope="session")
-def intertwine_up():
+def intertwine_up(cell_grid):
     """B psi- / sqrt(E): the H+ partner of an H- eigenpair, mirror of intertwine_down.
 
-    Its n - 1 cells are put on the n nodes with 0 at the last, as
-    `eigenstates` puts an H+ state.
+    Formed on the n - 1 cells and put on the n nodes by `on_nodes`, where it
+    meets node states.
     """
     def up(system, pair_minus):
         if pair_minus.energy <= sq.EPS0:
             raise ValueError(f"energy {pair_minus.energy!r} is at or below {sq.EPS0}")
         amps = (system.B @ pair_minus.state.amplitudes) / np.sqrt(pair_minus.energy)
-        return sq.Wavefunction(system.grid, np.append(amps, 0.0))
+        return sq.on_nodes(sq.Wavefunction(cell_grid(system.grid), amps), system.grid)
     return up
 
 
@@ -470,19 +483,20 @@ def build_supercharges():
 
 
 @pytest.fixture(scope="session")
-def blockwise_supercharge():
+def blockwise_supercharge(cell_grid):
     """Q1 or Q2 applied to a spinor block by block, as a new state.
 
     Q1 maps (phi_up, phi_down) to (B phi_down, B+ phi_up) and Q2 to
     (-i B phi_down, +i B+ phi_up): the two-term stencils of B and B+ with
     no interleaving, copied into a fresh `SpinorState`. phi_up lives on the
-    n - 1 cells and sits on the n nodes with 0 at the last, as the package
-    puts an H+ state: B+ reads its cells, and B phi_down is put on the nodes
-    the same way.
+    n - 1 cells and sits on the n nodes as `on_nodes` puts an H+ state
+    there, 0 at the last: B+ reads its cells, and B phi_down, formed on the
+    cells, is put on the nodes by `on_nodes`.
     """
     def apply(system, state, which):
-        up, down = system.B @ state.down, system.B_adj @ state.up[..., :-1]
-        up = np.concatenate((up, np.zeros(up.shape[:-1] + (1,), up.dtype)), axis=-1)
+        cells = sq.Wavefunction(cell_grid(system.grid), system.B @ state.down)
+        up = sq.on_nodes(cells, system.grid).amplitudes
+        down = system.B_adj @ state.up[..., :-1]
         if which == "q2":
             up, down = -1j * up, 1j * down
         return sq.SpinorState(up, down, state.weight)

@@ -149,9 +149,10 @@ def test_c4_concurrence_agreement(lab, name):
     e = lab[name]
     worst = 0.0
     for pp, mm in zip(e["plus_nz"][:3], e["minus_nz"][:3]):
-        ov = sq.inner_product(pp.state, mm.state)
+        up = sq.on_nodes(pp.state, e["system"].grid)
+        ov = sq.inner_product(up, mm.state)
         for c1, c2 in sweep_grid():
-            state = sq.build_energy_eigenstate(c1, c2, pp.state, mm.state)
+            state = sq.build_energy_eigenstate(c1, c2, up, mm.state)
             c_spin = sq.concurrence_from_spin(state)
             worst = max(worst,
                         abs(c_spin - sq.concurrence_overlap(c1, c2, ov)),
@@ -170,9 +171,10 @@ def test_c5_odd_maximality(lab, name):
     worst_ov = 0.0
     worst_cdev = 0.0
     for pp, mm in zip(e["plus_nz"][:3], e["minus_nz"][:3]):
-        worst_ov = max(worst_ov, abs(sq.inner_product(pp.state, mm.state)))
+        up = sq.on_nodes(pp.state, system.grid)
+        worst_ov = max(worst_ov, abs(sq.inner_product(up, mm.state)))
         for *_, st in sq.supercharge_eigenstates(
-                system, pp.energy, pp.state, sq.intertwine_down(system, pp)):
+                system, pp.energy, up, sq.intertwine_down(system, pp)):
             worst_cdev = max(worst_cdev, abs(1.0 - sq.concurrence_from_spin(st)))
     ok = worst_ov <= 1e-10 and worst_cdev <= 1e-10
     report(5, f"odd superpotential {name}", ok,
@@ -182,18 +184,39 @@ def test_c5_odd_maximality(lab, name):
 
 def test_c5_parity_broken_witness(lab):
     e = lab["shifted_cubic"]
-    pairs = list(zip(e["plus_nz"][:3], e["minus_nz"][:3]))
-    overlaps = [abs(sq.inner_product(pp.state, mm.state)) for pp, mm in pairs]
+    grid = e["system"].grid
+    pairs = [(sq.on_nodes(pp.state, grid), mm.state)
+             for pp, mm in zip(e["plus_nz"][:3], e["minus_nz"][:3])]
+    overlaps = [abs(sq.inner_product(up, down)) for up, down in pairs]
     idx = int(np.argmax(overlaps))
-    pp, mm = pairs[idx]
+    up, down = pairs[idx]
     c_max = 0.0
     for c1, c2 in sweep_grid():
-        state = sq.build_energy_eigenstate(c1, c2, pp.state, mm.state)
+        state = sq.build_energy_eigenstate(c1, c2, up, down)
         c_max = max(c_max, sq.concurrence_from_spin(state))
     ok = overlaps[idx] >= 1e-3 and c_max < 1.0 - 1e-6
     report(5, "broken-parity witness shifted_cubic", ok,
            f"level {idx + 1} overlap {overlaps[idx]:.4f} (>= 1e-3) caps the "
            f"sweep at C_max = {c_max:.6f} (< 1 - 1e-6)")
+
+
+def test_c5_tanh_first_order():
+    # tanh is odd, yet its partner overlap over levels 1..3 is O(dx): the
+    # one-sided B breaks its parity as for x^3. A pinned first order, which
+    # a scheme that keeps the parity would move above this window
+    overlaps = []
+    for n_points in (2001, 4001, 8001):
+        grid = sq.make_grid(-10.0, 10.0, n_points)
+        system = sq.build_susy_system(sq.get_superpotential("tanh"), grid)
+        plus = sq.solve_spectrum(system.H_plus, 3, grid)
+        minus = sq.solve_spectrum(system.H_minus, 4, grid)[1:]
+        overlaps.append(float(np.max(np.abs(sq.inner_product(
+            sq.on_nodes(plus.state, grid), minus.state)))))
+    orders = [math.log2(a / b) for a, b in zip(overlaps, overlaps[1:])]
+    report(5, "odd superpotential tanh", all(0.9 <= p <= 1.2 for p in orders),
+           "max partner overlap over levels 1..3 at 2001/4001/8001 points "
+           + "/".join(f"{v:.4e}" for v in overlaps) + ", observed order "
+           + ", ".join(f"{p:.3f}" for p in orders) + " (pinned between 0.9 and 1.2)")
 
 
 # criterion 6: supercharge eigen-relations and the squared-operator identity
@@ -205,7 +228,7 @@ def test_c6_supercharge_eigenstates(lab, name):
     worst = 0.0
     for pp in e["plus_nz"][:3]:  # one residual a level, which its four states share
         worst = max(worst, sq.supercharge_residuals(system, pp.energy, sq.supercharge_state(
-            pp.state, sq.intertwine_down(system, pp))))
+            sq.on_nodes(pp.state, system.grid), sq.intertwine_down(system, pp))))
     report(6, f"supercharge eigenstates {name}", worst <= 1e-8,
            f"max ||Q psi - (+-sqrt(E)) psi|| over 3 levels x 4 states = "
            f"{worst:.3e} (tol 1e-8)")

@@ -139,6 +139,19 @@ def test_other_layers_are_called_through_their_modules(monkeypatch):
     assert calls == ["numeric_vs_analytic", "verify_susy_algebra"]
 
 
+@pytest.mark.parametrize("n_points, levels", ((1001, 99), (2001, 199)))
+def test_supercharge_peak_is_one_cell_batch_and_a_few_blocks(traced_peak, n_points, levels):
+    # the H+ batch stays on its n - 1 cells and only a block at a time is put
+    # on the nodes, so the pass holds one cell batch and a few block-sized
+    # arrays; a node copy of the whole batch adds levels * n * 8 bytes, 0.8
+    # MB at 1001 points and 3.2 MB at 2001, and breaks the bound
+    system = sq.build_susy_system(sq.get_superpotential("harmonic"),
+                                  sq.make_grid(-10.0, 10.0, n_points))
+    batch = levels * (n_points - 1) * 8
+    peak = traced_peak(lambda: checks.supercharge(system, levels))
+    assert peak <= batch + 12 * checks.SUPERCHARGE_BLOCK_BYTES
+
+
 def test_jaynescummings_neither_imports_nor_holds_the_verdicts():
     # the layer computes and checks judges: a fresh import of the layer
     # loads no checks, and the bounds of jc live in checks alone

@@ -412,7 +412,8 @@ class TestSuperchargeCommand:
             pp = pairs[i - 1]  # report index i is H+ level i - 1
             mapped = sq.intertwine_down(system, pp)
             assert mapped.amplitudes.shape == (n_points,)
-            states = sq.supercharge_eigenstates(system, pp.energy, pp.state, mapped)
+            states = sq.supercharge_eigenstates(system, pp.energy, sq.on_nodes(pp.state, grid),
+                                                mapped)
             concurrence = sq.concurrence_from_spin(states[0][3])
             for family, sign, q, st in states:
                 residual = residual_per_state(system, st, q, family)
@@ -468,7 +469,7 @@ class TestSuperchargeCommand:
         dense = dict(zip(("q1", "q2"), build_supercharges(system)))
         rho = float(np.max(np.sum(np.abs(dense["q1"]), axis=1)))
         N = 2 * n_points - 1
-        states = sq.supercharge_eigenstates(system, pairs.energy, pairs.state,
+        states = sq.supercharge_eigenstates(system, pairs.energy, sq.on_nodes(pairs.state, grid),
                                             sq.intertwine_down(system, pairs))
         for k, (family, sign, q, st) in enumerate(states):
             # the n - 1 up cells first, then the n down nodes, one column a level
@@ -671,8 +672,9 @@ class TestVerifyCommand:
             maps.append(math.sqrt(grid.dx) * float(np.sqrt(np.sum(gap * gap))))
             energies.append(abs(grid.dx * float(np.sqrt(np.sum(image * image))) ** 2
                                 - mm.energy))
+            up = sq.on_nodes(pp.state, grid)
             residuals += [residual_per_state(system, st, q, family) for family, _, q, st
-                          in sq.supercharge_eigenstates(system, pp.energy, pp.state, mapped)]
+                          in sq.supercharge_eigenstates(system, pp.energy, up, mapped)]
         assert checks["intertwine_map_residual"] == max(maps)
         assert checks["intertwine_energy_deviation"] == max(energies)
         assert checks["supercharge_eigenstate_residual"] == max(residuals)
@@ -735,22 +737,21 @@ class TestVerifyCommand:
         assert set(self.failed_checks(tmp_path)) == set(IDENTITY_CHECKS) - {
             "q1_squared_vs_hamiltonian"}
 
-    @pytest.mark.parametrize("mutant", (
-        lambda system, s: sq.SpinorState(np.append(1j * (system.B @ s.down), 0.0),
-                                         -1j * (system.B_adj @ s.up[:-1]), s.weight),
-        lambda system, s: sq.SpinorState(np.append(-1j * (system.B @ s.down), 0.0),
-                                         -1j * (system.B_adj @ s.up[:-1]), s.weight),
-    ), ids=("sign_flipped", "minus_i_on_both_blocks"))
-    def test_mutated_q2_fails_the_eigenstate_residual(self, tmp_path, monkeypatch, mutant,
+    @pytest.mark.parametrize("phases", ((1j, -1j), (-1j, -1j)),
+                             ids=("sign_flipped", "minus_i_on_both_blocks"))
+    def test_mutated_q2_fails_the_eigenstate_residual(self, tmp_path, monkeypatch, phases,
                                                       blockwise_supercharge, blockwise_residual):
-        # the residuals verify calls, with Q2 replaced by the mutant; verify
-        # passes the Q1 + states of a block of levels. Each level's four
-        # states (the down half times 1, -1, i or -i, eigenvalue
+        # the residuals verify calls, with Q2 = (-i B phi_down, +i B+ phi_up)
+        # replaced by the mutant that puts `phases` on the two blocks of Q1;
+        # verify passes the Q1 + states of a block of levels. Each level's
+        # four states (the down half times 1, -1, i or -i, eigenvalue
         # sign * sqrt(E)) are formed and taken one at a time, and the largest
         # of the four is the level's
         def apply(system, state, which):
-            return mutant(system, state) if which == "q2" else \
-                blockwise_supercharge(system, state, which)
+            if which != "q2":
+                return blockwise_supercharge(system, state, which)
+            q1 = blockwise_supercharge(system, state, "q1")
+            return sq.SpinorState(phases[0] * q1.up, phases[1] * q1.down, state.weight)
 
         def residuals(system, energies, state):
             return np.max([np.array([

@@ -40,41 +40,45 @@ def sweep_coefficients(c1_points=21, phase_points=8):
 
 
 class TestBuildEnergyEigenstate:
-    def test_pure_spin_up_product(self, nonzero_levels):
+    def test_pure_spin_up_product(self, nonzero_levels, grid2001):
         plus_nz, minus_nz = nonzero_levels["harmonic"]
-        state = sq.build_energy_eigenstate(1.0, 0.0, plus_nz[0].state, minus_nz[0].state)
+        up = sq.on_nodes(plus_nz[0].state, grid2001)
+        state = sq.build_energy_eigenstate(1.0, 0.0, up, minus_nz[0].state)
         assert np.max(np.abs(state.down)) == 0.0
         assert sq.spin_expectation(state) == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
 
-    def test_pure_spin_down_product(self, nonzero_levels):
+    def test_pure_spin_down_product(self, nonzero_levels, grid2001):
         plus_nz, minus_nz = nonzero_levels["harmonic"]
-        state = sq.build_energy_eigenstate(0.0, 1.0, plus_nz[0].state, minus_nz[0].state)
+        up = sq.on_nodes(plus_nz[0].state, grid2001)
+        state = sq.build_energy_eigenstate(0.0, 1.0, up, minus_nz[0].state)
         assert np.max(np.abs(state.up)) == 0.0
         # normalization round-off in the solved eigenvector leaks into C
         assert sq.concurrence_from_spin(state) <= 1e-7
 
-    def test_equal_superposition_is_maximally_entangled(self, nonzero_levels):
+    def test_equal_superposition_is_maximally_entangled(self, nonzero_levels, grid2001):
         plus_nz, minus_nz = nonzero_levels["harmonic"]
         state = sq.build_energy_eigenstate(
-            INV_ROOT2, INV_ROOT2, plus_nz[0].state, minus_nz[0].state)
+            INV_ROOT2, INV_ROOT2, sq.on_nodes(plus_nz[0].state, grid2001), minus_nz[0].state)
         assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
         assert sq.concurrence_from_spin(state) == pytest.approx(1.0, abs=1e-10)
 
-    def test_coefficient_norm_validated(self, nonzero_levels):
+    def test_coefficient_norm_validated(self, nonzero_levels, grid2001):
         plus_nz, minus_nz = nonzero_levels["harmonic"]
+        up = sq.on_nodes(plus_nz[0].state, grid2001)
         with pytest.raises(ValueError):
-            sq.build_energy_eigenstate(1.0, 1.0, plus_nz[0].state, minus_nz[0].state)
+            sq.build_energy_eigenstate(1.0, 1.0, up, minus_nz[0].state)
 
     def test_component_norm_validated(self, nonzero_levels, grid2001):
         plus_nz, minus_nz = nonzero_levels["harmonic"]
         bad = sq.Wavefunction(grid2001, 2.0 * minus_nz[0].state.amplitudes)
+        up = sq.on_nodes(plus_nz[0].state, grid2001)
         with pytest.raises(ValueError):
-            sq.build_energy_eigenstate(INV_ROOT2, INV_ROOT2, plus_nz[0].state, bad)
+            sq.build_energy_eigenstate(INV_ROOT2, INV_ROOT2, up, bad)
 
-    def test_two_mode_batch_keeps_grid_inner_products(self, nonzero_levels):
+    def test_two_mode_batch_keeps_grid_inner_products(self, nonzero_levels, grid2001):
         # shifted_cubic: <psi+|psi-> = 0.30, so R has an off-diagonal entry
         plus_nz, minus_nz = nonzero_levels["shifted_cubic"]
-        pp, mm = plus_nz[0].state, minus_nz[0].state
+        pp, mm = sq.on_nodes(plus_nz[0].state, grid2001), minus_nz[0].state
         c1, c2 = sweep_coefficients()
         state = sq.build_energy_eigenstate(c1, c2, pp, mm)
         assert state.up.shape == state.down.shape == (c1.size, 2)
@@ -84,14 +88,15 @@ class TestBuildEnergyEigenstate:
         assert abs(ov - sq.inner_product(pp, mm)) <= 4 * np.finfo(float).eps
         assert np.max(np.abs(state.norm_squared() - 1.0)) <= 4 * np.finfo(float).eps
 
-    def test_batch_coefficients_validated(self, nonzero_levels):
+    def test_batch_coefficients_validated(self, nonzero_levels, grid2001):
         plus_nz, minus_nz = nonzero_levels["harmonic"]
+        up = sq.on_nodes(plus_nz[0].state, grid2001)
         c1, c2 = sweep_coefficients()
         c2[7] *= 1.01  # one row off the unit circle
         with pytest.raises(ValueError):
-            sq.build_energy_eigenstate(c1, c2, plus_nz[0].state, minus_nz[0].state)
+            sq.build_energy_eigenstate(c1, c2, up, minus_nz[0].state)
         with pytest.raises(ValueError):
-            sq.build_energy_eigenstate(c1, c2[:-1], plus_nz[0].state, minus_nz[0].state)
+            sq.build_energy_eigenstate(c1, c2[:-1], up, minus_nz[0].state)
 
 
 class TestSpinorState:
@@ -241,9 +246,9 @@ class TestConcurrenceRoutes:
 class TestAnalyzeReport:
     def test_report_carries_all_routes(self, nonzero_levels, grid2001):
         plus_nz, minus_nz = nonzero_levels["shifted_cubic"]
-        ov = sq.inner_product(plus_nz[0].state, minus_nz[0].state)
-        state = sq.build_energy_eigenstate(
-            INV_ROOT2, INV_ROOT2, plus_nz[0].state, minus_nz[0].state)
+        up = sq.on_nodes(plus_nz[0].state, grid2001)
+        ov = sq.inner_product(up, minus_nz[0].state)
+        state = sq.build_energy_eigenstate(INV_ROOT2, INV_ROOT2, up, minus_nz[0].state)
         rep = sq.analyze(state, INV_ROOT2, INV_ROOT2, ov)
         assert rep.concurrence_overlap is not None
         assert abs(rep.concurrence_spin - rep.concurrence_overlap) <= 1e-12
@@ -305,10 +310,10 @@ class TestBatchedRoutes:
         assert type(rep.overlap) is complex
         assert sq.spin_expectation(state).shape == (3,)
 
-    def test_default_sweep_memory(self, nonzero_levels, traced_peak):
+    def test_default_sweep_memory(self, nonzero_levels, traced_peak, grid2001):
         # one rows x n complex array of the 2001-point sweep would take 5.4 MB
         plus_nz, minus_nz = nonzero_levels["shifted_cubic"]
-        pp, mm = plus_nz[0].state, minus_nz[0].state
+        pp, mm = sq.on_nodes(plus_nz[0].state, grid2001), minus_nz[0].state
         c1, c2 = sweep_coefficients()
         ov = sq.inner_product(pp, mm)
 
@@ -324,7 +329,7 @@ def harmonic_level_one(systems, nonzero_levels):
     pp = nonzero_levels["harmonic"][0][0]
     mapped = sq.intertwine_down(system, pp)
     return system, pp, sq.supercharge_eigenstates(system, pp.energy,
-                                                  pp.state, mapped)
+                                                  sq.on_nodes(pp.state, system.grid), mapped)
 
 
 class TestSuperchargeEigenstates:
@@ -349,7 +354,7 @@ class TestSuperchargeEigenstates:
         assert q2_rows == [(+1, root), (-1, -root)]
         # one residual for one level, which both Q2 states share
         residual = sq.supercharge_residuals(system, pp.energy, sq.supercharge_state(
-            pp.state, sq.intertwine_down(system, pp)))
+            sq.on_nodes(pp.state, system.grid), sq.intertwine_down(system, pp)))
         assert type(residual) is float
         assert residual <= 1e-8
 
@@ -370,12 +375,12 @@ class TestSuperchargeEigenstates:
     def test_nilpotent_halves_annihilate_their_sectors(self, harmonic_level_one):
         # Q+ = (Q1 + i Q2)/2 kills spin-up states, Q- kills spin-down states;
         # in the order (down_0, up_0, ..., down_{n-1}) of SusySystem.Q1,
-        # Q2 = -i sz Q1. An up half sits on the n - 1 cells: psi on the
+        # Q2 = -i sz Q1. An up half sits on the n - 1 cells: psi put on the
         # nodes ends in 0 there (an H+ state), and its last node is dropped
         system, pp, _ = harmonic_level_one
         n = system.grid.n_points
         sz = np.resize([-1.0, 1.0], 2 * n - 1)
-        psi = pp.state.amplitudes
+        psi = sq.on_nodes(pp.state, system.grid).amplitudes
         assert psi[-1] == 0.0
 
         def halves(up, down):
@@ -399,12 +404,13 @@ class TestSuperchargeEigenstates:
                   if p.energy >= sq.EPS0][:6]
         assert len(levels) == 6
         for pp in levels:
-            rows = sq.supercharge_eigenstates(system, pp.energy, pp.state,
+            up = sq.on_nodes(pp.state, grid)
+            rows = sq.supercharge_eigenstates(system, pp.energy, up,
                                               sq.intertwine_down(system, pp))
             assert [(family, sign) for family, sign, *_ in rows] == [
                 ("q1", +1), ("q1", -1), ("q2", +1), ("q2", -1)]
             residual = sq.supercharge_residuals(system, pp.energy, sq.supercharge_state(
-                pp.state, sq.intertwine_down(system, pp)))
+                up, sq.intertwine_down(system, pp)))
             for family, sign, eigenvalue, st_ in rows:
                 assert eigenvalue == sign * math.sqrt(pp.energy)
                 assert residual == blockwise_residual(system, st_, eigenvalue, family)
@@ -424,12 +430,12 @@ class TestSuperchargeEigenstates:
         for step in (levels, 6):
             for lo in range(0, levels, step):
                 pp = pairs[lo:lo + step]
-                mapped = sq.intertwine_down(system, pp)
+                up, mapped = sq.on_nodes(pp.state, grid), sq.intertwine_down(system, pp)
                 got = sq.supercharge_residuals(system, pp.energy,
-                                               sq.supercharge_state(pp.state, mapped))
+                                               sq.supercharge_state(up, mapped))
                 assert got.shape == (len(pp),)
                 for family, _, eigenvalues, states in sq.supercharge_eigenstates(
-                        system, pp.energy, pp.state, mapped):
+                        system, pp.energy, up, mapped):
                     want = [residual_per_state(system, sq.SpinorState(up, down, grid.dx),
                                                q, family)
                             for up, down, q in zip(states.up, states.down, eigenvalues.tolist())]
@@ -445,22 +451,22 @@ class TestSuperchargeEigenstates:
         system = sq.build_susy_system(sq.get_superpotential(name), grid)
         pairs = sq.eigenstates(system.H_plus.eigh(0, 18), grid)
         for pp, kind in ((pairs, np.ndarray), (pairs[0], float)):
-            mapped = sq.intertwine_down(system, pp)
-            got = sq.concurrence_from_spin(sq.supercharge_state(pp.state, mapped))
+            up, mapped = sq.on_nodes(pp.state, grid), sq.intertwine_down(system, pp)
+            got = sq.concurrence_from_spin(sq.supercharge_state(up, mapped))
             assert type(got) is kind
             for family, _, _, state in sq.supercharge_eigenstates(
-                    system, pp.energy, pp.state, mapped):
+                    system, pp.energy, up, mapped):
                 own = np.asarray(sq.concurrence_from_spin(state))
                 if family == "q1":
                     assert own.tobytes() == np.asarray(got).tobytes()
                 else:
                     assert np.all(np.abs(own - got) <= np.spacing(got))
 
-    def test_zero_energy_rejected(self, systems, nonzero_levels):
+    def test_zero_energy_rejected(self, systems, nonzero_levels, grid2001):
         plus_nz, minus_nz = nonzero_levels["harmonic"]
         with pytest.raises(ValueError):
             sq.supercharge_eigenstates(systems["harmonic"], 0.0,
-                                       plus_nz[0].state, minus_nz[0].state)
+                                       sq.on_nodes(plus_nz[0].state, grid2001), minus_nz[0].state)
 
     def test_ground_state_not_entangled(self, systems, grid2001):
         psi0 = sq.zero_mode(systems["harmonic"])
@@ -470,24 +476,24 @@ class TestSuperchargeEigenstates:
 
     def test_residuals_validate_energy_and_grid(self, harmonic_level_one):
         system, pp, _ = harmonic_level_one
-        mapped = sq.intertwine_down(system, pp)
+        up, mapped = sq.on_nodes(pp.state, system.grid), sq.intertwine_down(system, pp)
         with pytest.raises(ValueError, match="zero-mode threshold"):
             sq.supercharge_residuals(system, [pp.energy, 0.0],
-                                     sq.supercharge_state(pp.state, mapped))
+                                     sq.supercharge_state(up, mapped))
         other = sq.Wavefunction(sq.make_grid(-9.0, 9.0, system.grid.n_points),
                                 mapped.amplitudes)
         with pytest.raises(ValueError, match="share a grid"):
-            sq.supercharge_state(pp.state, other)
+            sq.supercharge_state(up, other)
 
     def test_state_is_the_q1_plus_row_halved_once(self, harmonic_level_one):
         # the halves are psi+-/sqrt(2), bit for bit those of the Q1 + row of
         # supercharge_eigenstates, read-only, and kept by SpinorState as they
         # are: the concurrence reads them without a copy
         system, pp, rows = harmonic_level_one
-        mapped = sq.intertwine_down(system, pp)
-        state = sq.supercharge_state(pp.state, mapped)
+        up, mapped = sq.on_nodes(pp.state, system.grid), sq.intertwine_down(system, pp)
+        state = sq.supercharge_state(up, mapped)
         assert state.weight == system.grid.dx
-        for half, psi, row_half in ((state.up, pp.state, rows[0][3].up),
+        for half, psi, row_half in ((state.up, up, rows[0][3].up),
                                     (state.down, mapped, rows[0][3].down)):
             assert half.tobytes() == (psi.amplitudes / np.sqrt(2.0)).tobytes()
             assert half.tobytes() == row_half.tobytes()

@@ -515,7 +515,7 @@ class TestIntertwining:
         down = sq.intertwine_down(systems["harmonic"], pp)
         back = intertwine_up(
             systems["harmonic"], sq.EigenPair(pp.energy, down))
-        fid = abs(sq.inner_product(back, pp.state)) ** 2 / norm(back) ** 2
+        fid = abs(sq.inner_product(back, sq.on_nodes(pp.state, back.grid))) ** 2 / norm(back) ** 2
         assert fid >= 1 - 1e-10
 
     def test_zero_mode_input_rejected(self, systems, spectra):
@@ -524,19 +524,6 @@ class TestIntertwining:
         assert minus[0].energy < sq.EPS0
         with pytest.raises(ValueError):
             sq.intertwine_down(systems["harmonic"], sq.EigenPair(minus[0].energy, plus[0].state))
-
-    def test_nonzero_last_node_rejected(self, systems, spectra):
-        # an H+ state lives on the n - 1 cells, 0 at the last node: a state
-        # with anything else there is refused, not cut, alone or in a batch
-        plus, _ = spectra["harmonic"]
-        amps = plus.state.amplitudes.copy()
-        assert np.all(amps[:, -1] == 0.0)
-        amps[1, -1] = 1e-300
-        bad = sq.EigenPair(plus.energy, sq.Wavefunction(plus.state.grid, amps))
-        for pair in (bad, bad[1]):
-            with pytest.raises(ValueError, match="last node"):
-                sq.intertwine_down(systems["harmonic"], pair)
-        assert sq.intertwine_down(systems["harmonic"], bad[0]).amplitudes.shape == amps[0].shape
 
     @pytest.mark.parametrize("name", ("harmonic", "cubic", "shifted_cubic"))
     def test_mapped_state_matches_solved_partner(self, systems, nonzero_levels, name):
@@ -577,11 +564,12 @@ class TestBatches:
         pairs = sq.eigenstates(plus, grid)
         vectors = plus.vectors()
         assert vectors.shape == (400, 12)  # H+ on the cells
-        assert len(pairs) == 12 and pairs.state.amplitudes.shape == (12, 401)
+        assert len(pairs) == 12 and pairs.state.amplitudes.shape == (12, 400)
+        nodes = sq.on_nodes(pairs.state, grid).amplitudes
         for j, pair in enumerate(pairs):
-            # on the nodes, 0 at the last, then phase-fixed and scaled
+            # put on the nodes, 0 at the last, then phase-fixed and scaled
             assert type(pair.energy) is float and pair.energy == plus.values[j]
-            assert self.same_bits(pair.state.amplitudes,
+            assert self.same_bits(nodes[j],
                                   sq.fix_phase(np.append(vectors[:, j], 0.0)) / np.sqrt(grid.dx))
         block = pairs[3:7]
         assert self.same_bits(block.energy, plus.values[3:7])
@@ -623,6 +611,39 @@ class TestBatches:
             fixed = sq.fix_phase(a)
             for row, got in zip(a, fixed):
                 assert self.same_bits(got, sq.fix_phase(row))
+
+
+class TestCellsAndNodes:
+    """H+ states on the cell grid, and `on_nodes`, the one map onto the nodes."""
+
+    @pytest.mark.parametrize("n_points", (201, 2001))
+    def test_on_nodes_appends_one_zero_onto_the_system_grid(self, n_points, cell_grid):
+        # at 201 and 2001 points the midpoints' own dx is an ulp off the node
+        # dx: the nodes are the system's grid, never rebuilt from the cells
+        grid = sq.make_grid(-10.0, 10.0, n_points)
+        system = sq.build_susy_system(sq.get_superpotential("harmonic"), grid)
+        pairs = sq.eigenstates(sq.solve_plus(system.H_plus, 6), grid)
+        assert pairs.state.grid == cell_grid(grid) and pairs.state.grid.dx != grid.dx
+        for state in (pairs.state, pairs[2].state,
+                      sq.Wavefunction(pairs.state.grid, 1j * pairs.state.amplitudes)):
+            nodes = sq.on_nodes(state, system.grid)
+            assert nodes.grid == system.grid and nodes.grid.dx == grid.dx
+            assert nodes.amplitudes.shape == state.amplitudes.shape[:-1] + (n_points,)
+            assert nodes.amplitudes.dtype == state.amplitudes.dtype
+            assert nodes.amplitudes[..., :-1].tobytes() == state.amplitudes.tobytes()
+            assert np.all(nodes.amplitudes[..., -1] == 0.0)
+            assert not nodes.amplitudes.flags.writeable
+
+    def test_cell_and_node_states_do_not_meet(self, spectra, grid2001):
+        plus, minus = spectra["harmonic"]
+        with pytest.raises(sq.GridMismatchError):
+            sq.inner_product(plus[0].state, minus[1].state)
+        with pytest.raises(sq.GridMismatchError):
+            sq.inner_product(minus[1].state, plus.state)
+        for state, grid in ((minus[1].state, grid2001),  # a node state has no cells
+                            (plus[0].state, sq.make_grid(-9.0, 9.0, 2001))):
+            with pytest.raises(sq.GridMismatchError):
+                sq.on_nodes(state, grid)
 
 
 class TestOperatorNorm:
